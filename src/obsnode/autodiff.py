@@ -10,11 +10,10 @@ scalar-vs-tensor; anything fancier goes through explicit ``reshape`` /
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeMismatch
+from .errors import DataError, NumericError, ShapeMismatch
 
 LEAKY_RELU_SLOPE = 0.01
 
@@ -35,13 +34,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -309,10 +301,16 @@ def tanh(a):
     return _record(out, (a,), bw)
 
 
+def _sigmoid(x):
+    """Logistic function on a plain array; never evaluates exp of a positive
+    argument, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     _check_finite("sigmoid", a)
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _sigmoid(a.data)
     out = Tensor(y)
 
     def bw(g):
@@ -346,31 +344,6 @@ def square(a):
 
 
 ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "leakyrelu": leaky_relu}
-
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "hadamard": hadamard,
-    "scale": scale,
-    "concat": concat,
-    "slice": slice_axis,
-    "sum": tsum,
-    "mean": tmean,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "leaky_relu": leaky_relu,
-    "square": square,
-    "reshape": reshape,
-    "expand": expand,
-}
-
-
-def forward_op(kind, *args, **kwargs):
-    """Dispatch a forward operation by name."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown op kind {kind!r}")
-    return _OPS[kind](*args, **kwargs)
 
 
 def backward(loss: Tensor):
@@ -425,45 +398,15 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
 # Adam
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update, in place on `params` (numpy arrays)."""
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("adam_step", (len(params),), (len(grads),))
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatch("adam_step", p.shape, g.shape)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
-
-
 class Adam:
-    """Stateful wrapper around :func:`adam_step` for a list of Tensors."""
+    """Bias-corrected Adam over a list of Tensors, updating ``data`` in place."""
 
     def __init__(self, tensors, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.tensors = list(tensors)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(t.data) for t in self.tensors]
+        self.v = [np.zeros_like(t.data) for t in self.tensors]
 
     def zero_grad(self):
         for t in self.tensors:
@@ -471,11 +414,23 @@ class Adam:
 
     def step(self, max_grad_norm=None):
         grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in self.tensors]
+        for t, g in zip(self.tensors, grads):
+            if t.data.shape != g.shape:
+                raise ShapeMismatch("Adam.step", t.data.shape, g.shape)
         if max_grad_norm is not None:
             norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if norm > max_grad_norm:
                 grads = [g * (max_grad_norm / norm) for g in grads]
-        adam_step([t.data for t in self.tensors], grads, self.state)
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for t, g, m, v in zip(self.tensors, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +460,20 @@ def save_checkpoint(path, named_tensors, metadata=None):
 
 
 def load_checkpoint(path):
-    """Returns (ordered dict name -> np.ndarray, metadata or None)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
+    """Returns (ordered dict name -> np.ndarray, metadata or None); a missing
+    or malformed file raises DataError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DataError(f"checkpoint {path}: {e}")
+    if not isinstance(doc, dict) or doc.get("format_version") != 1:
+        raise DataError(f"checkpoint {path}: format_version must be 1")
     tensors = {}
-    for entry in doc["tensors"]:
-        arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        tensors[entry["name"]] = arr
+    try:
+        for entry in doc["tensors"]:
+            arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            tensors[entry["name"]] = arr
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint {path}: malformed tensors: {e!r}")
     return tensors, doc.get("metadata")

@@ -11,9 +11,9 @@ error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,31 +22,19 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import (clip_for_display, rmse_grid, write_grid_csv,
-                       write_grid_pgm)
+from .evaluate import (clip_for_display, raw_forecast, rmse_grid,
+                       write_grid_csv, write_grid_pgm)
 from .identify import (adjustment_estimate, interventional_truth,
                        linear_gaussian_refinement, nonidentifiability_witness,
                        random_observable_scm, random_query)
-from .model import History, ObsNodeConfig, encode, forecast, load_model
-from .odeint import ControlPath, IntegrationConfig
+from .model import History, ObsNodeConfig, load_model
+from .odeint import ControlPath
 from .simulate import (CancerSimConfig, SemiSynthConfig,
                        generate_cancer_dataset, generate_semi_synthetic,
                        read_dataset, write_dataset)
-from .train import (TrainConfig, train, zscore_apply, zscore_fit,
-                    zscore_invert)
+from .train import TrainConfig, train, zscore_apply, zscore_fit
 
 FORMAT_VERSION = 1
-
-
-def _threads():
-    raw = os.environ.get("OBSNODE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"OBSNODE_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("OBSNODE_THREADS must be >= 1")
-    return n
 
 
 def load_json_config(path, allowed_keys, required_keys):
@@ -194,8 +182,15 @@ def read_treatment_csv(path, d_a):
             raise DataError(f"{path}: {e}")
     if not rows:
         raise DataError(f"{path}: no treatment rows")
+    if any(len(row) != len(expect) for row in rows):
+        raise DataError(f"{path}: every row needs {len(expect)} values")
     arr = np.array(rows)
-    return ControlPath(arr[:, 0], arr[:, 1:])
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: non-finite value")
+    try:
+        return ControlPath(arr[:, 0], arr[:, 1:])
+    except ValueError as e:
+        raise DataError(f"{path}: {e}")
 
 
 def cmd_forecast(args):
@@ -216,27 +211,17 @@ def cmd_forecast(args):
     if qts.size == 0:
         raise DataError("no forecast times beyond t_c")
 
-    y = unit.y
-    if stats is not None:
-        y = np.where(unit.mask > 0, (y - stats.mean) / stats.std, y)
-    hist = History(unit.times[past], y[past][:, None, :],
-                   unit.mask[past][:, None, :], unit.a[past][:, None, :])
-    state = encode(hist, params)
-    int_cfg = IntegrationConfig(
-        step_size=float(np.min(np.diff(unit.times))) / 4.0)
-    preds = forecast(state, control, list(qts), params, int_cfg,
-                     history=hist if model_cfg.rollout_mode == "recursive"
-                     else None)
-    pred = np.stack([p.data[0] for p in preds])
-    if stats is not None:
-        pred = zscore_invert(pred, stats)
+    record = History(unit.times, unit.y[:, None, :], unit.mask[:, None, :],
+                     unit.a[:, None, :])
+    pred = raw_forecast(record, t_c, qts, params, stats, control=control)[:, 0]
 
-    writer = csv.writer(open(args.output, "w", newline="")) if args.output \
-        else csv.writer(sys.stdout)
-    writer.writerow(["time"] + [f"component_{j + 1}"
-                                for j in range(model_cfg.d_y)])
-    for t, row in zip(qts, pred):
-        writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
+    with (open(args.output, "w", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time"] + [f"component_{j + 1}"
+                                    for j in range(model_cfg.d_y)])
+        for t, row in zip(qts, pred):
+            writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
     return 0
 
 
@@ -351,7 +336,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads()
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -17,8 +17,9 @@ class NumericError(ObsNodeError):
     """Numeric failure such as a non-finite state or blow-up (CLI exit code 4)."""
 
 
-class ShapeMismatch(NumericError):
-    """Incompatible tensor shapes passed to an operation."""
+class ShapeMismatch(ObsNodeError):
+    """Incompatible tensor shapes passed to an operation: a programming error,
+    never treated as numeric divergence."""
 
     def __init__(self, op, *shapes):
         self.op = op

@@ -10,16 +10,16 @@ noise-free re-simulations under an alternative dose path.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
-from .model import History, encode, forecast
+from .model import History, rollout
 from .odeint import ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, _patient_rngs, sample_patient_params,
                        simulate_cancer_patient)
-from .train import NormStats, stack_units, zscore_apply, zscore_invert
+from .train import NormStats, stack_units, zscore_invert, zscore_outcomes
 
 
 @dataclass
@@ -50,34 +50,56 @@ class RmseGrid:
             return np.nanmean(self.values, axis=2)
 
 
-def model_predictor(params, stats: NormStats | None, int_cfg: IntegrationConfig):
+def raw_forecast(record: History, t_c, query_times, params,
+                 stats: NormStats | None, int_cfg: IntegrationConfig | None = None,
+                 control: ControlPath | None = None):
+    """:func:`~obsnode.model.rollout` in raw outcome units: normalize the
+    record's observed outcomes with `stats`, forecast, and invert the
+    normalization. Returns a (len(query_times), n, d_y) array."""
+    if stats is not None:
+        record = History(record.times, zscore_outcomes(record.y, record.mask, stats),
+                         record.mask, record.a)
+    out = np.stack([p.data for p in rollout(record, t_c, query_times, params,
+                                            int_cfg, control)])
+    return zscore_invert(out, stats) if stats is not None else out
+
+
+def model_predictor(params, stats: NormStats | None, int_cfg: IntegrationConfig | None):
     """Default predictor: encode the normalized history, roll the model
     forward under the factual treatments, and invert the normalization."""
 
     def predict(times, y, mask, a, t_c, query_times):
-        if stats is not None:
-            y = np.where(mask > 0, (y - stats.mean) / stats.std, y)
-        past = times <= t_c + 1e-9
-        hist = History(times[past], y[past], mask[past], a[past])
-        state = encode(hist, params)
-        fut_t = np.asarray(query_times)
-        fut_a = a[np.isin(times, fut_t)]
-        knots = np.concatenate([[times[past][-1]], fut_t[:-1]])
-        vals = np.concatenate([a[past][-1:], fut_a[:-1]]) if fut_t.size > 1 \
-            else a[past][-1:]
-        ctrl = ControlPath(knots, vals)
-        preds = forecast(state, ctrl, list(fut_t), params, int_cfg,
-                         history=hist if params.cfg.rollout_mode == "recursive"
-                         else None)
-        out = np.stack([p.data for p in preds])
-        return zscore_invert(out, stats) if stats is not None else out
+        return raw_forecast(History(times, y, mask, a), t_c, query_times, params,
+                            stats, int_cfg)
 
     return predict
 
 
-def _bin_edges(t_c, horizons):
-    lo = np.concatenate([[0.0], horizons[:-1]])
-    return t_c + lo, t_c + horizons
+def _test_scale(y, mask):
+    """Per-component standard deviation of the observed entries of a stacked
+    (T, n, d_y) outcome array: the divisor of every scaled RMSE."""
+    mean = (y * mask).sum((0, 1)) / mask.sum((0, 1))
+    return np.sqrt(((y - mean) ** 2 * mask).sum((0, 1)) / mask.sum((0, 1)))
+
+
+def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
+    """Scaled RMSE and observed-point counts per (horizon bin, component) of
+    predictions at times `qts`; the bin for s_k collects the points in
+    (t_c + s_{k-1}, t_c + s_k]."""
+    d_y = y.shape[2]
+    err2 = (pred - y) ** 2 * mask
+    lo = t_c + np.concatenate([[0.0], horizons[:-1]])
+    hi = t_c + horizons
+    values = np.full((horizons.size, d_y), np.nan)
+    counts = np.zeros((horizons.size, d_y), dtype=int)
+    for k in range(horizons.size):
+        in_bin = (qts > lo[k] + 1e-9) & (qts <= hi[k] + 1e-9)
+        c = mask[in_bin].sum(axis=(0, 1))
+        counts[k] = c
+        for j in range(d_y):
+            if c[j] > 0:
+                values[k, j] = np.sqrt(err2[in_bin][:, :, j].sum() / c[j]) / scale[j]
+    return values, counts
 
 
 def rmse_grid(test_trajs, t_c_grid, horizons, predict=None, params=None,
@@ -94,15 +116,11 @@ def rmse_grid(test_trajs, t_c_grid, horizons, predict=None, params=None,
     if predict is None:
         if params is None:
             raise DataError("rmse_grid: need predict or params")
-        if int_cfg is None:
-            times0 = test_trajs[0].times
-            int_cfg = IntegrationConfig(step_size=float(np.min(np.diff(times0))) / 4.0)
         predict = model_predictor(params, stats, int_cfg)
 
     times, y, mask, a = stack_units(test_trajs)
     d_y = y.shape[2]
-    scale = np.sqrt(((y - (y * mask).sum((0, 1)) / mask.sum((0, 1))) ** 2
-                     * mask).sum((0, 1)) / mask.sum((0, 1)))
+    scale = _test_scale(y, mask)
 
     values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
     counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
@@ -113,16 +131,8 @@ def rmse_grid(test_trajs, t_c_grid, horizons, predict=None, params=None,
             continue
         qts = times[fut]
         preds = predict(times, y, mask, a, float(t_c), qts)
-        err2 = (preds - y[fut]) ** 2 * mask[fut]
-        lo, hi = _bin_edges(t_c, horizons)
-        for k in range(horizons.size):
-            in_bin = (qts > lo[k] + 1e-9) & (qts <= hi[k] + 1e-9)
-            m = mask[fut][in_bin]
-            c = m.sum(axis=(0, 1))
-            counts[i, k] = c
-            for j in range(d_y):
-                if c[j] > 0:
-                    values[i, k, j] = np.sqrt(err2[in_bin][:, :, j].sum() / c[j]) / scale[j]
+        values[i], counts[i] = _binned_rmse(qts, preds, y[fut], mask[fut], t_c,
+                                            horizons, scale)
     return RmseGrid(t_c_grid, horizons, values, counts, scale=scale)
 
 
@@ -197,7 +207,7 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     facts, truths, scheds = [], [], []
-    cf_cfg = CancerSimConfig(**{**_cfg_dict(sim_config), "noise": False})
+    cf_cfg = replace(sim_config, noise=False)
     for uid in unit_ids:
         prng, nrng = _patient_rngs(sim_config.seed, uid)
         pat = sample_patient_params(prng, sim_config)
@@ -211,42 +221,14 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
 
     times, y, mask, a = stack_units(facts)
     _, y_true, mask_true, _ = stack_units(truths)
-    if int_cfg is None:
-        int_cfg = IntegrationConfig(step_size=float(np.min(np.diff(times))) / 4.0)
-
-    past = times <= t_c + 1e-9
-    end = t_c + horizons[-1]
-    fut = (times > t_c + 1e-9) & (times <= end + 1e-9)
+    fut = (times > t_c + 1e-9) & (times <= t_c + horizons[-1] + 1e-9)
     qts = times[fut]
-    y_in = np.where(mask > 0, (y - stats.mean) / stats.std, y) if stats else y
-    hist = History(times[past], y_in[past], mask[past], a[past])
-    state = encode(hist, params)
     cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
     ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
-    preds = forecast(state, ctrl, list(qts), params, int_cfg,
-                     history=hist if params.cfg.rollout_mode == "recursive"
-                     else None)
-    pred = np.stack([p.data for p in preds])
-    if stats:
-        pred = zscore_invert(pred, stats)
-
-    d_y = y.shape[2]
-    scale = np.sqrt(((y - (y * mask).sum((0, 1)) / mask.sum((0, 1))) ** 2
-                     * mask).sum((0, 1)) / mask.sum((0, 1)))
-    err2 = (pred - y_true[fut]) ** 2 * mask_true[fut]
-    values = np.full((1, horizons.size, d_y), np.nan)
-    counts = np.zeros((1, horizons.size, d_y), dtype=int)
-    lo, hi = _bin_edges(t_c, horizons)
-    for k in range(horizons.size):
-        in_bin = (qts > lo[k] + 1e-9) & (qts <= hi[k] + 1e-9)
-        c = mask_true[fut][in_bin].sum(axis=(0, 1))
-        counts[0, k] = c
-        for j in range(d_y):
-            if c[j] > 0:
-                values[0, k, j] = np.sqrt(err2[in_bin][:, :, j].sum() / c[j]) / scale[j]
-    return RmseGrid(np.array([t_c]), horizons, values, counts, scale=scale)
-
-
-def _cfg_dict(cfg):
-    from dataclasses import asdict
-    return asdict(cfg)
+    pred = raw_forecast(History(times, y, mask, a), t_c, qts, params, stats,
+                        int_cfg, ctrl)
+    scale = _test_scale(y, mask)
+    values, counts = _binned_rmse(qts, pred, y_true[fut], mask_true[fut], t_c,
+                                  horizons, scale)
+    return RmseGrid(np.array([t_c]), horizons, values[None], counts[None],
+                    scale=scale)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .odeint import ControlPath, IntegrationConfig, integrate
 
 
@@ -161,10 +161,10 @@ class ObsNodeParams:
     def load_state(self, arrays: dict):
         for name, t in self.named_parameters():
             if name not in arrays:
-                raise ValueError(f"checkpoint missing tensor {name!r}")
+                raise DataError(f"checkpoint missing tensor {name!r}")
             if tuple(arrays[name].shape) != t.data.shape:
-                raise ValueError(f"checkpoint tensor {name!r} has shape "
-                                 f"{arrays[name].shape}, expected {t.data.shape}")
+                raise DataError(f"checkpoint tensor {name!r} has shape "
+                                f"{arrays[name].shape}, expected {t.data.shape}")
             t.data = arrays[name].copy()
 
     def _mlp(self, i, x):
@@ -323,6 +323,33 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     return preds
 
 
+def rollout(record: History, t_c, query_times, params: ObsNodeParams,
+            int_cfg: IntegrationConfig | None = None,
+            control: ControlPath | None = None):
+    """Potential-outcome forecasts from one observed record: encode the
+    record up to t_c, then forecast `query_times` (ascending, after t_c) under
+    `control`.
+
+    Without a control path the factual recorded treatments apply: the last
+    treatment at or before t_c up to the first query time, then the treatment
+    recorded at each query time up to the next. `int_cfg` defaults to
+    :meth:`IntegrationConfig.for_grid` of the record times. Returns a list of
+    (n, d_y) Tensors aligned with `query_times`.
+    """
+    past = record.times <= t_c + 1e-9
+    hist = History(record.times[past], record.y[past], record.mask[past],
+                   record.a[past])
+    qts = np.asarray(query_times, dtype=np.float64)
+    if control is None:
+        fut_a = record.a[np.isin(record.times, qts)]
+        control = ControlPath(np.concatenate([hist.times[-1:], qts[:-1]]),
+                              np.concatenate([hist.a[-1:], fut_a[:-1]]))
+    if int_cfg is None:
+        int_cfg = IntegrationConfig.for_grid(record.times)
+    return forecast(encode(hist, params), control, list(qts), params, int_cfg,
+                    history=hist)
+
+
 def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
                         horizon: float, n_samples: int = 50,
                         int_cfg: IntegrationConfig | None = None):
@@ -365,13 +392,16 @@ def load_model(path):
     from .train import NormStats  # local import to avoid a cycle
 
     arrays, meta = ad.load_checkpoint(path)
-    if meta is None or "config" not in meta:
-        raise ValueError("checkpoint is missing the model metadata header")
-    cfg = ObsNodeConfig(**meta["config"])
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise DataError(f"checkpoint {path}: missing the model metadata header")
+    try:
+        cfg = ObsNodeConfig(**meta["config"])
+        stats = None
+        if "norm_stats" in meta:
+            stats = NormStats(mean=np.array(meta["norm_stats"]["mean"]),
+                              std=np.array(meta["norm_stats"]["std"]))
+    except (ConfigError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint {path}: bad metadata: {e}")
     params = ObsNodeParams(cfg, np.random.default_rng(0))
     params.load_state(arrays)
-    stats = None
-    if "norm_stats" in meta:
-        stats = NormStats(mean=np.array(meta["norm_stats"]["mean"]),
-                          std=np.array(meta["norm_stats"]["std"]))
     return params, cfg, stats

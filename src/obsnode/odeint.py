@@ -61,6 +61,12 @@ class IntegrationConfig:
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
 
+    @classmethod
+    def for_grid(cls, times, method="rk4"):
+        """Default config for an observation grid: a step of a quarter of the
+        smallest spacing of `times`."""
+        return cls(method=method, step_size=float(np.min(np.diff(times))) / 4.0)
+
 
 def _step_boundaries(t0, t1, control, query_times, cfg):
     """All step edges: control knots, query times, and uniform subdivision of

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import BSpline
 
+from .autodiff import _sigmoid
 from .errors import ConfigError, DataError, NumericError
 
 # Tumor model constants
@@ -180,11 +181,6 @@ def sample_patient_params(rng, config: CancerSimConfig,
         alpha_c_dose=rng.uniform(1.0, 4.0), alpha_r_dose=rng.uniform(1.0, 4.0),
         v0=v0, w0=w0,
     )
-
-
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                    np.exp(x) / (1.0 + np.exp(x)))
 
 
 def diameter(volume):
@@ -402,8 +398,8 @@ def generate_semi_synthetic(config: SemiSynthConfig):
 # ---------------------------------------------------------------------------
 
 def write_dataset(dirpath, splits, config, seed):
-    """JSON-lines trajectories plus a manifest with the config, the split
-    membership, and per-component train-split statistics."""
+    """JSON-lines trajectories plus a manifest with the config, the seed and
+    the split membership."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     membership = {}
@@ -419,23 +415,10 @@ def write_dataset(dirpath, splits, config, seed):
                     rec["confounders"] = np.asarray(tr.confounders).tolist()
                 fh.write(json.dumps(rec) + "\n")
         membership[split] = [tr.unit_id for tr in trajs]
-
-    train = splits["train"]
-    ys = np.concatenate([tr.y for tr in train])
-    ms = np.concatenate([tr.mask for tr in train])
-    mean = (ys * ms).sum(0) / ms.sum(0)
-    var = (((ys - mean) ** 2) * ms).sum(0) / ms.sum(0)
-    manifest = {"format_version": 1, "config": _config_dict(config), "seed": seed,
-                "splits": membership,
-                "train_stats": {"mean": mean.tolist(),
-                                "std": np.sqrt(var).tolist()}}
+    manifest = {"format_version": 1, "config": asdict(config), "seed": seed,
+                "splits": membership}
     with open(dirpath / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
-
-
-def _config_dict(config):
-    d = asdict(config) if not isinstance(config, dict) else dict(config)
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
 
 
 def read_dataset(dirpath):

@@ -18,9 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
-from .model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
-                    encode, forecast, save_model)
-from .odeint import ControlPath, IntegrationConfig
+from .model import History, ObsNodeConfig, ObsNodeParams, rollout, save_model
+from .odeint import IntegrationConfig
 
 
 @dataclass
@@ -35,6 +34,8 @@ class NormStats:
 
 def zscore_fit(trajs) -> NormStats:
     """Per-component mean/std over observed entries of the given (train) split."""
+    if not trajs:
+        raise DataError("cannot fit normalization statistics on an empty split")
     ys = np.concatenate([tr.y for tr in trajs])
     ms = np.concatenate([tr.mask for tr in trajs])
     counts = ms.sum(0)
@@ -49,11 +50,17 @@ def zscore_fit(trajs) -> NormStats:
     return NormStats(mean=mean, std=np.sqrt(var))
 
 
+def zscore_outcomes(y, mask, stats: NormStats):
+    """Normalize the observed entries of an outcome array; unobserved entries
+    pass through unchanged."""
+    return np.where(mask > 0, (y - stats.mean) / stats.std, y)
+
+
 def zscore_apply(trajs, stats: NormStats):
     """Normalize observed outcome entries; treatments are left untouched."""
     out = []
     for tr in trajs:
-        y = np.where(tr.mask > 0, (tr.y - stats.mean) / stats.std, tr.y)
+        y = zscore_outcomes(tr.y, tr.mask, stats)
         out.append(type(tr)(unit_id=tr.unit_id, times=tr.times.copy(), y=y,
                             mask=tr.mask.copy(), a=tr.a.copy(),
                             latents=tr.latents, confounders=tr.confounders))
@@ -128,10 +135,9 @@ class TrainConfig:
 
 
 def _int_config(times, tc: TrainConfig):
-    step = tc.int_step
-    if step is None:
-        step = float(np.min(np.diff(times))) / 4.0
-    return IntegrationConfig(method=tc.int_method, step_size=step)
+    if tc.int_step is None:
+        return IntegrationConfig.for_grid(times, tc.int_method)
+    return IntegrationConfig(method=tc.int_method, step_size=tc.int_step)
 
 
 def _batch_loss(times, y, mask, a, t_c, params, sigma2, int_cfg,
@@ -142,18 +148,9 @@ def _batch_loss(times, y, mask, a, t_c, params, sigma2, int_cfg,
     fut = ~past
     if max_horizon is not None:
         fut = fut & (times <= t_c + max_horizon + 1e-9)
-        if not fut.any():
-            return None
     if not past.any() or not fut.any():
         return None
-    hist = History(times[past], y[past], mask[past], a[past])
-    state = encode(hist, params)
-    qts = times[fut]
-    knots = np.concatenate([[times[past][-1]], qts[:-1]]) if qts.size else times[past][-1:]
-    ctrl = ControlPath(knots, np.concatenate([a[past][-1:], a[fut][:-1]])
-                       if qts.size > 1 else a[past][-1:])
-    preds = forecast(state, ctrl, list(qts), params, int_cfg,
-                     history=hist if params.cfg.rollout_mode == "recursive" else None)
+    preds = rollout(History(times, y, mask, a), t_c, times[fut], params, int_cfg)
     pred = ad.concat([ad.reshape(p, (1,) + p.data.shape) for p in preds], axis=0)
     return masked_loss(pred, y[fut], mask[fut], sigma2)
 

@@ -33,7 +33,8 @@ from obsnode.simulate import (PARAM_DISTS, CancerSimConfig, SemiSynthConfig,
                               generate_semi_synthetic, sample_patient_params,
                               simulate_cancer_patient)
 from obsnode.train import (NormStats, TrainConfig, masked_loss, train,
-                           zscore_apply, zscore_fit, zscore_invert)
+                           zscore_apply, zscore_fit, zscore_invert,
+                           zscore_outcomes)
 
 ZERO_CONTROL = ControlPath(np.array([0.0]), np.zeros((1, 1)))
 
@@ -327,8 +328,7 @@ class TestCancerEndToEnd:
                 continue
             used += 1
             past = fact.times <= t_c + 1e-9
-            yn = np.where(fact.mask > 0, (fact.y - stats.mean) / stats.std,
-                          fact.y)
+            yn = zscore_outcomes(fact.y, fact.mask, stats)
             hist = History(fact.times[past], yn[past][:, None, :],
                            fact.mask[past][:, None, :],
                            fact.a[past][:, None, :])

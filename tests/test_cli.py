@@ -110,6 +110,52 @@ class TestExitCodes:
                    "--treatments", str(t), "--t-c", "30"])
         assert rc == 3
 
+    def test_two_patients_simulate_then_train_on_empty_split(self, tmp_path,
+                                                             capsys):
+        # two units leave the train split empty: simulate writes the dataset,
+        # train rejects it as a data error
+        sim = write_json(tmp_path / "s.json", {
+            "format_version": 1, "kind": "cancer",
+            "output_dir": str(tmp_path / "d"),
+            "params": {"n_patients": 2, "n_cycles": 1, "dt": 0.5,
+                       "obs_every": 3}})
+        assert main(["simulate", "--config", sim]) == 0
+        trn = write_json(tmp_path / "t.json", {
+            "format_version": 1, "dataset_dir": str(tmp_path / "d"),
+            "run_dir": str(tmp_path / "r"),
+            "model": {"d_y": 2, "m": 2, "d_a": 2},
+            "train": {"decision_time_grid": [3.0], "t_f": 30.0}})
+        assert main(["train", "--config", trn]) == 3
+        assert "empty split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["30.0,0.0,0.0\n0.0,1.0,1.0\n",
+                                      "0.0,0.0,0.0\n30.0,1.0\n",
+                                      "nan,0.0,0.0\n"],
+                             ids=["nonincreasing_starts", "short_row",
+                                  "nan_start"])
+    def test_bad_treatment_rows_are_data_error(self, workspace, tmp_path,
+                                               rows, capsys):
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n" + rows)
+        rc = main(["forecast", "--checkpoint",
+                   str(workspace["run"] / "checkpoint.json"),
+                   "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                   "--treatments", str(t), "--t-c", "30"])
+        assert rc == 3
+        assert str(t) in capsys.readouterr().err
+
+    def test_checkpoint_without_tensors_is_data_error(self, workspace,
+                                                      tmp_path):
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        del doc["tensors"]
+        ck = write_json(tmp_path / "ck.json", doc)
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        rc = main(["forecast", "--checkpoint", ck,
+                   "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                   "--treatments", str(t), "--t-c", "30"])
+        assert rc == 3
+
 
 class TestDeterminism:
     def test_simulate_rerun_byte_identical(self, workspace, tmp_path, capsys):
@@ -221,8 +267,3 @@ class TestGradcheck:
         assert main(["gradcheck", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-
-class TestThreadsEnv:
-    def test_invalid_threads_value(self, workspace, monkeypatch):
-        monkeypatch.setenv("OBSNODE_THREADS", "zero")
-        assert main(["gradcheck", "--n", "1"]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from obsnode import autodiff as ad
 from obsnode.autodiff import Tensor, grad_check
-from obsnode.errors import ConfigError
+from obsnode.errors import ConfigError, DataError
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
                            emit, encode, forecast, impute, load_model,
                            observability_probe, save_model, triangular_rhs)
@@ -260,5 +260,5 @@ class TestModelCheckpoint:
         save_model(path, params)
         arrays, meta = ad.load_checkpoint(path)
         del arrays["head.W"]
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             params.load_state(arrays)

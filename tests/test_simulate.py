@@ -266,15 +266,6 @@ class TestDatasetIo:
                 np.testing.assert_array_equal(ta.y, tb.y)
                 np.testing.assert_array_equal(ta.a, tb.a)
 
-    def test_manifest_train_stats(self, tmp_path):
-        cfg = SemiSynthConfig(n_patients=6, seed=8)
-        splits = generate_semi_synthetic(cfg)
-        write_dataset(tmp_path / "ds", splits, cfg, cfg.seed)
-        _, manifest = read_dataset(tmp_path / "ds")
-        ys = np.concatenate([tr.y for tr in splits["train"]])
-        np.testing.assert_allclose(manifest["train_stats"]["mean"], ys.mean(0),
-                                   atol=1e-12)
-
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             read_dataset(tmp_path)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from obsnode import autodiff as ad
+from obsnode import train as train_mod
 from obsnode.autodiff import Tensor, grad_check
-from obsnode.errors import ConfigError, DataError
+from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model
 from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, evaluate_loss, masked_loss,
@@ -221,3 +222,17 @@ class TestTrainLoop:
         tcfg = tiny_train_cfg(epochs=1, decision_sampling="fixed_grid")
         params, history = train(MODEL_CFG, splits, tcfg)
         assert np.isfinite(history[0]["val_loss"])
+
+    def test_shape_bug_propagates(self, monkeypatch):
+        # a programming error must not be counted as a diverged batch
+        real, calls = train_mod._batch_loss, []
+
+        def faulty(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ShapeMismatch("injected", (1,), (2,))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "_batch_loss", faulty)
+        with pytest.raises(ShapeMismatch):
+            train(MODEL_CFG, tiny_splits(seed=10), tiny_train_cfg(epochs=1))
