@@ -289,18 +289,6 @@ def tmean(a, axis=None):
     return _record(out, (a,), bw)
 
 
-def tanh(a):
-    _check_finite("tanh", a)
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (1.0 - y * y))
-
-    return _record(out, (a,), bw)
-
-
 def _sigmoid(x):
     """Logistic function on a plain array; never evaluates exp of a positive
     argument, so it cannot overflow."""
@@ -308,28 +296,44 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a):
-    _check_finite("sigmoid", a)
-    y = _sigmoid(a.data)
+def _leaky_relu(x):
+    return np.where(x >= 0, x, LEAKY_RELU_SLOPE * x)
+
+
+# Activations on plain arrays: name -> (forward(x), vjp(g, x, y)), where y is
+# forward(x). The activation ops and the fused model nodes share these, so
+# both round their arithmetic identically.
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+    "leakyrelu": (_leaky_relu,
+                  lambda g, x, y: g * np.where(x >= 0, 1.0, LEAKY_RELU_SLOPE)),
+}
+
+
+def _activation(op, kind, a):
+    _check_finite(op, a)
+    fwd, vjp = ACTIVATIONS[kind]
+    y = fwd(a.data)
     out = Tensor(y)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * y * (1.0 - y))
+            _accum(a, vjp(g, a.data, y))
 
     return _record(out, (a,), bw)
+
+
+def tanh(a):
+    return _activation("tanh", "tanh", a)
+
+
+def sigmoid(a):
+    return _activation("sigmoid", "sigmoid", a)
 
 
 def leaky_relu(a):
-    _check_finite("leaky_relu", a)
-    mask = a.data >= 0
-    out = Tensor(np.where(mask, a.data, LEAKY_RELU_SLOPE * a.data))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * np.where(mask, 1.0, LEAKY_RELU_SLOPE))
-
-    return _record(out, (a,), bw)
+    return _activation("leaky_relu", "leakyrelu", a)
 
 
 def square(a):
@@ -341,9 +345,6 @@ def square(a):
             _accum(a, g * 2.0 * a.data)
 
     return _record(out, (a,), bw)
-
-
-ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "leakyrelu": leaky_relu}
 
 
 def backward(loss: Tensor):
@@ -461,7 +462,7 @@ def save_checkpoint(path, named_tensors, metadata=None):
 
 def load_checkpoint(path):
     """Returns (ordered dict name -> np.ndarray, metadata or None); a missing
-    or malformed file raises DataError."""
+    or malformed file, or a non-finite value, raises DataError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -476,4 +477,8 @@ def load_checkpoint(path):
             tensors[entry["name"]] = arr
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"checkpoint {path}: malformed tensors: {e!r}")
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint {path}: tensor {name!r} has a "
+                            "non-finite value")
     return tensors, doc.get("metadata")

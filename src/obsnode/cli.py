@@ -76,6 +76,21 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _number_list(cfg, key):
+    """`cfg[key]` as a nonempty list of finite floats; anything else raises
+    ConfigError."""
+    vals = cfg[key]
+    try:
+        if (isinstance(vals, list) and vals
+                and all(type(v) in (int, float) for v in vals)):
+            vals = [float(v) for v in vals]
+            if np.isfinite(vals).all():
+                return vals
+    except OverflowError:
+        pass
+    raise ConfigError(f"{key} must be a nonempty list of finite numbers")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -138,13 +153,22 @@ def cmd_evaluate(args):
                             "split", "t_c_grid", "horizons", "heatmap"},
                            {"dataset_dir", "checkpoint", "output_dir",
                             "t_c_grid", "horizons"})
+    t_c_grid = _number_list(cfg, "t_c_grid")
+    horizons = _number_list(cfg, "horizons")
+    if min(horizons) <= 0:
+        raise ConfigError("horizons must be positive")
     splits, _ = read_dataset(cfg["dataset_dir"])
     split = cfg.get("split", "test")
     if split not in splits:
         raise ConfigError(f"split {split!r} not present in the dataset")
     params, _, stats = load_model(cfg["checkpoint"])
-    grid = rmse_grid(splits[split], cfg["t_c_grid"], cfg["horizons"],
-                     params=params, stats=stats)
+    grid = rmse_grid(splits[split], t_c_grid, horizons, params=params,
+                     stats=stats)
+    if not grid.counts.any():
+        times = np.concatenate([tr.times for tr in splits[split]])
+        raise ConfigError(f"no observation follows any t_c_grid time within "
+                          f"the horizons: the {split} records span "
+                          f"[{_fmt(times.min())}, {_fmt(times.max())}]")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_grid_csv(grid, out / "rmse_grid.csv")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .odeint import ControlPath, IntegrationConfig, integrate
 
 
@@ -167,14 +167,6 @@ class ObsNodeParams:
                                 f"{arrays[name].shape}, expected {t.data.shape}")
             t.data = arrays[name].copy()
 
-    def _mlp(self, i, x):
-        act = ad.ACTIVATIONS[self.cfg.phi_activation]
-        layers = self.phi[i]
-        for W, b in layers[:-1]:
-            x = act(_linear(x, W, b))
-        W, b = layers[-1]
-        return _linear(x, W, b)
-
 
 def _as_batch(t):
     if isinstance(t, Tensor):
@@ -183,8 +175,31 @@ def _as_batch(t):
     return (Tensor(arr.reshape(1, -1)), True) if arr.ndim == 1 else (Tensor(arr), False)
 
 
+def _affine_vjp(g, x, W, b=None):
+    """Backward of ``x @ W (+ b)`` for the upstream gradient g: accumulates
+    the bias and weight gradients and returns the gradient for x."""
+    if b is not None and b.requires_grad:
+        ad._accum(b, g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g)
+    if W.requires_grad:
+        ad._accum(W, x.T @ g)
+    return g @ W.data.T
+
+
+def _check_node(name, *arrays):
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise NumericError(f"{name}: non-finite value")
+
+
 def triangular_rhs(z, a, params: ObsNodeParams):
-    """Vector field of the triangular normal form; z (n, d_z), a (n, d_a)."""
+    """Vector field of the triangular normal form; z (n, d_z), a (n, d_a).
+
+    Computed on plain arrays and recorded as one tape node. Its backward pass
+    replays the graph of autodiff ops that the field is built from, with the
+    same arithmetic and the same order of gradient accumulation, so values
+    and gradients equal that graph's bit for bit. A non-finite input or
+    output raises NumericError.
+    """
     cfg = params.cfg
     z, squeeze = _as_batch(z)
     a, _ = _as_batch(a)
@@ -192,23 +207,80 @@ def triangular_rhs(z, a, params: ObsNodeParams):
         raise ValueError(f"triangular_rhs: state dim {z.data.shape[1]} != {cfg.d_z}")
     if a.data.shape[1] != cfg.d_a:
         raise ValueError(f"triangular_rhs: control dim {a.data.shape[1]} != {cfg.d_a}")
-    if a.data.shape[0] == 1 and z.data.shape[0] > 1:
-        a = ad.expand(a, (z.data.shape[0], cfg.d_a))
-    if cfg.treatment_scale is not None and cfg.d_a:
+    d_y, m, d_a = cfg.d_y, cfg.m, cfg.d_a
+    zd = z.data
+    n = zd.shape[0]
+    expand = a.data.shape[0] == 1 and n > 1
+    ctrl = np.broadcast_to(a.data, (n, d_a)) if expand else a.data
+    if d_a and ctrl.shape[0] != n:
+        raise ShapeMismatch("triangular_rhs", z.shape, a.shape)
+    inv = None
+    if cfg.treatment_scale is not None and d_a:
         inv = 1.0 / np.asarray(cfg.treatment_scale)
-        a = ad.hadamard(a, Tensor(np.broadcast_to(inv, a.data.shape).copy()))
-    d_y, m = cfg.d_y, cfg.m
-    blocks = []
-    for i in range(1, m + 1):
-        seen = ad.slice_axis(z, 0, i * d_y, axis=1)
-        inp = ad.concat([seen, a], axis=1) if cfg.d_a else seen
-        phi = params._mlp(i - 1, inp)
-        if i < m:
-            nxt = ad.slice_axis(z, i * d_y, (i + 1) * d_y, axis=1)
-            blocks.append(ad.add(nxt, phi))
-        else:
-            blocks.append(phi)
-    out = ad.concat(blocks, axis=1)
+        ctrl = ctrl * inv
+    _check_node("triangular_rhs", zd, ctrl)
+    act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
+    phi_layers = [tuple(layers) for layers in params.phi]
+    blocks, caches = [], []
+    for i, layers in enumerate(phi_layers, start=1):
+        x = zd[:, :i * d_y]
+        if d_a:
+            x = np.concatenate([x, ctrl], axis=1)
+        cache = []  # (layer input, pre-activation, activation) per hidden layer
+        for W, b in layers[:-1]:
+            pre = x @ W.data + b.data
+            y = act(pre)
+            cache.append((x, pre, y))
+            x = y
+        W, b = layers[-1]
+        phi = x @ W.data + b.data
+        blocks.append(zd[:, i * d_y:(i + 1) * d_y] + phi if i < m else phi)
+        caches.append((cache, x))
+    out = np.concatenate(blocks, axis=1)
+    _check_node("triangular_rhs", out)
+
+    def backward(g):
+        # Reverse op order: block m first; within block i, the state slice
+        # feeding the integrator chain, then the MLP, then the block input.
+        # The op graph passed `a` through expand and scale ops into one
+        # tensor shared by all blocks; that tensor's gradient is summed in
+        # g_ctrl before it reaches `a`. Without them each block adds to `a`.
+        g_ctrl = None
+        for i in range(m, 0, -1):
+            # a contiguous copy, as in the op graph, so reductions see the
+            # same memory layout
+            g_blk = g[:, (i - 1) * d_y:i * d_y].copy()
+            if i < m and z.requires_grad:
+                full = np.zeros_like(zd)
+                full[:, i * d_y:(i + 1) * d_y] = g_blk
+                ad._accum(z, full)
+            layers = phi_layers[i - 1]
+            cache, x_last = caches[i - 1]
+            gx = _affine_vjp(g_blk, x_last, *layers[-1])
+            for (W, b), (x, pre, y) in zip(reversed(layers[:-1]), reversed(cache)):
+                gx = _affine_vjp(act_vjp(gx, pre, y), x, W, b)
+            if z.requires_grad:
+                full = np.zeros_like(zd)
+                full[:, :i * d_y] = gx[:, :i * d_y]
+                ad._accum(z, full)
+            if d_a and a.requires_grad:
+                part = gx[:, i * d_y:]
+                if inv is None and not expand:
+                    ad._accum(a, part)
+                elif g_ctrl is None:
+                    g_ctrl = part.copy()
+                else:
+                    g_ctrl += part
+        if g_ctrl is not None:
+            if inv is not None:
+                g_ctrl = g_ctrl * inv
+            if expand:
+                g_ctrl = g_ctrl.sum(axis=0, keepdims=True)
+            ad._accum(a, g_ctrl)
+
+    inputs = [z, a] if d_a else [z]
+    inputs += [t for layers in phi_layers for W, b in layers for t in (W, b)]
+    out = ad._record(Tensor(out), inputs, backward)
     return ad.reshape(out, (cfg.d_z,)) if squeeze else out
 
 
@@ -234,12 +306,54 @@ def impute(y, mask, b):
 
 
 def _gru_step(x, h, enc):
-    r = ad.sigmoid(ad.add(_linear(x, enc["Wr"], enc["br"]), ad.matmul(h, enc["Ur"])))
-    u = ad.sigmoid(ad.add(_linear(x, enc["Wu"], enc["bu"]), ad.matmul(h, enc["Uu"])))
-    cand = ad.tanh(ad.add(_linear(x, enc["Wh"], enc["bh"]),
-                          ad.matmul(ad.hadamard(r, h), enc["Uh"])))
-    ones = Tensor(np.ones_like(u.data))
-    return ad.add(ad.hadamard(ad.sub(ones, u), h), ad.hadamard(u, cand))
+    """One gated recurrent update, computed on plain arrays and recorded as
+    one tape node under the same contract as :func:`triangular_rhs`."""
+    Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh = (
+        enc[k] for k in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wh", "Uh", "bh"))
+    xd, hd = x.data, h.data
+    _check_node("_gru_step", xd, hd)
+    sig, sig_vjp = ad.ACTIVATIONS["sigmoid"]
+    tanh, tanh_vjp = ad.ACTIVATIONS["tanh"]
+    pre_r = xd @ Wr.data + br.data + hd @ Ur.data
+    r = sig(pre_r)
+    pre_u = xd @ Wu.data + bu.data + hd @ Uu.data
+    u = sig(pre_u)
+    rh = r * hd
+    pre_c = xd @ Wh.data + bh.data + rh @ Uh.data
+    cand = tanh(pre_c)
+    keep = 1.0 - u
+    out = keep * hd + u * cand
+    _check_node("_gru_step", out)
+
+    def backward(g):
+        # Reverse op order: the convex combination, the candidate, then the
+        # update gate, then the reset gate.
+        g_u = g * cand
+        g_cand = g * u
+        g_keep = g * hd
+        if h.requires_grad:
+            ad._accum(h, g * keep)
+        g_u += -g_keep
+        g_pre = tanh_vjp(g_cand, pre_c, cand)
+        g_rh = _affine_vjp(g_pre, rh, Uh)
+        g_r = g_rh * hd
+        if h.requires_grad:
+            ad._accum(h, g_rh * r)
+        g_x = _affine_vjp(g_pre, xd, Wh, bh)
+        if x.requires_grad:
+            ad._accum(x, g_x)
+        for g_gate, pre, gate, U, W, b in ((g_u, pre_u, u, Uu, Wu, bu),
+                                           (g_r, pre_r, r, Ur, Wr, br)):
+            g_pre = sig_vjp(g_gate, pre, gate)
+            g_h = _affine_vjp(g_pre, hd, U)
+            if h.requires_grad:
+                ad._accum(h, g_h)
+            g_x = _affine_vjp(g_pre, xd, W, b)
+            if x.requires_grad:
+                ad._accum(x, g_x)
+
+    return ad._record(Tensor(out), (x, h, Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh),
+                      backward)
 
 
 def encode(history: History, params: ObsNodeParams) -> EncodedState:

@@ -115,6 +115,9 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     for qt in query_times:
         if qt < t0 - 1e-12 or qt > t1 + 1e-12:
             raise ValueError(f"query time {qt} outside [{t0}, {t1}]")
+    # A query up to 1e-12 before t0 is a rounding of t0: it gets z0, and the
+    # integration still starts at t0.
+    query_times = [max(qt, t0) for qt in query_times]
 
     z = z0 if isinstance(z0, Tensor) else Tensor(z0)
     step = _rk4_step if cfg.method == "rk4" else _euler_step

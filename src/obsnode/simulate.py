@@ -422,25 +422,39 @@ def write_dataset(dirpath, splits, config, seed):
 
 
 def read_dataset(dirpath):
-    """Load splits written by write_dataset; returns (splits, manifest)."""
+    """Load splits written by write_dataset; returns (splits, manifest). A
+    missing or malformed manifest, split file or record raises DataError."""
     dirpath = Path(dirpath)
     mpath = dirpath / "manifest.json"
     if not mpath.exists():
         raise DataError(f"missing manifest: {mpath}")
-    with open(mpath) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        split_names = list(manifest["splits"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{mpath}: malformed manifest: {e!r}")
     splits = {}
-    for split in manifest["splits"]:
+    for split in split_names:
+        path = dirpath / f"{split}.jsonl"
         trajs = []
-        with open(dirpath / f"{split}.jsonl") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                trajs.append(Trajectory(
-                    unit_id=rec["unit_id"], times=np.array(rec["times"]),
-                    y=np.array(rec["y"]), mask=np.array(rec["mask"]),
-                    a=np.array(rec["a"]),
-                    latents=np.array(rec["latents"]) if "latents" in rec else None,
-                    confounders=(np.array(rec["confounders"])
-                                 if "confounders" in rec else None)))
+        try:
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        rec = json.loads(line)
+                        trajs.append(Trajectory(
+                            unit_id=rec["unit_id"], times=np.array(rec["times"]),
+                            y=np.array(rec["y"]), mask=np.array(rec["mask"]),
+                            a=np.array(rec["a"]),
+                            latents=(np.array(rec["latents"])
+                                     if "latents" in rec else None),
+                            confounders=(np.array(rec["confounders"])
+                                         if "confounders" in rec else None)))
+                    except (ValueError, KeyError, TypeError) as e:
+                        raise DataError(f"{path}, line {lineno}: malformed "
+                                        f"record: {e!r}")
+        except (OSError, ValueError) as e:
+            raise DataError(f"{path}: {e}")
         splits[split] = trajs
     return splits, manifest

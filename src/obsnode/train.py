@@ -74,6 +74,8 @@ def zscore_invert(y, stats: NormStats):
 def stack_units(trajs):
     """(times, y, mask, a) arrays with a shared time grid across units;
     shapes (T,), (T, n, d_y), (T, n, d_y), (T, n, d_a)."""
+    if not trajs:
+        raise DataError("stack_units: empty split")
     times = trajs[0].times
     for tr in trajs[1:]:
         if tr.times.shape != times.shape or np.any(tr.times != times):
@@ -213,6 +215,9 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                     if loss is None:
                         continue
                     tape.backward(loss)
+                for name, t in params.named_parameters():
+                    if t.grad is not None and not np.isfinite(t.grad).all():
+                        raise NumericError(f"non-finite gradient of {name}")
             except NumericError:
                 skipped += 1
                 continue

@@ -156,6 +156,94 @@ class TestExitCodes:
                    "--treatments", str(t), "--t-c", "30"])
         assert rc == 3
 
+    def test_checkpoint_with_infinite_weight_is_data_error(self, workspace,
+                                                          tmp_path, capsys):
+        # the fused model nodes check their inputs and outputs, not every
+        # weight, so a non-finite weight is rejected where it is loaded
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        next(t for t in doc["tensors"] if t["name"] == "enc.Wr")["values"][0] = \
+            float("inf")
+        ck = write_json(tmp_path / "ck.json", doc)
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        rc = main(["forecast", "--checkpoint", ck,
+                   "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                   "--treatments", str(t), "--t-c", "30"])
+        assert rc == 3
+        assert "enc.Wr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["truncated_record", "bad_manifest",
+                                        "record_missing_key"])
+    def test_malformed_dataset_is_data_error(self, workspace, tmp_path,
+                                             defect, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for f in workspace["ds"].iterdir():
+            (ds / f.name).write_bytes(f.read_bytes())
+        if defect == "truncated_record":
+            with open(ds / "test.jsonl", "a") as fh:
+                fh.write('{"unit_id": 99, "times": [0')
+        elif defect == "bad_manifest":
+            (ds / "manifest.json").write_text('{"format_version": 1, "spl')
+        else:
+            lines = (ds / "val.jsonl").read_text().splitlines()
+            rec = json.loads(lines[0])
+            del rec["mask"]
+            (ds / "val.jsonl").write_text("\n".join([json.dumps(rec)] + lines[1:]))
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        ck = str(workspace["run"] / "checkpoint.json")
+        cfg = json.loads((workspace["root"] / "eval.json").read_text())
+        cfg.update(dataset_dir=str(ds), output_dir=str(tmp_path / "out"))
+        ev = write_json(tmp_path / "eval.json", cfg)
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        cfg.update(dataset_dir=str(ds), run_dir=str(tmp_path / "run"))
+        tr = write_json(tmp_path / "train.json", cfg)
+        for argv in (["forecast", "--checkpoint", ck, "--dataset", str(ds),
+                      "--unit-id", "0", "--treatments", str(t), "--t-c", "30"],
+                     ["evaluate", "--config", ev], ["train", "--config", tr]):
+            assert main(argv) == 3
+            assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"horizons": []}, {"t_c_grid": []},
+                                        {"horizons": [15.0, -1.0]},
+                                        {"t_c_grid": ["30"]},
+                                        {"horizons": [10 ** 400]}],
+                             ids=["no_horizons", "no_t_c", "negative_horizon",
+                                  "string_t_c", "huge_horizon"])
+    def test_bad_evaluate_grid_is_config_error(self, workspace, tmp_path,
+                                               change, capsys):
+        cfg = json.loads((workspace["root"] / "eval.json").read_text())
+        cfg.update(change, output_dir=str(tmp_path / "out"))
+        assert main(["evaluate", "--config",
+                     write_json(tmp_path / "eval.json", cfg)]) == 2
+        assert list(change)[0] in capsys.readouterr().err
+
+    def test_t_c_grid_past_record_end_is_config_error(self, workspace,
+                                                      tmp_path, capsys):
+        cfg = json.loads((workspace["root"] / "eval.json").read_text())
+        cfg.update(t_c_grid=[300.0], output_dir=str(tmp_path / "out"))
+        assert main(["evaluate", "--config",
+                     write_json(tmp_path / "eval.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "records span [0.0, " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_on_empty_split_is_data_error(self, workspace, tmp_path,
+                                                   capsys):
+        sim = write_json(tmp_path / "s.json", {
+            "format_version": 1, "kind": "cancer",
+            "output_dir": str(tmp_path / "d"),
+            "params": {"n_patients": 2, "n_cycles": 1, "dt": 0.5,
+                       "obs_every": 3}})
+        assert main(["simulate", "--config", sim]) == 0
+        cfg = json.loads((workspace["root"] / "eval.json").read_text())
+        cfg.update(dataset_dir=str(tmp_path / "d"), split="val",
+                   output_dir=str(tmp_path / "out"))
+        assert main(["evaluate", "--config",
+                     write_json(tmp_path / "eval.json", cfg)]) == 3
+        assert "empty split" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_simulate_rerun_byte_identical(self, workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsnode import autodiff as ad
+from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
 from obsnode.odeint import (ControlPath, IntegrationConfig, convergence_order,
@@ -55,6 +56,23 @@ class TestIntegrate:
         cfg = IntegrationConfig(step_size=0.1)
         z0, zT = integrate(decay, Tensor([2.0]), CONST_CONTROL, 0.0, 1.0, cfg, [0.0, 1.0])
         assert z0.data[0] == 2.0
+
+    def test_query_just_before_t0_snaps_to_t0(self, monkeypatch):
+        # a query within the 1e-12 tolerance before t0 gets z0, and the
+        # integration still starts at t0
+        real, edges = odeint._step_boundaries, []
+
+        def spy(*args):
+            edges.extend(real(*args))
+            return edges
+
+        monkeypatch.setattr(odeint, "_step_boundaries", spy)
+        cfg = IntegrationConfig(step_size=0.5)
+        z0 = Tensor([2.0])
+        early, start, end = integrate(decay, z0, CONST_CONTROL, 1.0, 2.0, cfg,
+                                      [1.0 - 1e-13, 1.0, 2.0])
+        assert early is z0 and start is z0
+        assert edges == [1.0, 1.5, 2.0]
 
     def test_piecewise_constant_control_is_exact(self):
         # dz/dt = a with a = 1 on [0,1) and a = -2 on [1,3]; z(3) = 1 - 4 = -3

@@ -236,3 +236,40 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod, "_batch_loss", faulty)
         with pytest.raises(ShapeMismatch):
             train(MODEL_CFG, tiny_splits(seed=10), tiny_train_cfg(epochs=1))
+
+    def test_nonfinite_gradient_skips_the_batch(self, monkeypatch):
+        # an inf gradient must never reach Adam: the batch is skipped and
+        # counted, and the parameters keep their values
+        real_backward = ad.Tape.backward
+
+        def run(inject_at):
+            opts, steps, snapshots = [], [], []
+
+            class SpyAdam(ad.Adam):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    opts.append(self)
+
+                def step(self, max_grad_norm=None):
+                    steps.append(len(snapshots))
+                    super().step(max_grad_norm)
+
+            def backward(tape, loss):
+                snapshots.append([t.data.copy() for t in opts[0].tensors])
+                real_backward(tape, loss)
+                if len(snapshots) in inject_at:
+                    opts[0].tensors[0].grad.flat[0] = np.inf
+
+            monkeypatch.setattr(train_mod, "Adam", SpyAdam)
+            monkeypatch.setattr(ad.Tape, "backward", backward)
+            train(MODEL_CFG, tiny_splits(seed=11, n=10),
+                  tiny_train_cfg(epochs=1, batch_size=1))
+            return steps, snapshots
+
+        steps, snapshots = run({3})
+        assert len(snapshots) == 10
+        assert steps == [1, 2, 4, 5, 6, 7, 8, 9, 10]
+        for before, after in zip(snapshots[2], snapshots[3]):
+            np.testing.assert_array_equal(before, after)
+        with pytest.raises(DataError, match="2/10 batches"):
+            run({3, 5})
