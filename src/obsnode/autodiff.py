@@ -23,13 +23,12 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     """A dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._tape = None
 
     @property
     def shape(self):
@@ -87,7 +86,6 @@ def _record(out: Tensor, inputs, backward_fn):
     tape = _active_tape()
     if tape is not None and any(x.requires_grad for x in inputs):
         out.requires_grad = True
-        out._tape = tape
         tape._nodes.append((out, backward_fn))
     return out
 
@@ -345,13 +343,6 @@ def square(a):
             _accum(a, g * 2.0 * a.data)
 
     return _record(out, (a,), bw)
-
-
-def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from `loss`."""
-    if loss._tape is None:
-        raise NumericError("backward: loss tensor is not attached to a tape")
-    loss._tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -22,22 +25,23 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import (clip_for_display, raw_forecast, rmse_grid,
-                       write_grid_csv, write_grid_pgm)
+from .evaluate import raw_forecast, rmse_grid, write_grid_csv, write_grid_pgm
 from .identify import (adjustment_estimate, interventional_truth,
                        linear_gaussian_refinement, nonidentifiability_witness,
                        random_observable_scm, random_query)
-from .model import History, ObsNodeConfig, load_model
+from .model import ObsNodeConfig, load_model, window
 from .odeint import ControlPath
 from .simulate import (CancerSimConfig, SemiSynthConfig,
                        generate_cancer_dataset, generate_semi_synthetic,
                        read_dataset, write_dataset)
-from .train import TrainConfig, train, zscore_apply, zscore_fit
+from .train import TrainConfig, stack_units, train, zscore_apply, zscore_fit
 
 FORMAT_VERSION = 1
 
 
-def load_json_config(path, allowed_keys, required_keys):
+def load_json_config(path, fields, required_keys):
+    """The JSON object in the config file at `path`, checked by
+    :func:`_checked_section` after its `format_version`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -47,48 +51,63 @@ def load_json_config(path, allowed_keys, required_keys):
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, "
                           f"column {e.colno}: {e.msg}")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    if cfg.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"{path}: format_version must be {FORMAT_VERSION}")
-    unknown = set(cfg) - set(allowed_keys) - {"format_version"}
+    if type(cfg) is not dict or cfg.pop("format_version", None) != FORMAT_VERSION:
+        raise ConfigError(f"{path}: expected a JSON object with format_version "
+                          f"{FORMAT_VERSION}")
+    return _checked_section(cfg, fields, required_keys, str(path))
+
+
+_KINDS = {bool: "true or false", int: "a 64-bit integer", float: "a finite number",
+          str: "a string", dict: "an object", list: "a list", tuple: "a list"}
+
+
+def _checked(key, hint, value):
+    """`value` if it is a JSON value of the annotated type `hint` (an int
+    passes for a float, a list becomes a tuple for a tuple field); otherwise
+    ConfigError naming `key`."""
+    if isinstance(hint, types.UnionType):  # `X | None`, with None last
+        hint = typing.get_args(hint)[0]
+        if value is None:
+            return None
+    kind, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if kind in (list, tuple) and type(value) is list:
+        value = [_checked(f"{key}[{i}]", args[0], v) for i, v in enumerate(value)]
+        return tuple(value) if kind is tuple else value
+    ok = type(value) is kind or (kind is float and type(value) is int)
+    if ok and kind is int:
+        ok = abs(value) < 2 ** 63
+    if ok and kind is float:
+        ok = abs(value) <= sys.float_info.max  # false for inf and NaN
+    if not ok:
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {json.dumps(value):.40}")
+    return value
+
+
+def _checked_section(section, fields, required_keys, where):
+    """`section` once it is a JSON object whose keys are among `fields` (key
+    -> annotation) and include `required_keys`, and whose values have their
+    annotated types (see :func:`_checked`); otherwise ConfigError."""
+    if type(section) is not dict:
+        raise ConfigError(f"{where}: expected an object")
+    unknown = sorted(set(section) - set(fields))
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = set(required_keys) - set(cfg)
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = sorted(set(required_keys) - set(section))
     if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-    return cfg
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return {k: _checked(f"{where}: {k}", fields[k], v) for k, v in section.items()}
 
 
 def _build(cls, section, where):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
-    section = {k: (tuple(v) if isinstance(v, list) and
-                   k in ("gamma_A", "gamma_eps", "bias") else v)
-               for k, v in section.items()}
-    try:
-        return cls(**section)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}")
+    """The config dataclass `cls` built from a checked section: its fields
+    are the keys, and a field without a default is required."""
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING is f.default_factory]
+    return cls(**_checked_section(section, typing.get_type_hints(cls), required, where))
 
 
 def _fmt(x):
     return repr(float(x))
-
-
-def _number_list(cfg, key):
-    """`cfg[key]` as a nonempty list of finite floats; anything else raises
-    ConfigError."""
-    vals = cfg[key]
-    try:
-        if (isinstance(vals, list) and vals
-                and all(type(v) in (int, float) for v in vals)):
-            vals = [float(v) for v in vals]
-            if np.isfinite(vals).all():
-                return vals
-    except OverflowError:
-        pass
-    raise ConfigError(f"{key} must be a nonempty list of finite numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +115,15 @@ def _number_list(cfg, key):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    cfg = load_json_config(args.config, {"kind", "output_dir", "params"},
-                           {"kind", "output_dir", "params"})
-    kind = cfg["kind"]
-    if kind == "cancer":
-        gen_cfg = _build(CancerSimConfig, cfg["params"], "params")
-        splits = generate_cancer_dataset(gen_cfg)
-    elif kind == "semi_synthetic":
-        gen_cfg = _build(SemiSynthConfig, cfg["params"], "params")
-        splits = generate_semi_synthetic(gen_cfg)
-    else:
+    fields = {"kind": str, "output_dir": str, "params": dict}
+    cfg = load_json_config(args.config, fields, fields)
+    kinds = {"cancer": (CancerSimConfig, generate_cancer_dataset),
+             "semi_synthetic": (SemiSynthConfig, generate_semi_synthetic)}
+    if cfg["kind"] not in kinds:
         raise ConfigError(f"unknown dataset kind {cfg['kind']!r}")
+    gen_cls, generate = kinds[cfg["kind"]]
+    gen_cfg = _build(gen_cls, cfg["params"], "params")
+    splits = generate(gen_cfg)
     write_dataset(cfg["output_dir"], splits, gen_cfg, gen_cfg.seed)
 
     trajs = [tr for s in splits.values() for tr in s]
@@ -123,21 +140,20 @@ def cmd_simulate(args):
 
 def cmd_train(args):
     cfg = load_json_config(args.config,
-                           {"dataset_dir", "run_dir", "model", "train",
-                            "init_checkpoint"},
+                           {"dataset_dir": str, "run_dir": str, "model": dict,
+                            "train": dict, "init_checkpoint": str},
                            {"dataset_dir", "run_dir", "model", "train"})
+    model_cfg = _build(ObsNodeConfig, cfg["model"], "model")
+    tcfg = _build(TrainConfig, cfg["train"], "train")
     ds_dir = Path(cfg["dataset_dir"])
     if not ds_dir.exists():
         raise ConfigError(f"dataset directory not found: {ds_dir}")
     splits, _ = read_dataset(ds_dir)
-    model_cfg = _build(ObsNodeConfig, cfg["model"], "model")
-    tcfg = _build(TrainConfig, cfg["train"], "train")
     stats = zscore_fit(splits["train"])
     normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
     init_state = None
     if "init_checkpoint" in cfg:
-        arrays, _ = ad.load_checkpoint(cfg["init_checkpoint"])
-        init_state = arrays
+        init_state, _ = ad.load_checkpoint(cfg["init_checkpoint"])
     params, history = train(model_cfg, normed, tcfg, run_dir=cfg["run_dir"],
                             stats=stats, init_state=init_state)
     if history:
@@ -148,22 +164,20 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    required = {"dataset_dir": str, "checkpoint": str, "output_dir": str,
+                "t_c_grid": list[float], "horizons": list[float]}
     cfg = load_json_config(args.config,
-                           {"dataset_dir", "checkpoint", "output_dir",
-                            "split", "t_c_grid", "horizons", "heatmap"},
-                           {"dataset_dir", "checkpoint", "output_dir",
-                            "t_c_grid", "horizons"})
-    t_c_grid = _number_list(cfg, "t_c_grid")
-    horizons = _number_list(cfg, "horizons")
-    if min(horizons) <= 0:
-        raise ConfigError("horizons must be positive")
+                           dict(required, split=str, heatmap=bool), required)
+    if not cfg["t_c_grid"] or not cfg["horizons"] or min(cfg["horizons"]) <= 0:
+        raise ConfigError("t_c_grid and horizons must be nonempty lists, "
+                          "horizons positive")
     splits, _ = read_dataset(cfg["dataset_dir"])
     split = cfg.get("split", "test")
     if split not in splits:
         raise ConfigError(f"split {split!r} not present in the dataset")
     params, _, stats = load_model(cfg["checkpoint"])
-    grid = rmse_grid(splits[split], t_c_grid, horizons, params=params,
-                     stats=stats)
+    grid = rmse_grid(splits[split], cfg["t_c_grid"], cfg["horizons"],
+                     params=params, stats=stats)
     if not grid.counts.any():
         times = np.concatenate([tr.times for tr in splits[split]])
         raise ConfigError(f"no observation follows any t_c_grid time within "
@@ -181,9 +195,8 @@ def cmd_evaluate(args):
                 v = mean[i, k]
                 wr.writerow([_fmt(t_c), _fmt(s), "" if np.isnan(v) else _fmt(v)])
     if cfg.get("heatmap", False):
-        clipped = clip_for_display(grid)
         for j in range(grid.values.shape[2]):
-            write_grid_pgm(clipped, out / f"rmse_component_{j}.pgm", component=j)
+            write_grid_pgm(grid, out / f"rmse_component_{j}.pgm", component=j)
     print(f"grid: {out / 'rmse_grid.csv'}")
     print(f"max_rmse: {_fmt(np.nanmax(grid.values))}")
     return 0
@@ -226,17 +239,14 @@ def cmd_forecast(args):
         raise DataError(f"unit {args.unit_id} not found in the dataset")
     control = read_treatment_csv(args.treatments, model_cfg.d_a)
     t_c = args.t_c
-    past = unit.times <= t_c + 1e-9
+    record = stack_units([unit])
+    past, fut = window(record.times, t_c,
+                       None if args.horizon is None else t_c + args.horizon)
     if not past.any():
         raise DataError(f"no observations at or before t_c={t_c}")
-    qts = unit.times[unit.times > t_c + 1e-9]
-    if args.horizon is not None:
-        qts = qts[qts <= t_c + args.horizon + 1e-9]
+    qts = record.times[fut]
     if qts.size == 0:
         raise DataError("no forecast times beyond t_c")
-
-    record = History(unit.times, unit.y[:, None, :], unit.mask[:, None, :],
-                     unit.a[:, None, :])
     pred = raw_forecast(record, t_c, qts, params, stats, control=control)[:, 0]
 
     with (open(args.output, "w", newline="") if args.output
@@ -250,12 +260,12 @@ def cmd_forecast(args):
 
 
 def cmd_verify_identification(args):
-    cfg = load_json_config(args.config,
-                           {"n_instances", "seed", "tolerance", "output"},
-                           set())
-    n = int(cfg.get("n_instances", 200))
-    tol = float(cfg.get("tolerance", 1e-10))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    cfg = load_json_config(args.config, {"n_instances": int, "seed": int,
+                                         "tolerance": float, "output": str}, ())
+    n, tol = cfg.get("n_instances", 200), cfg.get("tolerance", 1e-10)
+    if n < 1 or tol <= 0 or cfg.get("seed", 0) < 0:
+        raise ConfigError("n_instances and tolerance must be positive, seed >= 0")
+    rng = np.random.default_rng(cfg.get("seed", 0))
     deviations = []
     for _ in range(n):
         scm = random_observable_scm(rng)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .model import History, rollout
+from .model import History, rollout, window
 from .odeint import ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, _patient_rngs, sample_patient_params,
                        simulate_cancer_patient)
@@ -28,8 +28,6 @@ class RmseGrid:
     horizons: np.ndarray             # (n_s,)
     values: np.ndarray               # (n_tc, n_s, d_y); NaN marks absent bins
     counts: np.ndarray               # (n_tc, n_s, d_y) observed points per bin
-    scale: np.ndarray | None = None  # (d_y,) per-component test sd
-    clipped: bool = False
 
     def __post_init__(self):
         self.assimilation_times = np.asarray(self.assimilation_times, dtype=np.float64)
@@ -68,9 +66,8 @@ def model_predictor(params, stats: NormStats | None, int_cfg: IntegrationConfig 
     """Default predictor: encode the normalized history, roll the model
     forward under the factual treatments, and invert the normalization."""
 
-    def predict(times, y, mask, a, t_c, query_times):
-        return raw_forecast(History(times, y, mask, a), t_c, query_times, params,
-                            stats, int_cfg)
+    def predict(record, t_c, query_times):
+        return raw_forecast(record, t_c, query_times, params, stats, int_cfg)
 
     return predict
 
@@ -93,7 +90,7 @@ def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
     values = np.full((horizons.size, d_y), np.nan)
     counts = np.zeros((horizons.size, d_y), dtype=int)
     for k in range(horizons.size):
-        in_bin = (qts > lo[k] + 1e-9) & (qts <= hi[k] + 1e-9)
+        _, in_bin = window(qts, lo[k], hi[k])
         c = mask[in_bin].sum(axis=(0, 1))
         counts[k] = c
         for j in range(d_y):
@@ -106,10 +103,11 @@ def rmse_grid(test_trajs, t_c_grid, horizons, predict=None, params=None,
               stats=None, int_cfg=None) -> RmseGrid:
     """Scaled RMSE per (assimilation time, horizon bin, component).
 
-    `predict(times, y, mask, a, t_c, query_times) -> (len(q), n, d_y)` in raw
-    units may be supplied directly; otherwise it is built from `params` (and
-    `stats`). The horizon bin for s_k collects observed points in
-    (t_c + s_{k-1}, t_c + s_k].
+    `predict(record, t_c, query_times)` may be supplied directly: it gets the
+    units stacked into one :class:`~obsnode.model.History` and returns raw
+    predictions of shape (len(query_times), n, d_y). Otherwise it is built
+    from `params` (and `stats`). The horizon bin for s_k collects observed
+    points in (t_c + s_{k-1}, t_c + s_k].
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
@@ -118,32 +116,22 @@ def rmse_grid(test_trajs, t_c_grid, horizons, predict=None, params=None,
             raise DataError("rmse_grid: need predict or params")
         predict = model_predictor(params, stats, int_cfg)
 
-    times, y, mask, a = stack_units(test_trajs)
-    d_y = y.shape[2]
-    scale = _test_scale(y, mask)
+    record = stack_units(test_trajs)
+    d_y = record.y.shape[2]
+    scale = _test_scale(record.y, record.mask)
 
     values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
     counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
     for i, t_c in enumerate(t_c_grid):
-        end = t_c + horizons[-1]
-        fut = (times > t_c + 1e-9) & (times <= end + 1e-9)
-        if not fut.any() or not (times <= t_c + 1e-9).any():
+        past, fut = window(record.times, t_c, t_c + horizons[-1])
+        if not fut.any() or not past.any():
             continue
-        qts = times[fut]
-        preds = predict(times, y, mask, a, float(t_c), qts)
-        values[i], counts[i] = _binned_rmse(qts, preds, y[fut], mask[fut], t_c,
-                                            horizons, scale)
-    return RmseGrid(t_c_grid, horizons, values, counts, scale=scale)
-
-
-def clip_for_display(grid: RmseGrid, cap: float = 1.0) -> RmseGrid:
-    """Copy of the grid with values capped (display only; raw grid untouched)."""
-    if cap <= 0:
-        raise ValueError("clip_for_display: cap must be positive")
-    return RmseGrid(grid.assimilation_times.copy(), grid.horizons.copy(),
-                    np.minimum(grid.values, cap), grid.counts.copy(),
-                    scale=None if grid.scale is None else grid.scale.copy(),
-                    clipped=True)
+        qts = record.times[fut]
+        preds = predict(record, float(t_c), qts)
+        values[i], counts[i] = _binned_rmse(qts, preds, record.y[fut],
+                                            record.mask[fut], t_c, horizons,
+                                            scale)
+    return RmseGrid(t_c_grid, horizons, values, counts)
 
 
 def write_grid_csv(grid: RmseGrid, path):
@@ -219,16 +207,13 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
         truths.append(truth)
         scheds.append(sched)
 
-    times, y, mask, a = stack_units(facts)
-    _, y_true, mask_true, _ = stack_units(truths)
-    fut = (times > t_c + 1e-9) & (times <= t_c + horizons[-1] + 1e-9)
-    qts = times[fut]
+    record, oracle = stack_units(facts), stack_units(truths)
+    _, fut = window(record.times, t_c, t_c + horizons[-1])
+    qts = record.times[fut]
     cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
     ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
-    pred = raw_forecast(History(times, y, mask, a), t_c, qts, params, stats,
-                        int_cfg, ctrl)
-    scale = _test_scale(y, mask)
-    values, counts = _binned_rmse(qts, pred, y_true[fut], mask_true[fut], t_c,
-                                  horizons, scale)
-    return RmseGrid(np.array([t_c]), horizons, values[None], counts[None],
-                    scale=scale)
+    pred = raw_forecast(record, t_c, qts, params, stats, int_cfg, ctrl)
+    scale = _test_scale(record.y, record.mask)
+    values, counts = _binned_rmse(qts, pred, oracle.y[fut], oracle.mask[fut],
+                                  t_c, horizons, scale)
+    return RmseGrid(np.array([t_c]), horizons, values[None], counts[None])

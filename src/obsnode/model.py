@@ -32,11 +32,13 @@ class ObsNodeConfig:
     encoder_hidden_dim: int = 64
     rollout_mode: str = "long_horizon"
     recursive_chunk: float = 1.0
-    treatment_scale: tuple | None = None
+    treatment_scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.d_y < 1 or self.m < 1 or self.d_a < 0:
-            raise ConfigError("d_y and m must be >= 1, d_a >= 0")
+        if (min(self.d_y, self.m, self.phi_hidden_dim, self.encoder_hidden_dim) < 1
+                or min(self.d_a, self.phi_layers) < 0):
+            raise ConfigError("d_y, m, phi_hidden_dim and encoder_hidden_dim "
+                              "must be >= 1, d_a and phi_layers >= 0")
         if self.treatment_scale is not None:
             self.treatment_scale = tuple(float(s) for s in self.treatment_scale)
             if len(self.treatment_scale) != self.d_a:
@@ -96,6 +98,17 @@ class History:
             np.concatenate([self.mask, mask]),
             np.concatenate([self.a, a]),
         )
+
+
+def window(times, start, end=None):
+    """Masks of `times` at or before `start` and in (start, end], or after
+    `start` when `end` is None; a time within 1e-9 past a bound counts as on
+    it, so a grid time rounded off a decision time stays on its side."""
+    before = times <= start + 1e-9
+    inside = ~before
+    if end is not None:
+        inside &= times <= end + 1e-9
+    return before, inside
 
 
 def _linear(x, W, b):
@@ -383,16 +396,14 @@ def encode(history: History, params: ObsNodeParams) -> EncodedState:
 
 
 def forecast(state: EncodedState, control: ControlPath, query_times, params: ObsNodeParams,
-             int_cfg: IntegrationConfig, history: History | None = None,
-             re_encode=None):
+             int_cfg: IntegrationConfig, history: History | None = None):
     """Predicted outcomes at `query_times` under the given treatment path.
 
     Returns a list of (n, d_y) Tensors aligned with query_times. In recursive
     rollout mode the horizon is covered in chunks: each chunk's predictions
     are appended to the history as pseudo-observations (mask all ones)
     together with the applied treatments, the encoder is re-run, and the next
-    chunk starts from the refreshed state. `re_encode` overrides the encoder
-    (used to test against a perfect state reconstructor).
+    chunk starts from the refreshed state.
     """
     cfg = params.cfg
     query_times = [float(t) for t in sorted(query_times)]
@@ -428,12 +439,7 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
         new_a = np.stack([np.broadcast_to(control.value_at(t), (n, cfg.d_a)).copy()
                           for t in step_queries])
         history = history.extended(new_times, new_y, new_mask, new_a)
-        if re_encode is not None:
-            z = re_encode(history)
-            cur = EncodedState(z=z if isinstance(z, Tensor) else Tensor(z), t=chunk_end)
-        else:
-            cur = encode(history, params)
-            cur = EncodedState(z=cur.z, t=chunk_end)
+        cur = EncodedState(z=encode(history, params).z, t=chunk_end)
     return preds
 
 
@@ -450,7 +456,7 @@ def rollout(record: History, t_c, query_times, params: ObsNodeParams,
     :meth:`IntegrationConfig.for_grid` of the record times. Returns a list of
     (n, d_y) Tensors aligned with `query_times`.
     """
-    past = record.times <= t_c + 1e-9
+    past, _ = window(record.times, t_c)
     hist = History(record.times[past], record.y[past], record.mask[past],
                    record.a[past])
     qts = np.asarray(query_times, dtype=np.float64)
@@ -492,13 +498,11 @@ def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def save_model(path, params: ObsNodeParams, norm_stats=None, extra=None):
+def save_model(path, params: ObsNodeParams, norm_stats=None):
     meta = {"format_version": 1, "config": asdict(params.cfg), "cell": "gru"}
     if norm_stats is not None:
         meta["norm_stats"] = {"mean": list(map(float, norm_stats.mean)),
                               "std": list(map(float, norm_stats.std))}
-    if extra:
-        meta.update(extra)
     ad.save_checkpoint(path, params.named_parameters(), metadata=meta)
 
 

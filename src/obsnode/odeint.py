@@ -40,13 +40,12 @@ class ControlPath:
         if self.knot_values.shape[0] != self.knot_times.size:
             raise ValueError("ControlPath: one value per knot required")
 
-    @property
-    def dim(self):
-        return self.knot_values.shape[-1]
-
     def value_at(self, t: float) -> np.ndarray:
         k = int(np.searchsorted(self.knot_times, t, side="right")) - 1
         return self.knot_values[max(k, 0)]
+
+
+METHODS = ("euler", "rk4")
 
 
 @dataclass
@@ -56,7 +55,7 @@ class IntegrationConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")

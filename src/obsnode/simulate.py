@@ -75,11 +75,12 @@ class CancerSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_patients < 1 or self.n_cycles < 1:
-            raise ConfigError("n_patients and n_cycles must be >= 1")
-        if self.dt <= 0 or abs(round(self.cycle_days / self.dt) * self.dt
-                               - self.cycle_days) > 1e-9:
-            raise ConfigError("dt must be positive and divide cycle_days")
+        if min(self.n_patients, self.n_cycles) < 1 or self.seed < 0:
+            raise ConfigError("n_patients and n_cycles must be >= 1, seed >= 0")
+        if min(self.dt, self.cycle_days, self.obs_every) <= 0:
+            raise ConfigError("dt, cycle_days and obs_every must be positive")
+        if abs(round(self.cycle_days / self.dt) * self.dt - self.cycle_days) > 1e-9:
+            raise ConfigError("dt must divide cycle_days")
         if not 1.0 <= self.gamma <= 8.0:
             raise ConfigError("gamma must lie in [1, 8]")
         if abs(round(self.obs_every / self.dt) * self.dt - self.obs_every) > 1e-9:
@@ -96,9 +97,9 @@ class SemiSynthConfig:
     alpha_g: float = 0.5
     alpha_phi: float = 1.0
     nu: int = 20
-    gamma_A: tuple = (0.3, 0.3)
-    gamma_eps: tuple = (0.3, 0.1)
-    bias: tuple = (-2.0, -2.0)
+    gamma_A: tuple[float, ...] = (0.3, 0.3)
+    gamma_eps: tuple[float, ...] = (0.3, 0.1)
+    bias: tuple[float, ...] = (-2.0, -2.0)
     beta: float = 1.0
     w: int = 5
     eta_sd: float = 0.005
@@ -109,12 +110,12 @@ class SemiSynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_patients < 1 or self.d_y < 1 or self.d_a < 1:
-            raise ConfigError("n_patients, d_y and d_a must be >= 1")
-        if self.w < 1:
-            raise ConfigError("effect window w must be >= 1")
-        if self.eta_sd <= 0:
-            raise ConfigError("eta_sd must be positive")
+        if min(self.n_patients, self.d_y, self.d_a, self.nu, self.d_eps, self.w) < 1:
+            raise ConfigError("n_patients, d_y, d_a, nu, d_eps and w must be >= 1")
+        if min(self.horizon_hours, self.eta_sd, self.eps_lengthscale,
+               self.g_lengthscale, self.readout_lengthscale) <= 0 or self.seed < 0:
+            raise ConfigError("horizon_hours, eta_sd and the lengthscales must "
+                              "be positive, seed >= 0")
         for tup in (self.gamma_A, self.gamma_eps, self.bias):
             if len(tup) != self.d_a or not all(np.isfinite(v) for v in tup):
                 raise ConfigError("treatment parameter tuples must have d_a "
@@ -144,8 +145,10 @@ class Trajectory:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
-        if np.any(np.diff(self.times) <= 0):
-            raise DataError(f"unit {self.unit_id}: times must be strictly increasing")
+        if (self.times.size == 0 or not np.isfinite(self.times).all()
+                or np.any(np.diff(self.times) <= 0)):
+            raise DataError(f"unit {self.unit_id}: times must be nonempty, "
+                            "finite and strictly increasing")
 
 
 def _patient_rngs(seed, unit_id):
@@ -276,21 +279,15 @@ def _split_thirds(trajs):
 # Semi-synthetic cohort
 # ---------------------------------------------------------------------------
 
-def rff_function(rng, input_dim, n_features, lengthscale, kernel="matern32"):
-    """Random-Fourier-feature sample path of a Gaussian process.
+def rff_function(rng, input_dim, n_features, lengthscale):
+    """Random-Fourier-feature sample path of a Matern-3/2 Gaussian process.
 
-    f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i); Matern-3/2
-    frequencies are Student-t(3) draws scaled by sqrt(3)/lengthscale, squared
-    exponential ones are normal with scale 1/lengthscale.
+    f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i), with frequencies
+    omega_i drawn as Student-t(3) variates scaled by sqrt(3)/lengthscale.
     """
     if n_features < 1:
         raise ValueError("rff_function: n_features must be >= 1")
-    if kernel == "matern32":
-        omega = rng.standard_t(3, size=(n_features, input_dim)) * np.sqrt(3.0) / lengthscale
-    elif kernel == "rbf":
-        omega = rng.normal(0.0, 1.0 / lengthscale, size=(n_features, input_dim))
-    else:
-        raise ValueError(f"rff_function: unknown kernel {kernel!r}")
+    omega = rng.standard_t(3, size=(n_features, input_dim)) * np.sqrt(3.0) / lengthscale
     b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
     w = rng.normal(size=n_features)
 

@@ -18,8 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError
-from .model import History, ObsNodeConfig, ObsNodeParams, rollout, save_model
-from .odeint import IntegrationConfig
+from .model import (History, ObsNodeConfig, ObsNodeParams, rollout, save_model,
+                    window)
+from .odeint import METHODS, IntegrationConfig
 
 
 @dataclass
@@ -71,9 +72,9 @@ def zscore_invert(y, stats: NormStats):
     return np.asarray(y) * stats.std + stats.mean
 
 
-def stack_units(trajs):
-    """(times, y, mask, a) arrays with a shared time grid across units;
-    shapes (T,), (T, n, d_y), (T, n, d_y), (T, n, d_a)."""
+def stack_units(trajs) -> History:
+    """The units' records stacked into one batched :class:`History` on their
+    shared time grid."""
     if not trajs:
         raise DataError("stack_units: empty split")
     times = trajs[0].times
@@ -83,7 +84,7 @@ def stack_units(trajs):
     y = np.stack([tr.y for tr in trajs], axis=1)
     mask = np.stack([tr.mask for tr in trajs], axis=1)
     a = np.stack([tr.a for tr in trajs], axis=1)
-    return times, y, mask, a
+    return History(times, y, mask, a)
 
 
 def masked_loss(pred, y, mask, sigma2):
@@ -113,19 +114,17 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     epochs: int = 20
-    decision_time_grid: list = field(default_factory=list)
+    decision_time_grid: list[float] = field(default_factory=list)
     decision_sampling: str = "uniform_random"
     t_f: float = 0.0
     seed: int = 0
     max_grad_norm: float | None = None
     int_method: str = "rk4"
     int_step: float | None = None  # default: a quarter of the grid spacing
-    val_decision_times: list | None = None
+    val_decision_times: list[float] | None = None
     max_horizon: float | None = None  # None: forecast to the record end
 
     def __post_init__(self):
-        if self.max_horizon is not None and self.max_horizon <= 0:
-            raise ConfigError("max_horizon must be positive")
         if self.decision_sampling not in ("uniform_random", "fixed_grid"):
             raise ConfigError(f"unknown decision_sampling {self.decision_sampling!r}")
         if not self.decision_time_grid:
@@ -134,6 +133,11 @@ class TrainConfig:
             raise ConfigError("decision times must be < t_f")
         if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
             raise ConfigError("batch_size >= 1, epochs >= 0, learning_rate >= 0")
+        if any(v is not None and v <= 0 for v in (self.max_grad_norm, self.int_step,
+                                                  self.max_horizon)):
+            raise ConfigError("max_grad_norm, int_step and max_horizon must be positive")
+        if self.int_method not in METHODS or self.seed < 0:
+            raise ConfigError(f"int_method must be one of {METHODS}, seed >= 0")
 
 
 def _int_config(times, tc: TrainConfig):
@@ -142,28 +146,32 @@ def _int_config(times, tc: TrainConfig):
     return IntegrationConfig(method=tc.int_method, step_size=tc.int_step)
 
 
-def _batch_loss(times, y, mask, a, t_c, params, sigma2, int_cfg,
-                max_horizon=None):
-    """Forward pass on one batch: encode up to t_c, forecast the observed
-    times in (t_c, t_f] under the factual treatments, and score."""
-    past = times <= t_c + 1e-9
-    fut = ~past
-    if max_horizon is not None:
-        fut = fut & (times <= t_c + max_horizon + 1e-9)
-    if not past.any() or not fut.any():
+def _targets(times, t_c, max_horizon):
+    """Mask of the times after t_c, up to `max_horizon` after it or to the
+    record end; None when t_c has no history or no such time."""
+    past, fut = window(times, t_c, None if max_horizon is None else t_c + max_horizon)
+    return fut if past.any() and fut.any() else None
+
+
+def _batch_loss(record: History, t_c, params, sigma2, int_cfg, max_horizon=None):
+    """Forward pass on one batch: encode the record up to t_c, forecast its
+    targets (see :func:`_targets`) under the factual treatments, and score.
+    None when t_c has no targets."""
+    fut = _targets(record.times, t_c, max_horizon)
+    if fut is None:
         return None
-    preds = rollout(History(times, y, mask, a), t_c, times[fut], params, int_cfg)
+    preds = rollout(record, t_c, record.times[fut], params, int_cfg)
     pred = ad.concat([ad.reshape(p, (1,) + p.data.shape) for p in preds], axis=0)
-    return masked_loss(pred, y[fut], mask[fut], sigma2)
+    return masked_loss(pred, record.y[fut], record.mask[fut], sigma2)
 
 
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
     """Mean masked loss over a fixed grid of decision times (no gradients)."""
-    times, y, mask, a = stack_units(trajs)
-    int_cfg = _int_config(times, tcfg)
+    record = stack_units(trajs)
+    int_cfg = _int_config(record.times, tcfg)
     vals = []
     for t_c in decision_times:
-        loss = _batch_loss(times, y, mask, a, t_c, params, sigma2, int_cfg,
+        loss = _batch_loss(record, t_c, params, sigma2, int_cfg,
                            max_horizon=tcfg.max_horizon)
         if loss is not None:
             vals.append(float(loss.data))
@@ -171,7 +179,7 @@ def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
 
 
 def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
-          stats: NormStats | None = None, log=None, init_state=None):
+          stats: NormStats | None = None, init_state=None):
     """Fit the model on normalized splits {"train": [...], "val": [...]}.
 
     Returns (params, history) where history rows are dicts with epoch,
@@ -184,15 +192,21 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     if init_state is not None:
         params.load_state(init_state)
     opt = Adam(params.tensors(), lr=tcfg.learning_rate)
-    times, y, mask, a = stack_units(splits["train"])
-    n = y.shape[1]
-    int_cfg = _int_config(times, tcfg)
+    record = stack_units(splits["train"])
+    n = record.y.shape[1]
+    int_cfg = _int_config(record.times, tcfg)
     sigma2 = np.ones(model_cfg.d_y)
-    val_times = tcfg.val_decision_times or list(tcfg.decision_time_grid)
+    grid = list(tcfg.decision_time_grid)
+    val_times = tcfg.val_decision_times or grid
+    for split, rec, times in (("train", record, grid),
+                              ("val", stack_units(splits["val"]), val_times)):
+        if all(_targets(rec.times, t_c, tcfg.max_horizon) is None for t_c in times):
+            raise ConfigError(f"no {split} decision time has both history and a "
+                              f"target: the {split} records span "
+                              f"[{float(rec.times[0])!r}, {float(rec.times[-1])!r}]")
 
     history = []
     best = (np.inf, {name: t.data.copy() for name, t in params.named_parameters()})
-    grid = list(tcfg.decision_time_grid)
     n_batches = max(1, int(np.ceil(n / tcfg.batch_size)))
 
     for epoch in range(tcfg.epochs):
@@ -206,12 +220,13 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                 t_c = grid[int(rng.integers(len(grid)))]
             else:
                 t_c = grid[(epoch * n_batches + bi) % len(grid)]
-            yb, mb, ab = y[:, idx], mask[:, idx], a[:, idx]
+            batch = History(record.times, record.y[:, idx], record.mask[:, idx],
+                            record.a[:, idx])
             opt.zero_grad()
             try:
                 with Tape() as tape:
-                    loss = _batch_loss(times, yb, mb, ab, t_c, params, sigma2,
-                                       int_cfg, max_horizon=tcfg.max_horizon)
+                    loss = _batch_loss(batch, t_c, params, sigma2, int_cfg,
+                                       max_horizon=tcfg.max_horizon)
                     if loss is None:
                         continue
                     tape.backward(loss)
@@ -231,8 +246,6 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else np.nan,
                "val_loss": val}
         history.append(row)
-        if log is not None:
-            log(row)
         if val < best[0]:
             best = (val, {name: t.data.copy() for name, t in params.named_parameters()})
 

@@ -26,7 +26,7 @@ from obsnode.identify import (adjustment_estimate, interventional_truth,
                               random_observable_scm, random_query)
 from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, emit,
                            encode, forecast, observability_probe,
-                           triangular_rhs)
+                           triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, convergence_order, integrate
 from obsnode.simulate import (PARAM_DISTS, CancerSimConfig, SemiSynthConfig,
                               _patient_rngs, generate_cancer_dataset,
@@ -327,7 +327,7 @@ class TestCancerEndToEnd:
             if not np.any(sched[cycles >= t_c - 1e-9] > 0):
                 continue
             used += 1
-            past = fact.times <= t_c + 1e-9
+            past, _ = window(fact.times, t_c)
             yn = zscore_outcomes(fact.y, fact.mask, stats)
             hist = History(fact.times[past], yn[past][:, None, :],
                            fact.mask[past][:, None, :],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from obsnode import autodiff as ad
-from obsnode.autodiff import Adam, Tape, Tensor, backward, grad_check
+from obsnode.autodiff import Adam, Tape, Tensor, grad_check
 from obsnode.errors import DataError, NumericError, ShapeMismatch
 
 
@@ -72,9 +72,9 @@ class TestBackward:
 
     def test_tanh_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             loss = ad.tsum(ad.tanh(x))
-            backward(loss)
+            tape.backward(loss)
         np.testing.assert_allclose(x.grad, [1.0])
 
     def test_loss_must_be_scalar(self):

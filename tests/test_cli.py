@@ -1,14 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import types
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsnode.cli import main, read_treatment_csv
 from obsnode.evaluate import model_predictor
-from obsnode.model import load_model
+from obsnode.model import ObsNodeConfig, load_model, window
 from obsnode.odeint import IntegrationConfig
-from obsnode.simulate import read_dataset
-from obsnode.train import stack_units
+from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
+from obsnode.train import TrainConfig, stack_units
 
 
 def write_json(path, obj):
@@ -315,9 +321,9 @@ class TestForecast:
         params, mcfg, stats = load_model(workspace["run"] / "checkpoint.json")
         step = float(np.min(np.diff(unit.times))) / 4.0
         predict = model_predictor(params, stats, IntegrationConfig(step_size=step))
-        times, y, mask, a = stack_units([unit])
-        qts = times[times > t_c + 1e-9]
-        ref = predict(times, y, mask, a, t_c, qts)[:, 0, :]
+        record = stack_units([unit])
+        qts = record.times[window(record.times, t_c)[1]]
+        ref = predict(record, t_c, qts)[:, 0, :]
 
         lines = out.read_text().splitlines()
         assert lines[0] == "time,component_1,component_2"
@@ -355,3 +361,152 @@ class TestGradcheck:
         assert main(["gradcheck", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+
+def run_config(command, cfg, path):
+    """`obsnode <command> --config path` on `cfg`; returns (exit code,
+    stderr)."""
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path)])
+    return rc, err.getvalue()
+
+
+def fuzz_bases(workspace):
+    """command -> (subcommand, valid base config, [(key path, annotation)]
+    of the fields that may be swapped)."""
+    root = workspace["root"]
+
+    def fields(cls, *prefix):
+        hints = cls if isinstance(cls, dict) else typing.get_type_hints(cls)
+        return [(prefix + (name,), hint) for name, hint in hints.items()]
+
+    trn = json.loads((root / "train.json").read_text())
+    trn["run_dir"] = str(root / "fuzz_run")
+    evl = json.loads((root / "eval.json").read_text())
+    evl["output_dir"] = str(root / "fuzz_eval")
+    sim = {"format_version": 1, "output_dir": str(root / "fuzz_ds")}
+    return {
+        "model": ("train", trn, fields(ObsNodeConfig, "model")),
+        "train": ("train", trn, fields(TrainConfig, "train") + fields({
+            "dataset_dir": str, "run_dir": str, "model": dict, "train": dict,
+            "init_checkpoint": str})),
+        "simulate_cancer": ("simulate", dict(sim, kind="cancer", params={
+            "n_patients": 3, "n_cycles": 1, "dt": 0.5, "obs_every": 3.0}),
+            fields(CancerSimConfig, "params") + fields(
+                {"kind": str, "output_dir": str, "params": dict})),
+        "simulate_semi": ("simulate", dict(sim, kind="semi_synthetic", params={
+            "n_patients": 3, "horizon_hours": 6.0}),
+            fields(SemiSynthConfig, "params")),
+        "evaluate": ("evaluate", evl, fields({
+            "dataset_dir": str, "checkpoint": str, "output_dir": str,
+            "t_c_grid": list, "horizons": list, "split": str, "heatmap": bool})),
+        "verify": ("verify-identification",
+                   {"format_version": 1, "n_instances": 2},
+                   fields({"n_instances": int, "seed": int, "tolerance": float,
+                           "output": str})),
+    }
+
+
+# JSON values by type. Ints stay small so that a swapped-in int is a cheap
+# run; the 400-digit int fits neither 64 bits nor a float.
+JSON_VALUES = {
+    int: st.integers(-3, 3),
+    float: st.floats(),
+    bool: st.booleans(),
+    str: st.text("ab_", max_size=3),
+    list: st.lists(st.one_of(st.integers(-3, 3), st.floats(-5.0, 5.0),
+                             st.text("ab", max_size=2)), max_size=3),
+    type(None): st.none(),
+    "400-digit int": st.just(10 ** 399 + 1),
+}
+
+
+def own_types(hint):
+    """The JSON value types a field annotated `hint` takes as its own."""
+    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    own = {typing.get_origin(h) or h for h in arms}
+    return own | ({list} if tuple in own else set())
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command", ["model", "train", "simulate_cancer",
+                                         "simulate_semi", "evaluate", "verify"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_swapped_value_type_never_crashes(self, workspace, command, data):
+        # one field swapped for a JSON value of another type: the command
+        # runs or rejects the value, but never ends in an uncaught exception
+        sub, base, fields = fuzz_bases(workspace)[command]
+        path, hint = data.draw(st.sampled_from(fields), label="field")
+        kind = data.draw(st.sampled_from(
+            [k for k in JSON_VALUES if k not in own_types(hint)]), label="type")
+        cfg = copy.deepcopy(base)
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = data.draw(JSON_VALUES[kind], label="value")
+        rc, err = run_config(sub, cfg, workspace["root"] / "fuzz.json")
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,path,value", [
+        ("train", ("train", "batch_size"), 3.5),
+        ("train", ("train", "epochs"), 1.5),
+        ("train", ("train", "epochs"), True),
+        ("train", ("train", "int_method"), "midpoint"),
+        ("train", ("train", "int_step"), -1.0),
+        ("train", ("train", "seed"), -1),
+        ("train", ("train", "decision_time_grid"), [30.0, "45"]),
+        ("train", ("model", "phi_hidden_dim"), 4.5),
+        ("train", ("model", "treatment_scale"), ["a", 1.0]),
+        ("train", ("dataset_dir",), 3),
+        ("simulate_cancer", ("params", "n_patients"), 9.5),
+        ("simulate_cancer", ("params", "n_cycles"), 2.5),
+        ("simulate_cancer", ("params", "seed"), 0.5),
+        ("simulate_cancer", ("params", "seed"), -1),
+        ("simulate_semi", ("params", "nu"), 0),
+        ("evaluate", ("heatmap",), "no"),
+        ("evaluate", ("split",), ["test"]),
+        ("verify", ("n_instances",), 0),
+        ("verify", ("n_instances",), "abc"),
+        ("verify", ("tolerance",), "x"),
+        ("verify", ("seed",), -1),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_bad_value_is_config_error(self, workspace, tmp_path, command,
+                                       path, value):
+        sub, cfg, _ = fuzz_bases(workspace)[command]
+        cfg = copy.deepcopy(cfg)
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        rc, err = run_config(sub, cfg, tmp_path / "cfg.json")
+        assert rc == 2
+        assert path[-1] in err
+
+    def test_list_becomes_tuple_by_annotation(self, workspace, tmp_path):
+        sub, cfg, _ = fuzz_bases(workspace)["simulate_semi"]
+        cfg = dict(cfg, output_dir=str(tmp_path / "ds"))
+        cfg["params"] = dict(cfg["params"], gamma_A=[0.5, 0.5], bias=[-1, -1])
+        assert run_config(sub, cfg, tmp_path / "cfg.json")[0] == 0
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert manifest["config"]["gamma_A"] == [0.5, 0.5]
+
+
+class TestUnscorableDecisionTimes:
+    @pytest.mark.parametrize("change,split", [
+        ({"decision_time_grid": [60.0], "t_f": 90.0}, "train"),
+        ({"val_decision_times": [500.0]}, "val"),
+        ({"max_horizon": 1.0}, "train"),
+    ], ids=["grid_at_record_end", "val_times_past_end", "horizon_below_spacing"])
+    def test_no_scorable_time_is_config_error(self, workspace, tmp_path,
+                                              change, split):
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        cfg["run_dir"] = str(tmp_path / "run")
+        cfg["train"].update(change)
+        rc, err = run_config("train", cfg, tmp_path / "t.json")
+        assert rc == 2
+        assert f"the {split} records span [0.0, 60.0]" in err
+        assert not (tmp_path / "run").exists()

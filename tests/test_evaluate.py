@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsnode.errors import DataError
-from obsnode.evaluate import (RmseGrid, clip_for_display, counterfactual_rmse,
+from obsnode.evaluate import (RmseGrid, _binned_rmse, counterfactual_rmse,
                               read_grid_csv, rmse_grid, write_grid_csv,
                               write_grid_pgm)
+from obsnode.model import window
 from obsnode.simulate import Trajectory
 
 
@@ -24,11 +26,9 @@ def linear_trajs(n=5, T=13, d_y=1, seed=0, noise_sd=0.0):
 
 
 def oracle_predict(trajs):
-    times, y, mask, a = None, None, None, None
-
-    def predict(times, y, mask, a, t_c, query_times):
-        sel = np.isin(times, np.asarray(query_times))
-        return y[sel].copy()
+    def predict(record, t_c, query_times):
+        sel = np.isin(record.times, np.asarray(query_times))
+        return record.y[sel].copy()
 
     return predict
 
@@ -45,8 +45,8 @@ class TestRmseGrid:
         ys = np.stack([tr.y for tr in trajs], axis=1)
         gmean = ys.mean()
 
-        def predict(times, y, mask, a, t_c, query_times):
-            return np.full((len(query_times), y.shape[1], y.shape[2]), gmean)
+        def predict(record, t_c, query_times):
+            return np.full((len(query_times),) + record.y.shape[1:], gmean)
 
         grid = rmse_grid(trajs, [4.0], [2.0], predict=predict)
         fut = (times > 4.0) & (times <= 6.0)
@@ -77,9 +77,9 @@ class TestRmseGrid:
         rng = np.random.default_rng(5)
         noise = rng.normal(0, 0.2, size=ys.shape)
 
-        def predict(times, y, mask, a, t_c, query_times):
-            sel = np.isin(times, np.asarray(query_times))
-            return y[sel] + noise[sel]
+        def predict(record, t_c, query_times):
+            sel = np.isin(record.times, np.asarray(query_times))
+            return record.y[sel] + noise[sel]
 
         t_c, hs = 4.0, np.array([2.0, 5.0])
         grid = rmse_grid(trajs, [t_c], hs, predict=predict)
@@ -98,9 +98,9 @@ class TestRmseGrid:
         noise = rng.normal(0, 0.2, size=ys.shape)
 
         def make_predict(c):
-            def predict(times, y, mask, a, t_c, query_times):
-                sel = np.isin(times, np.asarray(query_times))
-                return y[sel] + c * noise[sel]
+            def predict(record, t_c, query_times):
+                sel = np.isin(record.times, np.asarray(query_times))
+                return record.y[sel] + c * noise[sel]
             return predict
 
         g1 = rmse_grid(trajs, [4.0], [3.0], predict=make_predict(1.0))
@@ -113,11 +113,11 @@ class TestRmseGrid:
         # least-squares line fit from the seen window: more data, better fit
         trajs, _ = linear_trajs(n=10, seed=8, noise_sd=0.5)
 
-        def predict(times, y, mask, a, t_c, query_times):
-            seen = times <= t_c
-            preds = np.zeros((len(query_times), y.shape[1], y.shape[2]))
-            for i in range(y.shape[1]):
-                c, b = np.polyfit(times[seen], y[seen, i, 0], 1)
+        def predict(record, t_c, query_times):
+            seen = record.times <= t_c
+            preds = np.zeros((len(query_times),) + record.y.shape[1:])
+            for i in range(record.y.shape[1]):
+                c, b = np.polyfit(record.times[seen], record.y[seen, i, 0], 1)
                 preds[:, i, 0] = b + c * np.asarray(query_times)
             return preds
 
@@ -126,29 +126,27 @@ class TestRmseGrid:
         assert vals[2] < vals[1] < vals[0]
 
 
-class TestClip:
-    def grid(self):
-        return RmseGrid(np.array([1.0]), np.array([1.0, 2.0]),
-                        np.array([[[1.7], [0.3]]]), np.ones((1, 2, 1), int))
-
-    def test_clipping(self):
-        g = clip_for_display(self.grid(), cap=1.0)
-        assert g.values[0, 0, 0] == 1.0
-        assert g.values[0, 1, 0] == 0.3
-        assert g.clipped
-
-    def test_custom_cap(self):
-        g = clip_for_display(self.grid(), cap=2.0)
-        assert g.values[0, 0, 0] == 1.7
-
-    def test_raw_grid_untouched(self):
-        raw = self.grid()
-        clip_for_display(raw)
-        assert raw.values[0, 0, 0] == 1.7 and not raw.clipped
-
-    def test_bad_cap(self):
-        with pytest.raises(ValueError):
-            clip_for_display(self.grid(), cap=0.0)
+class TestBins:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=30),
+           t_c=st.floats(-5.0, 60.0),
+           widths=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 16))
+    def test_bins_partition_the_window(self, steps, t_c, widths, seed):
+        # every target of the decision window lands in exactly one horizon
+        # bin, including times that sit on a bin edge up to rounding
+        times = np.cumsum(steps)
+        horizons = np.cumsum(widths)
+        on_edge = t_c + horizons[seed % horizons.size]
+        times = np.unique(np.append(times, [on_edge, t_c]))
+        rng = np.random.default_rng(seed)
+        mask = rng.integers(0, 2, size=(times.size, 3, 2)).astype(float)
+        y = rng.normal(size=mask.shape)
+        _, fut = window(times, t_c, t_c + horizons[-1])
+        _, counts = _binned_rmse(times[fut], y[fut], y[fut], mask[fut], t_c,
+                                 horizons, np.ones(2))
+        np.testing.assert_array_equal(counts.sum(axis=0),
+                                      mask[fut].sum(axis=(0, 1)))
 
 
 class TestGridCsv:
@@ -186,16 +184,19 @@ class TestGridCsv:
 
 class TestPgm:
     def test_pixel_dump(self, tmp_path):
-        vals = np.array([[[0.0], [1.0]]])
-        g = RmseGrid(np.array([1.0]), np.array([1.0, 2.0]), vals,
-                     np.ones((1, 2, 1), int))
+        vals = np.array([[[0.0], [1.0], [0.5], [2.5]],
+                         [[np.nan], [0.25], [0.0], [1.0]]])
+        g = RmseGrid(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]), vals,
+                     np.ones((2, 4, 1), int))
         path = tmp_path / "grid.pgm"
         write_grid_pgm(g, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "P2"
-        assert lines[1] == "1 2" and lines[2] == "255"
-        # largest horizon on top: RMSE 1 -> black (0); RMSE 0 -> white (255)
-        assert lines[3] == "0" and lines[4] == "255"
+        assert lines[1] == "2 4" and lines[2] == "255"
+        # largest horizon on top, assimilation times left to right; RMSE 0 ->
+        # white (255), RMSE at or above the cap of 1 -> black (0), an absent
+        # (NaN) bin -> black
+        assert lines[3:] == ["0 0", "128 255", "0 191", "255 0"]
 
 
 class TestCounterfactual:

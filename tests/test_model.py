@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from obsnode import autodiff as ad
+from obsnode import model as model_mod
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
                            emit, encode, forecast, impute, load_model,
-                           observability_probe, save_model, triangular_rhs)
+                           observability_probe, save_model, triangular_rhs,
+                           window)
 from obsnode.odeint import ControlPath, IntegrationConfig
 
 
@@ -189,7 +191,8 @@ class TestForecast:
         with pytest.raises(ValueError):
             forecast(state, self.control, [1.0], params, self.int_cfg)
 
-    def test_recursive_with_perfect_reencode_matches_long_horizon(self):
+    def test_recursive_with_perfect_reencode_matches_long_horizon(self,
+                                                                  monkeypatch):
         cfg_r, params = make_model(d_y=1, m=2, d_a=1, randomize_output=True,
                                    rollout_mode="recursive", recursive_chunk=1.0)
         z0 = np.array([[0.3, -0.2]])
@@ -203,13 +206,16 @@ class TestForecast:
 
         field = lambda z, a, p: triangular_rhs(z, a, params)
 
-        def re_encode(h):
-            (zT,) = integrate(field, Tensor(z0.copy()), control, 0.0,
-                              float(h.times[-1]), int_cfg, [float(h.times[-1])])
-            return zT
+        def perfect_encode(h, _params):
+            # the exact state at the last history time, in place of the encoder
+            t = float(h.times[-1])
+            (zT,) = integrate(field, Tensor(z0.copy()), control, 0.0, t, int_cfg, [t])
+            return EncodedState(z=zT, t=t)
 
+        monkeypatch.setattr(model_mod, "encode", perfect_encode)
         rec = forecast(EncodedState(z=Tensor(z0.copy()), t=0.0), control, qts,
-                       params, int_cfg, history=hist, re_encode=re_encode)
+                       params, int_cfg, history=hist)
+        monkeypatch.undo()
 
         cfg_l = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=8,
                               phi_layers=2, encoder_hidden_dim=8)
@@ -262,3 +268,12 @@ class TestModelCheckpoint:
         del arrays["head.W"]
         with pytest.raises(DataError):
             params.load_state(arrays)
+
+
+def test_window_splits_at_the_decision_time():
+    times = np.array([0.0, 1.0, 1.0 + 1e-10, 2.0, 3.0, 3.0 + 1e-10, 4.0])
+    before, inside = window(times, 1.0, 3.0)
+    assert before.tolist() == [True, True, True, False, False, False, False]
+    assert inside.tolist() == [False, False, False, True, True, True, False]
+    before, inside = window(times, 1.0)
+    assert inside.tolist() == [False, False, False, True, True, True, True]

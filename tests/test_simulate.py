@@ -178,10 +178,6 @@ class TestRff:
         w_bound = np.sqrt(2.0 / n) * np.sqrt(n) * 10  # loose uniform bound
         assert np.max(np.abs(vals)) < w_bound
 
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            rff_function(np.random.default_rng(0), 1, 5, 1.0, kernel="linear")
-
     def test_smoothness_scales_with_lengthscale(self):
         xs = np.arange(0.0, 72.0)[:, None]
         rough = rff_function(np.random.default_rng(1), 1, 50, 1.0)
@@ -275,3 +271,14 @@ def test_trajectory_requires_increasing_times():
     with pytest.raises(DataError):
         Trajectory(unit_id=0, times=[0.0, 0.0], y=np.zeros((2, 1)),
                    mask=np.ones((2, 1)), a=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], []],
+                         ids=["nan_time", "no_times"])
+def test_trajectory_requires_finite_nonempty_times(times):
+    # a NaN time compares false both ways, so the increasing-times check
+    # alone lets it through; a record without times has no history to encode
+    T = len(times)
+    with pytest.raises(DataError):
+        Trajectory(unit_id=0, times=times, y=np.zeros((T, 1)),
+                   mask=np.ones((T, 1)), a=np.zeros((T, 1)))

@@ -67,9 +67,10 @@ class TestZscore:
 class TestStackUnits:
     def test_shapes(self):
         trajs = make_trajs(n=3, T=5, d_y=2, d_a=1)
-        times, y, mask, a = stack_units(trajs)
-        assert times.shape == (5,)
-        assert y.shape == (5, 3, 2) and a.shape == (5, 3, 1)
+        record = stack_units(trajs)
+        assert record.times.shape == (5,)
+        assert record.y.shape == (5, 3, 2) and record.mask.shape == (5, 3, 2)
+        assert record.a.shape == (5, 3, 1)
 
     def test_grid_mismatch_rejected(self):
         trajs = make_trajs(n=2, T=5)
