@@ -130,7 +130,8 @@ def cmd_simulate(args):
     n_obs = int(sum(tr.mask.sum() for tr in trajs))
     a_all = np.concatenate([tr.a for tr in trajs])
     y_all = np.concatenate([tr.y for tr in trajs])
-    corr = float(np.corrcoef(a_all[:, 0], y_all[:, 0])[0, 1])
+    a0, y0 = a_all[:, 0], y_all[:, 0]
+    corr = np.corrcoef(a0, y0)[0, 1] if np.ptp(a0) and np.ptp(y0) else np.nan
     print(f"units: {len(trajs)}")
     print(f"observations: {n_obs}")
     print(f"treatment_frequency: {_fmt(np.mean(a_all > 0))}")
@@ -203,30 +204,25 @@ def cmd_evaluate(args):
 
 
 def read_treatment_csv(path, d_a):
-    """Piecewise-constant treatment path: rows start_time,component_1,..."""
+    """Piecewise-constant treatment path: rows start_time,component_1,...;
+    an unreadable or malformed file raises DataError naming it."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"treatment file not found: {path}")
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        expect = ["start_time"] + [f"component_{i + 1}" for i in range(d_a)]
-        if header != expect:
-            raise DataError(f"{path}: expected header {','.join(expect)}")
-        try:
-            rows = [[float(v) for v in row] for row in rd if row]
-        except ValueError as e:
-            raise DataError(f"{path}: {e}")
-    if not rows:
-        raise DataError(f"{path}: no treatment rows")
-    if any(len(row) != len(expect) for row in rows):
-        raise DataError(f"{path}: every row needs {len(expect)} values")
-    arr = np.array(rows)
-    if not np.isfinite(arr).all():
-        raise DataError(f"{path}: non-finite value")
+    expect = ["start_time"] + [f"component_{i + 1}" for i in range(d_a)]
     try:
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [None]
+        if header != expect:
+            raise DataError(f"expected header {','.join(expect)}")
+        rows = [row for row in rows if row]
+        if not rows or any(len(row) != len(expect) for row in rows):
+            raise DataError(f"expected rows of {len(expect)} values")
+        arr = np.array([[float(v) for v in row] for row in rows])
+        if not np.isfinite(arr).all():
+            raise DataError("non-finite value")
         return ControlPath(arr[:, 0], arr[:, 1:])
-    except ValueError as e:
+    except (OSError, ValueError, csv.Error, DataError) as e:
         raise DataError(f"{path}: {e}")
 
 

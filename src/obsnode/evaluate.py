@@ -43,9 +43,10 @@ class RmseGrid:
             raise DataError("RmseGrid: negative value")
 
     def component_mean(self):
-        """Mean over components per cell, ignoring absent entries."""
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(self.values, axis=2)
+        """Mean over components per cell, ignoring absent entries (as
+        np.nanmean does); NaN for a cell with no entry."""
+        n = np.sum(~np.isnan(self.values), axis=2)
+        return np.where(n > 0, np.nansum(self.values, axis=2) / np.maximum(n, 1), np.nan)
 
 
 def raw_forecast(record: History, t_c, query_times, params,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, NumericError, ShapeMismatch
+from .errors import ConfigError, DataError, ShapeMismatch
 from .odeint import ControlPath, IntegrationConfig, integrate
 
 
@@ -73,7 +73,9 @@ class History:
     """Per-time observation/treatment record, batched over units.
 
     times: (T,); y, mask: (T, n, d_y); a: (T, n, d_a). Missing y entries may
-    hold any placeholder; mask defines validity.
+    hold any placeholder; mask defines validity. Records read from outside
+    reach a History through :class:`~obsnode.simulate.Trajectory`, which
+    enforces that rule by zeroing the placeholders.
     """
 
     times: np.ndarray
@@ -87,9 +89,9 @@ class History:
         self.mask = np.asarray(self.mask, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
         if self.times.size == 0:
-            raise ValueError("History: empty history")
+            raise DataError("History: empty history")
         if np.any(np.diff(self.times) < 0):
-            raise ValueError("History: times must be ascending")
+            raise DataError("History: times must be ascending")
 
     def extended(self, times, y, mask, a):
         return History(
@@ -198,12 +200,6 @@ def _affine_vjp(g, x, W, b=None):
     return g @ W.data.T
 
 
-def _check_node(name, *arrays):
-    for x in arrays:
-        if not np.isfinite(x).all():
-            raise NumericError(f"{name}: non-finite value")
-
-
 def triangular_rhs(z, a, params: ObsNodeParams):
     """Vector field of the triangular normal form; z (n, d_z), a (n, d_a).
 
@@ -231,7 +227,7 @@ def triangular_rhs(z, a, params: ObsNodeParams):
     if cfg.treatment_scale is not None and d_a:
         inv = 1.0 / np.asarray(cfg.treatment_scale)
         ctrl = ctrl * inv
-    _check_node("triangular_rhs", zd, ctrl)
+    ad._check_finite("triangular_rhs", zd, ctrl)
     act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
     phi_layers = [tuple(layers) for layers in params.phi]
     blocks, caches = [], []
@@ -250,7 +246,7 @@ def triangular_rhs(z, a, params: ObsNodeParams):
         blocks.append(zd[:, i * d_y:(i + 1) * d_y] + phi if i < m else phi)
         caches.append((cache, x))
     out = np.concatenate(blocks, axis=1)
-    _check_node("triangular_rhs", out)
+    ad._check_finite("triangular_rhs", out)
 
     def backward(g):
         # Reverse op order: block m first; within block i, the state slice
@@ -324,7 +320,7 @@ def _gru_step(x, h, enc):
     Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh = (
         enc[k] for k in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wh", "Uh", "bh"))
     xd, hd = x.data, h.data
-    _check_node("_gru_step", xd, hd)
+    ad._check_finite("_gru_step", xd, hd)
     sig, sig_vjp = ad.ACTIVATIONS["sigmoid"]
     tanh, tanh_vjp = ad.ACTIVATIONS["tanh"]
     pre_r = xd @ Wr.data + br.data + hd @ Ur.data
@@ -336,7 +332,7 @@ def _gru_step(x, h, enc):
     cand = tanh(pre_c)
     keep = 1.0 - u
     out = keep * hd + u * cand
-    _check_node("_gru_step", out)
+    ad._check_finite("_gru_step", out)
 
     def backward(g):
         # Reverse op order: the convex combination, the candidate, then the
@@ -375,8 +371,9 @@ def encode(history: History, params: ObsNodeParams) -> EncodedState:
     cfg = params.cfg
     T = history.times.size
     n = history.y.shape[1]
-    if history.y.shape[2] != cfg.d_y or history.a.shape[2] != cfg.d_a:
-        raise ValueError("encode: history dimensions do not match config")
+    dims = history.y.shape[2:] + history.a.shape[2:]
+    if dims != (cfg.d_y, cfg.d_a):
+        raise DataError(f"encode: record (d_y, d_a) {dims} != model {cfg.d_y, cfg.d_a}")
     h = Tensor(np.zeros((n, cfg.encoder_hidden_dim)))
     prev_t = history.times[0]
     for k in range(T):
@@ -514,12 +511,17 @@ def load_model(path):
         raise DataError(f"checkpoint {path}: missing the model metadata header")
     try:
         cfg = ObsNodeConfig(**meta["config"])
+        params = ObsNodeParams(cfg, np.random.default_rng(0))
         stats = None
         if "norm_stats" in meta:
             stats = NormStats(mean=np.array(meta["norm_stats"]["mean"]),
                               std=np.array(meta["norm_stats"]["std"]))
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e}")
-    params = ObsNodeParams(cfg, np.random.default_rng(0))
+    if stats is not None and not (stats.mean.shape == stats.std.shape == (cfg.d_y,)
+                                  and np.isfinite([stats.mean, stats.std]).all()
+                                  and (stats.std > 0).all()):
+        raise DataError(f"checkpoint {path}: norm_stats must be {cfg.d_y} finite "
+                        "means and positive stds")
     params.load_state(arrays)
     return params, cfg, stats

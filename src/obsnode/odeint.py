@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericError
+from .errors import ConfigError, DataError, NumericError
 
 
 @dataclass
@@ -34,11 +34,11 @@ class ControlPath:
         self.knot_times = np.asarray(self.knot_times, dtype=np.float64)
         self.knot_values = np.asarray(self.knot_values, dtype=np.float64)
         if self.knot_times.ndim != 1 or self.knot_times.size < 1:
-            raise ValueError("ControlPath: need at least one knot")
+            raise DataError("ControlPath: need at least one knot")
         if np.any(np.diff(self.knot_times) <= 0):
-            raise ValueError("ControlPath: knot_times must be strictly increasing")
+            raise DataError("ControlPath: knot_times must be strictly increasing")
         if self.knot_values.shape[0] != self.knot_times.size:
-            raise ValueError("ControlPath: one value per knot required")
+            raise DataError("ControlPath: one value per knot required")
 
     def value_at(self, t: float) -> np.ndarray:
         k = int(np.searchsorted(self.knot_times, t, side="right")) - 1
@@ -56,9 +56,9 @@ class IntegrationConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+            raise ConfigError("step_size must be positive")
 
     @classmethod
     def for_grid(cls, times, method="rk4"):
@@ -135,8 +135,7 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     for lo, hi in zip(edges[:-1], edges[1:]):
         a = Tensor(control.value_at(lo))
         z = step(field, z, a, params, hi - lo)
-        if not np.isfinite(z.data).all():
-            raise NumericError(f"integrate: non-finite state at t={hi}")
+        ad._check_finite(f"integrate: the state at t={hi}", z.data)
         note(hi, z)
     return [out[qt] for qt in query_times]
 

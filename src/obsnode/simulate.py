@@ -132,6 +132,8 @@ class SemiSynthConfig:
 
 @dataclass
 class Trajectory:
+    """One unit's record, checked on construction (DataError naming the
+    unit); unobserved `y` entries may hold any placeholder and become 0.0."""
     unit_id: int
     times: np.ndarray
     y: np.ndarray      # (T, d_y)
@@ -145,10 +147,22 @@ class Trajectory:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
-        if (self.times.size == 0 or not np.isfinite(self.times).all()
+        T = self.times.size
+        if (self.times.ndim != 1 or T == 0 or not np.isfinite(self.times).all()
                 or np.any(np.diff(self.times) <= 0)):
             raise DataError(f"unit {self.unit_id}: times must be nonempty, "
                             "finite and strictly increasing")
+        if (self.y.ndim != 2 or self.a.ndim != 2 or self.mask.shape != self.y.shape
+                or len(self.y) != T or len(self.a) != T):
+            raise DataError(f"unit {self.unit_id}: with T={T}, y {self.y.shape} and "
+                            f"mask {self.mask.shape} must be (T, d_y), a {self.a.shape}"
+                            " (T, d_a)")
+        observed = self.mask == 1.0
+        if not (observed | (self.mask == 0.0)).all():
+            raise DataError(f"unit {self.unit_id}: mask entries must be 0 or 1")
+        if not (np.isfinite(self.y[observed]).all() and np.isfinite(self.a).all()):
+            raise DataError(f"unit {self.unit_id}: non-finite observed y or a")
+        self.y = np.where(observed, self.y, 0.0)
 
 
 def _patient_rngs(seed, unit_id):
@@ -285,8 +299,6 @@ def rff_function(rng, input_dim, n_features, lengthscale):
     f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i), with frequencies
     omega_i drawn as Student-t(3) variates scaled by sqrt(3)/lengthscale.
     """
-    if n_features < 1:
-        raise ValueError("rff_function: n_features must be >= 1")
     omega = rng.standard_t(3, size=(n_features, input_dim)) * np.sqrt(3.0) / lengthscale
     b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
     w = rng.normal(size=n_features)
@@ -448,7 +460,7 @@ def read_dataset(dirpath):
                                      if "latents" in rec else None),
                             confounders=(np.array(rec["confounders"])
                                          if "confounders" in rec else None)))
-                    except (ValueError, KeyError, TypeError) as e:
+                    except (ValueError, KeyError, TypeError, DataError) as e:
                         raise DataError(f"{path}, line {lineno}: malformed "
                                         f"record: {e!r}")
         except (OSError, ValueError) as e:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .model import (History, ObsNodeConfig, ObsNodeParams, rollout, save_model,
                     window)
 from .odeint import METHODS, IntegrationConfig
@@ -35,10 +35,9 @@ class NormStats:
 
 def zscore_fit(trajs) -> NormStats:
     """Per-component mean/std over observed entries of the given (train) split."""
-    if not trajs:
-        raise DataError("cannot fit normalization statistics on an empty split")
-    ys = np.concatenate([tr.y for tr in trajs])
-    ms = np.concatenate([tr.mask for tr in trajs])
+    record = stack_units(trajs)
+    ys = np.concatenate(record.y.swapaxes(0, 1))  # unit by unit, (n T, d_y)
+    ms = np.concatenate(record.mask.swapaxes(0, 1))
     counts = ms.sum(0)
     if np.any(counts < 2):
         bad = int(np.argmin(counts))
@@ -54,6 +53,9 @@ def zscore_fit(trajs) -> NormStats:
 def zscore_outcomes(y, mask, stats: NormStats):
     """Normalize the observed entries of an outcome array; unobserved entries
     pass through unchanged."""
+    if y.shape[-1] != stats.mean.size:
+        raise DataError(f"records with d_y={y.shape[-1]}, statistics with d_y="
+                        f"{stats.mean.size}")
     return np.where(mask > 0, (y - stats.mean) / stats.std, y)
 
 
@@ -77,14 +79,18 @@ def stack_units(trajs) -> History:
     shared time grid."""
     if not trajs:
         raise DataError("stack_units: empty split")
-    times = trajs[0].times
+    first = trajs[0]
     for tr in trajs[1:]:
-        if tr.times.shape != times.shape or np.any(tr.times != times):
+        if tr.times.shape != first.times.shape or np.any(tr.times != first.times):
             raise DataError("stack_units: units must share one time grid")
+        if tr.y.shape[1] != first.y.shape[1] or tr.a.shape[1] != first.a.shape[1]:
+            raise DataError(f"stack_units: (d_y, d_a) of unit {tr.unit_id} "
+                            f"{tr.y.shape[1], tr.a.shape[1]} != unit {first.unit_id} "
+                            f"{first.y.shape[1], first.a.shape[1]}")
     y = np.stack([tr.y for tr in trajs], axis=1)
     mask = np.stack([tr.mask for tr in trajs], axis=1)
     a = np.stack([tr.a for tr in trajs], axis=1)
-    return History(times, y, mask, a)
+    return History(first.times, y, mask, a)
 
 
 def masked_loss(pred, y, mask, sigma2):
@@ -99,14 +105,15 @@ def masked_loss(pred, y, mask, sigma2):
     mask = np.asarray(mask, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if pred.data.shape != y.shape or y.shape != mask.shape:
-        raise DataError(f"masked_loss: shapes {pred.data.shape}, {y.shape}, "
-                        f"{mask.shape} disagree")
+        raise ShapeMismatch("masked_loss", pred.data.shape, y.shape, mask.shape)
     T, n, d_y = y.shape
     counts = mask.sum(axis=0)  # (n, d_y)
     denom = n * sigma2 * np.where(counts > 0, counts, 1.0)
     weights = mask / denom
     err = ad.sub(pred, Tensor(y))
-    return ad.tsum(ad.hadamard(ad.square(err), Tensor(weights)))
+    loss = ad.tsum(ad.hadamard(ad.square(err), Tensor(weights)))
+    ad._check_finite("masked_loss", loss.data)
+    return loss
 
 
 @dataclass
@@ -194,7 +201,6 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     opt = Adam(params.tensors(), lr=tcfg.learning_rate)
     record = stack_units(splits["train"])
     n = record.y.shape[1]
-    int_cfg = _int_config(record.times, tcfg)
     sigma2 = np.ones(model_cfg.d_y)
     grid = list(tcfg.decision_time_grid)
     val_times = tcfg.val_decision_times or grid
@@ -204,6 +210,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             raise ConfigError(f"no {split} decision time has both history and a "
                               f"target: the {split} records span "
                               f"[{float(rec.times[0])!r}, {float(rec.times[-1])!r}]")
+    int_cfg = _int_config(record.times, tcfg)
 
     history = []
     best = (np.inf, {name: t.data.copy() for name, t in params.named_parameters()})
@@ -231,8 +238,8 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                         continue
                     tape.backward(loss)
                 for name, t in params.named_parameters():
-                    if t.grad is not None and not np.isfinite(t.grad).all():
-                        raise NumericError(f"non-finite gradient of {name}")
+                    if t.grad is not None:
+                        ad._check_finite(f"gradient of {name}", t.grad)
             except NumericError:
                 skipped += 1
                 continue

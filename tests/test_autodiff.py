@@ -47,10 +47,6 @@ class TestForwardOps:
         with pytest.raises(ShapeMismatch):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-    def test_nonfinite_input_rejected(self):
-        with pytest.raises(NumericError):
-            ad.tanh(Tensor([np.nan]))
-
     def test_scalar_broadcast(self):
         out = ad.hadamard(Tensor([1.0, 2.0, 3.0]), Tensor(2.0))
         np.testing.assert_array_equal(out.data, [2.0, 4.0, 6.0])
@@ -81,7 +77,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             y = ad.square(x)
-            with pytest.raises(NumericError):
+            with pytest.raises(ShapeMismatch):
                 tape.backward(y)
 
     def test_detached_tensor_gets_no_grad(self):

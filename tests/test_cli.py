@@ -2,8 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import shutil
 import types
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -362,15 +364,20 @@ class TestGradcheck:
         assert "PASS" in capsys.readouterr().out
 
 
+def run_main(argv):
+    """`obsnode *argv`; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
 def run_config(command, cfg, path):
     """`obsnode <command> --config path` on `cfg`; returns (exit code,
     stderr)."""
     path.write_text(json.dumps(cfg))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        rc = main([command, "--config", str(path)])
-    return rc, err.getvalue()
+    rc, _, err = run_main([command, "--config", str(path)])
+    return rc, err
 
 
 def fuzz_bases(workspace):
@@ -510,3 +517,185 @@ class TestUnscorableDecisionTimes:
         assert rc == 2
         assert f"the {split} records span [0.0, 60.0]" in err
         assert not (tmp_path / "run").exists()
+
+
+def mutated_dataset(src, dst, split, line, mutate):
+    """A copy of the dataset at `src` in `dst` with `mutate` applied to the
+    record on `line` of `split`; returns that record's unit id."""
+    shutil.rmtree(dst, ignore_errors=True)
+    shutil.copytree(src, dst)
+    path = dst / f"{split}.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line])
+    mutate(rec)
+    lines[line] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return rec["unit_id"]
+
+
+def train_evaluate_forecast(workspace, tmp, ds, unit, checkpoint=None,
+                            treatments=None, epochs=1):
+    """(exit code, stdout, stderr) of `train` (from `checkpoint` when given),
+    then `evaluate` and `forecast` of `unit` (with the workspace checkpoint
+    unless `checkpoint` is given) on the dataset `ds`; outputs go to `tmp`."""
+    root = workspace["root"]
+    ck = checkpoint or str(workspace["run"] / "checkpoint.json")
+    trn = json.loads((root / "train.json").read_text())
+    trn.update(dataset_dir=str(ds), run_dir=str(tmp / "run"))
+    trn["train"]["epochs"] = epochs
+    if checkpoint:
+        trn["init_checkpoint"] = checkpoint
+    evl = json.loads((root / "eval.json").read_text())
+    evl.update(dataset_dir=str(ds), checkpoint=ck, output_dir=str(tmp / "eval"))
+    if treatments is None:
+        treatments = tmp / "a.csv"
+        treatments.write_text("start_time,component_1,component_2\n"
+                              "0.0,14.0,2.0\n30.0,0.0,0.0\n")
+    return [run_main(argv) for argv in (
+        ["train", "--config", write_json(tmp / "train.json", trn)],
+        ["evaluate", "--config", write_json(tmp / "eval.json", evl)],
+        ["forecast", "--checkpoint", ck, "--dataset", str(ds), "--unit-id",
+         str(unit), "--treatments", str(treatments), "--t-c", "30",
+         "--output", str(tmp / "forecast.csv")])]
+
+
+class TestRecordContract:
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_nan_at_an_unobserved_entry_changes_nothing(self, workspace,
+                                                        tmp_path, split):
+        seen = []
+        for value in (0.0, float("nan")):
+            def hole(rec):
+                rec["mask"][4][1], rec["y"][4][1] = 0.0, value
+
+            unit = mutated_dataset(workspace["ds"], tmp_path / "ds", split, 1, hole)
+            runs = train_evaluate_forecast(workspace, tmp_path, tmp_path / "ds",
+                                           unit)
+            assert [rc for rc, _, _ in runs] == [0, 0, 0]
+            files = sorted(p for d in ("run", "eval") for p in (tmp_path / d).iterdir())
+            files.append(tmp_path / "forecast.csv")
+            seen.append((runs, [(p.name, p.read_bytes()) for p in files]))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("defect", ["observed_nan", "y_row_short"])
+    def test_broken_record_is_data_error_naming_the_unit(self, workspace,
+                                                         tmp_path, defect):
+        def breaks(rec):
+            if defect == "observed_nan":
+                rec["y"][4][1] = float("nan")
+            else:
+                del rec["y"][-1]
+
+        unit = mutated_dataset(workspace["ds"], tmp_path / "ds", "test", 2, breaks)
+        for rc, _, err in train_evaluate_forecast(workspace, tmp_path,
+                                                  tmp_path / "ds", unit):
+            assert rc == 3
+            assert f"unit {unit}:" in err
+
+    def test_dataset_dims_must_match_the_model(self, workspace, tmp_path):
+        sim = write_json(tmp_path / "s.json", {
+            "format_version": 1, "kind": "semi_synthetic",
+            "output_dir": str(tmp_path / "ds"),
+            "params": {"n_patients": 9, "horizon_hours": 60.0, "d_y": 3}})
+        assert main(["simulate", "--config", sim]) == 0
+        (rc_t, _, err_t), (rc_e, _, err_e), (rc_f, _, err_f) = \
+            train_evaluate_forecast(workspace, tmp_path, tmp_path / "ds", 0)
+        assert rc_t == rc_e == rc_f == 3
+        assert "record (d_y, d_a) (3, 2) != model (2, 2)" in err_t
+        for err in (err_e, err_f):
+            assert "records with d_y=3, statistics with d_y=2" in err
+
+
+def test_simulate_constant_first_treatment_has_nan_correlation(tmp_path):
+    # only the second treatment is ever given in this small cohort
+    sim = write_json(tmp_path / "s.json", {
+        "format_version": 1, "kind": "semi_synthetic",
+        "output_dir": str(tmp_path / "ds"),
+        "params": {"n_patients": 3, "horizon_hours": 6.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(["simulate", "--config", sim])
+    assert rc == 0 and err == ""
+    assert "treatment_outcome_correlation: nan\n" in out
+
+
+# Replacement values for one entry of a record, a checkpoint tensor or
+# metadata entry, and a treatment-CSV cell.
+BAD_VALUES = [float("nan"), float("inf"), -1, 2, "x", None]
+BAD_CELLS = ["nan", "inf", "-1", "2", "x", ""]
+
+
+def mutate_checkpoint(doc, data):
+    """One tensor value, one tensor shape entry, or one metadata entry of the
+    checkpoint `doc`, changed in place."""
+    target = data.draw(st.sampled_from(["value", "shape", "metadata"]),
+                       label="checkpoint part")
+    if target == "metadata":
+        meta = doc["metadata"]
+        keys = [("config", k) for k in meta["config"]] + [
+            ("norm_stats", k, i) for k in ("mean", "std") for i in range(2)]
+        path = data.draw(st.sampled_from(keys + [("cell",)]), label="entry")
+        section = meta
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = data.draw(st.sampled_from(BAD_VALUES + [0, 2.5, True]),
+                                      label="value")
+        return
+    entry = data.draw(st.sampled_from(doc["tensors"]), label="tensor")
+    field = entry["values"] if target == "value" else entry["shape"]
+    i = data.draw(st.integers(0, len(field) - 1), label="index")
+    if target == "shape" and data.draw(st.booleans(), label="drop"):
+        del field[i]
+    else:
+        field[i] = data.draw(st.sampled_from(BAD_VALUES), label="value")
+
+
+class TestInputFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_never_crashes(self, workspace, data):
+        # one record entry, treatment-CSV cell or checkpoint entry changed:
+        # train, evaluate and forecast run or reject it, never with a traceback
+        tmp = workspace["root"] / "input_fuzz"
+        shutil.rmtree(tmp, ignore_errors=True)
+        tmp.mkdir()
+        ds, ck, treatments, unit = workspace["ds"], None, None, 0
+        target = data.draw(st.sampled_from(["record", "csv", "checkpoint"]),
+                           label="target")
+        if target == "record":
+            split = data.draw(st.sampled_from(["train", "val", "test"]),
+                              label="split")
+            field = data.draw(st.sampled_from(["times", "y", "mask", "a"]),
+                              label="field")
+            row = data.draw(st.integers(0, 20), label="row")
+            drop = field != "times" and data.draw(st.booleans(), label="drop")
+            value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+            col = data.draw(st.integers(0, 1), label="column")
+
+            def mutate(rec):
+                if drop:
+                    del rec[field][row]
+                elif field == "times":
+                    rec["times"][row] = value
+                else:
+                    rec[field][row][col] = value
+
+            ds = tmp / "ds"
+            unit = mutated_dataset(workspace["ds"], ds, split, 0, mutate)
+        elif target == "csv":
+            rows = [["start_time", "component_1", "component_2"],
+                    ["0.0", "14.0", "2.0"], ["30.0", "0.0", "0.0"]]
+            rows[data.draw(st.integers(0, 2), label="row")][
+                data.draw(st.integers(0, 2), label="column")] = \
+                data.draw(st.sampled_from(BAD_CELLS), label="cell")
+            treatments = tmp / "a.csv"
+            treatments.write_text("\n".join(map(",".join, rows)) + "\n")
+        else:
+            doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+            mutate_checkpoint(doc, data)
+            ck = write_json(tmp / "ck.json", doc)
+        epochs = data.draw(st.sampled_from([0, 1]), label="epochs")
+        for rc, _, err in train_evaluate_forecast(workspace, tmp, ds, unit, ck,
+                                                  treatments, epochs):
+            assert rc in (0, 2, 3, 4)
+            assert "Traceback" not in err

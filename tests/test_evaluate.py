@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +149,26 @@ class TestBins:
                                  horizons, np.ones(2))
         np.testing.assert_array_equal(counts.sum(axis=0),
                                       mask[fut].sum(axis=(0, 1)))
+
+
+class TestComponentMean:
+    def test_nanmean_without_the_empty_cell_warning(self):
+        vals = np.random.default_rng(0).uniform(size=(3, 2, 3))
+        vals[0, 1, :] = np.nan
+        vals[1, 0, 1:] = np.nan
+        vals[2, 1, 0] = np.nan
+        grid = RmseGrid(np.arange(3.0), np.array([1.0, 2.0]), vals,
+                        np.ones(vals.shape, int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = grid.component_mean()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = np.nanmean(vals, axis=2)
+        cells = ~np.isnan(expected)
+        assert cells.sum() == 5
+        np.testing.assert_array_equal(np.isnan(mean), ~cells)
+        assert mean[cells].tobytes() == expected[cells].tobytes()
 
 
 class TestGridCsv:

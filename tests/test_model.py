@@ -135,7 +135,7 @@ class TestEncode:
         np.testing.assert_array_equal(z1, z2)
 
     def test_history_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             History(np.array([1.0, 0.5]), np.zeros((2, 1, 1)),
                     np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
 

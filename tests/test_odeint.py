@@ -4,7 +4,7 @@ import pytest
 from obsnode import autodiff as ad
 from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
-from obsnode.errors import NumericError
+from obsnode.errors import ConfigError, DataError, NumericError
 from obsnode.odeint import (ControlPath, IntegrationConfig, convergence_order,
                             integrate)
 
@@ -28,21 +28,21 @@ class TestControlPath:
         assert c.value_at(-1.0)[0] == 1.0
 
     def test_nonincreasing_knots_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ControlPath(np.array([0.0, 0.0]), np.zeros((2, 1)))
 
     def test_value_count_must_match(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ControlPath(np.array([0.0, 1.0]), np.zeros((3, 1)))
 
 
 class TestIntegrationConfig:
     def test_bad_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             IntegrationConfig(method="heun")
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             IntegrationConfig(step_size=0.0)
 
 

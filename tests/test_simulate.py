@@ -282,3 +282,41 @@ def test_trajectory_requires_finite_nonempty_times(times):
     with pytest.raises(DataError):
         Trajectory(unit_id=0, times=times, y=np.zeros((T, 1)),
                    mask=np.ones((T, 1)), a=np.zeros((T, 1)))
+
+
+def record_with(field, change):
+    """Trajectory fields of a 3-time, 2-outcome, 1-treatment record with
+    `change` applied to the array named `field`."""
+    rec = {"times": np.arange(3.0), "y": np.ones((3, 2)), "mask": np.ones((3, 2)),
+           "a": np.zeros((3, 1))}
+    rec[field] = change(rec[field].copy())
+    return rec
+
+
+def put(k, j, value):
+    def change(arr):
+        arr[k, j] = value
+        return arr
+    return change
+
+
+@pytest.mark.parametrize("field,change", [
+    ("y", lambda arr: arr[:-1]), ("mask", lambda arr: arr[:, :1]),
+    ("a", lambda arr: arr[1:]), ("y", lambda arr: arr[:, 0]),
+    ("mask", put(1, 0, 2.0)), ("mask", put(1, 0, -1.0)),
+    ("mask", put(1, 0, np.nan)), ("y", put(1, 0, np.nan)),
+    ("y", put(2, 1, -np.inf)), ("a", put(0, 0, np.nan)),
+], ids=["y_row_short", "mask_narrow", "a_row_short", "y_1d", "mask_2",
+        "mask_negative", "mask_nan", "observed_y_nan", "observed_y_inf",
+        "a_nan"])
+def test_trajectory_rejects_a_broken_record(field, change):
+    with pytest.raises(DataError, match="unit 7"):
+        Trajectory(unit_id=7, **record_with(field, change))
+
+
+def test_unobserved_entries_become_zero():
+    rec = record_with("mask", put(1, 0, 0.0))
+    rec["y"][1, 0] = np.nan
+    tr = Trajectory(unit_id=0, **rec)
+    assert tr.y[1, 0] == 0.0 and not np.signbit(tr.y[1, 0])
+    np.testing.assert_array_equal(np.delete(tr.y.ravel(), 2), 1.0)

@@ -1,10 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import train as train_mod
 from obsnode.autodiff import Tensor, grad_check
-from obsnode.errors import ConfigError, DataError, ShapeMismatch
+from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
+from obsnode.evaluate import rmse_grid
 from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model
 from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, evaluate_loss, masked_loss,
@@ -78,6 +83,13 @@ class TestStackUnits:
         with pytest.raises(DataError):
             stack_units(trajs)
 
+    def test_dimension_mismatch_names_both_units(self):
+        trajs = make_trajs(n=2, T=5, d_y=2) + make_trajs(n=1, T=5, d_y=3)
+        trajs[2].unit_id = 7
+        with pytest.raises(DataError) as e:
+            stack_units(trajs)
+        assert "unit 7 (3, 1) != unit 0 (2, 1)" in str(e.value)
+
 
 class TestMaskedLoss:
     def test_perfect_predictions_give_zero(self):
@@ -134,6 +146,18 @@ class TestMaskedLoss:
         l2 = float(masked_loss(Tensor(p[perm]), y[perm], np.ones_like(y),
                                np.ones(1)).data)
         assert l1 == pytest.approx(l2)
+
+    def test_shape_disagreement_is_a_shape_mismatch(self):
+        y = np.zeros((2, 1, 1))
+        with pytest.raises(ShapeMismatch, match="masked_loss"):
+            masked_loss(Tensor(np.zeros((3, 1, 1))), y, np.ones_like(y), np.ones(1))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_prediction_names_masked_loss(self):
+        y = np.zeros((2, 1, 1))
+        with pytest.raises(NumericError, match="masked_loss"):
+            masked_loss(Tensor(np.full(y.shape, 1e200)), y, np.ones_like(y),
+                        np.ones(1))
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(4)
@@ -274,3 +298,59 @@ class TestTrainLoop:
             np.testing.assert_array_equal(before, after)
         with pytest.raises(DataError, match="2/10 batches"):
             run({3, 5})
+
+
+def with_placeholders(trajs, holes, value):
+    """Copies of `trajs` with mask 0 and `value` in y at each (unit, time,
+    component) of `holes`."""
+    out = []
+    for uid, tr in enumerate(trajs):
+        y, mask = tr.y.copy(), tr.mask.copy()
+        for u, k, j in holes:
+            if u == uid:
+                y[k, j], mask[k, j] = value, 0.0
+        out.append(Trajectory(unit_id=tr.unit_id, times=tr.times, y=y,
+                              mask=mask, a=tr.a))
+    return out
+
+
+class TestUnobservedPlaceholder:
+    SPLITS = {"train": make_trajs(n=6, T=6, d_y=2, seed=20),
+              "val": make_trajs(n=3, T=6, d_y=2, seed=21),
+              "test": make_trajs(n=3, T=6, d_y=2, seed=22)}
+
+    def outputs(self, holes, value):
+        splits = {s: with_placeholders(trs, [h[1:] for h in holes if h[0] == s],
+                                       value)
+                  for s, trs in self.SPLITS.items()}
+        stats = zscore_fit(splits["train"])
+        normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
+        cfg = ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=8, phi_layers=1,
+                            encoder_hidden_dim=8)
+        params, history = train(cfg, normed, tiny_train_cfg(epochs=2))
+        digest = hashlib.sha256(b"".join(t.data.tobytes()
+                                         for t in params.tensors())).hexdigest()
+        grid = rmse_grid(splits["test"], [2.0, 3.0], [1.0, 2.0], params=params,
+                         stats=stats)
+        return json.dumps(history), digest, grid.values.tobytes()
+
+    @settings(max_examples=8, deadline=None)
+    @given(holes=st.lists(st.tuples(st.sampled_from(["train", "val", "test"]),
+                                     st.integers(0, 2), st.integers(0, 5),
+                                     st.integers(0, 1)),
+                          min_size=1, max_size=4, unique=True),
+           value=st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 1e308]),
+                           st.floats()))
+    def test_any_placeholder_gives_the_results_of_zero(self, holes, value):
+        # the records' contract makes unobserved entries 0.0, so no value
+        # there, NaN and inf included, can change training or evaluation
+        assert self.outputs(holes, value) == self.outputs(holes, 0.0)
+
+
+def test_single_time_records_are_unscorable():
+    # the default step comes from the grid spacing, which one time lacks
+    trajs = [Trajectory(unit_id=i, times=[0.0], y=[[1.0]], mask=[[1.0]],
+                        a=[[0.0]]) for i in range(3)]
+    with pytest.raises(ConfigError, match="records span"):
+        train(MODEL_CFG, {"train": trajs, "val": trajs},
+              tiny_train_cfg(epochs=1, int_step=None))
