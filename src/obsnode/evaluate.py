@@ -17,8 +17,7 @@ import numpy as np
 from .errors import DataError
 from .model import History, rollout, window
 from .odeint import ControlPath, IntegrationConfig
-from .simulate import (CancerSimConfig, _patient_rngs, sample_patient_params,
-                       simulate_cancer_patient)
+from .simulate import CancerSimConfig, sample_cohort_params, simulate_cancer_cohort
 from .train import NormStats, stack_units, zscore_invert, zscore_outcomes
 
 
@@ -195,18 +194,13 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
     under the alternative doses).
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
-    facts, truths, scheds = [], [], []
-    cf_cfg = replace(sim_config, noise=False)
-    for uid in unit_ids:
-        prng, nrng = _patient_rngs(sim_config.seed, uid)
-        pat = sample_patient_params(prng, sim_config)
-        fact = simulate_cancer_patient(pat, sim_config, nrng, unit_id=uid)
-        sched = np.asarray(schedule_fn(fact.latents.copy()), dtype=np.float64)
-        truth = simulate_cancer_patient(pat, cf_cfg, np.random.default_rng(0),
-                                        unit_id=uid, dose_schedule=sched)
-        facts.append(fact)
-        truths.append(truth)
-        scheds.append(sched)
+    unit_ids = list(unit_ids)
+    patients = sample_cohort_params(sim_config, unit_ids)
+    facts = simulate_cancer_cohort(patients, sim_config, unit_ids)
+    scheds = np.stack([np.asarray(schedule_fn(f.latents.copy()), dtype=np.float64)
+                       for f in facts])
+    truths = simulate_cancer_cohort(patients, replace(sim_config, noise=False),
+                                    unit_ids, dose_schedule=scheds)
 
     record, oracle = stack_units(facts), stack_units(truths)
     _, fut = window(record.times, t_c, t_c + horizons[-1])

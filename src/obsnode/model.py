@@ -118,44 +118,63 @@ def _linear(x, W, b):
     return ad.add(ad.matmul(x, W), ad.expand(b, (n, b.data.shape[1])))
 
 
+def param_shapes(cfg: ObsNodeConfig):
+    """(name, shape) of each parameter in named_parameters order. A
+    generator, so a checkpoint can be checked against it one tensor at a
+    time before anything is allocated."""
+    d_y, H, hid = cfg.d_y, cfg.encoder_hidden_dim, cfg.phi_hidden_dim
+    for i in range(1, cfg.m + 1):
+        for l in range(cfg.phi_layers + 1):
+            dout = d_y if l == cfg.phi_layers else hid
+            yield f"phi{i}.W{l}", (i * d_y + cfg.d_a if l == 0 else hid, dout)
+            yield f"phi{i}.b{l}", (1, dout)
+    for gate in ("r", "u", "h"):
+        yield f"enc.W{gate}", (cfg.encoder_input_dim, H)
+        yield f"enc.U{gate}", (H, H)
+        yield f"enc.b{gate}", (1, H)
+    yield "b_impute", (1, d_y)
+    yield "head.W", (H, cfg.d_z)
+    yield "head.b", (1, cfg.d_z)
+
+
+def check_state(arrays: dict, cfg: ObsNodeConfig):
+    """DataError unless `arrays` holds every parameter of `cfg` in its shape."""
+    for name, shape in param_shapes(cfg):
+        if name not in arrays:
+            raise DataError(f"checkpoint missing tensor {name!r}")
+        if tuple(arrays[name].shape) != shape:
+            raise DataError(f"checkpoint tensor {name!r} has shape "
+                            f"{arrays[name].shape}, expected {shape}")
+
+
+def check_dims(record: History, cfg: ObsNodeConfig, where: str):
+    dims = record.y.shape[2:] + record.a.shape[2:]
+    if dims != (cfg.d_y, cfg.d_a):
+        raise DataError(f"{where}: record (d_y, d_a) {dims} != model {cfg.d_y, cfg.d_a}")
+
+
 class ObsNodeParams:
     """All learnable parameters: phi-block MLPs, gated recurrent encoder,
     imputation constants, and the affine initial-state head."""
 
     def __init__(self, cfg: ObsNodeConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d_y, m, d_a = cfg.d_y, cfg.m, cfg.d_a
         H = cfg.encoder_hidden_dim
-
-        def w(shape, scale=None):
-            if scale is None:
-                scale = 1.0 / np.sqrt(shape[0])
-            return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        # phi-block MLPs; the output layer starts at zero so the initial
-        # dynamics is the pure chain of integrators.
-        self.phi = []
-        for i in range(1, m + 1):
-            dims = [i * d_y + d_a] + [cfg.phi_hidden_dim] * cfg.phi_layers + [d_y]
-            layers = []
-            for l, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-                last = l == len(dims) - 2
-                layers.append((zeros((din, dout)) if last else w((din, dout)),
-                               zeros((1, dout))))
-            self.phi.append(layers)
-
-        x_dim = cfg.encoder_input_dim
-        self.enc = {}
-        for gate in ("r", "u", "h"):
-            self.enc["W" + gate] = w((x_dim, H))
-            self.enc["U" + gate] = w((H, H))
-            self.enc["b" + gate] = zeros((1, H))
-        self.b_impute = zeros((1, d_y))
-        self.head_W = w((H, cfg.d_z), scale=0.05 / np.sqrt(H))
-        self.head_b = zeros((1, cfg.d_z))
+        t = {}
+        for name, shape in param_shapes(cfg):
+            # biases start at zero, and so does each phi block's output
+            # layer, so the initial dynamics is the pure chain of integrators
+            layer = name.rsplit(".", 1)[-1]
+            if layer[0] == "b" or name.startswith("phi") and layer == f"W{cfg.phi_layers}":
+                data = np.zeros(shape)
+            else:
+                scale = 0.05 / np.sqrt(H) if name == "head.W" else 1.0 / np.sqrt(shape[0])
+                data = rng.normal(0.0, scale, size=shape)
+            t[name] = Tensor(data, requires_grad=True)
+        self.phi = [[(t[f"phi{i}.W{l}"], t[f"phi{i}.b{l}"]) for l in range(cfg.phi_layers + 1)]
+                    for i in range(1, cfg.m + 1)]
+        self.enc = {name[4:]: v for name, v in t.items() if name.startswith("enc.")}
+        self.b_impute, self.head_W, self.head_b = t["b_impute"], t["head.W"], t["head.b"]
 
     def named_parameters(self):
         out = []
@@ -174,12 +193,8 @@ class ObsNodeParams:
         return [t for _, t in self.named_parameters()]
 
     def load_state(self, arrays: dict):
+        check_state(arrays, self.cfg)
         for name, t in self.named_parameters():
-            if name not in arrays:
-                raise DataError(f"checkpoint missing tensor {name!r}")
-            if tuple(arrays[name].shape) != t.data.shape:
-                raise DataError(f"checkpoint tensor {name!r} has shape "
-                                f"{arrays[name].shape}, expected {t.data.shape}")
             t.data = arrays[name].copy()
 
 
@@ -371,9 +386,7 @@ def encode(history: History, params: ObsNodeParams) -> EncodedState:
     cfg = params.cfg
     T = history.times.size
     n = history.y.shape[1]
-    dims = history.y.shape[2:] + history.a.shape[2:]
-    if dims != (cfg.d_y, cfg.d_a):
-        raise DataError(f"encode: record (d_y, d_a) {dims} != model {cfg.d_y, cfg.d_a}")
+    check_dims(history, cfg, "encode")
     h = Tensor(np.zeros((n, cfg.encoder_hidden_dim)))
     prev_t = history.times[0]
     for k in range(T):
@@ -511,11 +524,12 @@ def load_model(path):
         raise DataError(f"checkpoint {path}: missing the model metadata header")
     try:
         cfg = ObsNodeConfig(**meta["config"])
-        params = ObsNodeParams(cfg, np.random.default_rng(0))
         stats = None
         if "norm_stats" in meta:
             stats = NormStats(mean=np.array(meta["norm_stats"]["mean"]),
                               std=np.array(meta["norm_stats"]["std"]))
+        # the shapes the metadata implies are checked before they are allocated
+        check_state(arrays, cfg)
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e}")
     if stats is not None and not (stats.mean.shape == stats.std.shape == (cfg.d_y,)
@@ -523,5 +537,6 @@ def load_model(path):
                                   and (stats.std > 0).all()):
         raise DataError(f"checkpoint {path}: norm_stats must be {cfg.d_y} finite "
                         "means and positive stds")
+    params = ObsNodeParams(cfg, np.random.default_rng(0))
     params.load_state(arrays)
     return params, cfg, stats

@@ -10,7 +10,7 @@ confounded binary treatments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -207,80 +207,104 @@ def diameter(volume):
 
 def dose_policy(d_bar, gamma, patient: CancerPatientParams):
     """Cycle doses (chemo mg/m^3, radio Gy) as a confounded response to the
-    mean tumor diameter over the trailing window."""
+    mean tumor diameter over the trailing window; `d_bar` and the patient's
+    fields may be arrays over a cohort."""
     c = C_MAX * _sigmoid(gamma * patient.alpha_c_dose / DIAM_MAX * (d_bar - DELTA))
     d = D_MAX_GY * _sigmoid(gamma * patient.alpha_r_dose / DIAM_MAX * (d_bar - DELTA))
-    return float(c), float(d)
+    return c, d
 
 
-def simulate_cancer_patient(params: CancerPatientParams, config: CancerSimConfig,
-                            rng, unit_id: int = 0,
-                            dose_schedule=None) -> Trajectory:
-    """Euler-Maruyama integration of the tumor/weight dynamics with doses
-    reassigned at each monthly cycle boundary.
+def simulate_cancer_cohort(patients, config: CancerSimConfig, unit_ids,
+                           dose_schedule=None):
+    """Euler-Maruyama integration of the tumor/weight dynamics of a cohort,
+    one (n,) array per state variable, with doses reassigned at each cycle
+    boundary; returns one Trajectory per patient.
 
-    `dose_schedule`, when given, is an (n_cycles, 2) array of (chemo, radio)
-    doses that overrides the policy; the noise stream consumption is identical
+    Patient i has the physiology `patients[i]` and the noise stream of unit
+    `unit_ids[i]`. `dose_schedule`, when given, is an (n, n_cycles, 2) array
+    of (chemo, radio) doses that overrides the policy; the noise is the same
     either way, so re-simulation under an alternative schedule keeps the same
-    physiological noise.
+    physiological noise. A non-finite state raises NumericError naming the
+    first unit that has one.
     """
+    n = len(patients)
     dt = config.dt
     steps_per_cycle = round(config.cycle_days / dt)
     n_steps = steps_per_cycle * config.n_cycles
     obs_stride = round(config.obs_every / dt)
     win = round(DIAM_WINDOW_DAYS / dt)
+    p = CancerPatientParams(**{f.name: np.array([getattr(q, f.name) for q in patients])
+                               for f in fields(CancerPatientParams)})
+    # each patient's noise stream, drawn one cycle of (v, w) pairs at a time
+    rngs = [_patient_rngs(config.seed, uid)[1] for uid in unit_ids] if config.noise else []
+    sigma = np.stack([p.sigma_v, p.sigma_w], axis=1)
+    noise = np.zeros((steps_per_cycle, n, 2))
 
-    v, w = params.v0, params.w0
-    diam_hist = [diameter(v)]
-    doses = np.zeros((config.n_cycles, 2))
-    times, ys, treats = [], [], []
+    v, w = p.v0, p.w0
+    # ring buffer: the diameter of step s sits in column s % (win + 1), and
+    # only the steps a dose decision reads are filled
+    diam = np.empty((n, win + 1))
+    diam[:, 0] = diameter(v)
+    doses = np.zeros((n, config.n_cycles, 2))
+    n_obs = n_steps // obs_stride + 1
+    ys, treats = np.empty((n, n_obs, 2)), np.empty((n, n_obs, 2))
 
-    c_dose = d_dose = 0.0
     for k in range(n_steps + 1):
-        t = k * dt
         if k % steps_per_cycle == 0 and k < n_steps:
             cycle = k // steps_per_cycle
             if dose_schedule is not None:
-                c_dose, d_dose = float(dose_schedule[cycle][0]), float(dose_schedule[cycle][1])
+                doses[:, cycle] = dose_schedule[:, cycle]
             else:
-                d_bar = float(np.mean(diam_hist[-(win + 1):]))
-                c_dose, d_dose = dose_policy(d_bar, config.gamma, params)
-            doses[cycle] = (c_dose, d_dose)
+                # np.take keeps each window row contiguous, so np.mean sums
+                # it pairwise, as it does one patient's window
+                window = np.take(diam, np.arange(max(k - win, 0), k + 1) % (win + 1), axis=1)
+                doses[:, cycle] = np.stack(
+                    dose_policy(np.mean(window, axis=1), config.gamma, p), axis=1)
+            if rngs:
+                noise = np.stack([r.standard_normal((steps_per_cycle, 2)) for r in rngs],
+                                 axis=1) * sigma
+            c_dose, d_dose = doses[:, cycle, 0], doses[:, cycle, 1]
+            # the terms constant over a cycle; d ** 2 in Python floats, since
+            # numpy's squaring differs from C pow in the last bit
+            chemo_v = p.beta_c * c_dose
+            radio_v = p.alpha_r * d_dose + p.beta_r * np.array([d ** 2 for d in d_dose.tolist()])
+            chemo_w, radio_w = p.beta_wc * c_dose, p.alpha_wr * d_dose
         if k % obs_stride == 0:
-            times.append(t)
-            ys.append((v, w))
-            treats.append((c_dose, d_dose))
+            ys[:, k // obs_stride] = np.stack([v, w], axis=1)
+            treats[:, k // obs_stride] = doses[:, cycle]
         if k == n_steps:
             break
 
-        eps_v = rng.normal(0.0, params.sigma_v)
-        eps_w = rng.normal(0.0, params.sigma_w)
-        if not config.noise:
-            eps_v = eps_w = 0.0
-        rate_v = (params.rho * np.log(params.K / v) - params.beta_c * c_dose
-                  - (params.alpha_r * d_dose + params.beta_r * d_dose ** 2) + eps_v)
-        drift_w = (params.rho_w * w * (1.0 - w / params.K_w)
-                   - params.beta_wc * c_dose - params.alpha_wr * d_dose
-                   - params.lam * v + eps_w)
-        v = max(v + rate_v * v * dt, V_MIN)
-        w = max(w + drift_w * dt, W_MIN)
-        if not (np.isfinite(v) and np.isfinite(w)):
-            raise NumericError(f"unit {unit_id}: non-finite state at day {t + dt}")
-        diam_hist.append(diameter(v))
+        eps = noise[k % steps_per_cycle]
+        rate_v = p.rho * np.log(p.K / v) - chemo_v - radio_v + eps[:, 0]
+        drift_w = (p.rho_w * w * (1.0 - w / p.K_w) - chemo_w - radio_w
+                   - p.lam * v + eps[:, 1])
+        v = np.maximum(v + rate_v * v * dt, V_MIN)
+        w = np.maximum(w + drift_w * dt, W_MIN)
+        finite = np.isfinite(v) & np.isfinite(w)
+        if not finite.all():
+            raise NumericError(f"unit {unit_ids[np.argmin(finite)]}: non-finite "
+                               f"state at day {k * dt + dt}")
+        if -(k + 1) % steps_per_cycle <= win:
+            diam[:, (k + 1) % (win + 1)] = diameter(v)
 
-    y = np.array(ys)
-    return Trajectory(unit_id=unit_id, times=np.array(times), y=y,
-                      mask=np.ones_like(y), a=np.array(treats), latents=doses)
+    times = np.arange(n_obs) * obs_stride * dt
+    return [Trajectory(unit_id=uid, times=times.copy(), y=ys[i], mask=np.ones_like(ys[i]),
+                       a=treats[i], latents=doses[i])
+            for i, uid in enumerate(unit_ids)]
+
+
+def sample_cohort_params(config: CancerSimConfig, unit_ids):
+    """Each unit's physiology, drawn from its own parameter stream."""
+    return [sample_patient_params(_patient_rngs(config.seed, uid)[0], config)
+            for uid in unit_ids]
 
 
 def generate_cancer_dataset(config: CancerSimConfig):
     """Simulate the full cohort; thirds by unit index give train/val/test."""
-    trajs = []
-    for uid in range(config.n_patients):
-        prng, nrng = _patient_rngs(config.seed, uid)
-        params = sample_patient_params(prng, config)
-        trajs.append(simulate_cancer_patient(params, config, nrng, unit_id=uid))
-    return _split_thirds(trajs)
+    uids = list(range(config.n_patients))
+    return _split_thirds(simulate_cancer_cohort(sample_cohort_params(config, uids),
+                                                config, uids))
 
 
 def _split_thirds(trajs):
@@ -298,13 +322,18 @@ def rff_function(rng, input_dim, n_features, lengthscale):
 
     f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i), with frequencies
     omega_i drawn as Student-t(3) variates scaled by sqrt(3)/lengthscale.
+    `f(x, rowwise=True)` evaluates each row of x as its own one-row product,
+    so its values are bitwise those of calling f on each row alone.
     """
     omega = rng.standard_t(3, size=(n_features, input_dim)) * np.sqrt(3.0) / lengthscale
     b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
     w = rng.normal(size=n_features)
 
-    def f(x):
+    def f(x, rowwise=False):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if rowwise:
+            proj = (x[:, None, :] @ omega.T)[:, 0] + b
+            return np.sqrt(2.0 / n_features) * (np.cos(proj)[:, None, :] @ w)[:, 0]
         proj = x @ omega.T + b
         return np.sqrt(2.0 / n_features) * (np.cos(proj) @ w)
 
@@ -339,11 +368,13 @@ def generate_semi_synthetic(config: SemiSynthConfig):
     Untreated outcomes mix a shared B-spline trend, a per-patient Matern GP
     sample, a nonlinear read-out of hidden smooth confounders, and white
     noise. Binary treatments depend on recent outcomes and the confounders;
-    their effect decays quadratically inside a trailing window.
+    their effect decays quadratically inside a trailing window. Each
+    patient's random functions and noise come from its own streams; the
+    treatment loop then runs over all patients at once.
     """
     times = np.arange(0.0, config.horizon_hours + 0.5, 1.0)
     T = times.size
-    d_y, d_a, d_eps = config.d_y, config.d_a, config.d_eps
+    n, d_y, d_a, d_eps = config.n_patients, config.d_y, config.d_a, config.d_eps
     B = config.effect_matrix()
 
     ds_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
@@ -355,51 +386,51 @@ def generate_semi_synthetic(config: SemiSynthConfig):
     conf_idx = [np.array([0])] + [np.arange(1, d_eps)] * (d_a - 1)
     phi_a = [rff_function(ds_rng, len(idx), config.nu,
                           config.readout_lengthscale) for idx in conf_idx]
+    trend = np.stack([config.alpha_s * sp(times) for sp in bsplines], axis=1)
 
-    trajs = []
-    for uid in range(config.n_patients):
-        prng, nrng = _patient_rngs(config.seed, uid)
-        eps_fns = [rff_function(prng, 1, config.nu, config.eps_lengthscale)
-                   for _ in range(d_eps)]
-        eps = np.stack([fn(times[:, None]) for fn in eps_fns], axis=1)
-        g_fns = [rff_function(prng, 1, config.nu, config.g_lengthscale)
-                 for _ in range(d_y)]
-        g = np.stack([fn(times[:, None]) for fn in g_fns], axis=1)
-
+    eps = np.empty((n, T, d_eps))
+    y = np.empty((n, T, d_y))  # untreated until the treatment loop reaches t
+    conf_readout = np.empty((n, T, d_a))
+    U = np.empty((n, T, d_a))
+    for i in range(n):
+        prng, nrng = _patient_rngs(config.seed, i)
+        eps[i] = np.stack([rff_function(prng, 1, config.nu, config.eps_lengthscale)(
+            times[:, None]) for _ in range(d_eps)], axis=1)
+        g = np.stack([rff_function(prng, 1, config.nu, config.g_lengthscale)(times[:, None])
+                      for _ in range(d_y)], axis=1)
+        readout = np.stack([f(eps[i]) for f in phi_y], axis=1)
         eta = nrng.normal(0.0, config.eta_sd, size=(T, d_y))
-        y_untreated = np.stack(
-            [config.alpha_s * bsplines[j](times) + config.alpha_g * g[:, j]
-             + config.alpha_phi * phi_y[j](eps) + eta[:, j]
-             for j in range(d_y)], axis=1)
+        y[i] = trend + config.alpha_g * g + config.alpha_phi * readout + eta
+        U[i] = nrng.uniform(size=(T, d_a))
+        conf_readout[i] = np.stack([f(eps[i][:, idx], rowwise=True)
+                                    for f, idx in zip(phi_a, conf_idx)], axis=1)
 
-        y = np.zeros((T, d_y))
-        A = np.zeros((T, d_a))
-        P = np.zeros((T, d_a))
-        for t in range(T):
-            for l in range(d_a):
-                affected = np.nonzero(B[l] > 0)[0]
-                lo = max(t - config.w, 0)
-                ybar = float(np.mean(y[lo:t][:, affected])) if t > 0 and affected.size \
-                    else 0.0
-                logit = (config.gamma_A[l] * ybar
-                         + config.gamma_eps[l] * float(phi_a[l](eps[t, conf_idx[l]])[0])
-                         + config.bias[l])
-                P[t, l] = float(_sigmoid(logit))
-                A[t, l] = float(nrng.uniform() < P[t, l])
-            effect = np.zeros(d_y)
-            for k in range(max(t - config.w, 0), t + 1):
-                active = np.nonzero(A[k] == 1)[0]
-                if active.size == 0:
-                    continue
-                decay = 1.0 / (t - k + 1) ** 2
-                for j in range(d_y):
-                    effect[j] += np.min(P[k, active] * B[active, j]) * decay
-            y[t] = y_untreated[t] + effect
+    affected = [np.nonzero(B[l] > 0)[0] for l in range(d_a)]
+    A = np.zeros((n, T, d_a))
+    P = np.zeros((n, T, d_a))
+    for t in range(T):
+        lo = max(t - config.w, 0)
+        for l in range(d_a):
+            # the window mean sums each affected component over time, one
+            # component after the other
+            window = np.ascontiguousarray(y[:, lo:t].transpose(0, 2, 1)[:, affected[l]])
+            ybar = (np.mean(window.reshape(n, -1), axis=1)
+                    if t > 0 and affected[l].size else 0.0)
+            logit = (config.gamma_A[l] * ybar + config.gamma_eps[l] * conf_readout[:, t, l]
+                     + config.bias[l])
+            P[:, t, l] = _sigmoid(logit)
+            A[:, t, l] = U[:, t, l] < P[:, t, l]
+        effect = np.zeros((n, d_y))
+        for k in range(lo, t + 1):
+            active = A[:, k] == 1
+            hit = np.where(active[:, :, None], P[:, k, :, None] * B, np.inf).min(axis=1)
+            decay = 1.0 / (t - k + 1) ** 2
+            effect = np.where(active.any(axis=1)[:, None], effect + hit * decay, effect)
+        y[:, t] += effect
 
-        trajs.append(Trajectory(unit_id=uid, times=times.copy(), y=y,
-                                mask=np.ones_like(y), a=A, latents=P,
-                                confounders=eps))
-    return _split_thirds(trajs)
+    return _split_thirds([Trajectory(unit_id=i, times=times.copy(), y=y[i],
+                                     mask=np.ones_like(y[i]), a=A[i], latents=P[i],
+                                     confounders=eps[i]) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

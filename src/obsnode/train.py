@@ -18,8 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
-from .model import (History, ObsNodeConfig, ObsNodeParams, rollout, save_model,
-                    window)
+from .model import (History, ObsNodeConfig, ObsNodeParams, check_dims, rollout,
+                    save_model, window)
 from .odeint import METHODS, IntegrationConfig
 
 
@@ -206,6 +206,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     val_times = tcfg.val_decision_times or grid
     for split, rec, times in (("train", record, grid),
                               ("val", stack_units(splits["val"]), val_times)):
+        check_dims(rec, model_cfg, f"{split} split")
         if all(_targets(rec.times, t_c, tcfg.max_horizon) is None for t_c in times):
             raise ConfigError(f"no {split} decision time has both history and a "
                               f"target: the {split} records span "

@@ -30,8 +30,8 @@ from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, emit,
 from obsnode.odeint import ControlPath, IntegrationConfig, convergence_order, integrate
 from obsnode.simulate import (PARAM_DISTS, CancerSimConfig, SemiSynthConfig,
                               _patient_rngs, generate_cancer_dataset,
-                              generate_semi_synthetic, sample_patient_params,
-                              simulate_cancer_patient)
+                              generate_semi_synthetic, sample_cohort_params,
+                              sample_patient_params, simulate_cancer_cohort)
 from obsnode.train import (NormStats, TrainConfig, masked_loss, train,
                            zscore_apply, zscore_fit, zscore_invert,
                            zscore_outcomes)
@@ -230,10 +230,9 @@ class TestSimulatorFidelity:
         for dt in (0.25, 0.025):
             cfg = CancerSimConfig(n_patients=1, n_cycles=12, dt=dt,
                                   obs_every=1.0, noise=False, seed=0)
-            prng, nrng = _patient_rngs(0, 0)
-            pp = sample_patient_params(prng, cfg, sigma_scale=0.0)
-            tr = simulate_cancer_patient(pp, cfg, nrng,
-                                         dose_schedule=np.zeros((12, 2)))
+            pp = sample_patient_params(_patient_rngs(0, 0)[0], cfg, sigma_scale=0.0)
+            tr, = simulate_cancer_cohort([pp], cfg, [0],
+                                         dose_schedule=np.zeros((1, 12, 2)))
             vols[dt] = tr.y[:, 0]
         rel = np.max(np.abs(vols[0.25] - vols[0.025]) / np.abs(vols[0.025]))
         assert rel < 1e-3, f"relative error {rel:.2e}"
@@ -318,11 +317,9 @@ class TestCancerEndToEnd:
         t_c, t_q = 150.0, 240.0
         cycles = np.arange(12) * 30.0
         wins = used = 0
-        for tr in cancer_run["splits"]["test"]:
-            prng, nrng = _patient_rngs(noiseless.seed, tr.unit_id)
-            pp = sample_patient_params(prng, noiseless)
-            fact = simulate_cancer_patient(pp, noiseless, nrng,
-                                           unit_id=tr.unit_id)
+        test_ids = [tr.unit_id for tr in cancer_run["splits"]["test"]]
+        for fact in simulate_cancer_cohort(sample_cohort_params(noiseless, test_ids),
+                                           noiseless, test_ids):
             sched = fact.latents
             if not np.any(sched[cycles >= t_c - 1e-9] > 0):
                 continue

@@ -180,6 +180,35 @@ class TestExitCodes:
         assert rc == 3
         assert "enc.Wr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("phi_layers", 10**30),
+                                           ("encoder_hidden_dim", 10**12)])
+    def test_huge_checkpoint_dims_are_data_error(self, workspace, tmp_path,
+                                                 key, value):
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        doc["metadata"]["config"][key] = value
+        ck = write_json(tmp_path / "ck.json", doc)
+        evl = json.loads((workspace["root"] / "eval.json").read_text())
+        evl.update(checkpoint=ck, output_dir=str(tmp_path / "eval"))
+        rc, _, err = run_main(["evaluate", "--config",
+                               write_json(tmp_path / "eval.json", evl)])
+        assert rc == 3 and "Traceback" not in err
+        assert "checkpoint tensor" in err or "checkpoint missing tensor" in err
+
+    def test_zero_epoch_train_on_mismatched_dims_is_data_error(self, workspace,
+                                                              tmp_path):
+        # with no epoch no batch reaches encode, so train() itself compares
+        # the dataset with the model before it writes a checkpoint
+        sim = write_json(tmp_path / "s.json", {
+            "format_version": 1, "kind": "semi_synthetic",
+            "output_dir": str(tmp_path / "ds"),
+            "params": {"n_patients": 9, "horizon_hours": 60.0, "d_y": 3}})
+        assert main(["simulate", "--config", sim]) == 0
+        (rc, _, err), _, _ = train_evaluate_forecast(workspace, tmp_path,
+                                                     tmp_path / "ds", 0, epochs=0)
+        assert rc == 3
+        assert "record (d_y, d_a) (3, 2) != model (2, 2)" in err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("defect", ["truncated_record", "bad_manifest",
                                         "record_missing_key"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path,
@@ -623,6 +652,8 @@ def test_simulate_constant_first_treatment_has_nan_correlation(tmp_path):
 # metadata entry, and a treatment-CSV cell.
 BAD_VALUES = [float("nan"), float("inf"), -1, 2, "x", None]
 BAD_CELLS = ["nan", "inf", "-1", "2", "x", ""]
+# metadata integers whose implied parameters could never be allocated
+LARGE_INTS = [10**9, 10**12, 10**30]
 
 
 def mutate_checkpoint(doc, data):
@@ -638,8 +669,8 @@ def mutate_checkpoint(doc, data):
         section = meta
         for key in path[:-1]:
             section = section[key]
-        section[path[-1]] = data.draw(st.sampled_from(BAD_VALUES + [0, 2.5, True]),
-                                      label="value")
+        section[path[-1]] = data.draw(
+            st.sampled_from(BAD_VALUES + [0, 2.5, True] + LARGE_INTS), label="value")
         return
     entry = data.draw(st.sampled_from(doc["tensors"]), label="tensor")
     field = entry["values"] if target == "value" else entry["shape"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,24 @@ class TestModelCheckpoint:
         del arrays["head.W"]
         with pytest.raises(DataError):
             params.load_state(arrays)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("phi_layers", 10**30), ("m", 10**30), ("d_y", 10**30),
+    ("encoder_hidden_dim", 10**12), ("phi_hidden_dim", 10**12),
+    ("m", float("nan")), ("phi_layers", float("nan"))])
+def test_huge_metadata_is_rejected_before_allocation(tmp_path, key, value):
+    # the shapes the metadata implies are compared with the stored tensors
+    # before any parameter is built, so none of these is allocated; a NaN
+    # count cannot even be iterated
+    _, params = make_model()
+    path = tmp_path / "model.json"
+    save_model(path, params)
+    doc = json.loads(path.read_text())
+    doc["metadata"]["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="checkpoint "):
+        load_model(path)
 
 
 def test_window_splits_at_the_decision_time():

@@ -1,13 +1,21 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from obsnode.errors import ConfigError, DataError
-from obsnode.simulate import (C_MAX, D_MAX_GY, PARAM_DISTS, CancerSimConfig,
-                              SemiSynthConfig, Trajectory, diameter,
-                              dose_policy, generate_cancer_dataset,
-                              generate_semi_synthetic, read_dataset,
-                              rff_function, sample_patient_params,
-                              simulate_cancer_patient, write_dataset)
+from obsnode.autodiff import _sigmoid
+from obsnode.errors import ConfigError, DataError, NumericError
+from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS, PARAM_DISTS,
+                              V_MIN, W_MIN, CancerSimConfig, SemiSynthConfig,
+                              Trajectory, _bspline_mixture, _patient_rngs,
+                              _split_thirds, diameter, dose_policy,
+                              generate_cancer_dataset, generate_semi_synthetic,
+                              read_dataset, rff_function, sample_cohort_params,
+                              sample_patient_params, simulate_cancer_cohort,
+                              write_dataset)
 
 
 def tiny_cancer_cfg(**kw):
@@ -94,7 +102,7 @@ class TestCancerSimulation:
         p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
         p.v0 = p.K
         p.beta_c = p.alpha_r = p.beta_r = 0.0
-        tr = simulate_cancer_patient(p, cfg, np.random.default_rng(1))
+        tr, = simulate_cancer_cohort([p], cfg, [0])
         np.testing.assert_allclose(tr.y[:, 0], p.K, rtol=0, atol=1e-12)
 
     def test_untreated_growth_matches_fine_reference(self):
@@ -104,7 +112,7 @@ class TestCancerSimulation:
         p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
         p.v0 = 1.0
         p.beta_c = p.alpha_r = p.beta_r = 0.0
-        tr = simulate_cancer_patient(p, cfg, np.random.default_rng(1))
+        tr, = simulate_cancer_cohort([p], cfg, [0])
         assert np.all(np.diff(tr.y[:, 0]) > 0)  # strictly growing toward K
 
         t_end = cfg.n_cycles * cfg.cycle_days
@@ -119,8 +127,7 @@ class TestCancerSimulation:
         p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
         p.v0 = 1.0
         schedule = np.array([[C_MAX, 0.0]])
-        tr = simulate_cancer_patient(p, cfg, np.random.default_rng(1),
-                                     dose_schedule=schedule)
+        tr, = simulate_cancer_cohort([p], cfg, [0], dose_schedule=schedule[None])
         assert tr.y[1, 0] < tr.y[0, 0]
 
     def test_same_seed_bit_identical(self):
@@ -143,16 +150,14 @@ class TestCancerSimulation:
         # the factual run exactly until the first nonzero factual dose acts
         cfg = tiny_cancer_cfg(n_cycles=2, seed=3)
         p = sample_patient_params(np.random.default_rng(2), cfg)
-        fact = simulate_cancer_patient(p, cfg, np.random.default_rng(9))
-        sched = fact.latents.copy()
-        redo = simulate_cancer_patient(p, cfg, np.random.default_rng(9),
-                                       dose_schedule=sched)
+        fact, = simulate_cancer_cohort([p], cfg, [9])
+        redo, = simulate_cancer_cohort([p], cfg, [9], dose_schedule=fact.latents[None])
         np.testing.assert_array_equal(fact.y, redo.y)
 
     def test_treatments_recorded_per_cycle(self):
         cfg = tiny_cancer_cfg(n_cycles=2)
         p = sample_patient_params(np.random.default_rng(0), cfg)
-        tr = simulate_cancer_patient(p, cfg, np.random.default_rng(1))
+        tr, = simulate_cancer_cohort([p], cfg, [0])
         # constant within a cycle, one change allowed at the boundary
         first = tr.a[tr.times < 30.0]
         assert np.all(first == first[0])
@@ -246,6 +251,262 @@ class TestSemiSynthetic:
         b = generate_semi_synthetic(cfg)
         for ta, tb in zip(a["test"], b["test"]):
             assert (ta.y == tb.y).all() and (ta.a == tb.a).all()
+
+
+# ---------------------------------------------------------------------------
+# The cohort simulators against per-patient scalar references
+# ---------------------------------------------------------------------------
+
+def reference_cancer_patient(params, config, rng, unit_id, dose_schedule=None):
+    """One patient's Euler-Maruyama path in Python floats, drawing its noise
+    step by step from `rng` when noise is on."""
+    dt = config.dt
+    steps_per_cycle = round(config.cycle_days / dt)
+    n_steps = steps_per_cycle * config.n_cycles
+    obs_stride = round(config.obs_every / dt)
+    win = round(DIAM_WINDOW_DAYS / dt)
+
+    v, w = params.v0, params.w0
+    diam_hist = [diameter(v)]
+    doses = np.zeros((config.n_cycles, 2))
+    times, ys, treats = [], [], []
+
+    c_dose = d_dose = 0.0
+    for k in range(n_steps + 1):
+        t = k * dt
+        if k % steps_per_cycle == 0 and k < n_steps:
+            cycle = k // steps_per_cycle
+            if dose_schedule is not None:
+                c_dose, d_dose = float(dose_schedule[cycle][0]), float(dose_schedule[cycle][1])
+            else:
+                d_bar = float(np.mean(diam_hist[-(win + 1):]))
+                c_dose, d_dose = map(float, dose_policy(d_bar, config.gamma, params))
+            doses[cycle] = (c_dose, d_dose)
+        if k % obs_stride == 0:
+            times.append(t)
+            ys.append((v, w))
+            treats.append((c_dose, d_dose))
+        if k == n_steps:
+            break
+
+        eps_v = eps_w = 0.0
+        if config.noise:
+            eps_v = rng.normal(0.0, params.sigma_v)
+            eps_w = rng.normal(0.0, params.sigma_w)
+        rate_v = (params.rho * np.log(params.K / v) - params.beta_c * c_dose
+                  - (params.alpha_r * d_dose + params.beta_r * d_dose ** 2) + eps_v)
+        drift_w = (params.rho_w * w * (1.0 - w / params.K_w)
+                   - params.beta_wc * c_dose - params.alpha_wr * d_dose
+                   - params.lam * v + eps_w)
+        v = max(v + rate_v * v * dt, V_MIN)
+        w = max(w + drift_w * dt, W_MIN)
+        if not (np.isfinite(v) and np.isfinite(w)):
+            raise NumericError(f"unit {unit_id}: non-finite state at day {t + dt}")
+        diam_hist.append(diameter(v))
+
+    y = np.array(ys)
+    return Trajectory(unit_id=unit_id, times=np.array(times), y=y,
+                      mask=np.ones_like(y), a=np.array(treats), latents=doses)
+
+
+def reference_semi_synthetic(config):
+    """The semi-synthetic cohort simulated one patient, time and treatment
+    at a time."""
+    times = np.arange(0.0, config.horizon_hours + 0.5, 1.0)
+    T = times.size
+    d_y, d_a, d_eps = config.d_y, config.d_a, config.d_eps
+    B = config.effect_matrix()
+
+    ds_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+    bsplines = [_bspline_mixture(ds_rng, config.horizon_hours) for _ in range(d_y)]
+    phi_y = [rff_function(ds_rng, d_eps, config.nu, config.readout_lengthscale)
+             for _ in range(d_y)]
+    conf_idx = [np.array([0])] + [np.arange(1, d_eps)] * (d_a - 1)
+    phi_a = [rff_function(ds_rng, len(idx), config.nu,
+                          config.readout_lengthscale) for idx in conf_idx]
+
+    trajs = []
+    for uid in range(config.n_patients):
+        prng, nrng = _patient_rngs(config.seed, uid)
+        eps_fns = [rff_function(prng, 1, config.nu, config.eps_lengthscale)
+                   for _ in range(d_eps)]
+        eps = np.stack([fn(times[:, None]) for fn in eps_fns], axis=1)
+        g_fns = [rff_function(prng, 1, config.nu, config.g_lengthscale)
+                 for _ in range(d_y)]
+        g = np.stack([fn(times[:, None]) for fn in g_fns], axis=1)
+
+        eta = nrng.normal(0.0, config.eta_sd, size=(T, d_y))
+        y_untreated = np.stack(
+            [config.alpha_s * bsplines[j](times) + config.alpha_g * g[:, j]
+             + config.alpha_phi * phi_y[j](eps) + eta[:, j]
+             for j in range(d_y)], axis=1)
+
+        y = np.zeros((T, d_y))
+        A = np.zeros((T, d_a))
+        P = np.zeros((T, d_a))
+        for t in range(T):
+            for l in range(d_a):
+                affected = np.nonzero(B[l] > 0)[0]
+                lo = max(t - config.w, 0)
+                ybar = float(np.mean(y[lo:t][:, affected])) if t > 0 and affected.size \
+                    else 0.0
+                logit = (config.gamma_A[l] * ybar
+                         + config.gamma_eps[l] * float(phi_a[l](eps[t, conf_idx[l]])[0])
+                         + config.bias[l])
+                P[t, l] = float(_sigmoid(logit))
+                A[t, l] = float(nrng.uniform() < P[t, l])
+            effect = np.zeros(d_y)
+            for k in range(max(t - config.w, 0), t + 1):
+                active = np.nonzero(A[k] == 1)[0]
+                if active.size == 0:
+                    continue
+                decay = 1.0 / (t - k + 1) ** 2
+                for j in range(d_y):
+                    effect[j] += np.min(P[k, active] * B[active, j]) * decay
+            y[t] = y_untreated[t] + effect
+
+        trajs.append(Trajectory(unit_id=uid, times=times.copy(), y=y,
+                                mask=np.ones_like(y), a=A, latents=P,
+                                confounders=eps))
+    return _split_thirds(trajs)
+
+
+def assert_cohorts_equal(got, want):
+    assert [tr.unit_id for tr in got] == [tr.unit_id for tr in want]
+    for tg, tw in zip(got, want):
+        for field in ("times", "y", "mask", "a", "latents", "confounders"):
+            a, b = getattr(tg, field), getattr(tw, field)
+            assert (a is None) == (b is None), field
+            if a is not None:
+                assert np.array_equal(a, b), f"unit {tg.unit_id}: {field} differs"
+
+
+def flat(splits):
+    return [tr for s in ("train", "val", "test") for tr in splits[s]]
+
+
+# (cycle_days, dt): dt divides the cycle; the 6- and 10-day cycles are shorter
+# than the 15-day diameter window, so consecutive dose windows overlap
+CYCLE_STEPS = [(30.0, dt) for dt in (0.25, 0.5, 1.0, 2.0, 3.0)] + \
+    [(10.0, dt) for dt in (0.5, 1.0, 2.0)] + [(6.0, dt) for dt in (1.0, 3.0)]
+
+
+@st.composite
+def cancer_cases(draw):
+    cycle_days, dt = draw(st.sampled_from(CYCLE_STEPS))
+    cfg = CancerSimConfig(
+        n_patients=draw(st.integers(1, 5)), n_cycles=draw(st.integers(1, 3)),
+        cycle_days=cycle_days, dt=dt, obs_every=dt * draw(st.integers(1, 4)),
+        gamma=draw(st.floats(1.0, 8.0)), noise=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)))
+    schedule = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        schedule = rng.uniform(0.0, 1.0, size=(cfg.n_patients, cfg.n_cycles, 2)) \
+            * [C_MAX, D_MAX_GY]
+    return cfg, schedule
+
+
+@st.composite
+def semi_configs(draw):
+    d_a = draw(st.integers(1, 3))
+    coef = st.floats(-3.0, 3.0)
+    return SemiSynthConfig(
+        n_patients=draw(st.integers(1, 5)),
+        horizon_hours=draw(st.sampled_from([1.0, 4.0, 9.5, 12.0])),
+        d_y=draw(st.integers(1, 3)), d_a=d_a, d_eps=draw(st.integers(1, 3)),
+        w=draw(st.integers(1, 4)), nu=draw(st.integers(1, 6)),
+        beta=draw(st.sampled_from([1.0, 0.5, 0.0, -1.0])),
+        gamma_A=tuple(draw(coef) for _ in range(d_a)),
+        gamma_eps=tuple(draw(coef) for _ in range(d_a)),
+        bias=tuple(draw(coef) for _ in range(d_a)),
+        seed=draw(st.integers(0, 2**16)))
+
+
+class TestCohortMatchesReference:
+    """The array cohorts reproduce the per-patient loops bit for bit."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cancer_cases())
+    def test_cancer_cohort(self, case):
+        cfg, schedule = case
+        uids = list(range(cfg.n_patients))
+        want = [reference_cancer_patient(
+                    sample_patient_params(_patient_rngs(cfg.seed, uid)[0], cfg), cfg,
+                    _patient_rngs(cfg.seed, uid)[1], uid,
+                    None if schedule is None else schedule[uid])
+                for uid in uids]
+        got = simulate_cancer_cohort(sample_cohort_params(cfg, uids), cfg, uids,
+                                     dose_schedule=schedule)
+        assert_cohorts_equal(got, want)
+        if schedule is None:
+            assert_cohorts_equal(flat(generate_cancer_dataset(cfg)), want)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(semi_configs())
+    def test_semi_synthetic_cohort(self, cfg):
+        assert_cohorts_equal(flat(generate_semi_synthetic(cfg)),
+                             flat(reference_semi_synthetic(cfg)))
+
+    def test_radio_dose_squared_in_python_floats(self):
+        # 2.311181969547313 ** 2 in Python floats (C pow) and numpy's squaring
+        # of it differ in the last bit, and for unit 1 so does the first step
+        cfg = tiny_cancer_cfg(n_patients=1, n_cycles=1, noise=False)
+        pats = sample_cohort_params(cfg, [1])
+        schedule = np.array([[[0.0, 2.311181969547313]]])
+        want = reference_cancer_patient(pats[0], cfg, None, 1, schedule[0])
+        assert_cohorts_equal(simulate_cancer_cohort(pats, cfg, [1], schedule), [want])
+
+    def test_cohort_units_draw_their_own_noise(self):
+        # a unit's path depends on its id, not on its place in the cohort
+        cfg = tiny_cancer_cfg(n_cycles=1, seed=4)
+        pats = sample_cohort_params(cfg, [2, 0])
+        both = simulate_cancer_cohort(pats, cfg, [2, 0])
+        alone = simulate_cancer_cohort(pats[1:], cfg, [0])
+        assert_cohorts_equal(both[1:], alone)
+
+
+def dataset_digests(tmp_path, splits, cfg):
+    write_dataset(tmp_path, splits, cfg, cfg.seed)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())}
+
+
+class TestPinnedDatasetBytes:
+    """sha256 of the files write_dataset writes for two small cohorts, as
+    the per-patient simulators wrote them."""
+
+    def test_cancer(self, tmp_path):
+        cfg = CancerSimConfig(n_patients=4, n_cycles=2, dt=0.5, obs_every=3.0, seed=11)
+        assert dataset_digests(tmp_path, generate_cancer_dataset(cfg), cfg) == {
+            "manifest.json": "c5d2f62d7f6088f468bef5a178e4d4a49b441f586fc7a90f1ed26d417ca0dbf1",
+            "test.jsonl": "4c07eabbdff79195fedf87f5536561ab887debe106ac133a1d4e0510ffddfe14",
+            "train.jsonl": "f26bc149103b4ae41b713f907afd3ef7b04c9cf88524c611fcc9e92bddbc70e3",
+            "val.jsonl": "765fb69b83e532a21f1a8d96ac672bff383ce8ccacfdd69cf071c86059405ac7",
+        }
+
+    def test_semi_synthetic(self, tmp_path):
+        # three treatments, so two of them affect two components each
+        cfg = SemiSynthConfig(n_patients=4, horizon_hours=24.0, d_y=3, d_a=3, d_eps=2,
+                              w=3, gamma_A=(0.3, 0.2, 0.1), gamma_eps=(0.3, 0.1, 0.2),
+                              bias=(-1.0, -1.5, -2.0), seed=11)
+        assert dataset_digests(tmp_path, generate_semi_synthetic(cfg), cfg) == {
+            "manifest.json": "e074715f580233bdba143177a11b3ca752af2a5824a11355e6a77ce5be59a377",
+            "test.jsonl": "beb9f9c05d1e8aef50e5f5e2b02ccf236a5427aa9a7395d31777bb3f3b983906",
+            "train.jsonl": "ace01d9748396f44d00feb74ad484abeb5a7df357d64b3f8f603af2415fc1d08",
+            "val.jsonl": "f54abbf22bff16fceba05effd17687b30ecac0518f18f9ccc5963be4df17c5ca",
+        }
+
+
+def test_diverging_patient_names_its_unit_and_day():
+    cfg = tiny_cancer_cfg(n_patients=3, n_cycles=1)
+    pats = sample_cohort_params(cfg, range(3))
+    pats[1] = replace(pats[1], rho=1e308)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=r"^unit 1: non-finite state at day 0\.25$"):
+        simulate_cancer_cohort(pats, cfg, range(3))
 
 
 class TestDatasetIo:
