@@ -1,10 +1,10 @@
 """Dense-tensor reverse-mode automatic differentiation with an Adam optimizer.
 
 Everything is float64. A :class:`Tape` records operations executed while it is
-active (``with Tape():``); :func:`backward` replays the record once in reverse
-and accumulates gradients into ``Tensor.grad``. Broadcasting is restricted to
-scalar-vs-tensor; anything fancier goes through explicit ``reshape`` /
-``expand`` ops so shape bugs fail loudly.
+active (``with Tape():``); :meth:`Tape.backward` replays the record once in
+reverse and accumulates gradients into ``Tensor.grad``. Broadcasting is
+restricted to scalar-vs-tensor; anything fancier goes through explicit
+``reshape`` / ``expand`` ops so shape bugs fail loudly.
 """
 
 from __future__ import annotations
@@ -249,29 +249,23 @@ def expand(a, shape):
     return _record(out, (a,), bw)
 
 
-def tsum(a, axis=None):
-    out = Tensor(np.sum(a.data, axis=axis))
+def tsum(a):
+    out = Tensor(np.sum(a.data))
 
     def bw(g):
         if a.requires_grad:
-            if axis is None:
-                _accum(a, np.broadcast_to(g, a.data.shape))
-            else:
-                _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
+            _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _record(out, (a,), bw)
 
 
-def tmean(a, axis=None):
-    n = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(np.mean(a.data, axis=axis))
+def tmean(a):
+    n = a.data.size
+    out = Tensor(np.mean(a.data))
 
     def bw(g):
         if a.requires_grad:
-            if axis is None:
-                _accum(a, np.broadcast_to(g / n, a.data.shape))
-            else:
-                _accum(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape))
+            _accum(a, np.broadcast_to(g / n, a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -298,7 +292,7 @@ ACTIVATIONS = {
 }
 
 
-def _activation(op, kind, a):
+def _activation(kind, a):
     fwd, vjp = ACTIVATIONS[kind]
     y = fwd(a.data)
     out = Tensor(y)
@@ -311,15 +305,15 @@ def _activation(op, kind, a):
 
 
 def tanh(a):
-    return _activation("tanh", "tanh", a)
+    return _activation("tanh", a)
 
 
 def sigmoid(a):
-    return _activation("sigmoid", "sigmoid", a)
+    return _activation("sigmoid", a)
 
 
 def leaky_relu(a):
-    return _activation("leaky_relu", "leakyrelu", a)
+    return _activation("leakyrelu", a)
 
 
 def square(a):
@@ -336,13 +330,13 @@ def square(a):
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients of f and central differences.
+def grad_check(f, x: Tensor) -> float:
+    """Max relative error between tape gradients of f and central differences
+    with step 1e-5.
 
     Relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
     """
-    if h <= 0:
-        raise ValueError("grad_check: h must be positive")
+    h = 1e-5
     x.zero_grad()
     prev = x.requires_grad
     x.requires_grad = True
@@ -374,11 +368,12 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Bias-corrected Adam over a list of Tensors, updating ``data`` in place."""
+    """Bias-corrected Adam over a list of Tensors, updating ``data`` in place,
+    with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(self, tensors, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, tensors, lr=1e-3):
         self.tensors = list(tensors)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
@@ -397,7 +392,7 @@ class Adam:
             if norm > max_grad_norm:
                 grads = [g * (max_grad_norm / norm) for g in grads]
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for t, g, m, v in zip(self.tensors, grads, self.m, self.v):
@@ -405,7 +400,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +411,16 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def save_checkpoint(path, named_tensors, metadata=None):
-    """Write named tensors as JSON; decimal values keep 17 significant digits."""
-    parts = ['{"format_version": 1']
-    if metadata is not None:
-        parts.append(', "metadata": ' + json.dumps(metadata, sort_keys=True))
+def save_checkpoint(path, named_tensors, metadata):
+    """Write named tensors and a metadata object as JSON; decimal values keep
+    17 significant digits."""
+    parts = ['{"format_version": 1', ', "metadata": ' + json.dumps(metadata, sort_keys=True)]
     entries = []
-    for name, tensor in named_tensors:
-        data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
-        values = ", ".join(_fmt(v) for v in data.reshape(-1))
+    for name, t in named_tensors:
+        values = ", ".join(_fmt(v) for v in t.data.reshape(-1))
         entries.append(
             '{"name": %s, "shape": %s, "values": [%s]}'
-            % (json.dumps(name), json.dumps(list(data.shape)), values)
+            % (json.dumps(name), json.dumps(list(t.data.shape)), values)
         )
     parts.append(', "tensors": [' + ", ".join(entries) + "]}")
     with open(path, "w") as fh:

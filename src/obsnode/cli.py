@@ -295,6 +295,8 @@ def cmd_verify_identification(args):
 
 
 def cmd_gradcheck(args):
+    if args.n < 1 or not 0 < args.tol < np.inf or args.seed < 0:
+        raise ConfigError("--n must be >= 1, --tol finite and positive, --seed >= 0")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for trial in range(args.n):

@@ -3,21 +3,19 @@
 The grid protocol: encode each test unit's history up to an assimilation time
 t_c, forecast under the factual recorded treatments, and report RMSE per
 horizon bin and component, divided by the per-component test-set standard
-deviation. A separate routine scores interventional forecasts against
-noise-free re-simulations under an alternative dose path.
+deviation.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .model import History, rollout, window
 from .odeint import ControlPath, IntegrationConfig
-from .simulate import CancerSimConfig, sample_cohort_params, simulate_cancer_cohort
 from .train import NormStats, stack_units, zscore_invert, zscore_outcomes
 
 
@@ -147,34 +145,11 @@ def write_grid_csv(grid: RmseGrid, path):
                                  int(grid.counts[i, k, j])])
 
 
-def read_grid_csv(path) -> RmseGrid:
-    rows = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != ["t_c", "horizon", "component", "rmse", "n_points"]:
-            raise DataError(f"unexpected grid header: {header}")
-        for row in rd:
-            rows.append((float(row[0]), float(row[1]), int(row[2]),
-                         np.nan if row[3] == "" else float(row[3]), int(row[4])))
-    tcs = sorted({r[0] for r in rows})
-    hs = sorted({r[1] for r in rows})
-    d_y = max(r[2] for r in rows) + 1
-    values = np.full((len(tcs), len(hs), d_y), np.nan)
-    counts = np.zeros((len(tcs), len(hs), d_y), dtype=int)
-    for tc, s, j, v, c in rows:
-        values[tcs.index(tc), hs.index(s), j] = v
-        counts[tcs.index(tc), hs.index(s), j] = c
-    return RmseGrid(np.array(tcs), np.array(hs), values, counts)
-
-
-def write_grid_pgm(grid: RmseGrid, path, component=0, cap: float = 1.0):
-    """ASCII PGM heatmap: rows are horizons from largest (top) to smallest,
-    columns are assimilation times ascending; white = RMSE 0, black = >= cap,
-    absent bins black."""
-    vals = (grid.component_mean() if component is None
-            else grid.values[:, :, component])
-    img = np.clip(vals / cap, 0.0, 1.0)
+def write_grid_pgm(grid: RmseGrid, path, component):
+    """ASCII PGM heatmap of one component: rows are horizons from largest
+    (top) to smallest, columns are assimilation times ascending; white = RMSE
+    0, black = RMSE >= 1, absent bins black."""
+    img = np.clip(grid.values[:, :, component], 0.0, 1.0)
     img = np.where(np.isnan(img), 1.0, img)
     pix = np.round(255 * (1.0 - img)).astype(int).T[::-1]
     with open(path, "w") as fh:
@@ -182,33 +157,3 @@ def write_grid_pgm(grid: RmseGrid, path, component=0, cap: float = 1.0):
         for row in pix:
             fh.write(" ".join(str(v) for v in row) + "\n")
 
-
-def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
-                        schedule_fn, t_c, horizons, int_cfg=None) -> RmseGrid:
-    """Interventional check against the simulator.
-
-    For each patient: simulate the factual noisy record, derive an
-    alternative dose schedule via `schedule_fn(factual_schedule)`, re-simulate
-    with noise off under that schedule for the ground truth, and score the
-    model forecast (encoded from the factual history up to t_c, rolled out
-    under the alternative doses).
-    """
-    horizons = np.sort(np.asarray(horizons, dtype=np.float64))
-    unit_ids = list(unit_ids)
-    patients = sample_cohort_params(sim_config, unit_ids)
-    facts = simulate_cancer_cohort(patients, sim_config, unit_ids)
-    scheds = np.stack([np.asarray(schedule_fn(f.latents.copy()), dtype=np.float64)
-                       for f in facts])
-    truths = simulate_cancer_cohort(patients, replace(sim_config, noise=False),
-                                    unit_ids, dose_schedule=scheds)
-
-    record, oracle = stack_units(facts), stack_units(truths)
-    _, fut = window(record.times, t_c, t_c + horizons[-1])
-    qts = record.times[fut]
-    cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
-    ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
-    pred = raw_forecast(record, t_c, qts, params, stats, int_cfg, ctrl)
-    scale = _test_scale(record.y, record.mask)
-    values, counts = _binned_rmse(qts, pred, oracle.y[fut], oracle.mask[fut],
-                                  t_c, horizons, scale)
-    return RmseGrid(np.array([t_c]), horizons, values[None], counts[None])

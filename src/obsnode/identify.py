@@ -23,11 +23,12 @@ from .errors import DataError
 MAX_TRAJECTORIES = 10_000_000
 
 
-def _check_rows(name, arr, axis=-1, tol=1e-12):
-    if np.any(arr < -tol):
+def _check_rows(name, arr):
+    """DataError unless the last axis of `arr` holds distributions, to 1e-12."""
+    if np.any(arr < -1e-12):
         raise DataError(f"{name}: negative probability")
-    sums = arr.sum(axis=axis)
-    if np.any(np.abs(sums - 1.0) > tol):
+    sums = arr.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > 1e-12):
         raise DataError(f"{name}: rows must sum to 1 (max dev "
                         f"{np.max(np.abs(sums - 1.0)):.3e})")
 
@@ -186,13 +187,6 @@ def interventional_truth(scm: DiscreteScm, q: InterventionQuery):
     return _reduce(joint, scm, fixed, keep)
 
 
-def naive_conditional(scm: DiscreteScm, q: InterventionQuery):
-    """Observational P(y_target | prefix, a-sequence observed): no severing."""
-    joint = enumerate_joint(scm)
-    fixed, keep = _query_axes(scm, q, with_actions=True)
-    return _reduce(joint, scm, fixed, keep)
-
-
 def filter_distribution(scm: DiscreteScm, y_prefix, a_prefix):
     """p(z_t | y_0..y_t, a_0..a_{t-1}), confounder marginalized out."""
     q = InterventionQuery(y_prefix, a_prefix, (0,))
@@ -246,18 +240,18 @@ def _rand_dist(rng, shape):
     return x / x.sum(axis=-1, keepdims=True)
 
 
-def random_observable_scm(rng, n_z=None, n_a=2, n_e=2, T=3) -> DiscreteScm:
+def random_observable_scm(rng) -> DiscreteScm:
     """Random instance where the adjustment provably applies: the confounder
     is white noise (memoryless chain) and each latent state emits on its own
-    disjoint set of outcome symbols, so outcomes pin down the state.
+    disjoint set of outcome symbols, so outcomes pin down the state. It has
+    3 or 4 latent states, 4 outcomes, 2 actions, 2 confounder values and
+    T = 3 steps.
 
     The pieces are deliberately far from uniform (permutation-shaped
     transitions, 85%-compliance policies) so that observational conditioning
     on treatments is genuinely biased and the test instances exercise
     confounding rather than averaging it away."""
-    if n_z is None:
-        n_z = int(rng.integers(3, 5))
-    n_y = 4
+    n_z, n_y, n_a, n_e, T = int(rng.integers(3, 5)), 4, 2, 2, 3
     eps_init = _rand_dist(rng, (n_e,))
     eps_trans = np.tile(eps_init, (n_e, 1))
     # disjoint outcome alphabet per state; within its alphabet a state's
@@ -300,9 +294,10 @@ def random_query(rng, scm: DiscreteScm) -> InterventionQuery:
     return InterventionQuery((y0,), (), tuple(int(s) for s in seq))
 
 
-def collapse_states(scm: DiscreteScm, groups, tol=1e-9) -> DiscreteScm:
+def collapse_states(scm: DiscreteScm, groups) -> DiscreteScm:
     """Merge latent states that behave identically (same emissions and same
-    transition rows once columns are merged); errors if they do not."""
+    transition rows once columns are merged, to 1e-9); errors if they do
+    not."""
     n_new = len(groups)
     n_z = scm.z_init.size
     proj = np.zeros((n_z, n_new))
@@ -318,9 +313,9 @@ def collapse_states(scm: DiscreteScm, groups, tol=1e-9) -> DiscreteScm:
     for g, members in enumerate(groups):
         rows_t = scm.z_trans[:, members, :] @ proj       # (nA, |g|, n_new)
         rows_e = scm.emission[members]                    # (|g|, nE, nY)
-        if np.max(np.abs(rows_t - rows_t[:, :1])) > tol:
+        if np.max(np.abs(rows_t - rows_t[:, :1])) > 1e-9:
             raise DataError(f"collapse_states: group {g} transitions differ")
-        if np.max(np.abs(rows_e - rows_e[:1])) > tol:
+        if np.max(np.abs(rows_e - rows_e[:1])) > 1e-9:
             raise DataError(f"collapse_states: group {g} emissions differ")
         z_trans[:, g, :] = rows_t[:, 0]
         emission[g] = rows_e[0]
@@ -395,9 +390,10 @@ def nonidentifiability_witness():
     return scm_a, scm_b, query, report
 
 
-def linear_gaussian_refinement(levels=(9, 17, 33), span=4.0):
+def linear_gaussian_refinement():
     """Deviation of the discretized adjustment from the analytic answer for a
-    linear-Gaussian system, per grid refinement level.
+    linear-Gaussian system, per grid refinement level: 9, 17 and 33 points
+    on [-4, 4].
 
     System: z' = 0.8 z + 0.5 a + N(0, 0.3^2), y = z + N(0, 0.3^2),
     z_0 ~ N(0, 1), binary action with P(a=1|y) = sigmoid(y). The reported
@@ -407,8 +403,8 @@ def linear_gaussian_refinement(levels=(9, 17, 33), span=4.0):
     """
     rho, beta, q_sd, r_sd, c = 0.8, 0.5, 0.3, 0.3, 1.0
     out = []
-    for n in levels:
-        grid = np.linspace(-span, span, n)
+    for n in (9, 17, 33):
+        grid = np.linspace(-4.0, 4.0, n)
 
         def pdf_rows(means, sd):
             p = np.exp(-0.5 * ((grid[None, :] - means[:, None]) / sd) ** 2)

@@ -198,13 +198,6 @@ class ObsNodeParams:
             t.data = arrays[name].copy()
 
 
-def _as_batch(t):
-    if isinstance(t, Tensor):
-        return (ad.reshape(t, (1, t.data.shape[0])), True) if t.data.ndim == 1 else (t, False)
-    arr = np.asarray(t, dtype=np.float64)
-    return (Tensor(arr.reshape(1, -1)), True) if arr.ndim == 1 else (Tensor(arr), False)
-
-
 def _affine_vjp(g, x, W, b=None):
     """Backward of ``x @ W (+ b)`` for the upstream gradient g: accumulates
     the bias and weight gradients and returns the gradient for x."""
@@ -216,7 +209,8 @@ def _affine_vjp(g, x, W, b=None):
 
 
 def triangular_rhs(z, a, params: ObsNodeParams):
-    """Vector field of the triangular normal form; z (n, d_z), a (n, d_a).
+    """Vector field of the triangular normal form; z (n, d_z), a (n, d_a),
+    (1, d_a) or the (d_a,) row of a single-trajectory control path.
 
     Computed on plain arrays and recorded as one tape node. Its backward pass
     replays the graph of autodiff ops that the field is built from, with the
@@ -225,8 +219,8 @@ def triangular_rhs(z, a, params: ObsNodeParams):
     output raises NumericError.
     """
     cfg = params.cfg
-    z, squeeze = _as_batch(z)
-    a, _ = _as_batch(a)
+    if a.data.ndim == 1:
+        a = ad.reshape(a, (1, a.data.shape[0]))
     if z.data.shape[1] != cfg.d_z:
         raise ValueError(f"triangular_rhs: state dim {z.data.shape[1]} != {cfg.d_z}")
     if a.data.shape[1] != cfg.d_a:
@@ -304,29 +298,23 @@ def triangular_rhs(z, a, params: ObsNodeParams):
 
     inputs = [z, a] if d_a else [z]
     inputs += [t for layers in phi_layers for W, b in layers for t in (W, b)]
-    out = ad._record(Tensor(out), inputs, backward)
-    return ad.reshape(out, (cfg.d_z,)) if squeeze else out
+    return ad._record(Tensor(out), inputs, backward)
 
 
 def emit(z, cfg: ObsNodeConfig):
-    """Observation map: the first state block."""
-    z, squeeze = _as_batch(z)
+    """Observation map: the first state block of z (n, d_z)."""
     if z.data.shape[1] != cfg.d_z:
         raise ValueError(f"emit: state dim {z.data.shape[1]} != {cfg.d_z}")
-    y = ad.slice_axis(z, 0, cfg.d_y, axis=1)
-    return ad.reshape(y, (cfg.d_y,)) if squeeze else y
+    return ad.slice_axis(z, 0, cfg.d_y, axis=1)
 
 
 def impute(y, mask, b):
-    """Replace unobserved components with the learnable constants b."""
-    y, squeeze = _as_batch(y)
-    mask, _ = _as_batch(mask)
-    b, _ = _as_batch(b)
+    """Replace the unobserved components of y (n, d_y) with the learnable
+    constants b (1, d_y)."""
     n = y.data.shape[0]
     ones = Tensor(np.ones_like(mask.data))
     b_full = ad.expand(b, (n, b.data.shape[1]))
-    out = ad.add(ad.hadamard(y, mask), ad.hadamard(b_full, ad.sub(ones, mask)))
-    return ad.reshape(out, (out.data.shape[1],)) if squeeze else out
+    return ad.add(ad.hadamard(y, mask), ad.hadamard(b_full, ad.sub(ones, mask)))
 
 
 def _gru_step(x, h, enc):
@@ -419,11 +407,9 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     query_times = [float(t) for t in sorted(query_times)]
     if not query_times:
         return []
-    field = lambda z, a, _p: triangular_rhs(z, a, params)
-
     if cfg.rollout_mode == "long_horizon":
-        states = integrate(field, state.z, control, state.t, max(query_times),
-                           int_cfg, query_times)
+        states = integrate(triangular_rhs, state.z, control, state.t,
+                           max(query_times), int_cfg, query_times, params)
         return [emit(s, cfg) for s in states]
     if history is None:
         raise ValueError("forecast: recursive rollout needs the encoding history")
@@ -436,7 +422,8 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
         chunk_end = min(cur.t + cfg.recursive_chunk, t_end)
         qs = [q for q in remaining if q <= chunk_end + 1e-12]
         step_queries = sorted(set(qs + [chunk_end]))
-        states = integrate(field, cur.z, control, cur.t, chunk_end, int_cfg, step_queries)
+        states = integrate(triangular_rhs, cur.z, control, cur.t, chunk_end, int_cfg,
+                           step_queries, params)
         by_time = dict(zip(step_queries, states))
         preds.extend(emit(by_time[q], cfg) for q in qs)
         remaining = remaining[len(qs):]
@@ -478,30 +465,6 @@ def rollout(record: History, t_c, query_times, params: ObsNodeParams,
         int_cfg = IntegrationConfig.for_grid(record.times)
     return forecast(encode(hist, params), control, list(qts), params, int_cfg,
                     history=hist)
-
-
-def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
-                        horizon: float, n_samples: int = 50,
-                        int_cfg: IntegrationConfig | None = None):
-    """Min over state pairs of the max-over-time output discrepancy under a
-    shared control; strictly positive values witness distinguishability."""
-    cfg = params.cfg
-    if int_cfg is None:
-        int_cfg = IntegrationConfig(method="rk4", step_size=horizon / max(n_samples, 1))
-    times = np.linspace(0.0, horizon, n_samples + 1)[1:]
-    field = lambda z, a, _p: triangular_rhs(z, a, params)
-    best = np.inf
-    for zeta, eta in z_pairs:
-        zeta = np.asarray(zeta, dtype=np.float64).reshape(1, -1)
-        eta = np.asarray(eta, dtype=np.float64).reshape(1, -1)
-        if np.linalg.norm(zeta - eta) < 1e-3:
-            raise ValueError("observability_probe: pair members too close")
-        ya = integrate(field, Tensor(zeta), control, 0.0, horizon, int_cfg, times)
-        yb = integrate(field, Tensor(eta), control, 0.0, horizon, int_cfg, times)
-        disc = max(float(np.max(np.abs(emit(sa, cfg).data - emit(sb, cfg).data)))
-                   for sa, sb in zip(ya, yb))
-        best = min(best, disc)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,13 @@ class ControlPath:
 
 
 METHODS = ("euler", "rk4")
+MAX_STEPS = 1_000_000  # per integrate call
 
 
 @dataclass
 class IntegrationConfig:
     method: str = "rk4"
     step_size: float = 0.25
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -69,17 +69,22 @@ class IntegrationConfig:
 
 def _step_boundaries(t0, t1, control, query_times, cfg):
     """All step edges: control knots, query times, and uniform subdivision of
-    each segment at sizes <= cfg.step_size."""
+    each segment at sizes <= cfg.step_size. The steps are counted before any
+    edge is made: more than MAX_STEPS raise NumericError."""
     anchors = {float(t0), float(t1)}
     anchors.update(float(t) for t in query_times)
     for kt in control.knot_times:
         if t0 < kt < t1:
             anchors.add(float(kt))
     anchors = sorted(anchors)
+    segments = [(lo, hi, max(1, int(np.ceil((hi - lo) / cfg.step_size - 1e-12))))
+                for lo, hi in zip(anchors[:-1], anchors[1:])]
+    n_steps = sum(nsub for _, _, nsub in segments)
+    if n_steps > MAX_STEPS:
+        raise NumericError(f"integrate: {n_steps} steps exceed MAX_STEPS={MAX_STEPS}")
     edges = [anchors[0]]
-    for lo, hi in zip(anchors[:-1], anchors[1:]):
+    for lo, hi, nsub in segments:
         span = hi - lo
-        nsub = max(1, int(np.ceil(span / cfg.step_size - 1e-12)))
         for j in range(1, nsub):
             edges.append(lo + span * j / nsub)
         edges.append(hi)
@@ -101,8 +106,8 @@ def _euler_step(field, z, a, params, dt):
 
 def integrate(field, z0, control: ControlPath, t0, t1,
               cfg: IntegrationConfig, query_times, params=None):
-    """Integrate ``dz/dt = field(z, a_t, params)`` and return the states at
-    `query_times` (list of Tensors, same shape as z0).
+    """Integrate ``dz/dt = field(z, a_t, params)`` from the Tensor z0 and
+    return the states at `query_times` (list of Tensors, same shape as z0).
 
     `a_t` is the constant control value on the current step, wrapped as a
     Tensor; `params` is passed through to the field untouched.
@@ -118,11 +123,9 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     # integration still starts at t0.
     query_times = [max(qt, t0) for qt in query_times]
 
-    z = z0 if isinstance(z0, Tensor) else Tensor(z0)
+    z = z0
     step = _rk4_step if cfg.method == "rk4" else _euler_step
     edges = _step_boundaries(t0, t1, control, query_times, cfg)
-    if len(edges) - 1 > cfg.max_steps:
-        raise NumericError(f"integrate: {len(edges) - 1} steps exceed max_steps={cfg.max_steps}")
 
     out = {}
     qset = set(query_times)
@@ -139,22 +142,3 @@ def integrate(field, z0, control: ControlPath, t0, t1,
         note(hi, z)
     return [out[qt] for qt in query_times]
 
-
-def convergence_order(field, z0, control, t0, t1, cfg, reference, halvings=3):
-    """Estimated order log2(err(dt)/err(dt/2)), averaged over `halvings`.
-
-    `reference` is the analytic solution at t1 (array). Returns None when the
-    coarsest error is already below 1e-13 (inconclusive).
-    """
-    errs = []
-    dt = cfg.step_size
-    for _ in range(halvings + 1):
-        c = IntegrationConfig(method=cfg.method, step_size=dt, max_steps=cfg.max_steps)
-        (zT,) = integrate(field, Tensor(np.asarray(z0, dtype=np.float64)),
-                          control, t0, t1, c, [t1])
-        errs.append(float(np.max(np.abs(zT.data - np.asarray(reference)))))
-        dt /= 2.0
-    if errs[0] < 1e-13:
-        return None
-    orders = [np.log2(e0 / e1) for e0, e1 in zip(errs[:-1], errs[1:])]
-    return float(np.mean(orders))

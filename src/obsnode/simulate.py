@@ -173,20 +173,19 @@ def _patient_rngs(seed, unit_id):
     return params, noise
 
 
-def sample_patient_params(rng, config: CancerSimConfig,
-                          sigma_scale: float = 1.0) -> CancerPatientParams:
-    """Draw one patient from the population model. `sigma_scale` rescales the
-    population spread (0 gives the distribution means)."""
+def sample_patient_params(rng) -> CancerPatientParams:
+    """Draw one patient from the population model; each rate is a normal
+    draw truncated to positive values."""
     draws = {}
     for name, (mu, sd) in PARAM_DISTS.items():
-        v = rng.normal(mu, sd * sigma_scale)
+        v = rng.normal(mu, sd)
         tries = 0
-        while v <= 0 and sigma_scale > 0:
-            v = rng.normal(mu, sd * sigma_scale)
+        while v <= 0:
+            v = rng.normal(mu, sd)
             tries += 1
             if tries >= 1000:
                 raise DataError(f"parameter {name!r}: 1000 rejected draws")
-        draws[name] = max(v, 0.0)
+        draws[name] = v
     v0 = rng.uniform(0.5, 3.0)
     w0 = rng.uniform(50.0, 90.0)
     return CancerPatientParams(
@@ -296,8 +295,7 @@ def simulate_cancer_cohort(patients, config: CancerSimConfig, unit_ids,
 
 def sample_cohort_params(config: CancerSimConfig, unit_ids):
     """Each unit's physiology, drawn from its own parameter stream."""
-    return [sample_patient_params(_patient_rngs(config.seed, uid)[0], config)
-            for uid in unit_ids]
+    return [sample_patient_params(_patient_rngs(config.seed, uid)[0]) for uid in unit_ids]
 
 
 def generate_cancer_dataset(config: CancerSimConfig):
@@ -340,9 +338,10 @@ def rff_function(rng, input_dim, n_features, lengthscale):
     return f
 
 
-def _bspline_mixture(rng, horizon, n_components=3):
-    """Random mixture of cubic B-spline bumps spread over [0, horizon]."""
+def _bspline_mixture(rng, horizon):
+    """Random mixture of three cubic B-spline bumps spread over [0, horizon]."""
     splines = []
+    n_components = 3
     for i in range(n_components):
         lo = horizon * i / n_components
         hi = horizon * (i + 2) / (n_components + 1)

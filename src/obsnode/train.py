@@ -20,7 +20,7 @@ from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .model import (History, ObsNodeConfig, ObsNodeParams, check_dims, rollout,
                     save_model, window)
-from .odeint import METHODS, IntegrationConfig
+from .odeint import MAX_STEPS, METHODS, IntegrationConfig
 
 
 @dataclass
@@ -207,10 +207,21 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     for split, rec, times in (("train", record, grid),
                               ("val", stack_units(splits["val"]), val_times)):
         check_dims(rec, model_cfg, f"{split} split")
-        if all(_targets(rec.times, t_c, tcfg.max_horizon) is None for t_c in times):
+        futs = [(t_c, fut) for t_c in times
+                if (fut := _targets(rec.times, t_c, tcfg.max_horizon)) is not None]
+        if not futs:
             raise ConfigError(f"no {split} decision time has both history and a "
                               f"target: the {split} records span "
                               f"[{float(rec.times[0])!r}, {float(rec.times[-1])!r}]")
+        # a rollout integrates at least from t_c to its last target, or over
+        # its first recursive chunk
+        reach = float(max(rec.times[fut][-1] - t_c for t_c, fut in futs))
+        if model_cfg.rollout_mode == "recursive":
+            reach = min(reach, model_cfg.recursive_chunk)
+        step = _int_config(rec.times, tcfg).step_size
+        if reach / step > MAX_STEPS:
+            raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units "
+                              f"takes more than {MAX_STEPS} solver steps of {step!r}")
     int_cfg = _int_config(record.times, tcfg)
 
     history = []

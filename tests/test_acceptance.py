@@ -5,8 +5,8 @@ finite instances, the non-identifiability witness, autodiff and integrator
 accuracy, the observability structure of the model, loss/normalization
 semantics, simulator fidelity, two desk-scale end-to-end training runs with
 RMSE and wall-clock budgets, a counterfactual direction check, and CLI
-reproducibility. These tests train real models; expect the full file to take
-tens of minutes on one core.
+reproducibility. These tests train real models; the full file takes about
+90 seconds on a 2-core VM (86 s measured).
 """
 
 import json
@@ -24,17 +24,17 @@ from obsnode.evaluate import rmse_grid
 from obsnode.identify import (adjustment_estimate, interventional_truth,
                               nonidentifiability_witness,
                               random_observable_scm, random_query)
-from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, emit,
-                           encode, forecast, observability_probe,
-                           triangular_rhs, window)
-from obsnode.odeint import ControlPath, IntegrationConfig, convergence_order, integrate
+from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, encode,
+                           forecast, triangular_rhs, window)
+from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (PARAM_DISTS, CancerSimConfig, SemiSynthConfig,
-                              _patient_rngs, generate_cancer_dataset,
-                              generate_semi_synthetic, sample_cohort_params,
-                              sample_patient_params, simulate_cancer_cohort)
+                              generate_cancer_dataset, generate_semi_synthetic,
+                              sample_cohort_params, sample_patient_params,
+                              simulate_cancer_cohort)
 from obsnode.train import (NormStats, TrainConfig, masked_loss, train,
                            zscore_apply, zscore_fit, zscore_invert,
                            zscore_outcomes)
+from support import convergence_order, mean_patient, observability_probe
 
 ZERO_CONTROL = ControlPath(np.array([0.0]), np.zeros((1, 1)))
 
@@ -230,8 +230,7 @@ class TestSimulatorFidelity:
         for dt in (0.25, 0.025):
             cfg = CancerSimConfig(n_patients=1, n_cycles=12, dt=dt,
                                   obs_every=1.0, noise=False, seed=0)
-            pp = sample_patient_params(_patient_rngs(0, 0)[0], cfg, sigma_scale=0.0)
-            tr, = simulate_cancer_cohort([pp], cfg, [0],
+            tr, = simulate_cancer_cohort([mean_patient()], cfg, [0],
                                          dose_schedule=np.zeros((1, 12, 2)))
             vols[dt] = tr.y[:, 0]
         rel = np.max(np.abs(vols[0.25] - vols[0.025]) / np.abs(vols[0.025]))
@@ -240,10 +239,9 @@ class TestSimulatorFidelity:
     def test_population_means_monte_carlo(self):
         n = 10_000
         rng = np.random.default_rng(11)
-        cfg = CancerSimConfig(n_patients=1, n_cycles=1, seed=0)
         draws = {name: np.empty(n) for name in PARAM_DISTS}
         for i in range(n):
-            pp = sample_patient_params(rng, cfg)
+            pp = sample_patient_params(rng)
             for name in PARAM_DISTS:
                 draws[name][i] = getattr(pp, name)
         for name, (mu, sd) in PARAM_DISTS.items():

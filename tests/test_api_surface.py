@@ -1,0 +1,75 @@
+"""Every function and method in ``src/obsnode`` has a caller in ``src/``.
+
+A name counts as referenced when a module other than its own body uses it:
+a module-level function by its bare name (in its own module, or in a module
+that imports it) or as an attribute (``ad.tanh``); a method as an attribute
+(``tape.backward``). Code that only the tests or the benchmark call belongs
+with them, not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import obsnode
+
+SRC = Path(obsnode.__file__).parent
+
+# Names kept without a caller in src/, each for the reason given. cli.main,
+# the console script, needs no entry: the module's __main__ guard calls it.
+ALLOWED = {
+    "autodiff.sigmoid": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.leaky_relu": "perfbench/tracer.OPS lists it; its op counter wraps it",
+}
+
+
+def definitions(tree):
+    """(name, kind, node) of each module-level function ('function') and of
+    each method of a module-level class ('method')."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, "function", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, "method", item
+
+
+def references(tree):
+    """(kind, name, line) of each bare-name use ('name') and attribute use
+    ('attr'), and the names the module imports from its package."""
+    uses, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append(("name", node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            uses.append(("attr", node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update(alias.name for alias in node.names)
+    return uses, imported
+
+
+def unreferenced(allowed=ALLOWED):
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    refs = {mod: references(tree) for mod, tree in trees.items()}
+    missing = []
+    for mod, tree in trees.items():
+        for name, kind, node in definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            found = any(
+                n == name and not (other == mod and line in own)
+                and (k == "attr" or kind == "function" and (other == mod or name in imported))
+                for other, (uses, imported) in refs.items() for k, n, line in uses)
+            if not found and f"{mod}.{name}" not in allowed:
+                missing.append(f"{mod}.{name}")
+    return missing
+
+
+def test_every_function_has_a_caller_in_src():
+    assert unreferenced() == []
+
+
+def test_allowlist_is_current():
+    # a name that src/ reaches, or that is gone, leaves the allowlist
+    assert sorted(unreferenced(allowed={})) == sorted(ALLOWED)

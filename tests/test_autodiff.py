@@ -111,12 +111,12 @@ class TestBackward:
     def test_two_layer_network_matches_fd(self):
         f = mlp_loss([3, 5, 1], seed=7)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3)))
-        assert grad_check(f, x, h=1e-5) < 1e-5
+        assert grad_check(f, x) < 1e-5
 
 
 class TestGradCheck:
     def test_quadratic_is_exact(self):
-        err = grad_check(lambda x: ad.tsum(ad.square(x)), Tensor([3.0]), h=1e-5)
+        err = grad_check(lambda x: ad.tsum(ad.square(x)), Tensor([3.0]))
         assert err < 1e-8
 
     def test_constant_function(self):
@@ -213,7 +213,7 @@ class TestCheckpoint:
     def test_17_significant_digits(self, tmp_path):
         v = 1.0 / 3.0
         path = tmp_path / "c.json"
-        ad.save_checkpoint(path, [("x", Tensor([v]))])
+        ad.save_checkpoint(path, [("x", Tensor([v]))], metadata={})
         text = path.read_text()
         assert "0.33333333333333331" in text
 

@@ -392,6 +392,31 @@ class TestGradcheck:
         assert main(["gradcheck", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [["--n", "0"], ["--n", "-3"], ["--tol", "nan"],
+                                      ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0"],
+                                      ["--seed", "-1"]], ids="=".join)
+    def test_bad_argument_is_config_error(self, args):
+        rc, out, err = run_main(["gradcheck", "--n", "2", *args])
+        assert rc == 2
+        assert out == "" and args[0] in err and "Traceback" not in err
+
+
+def test_too_small_int_step_is_config_error(tmp_path):
+    # a 3-hour rollout at int_step 1e-6 takes 3e6 solver steps: train names
+    # int_step before its first epoch, and writes no run directory
+    sim = write_json(tmp_path / "s.json", {
+        "format_version": 1, "kind": "semi_synthetic", "output_dir": str(tmp_path / "ds"),
+        "params": {"n_patients": 6, "horizon_hours": 4.0}})
+    assert run_main(["simulate", "--config", sim])[0] == 0
+    trn = write_json(tmp_path / "t.json", {
+        "format_version": 1, "dataset_dir": str(tmp_path / "ds"),
+        "run_dir": str(tmp_path / "run"), "model": {"d_y": 2, "m": 2, "d_a": 2},
+        "train": {"decision_time_grid": [1.0], "t_f": 4.0, "int_step": 1e-6}})
+    rc, _, err = run_main(["train", "--config", trn])
+    assert rc == 2
+    assert "int_step" in err and "1000000 solver steps" in err
+    assert not (tmp_path / "run").exists()
+
 
 def run_main(argv):
     """`obsnode *argv`; returns (exit code, stdout, stderr)."""

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obsnode.errors import DataError
-from obsnode.evaluate import (RmseGrid, _binned_rmse, counterfactual_rmse,
-                              read_grid_csv, rmse_grid, write_grid_csv,
+from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
                               write_grid_pgm)
 from obsnode.model import window
 from obsnode.simulate import Trajectory
+from support import counterfactual_rmse, read_grid_csv
 
 
 def linear_trajs(n=5, T=13, d_y=1, seed=0, noise_sd=0.0):
@@ -211,7 +211,7 @@ class TestPgm:
         g = RmseGrid(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]), vals,
                      np.ones((2, 4, 1), int))
         path = tmp_path / "grid.pgm"
-        write_grid_pgm(g, path)
+        write_grid_pgm(g, path, 0)
         lines = path.read_text().splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "2 4" and lines[2] == "255"

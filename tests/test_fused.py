@@ -28,9 +28,6 @@ REF_ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid,
 def ref_rhs(z, a, params):
     """The triangular vector field as a graph of autodiff ops."""
     cfg = params.cfg
-    squeeze = z.data.ndim == 1
-    if squeeze:
-        z = ad.reshape(z, (1, cfg.d_z))
     if a.data.ndim == 1:
         a = ad.reshape(a, (1, cfg.d_a))
     if a.data.shape[0] == 1 and z.data.shape[0] > 1:
@@ -51,8 +48,7 @@ def ref_rhs(z, a, params):
         if i < m:
             phi = ad.add(ad.slice_axis(z, i * d_y, (i + 1) * d_y, axis=1), phi)
         blocks.append(phi)
-    out = ad.concat(blocks, axis=1)
-    return ad.reshape(out, (cfg.d_z,)) if squeeze else out
+    return ad.concat(blocks, axis=1)
 
 
 def ref_gru(x, h, enc):
@@ -111,19 +107,21 @@ class TestBitwiseAgainstOpGraph:
            d_a=st.sampled_from([0, 1, 2]),
            act=st.sampled_from(["tanh", "sigmoid", "leakyrelu"]),
            layers=st.integers(0, 2), n=st.sampled_from([1, 4]),
-           one_control_row=st.booleans(), flat=st.booleans(),
+           control=st.sampled_from(["batch", "one_row", "path_row"]),
            scaled=st.booleans(), z_grad=st.booleans(), a_grad=st.booleans(),
            seed=st.integers(0, 2**16))
-    def test_triangular_rhs(self, d_y, m, d_a, act, layers, n, one_control_row,
-                            flat, scaled, z_grad, a_grad, seed):
+    def test_triangular_rhs(self, d_y, m, d_a, act, layers, n, control,
+                            scaled, z_grad, a_grad, seed):
+        # the control is (n, d_a), (1, d_a), or the (d_a,) row that a
+        # single-trajectory ControlPath gives
         scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
         cfg = ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=5,
                             phi_layers=layers, phi_activation=act,
                             encoder_hidden_dim=3, treatment_scale=scale)
-        flat = flat and n == 1
         rng = np.random.default_rng(seed)
-        z0 = rng.normal(size=(cfg.d_z,) if flat else (n, cfg.d_z))
-        a0 = rng.normal(size=(d_a,) if flat else (1 if one_control_row else n, d_a))
+        z0 = rng.normal(size=(n, cfg.d_z))
+        a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
+                              "path_row": (d_a,)}[control])
         results = []
         for node in (triangular_rhs, ref_rhs):
             params = make_params(cfg, seed)
@@ -201,7 +199,7 @@ class TestFusedNonFinite:
         z = np.zeros((2, self.cfg.d_z))
         z[1, 0] = bad
         with pytest.raises(NumericError, match="triangular_rhs"):
-            triangular_rhs(z, np.zeros((2, 1)), self.params)
+            triangular_rhs(Tensor(z), Tensor(np.zeros((2, 1))), self.params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_gru_step_input(self, bad):

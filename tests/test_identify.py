@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from obsnode.identify import (DiscreteScm, InterventionQuery,
                               adjustment_estimate, collapse_states,
                               enumerate_joint, filter_distribution,
                               interventional_truth, linear_gaussian_refinement,
-                              naive_conditional, nonidentifiability_witness,
-                              observational_law, random_observable_scm,
-                              random_query, tv_distance)
+                              nonidentifiability_witness, observational_law,
+                              random_observable_scm, random_query, tv_distance)
+from support import naive_conditional
 
 
 def point(n, i):
@@ -56,7 +58,7 @@ class TestEnumerateJoint:
             assert abs(enumerate_joint(scm).sum() - 1.0) < 1e-12
 
     def test_blowup_guard(self):
-        scm = random_observable_scm(np.random.default_rng(0), n_z=4, T=8)
+        scm = replace(random_observable_scm(np.random.default_rng(0)), T=8)
         with pytest.raises(DataError) as e:
             enumerate_joint(scm)
         assert "trajectories" in str(e.value)
@@ -119,11 +121,13 @@ class TestFilter:
             assert abs(f.sum() - 1.0) < 1e-12
 
     def test_disjoint_alphabets_pin_down_state(self):
-        scm = random_observable_scm(np.random.default_rng(4), n_z=4)
-        # with 4 states and 4 outcomes each state owns one symbol
-        for y0 in range(4):
-            f = filter_distribution(scm, (y0,), ())
-            assert f[y0] == pytest.approx(1.0, abs=1e-12)
+        # each state owns its own outcome symbols, so y_0 names the state
+        for seed in range(6):
+            scm = random_observable_scm(np.random.default_rng(seed))
+            for y0 in range(4):
+                (owner,) = np.nonzero(scm.emission[:, 0, y0])[0]
+                f = filter_distribution(scm, (y0,), ())
+                assert f[owner] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAdjustmentEquivalence:
@@ -178,6 +182,6 @@ class TestWitness:
 
 class TestRefinement:
     def test_deviation_shrinks_under_refinement(self):
-        devs = linear_gaussian_refinement(levels=(9, 17, 33))
+        devs = linear_gaussian_refinement()
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 5e-3

@@ -9,9 +9,9 @@ from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
                            emit, encode, forecast, impute, load_model,
-                           observability_probe, save_model, triangular_rhs,
-                           window)
+                           save_model, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
+from support import observability_probe
 
 
 def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
@@ -55,54 +55,57 @@ class TestTriangularField:
     def test_chain_of_integrators_at_init(self):
         # zero-initialized output layers leave exactly dz_i = z_{i+1}, dz_m = 0
         cfg, params = make_model(d_y=2, m=3, d_a=1)
-        z = np.arange(6.0)
-        out = triangular_rhs(z, np.array([0.7]), params)
-        np.testing.assert_array_equal(out.data, [2.0, 3.0, 4.0, 5.0, 0.0, 0.0])
+        z = Tensor(np.arange(6.0)[None])
+        out = triangular_rhs(z, Tensor(np.array([[0.7]])), params)
+        np.testing.assert_array_equal(out.data, [[2.0, 3.0, 4.0, 5.0, 0.0, 0.0]])
 
     def test_jacobian_is_block_triangular(self):
         # block i may depend on blocks 1..i+1 only; FD columns for later
         # blocks must vanish
         cfg, params = make_model(d_y=1, m=3, d_a=1, randomize_output=True)
-        z0 = np.random.default_rng(3).normal(size=3)
-        a = np.array([0.5])
+        z0 = np.random.default_rng(3).normal(size=(1, 3))
+        a = Tensor(np.array([[0.5]]))
         h = 1e-6
         J = np.zeros((3, 3))
         for j in range(3):
             zp, zm = z0.copy(), z0.copy()
-            zp[j] += h
-            zm[j] -= h
-            J[:, j] = (triangular_rhs(zp, a, params).data
-                       - triangular_rhs(zm, a, params).data) / (2 * h)
+            zp[0, j] += h
+            zm[0, j] -= h
+            J[:, j] = (triangular_rhs(Tensor(zp), a, params).data[0]
+                       - triangular_rhs(Tensor(zm), a, params).data[0]) / (2 * h)
         assert abs(J[0, 2]) < 1e-8        # block 1 cannot see block 3
         assert abs(J[1, 0]) > 1e-3        # block 2 does see block 1
         assert abs(J[0, 1] - 1.0) < 1e-6  # phi_1 ignores block 2, drift is exact
 
     def test_batched_matches_single(self):
+        # each unit alone, with its control as a (1, d_a) batch and as the
+        # (d_a,) row of a single-trajectory control path
         cfg, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True)
         rng = np.random.default_rng(4)
         Z = rng.normal(size=(3, 4))
         A = rng.normal(size=(3, 1))
         batch = triangular_rhs(Tensor(Z), Tensor(A), params).data
         for i in range(3):
-            single = triangular_rhs(Z[i], A[i], params).data
-            np.testing.assert_allclose(batch[i], single, rtol=0, atol=1e-12)
+            for a in (A[i:i + 1], A[i]):
+                single = triangular_rhs(Tensor(Z[i:i + 1]), Tensor(a), params).data
+                np.testing.assert_allclose(batch[i:i + 1], single, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         cfg, params = make_model(d_y=1, m=2, d_a=1)
         with pytest.raises(ValueError):
-            triangular_rhs(np.zeros(3), np.zeros(1), params)
+            triangular_rhs(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1))), params)
 
 
 class TestEmitImpute:
     def test_emit_is_first_block(self):
         cfg, params = make_model(d_y=2, m=2)
-        np.testing.assert_array_equal(emit(np.array([1.0, 2.0, 3.0, 4.0]), cfg).data,
-                                      [1.0, 2.0])
+        np.testing.assert_array_equal(emit(Tensor([[1.0, 2.0, 3.0, 4.0]]), cfg).data,
+                                      [[1.0, 2.0]])
 
     def test_impute_fills_missing_entries(self):
         b = Tensor(np.array([[9.0, -9.0]]))
-        out = impute(np.array([1.0, 2.0]), np.array([1.0, 0.0]), b)
-        np.testing.assert_array_equal(out.data, [1.0, -9.0])
+        out = impute(Tensor([[1.0, 2.0]]), Tensor([[1.0, 0.0]]), b)
+        np.testing.assert_array_equal(out.data, [[1.0, -9.0]])
 
     def test_impute_gradient(self):
         y = np.array([[1.0, 2.0]])
@@ -185,7 +188,7 @@ class TestForecast:
 
         for slot in (enc_slot, phi_slot):
             x = Tensor(slot().data.copy())
-            assert grad_check(lambda t: loss_with(t, slot), x, h=1e-5) < 1e-4
+            assert grad_check(lambda t: loss_with(t, slot), x) < 1e-4
 
     def test_recursive_needs_history(self):
         cfg, params = make_model(d_y=1, m=2, d_a=1, rollout_mode="recursive")

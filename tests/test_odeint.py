@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from obsnode import autodiff as ad
 from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError
-from obsnode.odeint import (ControlPath, IntegrationConfig, convergence_order,
-                            integrate)
+from obsnode.odeint import MAX_STEPS, ControlPath, IntegrationConfig, integrate
+from support import convergence_order
 
 
 def decay(z, a, params):
@@ -98,9 +100,16 @@ class TestIntegrate:
             integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0, cfg, [2.0])
 
     def test_max_steps_guard(self):
-        cfg = IntegrationConfig(step_size=1e-4, max_steps=10)
-        with pytest.raises(NumericError):
-            integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0, cfg, [1.0])
+        # about 5e6 steps: the guard counts them before any step edge is made
+        cfg = IntegrationConfig(step_size=2e-7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match=f"MAX_STEPS={MAX_STEPS}"):
+                integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0, cfg, [0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak} B"
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_raises(self):

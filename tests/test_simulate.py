@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from obsnode.autodiff import _sigmoid
 from obsnode.errors import ConfigError, DataError, NumericError
-from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS, PARAM_DISTS,
+from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS,
                               V_MIN, W_MIN, CancerSimConfig, SemiSynthConfig,
                               Trajectory, _bspline_mixture, _patient_rngs,
                               _split_thirds, diameter, dose_policy,
@@ -16,6 +16,7 @@ from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS, PARAM_DISTS,
                               read_dataset, rff_function, sample_cohort_params,
                               sample_patient_params, simulate_cancer_cohort,
                               write_dataset)
+from support import mean_patient
 
 
 def tiny_cancer_cfg(**kw):
@@ -25,35 +26,25 @@ def tiny_cancer_cfg(**kw):
 
 
 class TestPatientParams:
-    def test_zero_spread_gives_population_means(self):
-        cfg = tiny_cancer_cfg()
-        p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
-        assert p.rho == PARAM_DISTS["rho"][0]
-        assert p.beta_c == PARAM_DISTS["beta_c"][0]
-        assert p.K == 30.0
-
     def test_beta_r_is_tenth_of_alpha_r(self):
-        cfg = tiny_cancer_cfg()
         for seed in range(20):
-            p = sample_patient_params(np.random.default_rng(seed), cfg)
+            p = sample_patient_params(np.random.default_rng(seed))
             assert p.beta_r == p.alpha_r / 10.0
 
     def test_rate_parameters_positive(self):
-        cfg = tiny_cancer_cfg()
         for seed in range(50):
-            p = sample_patient_params(np.random.default_rng(seed), cfg)
+            p = sample_patient_params(np.random.default_rng(seed))
             for v in (p.rho, p.alpha_r, p.beta_c, p.rho_w, p.alpha_wr,
                       p.beta_wc, p.lam):
                 assert v >= 0.0
 
     def test_chemo_kill_sample_mean(self):
-        cfg = tiny_cancer_cfg()
         rng = np.random.default_rng(123)
-        vals = [sample_patient_params(rng, cfg).beta_c for _ in range(10_000)]
+        vals = [sample_patient_params(rng).beta_c for _ in range(10_000)]
         assert abs(np.mean(vals) - 0.028) < 3 * 0.0007 / 100
 
     def test_carrying_capacity_is_initial_weight(self):
-        p = sample_patient_params(np.random.default_rng(7), tiny_cancer_cfg())
+        p = sample_patient_params(np.random.default_rng(7))
         assert p.K_w == p.w0
         assert 50.0 <= p.w0 <= 90.0
         assert 0.5 <= p.v0 <= 3.0
@@ -61,8 +52,7 @@ class TestPatientParams:
 
 class TestDosePolicy:
     def setup_method(self):
-        self.p = sample_patient_params(np.random.default_rng(0),
-                                       tiny_cancer_cfg(), sigma_scale=0.0)
+        self.p = mean_patient()
 
     def test_midpoint_gives_half_doses(self):
         c, d = dose_policy(6.5, gamma=4.0, patient=self.p)
@@ -99,7 +89,7 @@ class TestCancerSimulation:
 
     def test_gompertz_fixed_point(self):
         cfg = tiny_cancer_cfg(noise=False)
-        p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
+        p = mean_patient()
         p.v0 = p.K
         p.beta_c = p.alpha_r = p.beta_r = 0.0
         tr, = simulate_cancer_cohort([p], cfg, [0])
@@ -109,7 +99,7 @@ class TestCancerSimulation:
         # noise and doses off: compare Euler at dt=0.25 against a dt=1/256
         # reference of the same Gompertz ODE
         cfg = tiny_cancer_cfg(noise=False)
-        p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
+        p = mean_patient()
         p.v0 = 1.0
         p.beta_c = p.alpha_r = p.beta_r = 0.0
         tr, = simulate_cancer_cohort([p], cfg, [0])
@@ -124,7 +114,7 @@ class TestCancerSimulation:
 
     def test_max_chemo_shrinks_tumor_initially(self):
         cfg = tiny_cancer_cfg(noise=False, n_cycles=1)
-        p = sample_patient_params(np.random.default_rng(0), cfg, sigma_scale=0.0)
+        p = mean_patient()
         p.v0 = 1.0
         schedule = np.array([[C_MAX, 0.0]])
         tr, = simulate_cancer_cohort([p], cfg, [0], dose_schedule=schedule[None])
@@ -149,14 +139,14 @@ class TestCancerSimulation:
         # zero-dose counterfactual with the same noise stream: outcomes match
         # the factual run exactly until the first nonzero factual dose acts
         cfg = tiny_cancer_cfg(n_cycles=2, seed=3)
-        p = sample_patient_params(np.random.default_rng(2), cfg)
+        p = sample_patient_params(np.random.default_rng(2))
         fact, = simulate_cancer_cohort([p], cfg, [9])
         redo, = simulate_cancer_cohort([p], cfg, [9], dose_schedule=fact.latents[None])
         np.testing.assert_array_equal(fact.y, redo.y)
 
     def test_treatments_recorded_per_cycle(self):
         cfg = tiny_cancer_cfg(n_cycles=2)
-        p = sample_patient_params(np.random.default_rng(0), cfg)
+        p = sample_patient_params(np.random.default_rng(0))
         tr, = simulate_cancer_cohort([p], cfg, [0])
         # constant within a cycle, one change allowed at the boundary
         first = tr.a[tr.times < 30.0]
@@ -433,7 +423,7 @@ class TestCohortMatchesReference:
         cfg, schedule = case
         uids = list(range(cfg.n_patients))
         want = [reference_cancer_patient(
-                    sample_patient_params(_patient_rngs(cfg.seed, uid)[0], cfg), cfg,
+                    sample_patient_params(_patient_rngs(cfg.seed, uid)[0]), cfg,
                     _patient_rngs(cfg.seed, uid)[1], uid,
                     None if schedule is None else schedule[uid])
                 for uid in uids]
