@@ -146,7 +146,7 @@ def enumerate_joint(scm: DiscreteScm, policy_overrides=None):
     return joint
 
 
-def _reduce(joint, scm, fixed, keep_axis):
+def _reduce(joint, fixed, keep_axis):
     """Fix axes per {axis: value}, sum out everything except keep_axis, and
     normalize. Raises on a zero-probability conditioning event."""
     slicer = [slice(None)] * joint.ndim
@@ -184,7 +184,7 @@ def interventional_truth(scm: DiscreteScm, q: InterventionQuery):
     overrides = {q.t + k: a for k, a in enumerate(q.intervention)}
     joint = enumerate_joint(scm, overrides)
     fixed, keep = _query_axes(scm, q, with_actions=True)
-    return _reduce(joint, scm, fixed, keep)
+    return _reduce(joint, fixed, keep)
 
 
 def filter_distribution(scm: DiscreteScm, y_prefix, a_prefix):
@@ -192,7 +192,7 @@ def filter_distribution(scm: DiscreteScm, y_prefix, a_prefix):
     q = InterventionQuery(y_prefix, a_prefix, (0,))
     joint = enumerate_joint(scm)
     fixed, _ = _query_axes(scm, q, with_actions=False)
-    return _reduce(joint, scm, fixed, scm.T + q.t)
+    return _reduce(joint, fixed, scm.T + q.t)
 
 
 def eps_marginal(scm: DiscreteScm, step):

@@ -3,10 +3,10 @@
 Latent dynamics in triangular observable normal form: the state is split into
 m blocks of size d_y, block i drifts with z^(i+1) plus a learned correction
 phi_i(z^(1..i), a), the last block is fully learned, and the observation is
-the first block. A gated recurrent encoder with a learnable imputation layer
-turns an irregular observation/treatment history into a point estimate of the
-filtering state, from which forecasts under hypothetical treatment paths are
-produced by integrating the field forward.
+the first block. A gated recurrent encoder that imputes missing observations
+with learnable constants turns an irregular observation/treatment history into
+a point estimate of the filtering state, from which forecasts under given
+treatment paths are produced by integrating the field forward.
 """
 
 from __future__ import annotations
@@ -154,13 +154,14 @@ def check_dims(record: History, cfg: ObsNodeConfig, where: str):
 
 
 class ObsNodeParams:
-    """All learnable parameters: phi-block MLPs, gated recurrent encoder,
-    imputation constants, and the affine initial-state head."""
+    """All learnable parameters, held by name in :func:`param_shapes` order:
+    phi-block MLPs, gated recurrent encoder, imputation constants, and the
+    affine initial-state head; the other attributes are views of `by_name`."""
 
     def __init__(self, cfg: ObsNodeConfig, rng: np.random.Generator):
         self.cfg = cfg
         H = cfg.encoder_hidden_dim
-        t = {}
+        t = self.by_name = {}
         for name, shape in param_shapes(cfg):
             # biases start at zero, and so does each phi block's output
             # layer, so the initial dynamics is the pure chain of integrators
@@ -177,40 +178,37 @@ class ObsNodeParams:
         self.b_impute, self.head_W, self.head_b = t["b_impute"], t["head.W"], t["head.b"]
 
     def named_parameters(self):
-        out = []
-        for i, layers in enumerate(self.phi, start=1):
-            for l, (W, b) in enumerate(layers):
-                out.append((f"phi{i}.W{l}", W))
-                out.append((f"phi{i}.b{l}", b))
-        for key in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wh", "Uh", "bh"):
-            out.append((f"enc.{key}", self.enc[key]))
-        out.append(("b_impute", self.b_impute))
-        out.append(("head.W", self.head_W))
-        out.append(("head.b", self.head_b))
-        return out
+        return list(self.by_name.items())
 
     def tensors(self):
-        return [t for _, t in self.named_parameters()]
+        return list(self.by_name.values())
 
     def load_state(self, arrays: dict):
         check_state(arrays, self.cfg)
-        for name, t in self.named_parameters():
+        for name, t in self.by_name.items():
             t.data = arrays[name].copy()
+
+
+def _unit_sum(g):
+    """Sum the gradient g (n, k) of a (1, k) tensor as the op graph does: over
+    the units, and as np.sum when it is one entry (which turns -0.0 into +0.0)."""
+    return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 or g.size == 1 else g
 
 
 def _affine_vjp(g, x, W, b=None):
     """Backward of ``x @ W (+ b)`` for the upstream gradient g: accumulates
     the bias and weight gradients and returns the gradient for x."""
     if b is not None and b.requires_grad:
-        ad._accum(b, g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g)
+        ad._accum(b, _unit_sum(g))
     if W.requires_grad:
         ad._accum(W, x.T @ g)
     return g @ W.data.T
 
 
 def triangular_rhs(z, a, params: ObsNodeParams):
-    """Vector field of the triangular normal form; z (n, d_z), a (n, d_a),
-    (1, d_a) or the (d_a,) row of a single-trajectory control path.
+    """Vector field of the triangular normal form; z (n, d_z). The control a
+    is a constant, (n, d_a), (1, d_a) or the (d_a,) row of a
+    single-trajectory control path; one that requires grad raises ValueError.
 
     Computed on plain arrays and recorded as one tape node. Its backward pass
     replays the graph of autodiff ops that the field is built from, with the
@@ -219,23 +217,20 @@ def triangular_rhs(z, a, params: ObsNodeParams):
     output raises NumericError.
     """
     cfg = params.cfg
-    if a.data.ndim == 1:
-        a = ad.reshape(a, (1, a.data.shape[0]))
+    if a.requires_grad:
+        raise ValueError("triangular_rhs: the control is a constant and cannot require grad")
     if z.data.shape[1] != cfg.d_z:
         raise ValueError(f"triangular_rhs: state dim {z.data.shape[1]} != {cfg.d_z}")
-    if a.data.shape[1] != cfg.d_a:
-        raise ValueError(f"triangular_rhs: control dim {a.data.shape[1]} != {cfg.d_a}")
     d_y, m, d_a = cfg.d_y, cfg.m, cfg.d_a
     zd = z.data
-    n = zd.shape[0]
-    expand = a.data.shape[0] == 1 and n > 1
-    ctrl = np.broadcast_to(a.data, (n, d_a)) if expand else a.data
-    if d_a and ctrl.shape[0] != n:
-        raise ShapeMismatch("triangular_rhs", z.shape, a.shape)
-    inv = None
+    ctrl = a.data  # broadcast as a view, in expand's layout: BLAS rounds by layout
+    if ctrl.shape != (zd.shape[0], d_a):
+        try:
+            ctrl = np.broadcast_to(ctrl, (zd.shape[0], d_a))
+        except ValueError:
+            raise ShapeMismatch("triangular_rhs", z.shape, a.shape)
     if cfg.treatment_scale is not None and d_a:
-        inv = 1.0 / np.asarray(cfg.treatment_scale)
-        ctrl = ctrl * inv
+        ctrl = ctrl * (1.0 / np.asarray(cfg.treatment_scale))
     ad._check_finite("triangular_rhs", zd, ctrl)
     act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
     phi_layers = [tuple(layers) for layers in params.phi]
@@ -260,10 +255,6 @@ def triangular_rhs(z, a, params: ObsNodeParams):
     def backward(g):
         # Reverse op order: block m first; within block i, the state slice
         # feeding the integrator chain, then the MLP, then the block input.
-        # The op graph passed `a` through expand and scale ops into one
-        # tensor shared by all blocks; that tensor's gradient is summed in
-        # g_ctrl before it reaches `a`. Without them each block adds to `a`.
-        g_ctrl = None
         for i in range(m, 0, -1):
             # a contiguous copy, as in the op graph, so reductions see the
             # same memory layout
@@ -281,23 +272,8 @@ def triangular_rhs(z, a, params: ObsNodeParams):
                 full = np.zeros_like(zd)
                 full[:, :i * d_y] = gx[:, :i * d_y]
                 ad._accum(z, full)
-            if d_a and a.requires_grad:
-                part = gx[:, i * d_y:]
-                if inv is None and not expand:
-                    ad._accum(a, part)
-                elif g_ctrl is None:
-                    g_ctrl = part.copy()
-                else:
-                    g_ctrl += part
-        if g_ctrl is not None:
-            if inv is not None:
-                g_ctrl = g_ctrl * inv
-            if expand:
-                g_ctrl = g_ctrl.sum(axis=0, keepdims=True)
-            ad._accum(a, g_ctrl)
 
-    inputs = [z, a] if d_a else [z]
-    inputs += [t for layers in phi_layers for W, b in layers for t in (W, b)]
+    inputs = [z] + [t for layers in phi_layers for W, b in layers for t in (W, b)]
     return ad._record(Tensor(out), inputs, backward)
 
 
@@ -308,30 +284,23 @@ def emit(z, cfg: ObsNodeConfig):
     return ad.slice_axis(z, 0, cfg.d_y, axis=1)
 
 
-def impute(y, mask, b):
-    """Replace the unobserved components of y (n, d_y) with the learnable
-    constants b (1, d_y)."""
-    n = y.data.shape[0]
-    ones = Tensor(np.ones_like(mask.data))
-    b_full = ad.expand(b, (n, b.data.shape[1]))
-    return ad.add(ad.hadamard(y, mask), ad.hadamard(b_full, ad.sub(ones, mask)))
-
-
-def _gru_step(x, h, enc):
-    """One gated recurrent update, computed on plain arrays and recorded as
-    one tape node under the same contract as :func:`triangular_rhs`."""
+def _gru_step(x, unobs, h, b_impute, enc):
+    """One gated recurrent update on the input row x (n, 2 d_y + d_a + 1), whose
+    first d_y columns are y imputed with b_impute where `unobs` (n, d_y) is 1.
+    Computed on plain arrays and recorded as one tape node under the same
+    contract as :func:`triangular_rhs`; b_impute gets those columns' gradient."""
     Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh = (
         enc[k] for k in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wh", "Uh", "bh"))
-    xd, hd = x.data, h.data
-    ad._check_finite("_gru_step", xd, hd)
+    hd = h.data
+    ad._check_finite("_gru_step", x, hd)
     sig, sig_vjp = ad.ACTIVATIONS["sigmoid"]
     tanh, tanh_vjp = ad.ACTIVATIONS["tanh"]
-    pre_r = xd @ Wr.data + br.data + hd @ Ur.data
+    pre_r = x @ Wr.data + br.data + hd @ Ur.data
     r = sig(pre_r)
-    pre_u = xd @ Wu.data + bu.data + hd @ Uu.data
+    pre_u = x @ Wu.data + bu.data + hd @ Uu.data
     u = sig(pre_u)
     rh = r * hd
-    pre_c = xd @ Wh.data + bh.data + rh @ Uh.data
+    pre_c = x @ Wh.data + bh.data + rh @ Uh.data
     cand = tanh(pre_c)
     keep = 1.0 - u
     out = keep * hd + u * cand
@@ -339,7 +308,7 @@ def _gru_step(x, h, enc):
 
     def backward(g):
         # Reverse op order: the convex combination, the candidate, then the
-        # update gate, then the reset gate.
+        # update gate, then the reset gate; last the imputation.
         g_u = g * cand
         g_cand = g * u
         g_keep = g * hd
@@ -351,44 +320,39 @@ def _gru_step(x, h, enc):
         g_r = g_rh * hd
         if h.requires_grad:
             ad._accum(h, g_rh * r)
-        g_x = _affine_vjp(g_pre, xd, Wh, bh)
-        if x.requires_grad:
-            ad._accum(x, g_x)
+        g_x = _affine_vjp(g_pre, x, Wh, bh)
         for g_gate, pre, gate, U, W, b in ((g_u, pre_u, u, Uu, Wu, bu),
                                            (g_r, pre_r, r, Ur, Wr, br)):
             g_pre = sig_vjp(g_gate, pre, gate)
             g_h = _affine_vjp(g_pre, hd, U)
             if h.requires_grad:
                 ad._accum(h, g_h)
-            g_x = _affine_vjp(g_pre, xd, W, b)
-            if x.requires_grad:
-                ad._accum(x, g_x)
+            g_x += _affine_vjp(g_pre, x, W, b)
+        if b_impute.requires_grad:
+            ad._accum(b_impute, _unit_sum(g_x[:, :unobs.shape[1]] * unobs))
 
-    return ad._record(Tensor(out), (x, h, Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh),
+    return ad._record(Tensor(out), (h, b_impute, Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh),
                       backward)
 
 
 def encode(history: History, params: ObsNodeParams) -> EncodedState:
     """Run the recurrent cell over the history and map the final hidden state
-    to a latent point estimate at the last history time."""
+    to a latent point estimate at the last history time. The cell inputs,
+    (imputed y, mask, scaled treatment, delta-t) per time, are one array
+    built before the loop."""
     cfg = params.cfg
-    T = history.times.size
-    n = history.y.shape[1]
     check_dims(history, cfg, "encode")
+    T, n = history.y.shape[:2]
+    mask, a = history.mask, history.a
+    unobs = 1.0 - mask
+    if cfg.treatment_scale is not None and cfg.d_a:
+        a = a / np.asarray(cfg.treatment_scale)
+    dt = np.diff(history.times, prepend=history.times[0])
+    x = np.concatenate([history.y * mask + params.b_impute.data * unobs, mask, a,
+                        np.broadcast_to(dt[:, None, None], (T, n, 1))], axis=2)
     h = Tensor(np.zeros((n, cfg.encoder_hidden_dim)))
-    prev_t = history.times[0]
     for k in range(T):
-        y = Tensor(history.y[k])
-        mask = Tensor(history.mask[k])
-        a_raw = history.a[k]
-        if cfg.treatment_scale is not None and cfg.d_a:
-            a_raw = a_raw / np.asarray(cfg.treatment_scale)
-        a = Tensor(a_raw)
-        dt = Tensor(np.full((n, 1), history.times[k] - prev_t))
-        prev_t = history.times[k]
-        ytil = impute(y, mask, params.b_impute)
-        x = ad.concat([ytil, mask, a, dt], axis=1)
-        h = _gru_step(x, h, params.enc)
+        h = _gru_step(x[k], unobs[k], h, params.b_impute, params.enc)
     z = _linear(h, params.head_W, params.head_b)
     return EncodedState(z=z, t=float(history.times[-1]))
 

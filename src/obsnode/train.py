@@ -258,7 +258,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             opt.step(max_grad_norm=tcfg.max_grad_norm)
             epoch_losses.append(float(loss.data))
         if skipped > 0.1 * n_batches:
-            raise DataError(f"epoch {epoch}: {skipped}/{n_batches} batches "
+            raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")
         val = evaluate_loss(splits["val"], params, sigma2, val_times, tcfg)
         row = {"epoch": epoch,

@@ -121,7 +121,7 @@ def naive_conditional(scm: DiscreteScm, q: InterventionQuery):
     """Observational P(y_target | prefix, a-sequence observed): no severing."""
     joint = enumerate_joint(scm)
     fixed, keep = _query_axes(scm, q, with_actions=True)
-    return _reduce(joint, scm, fixed, keep)
+    return _reduce(joint, fixed, keep)
 
 
 def mean_patient():

@@ -1,10 +1,11 @@
-"""Every function and method in ``src/obsnode`` has a caller in ``src/``.
+"""Every function and method in ``src/obsnode`` has a caller in ``src/``,
+and every function there reads each of its parameters.
 
 A name counts as referenced when a module other than its own body uses it:
 a module-level function by its bare name (in its own module, or in a module
 that imports it) or as an attribute (``ad.tanh``); a method as an attribute
 (``tape.backward``). Code that only the tests or the benchmark call belongs
-with them, not in the package.
+with them, not in the package; so does a parameter that nothing reads.
 """
 
 import ast
@@ -73,3 +74,33 @@ def test_every_function_has_a_caller_in_src():
 def test_allowlist_is_current():
     # a name that src/ reaches, or that is gone, leaves the allowlist
     assert sorted(unreferenced(allowed={})) == sorted(ALLOWED)
+
+
+def unread_parameters():
+    """'module.function(parameter)' for each parameter of a function, method
+    or lambda in src/ that its body (nested functions included) never reads.
+    Dunder methods are exempt, and so are the ACTIVATIONS lambdas, which
+    share one (g, x, y) signature whether or not they need x."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(fn) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "ACTIVATIONS" for t in node.targets)
+                  for fn in ast.walk(node.value) if isinstance(fn, ast.Lambda)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", f"<lambda>@{fn.lineno}")
+            if id(fn) in exempt or name.startswith("__") and name.endswith("__"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{name}({p})" for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -418,6 +418,26 @@ def test_too_small_int_step_is_config_error(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverging_training_is_numeric_error(tmp_path):
+    # at learning rate 1e6 most batches blow up after the first Adam step:
+    # train gives up on the epoch as a numeric failure (exit 4)
+    sim = write_json(tmp_path / "s.json", {
+        "format_version": 1, "kind": "cancer", "output_dir": str(tmp_path / "ds"),
+        "params": {"n_patients": 30, "n_cycles": 3, "seed": 1}})
+    assert run_main(["simulate", "--config", sim])[0] == 0
+    trn = write_json(tmp_path / "t.json", {
+        "format_version": 1, "dataset_dir": str(tmp_path / "ds"),
+        "run_dir": str(tmp_path / "run"),
+        "model": {"d_y": 2, "m": 2, "d_a": 2, "phi_hidden_dim": 8,
+                  "encoder_hidden_dim": 8},
+        "train": {"epochs": 1, "batch_size": 2, "learning_rate": 1e6,
+                  "decision_time_grid": [30.0], "t_f": 90.0, "int_step": 3.0}})
+    rc, _, err = run_main(["train", "--config", trn])
+    assert rc == 4
+    assert err.startswith("numeric error: epoch 0: ") and "batches diverged" in err
+    assert not (tmp_path / "run").exists()
+
 def run_main(argv):
     """`obsnode *argv`; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

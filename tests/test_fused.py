@@ -1,9 +1,11 @@
 """The fused tape nodes of the model (the triangular vector field and the GRU
-cell) against the same computations written as graphs of autodiff ops.
+cell) and the encoder against the same computations written as graphs of
+autodiff ops.
 
 The fused nodes promise bitwise equality with these graphs: the same forward
 values and the same gradients, accumulated in the same order, for every
-input that requires grad.
+input that requires grad. The data they take (the control, the GRU input
+row and its mask) are plain constants.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from obsnode import autodiff as ad
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
-from obsnode.model import ObsNodeConfig, ObsNodeParams, _gru_step, triangular_rhs
+from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, _gru_step, encode,
+                           triangular_rhs)
 
 
 def ref_linear(x, W, b):
@@ -63,20 +66,50 @@ def ref_gru(x, h, enc):
     return ad.add(ad.hadamard(ad.sub(ones, u), h), ad.hadamard(u, cand))
 
 
-def run_node(node, inputs, params, seed):
+def ref_impute(y, mask, b):
+    """y (n, d_y) with its unobserved entries replaced by b (1, d_y)."""
+    n = y.data.shape[0]
+    ones = Tensor(np.ones_like(mask.data))
+    b_full = ad.expand(b, (n, b.data.shape[1]))
+    return ad.add(ad.hadamard(y, mask), ad.hadamard(b_full, ad.sub(ones, mask)))
+
+
+def ref_encode(history, params):
+    """The encoder as a per-step graph of autodiff ops: impute, assemble the
+    input row, update the hidden state, then the affine head."""
+    cfg = params.cfg
+    n = history.y.shape[1]
+    h = Tensor(np.zeros((n, cfg.encoder_hidden_dim)))
+    prev_t = history.times[0]
+    for k in range(history.times.size):
+        a = history.a[k]
+        if cfg.treatment_scale is not None and cfg.d_a:
+            a = a / np.asarray(cfg.treatment_scale)
+        dt = Tensor(np.full((n, 1), history.times[k] - prev_t))
+        prev_t = history.times[k]
+        mask = Tensor(history.mask[k])
+        x = ad.concat([ref_impute(Tensor(history.y[k]), mask, params.b_impute),
+                       mask, Tensor(a), dt], axis=1)
+        h = ref_gru(x, h, params.enc)
+    return ref_linear(h, params.head_W, params.head_b)
+
+
+def run_node(node, inputs, params, seed, zeros=0.2):
     """Forward value and every gradient of sum(w * node(*inputs, params)),
-    with every gradient buffer pre-filled, some entries with -0.0, so the
-    order of accumulation and every added zero show in the bits."""
+    with every gradient buffer pre-filled; a share `zeros` of the buffer
+    entries and of w is -0.0, so the order of accumulation and every added
+    zero, with its sign, show in the bits."""
     rng = np.random.default_rng(seed)
     for t in list(inputs) + params:
         t.grad = None
         if t.requires_grad:
             t.grad = rng.normal(size=t.data.shape)
-            t.grad[rng.uniform(size=t.data.shape) < 0.2] = -0.0
+            t.grad[rng.uniform(size=t.data.shape) < zeros] = -0.0
     with Tape() as tape:
         out = node(*inputs)
-        w = Tensor(rng.normal(size=out.data.shape))
-        tape.backward(ad.tsum(ad.hadamard(out, w)))
+        w = rng.normal(size=out.data.shape)
+        w[rng.uniform(size=w.shape) < zeros] = -0.0
+        tape.backward(ad.tsum(ad.hadamard(out, Tensor(w))))
     return [out.data] + [t.grad for t in list(inputs) + params]
 
 
@@ -101,6 +134,59 @@ def phi_tensors(params):
     return [t for layers in params.phi for W, b in layers for t in (W, b)]
 
 
+def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2):
+    """run_node results of the fused field and of the op graph; the control
+    is (n, d_a), (1, d_a), or the (d_a,) row that a single-trajectory
+    ControlPath gives."""
+    scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
+    cfg = ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=5,
+                        phi_layers=layers, phi_activation=act,
+                        encoder_hidden_dim=3, treatment_scale=scale)
+    rng = np.random.default_rng(seed)
+    z0 = rng.normal(size=(n, cfg.d_z))
+    a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
+                          "path_row": (d_a,)}[control])
+    results = []
+    for node in (triangular_rhs, ref_rhs):
+        params = make_params(cfg, seed)
+        z = Tensor(z0.copy(), requires_grad=z_grad)
+        a = Tensor(a0.copy())
+        results.append(run_node(lambda z: node(z, a, params), (z,),
+                                phi_tensors(params), seed + 2, zeros=zeros))
+    return results
+
+
+def gru_step_pair(d_y, rest, hidden, n, observed, h_grad, b_grad, seed, zeros=0.2):
+    """run_node results of the fused cell and of the reference that imputes
+    with autodiff ops and feeds the op-graph cell, on the input row
+    (imputed y, mask, rest) with no, all or some entries observed."""
+    rng = np.random.default_rng(seed)
+    x_dim = 2 * d_y + rest
+    shapes = {"W": (x_dim, hidden), "U": (hidden, hidden), "b": (1, hidden)}
+    enc0 = {k + g: rng.normal(size=shapes[k]) for k in "WUb" for g in "ruh"}
+    y0 = rng.normal(size=(n, d_y))
+    mask = {"none": np.zeros((n, d_y)), "all": np.ones((n, d_y)),
+            "some": (rng.uniform(size=(n, d_y)) < 0.5).astype(float)}[observed]
+    tail = rng.normal(size=(n, rest))
+    h0 = rng.normal(size=(n, hidden))
+    b0 = rng.normal(size=(1, d_y))
+    results = []
+    for fused in (True, False):
+        enc = {k: Tensor(v.copy(), requires_grad=True) for k, v in enc0.items()}
+        b = Tensor(b0.copy(), requires_grad=b_grad)
+        h = Tensor(h0.copy(), requires_grad=h_grad)
+        if fused:
+            x = np.concatenate([y0 * mask + b0 * (1.0 - mask), mask, tail], axis=1)
+            node = lambda h, b: _gru_step(x, 1.0 - mask, h, b, enc)
+        else:
+            node = lambda h, b: ref_gru(
+                ad.concat([ref_impute(Tensor(y0), Tensor(mask), b), Tensor(mask),
+                           Tensor(tail)], axis=1), h, enc)
+        results.append(run_node(node, (h, b), [enc[k] for k in sorted(enc)], seed + 2,
+                                zeros=zeros))
+    return results
+
+
 class TestBitwiseAgainstOpGraph:
     @settings(max_examples=80, deadline=None)
     @given(d_y=st.integers(1, 3), m=st.integers(1, 3),
@@ -108,46 +194,49 @@ class TestBitwiseAgainstOpGraph:
            act=st.sampled_from(["tanh", "sigmoid", "leakyrelu"]),
            layers=st.integers(0, 2), n=st.sampled_from([1, 4]),
            control=st.sampled_from(["batch", "one_row", "path_row"]),
-           scaled=st.booleans(), z_grad=st.booleans(), a_grad=st.booleans(),
+           scaled=st.booleans(), z_grad=st.booleans(),
            seed=st.integers(0, 2**16))
     def test_triangular_rhs(self, d_y, m, d_a, act, layers, n, control,
-                            scaled, z_grad, a_grad, seed):
-        # the control is (n, d_a), (1, d_a), or the (d_a,) row that a
-        # single-trajectory ControlPath gives
-        scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
-        cfg = ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=5,
-                            phi_layers=layers, phi_activation=act,
-                            encoder_hidden_dim=3, treatment_scale=scale)
-        rng = np.random.default_rng(seed)
-        z0 = rng.normal(size=(n, cfg.d_z))
-        a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
-                              "path_row": (d_a,)}[control])
-        results = []
-        for node in (triangular_rhs, ref_rhs):
-            params = make_params(cfg, seed)
-            z = Tensor(z0.copy(), requires_grad=z_grad)
-            a = Tensor(a0.copy(), requires_grad=a_grad)
-            results.append(run_node(lambda z, a: node(z, a, params), (z, a),
-                                    phi_tensors(params), seed + 2))
-        assert_bitwise(*results)
+                            scaled, z_grad, seed):
+        assert_bitwise(*rhs_pair(d_y, m, d_a, act, layers, n, control, scaled,
+                                 z_grad, seed))
 
-    @settings(max_examples=60, deadline=None)
-    @given(x_dim=st.integers(1, 4), hidden=st.integers(1, 5),
-           n=st.sampled_from([1, 3]), x_grad=st.booleans(),
-           h_grad=st.booleans(), seed=st.integers(0, 2**16))
-    def test_gru_step(self, x_dim, hidden, n, x_grad, h_grad, seed):
+    @settings(max_examples=80, deadline=None)
+    @given(d_y=st.integers(1, 3), rest=st.integers(1, 3), hidden=st.integers(1, 5),
+           n=st.sampled_from([1, 3]), observed=st.sampled_from(["none", "all", "some"]),
+           h_grad=st.booleans(), b_grad=st.booleans(), seed=st.integers(0, 2**16))
+    def test_gru_step(self, d_y, rest, hidden, n, observed, h_grad, b_grad, seed):
+        assert_bitwise(*gru_step_pair(d_y, rest, hidden, n, observed, h_grad,
+                                      b_grad, seed))
+
+    @pytest.mark.parametrize("n,d_y", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros(self, n, d_y, seed):
+        # with every buffer entry -0.0, each zero a node adds keeps the sign
+        # that the op graph's reductions give it; a fully observed row sends
+        # only zeros to b_impute
+        assert_bitwise(*rhs_pair(d_y, 2, 1, "tanh", 1, n, "batch", False, True, seed,
+                                 zeros=1.0))
+        assert_bitwise(*gru_step_pair(d_y, 1, 1, n, "all", False, True, seed, zeros=1.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), T=st.integers(1, 5),
+           n=st.sampled_from([1, 3]), scaled=st.booleans(), seed=st.integers(0, 2**16))
+    def test_encode(self, d_y, d_a, T, n, scaled, seed):
+        # z and every parameter gradient, on an uneven time grid with a
+        # partly missing history
+        scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
+        cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=d_a, phi_hidden_dim=3,
+                            encoder_hidden_dim=4, treatment_scale=scale)
         rng = np.random.default_rng(seed)
-        shapes = {"W": (x_dim, hidden), "U": (hidden, hidden), "b": (1, hidden)}
-        enc0 = {k + g: rng.normal(size=shapes[k]) for k in "WUb" for g in "ruh"}
-        x0 = rng.normal(size=(n, x_dim))
-        h0 = rng.normal(size=(n, hidden))
+        mask = (rng.uniform(size=(T, n, d_y)) < 0.6).astype(float)
+        hist = History(np.cumsum(rng.uniform(0.1, 2.0, size=T)),
+                       rng.normal(size=(T, n, d_y)) * mask, mask,
+                       rng.uniform(0.0, 3.0, size=(T, n, d_a)))
         results = []
-        for node in (_gru_step, ref_gru):
-            enc = {k: Tensor(v.copy(), requires_grad=True) for k, v in enc0.items()}
-            x = Tensor(x0.copy(), requires_grad=x_grad)
-            h = Tensor(h0.copy(), requires_grad=h_grad)
-            results.append(run_node(lambda x, h: node(x, h, enc), (x, h),
-                                    [enc[k] for k in sorted(enc)], seed + 2))
+        for node in (lambda p: encode(hist, p).z, lambda p: ref_encode(hist, p)):
+            params = make_params(cfg, seed)
+            results.append(run_node(lambda: node(params), (), params.tensors(), seed + 2))
         assert_bitwise(*results)
 
 
@@ -161,29 +250,38 @@ class TestFusedGradCheck:
         self.z = Tensor(rng.normal(size=(3, cfg.d_z)))
         self.a = Tensor(rng.normal(size=(1, cfg.d_a)))
         self.w = Tensor(rng.normal(size=(3, cfg.d_z)))
-        self.x = Tensor(rng.normal(size=(3, cfg.encoder_input_dim)))
+        self.y = rng.normal(size=(3, cfg.d_y))
+        self.mask = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        self.tail = rng.normal(size=(3, cfg.encoder_input_dim - 2 * cfg.d_y))
         self.h = Tensor(rng.normal(size=(3, 5)))
         self.wh = Tensor(rng.normal(size=(3, 5)))
 
-    def rhs_loss(self, z=None, a=None):
-        out = triangular_rhs(self.z if z is None else z,
-                             self.a if a is None else a, self.params)
+    def rhs_loss(self, z=None):
+        out = triangular_rhs(self.z if z is None else z, self.a, self.params)
         return ad.tsum(ad.hadamard(out, self.w))
 
-    def gru_loss(self, x=None, h=None):
-        out = _gru_step(self.x if x is None else x, self.h if h is None else h,
+    def gru_loss(self, h=None):
+        b = self.params.b_impute
+        x = np.concatenate([self.y * self.mask + b.data * (1.0 - self.mask),
+                            self.mask, self.tail], axis=1)
+        out = _gru_step(x, 1.0 - self.mask, self.h if h is None else h, b,
                         self.params.enc)
         return ad.tsum(ad.hadamard(out, self.wh))
 
     def test_triangular_rhs(self):
         assert grad_check(lambda t: self.rhs_loss(z=t), self.z) < 1e-7
-        assert grad_check(lambda t: self.rhs_loss(a=t), self.a) < 1e-7
         for W in (self.params.phi[0][0][0], self.params.phi[1][1][1]):
             assert grad_check(lambda t: self.rhs_loss(), W) < 1e-7
 
+    def test_triangular_rhs_control_is_constant(self):
+        # the node has no gradient for its control, so asking for one fails
+        a = Tensor(self.a.data, requires_grad=True)
+        with pytest.raises(ValueError, match="control"):
+            triangular_rhs(self.z, a, self.params)
+
     def test_gru_step(self):
-        assert grad_check(lambda t: self.gru_loss(x=t), self.x) < 1e-7
         assert grad_check(lambda t: self.gru_loss(h=t), self.h) < 1e-7
+        assert grad_check(lambda t: self.gru_loss(), self.params.b_impute) < 1e-7
         for key in ("Wr", "Uu", "bh"):
             assert grad_check(lambda t: self.gru_loss(), self.params.enc[key]) < 1e-7
 
@@ -205,6 +303,7 @@ class TestFusedNonFinite:
     def test_gru_step_input(self, bad):
         h = np.zeros((2, 3))
         h[0, 2] = bad
-        x = Tensor(np.zeros((2, self.cfg.encoder_input_dim)))
+        x = np.zeros((2, self.cfg.encoder_input_dim))
         with pytest.raises(NumericError, match="_gru_step"):
-            _gru_step(x, Tensor(h), self.params.enc)
+            _gru_step(x, np.zeros((2, 1)), Tensor(h), self.params.b_impute,
+                      self.params.enc)

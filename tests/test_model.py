@@ -6,10 +6,10 @@ import pytest
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
 from obsnode.autodiff import Tensor, grad_check
-from obsnode.errors import ConfigError, DataError
+from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
-                           emit, encode, forecast, impute, load_model,
-                           save_model, triangular_rhs, window)
+                           emit, encode, forecast, load_model, save_model,
+                           triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from support import observability_probe
 
@@ -95,6 +95,12 @@ class TestTriangularField:
         with pytest.raises(ValueError):
             triangular_rhs(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 1))), params)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (2,)])
+    def test_control_that_does_not_broadcast(self, shape):
+        cfg, params = make_model(d_y=1, m=2, d_a=1)
+        with pytest.raises(ShapeMismatch, match="triangular_rhs"):
+            triangular_rhs(Tensor(np.zeros((3, 2))), Tensor(np.zeros(shape)), params)
+
 
 class TestEmitImpute:
     def test_emit_is_first_block(self):
@@ -102,16 +108,42 @@ class TestEmitImpute:
         np.testing.assert_array_equal(emit(Tensor([[1.0, 2.0, 3.0, 4.0]]), cfg).data,
                                       [[1.0, 2.0]])
 
-    def test_impute_fills_missing_entries(self):
-        b = Tensor(np.array([[9.0, -9.0]]))
-        out = impute(Tensor([[1.0, 2.0]]), Tensor([[1.0, 0.0]]), b)
-        np.testing.assert_array_equal(out.data, [[1.0, -9.0]])
+    def test_impute_fills_missing_entries(self, monkeypatch):
+        # the cell sees y where it is observed and b_impute where it is not
+        cfg, params = make_model(d_y=2, m=2)
+        params.b_impute.data = np.array([[9.0, -9.0]])
+        hist = History(np.array([0.0, 1.0]), np.array([[[1.0, 2.0]], [[0.0, 4.0]]]),
+                       np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.zeros((2, 1, 1)))
+        rows, step = [], model_mod._gru_step
+
+        def record_row(x, *rest):
+            rows.append(x.copy())
+            return step(x, *rest)
+
+        monkeypatch.setattr(model_mod, "_gru_step", record_row)
+        encode(hist, params)
+        np.testing.assert_array_equal([r[0, :2] for r in rows], [[1.0, -9.0], [9.0, 4.0]])
 
     def test_impute_gradient(self):
-        y = np.array([[1.0, 2.0]])
-        mask = np.array([[0.0, 1.0]])
-        f = lambda b: ad.tsum(ad.square(impute(Tensor(y), Tensor(mask), b)))
-        assert grad_check(f, Tensor(np.array([[0.3, 0.4]]))) < 1e-8
+        cfg, params = make_model(d_y=2, m=2)
+        rng = np.random.default_rng(1)
+        for t in params.tensors():
+            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+        hist = make_history(cfg, T=4, n=3, seed=2)
+        f = lambda b: ad.tsum(ad.square(encode(hist, params).z))
+        assert grad_check(f, params.b_impute) < 1e-8
+        with ad.Tape() as tape:
+            tape.backward(f(params.b_impute))
+        assert np.abs(params.b_impute.grad).min() > 1e-3
+
+    def test_impute_gradient_is_zero_when_fully_observed(self):
+        cfg, params = make_model(d_y=2, m=2)
+        hist = make_history(cfg, T=4, n=3, seed=2)
+        hist.mask[:] = 1.0
+        with ad.Tape() as tape:
+            tape.backward(ad.tsum(ad.square(encode(hist, params).z)))
+        assert params.b_impute.grad.shape == (1, 2)
+        assert (params.b_impute.grad == 0.0).all()
 
 
 class TestEncode:

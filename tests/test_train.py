@@ -297,7 +297,7 @@ class TestTrainLoop:
         assert steps == [1, 2, 4, 5, 6, 7, 8, 9, 10]
         for before, after in zip(snapshots[2], snapshots[3]):
             np.testing.assert_array_equal(before, after)
-        with pytest.raises(DataError, match="2/10 batches"):
+        with pytest.raises(NumericError, match="2/10 batches"):
             run({3, 5})
 
 
