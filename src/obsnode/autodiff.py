@@ -2,18 +2,16 @@
 
 Everything is float64. A :class:`Tape` records operations executed while it is
 active (``with Tape():``); :meth:`Tape.backward` replays the record once in
-reverse and accumulates gradients into ``Tensor.grad``. Broadcasting is
-restricted to scalar-vs-tensor; anything fancier goes through explicit
-``reshape`` / ``expand`` ops so shape bugs fail loudly.
+reverse and accumulates gradients into ``Tensor.grad``. Binary ops take
+operands of one shape; a broadcast goes through an explicit ``expand`` op, so
+shape bugs fail loudly.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeMismatch
+from .errors import NumericError, ShapeMismatch
 
 LEAKY_RELU_SLOPE = 0.01
 
@@ -98,22 +96,9 @@ def _check_finite(name, *arrays):
             raise NumericError(f"{name}: non-finite value")
 
 
-def _binary_shapes(op, a, b):
-    """Equal shapes, or one side a scalar (size-1). Returns (a_scalar, b_scalar)."""
-    if a.data.shape == b.data.shape:
-        return False, False
-    if a.data.size == 1:
-        return True, False
-    if b.data.size == 1:
-        return False, True
-    raise ShapeMismatch(op, a.shape, b.shape)
-
-
-def _reduce_to(g, t):
-    """Reduce a full-shape gradient back to a scalar operand's shape."""
-    if t.data.size == 1:
-        return np.sum(g).reshape(t.data.shape)
-    return g
+def _same_shape(op, a, b):
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch(op, a.shape, b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -121,40 +106,40 @@ def _reduce_to(g, t):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    _binary_shapes("add", a, b)
+    _same_shape("add", a, b)
     out = Tensor(a.data + b.data)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _reduce_to(g, a))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _reduce_to(g, b))
+            _accum(b, g)
 
     return _record(out, (a, b), bw)
 
 
 def sub(a, b):
-    _binary_shapes("sub", a, b)
+    _same_shape("sub", a, b)
     out = Tensor(a.data - b.data)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _reduce_to(g, a))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _reduce_to(-g, b))
+            _accum(b, -g)
 
     return _record(out, (a, b), bw)
 
 
 def hadamard(a, b):
-    _binary_shapes("hadamard", a, b)
+    _same_shape("hadamard", a, b)
     out = Tensor(a.data * b.data)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _reduce_to(g * b.data, a))
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, _reduce_to(g * a.data, b))
+            _accum(b, g * a.data)
 
     return _record(out, (a, b), bw)
 
@@ -402,50 +387,3 @@ class Adam:
             v += (1.0 - b2) * (g * g)
             t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint I/O  (format_version 1; values with >= 17 significant digits)
-# ---------------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def save_checkpoint(path, named_tensors, metadata):
-    """Write named tensors and a metadata object as JSON; decimal values keep
-    17 significant digits."""
-    parts = ['{"format_version": 1', ', "metadata": ' + json.dumps(metadata, sort_keys=True)]
-    entries = []
-    for name, t in named_tensors:
-        values = ", ".join(_fmt(v) for v in t.data.reshape(-1))
-        entries.append(
-            '{"name": %s, "shape": %s, "values": [%s]}'
-            % (json.dumps(name), json.dumps(list(t.data.shape)), values)
-        )
-    parts.append(', "tensors": [' + ", ".join(entries) + "]}")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
-
-
-def load_checkpoint(path):
-    """Returns (ordered dict name -> np.ndarray, metadata or None); a missing
-    or malformed file, or a non-finite value, raises DataError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise DataError(f"checkpoint {path}: {e}")
-    if not isinstance(doc, dict) or doc.get("format_version") != 1:
-        raise DataError(f"checkpoint {path}: format_version must be 1")
-    tensors = {}
-    try:
-        for entry in doc["tensors"]:
-            arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            tensors[entry["name"]] = arr
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"checkpoint {path}: malformed tensors: {e!r}")
-    for name, arr in tensors.items():
-        if not np.isfinite(arr).all():
-            raise DataError(f"checkpoint {path}: tensor {name!r} has a "
-                            "non-finite value")
-    return tensors, doc.get("metadata")

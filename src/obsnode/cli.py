@@ -154,7 +154,8 @@ def cmd_train(args):
     normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
     init_state = None
     if "init_checkpoint" in cfg:
-        init_state, _ = ad.load_checkpoint(cfg["init_checkpoint"])
+        init, _, _ = load_model(cfg["init_checkpoint"])
+        init_state = {name: t.data for name, t in init.named_parameters()}
     params, history = train(model_cfg, normed, tcfg, run_dir=cfg["run_dir"],
                             stats=stats, init_state=init_state)
     if history:
@@ -169,9 +170,10 @@ def cmd_evaluate(args):
                 "t_c_grid": list[float], "horizons": list[float]}
     cfg = load_json_config(args.config,
                            dict(required, split=str, heatmap=bool), required)
-    if not cfg["t_c_grid"] or not cfg["horizons"] or min(cfg["horizons"]) <= 0:
+    hs = cfg["horizons"]
+    if not cfg["t_c_grid"] or not hs or min(hs) <= 0 or len(set(hs)) < len(hs):
         raise ConfigError("t_c_grid and horizons must be nonempty lists, "
-                          "horizons positive")
+                          "horizons positive and distinct")
     splits, _ = read_dataset(cfg["dataset_dir"])
     split = cfg.get("split", "test")
     if split not in splits:
@@ -227,6 +229,8 @@ def read_treatment_csv(path, d_a):
 
 
 def cmd_forecast(args):
+    if not np.isfinite(args.t_c) or not (args.horizon is None or 0 < args.horizon < np.inf):
+        raise ConfigError("--t-c must be finite, --horizon finite and positive")
     params, model_cfg, stats = load_model(args.checkpoint)
     splits, _ = read_dataset(args.dataset)
     pool = [tr for s in splits.values() for tr in s]

@@ -61,8 +61,9 @@ def raw_forecast(record: History, t_c, query_times, params,
 
 
 def model_predictor(params, stats: NormStats | None, int_cfg: IntegrationConfig | None):
-    """Default predictor: encode the normalized history, roll the model
-    forward under the factual treatments, and invert the normalization."""
+    """`predict(record, t_c, query_times)`: encode the normalized history of
+    the stacked units `record`, roll the model forward under the factual
+    treatments, and invert the normalization; (len(query_times), n, d_y)."""
 
     def predict(record, t_c, query_times):
         return raw_forecast(record, t_c, query_times, params, stats, int_cfg)
@@ -97,22 +98,15 @@ def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
     return values, counts
 
 
-def rmse_grid(test_trajs, t_c_grid, horizons, predict=None, params=None,
-              stats=None, int_cfg=None) -> RmseGrid:
-    """Scaled RMSE per (assimilation time, horizon bin, component).
-
-    `predict(record, t_c, query_times)` may be supplied directly: it gets the
-    units stacked into one :class:`~obsnode.model.History` and returns raw
-    predictions of shape (len(query_times), n, d_y). Otherwise it is built
-    from `params` (and `stats`). The horizon bin for s_k collects observed
-    points in (t_c + s_{k-1}, t_c + s_k].
+def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
+              int_cfg=None) -> RmseGrid:
+    """Scaled RMSE per (assimilation time, horizon bin, component) of the
+    forecasts of :func:`model_predictor`. The horizon bin for s_k collects
+    observed points in (t_c + s_{k-1}, t_c + s_k].
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
-    if predict is None:
-        if params is None:
-            raise DataError("rmse_grid: need predict or params")
-        predict = model_predictor(params, stats, int_cfg)
+    predict = model_predictor(params, stats, int_cfg)
 
     record = stack_units(test_trajs)
     d_y = record.y.shape[2]

@@ -113,8 +113,7 @@ def enumerate_joint(scm: DiscreteScm, policy_overrides=None):
     """Exact joint over all trajectories.
 
     Axis layout: [e_0..e_{T-1}, z_0..z_{T-1}, y_0..y_{T-1}, a_0..a_{T-2}].
-    `policy_overrides` maps a step index to either a point-mass action (int)
-    or a full (nY, nE, nA) kernel replacing the policy at that step.
+    `policy_overrides` maps a step index to the action forced at that step.
     """
     nE, nZ, nY, nA = scm.sizes
     T = scm.T
@@ -134,11 +133,10 @@ def enumerate_joint(scm: DiscreteScm, policy_overrides=None):
     joint = joint * _place(scm.z_init, (z_ax(0),), ndim)
     joint = joint * _place(scm.emission, (z_ax(0), e_ax(0), y_ax(0)), ndim)
     for t in range(1, T):
-        pol = overrides.get(t - 1, scm.policy)
-        if np.isscalar(pol) or isinstance(pol, (int, np.integer)):
-            point = np.zeros((nY, nE, nA))
-            point[:, :, int(pol)] = 1.0
-            pol = point
+        pol = scm.policy
+        if t - 1 in overrides:
+            pol = np.zeros((nY, nE, nA))
+            pol[:, :, overrides[t - 1]] = 1.0
         joint = joint * _place(pol, (y_ax(t - 1), e_ax(t - 1), a_ax(t - 1)), ndim)
         joint = joint * _place(scm.eps_trans, (e_ax(t - 1), e_ax(t)), ndim)
         joint = joint * _place(scm.z_trans, (a_ax(t - 1), z_ax(t - 1), z_ax(t)), ndim)

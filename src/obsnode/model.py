@@ -11,6 +11,7 @@ treatment paths are produced by integrating the field forward.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -190,9 +191,9 @@ class ObsNodeParams:
 
 
 def _unit_sum(g):
-    """Sum the gradient g (n, k) of a (1, k) tensor as the op graph does: over
-    the units, and as np.sum when it is one entry (which turns -0.0 into +0.0)."""
-    return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 or g.size == 1 else g
+    """Sum the gradient g (n, k) of a (1, k) tensor over the units, as the op
+    graph's expand does: a single unit's row passes unchanged."""
+    return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
 
 
 def _affine_vjp(g, x, W, b=None):
@@ -361,46 +362,38 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
              int_cfg: IntegrationConfig, history: History | None = None):
     """Predicted outcomes at `query_times` under the given treatment path.
 
-    Returns a list of (n, d_y) Tensors aligned with query_times. In recursive
-    rollout mode the horizon is covered in chunks: each chunk's predictions
-    are appended to the history as pseudo-observations (mask all ones)
-    together with the applied treatments, the encoder is re-run, and the next
-    chunk starts from the refreshed state.
+    Returns a list of (n, d_y) Tensors aligned with query_times. The horizon
+    is covered in chunks, one in long-horizon mode: in recursive rollout mode
+    each chunk's predictions are appended to the history as pseudo-observations
+    (mask all ones) together with the applied treatments, the encoder is
+    re-run, and the next chunk starts from the refreshed state.
     """
     cfg = params.cfg
-    query_times = [float(t) for t in sorted(query_times)]
-    if not query_times:
-        return []
-    if cfg.rollout_mode == "long_horizon":
-        states = integrate(triangular_rhs, state.z, control, state.t,
-                           max(query_times), int_cfg, query_times, params)
-        return [emit(s, cfg) for s in states]
-    if history is None:
+    recursive = cfg.rollout_mode == "recursive"
+    if recursive and history is None:
         raise ValueError("forecast: recursive rollout needs the encoding history")
-
+    chunk = cfg.recursive_chunk if recursive else np.inf
     preds = []
-    cur = state
-    remaining = list(query_times)
-    t_end = max(query_times)
+    remaining = [float(t) for t in sorted(query_times)]
     while remaining:
-        chunk_end = min(cur.t + cfg.recursive_chunk, t_end)
+        chunk_end = min(state.t + chunk, remaining[-1])
         qs = [q for q in remaining if q <= chunk_end + 1e-12]
         step_queries = sorted(set(qs + [chunk_end]))
-        states = integrate(triangular_rhs, cur.z, control, cur.t, chunk_end, int_cfg,
+        states = integrate(triangular_rhs, state.z, control, state.t, chunk_end, int_cfg,
                            step_queries, params)
         by_time = dict(zip(step_queries, states))
         preds.extend(emit(by_time[q], cfg) for q in qs)
         remaining = remaining[len(qs):]
         if not remaining:
             break
-        n = cur.z.data.shape[0]
+        n = state.z.data.shape[0]
         new_times = np.array(step_queries)
         new_y = np.stack([emit(by_time[t], cfg).data for t in step_queries])
         new_mask = np.ones((len(step_queries), n, cfg.d_y))
         new_a = np.stack([np.broadcast_to(control.value_at(t), (n, cfg.d_a)).copy()
                           for t in step_queries])
         history = history.extended(new_times, new_y, new_mask, new_a)
-        cur = EncodedState(z=encode(history, params).z, t=chunk_end)
+        state = EncodedState(z=encode(history, params).z, t=chunk_end)
     return preds
 
 
@@ -436,17 +429,45 @@ def rollout(record: History, t_c, query_times, params: ObsNodeParams,
 # ---------------------------------------------------------------------------
 
 def save_model(path, params: ObsNodeParams, norm_stats=None):
+    """Write the parameters and a metadata header (config and, when given,
+    the normalization statistics) as JSON, format_version 1; tensor values
+    keep 17 significant digits."""
     meta = {"format_version": 1, "config": asdict(params.cfg), "cell": "gru"}
     if norm_stats is not None:
         meta["norm_stats"] = {"mean": list(map(float, norm_stats.mean)),
                               "std": list(map(float, norm_stats.std))}
-    ad.save_checkpoint(path, params.named_parameters(), metadata=meta)
+    tensors = ", ".join(
+        '{"name": %s, "shape": %s, "values": [%s]}'
+        % (json.dumps(name), json.dumps(list(t.data.shape)),
+           ", ".join(f"{v:.17g}" for v in t.data.reshape(-1)))
+        for name, t in params.named_parameters())
+    with open(path, "w") as fh:
+        fh.write('{"format_version": 1, "metadata": ' + json.dumps(meta, sort_keys=True)
+                 + ', "tensors": [' + tensors + "]}")
 
 
 def load_model(path):
+    """(params, cfg, norm stats or None) of a checkpoint written by
+    :func:`save_model`. A missing or malformed file, a non-finite value, or
+    metadata that does not describe the stored tensors raises DataError."""
     from .train import NormStats  # local import to avoid a cycle
 
-    arrays, meta = ad.load_checkpoint(path)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DataError(f"checkpoint {path}: {e}")
+    if not isinstance(doc, dict) or doc.get("format_version") != 1:
+        raise DataError(f"checkpoint {path}: format_version must be 1")
+    try:
+        arrays = {e["name"]: np.array(e["values"], dtype=np.float64).reshape(e["shape"])
+                  for e in doc["tensors"]}
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint {path}: malformed tensors: {e!r}")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint {path}: tensor {name!r} has a non-finite value")
+    meta = doc.get("metadata")
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise DataError(f"checkpoint {path}: missing the model metadata header")
     try:

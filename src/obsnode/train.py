@@ -185,6 +185,9 @@ def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
     return float(np.mean(vals)) if vals else np.nan
 
 
+# A value that overflows is reported once, by the _check_finite that finds it,
+# not also as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
           stats: NormStats | None = None, init_state=None):
     """Fit the model on normalized splits {"train": [...], "val": [...]}.
@@ -226,15 +229,13 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
 
     history = []
     best = (np.inf, {name: t.data.copy() for name, t in params.named_parameters()})
-    n_batches = max(1, int(np.ceil(n / tcfg.batch_size)))
+    n_batches = int(np.ceil(n / tcfg.batch_size))
 
     for epoch in range(tcfg.epochs):
         order = rng.permutation(n)
         epoch_losses, skipped = [], 0
         for bi in range(n_batches):
             idx = np.sort(order[bi * tcfg.batch_size:(bi + 1) * tcfg.batch_size])
-            if idx.size == 0:
-                continue
             if tcfg.decision_sampling == "uniform_random":
                 t_c = grid[int(rng.integers(len(grid)))]
             else:

@@ -1,9 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from obsnode import autodiff as ad
 from obsnode.autodiff import Adam, Tape, Tensor, grad_check
 from obsnode.errors import DataError, NumericError, ShapeMismatch
+from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model, save_model
+from obsnode.train import NormStats
 
 
 def mlp_loss(widths, seed):
@@ -46,10 +53,6 @@ class TestForwardOps:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-    def test_scalar_broadcast(self):
-        out = ad.hadamard(Tensor([1.0, 2.0, 3.0]), Tensor(2.0))
-        np.testing.assert_array_equal(out.data, [2.0, 4.0, 6.0])
 
     def test_forward_deterministic(self):
         x = np.random.default_rng(0).normal(size=(4, 4))
@@ -153,6 +156,93 @@ class TestGradCheck:
         assert grad_check(f, x) < 1e-6
 
 
+def _perfbench_ops():
+    """The op names perfbench's tracer counts (perfbench/tracer.OPS)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.OPS
+
+
+def _array(draw, shape, elements=st.floats(-2.0, 2.0)):
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+# Keeps leaky_relu at least 1e-3 off its kink, where central differences
+# straddle the two slopes.
+OFF_KINK = st.floats(1e-3, 2.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def op_case(draw, name):
+    """(x, f): an input and a function of it through the op `name`, whose
+    other operands and arguments are drawn alongside."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    op = getattr(ad, name)
+    x = _array(draw, (r, c), OFF_KINK if name == "leaky_relu" else st.floats(-2.0, 2.0))
+    first = draw(st.booleans())  # x as the first operand or the second
+    if name in ("add", "sub", "hadamard"):
+        y = Tensor(_array(draw, (r, c)))
+        f = (lambda t: op(t, y)) if first else (lambda t: op(y, t))
+    elif name == "scale":
+        k = draw(st.floats(-3.0, 3.0))
+        f = lambda t: op(t, k)
+    elif name == "matmul":
+        k = draw(st.integers(1, 4))
+        if first:
+            y = Tensor(_array(draw, (c, k)))
+            f = lambda t: op(t, y)
+        else:
+            y = Tensor(_array(draw, (k, r)))
+            f = lambda t: op(y, t)
+    elif name == "concat":
+        axis = draw(st.sampled_from([0, 1, -1]))
+        shape = [r, c]
+        shape[axis] = draw(st.integers(1, 3))
+        y = Tensor(_array(draw, tuple(shape)))
+        f = lambda t: op([t, y] if first else [y, t], axis=axis)
+    elif name == "slice_axis":
+        axis = draw(st.sampled_from([0, 1, -1]))
+        n = (r, c)[axis]
+        start = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(start + 1, n))
+        f = lambda t: op(t, start, stop, axis=axis)
+    elif name == "reshape":
+        shape = draw(st.sampled_from([(c, r), (r * c,), (1, r * c), (r, c, 1)]))
+        f = lambda t: op(t, shape)
+    elif name == "expand":
+        k = draw(st.integers(1, 3))
+        x = x[:1]
+        shape = draw(st.sampled_from([(k, c), (2, k, c)]))
+        f = lambda t: op(t, shape)
+    else:  # the unary ops
+        f = op
+    out_shape = f(Tensor(x)).shape
+    w = Tensor(_array(draw, out_shape))
+    return Tensor(x), lambda t: ad.tsum(ad.hadamard(f(t), w))
+
+
+class TestOpSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("name", _perfbench_ops())
+    def test_op_gradient_matches_finite_differences(self, name, data):
+        x, f = data.draw(op_case(name), label="case")
+        assert grad_check(f, x) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(["add", "sub", "hadamard"]),
+           a=hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+           b=hnp.array_shapes(min_dims=0, max_dims=3, max_side=3))
+    @example(name="hadamard", a=(3,), b=())  # a scalar does not broadcast
+    @example(name="add", a=(), b=(1,))
+    def test_unequal_shapes_raise_naming_the_op(self, name, a, b):
+        assume(a != b)
+        with pytest.raises(ShapeMismatch, match=f"^{name}: "):
+            getattr(ad, name)(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+
 def adam_on(values, grad):
     """An optimizer (lr 1e-3) over one tensor holding `values` whose gradient
     is `grad`."""
@@ -200,28 +290,40 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    """The checkpoint file, written by save_model and read by load_model."""
+
     def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        named = [("w", Tensor(rng.normal(size=(3, 2)))), ("b", Tensor(rng.normal(size=(2,))))]
+        cfg = ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=4, encoder_hidden_dim=4)
+        params = ObsNodeParams(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for t in params.tensors():
+            t.data = rng.normal(size=t.data.shape)
+        stats = NormStats(mean=[1.5, -2.0], std=[0.1, 3.0])
         path = tmp_path / "ckpt.json"
-        ad.save_checkpoint(path, named, metadata={"note": "x"})
-        arrays, meta = ad.load_checkpoint(path)
-        assert meta == {"note": "x"}
-        for name, t in named:
-            np.testing.assert_array_equal(arrays[name], t.data)
+        save_model(path, params, norm_stats=stats)
+        loaded, cfg2, stats2 = load_model(path)
+        assert cfg2 == cfg
+        np.testing.assert_array_equal(stats2.mean, stats.mean)
+        np.testing.assert_array_equal(stats2.std, stats.std)
+        assert [n for n, _ in loaded.named_parameters()] == \
+            [n for n, _ in params.named_parameters()]
+        for (_, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_17_significant_digits(self, tmp_path):
-        v = 1.0 / 3.0
+        params = ObsNodeParams(ObsNodeConfig(d_y=1, m=1, d_a=0),
+                               np.random.default_rng(0))
+        params.b_impute.data[0, 0] = 1.0 / 3.0
         path = tmp_path / "c.json"
-        ad.save_checkpoint(path, [("x", Tensor([v]))], metadata={})
-        text = path.read_text()
-        assert "0.33333333333333331" in text
+        save_model(path, params)
+        assert "0.33333333333333331" in path.read_text()
+        assert load_model(path)[0].b_impute.data[0, 0] == 1.0 / 3.0
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"format_version": 9, "tensors": []}')
-        with pytest.raises(DataError):
-            ad.load_checkpoint(path)
+        with pytest.raises(DataError, match="format_version must be 1"):
+            load_model(path)
 
 
 def test_gradients_match_fd_on_100_random_networks():

@@ -245,11 +245,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("change", [{"horizons": []}, {"t_c_grid": []},
                                         {"horizons": [15.0, -1.0]},
                                         {"t_c_grid": ["30"]},
-                                        {"horizons": [10 ** 400]}],
+                                        {"horizons": [10 ** 400]},
+                                        {"horizons": [15.0, 30.0, 15.0]}],
                              ids=["no_horizons", "no_t_c", "negative_horizon",
-                                  "string_t_c", "huge_horizon"])
+                                  "string_t_c", "huge_horizon", "repeated_horizon"])
     def test_bad_evaluate_grid_is_config_error(self, workspace, tmp_path,
-                                               change, capsys):
+                                               change, capsys, monkeypatch):
+        # rejected before any forecast runs
+        monkeypatch.setattr("obsnode.cli.rmse_grid", None)
         cfg = json.loads((workspace["root"] / "eval.json").read_text())
         cfg.update(change, output_dir=str(tmp_path / "out"))
         assert main(["evaluate", "--config",
@@ -328,6 +331,18 @@ class TestResume:
         b = json.loads((tmp_path / "resumed" / "checkpoint.json").read_text())
         assert a["tensors"] == b["tensors"]
 
+    def test_checkpoint_without_metadata_is_data_error(self, workspace, tmp_path):
+        # a warm start reads the checkpoint as evaluate and forecast do
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        del doc["metadata"]
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        cfg["run_dir"] = str(tmp_path / "resumed")
+        cfg["init_checkpoint"] = write_json(tmp_path / "ck.json", doc)
+        cfg["train"]["epochs"] = 0
+        rc, _, err = run_main(["train", "--config", write_json(tmp_path / "t.json", cfg)])
+        assert rc == 3 and "missing the model metadata header" in err
+        assert not (tmp_path / "resumed").exists()
+
 
 class TestForecast:
     def test_factual_treatments_match_evaluate_predictions(self, workspace,
@@ -361,6 +376,29 @@ class TestForecast:
         got = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         np.testing.assert_array_equal(got[:, 0], qts)
         np.testing.assert_array_equal(got[:, 1:], ref)
+
+    @pytest.mark.parametrize("args", [["--t-c", "nan"], ["--t-c", "inf"],
+                                      ["--t-c", "30", "--horizon", "-5"],
+                                      ["--t-c", "30", "--horizon", "0"],
+                                      ["--t-c", "30", "--horizon", "nan"],
+                                      ["--t-c", "30", "--horizon", "inf"]], ids="=".join)
+    def test_bad_numeric_flag_is_config_error(self, workspace, args):
+        # the flags are checked before the checkpoint or the dataset is read
+        rc, out, err = run_main(["forecast", "--checkpoint", "absent.json",
+                                 "--dataset", "absent", "--unit-id", "0",
+                                 "--treatments", "absent.csv", *args])
+        assert rc == 2
+        assert out == "" and args[-2] in err and "Traceback" not in err
+
+    def test_horizon_without_a_record_time_is_data_error(self, workspace, tmp_path):
+        # records are 3 days apart: (30, 31] holds none of their times
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        rc, _, err = run_main(["forecast", "--checkpoint",
+                               str(workspace["run"] / "checkpoint.json"),
+                               "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                               "--treatments", str(t), "--t-c", "30", "--horizon", "1"])
+        assert rc == 3 and "no forecast times beyond t_c" in err
 
     def test_treatment_csv_roundtrip(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -418,10 +456,10 @@ def test_too_small_int_step_is_config_error(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_diverging_training_is_numeric_error(tmp_path):
     # at learning rate 1e6 most batches blow up after the first Adam step:
-    # train gives up on the epoch as a numeric failure (exit 4)
+    # train gives up on the epoch as a numeric failure (exit 4), reported in
+    # one line and not also as a numpy warning
     sim = write_json(tmp_path / "s.json", {
         "format_version": 1, "kind": "cancer", "output_dir": str(tmp_path / "ds"),
         "params": {"n_patients": 30, "n_cycles": 3, "seed": 1}})
@@ -433,9 +471,12 @@ def test_diverging_training_is_numeric_error(tmp_path):
                   "encoder_hidden_dim": 8},
         "train": {"epochs": 1, "batch_size": 2, "learning_rate": 1e6,
                   "decision_time_grid": [30.0], "t_f": 90.0, "int_step": 3.0}})
-    rc, _, err = run_main(["train", "--config", trn])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run_main(["train", "--config", trn])
     assert rc == 4
-    assert err.startswith("numeric error: epoch 0: ") and "batches diverged" in err
+    assert err.startswith("numeric error: epoch 0: ") and err.count("\n") == 1
+    assert "batches diverged" in err
     assert not (tmp_path / "run").exists()
 
 def run_main(argv):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obsnode import evaluate
 from obsnode.errors import DataError
 from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
                               write_grid_pgm)
@@ -35,13 +36,25 @@ def oracle_predict(trajs):
     return predict
 
 
+@pytest.fixture
+def grid_of(monkeypatch):
+    """rmse_grid(trajs, t_c_grid, horizons) with `predict(record, t_c,
+    query_times)` standing in for the model's forecasts."""
+
+    def grid(trajs, t_c_grid, horizons, predict):
+        monkeypatch.setattr(evaluate, "model_predictor", lambda *_: predict)
+        return rmse_grid(trajs, t_c_grid, horizons, params=None)
+
+    return grid
+
+
 class TestRmseGrid:
-    def test_oracle_predictor_is_zero(self):
+    def test_oracle_predictor_is_zero(self, grid_of):
         trajs, _ = linear_trajs()
-        grid = rmse_grid(trajs, [4.0, 6.0], [2.0, 4.0], predict=oracle_predict(trajs))
+        grid = grid_of(trajs, [4.0, 6.0], [2.0, 4.0], oracle_predict(trajs))
         assert np.nanmax(grid.values) < 1e-10
 
-    def test_mean_predictor_matches_bin_sd_ratio(self):
+    def test_mean_predictor_matches_bin_sd_ratio(self, grid_of):
         trajs, _ = linear_trajs(n=40, seed=2)
         times, = (trajs[0].times,)
         ys = np.stack([tr.y for tr in trajs], axis=1)
@@ -50,29 +63,28 @@ class TestRmseGrid:
         def predict(record, t_c, query_times):
             return np.full((len(query_times),) + record.y.shape[1:], gmean)
 
-        grid = rmse_grid(trajs, [4.0], [2.0], predict=predict)
+        grid = grid_of(trajs, [4.0], [2.0], predict)
         fut = (times > 4.0) & (times <= 6.0)
         bin_rms = np.sqrt(np.mean((ys[fut] - gmean) ** 2))
         expected = bin_rms / ys.std()
         assert abs(grid.values[0, 0, 0] - expected) < 0.15
 
-    def test_deterministic(self):
+    def test_deterministic(self, grid_of):
         trajs, _ = linear_trajs(seed=3, noise_sd=0.1)
         p = oracle_predict(trajs)
-        g1 = rmse_grid(trajs, [4.0], [2.0], predict=p)
-        g2 = rmse_grid(trajs, [4.0], [2.0], predict=p)
+        g1 = grid_of(trajs, [4.0], [2.0], p)
+        g2 = grid_of(trajs, [4.0], [2.0], p)
         np.testing.assert_array_equal(g1.values, g2.values)
 
-    def test_empty_bin_is_nan_not_zero(self):
+    def test_empty_bin_is_nan_not_zero(self, grid_of):
         trajs, _ = linear_trajs(T=6)
         # horizon 10 reaches past the record: second bin (5, 14] has points
         # only up to t=5; bin (15,...] empty
-        grid = rmse_grid(trajs, [4.0], [1.0, 20.0, 30.0],
-                         predict=oracle_predict(trajs))
+        grid = grid_of(trajs, [4.0], [1.0, 20.0, 30.0], oracle_predict(trajs))
         assert grid.counts[0, 2, 0] == 0
         assert np.isnan(grid.values[0, 2, 0])
 
-    def test_matches_bruteforce_recomputation(self):
+    def test_matches_bruteforce_recomputation(self, grid_of):
         trajs, _ = linear_trajs(n=6, seed=4, noise_sd=0.3)
         times = trajs[0].times
         ys = np.stack([tr.y for tr in trajs], axis=1)
@@ -84,7 +96,7 @@ class TestRmseGrid:
             return record.y[sel] + noise[sel]
 
         t_c, hs = 4.0, np.array([2.0, 5.0])
-        grid = rmse_grid(trajs, [t_c], hs, predict=predict)
+        grid = grid_of(trajs, [t_c], hs, predict)
         sd = ys.std()
         lo = [t_c, t_c + 2.0]
         hi = [t_c + 2.0, t_c + 5.0]
@@ -93,7 +105,7 @@ class TestRmseGrid:
             ref = np.sqrt(np.mean(noise[sel] ** 2)) / sd
             assert abs(grid.values[0, k, 0] - ref) < 1e-12
 
-    def test_scaling_invariance(self):
+    def test_scaling_invariance(self, grid_of):
         trajs, _ = linear_trajs(n=6, seed=6)
         rng = np.random.default_rng(7)
         ys = np.stack([tr.y for tr in trajs], axis=1)
@@ -105,13 +117,13 @@ class TestRmseGrid:
                 return record.y[sel] + c * noise[sel]
             return predict
 
-        g1 = rmse_grid(trajs, [4.0], [3.0], predict=make_predict(1.0))
+        g1 = grid_of(trajs, [4.0], [3.0], make_predict(1.0))
         scaled = [Trajectory(unit_id=t.unit_id, times=t.times, y=5.0 * t.y,
                              mask=t.mask, a=t.a) for t in trajs]
-        g2 = rmse_grid(scaled, [4.0], [3.0], predict=make_predict(5.0))
+        g2 = grid_of(scaled, [4.0], [3.0], make_predict(5.0))
         np.testing.assert_allclose(g1.values, g2.values, rtol=1e-12)
 
-    def test_longer_assimilation_helps_linear_system(self):
+    def test_longer_assimilation_helps_linear_system(self, grid_of):
         # least-squares line fit from the seen window: more data, better fit
         trajs, _ = linear_trajs(n=10, seed=8, noise_sd=0.5)
 
@@ -123,7 +135,7 @@ class TestRmseGrid:
                 preds[:, i, 0] = b + c * np.asarray(query_times)
             return preds
 
-        grid = rmse_grid(trajs, [2.0, 5.0, 8.0], [2.0], predict=predict)
+        grid = grid_of(trajs, [2.0, 5.0, 8.0], [2.0], predict)
         vals = grid.values[:, 0, 0]
         assert vals[2] < vals[1] < vals[0]
 

@@ -301,10 +301,11 @@ class TestModelCheckpoint:
         cfg, params = make_model()
         path = tmp_path / "model.json"
         save_model(path, params)
-        arrays, meta = ad.load_checkpoint(path)
-        del arrays["head.W"]
-        with pytest.raises(DataError):
-            params.load_state(arrays)
+        doc = json.loads(path.read_text())
+        doc["tensors"] = [e for e in doc["tensors"] if e["name"] != "head.W"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="missing tensor 'head.W'"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("key,value", [

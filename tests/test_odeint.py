@@ -173,7 +173,7 @@ class TestAdjoint:
         control = ControlPath(np.array([0.0, 0.7]), np.array([[0.3], [-0.6]]))
 
         def field(z, a, p):
-            return ad.add(ad.tanh(z), a)
+            return ad.add(ad.tanh(z), ad.expand(a, z.shape))
 
         def f(z0):
             (zT,) = integrate(field, z0, control, 0.0, 1.5, cfg, [1.5])
