@@ -316,8 +316,9 @@ def square(a):
 # ---------------------------------------------------------------------------
 
 def grad_check(f, x: Tensor) -> float:
-    """Max relative error between tape gradients of f and central differences
-    with step 1e-5.
+    """Max relative error between the tape gradient of the scalar ``f()``
+    with respect to x, which f reads and which is perturbed in place, and
+    central differences with step 1e-5.
 
     Relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
     """
@@ -326,7 +327,7 @@ def grad_check(f, x: Tensor) -> float:
     prev = x.requires_grad
     x.requires_grad = True
     with Tape() as tape:
-        tape.backward(f(x))
+        tape.backward(f())
     x.requires_grad = prev
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
     x.zero_grad()
@@ -337,9 +338,9 @@ def grad_check(f, x: Tensor) -> float:
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = float(f(x).data)
+        fp = float(f().data)
         flat[i] = orig - h
-        fm = float(f(x).data)
+        fm = float(f().data)
         flat[i] = orig
         _check_finite("grad_check", fp, fm)
         nflat[i] = (fp - fm) / (2.0 * h)

@@ -23,18 +23,20 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, grad_check
+from .autodiff import grad_check
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import raw_forecast, rmse_grid, write_grid_csv, write_grid_pgm
 from .identify import (adjustment_estimate, interventional_truth,
                        linear_gaussian_refinement, nonidentifiability_witness,
                        random_observable_scm, random_query)
-from .model import ObsNodeConfig, load_model, window
-from .odeint import ControlPath
+from .model import (History, ObsNodeConfig, ObsNodeParams, load_model,
+                    param_shapes, window)
+from .odeint import METHODS, ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, SemiSynthConfig,
                        generate_cancer_dataset, generate_semi_synthetic,
                        read_dataset, write_dataset)
-from .train import TrainConfig, stack_units, train, zscore_apply, zscore_fit
+from .train import (TrainConfig, _batch_loss, stack_units, train, zscore_apply,
+                    zscore_fit)
 
 FORMAT_VERSION = 1
 
@@ -154,7 +156,12 @@ def cmd_train(args):
     normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
     init_state = None
     if "init_checkpoint" in cfg:
-        init, _, _ = load_model(cfg["init_checkpoint"])
+        init, init_cfg, _ = load_model(cfg["init_checkpoint"])
+        ours, theirs = dataclasses.asdict(model_cfg), dataclasses.asdict(init_cfg)
+        differ = [k for k in ours if ours[k] != theirs[k]]
+        if differ:
+            raise ConfigError(f"model fields {differ} differ from those of the "
+                              f"init_checkpoint {cfg['init_checkpoint']}")
         init_state = {name: t.data for name, t in init.named_parameters()}
     params, history = train(model_cfg, normed, tcfg, run_dir=cfg["run_dir"],
                             stats=stats, init_state=init_state)
@@ -170,10 +177,11 @@ def cmd_evaluate(args):
                 "t_c_grid": list[float], "horizons": list[float]}
     cfg = load_json_config(args.config,
                            dict(required, split=str, heatmap=bool), required)
-    hs = cfg["horizons"]
-    if not cfg["t_c_grid"] or not hs or min(hs) <= 0 or len(set(hs)) < len(hs):
-        raise ConfigError("t_c_grid and horizons must be nonempty lists, "
-                          "horizons positive and distinct")
+    ts, hs = cfg["t_c_grid"], cfg["horizons"]
+    if (not ts or not hs or min(hs) <= 0 or len(set(ts)) < len(ts)
+            or len(set(hs)) < len(hs)):
+        raise ConfigError("t_c_grid and horizons must be nonempty lists of "
+                          "distinct values, horizons positive")
     splits, _ = read_dataset(cfg["dataset_dir"])
     split = cfg.get("split", "test")
     if split not in splits:
@@ -299,29 +307,29 @@ def cmd_verify_identification(args):
 
 
 def cmd_gradcheck(args):
+    """Tape gradients of the training loss against central differences for
+    every parameter of small random long-horizon models, all redrawn so that
+    no zero output layer hides a gradient, on batches with missing entries."""
     if args.n < 1 or not 0 < args.tol < np.inf or args.seed < 0:
         raise ConfigError("--n must be >= 1, --tol finite and positive, --seed >= 0")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for trial in range(args.n):
-        widths = ([int(rng.integers(2, 6)) for _ in range(int(rng.integers(2, 4)))]
-                  + [1])
-        wrng = np.random.default_rng(trial)
-        weights = [Tensor(wrng.normal(0, 1 / np.sqrt(a), size=(a, b)))
-                   for a, b in zip(widths[:-1], widths[1:])]
-        biases = [Tensor(wrng.normal(0, 0.1, size=(1, b))) for b in widths[1:]]
-
-        def f(x):
-            h = x
-            for i, (W, b) in enumerate(zip(weights, biases)):
-                h = ad.add(ad.matmul(h, W),
-                           ad.expand(b, (h.data.shape[0], W.data.shape[1])))
-                if i < len(weights) - 1:
-                    h = ad.tanh(h)
-            return ad.tmean(h)
-
-        x = Tensor(rng.normal(size=(2, widths[0])))
-        worst = max(worst, grad_check(f, x))
+        d_y, m, d_a, n, hidden, layers, enc = (int(rng.integers(lo, hi)) for lo, hi in (
+            (1, 3), (1, 4), (0, 3), (2, 4), (2, 4), (0, 3), (2, 4)))
+        cfg = ObsNodeConfig(d_y, m, d_a, hidden, layers,
+                            list(ad.ACTIVATIONS)[trial % len(ad.ACTIVATIONS)], enc,
+                            treatment_scale=(rng.uniform(0.5, 2.0, d_a)
+                                             if rng.random() < 0.5 else None))
+        params = ObsNodeParams(cfg, rng)
+        params.load_state({k: rng.normal(0.0, 0.5, s) for k, s in param_shapes(cfg)})
+        times = np.cumsum(rng.uniform(0.5, 1.0, 4))
+        record = History(times, rng.normal(size=(4, n, d_y)),
+                         rng.random((4, n, d_y)) < 0.7, rng.normal(size=(4, n, d_a)))
+        t_c = times[int(rng.integers(0, 3))]
+        int_cfg = IntegrationConfig(METHODS[int(rng.integers(2))], step_size=1.0)
+        loss = lambda: _batch_loss(record, t_c, params, np.ones(d_y), int_cfg)
+        worst = max([worst] + [grad_check(loss, t) for t in params.tensors()])
     print(f"networks: {args.n}")
     print(f"max_relative_error: {worst:.3e}")
     ok = worst < args.tol

@@ -60,17 +60,6 @@ def raw_forecast(record: History, t_c, query_times, params,
     return zscore_invert(out, stats) if stats is not None else out
 
 
-def model_predictor(params, stats: NormStats | None, int_cfg: IntegrationConfig | None):
-    """`predict(record, t_c, query_times)`: encode the normalized history of
-    the stacked units `record`, roll the model forward under the factual
-    treatments, and invert the normalization; (len(query_times), n, d_y)."""
-
-    def predict(record, t_c, query_times):
-        return raw_forecast(record, t_c, query_times, params, stats, int_cfg)
-
-    return predict
-
-
 def _test_scale(y, mask):
     """Per-component standard deviation of the observed entries of a stacked
     (T, n, d_y) outcome array: the divisor of every scaled RMSE."""
@@ -101,12 +90,11 @@ def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
 def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
               int_cfg=None) -> RmseGrid:
     """Scaled RMSE per (assimilation time, horizon bin, component) of the
-    forecasts of :func:`model_predictor`. The horizon bin for s_k collects
+    forecasts of :func:`raw_forecast`. The horizon bin for s_k collects
     observed points in (t_c + s_{k-1}, t_c + s_k].
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
-    predict = model_predictor(params, stats, int_cfg)
 
     record = stack_units(test_trajs)
     d_y = record.y.shape[2]
@@ -119,7 +107,7 @@ def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
         if not fut.any() or not past.any():
             continue
         qts = record.times[fut]
-        preds = predict(record, float(t_c), qts)
+        preds = raw_forecast(record, float(t_c), qts, params, stats, int_cfg)
         values[i], counts[i] = _binned_rmse(qts, preds, record.y[fut],
                                             record.mask[fut], t_c, horizons,
                                             scale)

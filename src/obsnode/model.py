@@ -366,7 +366,9 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     is covered in chunks, one in long-horizon mode: in recursive rollout mode
     each chunk's predictions are appended to the history as pseudo-observations
     (mask all ones) together with the applied treatments, the encoder is
-    re-run, and the next chunk starts from the refreshed state.
+    re-run, and the next chunk starts from the refreshed state. The
+    pseudo-observations enter that re-encode as constants: the tape gradient
+    does not flow through them into the earlier chunks' predictions.
     """
     cfg = params.cfg
     recursive = cfg.rollout_mode == "recursive"

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obsnode import model as model_mod
 from obsnode.cli import main, read_treatment_csv
-from obsnode.evaluate import model_predictor
+from obsnode.evaluate import raw_forecast
 from obsnode.model import ObsNodeConfig, load_model, window
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
@@ -246,9 +247,11 @@ class TestExitCodes:
                                         {"horizons": [15.0, -1.0]},
                                         {"t_c_grid": ["30"]},
                                         {"horizons": [10 ** 400]},
-                                        {"horizons": [15.0, 30.0, 15.0]}],
+                                        {"horizons": [15.0, 30.0, 15.0]},
+                                        {"t_c_grid": [30.0, 30.0]}],
                              ids=["no_horizons", "no_t_c", "negative_horizon",
-                                  "string_t_c", "huge_horizon", "repeated_horizon"])
+                                  "string_t_c", "huge_horizon", "repeated_horizon",
+                                  "repeated_t_c"])
     def test_bad_evaluate_grid_is_config_error(self, workspace, tmp_path,
                                                change, capsys, monkeypatch):
         # rejected before any forecast runs
@@ -331,6 +334,21 @@ class TestResume:
         b = json.loads((tmp_path / "resumed" / "checkpoint.json").read_text())
         assert a["tensors"] == b["tensors"]
 
+    @pytest.mark.parametrize("change", [{"phi_activation": "tanh"},
+                                        {"phi_activation": "tanh",
+                                         "treatment_scale": [1.0, 2.0]}],
+                             ids=["activation", "activation_and_scale"])
+    def test_checkpoint_of_another_model_is_config_error(self, workspace, tmp_path,
+                                                         change):
+        # the workspace checkpoint is a leakyrelu model without treatment_scale
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        cfg["run_dir"] = str(tmp_path / "resumed")
+        cfg["init_checkpoint"] = str(workspace["run"] / "checkpoint.json")
+        cfg["model"].update(change)
+        rc, _, err = run_main(["train", "--config", write_json(tmp_path / "t.json", cfg)])
+        assert rc == 2 and str(sorted(change)) in err
+        assert not (tmp_path / "resumed").exists()
+
     def test_checkpoint_without_metadata_is_data_error(self, workspace, tmp_path):
         # a warm start reads the checkpoint as evaluate and forecast do
         doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
@@ -366,10 +384,10 @@ class TestForecast:
 
         params, mcfg, stats = load_model(workspace["run"] / "checkpoint.json")
         step = float(np.min(np.diff(unit.times))) / 4.0
-        predict = model_predictor(params, stats, IntegrationConfig(step_size=step))
         record = stack_units([unit])
         qts = record.times[window(record.times, t_c)[1]]
-        ref = predict(record, t_c, qts)[:, 0, :]
+        ref = raw_forecast(record, t_c, qts, params, stats,
+                           IntegrationConfig(step_size=step))[:, 0, :]
 
         lines = out.read_text().splitlines()
         assert lines[0] == "time,component_1,component_2"
@@ -429,6 +447,13 @@ class TestGradcheck:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_fails_when_a_bias_gradient_is_not_summed_over_units(self, monkeypatch,
+                                                                 capsys):
+        # the fused nodes' bias and b_impute gradients keep the first unit's row
+        monkeypatch.setattr(model_mod, "_unit_sum", lambda g: g[:1])
+        assert main(["gradcheck", "--n", "3"]) == 4
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
     @pytest.mark.parametrize("args", [["--n", "0"], ["--n", "-3"], ["--tol", "nan"],
                                       ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0"],

@@ -42,7 +42,8 @@ def grid_of(monkeypatch):
     query_times)` standing in for the model's forecasts."""
 
     def grid(trajs, t_c_grid, horizons, predict):
-        monkeypatch.setattr(evaluate, "model_predictor", lambda *_: predict)
+        monkeypatch.setattr(evaluate, "raw_forecast",
+                            lambda record, t_c, qts, *_: predict(record, t_c, qts))
         return rmse_grid(trajs, t_c_grid, horizons, params=None)
 
     return grid

@@ -8,9 +8,10 @@ from obsnode import model as model_mod
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
-                           emit, encode, forecast, load_model, save_model,
-                           triangular_rhs, window)
+                           emit, encode, forecast, load_model, param_shapes,
+                           save_model, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
+from obsnode.train import _batch_loss
 from support import observability_probe
 
 
@@ -130,10 +131,10 @@ class TestEmitImpute:
         for t in params.tensors():
             t.data = rng.normal(0.0, 0.5, size=t.data.shape)
         hist = make_history(cfg, T=4, n=3, seed=2)
-        f = lambda b: ad.tsum(ad.square(encode(hist, params).z))
+        f = lambda: ad.tsum(ad.square(encode(hist, params).z))
         assert grad_check(f, params.b_impute) < 1e-8
         with ad.Tape() as tape:
-            tape.backward(f(params.b_impute))
+            tape.backward(f())
         assert np.abs(params.b_impute.grad).min() > 1e-3
 
     def test_impute_gradient_is_zero_when_fully_observed(self):
@@ -220,7 +221,7 @@ class TestForecast:
 
         for slot in (enc_slot, phi_slot):
             x = Tensor(slot().data.copy())
-            assert grad_check(lambda t: loss_with(t, slot), x) < 1e-4
+            assert grad_check(lambda: loss_with(x, slot), x) < 1e-4
 
     def test_recursive_needs_history(self):
         cfg, params = make_model(d_y=1, m=2, d_a=1, rollout_mode="recursive")
@@ -261,6 +262,39 @@ class TestForecast:
                        params, int_cfg)
         for r, l in zip(rec, lng):
             np.testing.assert_allclose(r.data, l.data, rtol=0, atol=1e-9)
+
+    def test_recursive_gradient_holds_pseudo_observations_constant(self, monkeypatch):
+        # the tape treats each chunk's pseudo-observations as constants: its
+        # gradient is the finite difference taken with them held at their
+        # unperturbed values, and differs from the one that lets them move
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, phi_layers=1,
+                            encoder_hidden_dim=3, rollout_mode="recursive",
+                            recursive_chunk=0.7)
+        rng = np.random.default_rng(3)
+        params = ObsNodeParams(cfg, rng)
+        params.load_state({k: rng.normal(0.0, 0.5, s)
+                           for k, s in param_shapes(cfg)})
+        hist = make_history(cfg, T=4, n=2, seed=3)
+        int_cfg = IntegrationConfig(method="rk4", step_size=0.5)
+        real, held, replay = History.extended, [], iter(())
+
+        def extended(self, times, y, mask, a):
+            # the first run records each chunk's pseudo-observations, later
+            # runs reuse them
+            y_held = next(replay, None)
+            if y_held is None:
+                held.append(y)
+            return real(self, times, y if y_held is None else y_held, mask, a)
+
+        def loss():
+            nonlocal replay
+            replay = iter(held[:])
+            return _batch_loss(hist, hist.times[0], params, np.ones(1), int_cfg)
+
+        free = max(grad_check(loss, t) for t in params.tensors())
+        monkeypatch.setattr(History, "extended", extended)
+        assert max(grad_check(loss, t) for t in params.tensors()) < 1e-8
+        assert held and free > 1e-4
 
 
 class TestObservabilityProbe:
