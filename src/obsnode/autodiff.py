@@ -263,7 +263,7 @@ def _sigmoid(x):
 
 
 def _leaky_relu(x):
-    return np.where(x >= 0, x, LEAKY_RELU_SLOPE * x)
+    return np.maximum(x, LEAKY_RELU_SLOPE * x)
 
 
 # Activations on plain arrays: name -> (forward(x), vjp(g, x, y)), where y is
@@ -273,7 +273,7 @@ ACTIVATIONS = {
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
     "leakyrelu": (_leaky_relu,
-                  lambda g, x, y: g * np.where(x >= 0, 1.0, LEAKY_RELU_SLOPE)),
+                  lambda g, x, y: np.where(x >= 0, g, LEAKY_RELU_SLOPE * g)),
 }
 
 

@@ -206,76 +206,128 @@ def _affine_vjp(g, x, W, b=None):
     return g @ W.data.T
 
 
-def triangular_rhs(z, a, params: ObsNodeParams):
-    """Vector field of the triangular normal form; z (n, d_z). The control a
-    is a constant, (n, d_a), (1, d_a) or the (d_a,) row of a
-    single-trajectory control path; one that requires grad raises ValueError.
+def stack_field(params: ObsNodeParams):
+    """The vector field of the triangular normal form as (field, tensors)
+    in the field protocol of :func:`~obsnode.odeint.integrate`. The m
+    phi-blocks are one masked MLP (MADE, Germain et al., 2015) on [z, ctrl]:
+    block i's first-layer columns read z^(1..i) and the control, the later
+    layers are block-diagonal, and the masked weights are exact zeros.
 
-    Computed on plain arrays and recorded as one tape node. Its backward pass
-    replays the graph of autodiff ops that the field is built from, with the
-    same arithmetic and the same order of gradient accumulation, so values
-    and gradients equal that graph's bit for bit. A non-finite input or
-    output raises NumericError.
+    `tensors`, the stacked weights (first layer's z rows, control rows when
+    d_a > 0, bias; then weight and bias per later layer), are assembled by
+    one tape node whose backward pass scatters their gradients, zero-padded,
+    back to the per-block tensors. Binding a control computes its scaling
+    and first-layer term once.
     """
+    cfg = params.cfg
+    d_y, m, d_a = cfg.d_y, cfg.m, cfg.d_a
+    widths = [cfg.phi_hidden_dim] * cfg.phi_layers + [d_y]
+    # (stacked shape, pieces); a piece copies rows `src` of a block tensor to
+    # rows `rows`, columns `cols` of the stacked array
+    specs = []
+    for l, w in enumerate(widths):
+        cols = [slice(i * w, (i + 1) * w) for i in range(m)]
+        Ws = [(params.phi[i][l][0], i, c) for i, c in enumerate(cols)]
+        if l == 0:
+            specs.append(((cfg.d_z, m * w), [(W, slice(0, (i + 1) * d_y),
+                                              slice(0, (i + 1) * d_y), c) for W, i, c in Ws]))
+            if d_a:
+                specs.append(((d_a, m * w), [(W, slice((i + 1) * d_y, None), slice(None), c)
+                                             for W, i, c in Ws]))
+        else:
+            v = widths[l - 1]
+            specs.append(((m * v, m * w), [(W, slice(None), slice(i * v, (i + 1) * v), c)
+                                           for W, i, c in Ws]))
+        specs.append(((1, m * w), [(params.phi[i][l][1], slice(None), slice(None), c)
+                                   for i, c in enumerate(cols)]))
+    tensors = []
+    for shape, pieces in specs:
+        stacked = np.zeros(shape)
+        for t, src, rows, cols in pieces:
+            stacked[rows, cols] = t.data[src]
+        tensors.append(Tensor(stacked))
+
+    def scatter(g):
+        for grad, (_, pieces) in zip([g] + [t.grad for t in tensors[1:]], specs):
+            for t, src, rows, cols in pieces:
+                if t.requires_grad:
+                    full = np.zeros_like(t.data)
+                    full[src] = grad[rows, cols]
+                    ad._accum(t, full)
+
+    # every use of the field accumulates into the first stacked tensor, so
+    # the node's backward pass runs whenever any of them has a gradient
+    ad._record(tensors[0], [t for _, pieces in specs for t, *_ in pieces], scatter)
+    for t in tensors[1:]:
+        t.requires_grad = tensors[0].requires_grad
+    it = iter(tensors)
+    W0z, W0c, b0 = next(it), next(it) if d_a else None, next(it)
+    later = list(zip(it, it))
+    act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
+    inv_scale = None if cfg.treatment_scale is None else 1.0 / np.asarray(cfg.treatment_scale)
+
+    def field(a):
+        ctrl = np.atleast_2d(a)
+        if inv_scale is not None:
+            ctrl = ctrl * inv_scale
+        c = ctrl @ W0c.data + b0.data if d_a else b0.data
+
+        def f(z):
+            pre = z @ W0z.data + c
+            cache = []  # (pre-activation, activation) per hidden layer
+            for W, b in later:
+                y = act(pre)
+                cache.append((pre, y))
+                pre = y @ W.data + b.data
+            pre[:, :-d_y] += z[:, d_y:]  # the integrator chain
+
+            def vjp(g):
+                gpre = g
+                for (W, b), (pre_l, y) in zip(reversed(later), reversed(cache)):
+                    gpre = act_vjp(_affine_vjp(gpre, y, W, b), pre_l, y)
+                gc = _unit_sum(gpre) if len(c) == 1 else gpre
+                if b0.requires_grad:
+                    ad._accum(b0, _unit_sum(gc))
+                if d_a and W0c.requires_grad:
+                    ad._accum(W0c, ctrl.T @ gc)
+                chain = np.zeros_like(g)
+                chain[:, d_y:] = g[:, :-d_y]
+                return _affine_vjp(gpre, z, W0z) + chain
+
+            return pre, vjp
+
+        return f
+
+    return field, tensors
+
+
+def triangular_rhs(z, a, params: ObsNodeParams):
+    """The field of :func:`stack_field` at the Tensor state z (n, d_z) under
+    the constant control a, (n, d_a), (1, d_a) or the (d_a,) row of a
+    single-trajectory control path (one that requires grad raises
+    ValueError), recorded as the assembly node and one node of its own. A
+    non-finite input or output raises NumericError. The solver does not
+    call it."""
     cfg = params.cfg
     if a.requires_grad:
         raise ValueError("triangular_rhs: the control is a constant and cannot require grad")
     if z.data.shape[1] != cfg.d_z:
         raise ValueError(f"triangular_rhs: state dim {z.data.shape[1]} != {cfg.d_z}")
-    d_y, m, d_a = cfg.d_y, cfg.m, cfg.d_a
-    zd = z.data
-    ctrl = a.data  # broadcast as a view, in expand's layout: BLAS rounds by layout
-    if ctrl.shape != (zd.shape[0], d_a):
-        try:
-            ctrl = np.broadcast_to(ctrl, (zd.shape[0], d_a))
-        except ValueError:
-            raise ShapeMismatch("triangular_rhs", z.shape, a.shape)
-    if cfg.treatment_scale is not None and d_a:
-        ctrl = ctrl * (1.0 / np.asarray(cfg.treatment_scale))
-    ad._check_finite("triangular_rhs", zd, ctrl)
-    act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
-    phi_layers = [tuple(layers) for layers in params.phi]
-    blocks, caches = [], []
-    for i, layers in enumerate(phi_layers, start=1):
-        x = zd[:, :i * d_y]
-        if d_a:
-            x = np.concatenate([x, ctrl], axis=1)
-        cache = []  # (layer input, pre-activation, activation) per hidden layer
-        for W, b in layers[:-1]:
-            pre = x @ W.data + b.data
-            y = act(pre)
-            cache.append((x, pre, y))
-            x = y
-        W, b = layers[-1]
-        phi = x @ W.data + b.data
-        blocks.append(zd[:, i * d_y:(i + 1) * d_y] + phi if i < m else phi)
-        caches.append((cache, x))
-    out = np.concatenate(blocks, axis=1)
+    try:
+        np.broadcast_to(a.data, (z.data.shape[0], cfg.d_a))
+    except ValueError:
+        raise ShapeMismatch("triangular_rhs", z.shape, a.shape)
+    ad._check_finite("triangular_rhs", z.data, a.data)
+    field, tensors = stack_field(params)
+    out, vjp = field(a.data)(z.data)
     ad._check_finite("triangular_rhs", out)
 
     def backward(g):
-        # Reverse op order: block m first; within block i, the state slice
-        # feeding the integrator chain, then the MLP, then the block input.
-        for i in range(m, 0, -1):
-            # a contiguous copy, as in the op graph, so reductions see the
-            # same memory layout
-            g_blk = g[:, (i - 1) * d_y:i * d_y].copy()
-            if i < m and z.requires_grad:
-                full = np.zeros_like(zd)
-                full[:, i * d_y:(i + 1) * d_y] = g_blk
-                ad._accum(z, full)
-            layers = phi_layers[i - 1]
-            cache, x_last = caches[i - 1]
-            gx = _affine_vjp(g_blk, x_last, *layers[-1])
-            for (W, b), (x, pre, y) in zip(reversed(layers[:-1]), reversed(cache)):
-                gx = _affine_vjp(act_vjp(gx, pre, y), x, W, b)
-            if z.requires_grad:
-                full = np.zeros_like(zd)
-                full[:, :i * d_y] = gx[:, :i * d_y]
-                ad._accum(z, full)
+        gz = vjp(g)
+        if z.requires_grad:
+            ad._accum(z, gz)
 
-    inputs = [z] + [t for layers in phi_layers for W, b in layers for t in (W, b)]
-    return ad._record(Tensor(out), inputs, backward)
+    return ad._record(Tensor(out), [z, *tensors], backward)
 
 
 def emit(z, cfg: ObsNodeConfig):
@@ -288,8 +340,11 @@ def emit(z, cfg: ObsNodeConfig):
 def _gru_step(x, unobs, h, b_impute, enc):
     """One gated recurrent update on the input row x (n, 2 d_y + d_a + 1), whose
     first d_y columns are y imputed with b_impute where `unobs` (n, d_y) is 1.
-    Computed on plain arrays and recorded as one tape node under the same
-    contract as :func:`triangular_rhs`; b_impute gets those columns' gradient."""
+    Computed on plain arrays and recorded as one tape node whose backward
+    pass replays the graph of autodiff ops the cell is built from, with the
+    same arithmetic and the same order of gradient accumulation, so values
+    and gradients equal that graph's bit for bit; b_impute gets those
+    columns' gradient. A non-finite input or output raises NumericError."""
     Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh = (
         enc[k] for k in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wh", "Uh", "bh"))
     hd = h.data
@@ -368,21 +423,23 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     (mask all ones) together with the applied treatments, the encoder is
     re-run, and the next chunk starts from the refreshed state. The
     pseudo-observations enter that re-encode as constants: the tape gradient
-    does not flow through them into the earlier chunks' predictions.
+    does not flow through them into the earlier chunks' predictions. The
+    stacked field (:func:`stack_field`) is assembled once per call.
     """
     cfg = params.cfg
     recursive = cfg.rollout_mode == "recursive"
     if recursive and history is None:
         raise ValueError("forecast: recursive rollout needs the encoding history")
     chunk = cfg.recursive_chunk if recursive else np.inf
+    field, tensors = stack_field(params)
     preds = []
     remaining = [float(t) for t in sorted(query_times)]
     while remaining:
         chunk_end = min(state.t + chunk, remaining[-1])
         qs = [q for q in remaining if q <= chunk_end + 1e-12]
         step_queries = sorted(set(qs + [chunk_end]))
-        states = integrate(triangular_rhs, state.z, control, state.t, chunk_end, int_cfg,
-                           step_queries, params)
+        states = integrate(field, state.z, control, state.t, chunk_end, int_cfg,
+                           step_queries, tensors)
         by_time = dict(zip(step_queries, states))
         preds.extend(emit(by_time[q], cfg) for q in qs)
         remaining = remaining[len(qs):]

@@ -3,8 +3,8 @@
 Controls are piecewise constant. Step boundaries are aligned so that every
 control knot and every query time falls exactly on a boundary (local step
 shortening only), so query values never come from interpolation. When states
-or parameters require grad, every step is recorded on the active tape and
-gradients flow back through the solver (discrete adjoint).
+or parameters require grad, every step is recorded on the active tape as one
+node and gradients flow back through the solver (discrete adjoint).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 
 
 @dataclass
@@ -92,6 +92,9 @@ def _step_boundaries(t0, t1, control, query_times, cfg):
 
 
 def _rk4_step(field, z, a, params, dt):
+    """One RK4 step of the Tensor field ``field(z, a, params)`` as a graph of
+    autodiff ops. The solver does not call it: :func:`integrate` records each
+    step as one node (:func:`_step`)."""
     k1 = field(z, a, params)
     k2 = field(ad.add(z, ad.scale(k1, dt / 2.0)), a, params)
     k3 = field(ad.add(z, ad.scale(k2, dt / 2.0)), a, params)
@@ -100,17 +103,57 @@ def _rk4_step(field, z, a, params, dt):
     return ad.add(z, ad.scale(incr, dt / 6.0))
 
 
-def _euler_step(field, z, a, params, dt):
-    return ad.add(z, ad.scale(field(z, a, params), dt))
+def _step(f, z, h, rk4, params, t):
+    """One Euler or RK4 step of size h from the Tensor z with the bound field
+    f, recorded as one tape node whose inputs are z and `params`; t, the
+    step's end time, names it in errors. The forward pass runs the stages
+    on arrays and scans the new state once for finiteness. The backward
+    pass runs the stages' VJPs in reverse
+    (discretise-then-optimise: Kidger 2022, *On Neural Differential
+    Equations*, section 5), and a non-finite state gradient raises
+    NumericError there."""
+    zd = z.data
+    k1, v1 = f(zd)
+    if rk4:
+        k2, v2 = f(zd + k1 * (h / 2.0))
+        k3, v3 = f(zd + k2 * (h / 2.0))
+        k4, v4 = f(zd + k3 * h)
+        out = zd + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
+    else:
+        out = zd + k1 * h
+    if out.shape != zd.shape:
+        raise ShapeMismatch("integrate: the field's value", out.shape, zd.shape)
+    ad._check_finite(f"integrate: the state at t={t}", out)
+
+    def backward(g):
+        if rk4:
+            # g1 reaches k1 and k4 through the update, g2 reaches k2 and k3;
+            # s_i is the gradient at the input of stage i
+            g1 = g * (h / 6.0)
+            g2 = g1 * 2.0
+            s4 = v4(g1)
+            s3 = v3(g2 + s4 * h)
+            s2 = v2(g2 + s3 * (h / 2.0))
+            gz = g + v1(g1 + s2 * (h / 2.0)) + s2 + s3 + s4
+        else:
+            gz = g + v1(g * h)
+        ad._check_finite(f"integrate: the state gradient at t={t}", gz)
+        if z.requires_grad:
+            ad._accum(z, gz)
+
+    return ad._record(Tensor(out), (z, *params), backward)
 
 
 def integrate(field, z0, control: ControlPath, t0, t1,
-              cfg: IntegrationConfig, query_times, params=None):
-    """Integrate ``dz/dt = field(z, a_t, params)`` from the Tensor z0 and
-    return the states at `query_times` (list of Tensors, same shape as z0).
+              cfg: IntegrationConfig, query_times, params=()):
+    """Integrate ``dz/dt = f(z)`` from the Tensor z0 and return the states at
+    `query_times` (list of Tensors, same shape as z0).
 
-    `a_t` is the constant control value on the current step, wrapped as a
-    Tensor; `params` is passed through to the field untouched.
+    ``field(a)`` binds the control value a on a step (a row of
+    ``control.knot_values``) and returns f. f maps a state array to
+    ``(dz/dt, vjp)``; vjp maps a gradient of dz/dt to the gradient of the
+    state and accumulates into the gradients of `params`, the Tensors the
+    field reads. Each step is one tape node (:func:`_step`).
     """
     t0, t1 = float(t0), float(t1)
     if t1 < t0:
@@ -124,7 +167,7 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     query_times = [max(qt, t0) for qt in query_times]
 
     z = z0
-    step = _rk4_step if cfg.method == "rk4" else _euler_step
+    rk4 = cfg.method == "rk4"
     edges = _step_boundaries(t0, t1, control, query_times, cfg)
 
     out = {}
@@ -136,9 +179,6 @@ def integrate(field, z0, control: ControlPath, t0, t1,
 
     note(edges[0], z)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        a = Tensor(control.value_at(lo))
-        z = step(field, z, a, params, hi - lo)
-        ad._check_finite(f"integrate: the state at t={hi}", z.data)
+        z = _step(field(control.value_at(lo)), z, hi - lo, rk4, params, hi)
         note(hi, z)
     return [out[qt] for qt in query_times]
-

@@ -13,7 +13,7 @@ from obsnode.autodiff import Tensor
 from obsnode.errors import DataError
 from obsnode.evaluate import RmseGrid, _binned_rmse, _test_scale, raw_forecast
 from obsnode.identify import DiscreteScm, InterventionQuery, _query_axes, _reduce, enumerate_joint
-from obsnode.model import ObsNodeParams, emit, triangular_rhs, window
+from obsnode.model import ObsNodeParams, emit, stack_field, window
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
@@ -49,7 +49,7 @@ def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
     if int_cfg is None:
         int_cfg = IntegrationConfig(method="rk4", step_size=horizon / max(n_samples, 1))
     times = np.linspace(0.0, horizon, n_samples + 1)[1:]
-    field = lambda z, a, _p: triangular_rhs(z, a, params)
+    field, _ = stack_field(params)
     best = np.inf
     for zeta, eta in z_pairs:
         zeta = np.asarray(zeta, dtype=np.float64).reshape(1, -1)

@@ -104,8 +104,9 @@ class TestAutodiffSweep:
 
 
 class TestIntegrator:
-    def decay(self, z, a, p):
-        return ad.scale(z, -1.0)
+    @staticmethod
+    def decay(a):
+        return lambda z: (-z, lambda g: -g)
 
     def test_rk4_order(self):
         cfg = IntegrationConfig(method="rk4", step_size=0.2)

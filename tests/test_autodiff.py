@@ -44,6 +44,25 @@ class TestForwardOps:
         # direct evaluation of max(x, 0.01 x) at x = -2
         assert ad.leaky_relu(Tensor([-2.0])).data[0] == pytest.approx(-0.02, abs=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(
+               allow_nan=False, allow_infinity=False, allow_subnormal=True)),
+           g=hnp.arrays(np.float64, 8, elements=st.floats(
+               allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+    @example(x=np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                         np.finfo(float).max, -np.finfo(float).max]),
+             g=np.array([1.0, -1.0, -0.0, 0.0, 5e-324, -5e-324,
+                         np.finfo(float).max, -np.finfo(float).max]))
+    def test_leaky_relu_matches_its_select_form_bitwise(self, x, g):
+        # max(x, slope x) and the select of the slope on g against the
+        # np.where / multiply forms, signed zeros and subnormals included
+        fwd, vjp = ad.ACTIVATIONS["leakyrelu"]
+        g = g[:x.size]
+        slope = ad.LEAKY_RELU_SLOPE
+        assert fwd(x).tobytes() == np.where(x >= 0, x, slope * x).tobytes()
+        assert (vjp(g, x, fwd(x)).tobytes()
+                == (g * np.where(x >= 0, 1.0, slope)).tobytes())
+
     def test_shape_mismatch_names_operation(self):
         with pytest.raises(ShapeMismatch) as e:
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))

@@ -1,11 +1,13 @@
-"""The fused tape nodes of the model (the triangular vector field and the GRU
-cell) and the encoder against the same computations written as graphs of
-autodiff ops.
+"""The fused tape nodes of the model (the stacked triangular vector field, the
+solver step and the GRU cell) and the encoder against the same computations
+written as graphs of autodiff ops.
 
-The fused nodes promise bitwise equality with these graphs: the same forward
-values and the same gradients, accumulated in the same order, for every
-input that requires grad. The data they take (the control, the GRU input
-row and its mask) are plain constants.
+The field and the GRU cell promise bitwise equality with these graphs: the
+same forward values and the same gradients, accumulated in the same order,
+for every input that requires grad. The data they take (the control, the
+GRU input row and its mask) are plain constants. The stacked field differs
+from the per-block field, and the step node from the op graph of its stages,
+in the rounding of their sums only: they agree to 1e-12 relative.
 """
 
 import numpy as np
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obsnode import autodiff as ad
+from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
 from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, _gru_step, encode,
-                           triangular_rhs)
+                           stack_field, triangular_rhs)
+from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 
 
 def ref_linear(x, W, b):
@@ -28,16 +32,25 @@ REF_ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid,
                    "leakyrelu": ad.leaky_relu}
 
 
-def ref_rhs(z, a, params):
-    """The triangular vector field as a graph of autodiff ops."""
-    cfg = params.cfg
+def ref_control(z, a, cfg, expand=True):
+    """The control as a (n, d_a), or with expand=False (1, d_a), graph node,
+    scaled by the treatment scale."""
     if a.data.ndim == 1:
         a = ad.reshape(a, (1, cfg.d_a))
-    if a.data.shape[0] == 1 and z.data.shape[0] > 1:
+    if expand and a.data.shape[0] == 1 and z.data.shape[0] > 1:
         a = ad.expand(a, (z.data.shape[0], cfg.d_a))
     if cfg.treatment_scale is not None and cfg.d_a:
         inv = 1.0 / np.asarray(cfg.treatment_scale)
         a = ad.hadamard(a, Tensor(np.broadcast_to(inv, a.data.shape).copy()))
+    return a
+
+
+def ref_rhs(z, a, params):
+    """The triangular vector field block by block, as a graph of autodiff
+    ops: the arithmetic of the per-block field that the stacked one
+    replaced, which this graph matched bit for bit."""
+    cfg = params.cfg
+    a = ref_control(z, a, cfg)
     act = REF_ACTIVATIONS[cfg.phi_activation]
     d_y, m = cfg.d_y, cfg.m
     blocks = []
@@ -52,6 +65,59 @@ def ref_rhs(z, a, params):
             phi = ad.add(ad.slice_axis(z, i * d_y, (i + 1) * d_y, axis=1), phi)
         blocks.append(phi)
     return ad.concat(blocks, axis=1)
+
+
+def ref_stacked(params):
+    """The stacked weights of :func:`stack_field` built from the per-block
+    tensors by slices, zero blocks and concatenations: ((z rows, control
+    rows or None, bias) of the first layer, [(weight, bias)] of the later
+    layers)."""
+    cfg = params.cfg
+    d_y, m, d_a, d_z = cfg.d_y, cfg.m, cfg.d_a, cfg.d_z
+    widths = [cfg.phi_hidden_dim] * cfg.phi_layers + [d_y]
+    zeros = lambda rows, cols: Tensor(np.zeros((rows, cols)))
+    later = []
+    for l, w in enumerate(widths):
+        Ws = [params.phi[i][l][0] for i in range(m)]
+        b = ad.concat([params.phi[i][l][1] for i in range(m)], axis=1)
+        if l == 0:
+            Wz = ad.concat([ad.concat([ad.slice_axis(W, 0, k * d_y, axis=0),
+                                       zeros(d_z - k * d_y, w)], axis=0)
+                            for k, W in enumerate(Ws, start=1)], axis=1)
+            Wc = ad.concat([ad.slice_axis(W, k * d_y, k * d_y + d_a, axis=0)
+                            for k, W in enumerate(Ws, start=1)], axis=1) if d_a else None
+            first = (Wz, Wc, b)
+        else:
+            v = widths[l - 1]
+            later.append((ad.concat([ad.concat([zeros(i * v, w), W, zeros((m - 1 - i) * v, w)],
+                                               axis=0) for i, W in enumerate(Ws)], axis=1), b))
+    return first, later
+
+
+def ref_stacked_rhs(z, a, params):
+    """The field of :func:`stack_field` as a graph of autodiff ops over the
+    weights of :func:`ref_stacked`, with the stacked field's arithmetic: the
+    control's first-layer term on its own rows, broadcast after."""
+    cfg = params.cfg
+    n, d_y = z.data.shape[0], cfg.d_y
+    (Wz, Wc, b0), later = ref_stacked(params)
+    a = ref_control(z, a, cfg, expand=False)
+    c = b0
+    if cfg.d_a:
+        c = ad.matmul(a, Wc)
+        c = ad.add(c, b0 if c.data.shape[0] == 1 else ad.expand(b0, c.data.shape))
+    # z enters once, so its two uses sum before they reach its gradient
+    z_in = ad.reshape(z, z.data.shape)
+    if c.data.shape[0] != n:
+        c = ad.expand(c, (n, c.data.shape[1]))
+    x = ad.add(ad.matmul(z_in, Wz), c)
+    act = REF_ACTIVATIONS[cfg.phi_activation]
+    for W, b in later:
+        x = ref_linear(act(x), W, b)
+    # -0.0 is the identity of addition: the last block passes unchanged
+    shift = ad.concat([ad.slice_axis(z_in, d_y, cfg.d_z, axis=1),
+                       Tensor(np.full((n, d_y), -0.0))], axis=1)
+    return ad.add(x, shift)
 
 
 def ref_gru(x, h, enc):
@@ -134,20 +200,23 @@ def phi_tensors(params):
     return [t for layers in params.phi for W, b in layers for t in (W, b)]
 
 
-def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2):
-    """run_node results of the fused field and of the op graph; the control
-    is (n, d_a), (1, d_a), or the (d_a,) row that a single-trajectory
-    ControlPath gives."""
+def phi_config(d_y, m, d_a, act, layers, scaled):
     scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
-    cfg = ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=5,
-                        phi_layers=layers, phi_activation=act,
-                        encoder_hidden_dim=3, treatment_scale=scale)
+    return ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=5, phi_layers=layers,
+                         phi_activation=act, encoder_hidden_dim=3, treatment_scale=scale)
+
+
+def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2):
+    """run_node results of the fused field and of the stacked op graph; the
+    control is (n, d_a), (1, d_a), or the (d_a,) row that a
+    single-trajectory ControlPath gives."""
+    cfg = phi_config(d_y, m, d_a, act, layers, scaled)
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(n, cfg.d_z))
     a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
                           "path_row": (d_a,)}[control])
     results = []
-    for node in (triangular_rhs, ref_rhs):
+    for node in (triangular_rhs, ref_stacked_rhs):
         params = make_params(cfg, seed)
         z = Tensor(z0.copy(), requires_grad=z_grad)
         a = Tensor(a0.copy())
@@ -238,6 +307,106 @@ class TestBitwiseAgainstOpGraph:
             params = make_params(cfg, seed)
             results.append(run_node(lambda: node(params), (), params.tensors(), seed + 2))
         assert_bitwise(*results)
+
+
+def assert_close(fused, ref, rtol=1e-12):
+    """Each array of `fused` within rtol of its `ref` array, relative to the
+    largest magnitude in that array."""
+    assert len(fused) == len(ref)
+    for f, r in zip(fused, ref):
+        assert (f is None) == (r is None)
+        if f is not None and r.size:
+            assert np.max(np.abs(f - r)) <= rtol * np.max(np.abs(r)), \
+                f"relative error {np.max(np.abs(f - r)) / np.max(np.abs(r)):.3e}"
+
+
+def ref_integrate(z0, control, t1, cfg, query_times, params):
+    """:func:`~obsnode.odeint.integrate` of the per-block field from t = 0 on
+    the solver's step edges, each Euler or RK4 step written as ad.add and
+    ad.scale over the stages."""
+    out, z = {}, z0
+    edges = odeint._step_boundaries(0.0, t1, control, query_times, cfg)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        a, h = Tensor(control.value_at(lo)), hi - lo
+        f = lambda s: ref_rhs(s, a, params)
+        k1 = f(z)
+        if cfg.method == "rk4":
+            k2 = f(ad.add(z, ad.scale(k1, h / 2.0)))
+            k3 = f(ad.add(z, ad.scale(k2, h / 2.0)))
+            k4 = f(ad.add(z, ad.scale(k3, h)))
+            incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
+            z = ad.add(z, ad.scale(incr, h / 6.0))
+        else:
+            z = ad.add(z, ad.scale(k1, h))
+        out[hi] = z
+    return [out[t] for t in query_times]
+
+
+def value_and_grads(node, z0, params, seed):
+    """The value of node(z) and the gradients of z and of each per-block
+    tensor for the loss sum(w * value), from empty gradient buffers."""
+    z = Tensor(z0.copy(), requires_grad=True)
+    w = np.random.default_rng(seed).normal(size=node(z).data.shape)
+    for t in phi_tensors(params):
+        t.zero_grad()
+    with Tape() as tape:
+        out = node(z)
+        tape.backward(ad.tsum(ad.hadamard(out, Tensor(w))))
+    return [out.data, z.grad] + [t.grad for t in phi_tensors(params)]
+
+
+class TestStackedAgainstPerBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(d_y=st.integers(1, 3), m=st.integers(1, 3), d_a=st.sampled_from([0, 1, 2]),
+           act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
+           scaled=st.booleans(), n=st.sampled_from([1, 5]),
+           control=st.sampled_from(["batch", "path_row"]), seed=st.integers(0, 2**16))
+    def test_field(self, d_y, m, d_a, act, layers, scaled, n, control, seed):
+        # values, per-block parameter gradients and the state gradient
+        cfg = phi_config(d_y, m, d_a, act, layers, scaled)
+        rng = np.random.default_rng(seed)
+        z0 = rng.normal(size=(n, cfg.d_z))
+        a = Tensor(rng.normal(size=(n, d_a) if control == "batch" else (d_a,)))
+        results = [value_and_grads(lambda z: node(z, a, params), z0, params, seed + 2)
+                   for node, params in ((triangular_rhs, make_params(cfg, seed)),
+                                        (ref_rhs, make_params(cfg, seed)))]
+        assert_close(*results)
+
+
+class TestStepNode:
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
+    def test_against_the_op_graph_of_its_stages(self, method, act):
+        # eight chained steps across a control knot, queried mid-solve and
+        # at the end: the states, the gradients of z0 and of every per-block
+        # tensor, and the tape's length
+        cfg = phi_config(2, 2, 2, act, 2, True)
+        rng = np.random.default_rng(11)
+        z0 = rng.normal(size=(3, cfg.d_z))
+        control = ControlPath(np.array([0.0, 0.6]), rng.normal(size=(2, 3, 2)))
+        int_cfg = IntegrationConfig(method=method, step_size=0.25)
+        qts = [0.7, 1.5]
+        w = [rng.normal(size=z0.shape) for _ in qts]
+        results, sizes = [], []
+        for run in ("fused", "ops"):
+            params = make_params(cfg, 12)
+            z = Tensor(z0.copy(), requires_grad=True)
+            with Tape() as tape:
+                if run == "fused":
+                    field, tensors = stack_field(params)
+                    states = integrate(field, z, control, 0.0, 1.5, int_cfg, qts, tensors)
+                else:
+                    states = ref_integrate(z, control, 1.5, int_cfg, qts, params)
+                loss = ad.tsum(ad.concat([ad.hadamard(s, Tensor(wk))
+                                          for s, wk in zip(states, w)], axis=1))
+                tape.backward(loss)
+            sizes.append(len(tape))
+            results.append([s.data for s in states] + [z.grad]
+                           + [t.grad for t in phi_tensors(params)])
+        assert_close(*results)
+        # the assembly node, one node per step (3 to the knot at 0.6, 1 to
+        # the query at 0.7, 4 to 1.5) and the loss's 4
+        assert sizes[0] == 1 + 8 + 4
 
 
 class TestFusedGradCheck:

@@ -9,7 +9,7 @@ from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
                            emit, encode, forecast, load_model, param_shapes,
-                           save_model, triangular_rhs, window)
+                           save_model, stack_field, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.train import _batch_loss
 from support import observability_probe
@@ -242,7 +242,7 @@ class TestForecast:
 
         from obsnode.odeint import integrate
 
-        field = lambda z, a, p: triangular_rhs(z, a, params)
+        field, _ = stack_field(params)
 
         def perfect_encode(h, _params):
             # the exact state at the last history time, in place of the encoder

@@ -6,13 +6,18 @@ import pytest
 from obsnode import autodiff as ad
 from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
-from obsnode.errors import ConfigError, DataError, NumericError
+from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.odeint import MAX_STEPS, ControlPath, IntegrationConfig, integrate
 from support import convergence_order
 
 
-def decay(z, a, params):
-    return ad.scale(z, -1.0)
+def decay(a):
+    return lambda z: (-z, lambda g: -g)
+
+
+def drive(a):
+    """dz/dt = a: the control alone."""
+    return lambda z: (np.broadcast_to(a, z.shape).copy(), lambda g: np.zeros_like(g))
 
 
 CONST_CONTROL = ControlPath(np.array([0.0]), np.array([[0.0]]))
@@ -79,14 +84,13 @@ class TestIntegrate:
     def test_piecewise_constant_control_is_exact(self):
         # dz/dt = a with a = 1 on [0,1) and a = -2 on [1,3]; z(3) = 1 - 4 = -3
         control = ControlPath(np.array([0.0, 1.0]), np.array([[1.0], [-2.0]]))
-        field = lambda z, a, p: a
         cfg = IntegrationConfig(method="rk4", step_size=0.4)
-        (zT,) = integrate(field, Tensor([0.0]), control, 0.0, 3.0, cfg, [3.0])
+        (zT,) = integrate(drive, Tensor([0.0]), control, 0.0, 3.0, cfg, [3.0])
         assert abs(zT.data[0] - (-3.0)) < 1e-12
 
     def test_chained_segments_bit_identical(self):
         control = ControlPath(np.array([0.0, 1.0]), np.array([[0.5], [-0.25]]))
-        field = lambda z, a, p: ad.hadamard(z, a)
+        field = lambda a: lambda z: (z * a, lambda g: g * a)
         cfg = IntegrationConfig(method="rk4", step_size=0.1)
         z1, z2 = integrate(field, Tensor([1.0]), control, 0.0, 2.0, cfg, [1.0, 2.0])
         (z1b,) = integrate(field, Tensor([1.0]), control, 0.0, 1.0, cfg, [1.0])
@@ -114,10 +118,33 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_raises(self):
         # dz/dt = z^2 from z0 = 2 escapes in finite time; euler overflows
-        field = lambda z, a, p: ad.square(z)
+        field = lambda a: lambda z: (z * z, lambda g: g * 2.0 * z)
         cfg = IntegrationConfig(method="euler", step_size=0.1)
         with pytest.raises(NumericError):
             integrate(field, Tensor([2.0]), CONST_CONTROL, 0.0, 50.0, cfg, [50.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("method,t_bad", [("euler", 1.5), ("rk4", 2.0)])
+    def test_nonfinite_state_gradient_raises_at_its_step(self, method, t_bad):
+        # a finite forward pass whose VJP overflows: the node of the step
+        # where the state gradient first turns non-finite names its end time
+        field = lambda a: lambda z: (-z, lambda g: g * 1e300)
+        cfg = IntegrationConfig(method=method, step_size=0.5)
+        z0 = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            (zT,) = integrate(field, z0, CONST_CONTROL, 0.0, 2.0, cfg, [2.0])
+            assert np.isfinite(zT.data).all()
+            with pytest.raises(NumericError,
+                               match=f"^integrate: the state gradient at t={t_bad}: "):
+                tape.backward(ad.tsum(zT))
+
+    def test_field_of_another_shape_is_a_shape_mismatch(self):
+        # a control of 3 rows would broadcast a single state to 3 units
+        field = lambda a: lambda z: (z + a, lambda g: g)
+        control = ControlPath(np.array([0.0]), np.ones((1, 3, 1)))
+        cfg = IntegrationConfig(step_size=0.5)
+        with pytest.raises(ShapeMismatch, match="integrate"):
+            integrate(field, Tensor(np.zeros((1, 1))), control, 0.0, 1.0, cfg, [1.0])
 
     def test_batched_state(self):
         cfg = IntegrationConfig(method="rk4", step_size=0.05)
@@ -140,10 +167,9 @@ class TestConvergenceOrder:
         assert abs(p - 1.0) < 0.1
 
     def test_inconclusive_when_exact(self):
-        field = lambda z, a, p: a
         cfg = IntegrationConfig(method="rk4", step_size=0.5)
         control = ControlPath(np.array([0.0]), np.array([[1.0]]))
-        assert convergence_order(field, [0.0], control, 0.0, 1.0, cfg,
+        assert convergence_order(drive, [0.0], control, 0.0, 1.0, cfg,
                                  reference=[1.0]) is None
 
 
@@ -161,10 +187,18 @@ class TestAdjoint:
         # dz/dt = theta z with z0 = 1: z(1) = e^theta, d/dtheta = e^theta
         cfg = IntegrationConfig(method="rk4", step_size=0.02)
         theta = Tensor([0.4], requires_grad=True)
-        field = lambda z, a, p: ad.hadamard(z, p)
+
+        def field(a):
+            def f(z):
+                def vjp(g):
+                    ad._accum(theta, g * z)
+                    return g * theta.data
+                return z * theta.data, vjp
+            return f
+
         with Tape() as tape:
             (zT,) = integrate(field, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0,
-                              cfg, [1.0], params=theta)
+                              cfg, [1.0], params=[theta])
             tape.backward(ad.tsum(zT))
         assert abs(theta.grad[0] - np.exp(0.4)) < 1e-6
 
@@ -172,8 +206,11 @@ class TestAdjoint:
         cfg = IntegrationConfig(method="rk4", step_size=0.1)
         control = ControlPath(np.array([0.0, 0.7]), np.array([[0.3], [-0.6]]))
 
-        def field(z, a, p):
-            return ad.add(ad.tanh(z), ad.expand(a, z.shape))
+        def field(a):
+            def f(z):
+                y = np.tanh(z)
+                return y + a, lambda g: g * (1.0 - y * y)
+            return f
 
         def f(z0):
             (zT,) = integrate(field, z0, control, 0.0, 1.5, cfg, [1.5])

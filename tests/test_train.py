@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obsnode import autodiff as ad
+from obsnode import model as model_mod
 from obsnode import train as train_mod
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
@@ -298,6 +299,53 @@ class TestTrainLoop:
         assert steps == [1, 2, 4, 5, 6, 7, 8, 9, 10]
         for before, after in zip(snapshots[2], snapshots[3]):
             np.testing.assert_array_equal(before, after)
+        with pytest.raises(NumericError, match="2/10 batches"):
+            run({3, 5})
+
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_step_gradient_skips_the_batch(self, monkeypatch):
+        # a field whose forward pass stays finite but whose VJP overflows on
+        # chosen batches: the step node raises in the backward pass, the
+        # batch is skipped and counted, and Adam sees only finite gradients
+        real_stack, real_backward = model_mod.stack_field, ad.Tape.backward
+
+        def run(poisoned):
+            batches, steps = [], []
+
+            def stack_field(params):
+                field, tensors = real_stack(params)
+
+                def bind(a):
+                    f = field(a)
+
+                    def overflowing(z):
+                        dz, vjp = f(z)
+                        # the backward pass of batch k runs once k is counted
+                        scale = lambda: 1e300 if len(batches) in poisoned else 1.0
+                        return dz, lambda g: vjp(g) * scale() * scale()
+                    return overflowing
+                return bind, tensors
+
+            class SpyAdam(ad.Adam):
+                def step(self, max_grad_norm=None):
+                    steps.append(len(batches))
+                    assert all(t.grad is None or np.isfinite(t.grad).all()
+                               for t in self.tensors)
+                    super().step(max_grad_norm)
+
+            def backward(tape, loss):
+                batches.append(None)
+                real_backward(tape, loss)
+
+            monkeypatch.setattr(model_mod, "stack_field", stack_field)
+            monkeypatch.setattr(train_mod, "Adam", SpyAdam)
+            monkeypatch.setattr(ad.Tape, "backward", backward)
+            train(MODEL_CFG, tiny_splits(seed=11, n=10),
+                  tiny_train_cfg(epochs=1, batch_size=1))
+            return steps
+
+        assert run({3}) == [1, 2, 4, 5, 6, 7, 8, 9, 10]
         with pytest.raises(NumericError, match="2/10 batches"):
             run({3, 5})
 
