@@ -1,15 +1,18 @@
 """Exact verification of the treatment-effect adjustment on finite models.
 
-A finite-state structural causal model with a hidden confounder channel is
-enumerated exhaustively: the confounder and latent state evolve as Markov
-chains, outcomes are emitted from (state, confounder), and treatments are
-drawn from a policy reading the last outcome and the confounder. The
-adjustment formula (filter over latent states, propagated under the
-intervened actions, pushed through the confounder-marginalized emission) is
-compared against the ground-truth interventional distribution obtained by
-severing the policy. A constructed pair of models with indistinguishable
-latent states shows that without observability the same observational law
-admits different interventional answers.
+A finite-state structural causal model with a hidden confounder channel has
+a confounder and a latent state that evolve as Markov chains, outcomes
+emitted from (state, confounder), and treatments drawn from a policy reading
+the last outcome and the confounder. The estimator computes the adjustment
+formula as the paper writes it: the filter over latent states given the
+observed history, taken by forward messages over (confounder, state) (the
+forward algorithm, Rabiner 1989), propagated under the intervened actions
+and pushed through the confounder-marginalized emission. The oracle it is
+checked against enumerates every trajectory: the ground-truth
+interventional distribution, obtained by severing the policy. A constructed
+pair of models with indistinguishable latent states shows that without
+observability the same observational law admits different interventional
+answers.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _sigmoid
 from .errors import DataError
 
 MAX_TRAJECTORIES = 10_000_000
@@ -161,18 +165,17 @@ def _reduce(joint, fixed, keep_axis):
     return dist / total
 
 
-def _query_axes(scm: DiscreteScm, q: InterventionQuery, with_actions):
+def _query_axes(scm: DiscreteScm, q: InterventionQuery):
+    """The joint's axes fixed by the query's outcomes and actions, prefix
+    and intervention, as {axis: value}, and the target outcome's axis."""
     T = scm.T
     if q.target > T - 1:
         raise DataError(f"query target step {q.target} exceeds horizon {T - 1}")
     fixed = {}
     for k, y in enumerate(q.y_prefix):
         fixed[2 * T + k] = y
-    for k, a in enumerate(q.a_prefix):
+    for k, a in enumerate(q.a_prefix + q.intervention):
         fixed[3 * T + k] = a
-    if with_actions:
-        for k, a in enumerate(q.intervention):
-            fixed[3 * T + q.t + k] = a
     return fixed, 2 * T + q.target
 
 
@@ -181,16 +184,34 @@ def interventional_truth(scm: DiscreteScm, q: InterventionQuery):
     policy at the intervened steps and enumerating."""
     overrides = {q.t + k: a for k, a in enumerate(q.intervention)}
     joint = enumerate_joint(scm, overrides)
-    fixed, keep = _query_axes(scm, q, with_actions=True)
+    fixed, keep = _query_axes(scm, q)
     return _reduce(joint, fixed, keep)
 
 
 def filter_distribution(scm: DiscreteScm, y_prefix, a_prefix):
-    """p(z_t | y_0..y_t, a_0..a_{t-1}), confounder marginalized out."""
-    q = InterventionQuery(y_prefix, a_prefix, (0,))
-    joint = enumerate_joint(scm)
-    fixed, _ = _query_axes(scm, q, with_actions=False)
-    return _reduce(joint, fixed, scm.T + q.t)
+    """p(z_t | y_0..y_t, a_0..a_{t-1}), confounder marginalized out, by
+    forward messages alpha_t(e, z) = P(e_t = e, z_t = z, y_0..y_t,
+    a_0..a_{t-1}):
+
+        alpha_0(e, z) = p(e) p(z) q(y_0 | z, e)
+        alpha_{t+1}(e', z') = sum_{e,z} alpha_t(e, z) pi(a_t | y_t, e)
+                              P(e' | e) P_{a_t}(z' | z) q(y_{t+1} | z', e')
+
+    Raises DataError on a prefix of zero probability."""
+    if len(y_prefix) != len(a_prefix) + 1:
+        raise DataError("filter: need one more observed outcome than past treatments")
+    if len(a_prefix) > scm.T - 1:
+        raise DataError(f"filter: prefix step {len(a_prefix)} exceeds horizon {scm.T - 1}")
+    q_y = scm.emission.transpose(1, 0, 2)  # (nE, nZ, nY)
+    alpha = np.outer(scm.eps_init, scm.z_init) * q_y[:, :, y_prefix[0]]
+    for y, a, y_next in zip(y_prefix, a_prefix, y_prefix[1:]):
+        alpha = alpha * scm.policy[y, :, a][:, None]
+        alpha = scm.eps_trans.T @ alpha @ scm.z_trans[a] * q_y[:, :, y_next]
+    dist = alpha.sum(axis=0)
+    total = dist.sum()
+    if total <= 0:
+        raise DataError("conditioning prefix has zero probability")
+    return dist / total
 
 
 def eps_marginal(scm: DiscreteScm, step):
@@ -284,11 +305,21 @@ def random_query(rng, scm: DiscreteScm) -> InterventionQuery:
     """Off-policy query: condition on a random positive-probability y_0 and
     intervene, over all remaining steps, with the action sequence least
     likely under the observational law (where confounding bias shows most)."""
-    law = observational_law(scm)
-    y0_marg = law.reshape(law.shape[0], -1).sum(axis=1)
-    y0 = int(rng.choice(np.nonzero(y0_marg > 1e-9)[0]))
-    cond = law[y0].sum(axis=tuple(range(scm.T - 1)))
-    seq = np.unravel_index(np.argmin(cond), cond.shape)
+    # forward messages msg[e, z, k] = P(e_t = e, z_t = z, y_0, a_0..a_t),
+    # the action sequence k in row-major order; the outcomes after y_0 are
+    # summed out, so from step 1 on the emission and the policy fold into
+    # G[e, z, a] = sum_y q(y | z, e) pi(a | y, e)
+    nE, nZ, _, nA = scm.sizes
+    alpha = np.einsum("e,z,zey->yez", scm.eps_init, scm.z_init, scm.emission)
+    y0 = int(rng.choice(np.nonzero(alpha.sum(axis=(1, 2)) > 1e-9)[0]))
+    G = np.einsum("zey,yea->eza", scm.emission, scm.policy)
+    msg = alpha[y0][:, :, None] * scm.policy[y0][:, None, :]  # (e, z, a_0)
+    for _ in range(scm.T - 2):
+        msg = np.einsum("ef,ezka,azw->fwka", scm.eps_trans,
+                        msg.reshape(nE, nZ, -1, nA), scm.z_trans)
+        msg = (msg.reshape(nE, nZ, -1, 1) * G[:, :, None, :]).reshape(nE, nZ, -1)
+    cond = msg.sum(axis=(0, 1))
+    seq = np.unravel_index(np.argmin(cond), (nA,) * (scm.T - 1))
     return InterventionQuery((y0,), (), tuple(int(s) for s in seq))
 
 
@@ -413,7 +444,7 @@ def linear_gaussian_refinement():
         z_trans = np.stack([pdf_rows(rho * grid + beta * a, q_sd)
                             for a in (0, 1)])
         emission = pdf_rows(grid, r_sd)[:, None, :]
-        p1 = 1.0 / (1.0 + np.exp(-grid))
+        p1 = _sigmoid(grid)
         policy = np.stack([1.0 - p1, p1], axis=1)[:, None, :]
         scm = DiscreteScm(eps_init=np.array([1.0]), eps_trans=np.eye(1),
                           z_init=z_init, z_trans=z_trans, emission=emission,

@@ -149,8 +149,9 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     """Integrate ``dz/dt = f(z)`` from the Tensor z0 and return the states at
     `query_times` (list of Tensors, same shape as z0).
 
-    ``field(a)`` binds the control value a on a step (a row of
-    ``control.knot_values``) and returns f. f maps a state array to
+    ``field(a)`` binds the control value a (a row of
+    ``control.knot_values``) and returns f; it is called once per control
+    segment, and f serves every step in that segment. f maps a state array to
     ``(dz/dt, vjp)``; vjp maps a gradient of dz/dt to the gradient of the
     state and accumulates into the gradients of `params`, the Tensors the
     field reads. Each step is one tape node (:func:`_step`).
@@ -177,8 +178,14 @@ def integrate(field, z0, control: ControlPath, t0, t1,
         if t in qset:
             out[t] = state
 
+    # the knot whose value holds on each step, as value_at reads it at the
+    # step's start
+    knots = np.maximum(np.searchsorted(control.knot_times, edges[:-1], side="right") - 1, 0)
     note(edges[0], z)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        z = _step(field(control.value_at(lo)), z, hi - lo, rk4, params, hi)
+    bound = None
+    for lo, hi, k in zip(edges[:-1], edges[1:], knots):
+        if k != bound:
+            f, bound = field(control.knot_values[k]), k
+        z = _step(f, z, hi - lo, rk4, params, hi)
         note(hi, z)
     return [out[qt] for qt in query_times]

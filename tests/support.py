@@ -12,7 +12,8 @@ import numpy as np
 from obsnode.autodiff import Tensor
 from obsnode.errors import DataError
 from obsnode.evaluate import RmseGrid, _binned_rmse, _test_scale, raw_forecast
-from obsnode.identify import DiscreteScm, InterventionQuery, _query_axes, _reduce, enumerate_joint
+from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _reduce,
+                              enumerate_joint, observational_law)
 from obsnode.model import ObsNodeParams, emit, stack_field, window
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
@@ -120,8 +121,29 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
 def naive_conditional(scm: DiscreteScm, q: InterventionQuery):
     """Observational P(y_target | prefix, a-sequence observed): no severing."""
     joint = enumerate_joint(scm)
-    fixed, keep = _query_axes(scm, q, with_actions=True)
+    fixed, keep = _query_axes(scm, q)
     return _reduce(joint, fixed, keep)
+
+
+def enumerated_filter(scm: DiscreteScm, y_prefix, a_prefix):
+    """The reference for :func:`~obsnode.identify.filter_distribution`:
+    p(z_t | y_0..y_t, a_0..a_{t-1}) read off the enumerated joint."""
+    T = scm.T
+    fixed = {2 * T + k: int(y) for k, y in enumerate(y_prefix)}
+    fixed.update({3 * T + k: int(a) for k, a in enumerate(a_prefix)})
+    return _reduce(enumerate_joint(scm), fixed, T + len(a_prefix))
+
+
+def enumerated_query(rng, scm: DiscreteScm) -> InterventionQuery:
+    """The reference for :func:`~obsnode.identify.random_query`, drawing
+    from `rng` as it does: y_0 and the least likely action sequence read
+    off the enumerated observational law."""
+    law = observational_law(scm)
+    y0_marg = law.reshape(law.shape[0], -1).sum(axis=1)
+    y0 = int(rng.choice(np.nonzero(y0_marg > 1e-9)[0]))
+    cond = law[y0].sum(axis=tuple(range(scm.T - 1)))
+    seq = np.unravel_index(np.argmin(cond), cond.shape)
+    return InterventionQuery((y0,), (), tuple(int(s) for s in seq))
 
 
 def mean_patient():

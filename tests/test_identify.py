@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from obsnode.errors import DataError
 from obsnode.identify import (DiscreteScm, InterventionQuery,
@@ -10,7 +11,7 @@ from obsnode.identify import (DiscreteScm, InterventionQuery,
                               interventional_truth, linear_gaussian_refinement,
                               nonidentifiability_witness, observational_law,
                               random_observable_scm, random_query, tv_distance)
-from support import naive_conditional
+from support import enumerated_filter, enumerated_query, naive_conditional
 
 
 def point(n, i):
@@ -111,6 +112,20 @@ class TestInterventionalTruth:
         np.testing.assert_allclose(adj, truth, atol=1e-14)
 
 
+def generic_scm(rng, n_e, n_z, n_y, n_a, T, persistence):
+    """Random SCM with every emission overlapping and every kernel positive,
+    except that the confounder chain is eps_trans = persistence * I +
+    (1 - persistence) * (random rows): identity at persistence 1."""
+    def dist(*shape):
+        x = rng.uniform(0.05, 1.0, size=shape)
+        return x / x.sum(axis=-1, keepdims=True)
+
+    eps_trans = persistence * np.eye(n_e) + (1.0 - persistence) * dist(n_e, n_e)
+    return DiscreteScm(eps_init=dist(n_e), eps_trans=eps_trans,
+                       z_init=dist(n_z), z_trans=dist(n_a, n_z, n_z),
+                       emission=dist(n_z, n_e, n_y), policy=dist(n_y, n_e, n_a), T=T)
+
+
 class TestFilter:
     def test_filter_normalized(self):
         for seed in range(5):
@@ -129,8 +144,56 @@ class TestFilter:
                 f = filter_distribution(scm, (y0,), ())
                 assert f[owner] == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.integers(2, 3), st.integers(2, 4),
+           st.sampled_from([0.0, 0.5, 0.999, 1.0]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_enumeration(self, n_e, n_z, n_y, T, persistence, seed):
+        # keep each enumeration small: (nE nZ nY)^T nA^(T-1) cells
+        assume((n_e * n_z * n_y) ** T * 2 ** (T - 1) <= 500_000)
+        rng = np.random.default_rng(seed)
+        scm = generic_scm(rng, n_e, n_z, n_y, 2, T, persistence)
+        for t in range(T):
+            y_prefix = rng.integers(n_y, size=t + 1)
+            a_prefix = rng.integers(2, size=t)
+            np.testing.assert_allclose(filter_distribution(scm, y_prefix, a_prefix),
+                                       enumerated_filter(scm, y_prefix, a_prefix),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_prefix_to_the_last_step(self):
+        # z cycles 0 -> 1 -> 0 under the policy's a=1, and y = z
+        scm = deterministic_scm(T=3)
+        f = filter_distribution(scm, (0, 1, 0), (1, 1))
+        np.testing.assert_array_equal(f, point(2, 0))
+        np.testing.assert_array_equal(f, enumerated_filter(scm, (0, 1, 0), (1, 1)))
+
+    @pytest.mark.parametrize("y_prefix, a_prefix", [((1,), ()), ((0, 0), (1,)),
+                                                    ((0, 1, 1), (1, 1))])
+    def test_zero_probability_prefix_rejected(self, y_prefix, a_prefix):
+        with pytest.raises(DataError, match="zero probability"):
+            filter_distribution(deterministic_scm(T=3), y_prefix, a_prefix)
+
+    @pytest.mark.parametrize("y_prefix, a_prefix", [((0,), (1,)), ((0, 1, 0, 1), (1, 1, 1))])
+    def test_malformed_prefix_rejected(self, y_prefix, a_prefix):
+        with pytest.raises(DataError):
+            filter_distribution(deterministic_scm(T=3), y_prefix, a_prefix)
+
 
 class TestAdjustmentEquivalence:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_query_matches_enumeration(self, seed):
+        # the CLI's instances for this seed: the forward query law picks the
+        # query the enumerated law picks, and the adjustment holds on each
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(200):
+            scm = random_observable_scm(rng)
+            random_observable_scm(ref_rng)
+            q = random_query(rng, scm)
+            assert q == enumerated_query(ref_rng, scm)
+            worst = max(worst, np.max(np.abs(adjustment_estimate(scm, q)
+                                             - interventional_truth(scm, q))))
+        assert worst < 1e-10
+
     def test_matches_truth_on_observable_instances(self):
         rng = np.random.default_rng(42)
         worst = 0.0

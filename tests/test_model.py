@@ -5,6 +5,7 @@ import pytest
 
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
+from obsnode import odeint
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
@@ -222,6 +223,49 @@ class TestForecast:
         for slot in (enc_slot, phi_slot):
             x = Tensor(slot().data.copy())
             assert grad_check(lambda: loss_with(x, slot), x) < 1e-4
+
+    def test_control_bound_once_per_knot_segment(self, monkeypatch):
+        # a forecast across three knots binds the field once per segment,
+        # and its states and gradients equal, bit for bit, those of binding
+        # the control on every step
+        def per_step_integrate(field, z0, control, t0, t1, cfg, query_times, params=()):
+            edges = odeint._step_boundaries(t0, t1, control, query_times, cfg)
+            z, states = z0, {edges[0]: z0}
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                z = odeint._step(field(control.value_at(lo)), z, hi - lo,
+                                 cfg.method == "rk4", params, hi)
+                states[hi] = z
+            return [states[q] for q in query_times]
+
+        binds = []
+
+        def counted_stack_field(params):
+            field, tensors = stack_field(params)
+            return (lambda a: binds.append(a) or field(a)), tensors
+
+        rng = np.random.default_rng(2)
+        control = ControlPath(np.array([-1.0, 0.5, 1.2, 2.0]), rng.normal(size=(4, 2, 1)))
+        int_cfg = IntegrationConfig(method="rk4", step_size=0.2)
+        z_init = rng.normal(size=(2, 3))
+        runs = []
+        for run in ("segment", "step"):
+            _, params = make_model(d_y=1, m=3, d_a=1, randomize_output=True)
+            z0 = Tensor(z_init.copy(), requires_grad=True)
+            with monkeypatch.context() as mp:
+                if run == "segment":
+                    mp.setattr(model_mod, "stack_field", counted_stack_field)
+                else:
+                    mp.setattr(model_mod, "integrate", per_step_integrate)
+                with ad.Tape() as tape:
+                    preds = forecast(EncodedState(z=z0, t=0.0), control, [0.3, 1.0, 3.0],
+                                     params, int_cfg)
+                    tape.backward(ad.tsum(ad.concat(preds, axis=0)))
+            runs.append([p.data for p in preds] + [z0.grad]
+                        + [t.grad for t in params.tensors() if t.grad is not None])
+        assert len(runs[0]) == len(runs[1]) > 4
+        for x, y in zip(*runs):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(np.stack(binds), control.knot_values)
 
     def test_recursive_needs_history(self):
         cfg, params = make_model(d_y=1, m=2, d_a=1, rollout_mode="recursive")
