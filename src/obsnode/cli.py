@@ -308,8 +308,8 @@ def cmd_verify_identification(args):
 
 def cmd_gradcheck(args):
     """Tape gradients of the training loss against central differences for
-    every parameter of small random long-horizon models, all redrawn so that
-    no zero output layer hides a gradient, on batches with missing entries."""
+    every parameter of small random models, all redrawn so that no zero
+    output layer hides a gradient, on batches with missing entries."""
     if args.n < 1 or not 0 < args.tol < np.inf or args.seed < 0:
         raise ConfigError("--n must be >= 1, --tol finite and positive, --seed >= 0")
     rng = np.random.default_rng(args.seed)

@@ -31,8 +31,6 @@ class ObsNodeConfig:
     phi_layers: int = 2
     phi_activation: str = "leakyrelu"
     encoder_hidden_dim: int = 64
-    rollout_mode: str = "long_horizon"
-    recursive_chunk: float = 1.0
     treatment_scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -48,10 +46,6 @@ class ObsNodeConfig:
                 raise ConfigError("treatment_scale entries must be positive")
         if self.phi_activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.phi_activation!r}")
-        if self.rollout_mode not in ("long_horizon", "recursive"):
-            raise ConfigError(f"unknown rollout_mode {self.rollout_mode!r}")
-        if self.rollout_mode == "recursive" and self.recursive_chunk <= 0:
-            raise ConfigError("recursive_chunk must be positive")
 
     @property
     def d_z(self):
@@ -93,14 +87,6 @@ class History:
             raise DataError("History: empty history")
         if np.any(np.diff(self.times) < 0):
             raise DataError("History: times must be ascending")
-
-    def extended(self, times, y, mask, a):
-        return History(
-            np.concatenate([self.times, np.asarray(times, dtype=np.float64)]),
-            np.concatenate([self.y, y]),
-            np.concatenate([self.mask, mask]),
-            np.concatenate([self.a, a]),
-        )
 
 
 def window(times, start, end=None):
@@ -414,54 +400,25 @@ def encode(history: History, params: ObsNodeParams) -> EncodedState:
 
 
 def forecast(state: EncodedState, control: ControlPath, query_times, params: ObsNodeParams,
-             int_cfg: IntegrationConfig, history: History | None = None):
-    """Predicted outcomes at `query_times` under the given treatment path.
-
-    Returns a list of (n, d_y) Tensors aligned with query_times. The horizon
-    is covered in chunks, one in long-horizon mode: in recursive rollout mode
-    each chunk's predictions are appended to the history as pseudo-observations
-    (mask all ones) together with the applied treatments, the encoder is
-    re-run, and the next chunk starts from the refreshed state. The
-    pseudo-observations enter that re-encode as constants: the tape gradient
-    does not flow through them into the earlier chunks' predictions. The
-    stacked field (:func:`stack_field`) is assembled once per call.
-    """
-    cfg = params.cfg
-    recursive = cfg.rollout_mode == "recursive"
-    if recursive and history is None:
-        raise ValueError("forecast: recursive rollout needs the encoding history")
-    chunk = cfg.recursive_chunk if recursive else np.inf
+             int_cfg: IntegrationConfig):
+    """Predicted outcomes at `query_times` (any order, repeats allowed, none
+    before state.t) under the given treatment path: the field is assembled
+    once (:func:`stack_field`) and integrated from the encoded state to the
+    last query time in one :func:`~obsnode.odeint.integrate` call. Returns
+    a list of (n, d_y) Tensors aligned with `query_times`."""
+    qs = [float(t) for t in query_times]
     field, tensors = stack_field(params)
-    preds = []
-    remaining = [float(t) for t in sorted(query_times)]
-    while remaining:
-        chunk_end = min(state.t + chunk, remaining[-1])
-        qs = [q for q in remaining if q <= chunk_end + 1e-12]
-        step_queries = sorted(set(qs + [chunk_end]))
-        states = integrate(field, state.z, control, state.t, chunk_end, int_cfg,
-                           step_queries, tensors)
-        by_time = dict(zip(step_queries, states))
-        preds.extend(emit(by_time[q], cfg) for q in qs)
-        remaining = remaining[len(qs):]
-        if not remaining:
-            break
-        n = state.z.data.shape[0]
-        new_times = np.array(step_queries)
-        new_y = np.stack([emit(by_time[t], cfg).data for t in step_queries])
-        new_mask = np.ones((len(step_queries), n, cfg.d_y))
-        new_a = np.stack([np.broadcast_to(control.value_at(t), (n, cfg.d_a)).copy()
-                          for t in step_queries])
-        history = history.extended(new_times, new_y, new_mask, new_a)
-        state = EncodedState(z=encode(history, params).z, t=chunk_end)
-    return preds
+    states = integrate(field, state.z, control, state.t, max(qs, default=state.t), int_cfg,
+                       qs, tensors)
+    return [emit(z, params.cfg) for z in states]
 
 
 def rollout(record: History, t_c, query_times, params: ObsNodeParams,
             int_cfg: IntegrationConfig | None = None,
             control: ControlPath | None = None):
     """Potential-outcome forecasts from one observed record: encode the
-    record up to t_c, then forecast `query_times` (ascending, after t_c) under
-    `control`.
+    record up to t_c, then :func:`forecast` `query_times` (ascending, after
+    t_c) under `control`.
 
     Without a control path the factual recorded treatments apply: the last
     treatment at or before t_c up to the first query time, then the treatment
@@ -479,8 +436,7 @@ def rollout(record: History, t_c, query_times, params: ObsNodeParams,
                               np.concatenate([hist.a[-1:], fut_a[:-1]]))
     if int_cfg is None:
         int_cfg = IntegrationConfig.for_grid(record.times)
-    return forecast(encode(hist, params), control, list(qts), params, int_cfg,
-                    history=hist)
+    return forecast(encode(hist, params), control, list(qts), params, int_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +485,12 @@ def load_model(path):
     meta = doc.get("metadata")
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise DataError(f"checkpoint {path}: missing the model metadata header")
+    # older checkpoints name a rollout mode and chunk; only long-horizon loads
+    mode = meta["config"].pop("rollout_mode", "long_horizon")
+    meta["config"].pop("recursive_chunk", None)
+    if mode != "long_horizon":
+        raise DataError(f"checkpoint {path}: rollout_mode {mode!r} is not supported; "
+                        "only long-horizon models load")
     try:
         cfg = ObsNodeConfig(**meta["config"])
         stats = None

@@ -40,10 +40,6 @@ class ControlPath:
         if self.knot_values.shape[0] != self.knot_times.size:
             raise DataError("ControlPath: one value per knot required")
 
-    def value_at(self, t: float) -> np.ndarray:
-        k = int(np.searchsorted(self.knot_times, t, side="right")) - 1
-        return self.knot_values[max(k, 0)]
-
 
 METHODS = ("euler", "rk4")
 MAX_STEPS = 1_000_000  # per integrate call
@@ -178,8 +174,8 @@ def integrate(field, z0, control: ControlPath, t0, t1,
         if t in qset:
             out[t] = state
 
-    # the knot whose value holds on each step, as value_at reads it at the
-    # step's start
+    # the knot whose value holds on each step: the last one at or before the
+    # step's start, else the first
     knots = np.maximum(np.searchsorted(control.knot_times, edges[:-1], side="right") - 1, 0)
     note(edges[0], z)
     bound = None

@@ -145,6 +145,9 @@ class TrainConfig:
             raise ConfigError("max_grad_norm, int_step and max_horizon must be positive")
         if self.int_method not in METHODS or self.seed < 0:
             raise ConfigError(f"int_method must be one of {METHODS}, seed >= 0")
+        if self.val_decision_times is not None and not self.val_decision_times:
+            raise ConfigError("val_decision_times must be nonempty; omit it to "
+                              "validate on decision_time_grid")
 
 
 def _int_config(times, tc: TrainConfig):
@@ -216,11 +219,8 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             raise ConfigError(f"no {split} decision time has both history and a "
                               f"target: the {split} records span "
                               f"[{float(rec.times[0])!r}, {float(rec.times[-1])!r}]")
-        # a rollout integrates at least from t_c to its last target, or over
-        # its first recursive chunk
+        # a rollout integrates from t_c to its last target
         reach = float(max(rec.times[fut][-1] - t_c for t_c, fut in futs))
-        if model_cfg.rollout_mode == "recursive":
-            reach = min(reach, model_cfg.recursive_chunk)
         step = _int_config(rec.times, tcfg).step_size
         if reach / step > MAX_STEPS:
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units "

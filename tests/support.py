@@ -21,6 +21,13 @@ from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerS
 from obsnode.train import stack_units
 
 
+def value_at(control: ControlPath, t: float) -> np.ndarray:
+    """The value of the piecewise-constant `control` at time t: that of the
+    last knot at or before t, or the first knot's before it."""
+    k = int(np.searchsorted(control.knot_times, t, side="right")) - 1
+    return control.knot_values[max(k, 0)]
+
+
 def convergence_order(field, z0, control, t0, t1, cfg, reference, halvings=3):
     """Estimated order log2(err(dt)/err(dt/2)), averaged over `halvings`.
 

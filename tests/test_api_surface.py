@@ -1,5 +1,6 @@
 """Every function and method in ``src/obsnode`` has a caller in ``src/``,
-and every function there reads each of its parameters.
+every function there reads each of its parameters, and every field of a
+config dataclass is read outside the checks of its own ``__post_init__``.
 
 A name counts as referenced when a module other than its own body uses it:
 a module-level function by its bare name (in its own module, or in a module
@@ -9,9 +10,14 @@ with them, not in the package; so does a parameter that nothing reads.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import obsnode
+from obsnode.model import ObsNodeConfig
+from obsnode.odeint import IntegrationConfig
+from obsnode.simulate import CancerSimConfig, SemiSynthConfig
+from obsnode.train import TrainConfig
 
 SRC = Path(obsnode.__file__).parent
 
@@ -110,3 +116,45 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+CONFIGS = (ObsNodeConfig, TrainConfig, IntegrationConfig, CancerSimConfig, SemiSynthConfig)
+
+# Config fields kept although src/ reads them only in their own checks.
+ALLOWED_FIELDS = {
+    "TrainConfig.t_f": "it bounds decision_time_grid; every train config names it, "
+                       "so removing it would reject them all",
+}
+
+
+def unread_config_fields(allowed=ALLOWED_FIELDS):
+    """'Class.field' for each field of a config dataclass that src/ reads
+    (as an attribute, ``cfg.field``) only inside the class's own
+    ``__post_init__``, or nowhere. A setting nothing reads does nothing."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    reads = [(mod, node.attr, node.lineno) for mod, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for cls in CONFIGS:
+        mod = cls.__module__.rsplit(".", 1)[-1]
+        body = next(node.body for node in trees[mod].body
+                    if isinstance(node, ast.ClassDef) and node.name == cls.__name__)
+        post = next(fn for fn in body if getattr(fn, "name", None) == "__post_init__")
+        own = range(post.lineno, post.end_lineno + 1)
+        for f in dataclasses.fields(cls):
+            name = f"{cls.__name__}.{f.name}"
+            if name not in allowed and not any(
+                    attr == f.name and not (other == mod and line in own)
+                    for other, attr, line in reads):
+                unread.append(name)
+    return unread
+
+
+def test_every_config_field_is_read():
+    assert unread_config_fields() == []
+
+
+def test_field_allowlist_is_current():
+    # a field that src/ reads, or that is gone, leaves the allowlist
+    assert sorted(unread_config_fields(allowed={})) == sorted(ALLOWED_FIELDS)

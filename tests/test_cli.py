@@ -18,6 +18,7 @@ from obsnode.model import ObsNodeConfig, load_model, window
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
 from obsnode.train import TrainConfig, stack_units
+from support import value_at
 
 
 def write_json(path, obj):
@@ -423,8 +424,8 @@ class TestForecast:
         p.write_text("start_time,component_1,component_2\n"
                      "0.0,1.5,0.0\n30.0,0.0,2.0\n")
         ctrl = read_treatment_csv(p, 2)
-        np.testing.assert_array_equal(ctrl.value_at(10.0), [1.5, 0.0])
-        np.testing.assert_array_equal(ctrl.value_at(45.0), [0.0, 2.0])
+        np.testing.assert_array_equal(value_at(ctrl, 10.0), [1.5, 0.0])
+        np.testing.assert_array_equal(value_at(ctrl, 45.0), [0.0, 2.0])
 
 
 class TestVerifyIdentification:
@@ -604,6 +605,7 @@ class TestConfigTypes:
         ("train", ("train", "epochs"), True),
         ("train", ("train", "int_method"), "midpoint"),
         ("train", ("train", "int_step"), -1.0),
+        ("train", ("train", "val_decision_times"), []),
         ("train", ("train", "seed"), -1),
         ("train", ("train", "decision_time_grid"), [30.0, "45"]),
         ("train", ("model", "phi_hidden_dim"), 4.5),
@@ -697,6 +699,50 @@ def train_evaluate_forecast(workspace, tmp, ds, unit, checkpoint=None,
         ["forecast", "--checkpoint", ck, "--dataset", str(ds), "--unit-id",
          str(unit), "--treatments", str(treatments), "--t-c", "30",
          "--output", str(tmp / "forecast.csv")])]
+
+
+class TestLegacyCheckpoint:
+    """Checkpoints written while the model had a recursive rollout mode name
+    `rollout_mode` and `recursive_chunk` in their metadata config."""
+
+    def legacy_checkpoint(self, workspace, tmp_path, mode):
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        doc["metadata"]["config"].update(rollout_mode=mode, recursive_chunk=1.0)
+        return write_json(tmp_path / "legacy.json", doc)
+
+    def test_long_horizon_checkpoint_runs_as_before(self, workspace, tmp_path):
+        # a warm start, evaluate and forecast from it give the same bytes as
+        # from the checkpoint without the keys
+        outputs = []
+        for name, ck in (("current", str(workspace["run"] / "checkpoint.json")),
+                         ("legacy", self.legacy_checkpoint(workspace, tmp_path,
+                                                           "long_horizon"))):
+            tmp = tmp_path / name
+            tmp.mkdir()
+            runs = train_evaluate_forecast(workspace, tmp, workspace["ds"], 0, ck, epochs=0)
+            assert [rc for rc, _, _ in runs] == [0, 0, 0]
+            outputs.append([(tmp / f).read_bytes() for f in (
+                "run/checkpoint.json", "eval/rmse_grid.csv", "forecast.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_recursive_checkpoint_is_data_error(self, workspace, tmp_path):
+        ck = self.legacy_checkpoint(workspace, tmp_path, "recursive")
+        for rc, out, err in train_evaluate_forecast(workspace, tmp_path, workspace["ds"],
+                                                    0, ck, epochs=0):
+            assert rc == 3 and out == ""
+            assert "rollout_mode 'recursive' is not supported" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [("rollout_mode", "long_horizon"),
+                                           ("recursive_chunk", 1.0)])
+    def test_rollout_key_in_train_config_is_config_error(self, workspace, tmp_path,
+                                                         key, value):
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        cfg["run_dir"] = str(tmp_path / "run")
+        cfg["model"][key] = value
+        rc, err = run_config("train", cfg, tmp_path / "t.json")
+        assert rc == 2 and f"unknown keys ['{key}']" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestRecordContract:

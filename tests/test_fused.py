@@ -21,6 +21,7 @@ from obsnode.errors import NumericError
 from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, _gru_step, encode,
                            stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
+from support import value_at
 
 
 def ref_linear(x, W, b):
@@ -327,7 +328,7 @@ def ref_integrate(z0, control, t1, cfg, query_times, params):
     out, z = {}, z0
     edges = odeint._step_boundaries(0.0, t1, control, query_times, cfg)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        a, h = Tensor(control.value_at(lo)), hi - lo
+        a, h = Tensor(value_at(control, lo)), hi - lo
         f = lambda s: ref_rhs(s, a, params)
         k1 = f(z)
         if cfg.method == "rk4":

@@ -9,11 +9,10 @@ from obsnode import odeint
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
-                           emit, encode, forecast, load_model, param_shapes,
-                           save_model, stack_field, triangular_rhs, window)
+                           emit, encode, forecast, load_model, save_model,
+                           stack_field, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
-from obsnode.train import _batch_loss
-from support import observability_probe
+from support import observability_probe, value_at
 
 
 def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
@@ -49,8 +48,6 @@ class TestConfig:
             ObsNodeConfig(d_y=0, m=1, d_a=1)
         with pytest.raises(ConfigError):
             ObsNodeConfig(d_y=1, m=1, d_a=1, phi_activation="gelu")
-        with pytest.raises(ConfigError):
-            ObsNodeConfig(d_y=1, m=1, d_a=1, rollout_mode="open_loop")
 
 
 class TestTriangularField:
@@ -232,7 +229,7 @@ class TestForecast:
             edges = odeint._step_boundaries(t0, t1, control, query_times, cfg)
             z, states = z0, {edges[0]: z0}
             for lo, hi in zip(edges[:-1], edges[1:]):
-                z = odeint._step(field(control.value_at(lo)), z, hi - lo,
+                z = odeint._step(field(value_at(control, lo)), z, hi - lo,
                                  cfg.method == "rk4", params, hi)
                 states[hi] = z
             return [states[q] for q in query_times]
@@ -267,78 +264,39 @@ class TestForecast:
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(np.stack(binds), control.knot_values)
 
-    def test_recursive_needs_history(self):
-        cfg, params = make_model(d_y=1, m=2, d_a=1, rollout_mode="recursive")
-        state = EncodedState(z=Tensor(np.zeros((1, 2))), t=0.0)
-        with pytest.raises(ValueError):
-            forecast(state, self.control, [1.0], params, self.int_cfg)
+    def test_predictions_follow_the_query_order(self):
+        # y(t) = z1 + z2 (t - t0) on the pure integrator chain
+        state = EncodedState(z=Tensor(np.array([[1.0, 0.5]])), t=0.0)
+        preds = forecast(state, self.control, [3.0, 1.0, 2.0], self.params, self.int_cfg)
+        assert [float(p.data[0, 0]) for p in preds] == [2.5, 1.5, 2.0]
+        assert forecast(state, self.control, [], self.params, self.int_cfg) == []
 
-    def test_recursive_with_perfect_reencode_matches_long_horizon(self,
-                                                                  monkeypatch):
-        cfg_r, params = make_model(d_y=1, m=2, d_a=1, randomize_output=True,
-                                   rollout_mode="recursive", recursive_chunk=1.0)
-        z0 = np.array([[0.3, -0.2]])
-        control = ControlPath(np.array([0.0]), np.array([[0.1]]))
-        int_cfg = IntegrationConfig(method="rk4", step_size=0.05)
-        qts = [0.5, 1.5, 2.5, 3.0]
-        hist = History(np.array([0.0]), np.zeros((1, 1, 1)),
-                       np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
-
-        from obsnode.odeint import integrate
-
-        field, _ = stack_field(params)
-
-        def perfect_encode(h, _params):
-            # the exact state at the last history time, in place of the encoder
-            t = float(h.times[-1])
-            (zT,) = integrate(field, Tensor(z0.copy()), control, 0.0, t, int_cfg, [t])
-            return EncodedState(z=zT, t=t)
-
-        monkeypatch.setattr(model_mod, "encode", perfect_encode)
-        rec = forecast(EncodedState(z=Tensor(z0.copy()), t=0.0), control, qts,
-                       params, int_cfg, history=hist)
-        monkeypatch.undo()
-
-        cfg_l = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=8,
-                              phi_layers=2, encoder_hidden_dim=8)
-        params.cfg = cfg_l
-        lng = forecast(EncodedState(z=Tensor(z0.copy()), t=0.0), control, qts,
-                       params, int_cfg)
-        for r, l in zip(rec, lng):
-            np.testing.assert_allclose(r.data, l.data, rtol=0, atol=1e-9)
-
-    def test_recursive_gradient_holds_pseudo_observations_constant(self, monkeypatch):
-        # the tape treats each chunk's pseudo-observations as constants: its
-        # gradient is the finite difference taken with them held at their
-        # unperturbed values, and differs from the one that lets them move
-        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, phi_layers=1,
-                            encoder_hidden_dim=3, rollout_mode="recursive",
-                            recursive_chunk=0.7)
-        rng = np.random.default_rng(3)
-        params = ObsNodeParams(cfg, rng)
-        params.load_state({k: rng.normal(0.0, 0.5, s)
-                           for k, s in param_shapes(cfg)})
-        hist = make_history(cfg, T=4, n=2, seed=3)
-        int_cfg = IntegrationConfig(method="rk4", step_size=0.5)
-        real, held, replay = History.extended, [], iter(())
-
-        def extended(self, times, y, mask, a):
-            # the first run records each chunk's pseudo-observations, later
-            # runs reuse them
-            y_held = next(replay, None)
-            if y_held is None:
-                held.append(y)
-            return real(self, times, y if y_held is None else y_held, mask, a)
-
-        def loss():
-            nonlocal replay
-            replay = iter(held[:])
-            return _batch_loss(hist, hist.times[0], params, np.ones(1), int_cfg)
-
-        free = max(grad_check(loss, t) for t in params.tensors())
-        monkeypatch.setattr(History, "extended", extended)
-        assert max(grad_check(loss, t) for t in params.tensors()) < 1e-8
-        assert held and free > 1e-4
+    def test_unsorted_repeated_queries_match_the_sorted_call_bitwise(self):
+        # one prediction per query, in the caller's order, each equal bit for
+        # bit to the sorted call's; so are the gradients of a loss that
+        # weighs each prediction by its query time
+        rng = np.random.default_rng(4)
+        control = ControlPath(np.array([0.0, 0.8, 1.9]), rng.normal(size=(3, 2, 1)))
+        int_cfg = IntegrationConfig(method="rk4", step_size=0.3)
+        z_init = rng.normal(size=(2, 3))
+        unsorted = [2.0, 0.5, 2.0, 1.3, 0.5, 3.0]
+        runs = []
+        for qts in (unsorted, sorted(unsorted)):
+            _, params = make_model(d_y=1, m=3, d_a=1, randomize_output=True)
+            z0 = Tensor(z_init.copy(), requires_grad=True)
+            with ad.Tape() as tape:
+                preds = forecast(EncodedState(z=z0, t=0.0), control, qts, params, int_cfg)
+                weights = np.repeat(np.array(qts)[:, None, None], 2, axis=1)
+                tape.backward(ad.tsum(ad.hadamard(ad.concat(preds, axis=0),
+                                                  Tensor(weights.reshape(-1, 1)))))
+            runs.append(({q: p.data for q, p in zip(qts, preds)}, [p.data for p in preds],
+                         [z0.grad] + [t.grad for t in params.tensors()]))
+        (by_time, values, grads), (by_time_sorted, _, grads_sorted) = runs
+        assert len(values) == len(unsorted)
+        for q, v in zip(unsorted, values):
+            np.testing.assert_array_equal(v, by_time_sorted[q])
+        for g, h in zip(grads, grads_sorted):
+            np.testing.assert_array_equal(g, h)
 
 
 class TestObservabilityProbe:
@@ -374,6 +332,26 @@ class TestModelCheckpoint:
         assert stats is None
         after = forecast(encode(hist, params2), control, qts, params2, int_cfg)
         np.testing.assert_array_equal(before[0].data, after[0].data)
+
+    def test_checkpoint_with_the_long_horizon_rollout_keys_loads(self, tmp_path):
+        # checkpoints written while the model had a recursive rollout mode
+        # name it and its chunk in the metadata config; the long-horizon
+        # defaults load and forecast as before, bit for bit
+        cfg, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True)
+        hist = make_history(cfg, T=4, n=2, seed=11)
+        control = ControlPath(np.array([hist.times[-1]]), np.array([[0.3]]))
+        qts = [hist.times[-1] + 0.5, hist.times[-1] + 1.0]
+        int_cfg = IntegrationConfig(step_size=0.25)
+        path = tmp_path / "model.json"
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        doc["metadata"]["config"].update(rollout_mode="long_horizon", recursive_chunk=1.0)
+        path.write_text(json.dumps(doc))
+        params2, cfg2, _ = load_model(path)
+        assert cfg2 == cfg
+        for p, q in zip(forecast(encode(hist, params), control, qts, params, int_cfg),
+                        forecast(encode(hist, params2), control, qts, params2, int_cfg)):
+            np.testing.assert_array_equal(p.data, q.data)
 
     def test_missing_tensor_rejected(self, tmp_path):
         cfg, params = make_model()

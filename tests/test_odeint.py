@@ -8,7 +8,7 @@ from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.odeint import MAX_STEPS, ControlPath, IntegrationConfig, integrate
-from support import convergence_order
+from support import convergence_order, value_at
 
 
 def decay(a):
@@ -27,12 +27,12 @@ class TestControlPath:
     def test_value_lookup(self):
         c = ControlPath(np.array([0.0, 1.0, 2.5]),
                         np.array([[1.0], [2.0], [3.0]]))
-        assert c.value_at(0.0)[0] == 1.0
-        assert c.value_at(0.99)[0] == 1.0
-        assert c.value_at(1.0)[0] == 2.0
-        assert c.value_at(10.0)[0] == 3.0
+        assert value_at(c, 0.0)[0] == 1.0
+        assert value_at(c, 0.99)[0] == 1.0
+        assert value_at(c, 1.0)[0] == 2.0
+        assert value_at(c, 10.0)[0] == 3.0
         # times before the first knot clamp to the first value
-        assert c.value_at(-1.0)[0] == 1.0
+        assert value_at(c, -1.0)[0] == 1.0
 
     def test_nonincreasing_knots_rejected(self):
         with pytest.raises(DataError):

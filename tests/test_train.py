@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,14 +405,8 @@ def test_single_time_records_are_unscorable():
               tiny_train_cfg(epochs=1, int_step=None))
 
 
-@pytest.mark.parametrize("mode,rejected", [("long_horizon", True), ("recursive", False)])
-def test_int_step_is_checked_against_the_longest_integration(mode, rejected):
-    # the rollout from t_c = 2 to the record end at 5 takes 3e6 steps of 1e-6;
-    # a recursive rollout integrates 0.5 at a time, 5e5 steps per call
-    model = replace(MODEL_CFG, rollout_mode=mode, recursive_chunk=0.5)
+def test_int_step_is_checked_against_the_longest_integration():
+    # the rollout from t_c = 2 to the record end at 5 takes 3e6 steps of 1e-6
     tcfg = tiny_train_cfg(epochs=0, int_step=1e-6)
-    if rejected:
-        with pytest.raises(ConfigError, match="int_step: a train rollout over 3.0"):
-            train(model, tiny_splits(), tcfg)
-    else:
-        train(model, tiny_splits(), tcfg)
+    with pytest.raises(ConfigError, match="int_step: a train rollout over 3.0"):
+        train(MODEL_CFG, tiny_splits(), tcfg)
