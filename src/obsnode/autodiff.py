@@ -263,7 +263,8 @@ def _sigmoid(x):
 
 
 def _leaky_relu(x):
-    return np.maximum(x, LEAKY_RELU_SLOPE * x)
+    y = x * LEAKY_RELU_SLOPE
+    return np.maximum(x, y, out=y)
 
 
 # Activations on plain arrays: name -> (forward(x), vjp(g, x, y)), where y is

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import grad_check
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import raw_forecast, rmse_grid, write_grid_csv, write_grid_pgm
+from .evaluate import raw_forecasts, rmse_grid, write_grid_csv, write_grid_pgm
 from .identify import (adjustment_estimate, interventional_truth,
                        linear_gaussian_refinement, nonidentifiability_witness,
                        random_observable_scm, random_query)
@@ -255,7 +255,7 @@ def cmd_forecast(args):
     qts = record.times[fut]
     if qts.size == 0:
         raise DataError("no forecast times beyond t_c")
-    pred = raw_forecast(record, t_c, qts, params, stats, control=control)[:, 0]
+    pred = raw_forecasts(record, [(t_c, qts)], params, stats, control=control)[0][:, 0]
 
     with (open(args.output, "w", newline="") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import History, rollout, window
+from .model import History, rollouts, window
 from .odeint import ControlPath, IntegrationConfig
-from .train import NormStats, stack_units, zscore_invert, zscore_outcomes
+from .train import NormStats, _targets, stack_units, zscore_invert, zscore_outcomes
 
 
 @dataclass
@@ -46,18 +46,19 @@ class RmseGrid:
         return np.where(n > 0, np.nansum(self.values, axis=2) / np.maximum(n, 1), np.nan)
 
 
-def raw_forecast(record: History, t_c, query_times, params,
-                 stats: NormStats | None, int_cfg: IntegrationConfig | None = None,
-                 control: ControlPath | None = None):
-    """:func:`~obsnode.model.rollout` in raw outcome units: normalize the
-    record's observed outcomes with `stats`, forecast, and invert the
-    normalization. Returns a (len(query_times), n, d_y) array."""
+def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
+                  int_cfg: IntegrationConfig | None = None,
+                  control: ControlPath | None = None):
+    """:func:`~obsnode.model.rollouts` in raw outcome units: normalize the
+    record's observed outcomes with `stats` once, forecast, and invert the
+    normalization. Returns, per (t_c, query_times) decision, a
+    (len(query_times), n, d_y) array."""
     if stats is not None:
         record = History(record.times, zscore_outcomes(record.y, record.mask, stats),
                          record.mask, record.a)
-    out = np.stack([p.data for p in rollout(record, t_c, query_times, params,
-                                            int_cfg, control)])
-    return zscore_invert(out, stats) if stats is not None else out
+    out = [np.stack([p.data for p in preds])
+           for preds in rollouts(record, decisions, params, int_cfg, control)]
+    return [zscore_invert(o, stats) for o in out] if stats is not None else out
 
 
 def _test_scale(y, mask):
@@ -90,8 +91,9 @@ def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
 def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
               int_cfg=None) -> RmseGrid:
     """Scaled RMSE per (assimilation time, horizon bin, component) of the
-    forecasts of :func:`raw_forecast`. The horizon bin for s_k collects
-    observed points in (t_c + s_{k-1}, t_c + s_k].
+    forecasts of :func:`raw_forecasts`, all from one encoder pass over the
+    record. The horizon bin for s_k collects observed points in
+    (t_c + s_{k-1}, t_c + s_k].
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
@@ -102,15 +104,13 @@ def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
 
     values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
     counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
-    for i, t_c in enumerate(t_c_grid):
-        past, fut = window(record.times, t_c, t_c + horizons[-1])
-        if not fut.any() or not past.any():
-            continue
-        qts = record.times[fut]
-        preds = raw_forecast(record, float(t_c), qts, params, stats, int_cfg)
-        values[i], counts[i] = _binned_rmse(qts, preds, record.y[fut],
-                                            record.mask[fut], t_c, horizons,
-                                            scale)
+    scored = [(i, float(t_c), fut) for i, t_c in enumerate(t_c_grid)
+              if (fut := _targets(record.times, t_c, horizons[-1])) is not None]
+    preds = raw_forecasts(record, [(t_c, record.times[fut]) for _, t_c, fut in scored],
+                          params, stats, int_cfg)
+    for (i, t_c, fut), pred in zip(scored, preds):
+        values[i], counts[i] = _binned_rmse(record.times[fut], pred, record.y[fut],
+                                            record.mask[fut], t_c, horizons, scale)
     return RmseGrid(t_c_grid, horizons, values, counts)
 
 

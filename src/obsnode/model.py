@@ -177,78 +177,74 @@ class ObsNodeParams:
 
 
 def _unit_sum(g):
-    """Sum the gradient g (n, k) of a (1, k) tensor over the units, as the op
-    graph's expand does: a single unit's row passes unchanged."""
-    return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
+    """Sum the gradient g (..., n, k) of a (..., 1, k) tensor over the units,
+    as the op graph's expand does: a single unit's row passes unchanged."""
+    return g.sum(axis=-2, keepdims=True) if g.shape[-2] > 1 else g
 
 
 def _affine_vjp(g, x, W, b=None):
-    """Backward of ``x @ W (+ b)`` for the upstream gradient g: accumulates
-    the bias and weight gradients and returns the gradient for x."""
+    """Backward of ``x @ W (+ b)``, also batched over leading block axes,
+    for the upstream gradient g: accumulates the bias and weight gradients
+    and returns the gradient for x."""
     if b is not None and b.requires_grad:
         ad._accum(b, _unit_sum(g))
     if W.requires_grad:
-        ad._accum(W, x.T @ g)
-    return g @ W.data.T
+        ad._accum(W, x.mT @ g)
+    return g @ W.data.mT
 
 
 def stack_field(params: ObsNodeParams):
     """The vector field of the triangular normal form as (field, tensors)
-    in the field protocol of :func:`~obsnode.odeint.integrate`. The m
-    phi-blocks are one masked MLP (MADE, Germain et al., 2015) on [z, ctrl]:
-    block i's first-layer columns read z^(1..i) and the control, the later
-    layers are block-diagonal, and the masked weights are exact zeros.
+    in the field protocol of :func:`~obsnode.odeint.integrate`. Each layer
+    of the m phi-blocks is one batched product over the blocks,
+    (m, n, v) @ (m, v, w); the first layer's input, [z, ctrl], is shared.
+    Each block's first-layer weights are padded to all of z with exact
+    zeros past z^(1..i) (the masks of MADE, Germain et al., 2015), so the
+    field stays triangular.
 
-    `tensors`, the stacked weights (first layer's z rows, control rows when
-    d_a > 0, bias; then weight and bias per later layer), are assembled by
-    one tape node whose backward pass scatters their gradients, zero-padded,
-    back to the per-block tensors. Binding a control computes its scaling
-    and first-layer term once.
+    `tensors`, the per-block tensors stacked along a new first axis (the
+    first layer's z rows, control rows and bias; then weight and bias per
+    later layer), are assembled by one tape node whose backward pass hands
+    each per-block tensor its part of their gradients. Binding a control
+    computes its scaling and first-layer term once.
     """
     cfg = params.cfg
-    d_y, m, d_a = cfg.d_y, cfg.m, cfg.d_a
-    widths = [cfg.phi_hidden_dim] * cfg.phi_layers + [d_y]
-    # (stacked shape, pieces); a piece copies rows `src` of a block tensor to
-    # rows `rows`, columns `cols` of the stacked array
-    specs = []
-    for l, w in enumerate(widths):
-        cols = [slice(i * w, (i + 1) * w) for i in range(m)]
-        Ws = [(params.phi[i][l][0], i, c) for i, c in enumerate(cols)]
-        if l == 0:
-            specs.append(((cfg.d_z, m * w), [(W, slice(0, (i + 1) * d_y),
-                                              slice(0, (i + 1) * d_y), c) for W, i, c in Ws]))
-            if d_a:
-                specs.append(((d_a, m * w), [(W, slice((i + 1) * d_y, None), slice(None), c)
-                                             for W, i, c in Ws]))
-        else:
-            v = widths[l - 1]
-            specs.append(((m * v, m * w), [(W, slice(None), slice(i * v, (i + 1) * v), c)
-                                           for W, i, c in Ws]))
-        specs.append(((1, m * w), [(params.phi[i][l][1], slice(None), slice(None), c)
-                                   for i, c in enumerate(cols)]))
-    tensors = []
-    for shape, pieces in specs:
-        stacked = np.zeros(shape)
-        for t, src, rows, cols in pieces:
-            stacked[rows, cols] = t.data[src]
-        tensors.append(Tensor(stacked))
+    d_y, m, d_z = cfg.d_y, cfg.m, cfg.d_z
+    first = [layers[0] for layers in params.phi]
+    W0z = np.zeros((m, d_z, first[0][0].data.shape[1]))
+    for i, (W, _) in enumerate(first):
+        W0z[i, :(i + 1) * d_y] = W.data[:(i + 1) * d_y]
+    # the blocks' first-layer biases, then per later layer their weights
+    # and their biases
+    stacks = [[b for _, b in first]] + [ts for layer in list(zip(*params.phi))[1:]
+                                        for ts in zip(*layer)]
+    tensors = [Tensor(W0z), Tensor(np.stack([W.data[(i + 1) * d_y:]
+                                             for i, (W, _) in enumerate(first)]))]
+    tensors += [Tensor(np.stack([t.data for t in ts])) for ts in stacks]
 
-    def scatter(g):
-        for grad, (_, pieces) in zip([g] + [t.grad for t in tensors[1:]], specs):
-            for t, src, rows, cols in pieces:
+    def unstack(g):
+        for i, (W, _) in enumerate(first):
+            if W.requires_grad:
+                # the z rows and the control rows arrive as two zero-padded
+                # gradients, as from two slices of W in the op graph
+                k = (i + 1) * d_y
+                for rows, part in ((slice(0, k), g[i, :k]), (slice(k, None), tensors[1].grad[i])):
+                    full = np.zeros_like(W.data)
+                    full[rows] = part
+                    ad._accum(W, full)
+        for ts, stacked in zip(stacks, tensors[2:]):
+            for t, gt in zip(ts, stacked.grad):
                 if t.requires_grad:
-                    full = np.zeros_like(t.data)
-                    full[src] = grad[rows, cols]
-                    ad._accum(t, full)
+                    ad._accum(t, gt)
 
     # every use of the field accumulates into the first stacked tensor, so
     # the node's backward pass runs whenever any of them has a gradient
-    ad._record(tensors[0], [t for _, pieces in specs for t, *_ in pieces], scatter)
+    ad._record(tensors[0], [t for layers in params.phi for Wb in layers for t in Wb],
+               unstack)
     for t in tensors[1:]:
         t.requires_grad = tensors[0].requires_grad
-    it = iter(tensors)
-    W0z, W0c, b0 = next(it), next(it) if d_a else None, next(it)
-    later = list(zip(it, it))
+    W0z, W0c, b0, *rest = tensors
+    later = list(zip(rest[::2], rest[1::2]))
     act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
     inv_scale = None if cfg.treatment_scale is None else 1.0 / np.asarray(cfg.treatment_scale)
 
@@ -256,31 +252,34 @@ def stack_field(params: ObsNodeParams):
         ctrl = np.atleast_2d(a)
         if inv_scale is not None:
             ctrl = ctrl * inv_scale
-        c = ctrl @ W0c.data + b0.data if d_a else b0.data
+        c = ctrl @ W0c.data + b0.data  # (m, 1 or n, w)
 
         def f(z):
+            n = z.shape[0]
             pre = z @ W0z.data + c
             cache = []  # (pre-activation, activation) per hidden layer
             for W, b in later:
                 y = act(pre)
                 cache.append((pre, y))
-                pre = y @ W.data + b.data
-            pre[:, :-d_y] += z[:, d_y:]  # the integrator chain
+                pre = y @ W.data
+                pre += b.data
+            out = pre.transpose(1, 0, 2).reshape(n, d_z)
+            out[:, :-d_y] += z[:, d_y:]  # the integrator chain
 
             def vjp(g):
-                gpre = g
+                gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
                 for (W, b), (pre_l, y) in zip(reversed(later), reversed(cache)):
                     gpre = act_vjp(_affine_vjp(gpre, y, W, b), pre_l, y)
-                gc = _unit_sum(gpre) if len(c) == 1 else gpre
+                gc = _unit_sum(gpre) if c.shape[1] == 1 else gpre
                 if b0.requires_grad:
                     ad._accum(b0, _unit_sum(gc))
-                if d_a and W0c.requires_grad:
+                if W0c.requires_grad:
                     ad._accum(W0c, ctrl.T @ gc)
                 chain = np.zeros_like(g)
                 chain[:, d_y:] = g[:, :-d_y]
-                return _affine_vjp(gpre, z, W0z) + chain
+                return _affine_vjp(gpre, z, W0z).sum(axis=0) + chain
 
-            return pre, vjp
+            return out, vjp
 
         return f
 
@@ -377,26 +376,37 @@ def _gru_step(x, unobs, h, b_impute, enc):
                       backward)
 
 
-def encode(history: History, params: ObsNodeParams) -> EncodedState:
-    """Run the recurrent cell over the history and map the final hidden state
-    to a latent point estimate at the last history time. The cell inputs,
-    (imputed y, mask, scaled treatment, delta-t) per time, are one array
-    built before the loop."""
+def encode_prefixes(history: History, params: ObsNodeParams, lengths) -> list[EncodedState]:
+    """The latent point estimates after the first k history times, for each
+    k >= 1 in `lengths` (any order, repeats allowed), at times[k - 1]. The
+    recurrent cell runs once, over the longest prefix; its hidden state
+    after k steps is, bit for bit, that of a run over the first k times,
+    and the affine head maps it to the state. The cell inputs, (imputed y,
+    mask, scaled treatment, delta-t) per time, are one array built before
+    the loop."""
     cfg = params.cfg
     check_dims(history, cfg, "encode")
-    T, n = history.y.shape[:2]
-    mask, a = history.mask, history.a
+    if min(lengths, default=1) < 1:
+        raise DataError("encode: empty history")
+    T = max(lengths, default=0)
+    n = history.y.shape[1]
+    mask, a = history.mask[:T], history.a[:T]
     unobs = 1.0 - mask
     if cfg.treatment_scale is not None and cfg.d_a:
         a = a / np.asarray(cfg.treatment_scale)
-    dt = np.diff(history.times, prepend=history.times[0])
-    x = np.concatenate([history.y * mask + params.b_impute.data * unobs, mask, a,
+    dt = np.diff(history.times[:T], prepend=history.times[0])
+    x = np.concatenate([history.y[:T] * mask + params.b_impute.data * unobs, mask, a,
                         np.broadcast_to(dt[:, None, None], (T, n, 1))], axis=2)
-    h = Tensor(np.zeros((n, cfg.encoder_hidden_dim)))
+    hs = [Tensor(np.zeros((n, cfg.encoder_hidden_dim)))]
     for k in range(T):
-        h = _gru_step(x[k], unobs[k], h, params.b_impute, params.enc)
-    z = _linear(h, params.head_W, params.head_b)
-    return EncodedState(z=z, t=float(history.times[-1]))
+        hs.append(_gru_step(x[k], unobs[k], hs[-1], params.b_impute, params.enc))
+    return [EncodedState(z=_linear(hs[k], params.head_W, params.head_b),
+                         t=float(history.times[k - 1])) for k in lengths]
+
+
+def encode(history: History, params: ObsNodeParams) -> EncodedState:
+    """:func:`encode_prefixes` of the whole history."""
+    return encode_prefixes(history, params, [history.times.size])[0]
 
 
 def forecast(state: EncodedState, control: ControlPath, query_times, params: ObsNodeParams,
@@ -413,30 +423,36 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     return [emit(z, params.cfg) for z in states]
 
 
-def rollout(record: History, t_c, query_times, params: ObsNodeParams,
-            int_cfg: IntegrationConfig | None = None,
-            control: ControlPath | None = None):
-    """Potential-outcome forecasts from one observed record: encode the
-    record up to t_c, then :func:`forecast` `query_times` (ascending, after
-    t_c) under `control`.
-
-    Without a control path the factual recorded treatments apply: the last
-    treatment at or before t_c up to the first query time, then the treatment
-    recorded at each query time up to the next. `int_cfg` defaults to
-    :meth:`IntegrationConfig.for_grid` of the record times. Returns a list of
-    (n, d_y) Tensors aligned with `query_times`.
-    """
-    past, _ = window(record.times, t_c)
-    hist = History(record.times[past], record.y[past], record.mask[past],
-                   record.a[past])
+def factual_control(record: History, k, query_times) -> ControlPath:
+    """The recorded treatments as the control of a forecast from the first
+    k record times to `query_times` (ascending record times after them):
+    the treatment at times[k - 1] up to the first query time, then the
+    treatment recorded at each query time up to the next."""
     qts = np.asarray(query_times, dtype=np.float64)
-    if control is None:
-        fut_a = record.a[np.isin(record.times, qts)]
-        control = ControlPath(np.concatenate([hist.times[-1:], qts[:-1]]),
-                              np.concatenate([hist.a[-1:], fut_a[:-1]]))
-    if int_cfg is None:
-        int_cfg = IntegrationConfig.for_grid(record.times)
-    return forecast(encode(hist, params), control, list(qts), params, int_cfg)
+    fut_a = record.a[np.isin(record.times, qts)]
+    return ControlPath(np.concatenate([record.times[k - 1:k], qts[:-1]]),
+                       np.concatenate([record.a[k - 1:k], fut_a[:-1]]))
+
+
+def rollouts(record: History, decisions, params: ObsNodeParams,
+             int_cfg: IntegrationConfig | None = None,
+             control: ControlPath | None = None):
+    """Potential-outcome forecasts from one observed record at several
+    decision times: for each (t_c, query_times) of `decisions`, the state
+    encoded from the record up to t_c (one :func:`encode_prefixes` pass
+    serves them all) is forecast to query_times (ascending, after t_c) under
+    `control`, or without one under :func:`factual_control`. `int_cfg`
+    defaults to :meth:`IntegrationConfig.for_grid` of the record times.
+    Returns, per decision, a list of (n, d_y) Tensors aligned with its
+    query_times."""
+    lengths = [int(window(record.times, t_c)[0].sum()) for t_c, _ in decisions]
+    out = []
+    for (_, qts), k, state in zip(decisions, lengths, encode_prefixes(record, params, lengths)):
+        qts = np.asarray(qts, dtype=np.float64)
+        path = factual_control(record, k, qts) if control is None else control
+        out.append(forecast(state, path, list(qts), params,
+                            int_cfg or IntegrationConfig.for_grid(record.times)))
+    return out
 
 
 # ---------------------------------------------------------------------------

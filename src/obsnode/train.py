@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
-from .model import (History, ObsNodeConfig, ObsNodeParams, check_dims, rollout,
+from .model import (History, ObsNodeConfig, ObsNodeParams, check_dims, rollouts,
                     save_model, window)
 from .odeint import MAX_STEPS, METHODS, IntegrationConfig
 
@@ -163,6 +163,12 @@ def _targets(times, t_c, max_horizon):
     return fut if past.any() and fut.any() else None
 
 
+def _score(preds, record: History, fut, sigma2):
+    """The masked loss of the predictions at the record's target times."""
+    pred = ad.concat([ad.reshape(p, (1,) + p.data.shape) for p in preds], axis=0)
+    return masked_loss(pred, record.y[fut], record.mask[fut], sigma2)
+
+
 def _batch_loss(record: History, t_c, params, sigma2, int_cfg, max_horizon=None):
     """Forward pass on one batch: encode the record up to t_c, forecast its
     targets (see :func:`_targets`) under the factual treatments, and score.
@@ -170,21 +176,20 @@ def _batch_loss(record: History, t_c, params, sigma2, int_cfg, max_horizon=None)
     fut = _targets(record.times, t_c, max_horizon)
     if fut is None:
         return None
-    preds = rollout(record, t_c, record.times[fut], params, int_cfg)
-    pred = ad.concat([ad.reshape(p, (1,) + p.data.shape) for p in preds], axis=0)
-    return masked_loss(pred, record.y[fut], record.mask[fut], sigma2)
+    preds = rollouts(record, [(t_c, record.times[fut])], params, int_cfg)[0]
+    return _score(preds, record, fut, sigma2)
 
 
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
-    """Mean masked loss over a fixed grid of decision times (no gradients)."""
+    """Mean masked loss over a fixed grid of decision times (no gradients),
+    each as :func:`_batch_loss` scores it, from one encoder pass over the
+    record."""
     record = stack_units(trajs)
-    int_cfg = _int_config(record.times, tcfg)
-    vals = []
-    for t_c in decision_times:
-        loss = _batch_loss(record, t_c, params, sigma2, int_cfg,
-                           max_horizon=tcfg.max_horizon)
-        if loss is not None:
-            vals.append(float(loss.data))
+    futs = [(t_c, fut) for t_c in decision_times
+            if (fut := _targets(record.times, t_c, tcfg.max_horizon)) is not None]
+    preds = rollouts(record, [(t_c, record.times[fut]) for t_c, fut in futs], params,
+                     _int_config(record.times, tcfg))
+    vals = [float(_score(p, record, fut, sigma2).data) for p, (_, fut) in zip(preds, futs)]
     return float(np.mean(vals)) if vals else np.nan
 
 

@@ -11,14 +11,16 @@ import numpy as np
 
 from obsnode.autodiff import Tensor
 from obsnode.errors import DataError
-from obsnode.evaluate import RmseGrid, _binned_rmse, _test_scale, raw_forecast
+from obsnode.evaluate import RmseGrid, _binned_rmse, _test_scale, raw_forecasts
 from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _reduce,
                               enumerate_joint, observational_law)
-from obsnode.model import ObsNodeParams, emit, stack_field, window
+from obsnode.model import (History, ObsNodeParams, emit, encode, factual_control, forecast,
+                           stack_field, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
-from obsnode.train import stack_units
+from obsnode.train import (_int_config, _targets, masked_loss, stack_units, zscore_invert,
+                           zscore_outcomes)
 
 
 def value_at(control: ControlPath, t: float) -> np.ndarray:
@@ -118,11 +120,59 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
     qts = record.times[fut]
     cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
     ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
-    pred = raw_forecast(record, t_c, qts, params, stats, int_cfg, ctrl)
+    pred = raw_forecasts(record, [(t_c, qts)], params, stats, int_cfg, ctrl)[0]
     scale = _test_scale(record.y, record.mask)
     values, counts = _binned_rmse(qts, pred, oracle.y[fut], oracle.mask[fut],
                                   t_c, horizons, scale)
     return RmseGrid(np.array([t_c]), horizons, values[None], counts[None])
+
+
+def reencoded_rollout(record, t_c, query_times, params, int_cfg):
+    """The reference for the shared encoder pass: the factual forecasts at
+    `query_times`, as an array, from a fresh encode of the record's history
+    up to t_c."""
+    past, _ = window(record.times, t_c)
+    hist = History(record.times[past], record.y[past], record.mask[past], record.a[past])
+    qts = np.asarray(query_times, dtype=np.float64)
+    control = factual_control(record, int(past.sum()), qts)
+    return np.stack([p.data for p in forecast(encode(hist, params), control, list(qts),
+                                              params, int_cfg)])
+
+
+def reencoded_grid(test_trajs, t_c_grid, horizons, params, stats, int_cfg) -> RmseGrid:
+    """The reference for :func:`~obsnode.evaluate.rmse_grid`: each decision
+    time's forecasts from a fresh encode (:func:`reencoded_rollout`)."""
+    horizons = np.sort(np.asarray(horizons, dtype=np.float64))
+    t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
+    record = stack_units(test_trajs)
+    normed = History(record.times, zscore_outcomes(record.y, record.mask, stats),
+                     record.mask, record.a)
+    scale = _test_scale(record.y, record.mask)
+    values = np.full((t_c_grid.size, horizons.size, record.y.shape[2]), np.nan)
+    counts = np.zeros(values.shape, dtype=int)
+    for i, t_c in enumerate(t_c_grid):
+        past, fut = window(record.times, t_c, t_c + horizons[-1])
+        if past.any() and fut.any():
+            qts = record.times[fut]
+            pred = zscore_invert(reencoded_rollout(normed, t_c, qts, params, int_cfg), stats)
+            values[i], counts[i] = _binned_rmse(qts, pred, record.y[fut], record.mask[fut],
+                                                t_c, horizons, scale)
+    return RmseGrid(t_c_grid, horizons, values, counts)
+
+
+def reencoded_loss(trajs, params, sigma2, decision_times, tcfg) -> float:
+    """The reference for :func:`~obsnode.train.evaluate_loss`: each decision
+    time's forecasts from a fresh encode (:func:`reencoded_rollout`)."""
+    record = stack_units(trajs)
+    int_cfg = _int_config(record.times, tcfg)
+    vals = []
+    for t_c in decision_times:
+        fut = _targets(record.times, t_c, tcfg.max_horizon)
+        if fut is not None:
+            pred = reencoded_rollout(record, t_c, record.times[fut], params, int_cfg)
+            loss = masked_loss(Tensor(pred), record.y[fut], record.mask[fut], sigma2)
+            vals.append(float(loss.data))
+    return float(np.mean(vals)) if vals else np.nan
 
 
 def naive_conditional(scm: DiscreteScm, q: InterventionQuery):

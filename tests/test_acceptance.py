@@ -303,8 +303,12 @@ def cancer_run():
 
 
 class TestCancerEndToEnd:
-    def test_rmse_bounds_and_budget(self, cancer_run):
+    def test_rmse_bounds_and_budget(self, cancer_run, record_testsuite_property):
         tumor = cancer_run["tumor"]
+        # which training seed the fixture kept, and its RMSEs, in the report
+        record_testsuite_property("cancer_seed", cancer_run["seed"])
+        record_testsuite_property("cancer_tumor_rmse_one_cycle", float(tumor[0]))
+        record_testsuite_property("cancer_tumor_rmse_six_cycles", float(tumor[5]))
         assert tumor[0] <= 0.15, \
             f"tumor RMSE at one cycle {tumor[0]:.3f} (seed {cancer_run['seed']})"
         assert tumor[5] <= 0.6, f"tumor RMSE at six cycles {tumor[5]:.3f}"

@@ -28,6 +28,8 @@ ALLOWED = {
     "autodiff.leaky_relu": "perfbench/tracer.OPS lists it; its op counter wraps it",
     "autodiff.tanh": "perfbench/tracer.OPS lists it; its op counter wraps it",
     "autodiff.tmean": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "model.encode": "perfbench/probes.py's encode probe and workloads.query call it; src/ "
+                    "encodes through encode_prefixes",
     "model.triangular_rhs": "perfbench/probes.py's model.rhs_* probes call it on Tensors",
     "odeint._rk4_step": "perfbench/probes.py's odeint.rk4_probe_n25 calls it with a Tensor field",
 }

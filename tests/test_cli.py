@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from obsnode import model as model_mod
 from obsnode.cli import main, read_treatment_csv
-from obsnode.evaluate import raw_forecast
+from obsnode.evaluate import raw_forecasts
 from obsnode.model import ObsNodeConfig, load_model, window
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
@@ -387,8 +387,8 @@ class TestForecast:
         step = float(np.min(np.diff(unit.times))) / 4.0
         record = stack_units([unit])
         qts = record.times[window(record.times, t_c)[1]]
-        ref = raw_forecast(record, t_c, qts, params, stats,
-                           IntegrationConfig(step_size=step))[:, 0, :]
+        ref = raw_forecasts(record, [(t_c, qts)], params, stats,
+                            IntegrationConfig(step_size=step))[0][:, 0, :]
 
         lines = out.read_text().splitlines()
         assert lines[0] == "time,component_1,component_2"
@@ -452,7 +452,7 @@ class TestGradcheck:
     def test_fails_when_a_bias_gradient_is_not_summed_over_units(self, monkeypatch,
                                                                  capsys):
         # the fused nodes' bias and b_impute gradients keep the first unit's row
-        monkeypatch.setattr(model_mod, "_unit_sum", lambda g: g[:1])
+        monkeypatch.setattr(model_mod, "_unit_sum", lambda g: g[..., :1, :])
         assert main(["gradcheck", "--n", "3"]) == 4
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 

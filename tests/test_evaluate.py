@@ -8,9 +8,11 @@ from obsnode import evaluate
 from obsnode.errors import DataError
 from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
                               write_grid_pgm)
-from obsnode.model import window
+from obsnode.model import ObsNodeConfig, ObsNodeParams, window
+from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
-from support import counterfactual_rmse, read_grid_csv
+from obsnode.train import NormStats, TrainConfig, evaluate_loss
+from support import counterfactual_rmse, read_grid_csv, reencoded_grid, reencoded_loss
 
 
 def linear_trajs(n=5, T=13, d_y=1, seed=0, noise_sd=0.0):
@@ -42,8 +44,8 @@ def grid_of(monkeypatch):
     query_times)` standing in for the model's forecasts."""
 
     def grid(trajs, t_c_grid, horizons, predict):
-        monkeypatch.setattr(evaluate, "raw_forecast",
-                            lambda record, t_c, qts, *_: predict(record, t_c, qts))
+        monkeypatch.setattr(evaluate, "raw_forecasts", lambda record, decisions, *_: [
+            predict(record, t_c, qts) for t_c, qts in decisions])
         return rmse_grid(trajs, t_c_grid, horizons, params=None)
 
     return grid
@@ -139,6 +141,61 @@ class TestRmseGrid:
         grid = grid_of(trajs, [2.0, 5.0, 8.0], [2.0], predict)
         vals = grid.values[:, 0, 0]
         assert vals[2] < vals[1] < vals[0]
+
+
+class TestSharedEncoder:
+    @settings(max_examples=40, deadline=None)
+    @given(d_y=st.integers(1, 2), d_a=st.integers(0, 2), m=st.integers(1, 2),
+           layers=st.integers(0, 2), T=st.integers(3, 8), n=st.integers(1, 3),
+           max_horizon=st.sampled_from([None, 1.5, 4.0]), seed=st.integers(0, 2**16))
+    def test_one_pass_equals_reencoding_each_decision_time(self, d_y, d_a, m, layers, T, n,
+                                                           max_horizon, seed):
+        # rmse_grid and evaluate_loss against a fresh encode per decision
+        # time, bit for bit: missing y entries, decision times on and
+        # between the grid times, one before the first time (no history) and
+        # one at the last (no target), and a repeated time
+        rng = np.random.default_rng(seed)
+        cfg = ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=3, phi_layers=layers,
+                            encoder_hidden_dim=3)
+        params = ObsNodeParams(cfg, rng)
+        for t in params.tensors():
+            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+        times = np.cumsum(rng.uniform(0.5, 2.0, size=T))
+        mask = (rng.uniform(size=(T, n, d_y)) < 0.7).astype(float)
+        mask[:2] = 1.0
+        y = rng.normal(size=(T, n, d_y)) * mask
+        a = rng.uniform(0.0, 2.0, size=(T, n, d_a))
+        trajs = [Trajectory(unit_id=u, times=times, y=y[:, u], mask=mask[:, u], a=a[:, u])
+                 for u in range(n)]
+        between = times[:-1] + rng.uniform(0.1, 0.9, size=T - 1) * np.diff(times)
+        t_cs = [times[0] - 1.0, times[-1], times[1], between[0], between[-1], times[1]]
+        horizons = np.cumsum(rng.uniform(0.5, 3.0, size=2))
+        stats = NormStats(rng.normal(size=d_y), rng.uniform(0.5, 2.0, size=d_y))
+        int_cfg = IntegrationConfig(step_size=0.3)
+
+        grid = rmse_grid(trajs, t_cs, horizons, params, stats, int_cfg)
+        ref = reencoded_grid(trajs, t_cs, horizons, params, stats, int_cfg)
+        assert grid.values.tobytes() == ref.values.tobytes()
+        assert np.array_equal(grid.counts, ref.counts)
+        assert (grid.counts[0] == 0).all() and (grid.counts[-1] == 0).all()
+
+        tcfg = TrainConfig(decision_time_grid=t_cs, t_f=times[-1] + 1.0, int_step=0.3,
+                           max_horizon=max_horizon)
+        sigma2 = rng.uniform(0.5, 2.0, size=d_y)
+        loss = evaluate_loss(trajs, params, sigma2, t_cs, tcfg)
+        assert np.float64(loss).tobytes() == np.float64(
+            reencoded_loss(trajs, params, sigma2, t_cs, tcfg)).tobytes()
+
+
+def test_single_time_records_give_an_empty_grid():
+    # no decision time has both history and a target, so nothing is
+    # forecast and the default step, which needs two times, is never made
+    trajs = [Trajectory(unit_id=i, times=[0.0], y=[[1.0 + i]], mask=[[1.0]], a=[[0.0]])
+             for i in range(3)]
+    params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3,
+                                         encoder_hidden_dim=3), np.random.default_rng(0))
+    grid = rmse_grid(trajs, [0.0, 1.0], [1.0], params)
+    assert not grid.counts.any() and np.isnan(grid.values).all()
 
 
 class TestBins:

@@ -1,13 +1,15 @@
-"""The fused tape nodes of the model (the stacked triangular vector field, the
-solver step and the GRU cell) and the encoder against the same computations
-written as graphs of autodiff ops.
+"""The fused tape nodes of the model (the triangular vector field, the solver
+step and the GRU cell) and the encoder against the same computations written
+as graphs of autodiff ops.
 
 The field and the GRU cell promise bitwise equality with these graphs: the
 same forward values and the same gradients, accumulated in the same order,
-for every input that requires grad. The data they take (the control, the
-GRU input row and its mask) are plain constants. The stacked field differs
-from the per-block field, and the step node from the op graph of its stages,
-in the rounding of their sums only: they agree to 1e-12 relative.
+for every input that requires grad. The field's graph takes one batched
+product over the blocks per layer, as the field does. The data they take
+(the control, the GRU input row and its mask) are plain constants. The field
+differs from the per-block op graph of the normal form, and the step node
+from the op graph of its stages, in the rounding of their sums only: they
+agree to 1e-12 relative.
 """
 
 import numpy as np
@@ -48,8 +50,7 @@ def ref_control(z, a, cfg, expand=True):
 
 def ref_rhs(z, a, params):
     """The triangular vector field block by block, as a graph of autodiff
-    ops: the arithmetic of the per-block field that the stacked one
-    replaced, which this graph matched bit for bit."""
+    ops: each block's MLP on its own slice of z and the control."""
     cfg = params.cfg
     a = ref_control(z, a, cfg)
     act = REF_ACTIVATIONS[cfg.phi_activation]
@@ -68,53 +69,73 @@ def ref_rhs(z, a, params):
     return ad.concat(blocks, axis=1)
 
 
-def ref_stacked(params):
-    """The stacked weights of :func:`stack_field` built from the per-block
-    tensors by slices, zero blocks and concatenations: ((z rows, control
-    rows or None, bias) of the first layer, [(weight, bias)] of the later
-    layers)."""
-    cfg = params.cfg
-    d_y, m, d_a, d_z = cfg.d_y, cfg.m, cfg.d_a, cfg.d_z
-    widths = [cfg.phi_hidden_dim] * cfg.phi_layers + [d_y]
-    zeros = lambda rows, cols: Tensor(np.zeros((rows, cols)))
-    later = []
-    for l, w in enumerate(widths):
-        Ws = [params.phi[i][l][0] for i in range(m)]
-        b = ad.concat([params.phi[i][l][1] for i in range(m)], axis=1)
-        if l == 0:
-            Wz = ad.concat([ad.concat([ad.slice_axis(W, 0, k * d_y, axis=0),
-                                       zeros(d_z - k * d_y, w)], axis=0)
-                            for k, W in enumerate(Ws, start=1)], axis=1)
-            Wc = ad.concat([ad.slice_axis(W, k * d_y, k * d_y + d_a, axis=0)
-                            for k, W in enumerate(Ws, start=1)], axis=1) if d_a else None
-            first = (Wz, Wc, b)
-        else:
-            v = widths[l - 1]
-            later.append((ad.concat([ad.concat([zeros(i * v, w), W, zeros((m - 1 - i) * v, w)],
-                                               axis=0) for i, W in enumerate(Ws)], axis=1), b))
-    return first, later
+def ref_stack(tensors):
+    """The per-block tensors stacked along a new first axis."""
+    return ad.concat([ad.reshape(t, (1,) + t.data.shape) for t in tensors], axis=0)
 
 
-def ref_stacked_rhs(z, a, params):
-    """The field of :func:`stack_field` as a graph of autodiff ops over the
-    weights of :func:`ref_stacked`, with the stacked field's arithmetic: the
-    control's first-layer term on its own rows, broadcast after."""
+def ref_first_layer(params):
+    """The first layer of :func:`stack_field` built from the per-block
+    tensors by slices, zero blocks and stacking: (z rows padded to all of
+    z, control rows, bias), each (m, ., w)."""
     cfg = params.cfg
-    n, d_y = z.data.shape[0], cfg.d_y
-    (Wz, Wc, b0), later = ref_stacked(params)
-    a = ref_control(z, a, cfg, expand=False)
-    c = b0
-    if cfg.d_a:
-        c = ad.matmul(a, Wc)
-        c = ad.add(c, b0 if c.data.shape[0] == 1 else ad.expand(b0, c.data.shape))
+    d_y, d_a, d_z = cfg.d_y, cfg.d_a, cfg.d_z
+    first = [layers[0] for layers in params.phi]
+    w = first[0][0].data.shape[1]
+    Wz = ref_stack([ad.concat([ad.slice_axis(W, 0, k * d_y, axis=0),
+                               Tensor(np.zeros((d_z - k * d_y, w)))], axis=0)
+                    for k, (W, _) in enumerate(first, start=1)])
+    Wc = ref_stack([ad.slice_axis(W, k * d_y, k * d_y + d_a, axis=0)
+                    for k, (W, _) in enumerate(first, start=1)])
+    return Wz, Wc, ref_stack([b for _, b in first])
+
+
+def ref_bmm(x, W):
+    """The batched product x (m, n, v) @ W (m, v, w), block by block."""
+    def bw(g):
+        if x.requires_grad:
+            ad._accum(x, g @ W.data.mT)
+        if W.requires_grad:
+            ad._accum(W, x.data.mT @ g)
+
+    return ad._record(Tensor(x.data @ W.data), (x, W), bw)
+
+
+def ref_swap(x):
+    """The blocks' outputs (m, n, d_y) as (n, m, d_y)."""
+    def bw(g):
+        if x.requires_grad:
+            ad._accum(x, g.transpose(1, 0, 2))
+
+    return ad._record(Tensor(x.data.transpose(1, 0, 2)), (x,), bw)
+
+
+def ref_shared(x, m):
+    """The rows x (r, k), shared by the m blocks, as (m, r, k)."""
+    return ad.concat([ad.reshape(x, (1,) + x.data.shape)] * m, axis=0)
+
+
+def ref_batched_rhs(z, a, params):
+    """The field of :func:`stack_field` as a graph of autodiff ops with its
+    arithmetic: one batched product over the blocks per layer, the first
+    over the weights of :func:`ref_first_layer` with the control's term on
+    its own rows, broadcast after."""
+    cfg = params.cfg
+    n, d_y, m = z.data.shape[0], cfg.d_y, cfg.m
+    Wz, Wc, b0 = ref_first_layer(params)
+    c = ref_bmm(ref_shared(ref_control(z, a, cfg, expand=False), m), Wc)
+    c = ad.add(c, b0 if c.data.shape[1] == 1 else ad.expand(b0, c.data.shape))
     # z enters once, so its two uses sum before they reach its gradient
     z_in = ad.reshape(z, z.data.shape)
-    if c.data.shape[0] != n:
-        c = ad.expand(c, (n, c.data.shape[1]))
-    x = ad.add(ad.matmul(z_in, Wz), c)
+    if c.data.shape[1] != n:
+        c = ad.expand(c, (m, n, c.data.shape[2]))
+    x = ad.add(ref_bmm(ref_shared(z_in, m), Wz), c)
     act = REF_ACTIVATIONS[cfg.phi_activation]
-    for W, b in later:
-        x = ref_linear(act(x), W, b)
+    for l in range(1, cfg.phi_layers + 1):
+        W = ref_stack([layers[l][0] for layers in params.phi])
+        b = ref_stack([layers[l][1] for layers in params.phi])
+        x = ad.add(ref_bmm(act(x), W), ad.expand(b, (m, n, b.data.shape[2])))
+    x = ad.reshape(ref_swap(x), (n, cfg.d_z))
     # -0.0 is the identity of addition: the last block passes unchanged
     shift = ad.concat([ad.slice_axis(z_in, d_y, cfg.d_z, axis=1),
                        Tensor(np.full((n, d_y), -0.0))], axis=1)
@@ -208,7 +229,7 @@ def phi_config(d_y, m, d_a, act, layers, scaled):
 
 
 def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2):
-    """run_node results of the fused field and of the stacked op graph; the
+    """run_node results of the fused field and of its batched op graph; the
     control is (n, d_a), (1, d_a), or the (d_a,) row that a
     single-trajectory ControlPath gives."""
     cfg = phi_config(d_y, m, d_a, act, layers, scaled)
@@ -217,7 +238,7 @@ def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0
     a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
                           "path_row": (d_a,)}[control])
     results = []
-    for node in (triangular_rhs, ref_stacked_rhs):
+    for node in (triangular_rhs, ref_batched_rhs):
         params = make_params(cfg, seed)
         z = Tensor(z0.copy(), requires_grad=z_grad)
         a = Tensor(a0.copy())
@@ -360,10 +381,11 @@ class TestStackedAgainstPerBlock:
     @settings(max_examples=80, deadline=None)
     @given(d_y=st.integers(1, 3), m=st.integers(1, 3), d_a=st.sampled_from([0, 1, 2]),
            act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
-           scaled=st.booleans(), n=st.sampled_from([1, 5]),
+           scaled=st.booleans(), n=st.sampled_from([1, 5, 25]),
            control=st.sampled_from(["batch", "path_row"]), seed=st.integers(0, 2**16))
     def test_field(self, d_y, m, d_a, act, layers, scaled, n, control, seed):
-        # values, per-block parameter gradients and the state gradient
+        # the batched field against the per-block op graph: values, per-block
+        # parameter gradients and the state gradient
         cfg = phi_config(d_y, m, d_a, act, layers, scaled)
         rng = np.random.default_rng(seed)
         z0 = rng.normal(size=(n, cfg.d_z))
