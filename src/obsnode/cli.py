@@ -112,6 +112,27 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _output_dir(path):
+    """`path` as a Path once it is a directory or could be made one: the
+    nearest of it and its parents that exists must be a directory, else
+    ConfigError naming it. Nothing is created, so a command checks its output
+    directory before any work and still leaves none behind when it fails."""
+    path = Path(path)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {path}: {nearest} is not a directory")
+    return path
+
+
+def _open_output(path):
+    """The file `path` opened for writing; a path that cannot be opened (its
+    directory missing, or a directory itself) is a ConfigError naming it."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as e:
+        raise ConfigError(f"cannot write output file {path}: {e.strerror}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -125,8 +146,9 @@ def cmd_simulate(args):
         raise ConfigError(f"unknown dataset kind {cfg['kind']!r}")
     gen_cls, generate = kinds[cfg["kind"]]
     gen_cfg = _build(gen_cls, cfg["params"], "params")
+    out = _output_dir(cfg["output_dir"])
     splits = generate(gen_cfg)
-    write_dataset(cfg["output_dir"], splits, gen_cfg, gen_cfg.seed)
+    write_dataset(out, splits, gen_cfg, gen_cfg.seed)
 
     trajs = [tr for s in splits.values() for tr in s]
     n_obs = int(sum(tr.mask.sum() for tr in trajs))
@@ -148,6 +170,7 @@ def cmd_train(args):
                            {"dataset_dir", "run_dir", "model", "train"})
     model_cfg = _build(ObsNodeConfig, cfg["model"], "model")
     tcfg = _build(TrainConfig, cfg["train"], "train")
+    run_dir = _output_dir(cfg["run_dir"])
     ds_dir = Path(cfg["dataset_dir"])
     if not ds_dir.exists():
         raise ConfigError(f"dataset directory not found: {ds_dir}")
@@ -163,7 +186,7 @@ def cmd_train(args):
             raise ConfigError(f"model fields {differ} differ from those of the "
                               f"init_checkpoint {cfg['init_checkpoint']}")
         init_state = {name: t.data for name, t in init.named_parameters()}
-    params, history = train(model_cfg, normed, tcfg, run_dir=cfg["run_dir"],
+    params, history = train(model_cfg, normed, tcfg, run_dir=run_dir,
                             stats=stats, init_state=init_state)
     if history:
         print(f"epochs: {len(history)}")
@@ -182,6 +205,7 @@ def cmd_evaluate(args):
             or len(set(hs)) < len(hs)):
         raise ConfigError("t_c_grid and horizons must be nonempty lists of "
                           "distinct values, horizons positive")
+    out = _output_dir(cfg["output_dir"])
     splits, _ = read_dataset(cfg["dataset_dir"])
     split = cfg.get("split", "test")
     if split not in splits:
@@ -194,7 +218,6 @@ def cmd_evaluate(args):
         raise ConfigError(f"no observation follows any t_c_grid time within "
                           f"the horizons: the {split} records span "
                           f"[{_fmt(times.min())}, {_fmt(times.max())}]")
-    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_grid_csv(grid, out / "rmse_grid.csv")
     mean = grid.component_mean()
@@ -257,7 +280,7 @@ def cmd_forecast(args):
         raise DataError("no forecast times beyond t_c")
     pred = raw_forecasts(record, [(t_c, qts)], params, stats, control=control)[0][:, 0]
 
-    with (open(args.output, "w", newline="") if args.output
+    with (_open_output(args.output) if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["time"] + [f"component_{j + 1}"
@@ -298,7 +321,8 @@ def cmd_verify_identification(args):
     }
     text = json.dumps(report, indent=1, sort_keys=True)
     if cfg.get("output"):
-        Path(cfg["output"]).write_text(text + "\n")
+        with _open_output(cfg["output"]) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     print(f"max_deviation: {report['max_deviation']:.3e}")

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .autodiff import _sigmoid
 from .errors import ConfigError, DataError, NumericError
@@ -338,24 +337,48 @@ def rff_function(rng, input_dim, n_features, lengthscale):
     return f
 
 
+def _bspline(knots, coef, x):
+    """The cubic B-spline with `knots` and `coef` at the points `x`, 0.0
+    outside [knots[3], knots[n]] (n = len(coef)), by de Boor's recursion.
+
+    Each point takes the interval knots[l] <= x < knots[l + 1], l in
+    [3, n - 1], and the stages of scipy's `_deBoor_D` in its order, so the
+    values are bitwise those of `BSpline(knots, coef, 3, extrapolate=False)`
+    with NaN as 0.0.
+    """
+    k, n = 3, len(coef)
+    ell = np.clip(np.searchsorted(knots, x, "right") - 1, k, n - 1)
+    h = [np.ones_like(x)]
+    for j in range(1, k + 1):
+        hh, h = h, [np.zeros_like(x)]
+        for m in range(1, j + 1):
+            xb, xa = knots[ell + m], knots[ell + m - j]
+            same = xb == xa  # an empty interval adds nothing
+            w = hh[m - 1] / np.where(same, 1.0, xb - xa)
+            h[m - 1] = np.where(same, h[m - 1], h[m - 1] + w * (xb - x))
+            h.append(np.where(same, 0.0, w * (x - xa)))
+    out = 0.0  # summed from 0.0, as scipy does, for the sign of a zero
+    for a in range(k + 1):
+        out = out + coef[ell + a - k] * h[a]
+    return np.where((x >= knots[k]) & (x <= knots[n]), out, 0.0)
+
+
 def _bspline_mixture(rng, horizon):
     """Random mixture of three cubic B-spline bumps spread over [0, horizon]."""
-    splines = []
+    knot_sets = []
     n_components = 3
     for i in range(n_components):
         lo = horizon * i / n_components
         hi = horizon * (i + 2) / (n_components + 1)
-        knots = np.concatenate([[lo] * 4, [(lo + hi) / 2], [hi] * 4])
-        splines.append(BSpline(knots, np.array([0, 0.3, 1.0, 0.3, 0.0]), 3,
-                               extrapolate=False))
+        knot_sets.append(np.concatenate([[lo] * 4, [(lo + hi) / 2], [hi] * 4]))
+    coef = np.array([0, 0.3, 1.0, 0.3, 0.0])
     weights = rng.normal(size=n_components)
 
     def f(t):
         t = np.asarray(t, dtype=np.float64)
         out = np.zeros_like(t)
-        for wgt, sp in zip(weights, splines):
-            vals = sp(t)
-            out += wgt * np.nan_to_num(vals, nan=0.0)
+        for wgt, knots in zip(weights, knot_sets):
+            out += wgt * _bspline(knots, coef, t)
         return out
 
     return f

@@ -2,15 +2,20 @@ import contextlib
 import copy
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import types
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import obsnode
 from obsnode import model as model_mod
 from obsnode.cli import main, read_treatment_csv
 from obsnode.evaluate import raw_forecasts
@@ -442,6 +447,70 @@ class TestVerifyIdentification:
         assert report["witness"]["interventional_tv"] >= 0.05
         assert main(["verify-identification", "--config", cfg]) == 0
         assert (tmp_path / "r.json").read_bytes() == first
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is a config error naming it,
+    found before the command's work and leaving nothing behind."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+    @pytest.mark.parametrize("command, config, key, work", [
+        ("simulate", "sim", "output_dir", "generate_cancer_dataset"),
+        ("train", "train", "run_dir", "train"),
+        ("evaluate", "eval", "output_dir", "rmse_grid")])
+    def test_directory_blocked_by_a_file(self, workspace, tmp_path, monkeypatch,
+                                         command, config, key, work, under):
+        monkeypatch.setattr(f"obsnode.cli.{work}", None)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = json.loads(Path(workspace[config]).read_text())
+        cfg[key] = str(blocker / "out" if under else blocker)
+        rc, out, err = run_main([command, "--config",
+                                 write_json(tmp_path / "c.json", cfg)])
+        assert rc == 2 and out == ""
+        assert err.startswith(f"config error: output directory {cfg[key]}: {blocker} ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "file"]
+
+    @pytest.mark.parametrize("target", ["absent/out", "."], ids=["missing_dir", "a_directory"])
+    def test_forecast_output(self, workspace, tmp_path, target):
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        path = tmp_path / target
+        rc, out, err = run_main(["forecast", "--checkpoint",
+                                 str(workspace["run"] / "checkpoint.json"),
+                                 "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                                 "--treatments", str(t), "--t-c", "30",
+                                 "--output", str(path)])
+        assert rc == 2 and out == ""
+        assert err.startswith(f"config error: cannot write output file {path}: ")
+
+    @pytest.mark.parametrize("target", ["absent/r.json", "."], ids=["missing_dir", "a_directory"])
+    def test_verify_identification_output(self, tmp_path, target):
+        path = tmp_path / target
+        cfg = write_json(tmp_path / "v.json", {"format_version": 1, "n_instances": 2,
+                                               "output": str(path)})
+        rc, out, err = run_main(["verify-identification", "--config", cfg])
+        assert rc == 2 and out == ""
+        assert err.startswith(f"config error: cannot write output file {path}: ")
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    # the command runs on numpy alone: a fresh interpreter that imports the
+    # CLI and simulates both cohorts has no scipy module loaded
+    configs = [write_json(tmp_path / f"{kind}.json", {
+        "format_version": 1, "kind": kind, "output_dir": str(tmp_path / kind),
+        "params": params}) for kind, params in (
+            ("cancer", {"n_patients": 3, "n_cycles": 1}),
+            ("semi_synthetic", {"n_patients": 3, "horizon_hours": 6.0}))]
+    script = ("import sys\nfrom obsnode.cli import main\n"
+              f"codes = [main(['simulate', '--config', c]) for c in {configs!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(obsnode.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 class TestGradcheck:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.interpolate import BSpline
 
 from obsnode.autodiff import _sigmoid
 from obsnode.errors import ConfigError, DataError, NumericError
 from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS,
                               V_MIN, W_MIN, CancerSimConfig, SemiSynthConfig,
-                              Trajectory, _bspline_mixture, _patient_rngs,
+                              Trajectory, _bspline, _bspline_mixture, _patient_rngs,
                               _split_thirds, diameter, dose_policy,
                               generate_cancer_dataset, generate_semi_synthetic,
                               read_dataset, rff_function, sample_cohort_params,
@@ -180,6 +182,39 @@ class TestRff:
         dr = np.mean(np.abs(np.diff(rough(xs))))
         ds = np.mean(np.abs(np.diff(smooth(xs))))
         assert ds < dr
+
+
+@st.composite
+def mixture_splines(draw):
+    """(knots, coef, points): one of the trend mixture's knot layouts over a
+    random horizon, its coefficients or other ones, and points on the
+    hourly grid, on and next to the knots, and in and outside the support."""
+    horizon = draw(st.floats(1e-3, 500.0))
+    i = draw(st.integers(0, 2))
+    lo, hi = horizon * i / 3, horizon * (i + 2) / 4
+    knots = np.concatenate([[lo] * 4, [(lo + hi) / 2], [hi] * 4])
+    # signed zeros among the coefficients make zero sums whose sign depends
+    # on the order of the additions
+    coef = draw(st.one_of(
+        st.just(np.array([0, 0.3, 1.0, 0.3, 0.0])),
+        hnp.arrays(np.float64, 5, elements=st.floats(-10, 10)),
+        hnp.arrays(np.float64, 5, elements=st.sampled_from([0.0, -0.0, -1.0, 0.3]))))
+    spread = hnp.arrays(np.float64, st.integers(0, 20),
+                        elements=st.floats(-horizon, 2 * horizon))
+    x = np.concatenate([np.arange(0.0, horizon + 0.5, 1.0), knots,
+                        np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                        [-1.0, 2 * horizon + 1.0], draw(spread)])
+    return knots, coef, x
+
+
+class TestBSpline:
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_splines())
+    def test_bitwise_equal_to_scipy(self, case):
+        knots, coef, x = case
+        want = np.nan_to_num(BSpline(knots, coef, 3, extrapolate=False)(x), nan=0.0)
+        np.testing.assert_array_equal(_bspline(knots, coef, x).view(np.int64),
+                                      want.view(np.int64))
 
 
 class TestSemiSynthetic:
