@@ -267,14 +267,22 @@ def _leaky_relu(x):
     return np.maximum(x, y, out=y)
 
 
+def _leaky_relu_slope(x):
+    """The leaky ReLU's derivative d at x: 1.0 where x >= 0 (-0.0 too),
+    LEAKY_RELU_SLOPE elsewhere (NaN too). x * d is bitwise max(x, slope x)
+    and g * d is bitwise the select of g or slope g, signed zeros,
+    infinities and NaN included, so a forward pass that keeps d serves the
+    VJP with one multiply."""
+    return np.where(x >= 0, 1.0, LEAKY_RELU_SLOPE)
+
+
 # Activations on plain arrays: name -> (forward(x), vjp(g, x, y)), where y is
 # forward(x). The activation ops and the fused model nodes share these, so
 # both round their arithmetic identically.
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
-    "leakyrelu": (_leaky_relu,
-                  lambda g, x, y: np.where(x >= 0, g, LEAKY_RELU_SLOPE * g)),
+    "leakyrelu": (_leaky_relu, lambda g, x, y: g * _leaky_relu_slope(x)),
 }
 
 

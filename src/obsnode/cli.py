@@ -29,7 +29,7 @@ from .evaluate import raw_forecasts, rmse_grid, write_grid_csv, write_grid_pgm
 from .identify import (adjustment_estimate, interventional_truth,
                        linear_gaussian_refinement, nonidentifiability_witness,
                        random_observable_scm, random_query)
-from .model import (History, ObsNodeConfig, ObsNodeParams, load_model,
+from .model import (History, ObsNodeConfig, ObsNodeParams, check_size, load_model,
                     param_shapes, window)
 from .odeint import METHODS, ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, SemiSynthConfig,
@@ -169,6 +169,7 @@ def cmd_train(args):
                             "train": dict, "init_checkpoint": str},
                            {"dataset_dir", "run_dir", "model", "train"})
     model_cfg = _build(ObsNodeConfig, cfg["model"], "model")
+    check_size(model_cfg)
     tcfg = _build(TrainConfig, cfg["train"], "train")
     run_dir = _output_dir(cfg["run_dir"])
     ds_dir = Path(cfg["dataset_dir"])

@@ -124,6 +124,22 @@ def param_shapes(cfg: ObsNodeConfig):
     yield "head.b", (1, cfg.d_z)
 
 
+MAX_PARAMS = 10_000_000  # learnable numbers in one model
+
+
+def check_size(cfg: ObsNodeConfig):
+    """ConfigError, naming the keys that set the size, when the parameter
+    count of `cfg`, summed over :func:`param_shapes`, passes MAX_PARAMS;
+    the sum stops at the first tensor past it, so no count is huge."""
+    total = 0
+    for _, (rows, cols) in param_shapes(cfg):
+        total += rows * cols
+        if total > MAX_PARAMS:
+            raise ConfigError(f"d_y, m, d_a, phi_hidden_dim, phi_layers and "
+                              f"encoder_hidden_dim give more than MAX_PARAMS={MAX_PARAMS} "
+                              "parameters")
+
+
 def check_state(arrays: dict, cfg: ObsNodeConfig):
     """DataError unless `arrays` holds every parameter of `cfg` in its shape."""
     for name, shape in param_shapes(cfg):
@@ -246,7 +262,12 @@ def stack_field(params: ObsNodeParams):
     W0z, W0c, b0, *rest = tensors
     later = list(zip(rest[::2], rest[1::2]))
     act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
+    leaky = cfg.phi_activation == "leakyrelu"
     inv_scale = None if cfg.treatment_scale is None else 1.0 / np.asarray(cfg.treatment_scale)
+    # the later layers' biases tiled to (m, n, w) per batch size n: a
+    # contiguous add costs a third of a broadcast one at n = 100. The tiles
+    # copy the stacked tensors, which this call made, so they cannot go stale.
+    tiles = {}
 
     def field(a):
         ctrl = np.atleast_2d(a)
@@ -255,21 +276,36 @@ def stack_field(params: ObsNodeParams):
         c = ctrl @ W0c.data + b0.data  # (m, 1 or n, w)
 
         def f(z):
+            """(dz/dt, vjp) at the state z; vjp is None unless a tape is
+            recording, and only then does the pass keep what a VJP reads."""
             n = z.shape[0]
-            pre = z @ W0z.data + c
-            cache = []  # (pre-activation, activation) per hidden layer
-            for W, b in later:
-                y = act(pre)
-                cache.append((pre, y))
+            if n not in tiles:
+                tiles[n] = [np.repeat(b.data, n, axis=1) for _, b in later]
+            taped = ad._active_tape() is not None
+            pre = z @ W0z.data
+            pre += c
+            cache = []  # (pre-activation or leaky slope, activation) per hidden layer
+            for (W, _), tile in zip(later, tiles[n]):
+                if taped and leaky:
+                    d = ad._leaky_relu_slope(pre)
+                    y = pre * d
+                    cache.append((d, y))
+                else:
+                    y = act(pre)
+                    if taped:
+                        cache.append((pre, y))
                 pre = y @ W.data
-                pre += b.data
+                pre += tile
             out = pre.transpose(1, 0, 2).reshape(n, d_z)
             out[:, :-d_y] += z[:, d_y:]  # the integrator chain
+            if not taped:
+                return out, None
 
             def vjp(g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
-                for (W, b), (pre_l, y) in zip(reversed(later), reversed(cache)):
-                    gpre = act_vjp(_affine_vjp(gpre, y, W, b), pre_l, y)
+                for (W, b), (s, y) in zip(reversed(later), reversed(cache)):
+                    gx = _affine_vjp(gpre, y, W, b)
+                    gpre = gx * s if leaky else act_vjp(gx, s, y)
                 gc = _unit_sum(gpre) if c.shape[1] == 1 else gpre
                 if b0.requires_grad:
                     ad._accum(b0, _unit_sum(gc))
@@ -515,6 +551,7 @@ def load_model(path):
                               std=np.array(meta["norm_stats"]["std"]))
         # the shapes the metadata implies are checked before they are allocated
         check_state(arrays, cfg)
+        check_size(cfg)
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e}")
     if stats is not None and not (stats.mean.shape == stats.std.shape == (cfg.d_y,)

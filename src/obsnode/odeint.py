@@ -150,7 +150,8 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     segment, and f serves every step in that segment. f maps a state array to
     ``(dz/dt, vjp)``; vjp maps a gradient of dz/dt to the gradient of the
     state and accumulates into the gradients of `params`, the Tensors the
-    field reads. Each step is one tape node (:func:`_step`).
+    field reads. Each step is one tape node (:func:`_step`), so f may
+    return vjp None when no tape is recording: no backward pass calls it.
     """
     t0, t1 = float(t0), float(t1)
     if t1 < t0:

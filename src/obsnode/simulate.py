@@ -26,6 +26,7 @@ DELTA = DIAM_MAX / 2.0
 DIAM_WINDOW_DAYS = 15.0
 V_MIN = 1e-3
 W_MIN = 1.0
+MAX_SIM_STEPS = 100_000_000  # patients x Euler steps in one cancer cohort
 
 # Population parameter distributions: name -> (mean, sd)
 PARAM_DISTS = {
@@ -62,6 +63,18 @@ class CancerPatientParams:
     w0: float = 70.0
 
 
+def _whole_steps(key, span, dt):
+    """span / dt, the Euler steps in the span `key`, once it is a whole
+    number to a relative 1e-9 and lies in [1, MAX_SIM_STEPS]; else
+    ConfigError naming dt and `key`."""
+    x = span / dt
+    k = round(x) if 0.5 <= x < MAX_SIM_STEPS + 0.5 else 0
+    if k < 1 or abs(x - k) > 1e-9 * k:
+        raise ConfigError(f"dt must divide {key} into 1 to {MAX_SIM_STEPS} whole steps; "
+                          f"{key} / dt = {x:.6g}")
+    return k
+
+
 @dataclass
 class CancerSimConfig:
     n_patients: int = 3000
@@ -78,12 +91,14 @@ class CancerSimConfig:
             raise ConfigError("n_patients and n_cycles must be >= 1, seed >= 0")
         if min(self.dt, self.cycle_days, self.obs_every) <= 0:
             raise ConfigError("dt, cycle_days and obs_every must be positive")
-        if abs(round(self.cycle_days / self.dt) * self.dt - self.cycle_days) > 1e-9:
-            raise ConfigError("dt must divide cycle_days")
+        per_cycle = _whole_steps("cycle_days", self.cycle_days, self.dt)
         if not 1.0 <= self.gamma <= 8.0:
             raise ConfigError("gamma must lie in [1, 8]")
-        if abs(round(self.obs_every / self.dt) * self.dt - self.obs_every) > 1e-9:
-            raise ConfigError("dt must divide obs_every")
+        _whole_steps("obs_every", self.obs_every, self.dt)
+        steps = self.n_patients * self.n_cycles * per_cycle
+        if steps > MAX_SIM_STEPS:
+            raise ConfigError(f"n_patients x n_cycles x cycle_days / dt is {steps} "
+                              f"patient steps, more than MAX_SIM_STEPS={MAX_SIM_STEPS}")
 
 
 @dataclass

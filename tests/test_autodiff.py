@@ -63,6 +63,24 @@ class TestForwardOps:
         assert (vjp(g, x, fwd(x)).tobytes()
                 == (g * np.where(x >= 0, 1.0, slope)).tobytes())
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 8))
+    def test_saved_leaky_slope_matches_the_activation_bitwise(self, data, size):
+        # the taped field keeps d = _leaky_relu_slope(x) and computes x * d
+        # forward and g * d backward: as int64 views, the activation and
+        # both of its VJP forms, at signed zeros, subnormals, infinities and
+        # NaN of either sign
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                                   np.nan, -np.nan])
+        values = st.one_of(special, st.floats(allow_nan=False, allow_subnormal=True))
+        x, g = (data.draw(hnp.arrays(np.float64, size, elements=values)) for _ in range(2))
+        fwd, vjp = ad.ACTIVATIONS["leakyrelu"]
+        d = ad._leaky_relu_slope(x)
+        select = np.where(x >= 0, g, ad.LEAKY_RELU_SLOPE * g)
+        assert np.array_equal((x * d).view(np.int64), fwd(x).view(np.int64))
+        assert np.array_equal((g * d).view(np.int64), vjp(g, x, fwd(x)).view(np.int64))
+        assert np.array_equal((g * d).view(np.int64), select.view(np.int64))
+
     def test_shape_mismatch_names_operation(self):
         with pytest.raises(ShapeMismatch) as e:
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))

@@ -684,6 +684,11 @@ class TestConfigTypes:
         ("simulate_cancer", ("params", "n_cycles"), 2.5),
         ("simulate_cancer", ("params", "seed"), 0.5),
         ("simulate_cancer", ("params", "seed"), -1),
+        ("simulate_cancer", ("params", "obs_every"), 1e-300),
+        ("simulate_cancer", ("params", "obs_every"), 1e300),
+        ("simulate_cancer", ("params", "dt"), 1e-300),
+        ("simulate_cancer", ("params", "n_patients"), 10**9),
+        ("train", ("model", "phi_hidden_dim"), 10**7),
         ("simulate_semi", ("params", "nu"), 0),
         ("evaluate", ("heatmap",), "no"),
         ("evaluate", ("split",), ["test"]),
@@ -703,6 +708,18 @@ class TestConfigTypes:
         rc, err = run_config(sub, cfg, tmp_path / "cfg.json")
         assert rc == 2
         assert path[-1] in err
+
+    def test_model_size_is_checked_before_any_work(self, workspace, tmp_path,
+                                                    monkeypatch):
+        # a model past MAX_PARAMS exits 2 before the dataset is read or
+        # training makes any parameter
+        for work in ("read_dataset", "train"):
+            monkeypatch.setattr(f"obsnode.cli.{work}", None)
+        sub, cfg, _ = fuzz_bases(workspace)["train"]
+        cfg = copy.deepcopy(cfg)
+        cfg["model"]["encoder_hidden_dim"] = 2000
+        rc, err = run_config(sub, cfg, tmp_path / "cfg.json")
+        assert rc == 2 and "encoder_hidden_dim" in err and "MAX_PARAMS" in err
 
     def test_list_becomes_tuple_by_annotation(self, workspace, tmp_path):
         sub, cfg, _ = fuzz_bases(workspace)["simulate_semi"]

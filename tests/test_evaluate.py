@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obsnode import autodiff as ad
 from obsnode import evaluate
+from obsnode.autodiff import Tape
 from obsnode.errors import DataError
 from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
                               write_grid_pgm)
@@ -185,6 +187,29 @@ class TestSharedEncoder:
         loss = evaluate_loss(trajs, params, sigma2, t_cs, tcfg)
         assert np.float64(loss).tobytes() == np.float64(
             reencoded_loss(trajs, params, sigma2, t_cs, tcfg)).tobytes()
+
+
+def test_inference_keeps_no_backward_state(monkeypatch):
+    # with the leaky ReLU's saved-slope helper made to raise, the untaped
+    # rmse_grid and validation loss still complete, so neither builds the
+    # state a backward pass would read; under a tape rmse_grid reaches it
+    def taped_only(x):
+        raise AssertionError("backward state built without a tape")
+
+    monkeypatch.setattr(ad, "_leaky_relu_slope", taped_only)
+    rng = np.random.default_rng(0)
+    trajs, _ = linear_trajs(n=4, T=9, d_y=1, seed=3)
+    params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=4,
+                                         encoder_hidden_dim=3), rng)
+    for t in params.tensors():
+        t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+    int_cfg = IntegrationConfig(step_size=0.5)
+    grid = rmse_grid(trajs, [2.0, 5.0], [2.0, 4.0], params, int_cfg=int_cfg)
+    assert grid.counts.any()
+    tcfg = TrainConfig(decision_time_grid=[2.0, 5.0], t_f=12.0, int_step=0.5)
+    assert np.isfinite(evaluate_loss(trajs, params, np.ones(1), [2.0, 5.0], tcfg))
+    with Tape(), pytest.raises(AssertionError, match="without a tape"):
+        rmse_grid(trajs, [2.0], [2.0], params, int_cfg=int_cfg)
 
 
 def test_single_time_records_give_an_empty_grid():

@@ -228,18 +228,28 @@ def phi_config(d_y, m, d_a, act, layers, scaled):
                          phi_activation=act, encoder_hidden_dim=3, treatment_scale=scale)
 
 
-def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2):
+def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2,
+             kink=False):
     """run_node results of the fused field and of its batched op graph; the
     control is (n, d_a), (1, d_a), or the (d_a,) row that a
-    single-trajectory ControlPath gives."""
+    single-trajectory ControlPath gives. With `kink`, the first unit's state
+    and the control are zero and every bias is +0.0 or -0.0, so each of that
+    unit's pre-activations is exactly zero."""
     cfg = phi_config(d_y, m, d_a, act, layers, scaled)
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(n, cfg.d_z))
     a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
                           "path_row": (d_a,)}[control])
+    if kink:
+        z0[0] = 0.0
+        a0[...] = 0.0
     results = []
     for node in (triangular_rhs, ref_batched_rhs):
         params = make_params(cfg, seed)
+        if kink:
+            for block in params.phi:
+                for _, b in block:
+                    b.data = np.where(np.arange(b.data.size) % 2, -0.0, 0.0).reshape(b.shape)
         z = Tensor(z0.copy(), requires_grad=z_grad)
         a = Tensor(a0.copy())
         results.append(run_node(lambda z: node(z, a, params), (z,),
@@ -309,6 +319,17 @@ class TestBitwiseAgainstOpGraph:
         assert_bitwise(*rhs_pair(d_y, 2, 1, "tanh", 1, n, "batch", False, True, seed,
                                  zeros=1.0))
         assert_bitwise(*gru_step_pair(d_y, 1, 1, n, "all", False, True, seed, zeros=1.0))
+
+    @pytest.mark.parametrize("n,d_y", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros_at_the_leaky_kink(self, n, d_y, seed):
+        # test_signed_zeros for leakyrelu, whose derivative the taped field
+        # keeps from its forward pass: the first unit's pre-activations sit
+        # on the kink in both hidden layers. A matmul sums from +0.0, so
+        # they are +0.0 whichever sign the bias has; the slope's rule on
+        # -0.0 itself is checked in test_autodiff.
+        assert_bitwise(*rhs_pair(d_y, 2, 1, "leakyrelu", 2, n, "batch", False, True, seed,
+                                 zeros=1.0, kink=True))
 
     @settings(max_examples=30, deadline=None)
     @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), T=st.integers(1, 5),

@@ -299,6 +299,68 @@ class TestForecast:
             np.testing.assert_array_equal(g, h)
 
 
+class TestTapeFreeInference:
+    """The bound field keeps backward state only while a tape records, and
+    tiles its biases once per :func:`stack_field` call."""
+
+    def setup_method(self):
+        self.control = ControlPath(np.array([0.0, 0.7]),
+                                   np.random.default_rng(3).normal(size=(2, 3, 1)))
+        self.int_cfg = IntegrationConfig(method="rk4", step_size=0.25)
+        self.z_init = np.random.default_rng(4).normal(size=(3, 4))
+        self.qts = [0.5, 1.5]
+
+    def run(self, params):
+        state = EncodedState(z=Tensor(self.z_init.copy()), t=0.0)
+        return forecast(state, self.control, self.qts, params, self.int_cfg)
+
+    @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
+    def test_untaped_forecast_equals_the_taped_one_bitwise(self, act):
+        _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True,
+                               phi_activation=act)
+        untaped = self.run(params)
+        with ad.Tape() as tape:
+            taped = self.run(params)
+        assert len(tape) > 0
+        for p, q in zip(untaped, taped):
+            assert p.data.tobytes() == q.data.tobytes()
+
+    @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
+    def test_field_built_outside_a_tape_steps_inside_one(self, act):
+        # the field decides at each call whether to keep backward state, so
+        # one bound before the tape still gives the state's gradient, equal
+        # to that of a field bound under it
+        _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True,
+                               phi_activation=act)
+        outside = stack_field(params)
+        assert not outside[1][0].requires_grad
+        grads = []
+        for bound_under_the_tape in (False, True):
+            z0 = Tensor(self.z_init.copy(), requires_grad=True)
+            with ad.Tape() as tape:
+                field, tensors = stack_field(params) if bound_under_the_tape else outside
+                states = odeint.integrate(field, z0, self.control, 0.0, 1.5, self.int_cfg,
+                                          self.qts, tensors)
+                tape.backward(ad.tsum(ad.concat(states, axis=1)))
+            grads.append(z0.grad)
+        assert grads[0] is not None and np.isfinite(grads[0]).all()
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_in_place_update_reaches_the_next_forecast(self, tmp_path):
+        # Adam updates the parameters in place between forecasts; each
+        # forecast tiles the biases anew, so it equals a fresh model's
+        _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True)
+        self.run(params)
+        rng = np.random.default_rng(5)
+        for t in params.tensors():
+            t.data -= 0.1 * rng.normal(size=t.data.shape)
+        updated = self.run(params)
+        save_model(tmp_path / "model.json", params)
+        fresh = self.run(load_model(tmp_path / "model.json")[0])
+        for p, q in zip(updated, fresh):
+            assert p.data.tobytes() == q.data.tobytes()
+
+
 class TestObservabilityProbe:
     def test_integrator_chain_discrepancy(self):
         # states differing only in the hidden block diverge in output linearly
@@ -380,6 +442,17 @@ def test_huge_metadata_is_rejected_before_allocation(tmp_path, key, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="checkpoint "):
         load_model(path)
+
+
+def test_checkpoint_past_max_params_is_rejected_before_allocation(tmp_path, monkeypatch):
+    # a checkpoint whose metadata and tensors agree but whose size passes
+    # the bound is a DataError, raised before any parameter is made
+    _, params = make_model()
+    save_model(tmp_path / "model.json", params)
+    monkeypatch.setattr(model_mod, "MAX_PARAMS", 100)
+    monkeypatch.setattr(model_mod, "ObsNodeParams", None)
+    with pytest.raises(DataError, match="MAX_PARAMS=100"):
+        load_model(tmp_path / "model.json")
 
 
 def test_window_splits_at_the_decision_time():

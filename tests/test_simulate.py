@@ -89,6 +89,13 @@ class TestCancerSimulation:
         with pytest.raises(ConfigError):
             CancerSimConfig(gamma=0.5)
 
+    def test_strides_are_whole_steps_to_a_relative_tolerance(self):
+        # 30 / 0.1 is 299.99999999999994 in floats, a whole 300 steps; a
+        # stride below one step is rejected, not rounded to zero
+        CancerSimConfig(dt=0.1, obs_every=0.30000000000000004)
+        with pytest.raises(ConfigError, match="obs_every"):
+            CancerSimConfig(obs_every=1e-10)
+
     def test_gompertz_fixed_point(self):
         cfg = tiny_cancer_cfg(noise=False)
         p = mean_patient()
