@@ -30,13 +30,13 @@ from .identify import (adjustment_estimate, interventional_truth,
                        linear_gaussian_refinement, nonidentifiability_witness,
                        random_observable_scm, random_query)
 from .model import (History, ObsNodeConfig, ObsNodeParams, check_size, load_model,
-                    param_shapes, window)
+                    param_shapes)
 from .odeint import METHODS, ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, SemiSynthConfig,
                        generate_cancer_dataset, generate_semi_synthetic,
                        read_dataset, write_dataset)
-from .train import (TrainConfig, _batch_loss, stack_units, train, zscore_apply,
-                    zscore_fit)
+from .train import (TrainConfig, _batch_loss, _targets, stack_units, train,
+                    zscore_apply, zscore_fit)
 
 FORMAT_VERSION = 1
 
@@ -212,8 +212,11 @@ def cmd_evaluate(args):
     if split not in splits:
         raise ConfigError(f"split {split!r} not present in the dataset")
     params, _, stats = load_model(cfg["checkpoint"])
-    grid = rmse_grid(splits[split], cfg["t_c_grid"], cfg["horizons"],
-                     params=params, stats=stats)
+    try:
+        grid = rmse_grid(splits[split], cfg["t_c_grid"], cfg["horizons"],
+                         params=params, stats=stats)
+    except DataError as e:
+        raise DataError(f"{split} split: {e}")
     if not grid.counts.any():
         times = np.concatenate([tr.times for tr in splits[split]])
         raise ConfigError(f"no observation follows any t_c_grid time within "
@@ -270,16 +273,12 @@ def cmd_forecast(args):
     if unit is None:
         raise DataError(f"unit {args.unit_id} not found in the dataset")
     control = read_treatment_csv(args.treatments, model_cfg.d_a)
-    t_c = args.t_c
     record = stack_units([unit])
-    past, fut = window(record.times, t_c,
-                       None if args.horizon is None else t_c + args.horizon)
-    if not past.any():
-        raise DataError(f"no observations at or before t_c={t_c}")
+    fut = _targets(record.times, args.t_c, args.horizon)
+    if fut is None:
+        raise DataError("no record time at or before t_c, or no forecast times beyond t_c")
     qts = record.times[fut]
-    if qts.size == 0:
-        raise DataError("no forecast times beyond t_c")
-    pred = raw_forecasts(record, [(t_c, qts)], params, stats, control=control)[0][:, 0]
+    pred = raw_forecasts(record, [(args.t_c, qts)], params, stats, control=control)[0][:, 0]
 
     with (_open_output(args.output) if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:

@@ -63,9 +63,16 @@ def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
 
 def _test_scale(y, mask):
     """Per-component standard deviation of the observed entries of a stacked
-    (T, n, d_y) outcome array: the divisor of every scaled RMSE."""
-    mean = (y * mask).sum((0, 1)) / mask.sum((0, 1))
-    return np.sqrt(((y - mean) ** 2 * mask).sum((0, 1)) / mask.sum((0, 1)))
+    (T, n, d_y) outcome array: the divisor of every scaled RMSE. DataError
+    for a component with fewer than 2 observed entries or zero spread."""
+    counts = mask.sum((0, 1))
+    if np.any(counts < 2):
+        raise DataError(f"component {int(np.argmin(counts))}: fewer than 2 observations")
+    mean = (y * mask).sum((0, 1)) / counts
+    scale = np.sqrt(((y - mean) ** 2 * mask).sum((0, 1)) / counts)
+    if np.any(scale <= 0):
+        raise DataError(f"component {int(np.argmin(scale))} has zero spread")
+    return scale
 
 
 def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):

@@ -127,17 +127,26 @@ def param_shapes(cfg: ObsNodeConfig):
 MAX_PARAMS = 10_000_000  # learnable numbers in one model
 
 
+def param_count(cfg: ObsNodeConfig) -> int:
+    """The number of learnable numbers in :func:`param_shapes`, in closed form
+    (Python ints, so a huge config costs no more than a small one)."""
+    d_y, m, hid, H = cfg.d_y, cfg.m, cfg.phi_hidden_dim, cfg.encoder_hidden_dim
+    # rows of the m first layers: block i reads i * d_y + d_a inputs, plus a bias
+    rows0 = d_y * m * (m + 1) // 2 + m * cfg.d_a + m
+    if cfg.phi_layers == 0:
+        phi = rows0 * d_y
+    else:
+        phi = rows0 * hid + m * (hid + 1) * ((cfg.phi_layers - 1) * hid + d_y)
+    return phi + 3 * (cfg.encoder_input_dim + H + 1) * H + d_y + (H + 1) * cfg.d_z
+
+
 def check_size(cfg: ObsNodeConfig):
     """ConfigError, naming the keys that set the size, when the parameter
-    count of `cfg`, summed over :func:`param_shapes`, passes MAX_PARAMS;
-    the sum stops at the first tensor past it, so no count is huge."""
-    total = 0
-    for _, (rows, cols) in param_shapes(cfg):
-        total += rows * cols
-        if total > MAX_PARAMS:
-            raise ConfigError(f"d_y, m, d_a, phi_hidden_dim, phi_layers and "
-                              f"encoder_hidden_dim give more than MAX_PARAMS={MAX_PARAMS} "
-                              "parameters")
+    count of `cfg` passes MAX_PARAMS."""
+    if param_count(cfg) > MAX_PARAMS:
+        raise ConfigError(f"d_y, m, d_a, phi_hidden_dim, phi_layers and "
+                          f"encoder_hidden_dim give more than MAX_PARAMS={MAX_PARAMS} "
+                          "parameters")
 
 
 def check_state(arrays: dict, cfg: ObsNodeConfig):

@@ -26,7 +26,9 @@ DELTA = DIAM_MAX / 2.0
 DIAM_WINDOW_DAYS = 15.0
 V_MIN = 1e-3
 W_MIN = 1.0
-MAX_SIM_STEPS = 100_000_000  # patients x Euler steps in one cancer cohort
+# patients x Euler steps in one cancer cohort, and patients x hours x values
+# per hour in one semi-synthetic cohort
+MAX_SIM_STEPS = 100_000_000
 
 # Population parameter distributions: name -> (mean, sd)
 PARAM_DISTS = {
@@ -130,6 +132,12 @@ class SemiSynthConfig:
                self.g_lengthscale, self.readout_lengthscale) <= 0 or self.seed < 0:
             raise ConfigError("horizon_hours, eta_sd and the lengthscales must "
                               "be positive, seed >= 0")
+        values = (self.n_patients * (int(self.horizon_hours) + 1)
+                  * (self.d_y + self.d_a + self.d_eps))
+        if values > MAX_SIM_STEPS:
+            raise ConfigError(f"n_patients x (floor(horizon_hours) + 1) x (d_y + d_a + "
+                              f"d_eps) is {values} values, more than "
+                              f"MAX_SIM_STEPS={MAX_SIM_STEPS}")
         for tup in (self.gamma_A, self.gamma_eps, self.bias):
             if len(tup) != self.d_a or not all(np.isfinite(v) for v in tup):
                 raise ConfigError("treatment parameter tuples must have d_a "

@@ -122,7 +122,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 20
     decision_time_grid: list[float] = field(default_factory=list)
-    decision_sampling: str = "uniform_random"
     t_f: float = 0.0
     seed: int = 0
     max_grad_norm: float | None = None
@@ -132,8 +131,6 @@ class TrainConfig:
     max_horizon: float | None = None  # None: forecast to the record end
 
     def __post_init__(self):
-        if self.decision_sampling not in ("uniform_random", "fixed_grid"):
-            raise ConfigError(f"unknown decision_sampling {self.decision_sampling!r}")
         if not self.decision_time_grid:
             raise ConfigError("decision_time_grid must be nonempty")
         if any(t >= self.t_f for t in self.decision_time_grid):
@@ -163,6 +160,19 @@ def _targets(times, t_c, max_horizon):
     return fut if past.any() and fut.any() else None
 
 
+def _decisions(times, decision_times, max_horizon, split):
+    """[(t_c, target mask)] for each decision time (see :func:`_targets`);
+    ConfigError naming the split and the first time with no history or no
+    target."""
+    decisions = [(t_c, _targets(times, t_c, max_horizon)) for t_c in decision_times]
+    bad = [t_c for t_c, fut in decisions if fut is None]
+    if bad:
+        raise ConfigError(f"{split} decision time {float(bad[0])!r} has no history or "
+                          f"no target: the {split} records span "
+                          f"[{float(times[0])!r}, {float(times[-1])!r}]")
+    return decisions
+
+
 def _score(preds, record: History, fut, sigma2):
     """The masked loss of the predictions at the record's target times."""
     pred = ad.concat([ad.reshape(p, (1,) + p.data.shape) for p in preds], axis=0)
@@ -171,26 +181,22 @@ def _score(preds, record: History, fut, sigma2):
 
 def _batch_loss(record: History, t_c, params, sigma2, int_cfg, max_horizon=None):
     """Forward pass on one batch: encode the record up to t_c, forecast its
-    targets (see :func:`_targets`) under the factual treatments, and score.
-    None when t_c has no targets."""
-    fut = _targets(record.times, t_c, max_horizon)
-    if fut is None:
-        return None
+    targets (see :func:`_decisions`) under the factual treatments, and score."""
+    [(_, fut)] = _decisions(record.times, [t_c], max_horizon, "train")
     preds = rollouts(record, [(t_c, record.times[fut])], params, int_cfg)[0]
     return _score(preds, record, fut, sigma2)
 
 
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
-    """Mean masked loss over a fixed grid of decision times (no gradients),
-    each as :func:`_batch_loss` scores it, from one encoder pass over the
-    record."""
+    """Mean masked loss over a fixed grid of validation decision times (no
+    gradients), each as :func:`_batch_loss` scores it, from one encoder pass
+    over the record."""
     record = stack_units(trajs)
-    futs = [(t_c, fut) for t_c in decision_times
-            if (fut := _targets(record.times, t_c, tcfg.max_horizon)) is not None]
+    futs = _decisions(record.times, decision_times, tcfg.max_horizon, "val")
     preds = rollouts(record, [(t_c, record.times[fut]) for t_c, fut in futs], params,
                      _int_config(record.times, tcfg))
     vals = [float(_score(p, record, fut, sigma2).data) for p, (_, fut) in zip(preds, futs)]
-    return float(np.mean(vals)) if vals else np.nan
+    return float(np.mean(vals))
 
 
 # A value that overflows is reported once, by the _check_finite that finds it,
@@ -203,27 +209,16 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     Returns (params, history) where history rows are dicts with epoch,
     train_loss, val_loss. The returned parameters are the checkpoint with the
     lowest validation loss. `init_state` (name -> array) warm-starts the
-    parameters, e.g. to resume from a checkpoint.
+    parameters, e.g. to resume from a checkpoint. Every decision time is
+    checked (:func:`_decisions`) before any parameter is made.
     """
-    rng = np.random.default_rng(tcfg.seed)
-    params = ObsNodeParams(model_cfg, rng)
-    if init_state is not None:
-        params.load_state(init_state)
-    opt = Adam(params.tensors(), lr=tcfg.learning_rate)
     record = stack_units(splits["train"])
-    n = record.y.shape[1]
-    sigma2 = np.ones(model_cfg.d_y)
     grid = list(tcfg.decision_time_grid)
     val_times = tcfg.val_decision_times or grid
     for split, rec, times in (("train", record, grid),
                               ("val", stack_units(splits["val"]), val_times)):
         check_dims(rec, model_cfg, f"{split} split")
-        futs = [(t_c, fut) for t_c in times
-                if (fut := _targets(rec.times, t_c, tcfg.max_horizon)) is not None]
-        if not futs:
-            raise ConfigError(f"no {split} decision time has both history and a "
-                              f"target: the {split} records span "
-                              f"[{float(rec.times[0])!r}, {float(rec.times[-1])!r}]")
+        futs = _decisions(rec.times, times, tcfg.max_horizon, split)
         # a rollout integrates from t_c to its last target
         reach = float(max(rec.times[fut][-1] - t_c for t_c, fut in futs))
         step = _int_config(rec.times, tcfg).step_size
@@ -231,6 +226,13 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units "
                               f"takes more than {MAX_STEPS} solver steps of {step!r}")
     int_cfg = _int_config(record.times, tcfg)
+    rng = np.random.default_rng(tcfg.seed)
+    params = ObsNodeParams(model_cfg, rng)
+    if init_state is not None:
+        params.load_state(init_state)
+    opt = Adam(params.tensors(), lr=tcfg.learning_rate)
+    n = record.y.shape[1]
+    sigma2 = np.ones(model_cfg.d_y)
 
     history = []
     best = (np.inf, {name: t.data.copy() for name, t in params.named_parameters()})
@@ -241,10 +243,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         epoch_losses, skipped = [], 0
         for bi in range(n_batches):
             idx = np.sort(order[bi * tcfg.batch_size:(bi + 1) * tcfg.batch_size])
-            if tcfg.decision_sampling == "uniform_random":
-                t_c = grid[int(rng.integers(len(grid)))]
-            else:
-                t_c = grid[(epoch * n_batches + bi) % len(grid)]
+            t_c = grid[int(rng.integers(len(grid)))]
             batch = History(record.times, record.y[:, idx], record.mask[:, idx],
                             record.a[:, idx])
             opt.zero_grad()
@@ -252,8 +251,6 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                 with Tape() as tape:
                     loss = _batch_loss(batch, t_c, params, sigma2, int_cfg,
                                        max_horizon=tcfg.max_horizon)
-                    if loss is None:
-                        continue
                     tape.backward(loss)
                 for name, t in params.named_parameters():
                     if t.grad is not None:
@@ -267,10 +264,8 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")
         val = evaluate_loss(splits["val"], params, sigma2, val_times, tcfg)
-        row = {"epoch": epoch,
-               "train_loss": float(np.mean(epoch_losses)) if epoch_losses else np.nan,
-               "val_loss": val}
-        history.append(row)
+        history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
+                        "val_loss": val})
         if val < best[0]:
             best = (val, {name: t.data.copy() for name, t in params.named_parameters()})
 

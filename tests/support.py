@@ -168,11 +168,10 @@ def reencoded_loss(trajs, params, sigma2, decision_times, tcfg) -> float:
     vals = []
     for t_c in decision_times:
         fut = _targets(record.times, t_c, tcfg.max_horizon)
-        if fut is not None:
-            pred = reencoded_rollout(record, t_c, record.times[fut], params, int_cfg)
-            loss = masked_loss(Tensor(pred), record.y[fut], record.mask[fut], sigma2)
-            vals.append(float(loss.data))
-    return float(np.mean(vals)) if vals else np.nan
+        pred = reencoded_rollout(record, t_c, record.times[fut], params, int_cfg)
+        loss = masked_loss(Tensor(pred), record.y[fut], record.mask[fut], sigma2)
+        vals.append(float(loss.data))
+    return float(np.mean(vals))
 
 
 def naive_conditional(scm: DiscreteScm, q: InterventionQuery):

@@ -124,8 +124,8 @@ CONFIGS = (ObsNodeConfig, TrainConfig, IntegrationConfig, CancerSimConfig, SemiS
 
 # Config fields kept although src/ reads them only in their own checks.
 ALLOWED_FIELDS = {
-    "TrainConfig.t_f": "it bounds decision_time_grid; every train config names it, "
-                       "so removing it would reject them all",
+    "TrainConfig.t_f": "redundant since train() checks each decision time against the "
+                       "records; it stays only because perfbench/configs.py passes it",
 }
 
 

@@ -424,6 +424,16 @@ class TestForecast:
                                "--treatments", str(t), "--t-c", "30", "--horizon", "1"])
         assert rc == 3 and "no forecast times beyond t_c" in err
 
+    def test_t_c_before_the_record_is_data_error(self, workspace, tmp_path):
+        # the records start at 0: t_c = -1 has no history to encode
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        rc, _, err = run_main(["forecast", "--checkpoint",
+                               str(workspace["run"] / "checkpoint.json"),
+                               "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                               "--treatments", str(t), "--t-c", "-1"])
+        assert rc == 3 and "no record time at or before t_c" in err
+
     def test_treatment_csv_roundtrip(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("start_time,component_1,component_2\n"
@@ -690,6 +700,9 @@ class TestConfigTypes:
         ("simulate_cancer", ("params", "n_patients"), 10**9),
         ("train", ("model", "phi_hidden_dim"), 10**7),
         ("simulate_semi", ("params", "nu"), 0),
+        ("simulate_semi", ("params", "horizon_hours"), 1e300),
+        ("simulate_semi", ("params", "horizon_hours"), 1e12),
+        ("simulate_semi", ("params", "n_patients"), 10**12),
         ("evaluate", ("heatmap",), "no"),
         ("evaluate", ("split",), ["test"]),
         ("verify", ("n_instances",), 0),
@@ -745,6 +758,57 @@ class TestUnscorableDecisionTimes:
         assert rc == 2
         assert f"the {split} records span [0.0, 60.0]" in err
         assert not (tmp_path / "run").exists()
+
+
+def test_one_unscorable_grid_time_is_config_error(workspace, tmp_path, monkeypatch):
+    # 60.0 is the records' last time, so it has no target: train rejects the
+    # config before it makes any parameter, where it once dropped its batches
+    monkeypatch.setattr("obsnode.train.ObsNodeParams", None)
+    cfg = json.loads((workspace["root"] / "train.json").read_text())
+    cfg["run_dir"] = str(tmp_path / "run")
+    cfg["train"].update(decision_time_grid=[30.0, 60.0], t_f=90.0)
+    rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 2
+    assert "train decision time 60.0 has no history or no target" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["uniform_random", "fixed_grid"])
+def test_decision_sampling_is_an_unknown_key(workspace, tmp_path, value):
+    cfg = json.loads((workspace["root"] / "train.json").read_text())
+    cfg["run_dir"] = str(tmp_path / "run")
+    cfg["train"]["decision_sampling"] = value
+    rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 2 and "unknown keys ['decision_sampling']" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("unobserved", "component 1: fewer than 2 observations"),
+    ("observed_once", "component 1: fewer than 2 observations"),
+    ("constant", "component 1 has zero spread")])
+def test_evaluated_split_without_a_scale_is_data_error(workspace, tmp_path, defect, message):
+    # a component of the evaluated split with no spread leaves its RMSE
+    # nothing to be divided by: evaluate exits 3 before it writes anything
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace["ds"], ds)
+    path = ds / "test.jsonl"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    for k, rec in enumerate(recs):
+        for i, (mask, y) in enumerate(zip(rec["mask"], rec["y"])):
+            if defect == "constant":
+                y[1] = 1.0
+            else:
+                mask[1] = float(defect == "observed_once" and k == i == 0)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    cfg = json.loads((workspace["root"] / "eval.json").read_text())
+    cfg.update(dataset_dir=str(ds), output_dir=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(["evaluate", "--config", write_json(tmp_path / "e.json", cfg)])
+    assert rc == 3 and out == ""
+    assert f"test split: {message}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def mutated_dataset(src, dst, split, line, mutate):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from obsnode import autodiff as ad
 from obsnode import evaluate
 from obsnode.autodiff import Tape
-from obsnode.errors import DataError
+from obsnode.errors import ConfigError, DataError
 from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
                               write_grid_pgm)
 from obsnode.model import ObsNodeConfig, ObsNodeParams, window
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
-from obsnode.train import NormStats, TrainConfig, evaluate_loss
+from obsnode.train import NormStats, TrainConfig, _targets, evaluate_loss
 from support import counterfactual_rmse, read_grid_csv, reencoded_grid, reencoded_loss
 
 
@@ -181,12 +182,18 @@ class TestSharedEncoder:
         assert np.array_equal(grid.counts, ref.counts)
         assert (grid.counts[0] == 0).all() and (grid.counts[-1] == 0).all()
 
+        # evaluate_loss takes only decision times with history and a target
         tcfg = TrainConfig(decision_time_grid=t_cs, t_f=times[-1] + 1.0, int_step=0.3,
                            max_horizon=max_horizon)
+        scored = [t_c for t_c in t_cs if _targets(times, t_c, max_horizon) is not None]
         sigma2 = rng.uniform(0.5, 2.0, size=d_y)
-        loss = evaluate_loss(trajs, params, sigma2, t_cs, tcfg)
-        assert np.float64(loss).tobytes() == np.float64(
-            reencoded_loss(trajs, params, sigma2, t_cs, tcfg)).tobytes()
+        if scored:
+            loss = evaluate_loss(trajs, params, sigma2, scored, tcfg)
+            assert np.float64(loss).tobytes() == np.float64(
+                reencoded_loss(trajs, params, sigma2, scored, tcfg)).tobytes()
+        no_history = re.escape(f"val decision time {float(t_cs[0])!r} has no history")
+        with pytest.raises(ConfigError, match=no_history):
+            evaluate_loss(trajs, params, sigma2, t_cs, tcfg)
 
 
 def test_inference_keeps_no_backward_state(monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
@@ -9,8 +10,9 @@ from obsnode import odeint
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
-                           emit, encode, forecast, load_model, save_model,
-                           stack_field, triangular_rhs, window)
+                           check_size, emit, encode, forecast, load_model,
+                           param_count, param_shapes, save_model, stack_field,
+                           triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from support import observability_probe, value_at
 
@@ -453,6 +455,27 @@ def test_checkpoint_past_max_params_is_rejected_before_allocation(tmp_path, monk
     monkeypatch.setattr(model_mod, "ObsNodeParams", None)
     with pytest.raises(DataError, match="MAX_PARAMS=100"):
         load_model(tmp_path / "model.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(d_y=st.integers(1, 4), m=st.integers(1, 4), d_a=st.integers(0, 3),
+       hidden=st.integers(1, 6), layers=st.integers(0, 4), enc=st.integers(1, 6))
+def test_param_count_is_the_sum_over_the_shapes(d_y, m, d_a, hidden, layers, enc):
+    cfg = ObsNodeConfig(d_y, m, d_a, hidden, layers, encoder_hidden_dim=enc)
+    assert param_count(cfg) == sum(r * c for _, (r, c) in param_shapes(cfg))
+
+
+def test_many_narrow_layers_are_rejected_without_walking_the_shapes(monkeypatch):
+    # 10**18 width-1 layers: the closed-form count rejects them at once,
+    # where a sum over param_shapes took seconds to pass MAX_PARAMS
+    def walked(cfg):
+        raise AssertionError("param_shapes walked")
+
+    monkeypatch.setattr(model_mod, "param_shapes", walked)
+    cfg = ObsNodeConfig(d_y=1, m=1, d_a=1, phi_hidden_dim=1, phi_layers=10**18,
+                        encoder_hidden_dim=1)
+    with pytest.raises(ConfigError, match="MAX_PARAMS"):
+        check_size(cfg)
 
 
 def test_window_splits_at_the_decision_time():

@@ -7,13 +7,16 @@ that a change which breaks an entry point it calls fails here.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from obsnode.model import ObsNodeConfig, ObsNodeParams
-from obsnode.simulate import Trajectory
-from obsnode.train import NormStats
+from obsnode.simulate import (CancerSimConfig, SemiSynthConfig, Trajectory,
+                              generate_cancer_dataset, generate_semi_synthetic)
+from obsnode.train import NormStats, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +54,16 @@ def test_forecast_query_on_a_small_model(monkeypatch):
     # the 20 observation times in (150, 270]
     assert pred.shape == (20, 2) and np.isfinite(pred).all()
     assert np.array_equal(pred, workloads.query(params, stats, unit, 150.0, schedule))
+
+
+@pytest.mark.parametrize("name,sim_cls,generate", [
+    ("CANCER", CancerSimConfig, generate_cancer_dataset),
+    ("SEMI", SemiSynthConfig, generate_semi_synthetic)])
+def test_train_configs_pass_the_decision_check(monkeypatch, name, sim_cls, generate):
+    # every train and validation decision time of a benchmark training config
+    # has history and a target, so a rule that would stop a workload fails here
+    configs = load("configs", monkeypatch)
+    splits = generate(sim_cls(**dict(getattr(configs, f"{name}_SIM"), n_patients=3)))
+    tcfg = replace(getattr(configs, f"{name}_TRAIN"), epochs=0)
+    _, history = train(getattr(configs, f"{name}_MODEL"), splits, tcfg)
+    assert history == []

@@ -195,8 +195,6 @@ class TestTrainConfig:
             TrainConfig(decision_time_grid=[], t_f=5.0)
         with pytest.raises(ConfigError):
             TrainConfig(decision_time_grid=[5.0], t_f=5.0)
-        with pytest.raises(ConfigError):
-            tiny_train_cfg(decision_sampling="latin_hypercube")
 
 
 class TestTrainLoop:
@@ -244,11 +242,15 @@ class TestTrainLoop:
         assert cfg == MODEL_CFG
         np.testing.assert_array_equal(loaded_stats.std, stats.std)
 
-    def test_fixed_grid_sampling_runs(self):
-        splits = tiny_splits(seed=9)
-        tcfg = tiny_train_cfg(epochs=1, decision_sampling="fixed_grid")
-        params, history = train(MODEL_CFG, splits, tcfg)
-        assert np.isfinite(history[0]["val_loss"])
+    @pytest.mark.parametrize("t_c", [-1.0, 5.0])
+    def test_unscorable_batch_time_is_config_error(self, t_c):
+        # records span [0, 5]: -1 has no history and 5 no target, so the
+        # batch is rejected, never returned empty
+        record = stack_units(tiny_splits()["train"])
+        params = ObsNodeParams(MODEL_CFG, np.random.default_rng(0))
+        int_cfg = train_mod._int_config(record.times, tiny_train_cfg())
+        with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
+            train_mod._batch_loss(record, t_c, params, np.ones(1), int_cfg)
 
     def test_shape_bug_propagates(self, monkeypatch):
         # a programming error must not be counted as a diverged batch
