@@ -26,9 +26,9 @@ from . import autodiff as ad
 from .autodiff import grad_check
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import raw_forecasts, rmse_grid, write_grid_csv, write_grid_pgm
-from .identify import (adjustment_estimate, interventional_truth,
-                       linear_gaussian_refinement, nonidentifiability_witness,
-                       random_observable_scm, random_query)
+from .identify import (MAX_VERIFY_CELLS, QUERY_CELLS, adjustment_estimate,
+                       interventional_truth, linear_gaussian_refinement,
+                       nonidentifiability_witness, random_observable_scm, random_query)
 from .model import (History, ObsNodeConfig, ObsNodeParams, check_size, load_model,
                     param_shapes)
 from .odeint import METHODS, ControlPath, IntegrationConfig
@@ -296,6 +296,9 @@ def cmd_verify_identification(args):
     n, tol = cfg.get("n_instances", 200), cfg.get("tolerance", 1e-10)
     if n < 1 or tol <= 0 or cfg.get("seed", 0) < 0:
         raise ConfigError("n_instances and tolerance must be positive, seed >= 0")
+    if n * QUERY_CELLS > MAX_VERIFY_CELLS:
+        raise ConfigError(f"n_instances: {n} instances enumerate up to {n * QUERY_CELLS} "
+                          f"joint cells, more than MAX_VERIFY_CELLS={MAX_VERIFY_CELLS}")
     rng = np.random.default_rng(cfg.get("seed", 0))
     deviations = []
     for _ in range(n):

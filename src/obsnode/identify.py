@@ -8,8 +8,9 @@ formula as the paper writes it: the filter over latent states given the
 observed history, taken by forward messages over (confounder, state) (the
 forward algorithm, Rabiner 1989), propagated under the intervened actions
 and pushed through the confounder-marginalized emission. The oracle it is
-checked against enumerates every trajectory: the ground-truth
-interventional distribution, obtained by severing the policy. A constructed
+checked against enumerates every trajectory consistent with the query's
+conditioning and intervention: the ground-truth interventional
+distribution, obtained by severing the policy. A constructed
 pair of models with indistinguishable latent states shows that without
 observability the same observational law admits different interventional
 answers.
@@ -17,6 +18,7 @@ answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,10 @@ from .autodiff import _sigmoid
 from .errors import DataError
 
 MAX_TRAJECTORIES = 10_000_000
+# the most cells one random_observable_scm instance enumerates for its
+# random_query: 2^3 confounder, 4^3 latent and 4^2 unconditioned outcome values
+QUERY_CELLS = 2 ** 3 * 4 ** 3 * 4 ** 2
+MAX_VERIFY_CELLS = 1_000_000_000  # instances x QUERY_CELLS in one verification
 
 
 def _check_rows(name, arr):
@@ -113,52 +119,57 @@ def _place(kernel, axes, ndim):
     return k.reshape(shape)
 
 
-def enumerate_joint(scm: DiscreteScm, policy_overrides=None):
-    """Exact joint over all trajectories.
+def enumerate_joint(scm: DiscreteScm, policy_overrides=None, fixed=None):
+    """Exact joint over the trajectories that agree with `fixed`.
 
     Axis layout: [e_0..e_{T-1}, z_0..z_{T-1}, y_0..y_{T-1}, a_0..a_{T-2}].
     `policy_overrides` maps a step index to the action forced at that step.
+    `fixed` maps an axis to the value it is conditioned on: each kernel is
+    cut to that value before it is placed, so the axis has size 1 and only
+    the agreeing trajectories are built (factor reduction, Koller & Friedman
+    2009, sec. 9.3). Without it the joint holds every trajectory.
     """
     nE, nZ, nY, nA = scm.sizes
     T = scm.T
-    count = (nE ** T) * (nZ ** T) * (nY ** T) * (nA ** (T - 1))
+    fixed = fixed or {}
+    dims = [nE] * T + [nZ] * T + [nY] * T + [nA] * (T - 1)
+    count = math.prod(1 if ax in fixed else dim for ax, dim in enumerate(dims))
     if count > MAX_TRAJECTORIES:
         raise DataError(f"enumerate_joint: {count} trajectories exceed "
                         f"{MAX_TRAJECTORIES}")
-    ndim = 3 * T + (T - 1)
+    ndim = len(dims)
     e_ax = lambda t: t
     z_ax = lambda t: T + t
     y_ax = lambda t: 2 * T + t
     a_ax = lambda t: 3 * T + t
     overrides = policy_overrides or {}
 
+    def place(kernel, axes):
+        cut = tuple(slice(fixed[ax], fixed[ax] + 1) if ax in fixed else slice(None)
+                    for ax in axes)
+        return _place(kernel[cut], axes, ndim)
+
     joint = np.ones((1,) * ndim)
-    joint = joint * _place(scm.eps_init, (e_ax(0),), ndim)
-    joint = joint * _place(scm.z_init, (z_ax(0),), ndim)
-    joint = joint * _place(scm.emission, (z_ax(0), e_ax(0), y_ax(0)), ndim)
+    joint = joint * place(scm.eps_init, (e_ax(0),))
+    joint = joint * place(scm.z_init, (z_ax(0),))
+    joint = joint * place(scm.emission, (z_ax(0), e_ax(0), y_ax(0)))
     for t in range(1, T):
         pol = scm.policy
         if t - 1 in overrides:
             pol = np.zeros((nY, nE, nA))
             pol[:, :, overrides[t - 1]] = 1.0
-        joint = joint * _place(pol, (y_ax(t - 1), e_ax(t - 1), a_ax(t - 1)), ndim)
-        joint = joint * _place(scm.eps_trans, (e_ax(t - 1), e_ax(t)), ndim)
-        joint = joint * _place(scm.z_trans, (a_ax(t - 1), z_ax(t - 1), z_ax(t)), ndim)
-        joint = joint * _place(scm.emission, (z_ax(t), e_ax(t), y_ax(t)), ndim)
+        joint = joint * place(pol, (y_ax(t - 1), e_ax(t - 1), a_ax(t - 1)))
+        joint = joint * place(scm.eps_trans, (e_ax(t - 1), e_ax(t)))
+        joint = joint * place(scm.z_trans, (a_ax(t - 1), z_ax(t - 1), z_ax(t)))
+        joint = joint * place(scm.emission, (z_ax(t), e_ax(t), y_ax(t)))
     return joint
 
 
-def _reduce(joint, fixed, keep_axis):
-    """Fix axes per {axis: value}, sum out everything except keep_axis, and
-    normalize. Raises on a zero-probability conditioning event."""
-    slicer = [slice(None)] * joint.ndim
-    for ax, v in fixed.items():
-        slicer[ax] = v
-    sub = joint[tuple(slicer)]
-    # position of keep_axis after the fixed axes collapsed
-    keep_pos = keep_axis - sum(1 for ax in fixed if ax < keep_axis)
-    other = tuple(i for i in range(sub.ndim) if i != keep_pos)
-    dist = sub.sum(axis=other)
+def _reduce(joint, keep_axis):
+    """Sum out every axis except keep_axis and normalize. Raises on a
+    zero-probability conditioning event."""
+    other = tuple(i for i in range(joint.ndim) if i != keep_axis)
+    dist = joint.sum(axis=other)
     total = dist.sum()
     if total <= 0:
         raise DataError("conditioning prefix has zero probability")
@@ -183,9 +194,8 @@ def interventional_truth(scm: DiscreteScm, q: InterventionQuery):
     """Ground-truth P(y_target | prefix, do(intervention)) by severing the
     policy at the intervened steps and enumerating."""
     overrides = {q.t + k: a for k, a in enumerate(q.intervention)}
-    joint = enumerate_joint(scm, overrides)
     fixed, keep = _query_axes(scm, q)
-    return _reduce(joint, fixed, keep)
+    return _reduce(enumerate_joint(scm, overrides, fixed), keep)
 
 
 def filter_distribution(scm: DiscreteScm, y_prefix, a_prefix):

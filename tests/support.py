@@ -176,9 +176,8 @@ def reencoded_loss(trajs, params, sigma2, decision_times, tcfg) -> float:
 
 def naive_conditional(scm: DiscreteScm, q: InterventionQuery):
     """Observational P(y_target | prefix, a-sequence observed): no severing."""
-    joint = enumerate_joint(scm)
     fixed, keep = _query_axes(scm, q)
-    return _reduce(joint, fixed, keep)
+    return _reduce(enumerate_joint(scm, fixed=fixed), keep)
 
 
 def enumerated_filter(scm: DiscreteScm, y_prefix, a_prefix):
@@ -187,7 +186,24 @@ def enumerated_filter(scm: DiscreteScm, y_prefix, a_prefix):
     T = scm.T
     fixed = {2 * T + k: int(y) for k, y in enumerate(y_prefix)}
     fixed.update({3 * T + k: int(a) for k, a in enumerate(a_prefix)})
-    return _reduce(enumerate_joint(scm), fixed, T + len(a_prefix))
+    return _reduce(enumerate_joint(scm, fixed=fixed), T + len(a_prefix))
+
+
+def full_joint_reduce(scm: DiscreteScm, overrides, fixed, keep_axis):
+    """The reference for `enumerate_joint`'s `fixed` axes: the joint over
+    every trajectory, indexed at the fixed values, summed onto keep_axis and
+    normalized. Raises DataError on a zero-probability conditioning event."""
+    joint = enumerate_joint(scm, overrides)
+    slicer = [slice(None)] * joint.ndim
+    for ax, v in fixed.items():
+        slicer[ax] = v
+    sub = joint[tuple(slicer)]
+    keep_pos = keep_axis - sum(1 for ax in fixed if ax < keep_axis)
+    dist = sub.sum(axis=tuple(i for i in range(sub.ndim) if i != keep_pos))
+    total = dist.sum()
+    if total <= 0:
+        raise DataError("conditioning prefix has zero probability")
+    return dist / total
 
 
 def enumerated_query(rng, scm: DiscreteScm) -> InterventionQuery:

@@ -19,6 +19,7 @@ import obsnode
 from obsnode import model as model_mod
 from obsnode.cli import main, read_treatment_csv
 from obsnode.evaluate import raw_forecasts
+from obsnode.identify import MAX_VERIFY_CELLS, QUERY_CELLS
 from obsnode.model import ObsNodeConfig, load_model, window
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
@@ -706,6 +707,8 @@ class TestConfigTypes:
         ("evaluate", ("heatmap",), "no"),
         ("evaluate", ("split",), ["test"]),
         ("verify", ("n_instances",), 0),
+        ("verify", ("n_instances",), 10**12),
+        ("verify", ("n_instances",), 2**63 - 1),
         ("verify", ("n_instances",), "abc"),
         ("verify", ("tolerance",), "x"),
         ("verify", ("seed",), -1),
@@ -721,6 +724,34 @@ class TestConfigTypes:
         rc, err = run_config(sub, cfg, tmp_path / "cfg.json")
         assert rc == 2
         assert path[-1] in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        "n_instances": st.sampled_from([0, -1, 1, 10**6, 2**63 - 1]),
+        "tolerance": st.sampled_from([5e-324, 1e-300, 1e300, -1.0]),
+        "seed": st.sampled_from([0, 2**63 - 1])}))
+    def test_verify_values_inside_their_types(self, workspace, values):
+        # extreme values of each field's own type: the command runs or
+        # rejects them at once, and a rejection writes no report
+        sub, base, fields = fuzz_bases(workspace)["verify"]
+        assert set(values) < {path[-1] for path, _ in fields}
+        report = workspace["root"] / "fuzz_report.json"
+        report.unlink(missing_ok=True)
+        cfg = dict(base, output=str(report), **values)
+        rc, err = run_config(sub, cfg, workspace["root"] / "fuzz.json")
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert report.exists() == (rc != 2)
+
+    def test_verify_size_is_checked_before_any_instance(self, workspace, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr("obsnode.cli.random_observable_scm", None)
+        sub, cfg, _ = fuzz_bases(workspace)["verify"]
+        cfg = dict(cfg, n_instances=MAX_VERIFY_CELLS // QUERY_CELLS + 1,
+                   output=str(tmp_path / "r.json"))
+        rc, err = run_config(sub, cfg, tmp_path / "cfg.json")
+        assert rc == 2 and "n_instances" in err and "MAX_VERIFY_CELLS" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_model_size_is_checked_before_any_work(self, workspace, tmp_path,
                                                     monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from obsnode.errors import DataError
-from obsnode.identify import (DiscreteScm, InterventionQuery,
-                              adjustment_estimate, collapse_states,
+from obsnode.identify import (QUERY_CELLS, DiscreteScm, InterventionQuery, _query_axes,
+                              _reduce, adjustment_estimate, collapse_states,
                               enumerate_joint, filter_distribution,
                               interventional_truth, linear_gaussian_refinement,
                               nonidentifiability_witness, observational_law,
                               random_observable_scm, random_query, tv_distance)
-from support import enumerated_filter, enumerated_query, naive_conditional
+from support import enumerated_filter, enumerated_query, full_joint_reduce, naive_conditional
 
 
 def point(n, i):
@@ -63,6 +64,77 @@ class TestEnumerateJoint:
         with pytest.raises(DataError) as e:
             enumerate_joint(scm)
         assert "trajectories" in str(e.value)
+
+    def test_guard_counts_only_the_conditioned_cells(self):
+        # the full T=5 joint has 537M cells and is refused; conditioned on
+        # y_0 and the four actions it has 8.4M, which are enumerated
+        scm = replace(random_observable_scm(np.random.default_rng(0)), T=5)
+        q = random_query(np.random.default_rng(1), scm)
+        with pytest.raises(DataError, match="trajectories"):
+            enumerate_joint(scm)
+        np.testing.assert_allclose(interventional_truth(scm, q),
+                                   adjustment_estimate(scm, q), rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_fixed_axes_cut_the_full_joint(self, T, seed, data):
+        # cutting each kernel to the fixed values before the product builds
+        # the bytes of the full joint at those values; the reduced law agrees
+        # to rounding (numpy groups a sum by memory layout, which the cut
+        # changes), and a zero-probability condition fails alike
+        rng = np.random.default_rng(seed)
+        scm = replace(random_observable_scm(rng), T=T)
+        y_axes, a_axes = range(2 * T, 3 * T), range(3 * T, 4 * T - 1)
+        fixed = {ax: data.draw(st.integers(0, 3 if ax in y_axes else 1), label=f"axis {ax}")
+                 for ax in data.draw(st.sets(st.sampled_from([*y_axes, *a_axes])),
+                                     label="fixed axes")}
+        overrides = data.draw(st.dictionaries(st.integers(0, T - 2), st.integers(0, 1)),
+                              label="overrides")
+        keep = data.draw(st.sampled_from([ax for ax in range(4 * T - 1)
+                                          if ax not in fixed]), label="keep")
+        cut = tuple(slice(fixed[ax], fixed[ax] + 1) if ax in fixed else slice(None)
+                    for ax in range(4 * T - 1))
+        joint = enumerate_joint(scm, overrides, fixed)
+        assert joint.tobytes() == enumerate_joint(scm, overrides)[cut].tobytes()
+        try:
+            ref = full_joint_reduce(scm, overrides, fixed, keep)
+        except DataError as e:
+            with pytest.raises(DataError, match=re.escape(str(e))):
+                _reduce(joint, keep)
+        else:
+            np.testing.assert_allclose(_reduce(joint, keep), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_truth_has_the_full_joint_bytes(self, T):
+        # up to the instances' own horizon, every query's truth is the full
+        # joint sliced and reduced byte for byte, for 3 and 4 latent states
+        rng = np.random.default_rng(0)
+        by_states = {}
+        while len(by_states) < 2:
+            scm = replace(random_observable_scm(rng), T=T)
+            by_states[scm.z_init.size] = scm
+        for scm in by_states.values():
+            for t in range(T - 1):
+                for target in range(t + 1, T):
+                    q = InterventionQuery(rng.integers(4, size=t + 1), rng.integers(2, size=t),
+                                          rng.integers(2, size=target - t))
+                    fixed, keep = _query_axes(scm, q)
+                    overrides = {q.t + k: a for k, a in enumerate(q.intervention)}
+                    assert (interventional_truth(scm, q).tobytes()
+                            == full_joint_reduce(scm, overrides, fixed, keep).tobytes())
+
+    def test_query_cells_bound_the_family(self):
+        # QUERY_CELLS, which bounds verify-identification's work, is the
+        # largest joint a random instance enumerates for its query
+        rng = np.random.default_rng(5)
+        sizes = set()
+        for _ in range(20):
+            scm = random_observable_scm(rng)
+            q = random_query(rng, scm)
+            fixed, _ = _query_axes(scm, q)
+            overrides = {q.t + k: a for k, a in enumerate(q.intervention)}
+            sizes.add(enumerate_joint(scm, overrides, fixed).size)
+        assert max(sizes) == QUERY_CELLS and len(sizes) == 2
 
     def test_kernel_validation(self):
         with pytest.raises(DataError):
