@@ -39,11 +39,18 @@ from .train import (TrainConfig, _batch_loss, _targets, stack_units, train,
                     zscore_apply, zscore_fit)
 
 FORMAT_VERSION = 1
+# The top-level keys of each command's config, by type; a section has its dataclass.
+SIMULATE_KEYS = {"kind": str, "output_dir": str, "params": dict}
+TRAIN_KEYS = {"dataset_dir": str, "run_dir": str, "model": dict, "train": dict,
+              "init_checkpoint": str}
+EVALUATE_KEYS = {"dataset_dir": str, "checkpoint": str, "output_dir": str, "split": str,
+                 "t_c_grid": list[float], "horizons": list[float], "heatmap": bool}
+VERIFY_KEYS = {"n_instances": int, "seed": int, "tolerance": float, "output": str}
 
 
-def load_json_config(path, fields, required_keys):
-    """The JSON object in the config file at `path`, checked by
-    :func:`_checked_section` after its `format_version`."""
+def load_json_config(path, fields, optional_keys):
+    """The JSON object in the config file at `path`, checked by :func:`_checked_section`
+    after its `format_version`; every key of `fields` but the `optional_keys` is required."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -56,7 +63,7 @@ def load_json_config(path, fields, required_keys):
     if type(cfg) is not dict or cfg.pop("format_version", None) != FORMAT_VERSION:
         raise ConfigError(f"{path}: expected a JSON object with format_version "
                           f"{FORMAT_VERSION}")
-    return _checked_section(cfg, fields, required_keys, str(path))
+    return _checked_section(cfg, fields, set(fields) - set(optional_keys), str(path))
 
 
 _KINDS = {bool: "true or false", int: "a 64-bit integer", float: "a finite number",
@@ -138,8 +145,7 @@ def _open_output(path):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    fields = {"kind": str, "output_dir": str, "params": dict}
-    cfg = load_json_config(args.config, fields, fields)
+    cfg = load_json_config(args.config, SIMULATE_KEYS, ())
     kinds = {"cancer": (CancerSimConfig, generate_cancer_dataset),
              "semi_synthetic": (SemiSynthConfig, generate_semi_synthetic)}
     if cfg["kind"] not in kinds:
@@ -164,10 +170,7 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
-    cfg = load_json_config(args.config,
-                           {"dataset_dir": str, "run_dir": str, "model": dict,
-                            "train": dict, "init_checkpoint": str},
-                           {"dataset_dir", "run_dir", "model", "train"})
+    cfg = load_json_config(args.config, TRAIN_KEYS, {"init_checkpoint"})
     model_cfg = _build(ObsNodeConfig, cfg["model"], "model")
     check_size(model_cfg)
     tcfg = _build(TrainConfig, cfg["train"], "train")
@@ -176,7 +179,10 @@ def cmd_train(args):
     if not ds_dir.exists():
         raise ConfigError(f"dataset directory not found: {ds_dir}")
     splits, _ = read_dataset(ds_dir)
-    stats = zscore_fit(splits["train"])
+    try:
+        stats = zscore_fit(splits["train"])
+    except DataError as e:
+        raise DataError(f"train split: {e}")
     normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
     init_state = None
     if "init_checkpoint" in cfg:
@@ -197,10 +203,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    required = {"dataset_dir": str, "checkpoint": str, "output_dir": str,
-                "t_c_grid": list[float], "horizons": list[float]}
-    cfg = load_json_config(args.config,
-                           dict(required, split=str, heatmap=bool), required)
+    cfg = load_json_config(args.config, EVALUATE_KEYS, {"split", "heatmap"})
     ts, hs = cfg["t_c_grid"], cfg["horizons"]
     if (not ts or not hs or min(hs) <= 0 or len(set(ts)) < len(ts)
             or len(set(hs)) < len(hs)):
@@ -291,8 +294,7 @@ def cmd_forecast(args):
 
 
 def cmd_verify_identification(args):
-    cfg = load_json_config(args.config, {"n_instances": int, "seed": int,
-                                         "tolerance": float, "output": str}, ())
+    cfg = load_json_config(args.config, VERIFY_KEYS, VERIFY_KEYS)
     n, tol = cfg.get("n_instances", 200), cfg.get("tolerance", 1e-10)
     if n < 1 or tol <= 0 or cfg.get("seed", 0) < 0:
         raise ConfigError("n_instances and tolerance must be positive, seed >= 0")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import History, rollouts, window
+from .model import History, NormStats, rollouts, window
 from .odeint import ControlPath, IntegrationConfig
-from .train import NormStats, _targets, stack_units, zscore_invert, zscore_outcomes
+from .train import _fit_stats, _targets, stack_units, zscore_invert, zscore_outcomes
 
 
 @dataclass
@@ -61,20 +61,6 @@ def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
     return [zscore_invert(o, stats) for o in out] if stats is not None else out
 
 
-def _test_scale(y, mask):
-    """Per-component standard deviation of the observed entries of a stacked
-    (T, n, d_y) outcome array: the divisor of every scaled RMSE. DataError
-    for a component with fewer than 2 observed entries or zero spread."""
-    counts = mask.sum((0, 1))
-    if np.any(counts < 2):
-        raise DataError(f"component {int(np.argmin(counts))}: fewer than 2 observations")
-    mean = (y * mask).sum((0, 1)) / counts
-    scale = np.sqrt(((y - mean) ** 2 * mask).sum((0, 1)) / counts)
-    if np.any(scale <= 0):
-        raise DataError(f"component {int(np.argmin(scale))} has zero spread")
-    return scale
-
-
 def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
     """Scaled RMSE and observed-point counts per (horizon bin, component) of
     predictions at times `qts`; the bin for s_k collects the points in
@@ -100,14 +86,15 @@ def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
     """Scaled RMSE per (assimilation time, horizon bin, component) of the
     forecasts of :func:`raw_forecasts`, all from one encoder pass over the
     record. The horizon bin for s_k collects observed points in
-    (t_c + s_{k-1}, t_c + s_k].
+    (t_c + s_{k-1}, t_c + s_k]; the RMSE scale is the split's own
+    :func:`~obsnode.train.zscore_fit` std.
     """
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
 
     record = stack_units(test_trajs)
     d_y = record.y.shape[2]
-    scale = _test_scale(record.y, record.mask)
+    scale = _fit_stats(record).std
 
     values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
     counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)

@@ -504,6 +504,25 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
 # Checkpointing
 # ---------------------------------------------------------------------------
 
+@dataclass
+class NormStats:
+    """A split's per-component outcome mean and std (:func:`~obsnode.train.zscore_fit`):
+    finite vectors of one length, every std positive, else DataError."""
+    mean: np.ndarray  # (d_y,)
+    std: np.ndarray   # (d_y,)
+
+    def __post_init__(self):
+        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.std = np.asarray(self.std, dtype=np.float64)
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+            raise DataError(f"norm stats: mean {self.mean.shape} and std "
+                            f"{self.std.shape} must be vectors of one length")
+        for j, (m, s) in enumerate(zip(self.mean.tolist(), self.std.tolist())):
+            if not (np.isfinite(m) and 0 < s < np.inf):
+                raise DataError(f"component {j} has zero spread" if s == 0 else
+                                f"component {j} has mean {m!r} and std {s!r}")
+
+
 def save_model(path, params: ObsNodeParams, norm_stats=None):
     """Write the parameters and a metadata header (config and, when given,
     the normalization statistics) as JSON, format_version 1; tensor values
@@ -526,8 +545,6 @@ def load_model(path):
     """(params, cfg, norm stats or None) of a checkpoint written by
     :func:`save_model`. A missing or malformed file, a non-finite value, or
     metadata that does not describe the stored tensors raises DataError."""
-    from .train import NormStats  # local import to avoid a cycle
-
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -538,7 +555,7 @@ def load_model(path):
     try:
         arrays = {e["name"]: np.array(e["values"], dtype=np.float64).reshape(e["shape"])
                   for e in doc["tensors"]}
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"checkpoint {path}: malformed tensors: {e!r}")
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
@@ -556,18 +573,15 @@ def load_model(path):
         cfg = ObsNodeConfig(**meta["config"])
         stats = None
         if "norm_stats" in meta:
-            stats = NormStats(mean=np.array(meta["norm_stats"]["mean"]),
-                              std=np.array(meta["norm_stats"]["std"]))
+            stats = NormStats(mean=meta["norm_stats"]["mean"], std=meta["norm_stats"]["std"])
+            if stats.mean.size != cfg.d_y:
+                raise ValueError(f"norm_stats of length {stats.mean.size} for d_y={cfg.d_y}")
         # the shapes the metadata implies are checked before they are allocated
         check_state(arrays, cfg)
         check_size(cfg)
-    except (ConfigError, KeyError, TypeError, ValueError) as e:
+    except (ConfigError, DataError, KeyError, TypeError, ValueError,
+            OverflowError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e}")
-    if stats is not None and not (stats.mean.shape == stats.std.shape == (cfg.d_y,)
-                                  and np.isfinite([stats.mean, stats.std]).all()
-                                  and (stats.std > 0).all()):
-        raise DataError(f"checkpoint {path}: norm_stats must be {cfg.d_y} finite "
-                        "means and positive stds")
     params = ObsNodeParams(cfg, np.random.default_rng(0))
     params.load_state(arrays)
     return params, cfg, stats

@@ -27,7 +27,7 @@ DIAM_WINDOW_DAYS = 15.0
 V_MIN = 1e-3
 W_MIN = 1.0
 # patients x Euler steps in one cancer cohort, and patients x hours x values
-# per hour in one semi-synthetic cohort
+# per hour x random features per value in one semi-synthetic cohort
 MAX_SIM_STEPS = 100_000_000
 
 # Population parameter distributions: name -> (mean, sd)
@@ -133,10 +133,10 @@ class SemiSynthConfig:
             raise ConfigError("horizon_hours, eta_sd and the lengthscales must "
                               "be positive, seed >= 0")
         values = (self.n_patients * (int(self.horizon_hours) + 1)
-                  * (self.d_y + self.d_a + self.d_eps))
+                  * (self.d_y + self.d_a + self.d_eps) * self.nu)
         if values > MAX_SIM_STEPS:
             raise ConfigError(f"n_patients x (floor(horizon_hours) + 1) x (d_y + d_a + "
-                              f"d_eps) is {values} values, more than "
+                              f"d_eps) x nu is {values} feature values, more than "
                               f"MAX_SIM_STEPS={MAX_SIM_STEPS}")
         for tup in (self.gamma_A, self.gamma_eps, self.bias):
             if len(tup) != self.d_a or not all(np.isfinite(v) for v in tup):

@@ -18,35 +18,26 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
-from .model import (History, ObsNodeConfig, ObsNodeParams, check_dims, rollouts,
-                    save_model, window)
+from .model import (History, NormStats, ObsNodeConfig, ObsNodeParams, check_dims,
+                    rollouts, save_model, window)
 from .odeint import MAX_STEPS, METHODS, IntegrationConfig
-
-
-@dataclass
-class NormStats:
-    mean: np.ndarray  # (d_y,)
-    std: np.ndarray   # (d_y,)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
 
 
 def zscore_fit(trajs) -> NormStats:
     """Per-component mean/std over observed entries of the given (train) split."""
-    record = stack_units(trajs)
+    return _fit_stats(stack_units(trajs))
+
+
+def _fit_stats(record: History) -> NormStats:
+    """:func:`zscore_fit` of a stacked record, summed unit by unit; DataError
+    for a component with fewer than 2 observed entries or with zero spread."""
     ys = np.concatenate(record.y.swapaxes(0, 1))  # unit by unit, (n T, d_y)
     ms = np.concatenate(record.mask.swapaxes(0, 1))
     counts = ms.sum(0)
     if np.any(counts < 2):
-        bad = int(np.argmin(counts))
-        raise DataError(f"component {bad}: fewer than 2 observations")
+        raise DataError(f"component {int(np.argmin(counts))}: fewer than 2 observations")
     mean = (ys * ms).sum(0) / counts
     var = (((ys - mean) ** 2) * ms).sum(0) / counts
-    if np.any(var <= 0):
-        bad = int(np.argmin(var))
-        raise DataError(f"component {bad} has zero variance on the train split")
     return NormStats(mean=mean, std=np.sqrt(var))
 
 
@@ -209,8 +200,9 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     Returns (params, history) where history rows are dicts with epoch,
     train_loss, val_loss. The returned parameters are the checkpoint with the
     lowest validation loss. `init_state` (name -> array) warm-starts the
-    parameters, e.g. to resume from a checkpoint. Every decision time is
-    checked (:func:`_decisions`) before any parameter is made.
+    parameters, e.g. to resume from a checkpoint. Every decision time
+    (:func:`_decisions`), and the length of `stats`, the statistics the
+    checkpoint keeps, are checked before any parameter is made.
     """
     record = stack_units(splits["train"])
     grid = list(tcfg.decision_time_grid)
@@ -225,6 +217,8 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         if reach / step > MAX_STEPS:
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units "
                               f"takes more than {MAX_STEPS} solver steps of {step!r}")
+    if stats is not None and stats.mean.size != model_cfg.d_y:
+        raise DataError(f"norm stats of length {stats.mean.size} for d_y={model_cfg.d_y}")
     int_cfg = _int_config(record.times, tcfg)
     rng = np.random.default_rng(tcfg.seed)
     params = ObsNodeParams(model_cfg, rng)

@@ -11,7 +11,7 @@ import numpy as np
 
 from obsnode.autodiff import Tensor
 from obsnode.errors import DataError
-from obsnode.evaluate import RmseGrid, _binned_rmse, _test_scale, raw_forecasts
+from obsnode.evaluate import RmseGrid, _binned_rmse, raw_forecasts
 from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _reduce,
                               enumerate_joint, observational_law)
 from obsnode.model import (History, ObsNodeParams, emit, encode, factual_control, forecast,
@@ -19,8 +19,8 @@ from obsnode.model import (History, ObsNodeParams, emit, encode, factual_control
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
-from obsnode.train import (_int_config, _targets, masked_loss, stack_units, zscore_invert,
-                           zscore_outcomes)
+from obsnode.train import (_int_config, _targets, masked_loss, stack_units, zscore_fit,
+                           zscore_invert, zscore_outcomes)
 
 
 def value_at(control: ControlPath, t: float) -> np.ndarray:
@@ -121,7 +121,7 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
     cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
     ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
     pred = raw_forecasts(record, [(t_c, qts)], params, stats, int_cfg, ctrl)[0]
-    scale = _test_scale(record.y, record.mask)
+    scale = zscore_fit(facts).std
     values, counts = _binned_rmse(qts, pred, oracle.y[fut], oracle.mask[fut],
                                   t_c, horizons, scale)
     return RmseGrid(np.array([t_c]), horizons, values[None], counts[None])
@@ -147,7 +147,7 @@ def reencoded_grid(test_trajs, t_c_grid, horizons, params, stats, int_cfg) -> Rm
     record = stack_units(test_trajs)
     normed = History(record.times, zscore_outcomes(record.y, record.mask, stats),
                      record.mask, record.a)
-    scale = _test_scale(record.y, record.mask)
+    scale = zscore_fit(test_trajs).std
     values = np.full((t_c_grid.size, horizons.size, record.y.shape[2]), np.nan)
     counts = np.zeros(values.shape, dtype=int)
     for i, t_c in enumerate(t_c_grid):

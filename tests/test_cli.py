@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obsnode
+from obsnode import cli
 from obsnode import model as model_mod
 from obsnode.cli import main, read_treatment_csv
 from obsnode.evaluate import raw_forecasts
@@ -617,23 +618,16 @@ def fuzz_bases(workspace):
     sim = {"format_version": 1, "output_dir": str(root / "fuzz_ds")}
     return {
         "model": ("train", trn, fields(ObsNodeConfig, "model")),
-        "train": ("train", trn, fields(TrainConfig, "train") + fields({
-            "dataset_dir": str, "run_dir": str, "model": dict, "train": dict,
-            "init_checkpoint": str})),
+        "train": ("train", trn, fields(TrainConfig, "train") + fields(cli.TRAIN_KEYS)),
         "simulate_cancer": ("simulate", dict(sim, kind="cancer", params={
             "n_patients": 3, "n_cycles": 1, "dt": 0.5, "obs_every": 3.0}),
-            fields(CancerSimConfig, "params") + fields(
-                {"kind": str, "output_dir": str, "params": dict})),
+            fields(CancerSimConfig, "params") + fields(cli.SIMULATE_KEYS)),
         "simulate_semi": ("simulate", dict(sim, kind="semi_synthetic", params={
             "n_patients": 3, "horizon_hours": 6.0}),
             fields(SemiSynthConfig, "params")),
-        "evaluate": ("evaluate", evl, fields({
-            "dataset_dir": str, "checkpoint": str, "output_dir": str,
-            "t_c_grid": list, "horizons": list, "split": str, "heatmap": bool})),
+        "evaluate": ("evaluate", evl, fields(cli.EVALUATE_KEYS)),
         "verify": ("verify-identification",
-                   {"format_version": 1, "n_instances": 2},
-                   fields({"n_instances": int, "seed": int, "tolerance": float,
-                           "output": str})),
+                   {"format_version": 1, "n_instances": 2}, fields(cli.VERIFY_KEYS)),
     }
 
 
@@ -649,6 +643,21 @@ JSON_VALUES = {
     type(None): st.none(),
     "400-digit int": st.just(10 ** 399 + 1),
 }
+
+
+# Extreme values inside each field's own JSON type. A list field draws empty,
+# repeated and unsorted lists, and lists holding an extreme float.
+EXTREME_FLOATS = [5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
+EXTREME_VALUES = {
+    bool: [True, False],
+    int: [0, -1, 10**6, 2**63 - 1],
+    float: EXTREME_FLOATS,
+    list: [[], [1.0, 1.0], [2.0, 1.0]] + [l for x in EXTREME_FLOATS for l in ([x], [x, 1.0])],
+}
+# Values that pass every bound yet ask for minutes of valid work, left out of
+# the draw: 10**6 cancer patients are 6e7 Euler steps on the fuzz base, under
+# MAX_SIM_STEPS.
+SLOW_VALUES = {("simulate_cancer", ("params", "n_patients")): [10**6]}
 
 
 def own_types(hint):
@@ -704,6 +713,8 @@ class TestConfigTypes:
         ("simulate_semi", ("params", "horizon_hours"), 1e300),
         ("simulate_semi", ("params", "horizon_hours"), 1e12),
         ("simulate_semi", ("params", "n_patients"), 10**12),
+        ("simulate_semi", ("params", "nu"), 2**63 - 1),
+        ("simulate_semi", ("params", "nu"), 10**8),
         ("evaluate", ("heatmap",), "no"),
         ("evaluate", ("split",), ["test"]),
         ("verify", ("n_instances",), 0),
@@ -742,6 +753,35 @@ class TestConfigTypes:
         assert rc in (0, 2, 3, 4)
         assert "Traceback" not in err
         assert report.exists() == (rc != 2)
+
+    @pytest.mark.parametrize("command", ["simulate_cancer", "simulate_semi", "evaluate"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_values_inside_their_types(self, workspace, command, data):
+        # an extreme value of one field's own type: the command runs and
+        # writes its artifacts, or rejects it and leaves no output directory.
+        # One field at a time, since pairs such as d_y 10**6 with
+        # horizon_hours 1e-300 pass the size bound and then make 10**6
+        # random functions per patient. train is left out: epochs 10**6 is
+        # hours of valid work.
+        sub, base, fields = fuzz_bases(workspace)[command]
+        path, kind = data.draw(st.sampled_from(
+            [(path, kind) for path, hint in fields
+             for kind in own_types(hint) & {bool, int, float, list}]), label="field")
+        slow = SLOW_VALUES.get((command, path), [])
+        cfg = copy.deepcopy(base)
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = data.draw(st.sampled_from(
+            [v for v in EXTREME_VALUES[kind] if v not in slow]), label="value")
+        out = Path(cfg["output_dir"])
+        shutil.rmtree(out, ignore_errors=True)
+        rc, err = run_config(sub, cfg, workspace["root"] / "fuzz.json")
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        artifact = "manifest.json" if sub == "simulate" else "rmse_grid.csv"
+        assert out.exists() == (out / artifact).exists() == (rc == 0)
 
     def test_verify_size_is_checked_before_any_instance(self, workspace, tmp_path,
                                                         monkeypatch):
@@ -840,6 +880,25 @@ def test_evaluated_split_without_a_scale_is_data_error(workspace, tmp_path, defe
     assert rc == 3 and out == ""
     assert f"test split: {message}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_split_without_a_scale_is_data_error(workspace, tmp_path):
+    # zscore_fit's error names the split, as evaluate's does, and no run
+    # directory is made
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace["ds"], ds)
+    path = ds / "train.jsonl"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in recs:
+        for y in rec["y"]:
+            y[1] = 1.0
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    cfg = json.loads((workspace["root"] / "train.json").read_text())
+    cfg.update(dataset_dir=str(ds), run_dir=str(tmp_path / "run"))
+    rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 3
+    assert err.startswith("data error: train split: component 1 has zero spread")
+    assert not (tmp_path / "run").exists()
 
 
 def mutated_dataset(src, dst, split, line, mutate):

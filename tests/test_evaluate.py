@@ -14,7 +14,7 @@ from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
 from obsnode.model import ObsNodeConfig, ObsNodeParams, window
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
-from obsnode.train import NormStats, TrainConfig, _targets, evaluate_loss
+from obsnode.train import NormStats, TrainConfig, _targets, evaluate_loss, zscore_fit
 from support import counterfactual_rmse, read_grid_csv, reencoded_grid, reencoded_loss
 
 
@@ -59,6 +59,30 @@ class TestRmseGrid:
         trajs, _ = linear_trajs()
         grid = grid_of(trajs, [4.0, 6.0], [2.0, 4.0], oracle_predict(trajs))
         assert np.nanmax(grid.values) < 1e-10
+
+    def test_scale_is_the_split_zscore_fit_std(self, grid_of, monkeypatch):
+        # the divisor is zscore_fit's std of the evaluated split, bit for bit:
+        # one definition of a split's scale, summed unit by unit as training
+        # sums it
+        rng = np.random.default_rng(4)
+        times = np.arange(20.0)
+        trajs = [Trajectory(unit_id=u, times=times, y=rng.normal(3.0, 2.0, (20, 2)),
+                            mask=rng.uniform(size=(20, 2)) < 0.8, a=np.zeros((20, 1)))
+                 for u in range(60)]
+        scales, binned = [], evaluate._binned_rmse
+        monkeypatch.setattr(evaluate, "_binned_rmse",
+                            lambda *args: scales.append(args[-1]) or binned(*args))
+        grid_of(trajs, [5.0, 9.0], [3.0, 6.0], oracle_predict(trajs))
+        want = zscore_fit(trajs).std.tobytes()
+        assert len(scales) == 2 and all(s.tobytes() == want for s in scales)
+
+    @pytest.mark.parametrize("std", [0.0, np.nan])
+    def test_bad_scale_is_data_error_before_any_forecast(self, monkeypatch, std):
+        monkeypatch.setattr(evaluate, "raw_forecasts", None)
+        trajs, _ = linear_trajs()
+        with pytest.raises(DataError, match="component 0 has "):
+            rmse_grid(trajs, [4.0], [2.0], params=None,
+                      stats=NormStats(mean=[0.0], std=[std]))
 
     def test_mean_predictor_matches_bin_sd_ratio(self, grid_of):
         trajs, _ = linear_trajs(n=40, seed=2)

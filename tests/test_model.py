@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from obsnode import model as model_mod
 from obsnode import odeint
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
-from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
+from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsNodeParams,
                            check_size, emit, encode, forecast, load_model,
                            param_count, param_shapes, save_model, stack_field,
                            triangular_rhs, window)
@@ -443,6 +444,23 @@ def test_huge_metadata_is_rejected_before_allocation(tmp_path, key, value):
     doc["metadata"]["config"][key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="checkpoint "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("part", ["tensor", "norm_stats"])
+def test_int_past_the_float_range_is_data_error(tmp_path, part):
+    # a 400-digit integer converts to no float64 (OverflowError, not
+    # ValueError): the checkpoint is rejected by name
+    _, params = make_model()
+    path = tmp_path / "model.json"
+    save_model(path, params, norm_stats=NormStats(mean=[0.0], std=[1.0]))
+    doc = json.loads(path.read_text())
+    if part == "tensor":
+        doc["tensors"][0]["values"][0] = 10 ** 400
+    else:
+        doc["metadata"]["norm_stats"]["std"][0] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))}: "):
         load_model(path)
 
 

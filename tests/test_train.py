@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,37 @@ def make_trajs(n=4, T=6, d_y=2, d_a=1, seed=0, constant=None):
                               mask=np.ones((T, d_y)),
                               a=rng.normal(size=(T, d_a))))
     return out
+
+
+class TestNormStats:
+    @pytest.mark.parametrize("mean,std,message", [
+        ([0.0], [0.0], "component 0 has zero spread"),
+        ([0.0, 1.0], [1.0, np.nan], "component 1 has mean 1.0 and std nan"),
+        ([np.inf], [1.0], "component 0 has mean inf"),
+        ([0.0], [-1.0], "component 0 has mean 0.0 and std -1.0"),
+        ([0.0, 0.0], [1.0], "mean (2,) and std (1,) must be vectors"),
+        ([[0.0]], [[1.0]], "mean (1, 1) and std (1, 1) must be vectors"),
+        (0.0, 1.0, "mean () and std () must be vectors")])
+    def test_bad_stats_are_data_error(self, mean, std, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            NormStats(mean=mean, std=std)
+
+    @pytest.mark.parametrize("std", [0.0, np.nan])
+    def test_train_with_a_bad_scale_writes_no_checkpoint(self, tmp_path, std):
+        # the scale is refused where it is made: no epoch runs and no
+        # checkpoint that load_model would refuse is written
+        with pytest.raises(DataError, match="component 0 has "):
+            train(MODEL_CFG, tiny_splits(), tiny_train_cfg(epochs=1),
+                  run_dir=tmp_path / "run", stats=NormStats(mean=[0.0], std=[std]))
+        assert not (tmp_path / "run").exists()
+
+    def test_stats_of_another_d_y_are_rejected_before_any_parameter(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.setattr(train_mod, "ObsNodeParams", None)
+        with pytest.raises(DataError, match="norm stats of length 2 for d_y=1"):
+            train(MODEL_CFG, tiny_splits(), tiny_train_cfg(epochs=1),
+                  run_dir=tmp_path / "run", stats=NormStats([0.0, 0.0], [1.0, 1.0]))
+        assert not (tmp_path / "run").exists()
 
 
 class TestZscore:
