@@ -160,7 +160,8 @@ def cmd_simulate(args):
     n_obs = int(sum(tr.mask.sum() for tr in trajs))
     a_all = np.concatenate([tr.a for tr in trajs])
     y_all = np.concatenate([tr.y for tr in trajs])
-    a0, y0 = a_all[:, 0], y_all[:, 0]
+    # scaled by a power of two: finite sums of squares, the same correlation bits
+    a0, y0 = a_all[:, 0], np.ldexp(y_all[:, 0], -np.frexp(np.abs(y_all[:, 0]).max())[1])
     corr = np.corrcoef(a0, y0)[0, 1] if np.ptp(a0) and np.ptp(y0) else np.nan
     print(f"units: {len(trajs)}")
     print(f"observations: {n_obs}")

@@ -62,17 +62,13 @@ class DiscreteScm:
     T: int
 
     def __post_init__(self):
-        for name in ("eps_init", "eps_trans", "z_init", "z_trans",
-                     "emission", "policy"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.T < 2:
             raise DataError("DiscreteScm: need T >= 2")
-        _check_rows("eps_init", self.eps_init)
-        _check_rows("eps_trans", self.eps_trans)
-        _check_rows("z_init", self.z_init)
-        _check_rows("z_trans", self.z_trans)
-        _check_rows("emission", self.emission)
-        _check_rows("policy", self.policy)
+        for name in ("eps_init", "eps_trans", "z_init", "z_trans",
+                     "emission", "policy"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            _check_rows(name, arr)
+            setattr(self, name, arr)
 
     @property
     def sizes(self):
@@ -108,17 +104,6 @@ class InterventionQuery:
         return self.t + len(self.intervention)
 
 
-def _place(kernel, axes, ndim):
-    """View of `kernel` broadcastable over a joint array: kernel dim k sits
-    on joint axis axes[k]."""
-    order = np.argsort(axes)
-    k = np.transpose(kernel, order)
-    shape = [1] * ndim
-    for ax, dim in zip(sorted(axes), k.shape):
-        shape[ax] = dim
-    return k.reshape(shape)
-
-
 def enumerate_joint(scm: DiscreteScm, policy_overrides=None, fixed=None):
     """Exact joint over the trajectories that agree with `fixed`.
 
@@ -127,41 +112,42 @@ def enumerate_joint(scm: DiscreteScm, policy_overrides=None, fixed=None):
     `fixed` maps an axis to the value it is conditioned on: each kernel is
     cut to that value before it is placed, so the axis has size 1 and only
     the agreeing trajectories are built (factor reduction, Koller & Friedman
-    2009, sec. 9.3). Without it the joint holds every trajectory.
+    2009, sec. 9.3). Without it the joint holds every trajectory. A cell is the
+    product, left to right, of eps_init, z_init and emission at step 0, then
+    per step t >= 1 of the policy at t - 1, eps_trans, z_trans and emission.
     """
     nE, nZ, nY, nA = scm.sizes
     T = scm.T
-    fixed = fixed or {}
+    fixed, overrides = fixed or {}, policy_overrides or {}
     dims = [nE] * T + [nZ] * T + [nY] * T + [nA] * (T - 1)
     count = math.prod(1 if ax in fixed else dim for ax, dim in enumerate(dims))
     if count > MAX_TRAJECTORIES:
         raise DataError(f"enumerate_joint: {count} trajectories exceed "
                         f"{MAX_TRAJECTORIES}")
-    ndim = len(dims)
-    e_ax = lambda t: t
-    z_ax = lambda t: T + t
-    y_ax = lambda t: 2 * T + t
-    a_ax = lambda t: 3 * T + t
-    overrides = policy_overrides or {}
+    # kernel views whose axes ascend in the joint's layout
+    emission = scm.emission.transpose(1, 0, 2)  # (e_t, z_t, y_t)
+    policy = scm.policy.transpose(1, 0, 2)      # (e_t, y_t, a_t)
+    z_trans = scm.z_trans.transpose(1, 2, 0)    # (z_t, z_{t+1}, a_t)
 
-    def place(kernel, axes):
-        cut = tuple(slice(fixed[ax], fixed[ax] + 1) if ax in fixed else slice(None)
-                    for ax in axes)
-        return _place(kernel[cut], axes, ndim)
+    def place(kernel, *axes):  # cut on the fixed axes, reshaped onto the joint
+        kernel = kernel[tuple(slice(fixed[ax], fixed[ax] + 1) if ax in fixed
+                              else slice(None) for ax in axes)]
+        shape = [1] * len(dims)
+        for ax, dim in zip(axes, kernel.shape):
+            shape[ax] = dim
+        return kernel.reshape(shape)
 
-    joint = np.ones((1,) * ndim)
-    joint = joint * place(scm.eps_init, (e_ax(0),))
-    joint = joint * place(scm.z_init, (z_ax(0),))
-    joint = joint * place(scm.emission, (z_ax(0), e_ax(0), y_ax(0)))
+    joint = place(scm.eps_init, 0) * place(scm.z_init, T)
+    joint = joint * place(emission, 0, T, 2 * T)
     for t in range(1, T):
-        pol = scm.policy
+        pol = policy
         if t - 1 in overrides:
-            pol = np.zeros((nY, nE, nA))
+            pol = np.zeros_like(policy)
             pol[:, :, overrides[t - 1]] = 1.0
-        joint = joint * place(pol, (y_ax(t - 1), e_ax(t - 1), a_ax(t - 1)))
-        joint = joint * place(scm.eps_trans, (e_ax(t - 1), e_ax(t)))
-        joint = joint * place(scm.z_trans, (a_ax(t - 1), z_ax(t - 1), z_ax(t)))
-        joint = joint * place(scm.emission, (z_ax(t), e_ax(t), y_ax(t)))
+        joint = joint * place(pol, t - 1, 2 * T + t - 1, 3 * T + t - 1)
+        joint = joint * place(scm.eps_trans, t - 1, t)
+        joint = joint * place(z_trans, T + t - 1, T + t, 3 * T + t - 1)
+        joint = joint * place(emission, t, T + t, 2 * T + t)
     return joint
 
 
@@ -292,18 +278,13 @@ def random_observable_scm(rng) -> DiscreteScm:
             w = rng.uniform(0.0, 1.0, g.size)
             w[rng.integers(g.size)] += 3.0
             emission[z, e, g] = w / w.sum()
-    z_trans = np.zeros((n_a, n_z, n_z))
-    for a in range(n_a):
-        perm = rng.permutation(n_z)
-        for z in range(n_z):
-            row = rng.uniform(0.0, 0.15, n_z)
-            row[perm[z]] += 1.0
-            z_trans[a, z] = row / row.sum()
+    # per action, a permutation of the states, then its rows' uniform noise
+    z_trans = np.stack([np.eye(n_z)[rng.permutation(n_z)] + rng.uniform(0.0, 0.15, (n_z, n_z))
+                        for _ in range(n_a)])
+    z_trans /= z_trans.sum(axis=2, keepdims=True)
     policy = np.full((n_y, n_e, n_a), 0.15 / n_a)
     pref = rng.integers(0, n_a, size=(n_y, n_e))
-    for y in range(n_y):
-        for e in range(n_e):
-            policy[y, e, pref[y, e]] += 0.85
+    np.put_along_axis(policy, pref[:, :, None], 0.15 / n_a + 0.85, axis=2)
     return DiscreteScm(
         eps_init=eps_init, eps_trans=eps_trans,
         z_init=_rand_dist(rng, (n_z,)),

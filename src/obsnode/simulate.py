@@ -29,6 +29,8 @@ W_MIN = 1.0
 # patients x Euler steps in one cancer cohort, and patients x hours x values
 # per hour x random features per value in one semi-synthetic cohort
 MAX_SIM_STEPS = 100_000_000
+# least horizon_hours and lengthscale: near 1e-308 knot spacings and frequencies overflow
+MIN_SCALE = 1e-300
 
 # Population parameter distributions: name -> (mean, sd)
 PARAM_DISTS = {
@@ -128,10 +130,11 @@ class SemiSynthConfig:
     def __post_init__(self):
         if min(self.n_patients, self.d_y, self.d_a, self.nu, self.d_eps, self.w) < 1:
             raise ConfigError("n_patients, d_y, d_a, nu, d_eps and w must be >= 1")
-        if min(self.horizon_hours, self.eta_sd, self.eps_lengthscale,
-               self.g_lengthscale, self.readout_lengthscale) <= 0 or self.seed < 0:
-            raise ConfigError("horizon_hours, eta_sd and the lengthscales must "
-                              "be positive, seed >= 0")
+        if self.eta_sd <= 0 or self.seed < 0:
+            raise ConfigError("eta_sd must be positive, seed >= 0")
+        for key in ("horizon_hours", "eps_lengthscale", "g_lengthscale", "readout_lengthscale"):
+            if getattr(self, key) < MIN_SCALE:
+                raise ConfigError(f"{key} must be at least MIN_SCALE={MIN_SCALE!r}")
         values = (self.n_patients * (int(self.horizon_hours) + 1)
                   * (self.d_y + self.d_a + self.d_eps) * self.nu)
         if values > MAX_SIM_STEPS:

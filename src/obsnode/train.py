@@ -166,7 +166,7 @@ def _decisions(times, decision_times, max_horizon, split):
 
 def _score(preds, record: History, fut, sigma2):
     """The masked loss of the predictions at the record's target times."""
-    pred = ad.concat([ad.reshape(p, (1,) + p.data.shape) for p in preds], axis=0)
+    pred = ad.reshape(ad.concat(preds, axis=0), (len(preds),) + preds[0].data.shape)
     return masked_loss(pred, record.y[fut], record.mask[fut], sigma2)
 
 

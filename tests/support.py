@@ -5,6 +5,7 @@ this directory on ``sys.path`` when it imports a test module from it.
 """
 
 import csv
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,8 @@ import numpy as np
 from obsnode.autodiff import Tensor
 from obsnode.errors import DataError
 from obsnode.evaluate import RmseGrid, _binned_rmse, raw_forecasts
-from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _reduce,
-                              enumerate_joint, observational_law)
+from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _rand_dist,
+                              _reduce, enumerate_joint, observational_law)
 from obsnode.model import (History, ObsNodeParams, emit, encode, factual_control, forecast,
                            stack_field, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
@@ -204,6 +205,63 @@ def full_joint_reduce(scm: DiscreteScm, overrides, fixed, keep_axis):
     if total <= 0:
         raise DataError("conditioning prefix has zero probability")
     return dist / total
+
+
+def product_joint(scm: DiscreteScm, overrides=None, fixed=None):
+    """The reference for :func:`~obsnode.identify.enumerate_joint`, built
+    without it: one Python product per trajectory that agrees with `fixed`,
+    its kernel entries multiplied in the documented order, over
+    `itertools.product` of the axes; a severed step's policy is 1.0 at the
+    forced action and 0.0 elsewhere. Fixed axes have size 1."""
+    overrides, fixed = overrides or {}, fixed or {}
+    T = scm.T
+    nE, nZ, nY, nA = scm.sizes
+    dims = [nE] * T + [nZ] * T + [nY] * T + [nA] * (T - 1)
+    ranges = [[fixed[ax]] if ax in fixed else range(n) for ax, n in enumerate(dims)]
+    e_init, e_trans, z_init, z_trans, emission, policy = (
+        getattr(scm, k).tolist() for k in ("eps_init", "eps_trans", "z_init", "z_trans",
+                                           "emission", "policy"))
+    cells = []
+    for cell in itertools.product(*ranges):
+        e, z, y, a = cell[:T], cell[T:2 * T], cell[2 * T:3 * T], cell[3 * T:]
+        p = e_init[e[0]] * z_init[z[0]] * emission[z[0]][e[0]][y[0]]
+        for t in range(1, T):
+            pol = (float(a[t - 1] == overrides[t - 1]) if t - 1 in overrides
+                   else policy[y[t - 1]][e[t - 1]][a[t - 1]])
+            p = (p * pol * e_trans[e[t - 1]][e[t]] * z_trans[a[t - 1]][z[t - 1]][z[t]]
+                 * emission[z[t]][e[t]][y[t]])
+        cells.append(p)
+    return np.array(cells).reshape([len(r) for r in ranges])
+
+
+def cellwise_observable_scm(rng) -> DiscreteScm:
+    """The reference for :func:`~obsnode.identify.random_observable_scm`:
+    the same instance drawn from `rng` one kernel row or cell at a time, in
+    the same order."""
+    n_z, n_y, n_a, n_e, T = int(rng.integers(3, 5)), 4, 2, 2, 3
+    eps_init = _rand_dist(rng, (n_e,))
+    eps_trans = np.tile(eps_init, (n_e, 1))
+    groups = np.array_split(np.arange(n_y), n_z)
+    emission = np.zeros((n_z, n_e, n_y))
+    for z, g in enumerate(groups):
+        for e in range(n_e):
+            w = rng.uniform(0.0, 1.0, g.size)
+            w[rng.integers(g.size)] += 3.0
+            emission[z, e, g] = w / w.sum()
+    z_trans = np.zeros((n_a, n_z, n_z))
+    for a in range(n_a):
+        perm = rng.permutation(n_z)
+        for z in range(n_z):
+            row = rng.uniform(0.0, 0.15, n_z)
+            row[perm[z]] += 1.0
+            z_trans[a, z] = row / row.sum()
+    policy = np.full((n_y, n_e, n_a), 0.15 / n_a)
+    pref = rng.integers(0, n_a, size=(n_y, n_e))
+    for y in range(n_y):
+        for e in range(n_e):
+            policy[y, e, pref[y, e]] += 0.85
+    return DiscreteScm(eps_init=eps_init, eps_trans=eps_trans, z_init=_rand_dist(rng, (n_z,)),
+                       z_trans=z_trans, emission=emission, policy=policy, T=T)
 
 
 def enumerated_query(rng, scm: DiscreteScm) -> InterventionQuery:

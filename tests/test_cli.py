@@ -118,6 +118,19 @@ class TestExitCodes:
                    "--treatments", str(t), "--t-c", "30"])
         assert rc == 3
 
+    def test_missing_treatment_file_is_config_error(self, workspace, tmp_path):
+        rc, _, err = run_main(["forecast", "--checkpoint",
+                               str(workspace["run"] / "checkpoint.json"),
+                               "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                               "--treatments", str(tmp_path / "absent.csv"), "--t-c", "30"])
+        assert rc == 2 and str(tmp_path / "absent.csv") in err
+
+    def test_missing_required_key_is_config_error(self, workspace, tmp_path):
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        del cfg["run_dir"]
+        rc, err = run_config("train", cfg, tmp_path / "t.json")
+        assert rc == 2 and "missing keys ['run_dir']" in err
+
     def test_bad_treatment_header_is_data_error(self, workspace, tmp_path):
         t = tmp_path / "a.csv"
         t.write_text("time,dose\n0.0,0.0\n")
@@ -699,6 +712,8 @@ class TestConfigTypes:
         ("train", ("train", "decision_time_grid"), [30.0, "45"]),
         ("train", ("model", "phi_hidden_dim"), 4.5),
         ("train", ("model", "treatment_scale"), ["a", 1.0]),
+        ("train", ("model", "treatment_scale"), [1.0]),
+        ("train", ("model", "treatment_scale"), [0.0, 1.0]),
         ("train", ("dataset_dir",), 3),
         ("simulate_cancer", ("params", "n_patients"), 9.5),
         ("simulate_cancer", ("params", "n_cycles"), 2.5),
@@ -715,8 +730,14 @@ class TestConfigTypes:
         ("simulate_semi", ("params", "n_patients"), 10**12),
         ("simulate_semi", ("params", "nu"), 2**63 - 1),
         ("simulate_semi", ("params", "nu"), 10**8),
+        ("simulate_semi", ("params", "horizon_hours"), 5e-324),
+        ("simulate_semi", ("params", "eps_lengthscale"), 5e-324),
+        ("simulate_semi", ("params", "g_lengthscale"), 5e-324),
+        ("simulate_semi", ("params", "readout_lengthscale"), 5e-324),
+        ("simulate_semi", ("kind",), "semi"),
         ("evaluate", ("heatmap",), "no"),
         ("evaluate", ("split",), ["test"]),
+        ("evaluate", ("split",), "train_val"),
         ("verify", ("n_instances",), 0),
         ("verify", ("n_instances",), 10**12),
         ("verify", ("n_instances",), 2**63 - 1),
@@ -755,6 +776,7 @@ class TestConfigTypes:
         assert report.exists() == (rc != 2)
 
     @pytest.mark.parametrize("command", ["simulate_cancer", "simulate_semi", "evaluate"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_values_inside_their_types(self, workspace, command, data):

@@ -12,7 +12,10 @@ from obsnode.identify import (QUERY_CELLS, DiscreteScm, InterventionQuery, _quer
                               interventional_truth, linear_gaussian_refinement,
                               nonidentifiability_witness, observational_law,
                               random_observable_scm, random_query, tv_distance)
-from support import enumerated_filter, enumerated_query, full_joint_reduce, naive_conditional
+from support import (cellwise_observable_scm, enumerated_filter, enumerated_query,
+                     full_joint_reduce, naive_conditional, product_joint)
+
+KERNELS = ("eps_init", "eps_trans", "z_init", "z_trans", "emission", "policy")
 
 
 def point(n, i):
@@ -135,6 +138,28 @@ class TestEnumerateJoint:
             overrides = {q.t + k: a for k, a in enumerate(q.intervention)}
             sizes.add(enumerate_joint(scm, overrides, fixed).size)
         assert max(sizes) == QUERY_CELLS and len(sizes) == 2
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_cells_are_the_trajectory_products(self, T):
+        # every cell, of the full or the cut joint, with and without severed
+        # steps, is bitwise its trajectory's product of kernel entries
+        rng = np.random.default_rng(T)
+        for overrides, fixed in [({}, {}), ({0: 1}, {}), ({}, {2 * T: 1, 3 * T: 0}),
+                                 ({T - 2: 0}, {2 * T: 2, 2 * T + 1: 3, 4 * T - 2: 1})]:
+            scm = replace(random_observable_scm(rng), T=T)
+            joint, ref = enumerate_joint(scm, overrides, fixed), product_joint(scm, overrides, fixed)
+            assert joint.shape == ref.shape and joint.tobytes() == ref.tobytes()
+
+    def test_instances_are_the_cellwise_draws(self):
+        # drawing kernels as arrays takes the same numbers from the stream,
+        # in the same order, as drawing them one row or cell at a time
+        for seed in range(500):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            scm, ref = random_observable_scm(rng), cellwise_observable_scm(ref_rng)
+            assert scm.T == ref.T
+            for name in KERNELS:
+                assert getattr(scm, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_kernel_validation(self):
         with pytest.raises(DataError):
