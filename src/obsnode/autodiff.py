@@ -257,9 +257,11 @@ def tmean(a):
 
 def _sigmoid(x):
     """Logistic function on a plain array; never evaluates exp of a positive
-    argument, so it cannot overflow."""
+    argument, so it cannot overflow. One division per element, of 1.0 or e
+    by 1.0 + e: the IEEE operations of 1 / (1 + e) where x >= 0 and of
+    e / (1 + e) elsewhere, so the bits are those of that select form."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _leaky_relu(x):

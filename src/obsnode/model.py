@@ -367,68 +367,137 @@ def emit(z, cfg: ObsNodeConfig):
     return ad.slice_axis(z, 0, cfg.d_y, axis=1)
 
 
-def _gru_step(x, unobs, h, b_impute, enc):
-    """One gated recurrent update on the input row x (n, 2 d_y + d_a + 1), whose
-    first d_y columns are y imputed with b_impute where `unobs` (n, d_y) is 1.
-    Computed on plain arrays and recorded as one tape node whose backward
-    pass replays the graph of autodiff ops the cell is built from, with the
-    same arithmetic and the same order of gradient accumulation, so values
-    and gradients equal that graph's bit for bit; b_impute gets those
-    columns' gradient. A non-finite input or output raises NumericError."""
-    Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh = (
-        enc[k] for k in ("Wr", "Ur", "br", "Wu", "Uu", "bu", "Wh", "Uh", "bh"))
-    hd = h.data
-    ad._check_finite("_gru_step", x, hd)
+# Rows of one block of hoisted input products. A block holds
+# max(1, GRU_BLOCK_ROWS // n) steps whatever T is, so at n = 1 it still has
+# more than one row (a one-row product goes to gemv, whose sums round
+# otherwise), and a prefix's states do not depend on the steps after it.
+GRU_BLOCK_ROWS = 64
+
+
+def _gru_states(x, unobs, b_impute, enc, lengths):
+    """{k: hidden state (n, H) after k steps} for each k in `lengths` of the
+    gated recurrent update run over the input rows x (T, n, 2 d_y + d_a + 1),
+    whose first d_y columns are y imputed with b_impute where `unobs`
+    (T, n, d_y) is 1.
+
+    The input products of the three gates are made in zero-padded blocks of
+    steps (:data:`GRU_BLOCK_ROWS`; Appleyard et al., 2016,
+    arXiv:1604.01946), the recurrent ones per step, those of the reset and
+    update gates in one call; the states are written into one
+    (T + 1, n, H) buffer. For n >= 2 every product rounds as the per-step
+    one of the op graph the cell is built from, so the states equal that
+    graph's bit for bit.
+
+    Each distinct k is one tape node whose backward pass runs the steps
+    down to the next smaller k in reverse. It replays the op graph's
+    arithmetic and its order of accumulation, per step, into each
+    parameter and each state, so the gradients equal the graph's too;
+    b_impute gets the imputed columns' gradient. A non-finite input or
+    state raises NumericError."""
+    T, n, _ = x.shape
+    d_y = unobs.shape[2]
+    gates = [(enc["W" + g], enc["U" + g], enc["b" + g]) for g in "ruh"]
+    Uh = enc["Uh"]
+    H = Uh.data.shape[0]
+    ad._check_finite("encode_prefixes", x)
     sig, sig_vjp = ad.ACTIVATIONS["sigmoid"]
     tanh, tanh_vjp = ad.ACTIVATIONS["tanh"]
-    pre_r = x @ Wr.data + br.data + hd @ Ur.data
-    r = sig(pre_r)
-    pre_u = x @ Wu.data + bu.data + hd @ Uu.data
-    u = sig(pre_u)
-    rh = r * hd
-    pre_c = x @ Wh.data + bh.data + rh @ Uh.data
-    cand = tanh(pre_c)
-    keep = 1.0 - u
-    out = keep * hd + u * cand
-    ad._check_finite("_gru_step", out)
+    inputs = (b_impute, *(t for gate in gates for t in gate))
+    taped = ad._active_tape() is not None and any(t.requires_grad for t in inputs)
+    # the gates' weights stacked, (3, ., H) and (2, H, H): one call makes
+    # the products of all gates, each a contiguous (rows, H) array
+    W = np.array([Wg.data for Wg, _, _ in gates])
+    b = np.array([bg.data for _, _, bg in gates])
+    U = np.array([enc["Ur"].data, enc["Uu"].data])
+    steps = max(1, GRU_BLOCK_ROWS // max(n, 1))
+    rows = x.reshape(T * n, x.shape[2])
+    block = np.zeros((steps * n, x.shape[2]))
+    xw = np.empty((3, steps * n, H))
+    hs = np.zeros((T + 1, n, H))
+    saved = []  # (r, u, candidate, r h) per step, kept only under a tape
+    for k in range(T):
+        j = k % steps
+        if j == 0:
+            part = rows[k * n:(k + steps) * n]
+            block[:len(part)] = part
+            block[len(part):] = 0.0
+            np.matmul(block, W, out=xw)
+            xw += b
+        h, xk = hs[k], xw[:, j * n:(j + 1) * n]
+        pre = xk[:2] + np.matmul(h, U)
+        r, u = sig(pre[0]), sig(pre[1])
+        rh = r * h
+        cand = tanh(xk[2] + rh @ Uh.data)
+        np.add((1.0 - u) * h, u * cand, out=hs[k + 1])
+        if taped:
+            saved.append((r, u, cand, rh))
+    ad._check_finite("encode_prefixes", hs)
+    ks = sorted(set(lengths))
+    states = {k: Tensor(hs[k]) for k in ks}
+    if not taped:
+        return states
+    WT, UT = W.mT, U.mT
 
-    def backward(g):
-        # Reverse op order: the convex combination, the candidate, then the
-        # update gate, then the reset gate; last the imputation.
-        g_u = g * cand
-        g_cand = g * u
-        g_keep = g * hd
-        if h.requires_grad:
-            ad._accum(h, g * keep)
-        g_u += -g_keep
-        g_pre = tanh_vjp(g_cand, pre_c, cand)
-        g_rh = _affine_vjp(g_pre, rh, Uh)
-        g_r = g_rh * hd
-        if h.requires_grad:
-            ad._accum(h, g_rh * r)
-        g_x = _affine_vjp(g_pre, x, Wh, bh)
-        for g_gate, pre, gate, U, W, b in ((g_u, pre_u, u, Uu, Wu, bu),
-                                           (g_r, pre_r, r, Ur, Wr, br)):
-            g_pre = sig_vjp(g_gate, pre, gate)
-            g_h = _affine_vjp(g_pre, hd, U)
-            if h.requires_grad:
-                ad._accum(h, g_h)
-            g_x += _affine_vjp(g_pre, x, W, b)
-        if b_impute.requires_grad:
-            ad._accum(b_impute, _unit_sum(g_x[:, :unobs.shape[1]] * unobs))
+    def segment(top, bottom):
+        """The backward pass of steps top down to bottom + 1."""
+        def backward(g):
+            G = np.empty((3, n, H))  # the gates' pre-activation gradients
+            for k in range(top, bottom, -1):
+                h, (r, u, cand, rh), xk = hs[k - 1], saved[k - 1], x[k - 1]
+                # the gradient of the state before step k: that state's own
+                # tensor at the segment's end, else a scratch one
+                into = states.get(k - 1) if k - 1 == bottom else Tensor(())
+                grad_h = k > 1
+                # Reverse op order: the convex combination, the candidate,
+                # then the update gate, then the reset gate; last the
+                # imputation.
+                g_u = g * cand
+                g_cand = g * u
+                g_keep = g * h
+                if grad_h:
+                    ad._accum(into, g * (1.0 - u))
+                g_u += -g_keep
+                G[2] = tanh_vjp(g_cand, None, cand)
+                g_rh = G[2] @ Uh.data.mT
+                g_r = g_rh * h
+                if grad_h:
+                    ad._accum(into, g_rh * r)
+                G[1] = sig_vjp(g_u, None, u)
+                G[0] = sig_vjp(g_r, None, r)
+                if grad_h:
+                    g_h = np.matmul(G[:2], UT)
+                    ad._accum(into, g_h[1])
+                    ad._accum(into, g_h[0])
+                gU = [*np.matmul(h.mT, G[:2]), rh.mT @ G[2]]
+                for (Wg, Ug, bg), gW, gUg, gb in zip(gates, np.matmul(xk.mT, G), gU,
+                                                     _unit_sum(G)):
+                    for t, gt in ((Wg, gW), (Ug, gUg), (bg, gb)):
+                        if t.requires_grad:
+                            ad._accum(t, gt)
+                if b_impute.requires_grad:
+                    # the whole input gradient: a product over fewer
+                    # columns rounds otherwise
+                    gx = np.matmul(G, WT)
+                    gx = gx[2] + gx[1] + gx[0]
+                    ad._accum(b_impute, _unit_sum(gx[:, :d_y] * unobs[k - 1]))
+                if k - 1 > bottom:
+                    g = into.grad
 
-    return ad._record(Tensor(out), (h, b_impute, Wr, Ur, br, Wu, Uu, bu, Wh, Uh, bh),
-                      backward)
+        return backward
+
+    for bottom, top in zip([0] + ks, ks):
+        ad._record(states[top], inputs, segment(top, bottom))
+    return states
 
 
 def encode_prefixes(history: History, params: ObsNodeParams, lengths) -> list[EncodedState]:
     """The latent point estimates after the first k history times, for each
     k >= 1 in `lengths` (any order, repeats allowed), at times[k - 1]. The
-    recurrent cell runs once, over the longest prefix; its hidden state
-    after k steps is, bit for bit, that of a run over the first k times,
-    and the affine head maps it to the state. The cell inputs, (imputed y,
-    mask, scaled treatment, delta-t) per time, are one array built before
-    the loop."""
+    recurrence (:func:`_gru_states`) runs once, over the longest prefix;
+    its hidden state after k steps is, bit for bit, that of a run over the
+    first k times, and the affine head maps it to the state. The cell
+    inputs, (imputed y, mask, scaled treatment, delta-t) per time, are one
+    array."""
     cfg = params.cfg
     check_dims(history, cfg, "encode")
     if min(lengths, default=1) < 1:
@@ -442,9 +511,7 @@ def encode_prefixes(history: History, params: ObsNodeParams, lengths) -> list[En
     dt = np.diff(history.times[:T], prepend=history.times[0])
     x = np.concatenate([history.y[:T] * mask + params.b_impute.data * unobs, mask, a,
                         np.broadcast_to(dt[:, None, None], (T, n, 1))], axis=2)
-    hs = [Tensor(np.zeros((n, cfg.encoder_hidden_dim)))]
-    for k in range(T):
-        hs.append(_gru_step(x[k], unobs[k], hs[-1], params.b_impute, params.enc))
+    hs = _gru_states(x, unobs, params.b_impute, params.enc, lengths)
     return [EncodedState(z=_linear(hs[k], params.head_W, params.head_b),
                          t=float(history.times[k - 1])) for k in lengths]
 

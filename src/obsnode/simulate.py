@@ -26,9 +26,12 @@ DELTA = DIAM_MAX / 2.0
 DIAM_WINDOW_DAYS = 15.0
 V_MIN = 1e-3
 W_MIN = 1.0
-# patients x Euler steps in one cancer cohort, and patients x hours x values
-# per hour x random features per value in one semi-synthetic cohort
+# patients x Euler steps in one cancer cohort, and patients x hours x
+# random-feature products per hour in one semi-synthetic cohort
 MAX_SIM_STEPS = 100_000_000
+# Python-level iterations of one semi-synthetic cohort: its random functions,
+# drawn one by one per patient, and its treatment loop over hours
+MAX_SIM_LOOPS = 1_000_000
 # least horizon_hours and lengthscale: near 1e-308 knot spacings and frequencies overflow
 MIN_SCALE = 1e-300
 
@@ -135,12 +138,21 @@ class SemiSynthConfig:
         for key in ("horizon_hours", "eps_lengthscale", "g_lengthscale", "readout_lengthscale"):
             if getattr(self, key) < MIN_SCALE:
                 raise ConfigError(f"{key} must be at least MIN_SCALE={MIN_SCALE!r}")
-        values = (self.n_patients * (int(self.horizon_hours) + 1)
-                  * (self.d_y + self.d_a + self.d_eps) * self.nu)
-        if values > MAX_SIM_STEPS:
-            raise ConfigError(f"n_patients x (floor(horizon_hours) + 1) x (d_y + d_a + "
-                              f"d_eps) x nu is {values} feature values, more than "
-                              f"MAX_SIM_STEPS={MAX_SIM_STEPS}")
+        hours = int(self.horizon_hours) + 1
+        # per hour: the d_eps confounder and d_y trend-noise paths, and the
+        # d_y + d_a read-outs of the d_eps confounders
+        products = (self.n_patients * hours * self.nu
+                    * (self.d_eps + self.d_y + (self.d_y + self.d_a) * self.d_eps))
+        if products > MAX_SIM_STEPS:
+            raise ConfigError(f"n_patients x (floor(horizon_hours) + 1) x nu x (d_eps + "
+                              f"d_y + (d_y + d_a) x d_eps) is {products} random-feature "
+                              f"products, more than MAX_SIM_STEPS={MAX_SIM_STEPS}")
+        loops = (self.n_patients * (self.d_y + self.d_eps)
+                 + hours * (self.d_a + min(self.w + 1, hours)))
+        if loops > MAX_SIM_LOOPS:
+            raise ConfigError(f"n_patients x (d_y + d_eps) + (floor(horizon_hours) + 1) x "
+                              f"(d_a + min(w + 1, floor(horizon_hours) + 1)) is {loops} "
+                              f"loop iterations, more than MAX_SIM_LOOPS={MAX_SIM_LOOPS}")
         for tup in (self.gamma_A, self.gamma_eps, self.bias):
             if len(tup) != self.d_a or not all(np.isfinite(v) for v in tup):
                 raise ConfigError("treatment parameter tuples must have d_a "

@@ -181,8 +181,12 @@ def _batch_loss(record: History, t_c, params, sigma2, int_cfg, max_horizon=None)
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
     """Mean masked loss over a fixed grid of validation decision times (no
     gradients), each as :func:`_batch_loss` scores it, from one encoder pass
-    over the record."""
-    record = stack_units(trajs)
+    over the units' stacked record."""
+    return _record_loss(stack_units(trajs), params, sigma2, decision_times, tcfg)
+
+
+def _record_loss(record: History, params, sigma2, decision_times, tcfg: TrainConfig):
+    """:func:`evaluate_loss` of a stacked record."""
     futs = _decisions(record.times, decision_times, tcfg.max_horizon, "val")
     preds = rollouts(record, [(t_c, record.times[fut]) for t_c, fut in futs], params,
                      _int_config(record.times, tcfg))
@@ -204,11 +208,11 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     (:func:`_decisions`), and the length of `stats`, the statistics the
     checkpoint keeps, are checked before any parameter is made.
     """
-    record = stack_units(splits["train"])
     grid = list(tcfg.decision_time_grid)
     val_times = tcfg.val_decision_times or grid
-    for split, rec, times in (("train", record, grid),
-                              ("val", stack_units(splits["val"]), val_times)):
+    records = {}
+    for split, times in (("train", grid), ("val", val_times)):
+        rec = records[split] = stack_units(splits[split])
         check_dims(rec, model_cfg, f"{split} split")
         futs = _decisions(rec.times, times, tcfg.max_horizon, split)
         # a rollout integrates from t_c to its last target
@@ -217,6 +221,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         if reach / step > MAX_STEPS:
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units "
                               f"takes more than {MAX_STEPS} solver steps of {step!r}")
+    record, val_record = records["train"], records["val"]
     if stats is not None and stats.mean.size != model_cfg.d_y:
         raise DataError(f"norm stats of length {stats.mean.size} for d_y={model_cfg.d_y}")
     int_cfg = _int_config(record.times, tcfg)
@@ -257,7 +262,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         if skipped > 0.1 * n_batches:
             raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")
-        val = evaluate_loss(splits["val"], params, sigma2, val_times, tcfg)
+        val = _record_loss(val_record, params, sigma2, val_times, tcfg)
         history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                         "val_loss": val})
         if val < best[0]:

@@ -65,6 +65,20 @@ class TestForwardOps:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), size=st.integers(1, 8))
+    def test_sigmoid_matches_its_select_form_bitwise(self, data, size):
+        # one division of 1.0 or e by 1 + e against the select of the two
+        # quotients, as int64 views: signed zeros, subnormals, infinities,
+        # NaN of either sign, and |x| > 745, where exp(-|x|) underflows to 0
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                                   np.nan, -np.nan, 745.2, -745.2, 1e300, -1e300])
+        values = st.one_of(special, st.floats(allow_nan=False, allow_subnormal=True))
+        x = data.draw(hnp.arrays(np.float64, size, elements=values))
+        e = np.exp(-np.abs(x))
+        select = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(ad._sigmoid(x).view(np.int64), select.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 8))
     def test_saved_leaky_slope_matches_the_activation_bitwise(self, data, size):
         # the taped field keeps d = _leaky_relu_slope(x) and computes x * d
         # forward and g * d backward: as int64 views, the activation and

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import types
 import typing
 import warnings
@@ -782,10 +783,7 @@ class TestConfigTypes:
     def test_values_inside_their_types(self, workspace, command, data):
         # an extreme value of one field's own type: the command runs and
         # writes its artifacts, or rejects it and leaves no output directory.
-        # One field at a time, since pairs such as d_y 10**6 with
-        # horizon_hours 1e-300 pass the size bound and then make 10**6
-        # random functions per patient. train is left out: epochs 10**6 is
-        # hours of valid work.
+        # train is left out: epochs 10**6 is hours of valid work.
         sub, base, fields = fuzz_bases(workspace)[command]
         path, kind = data.draw(st.sampled_from(
             [(path, kind) for path, hint in fields
@@ -804,6 +802,30 @@ class TestConfigTypes:
         assert "Traceback" not in err
         artifact = "manifest.json" if sub == "simulate" else "rmse_grid.csv"
         assert out.exists() == (out / artifact).exists() == (rc == 0)
+
+    @pytest.mark.parametrize("params,keys", [
+        ({"d_y": 10**6}, ["d_y", "MAX_SIM_STEPS"]),
+        ({"d_eps": 10**6}, ["d_eps", "MAX_SIM_STEPS"]),
+        ({"d_y": 400_000, "d_eps": 1, "nu": 1}, ["d_y", "d_eps", "MAX_SIM_LOOPS"]),
+        ({"horizon_hours": 2000.0, "w": 10**6}, ["horizon_hours", "w + 1", "MAX_SIM_LOOPS"]),
+    ], ids=["d_y", "d_eps", "functions", "window"])
+    def test_semi_size_is_checked_before_any_draw(self, workspace, tmp_path, monkeypatch,
+                                                  params, keys):
+        # each passes a bound on n_patients x hours x (d_y + d_a + d_eps) x
+        # nu alone, and then asks for minutes of Python loops or gigabytes of
+        # read-out weights; it exits 2 naming its keys before a random
+        # function or spline is drawn
+        for draw in ("rff_function", "_bspline_mixture"):
+            monkeypatch.setattr(f"obsnode.simulate.{draw}", None)
+        sub, cfg, _ = fuzz_bases(workspace)["simulate_semi"]
+        cfg = copy.deepcopy(cfg)
+        cfg["params"].update({"horizon_hours": 1e-300, **params})
+        cfg["output_dir"] = str(tmp_path / "ds")
+        start = time.perf_counter()
+        rc, err = run_config(sub, cfg, tmp_path / "cfg.json")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and all(k in err for k in keys)
+        assert not Path(cfg["output_dir"]).exists()
 
     def test_verify_size_is_checked_before_any_instance(self, workspace, tmp_path,
                                                         monkeypatch):

@@ -1,15 +1,17 @@
 """The fused tape nodes of the model (the triangular vector field, the solver
-step and the GRU cell) and the encoder against the same computations written
-as graphs of autodiff ops.
+step and the recurrent encoder) against the same computations written as
+graphs of autodiff ops.
 
-The field and the GRU cell promise bitwise equality with these graphs: the
-same forward values and the same gradients, accumulated in the same order,
-for every input that requires grad. The field's graph takes one batched
-product over the blocks per layer, as the field does. The data they take
-(the control, the GRU input row and its mask) are plain constants. The field
-differs from the per-block op graph of the normal form, and the step node
-from the op graph of its stages, in the rounding of their sums only: they
-agree to 1e-12 relative.
+The field and, for two or more units, the encoder promise bitwise equality
+with these graphs: the same forward values and the same gradients,
+accumulated in the same order, for every input that requires grad. The
+field's graph takes one batched product over the blocks per layer, as the
+field does; the encoder's graph is the per-step cell. The data they take
+(the control, the history) are plain constants. The field differs from the
+per-block op graph of the normal form, the step node from the op graph of
+its stages, and the encoder of a single unit from the per-step cell (its
+input products are rows of a larger product), in the rounding of their
+sums only: they agree to 1e-12 relative.
 """
 
 import numpy as np
@@ -20,7 +22,8 @@ from obsnode import autodiff as ad
 from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
-from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, _gru_step, encode,
+from obsnode import model
+from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, encode_prefixes,
                            stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from support import value_at
@@ -162,12 +165,12 @@ def ref_impute(y, mask, b):
     return ad.add(ad.hadamard(y, mask), ad.hadamard(b_full, ad.sub(ones, mask)))
 
 
-def ref_encode(history, params):
-    """The encoder as a per-step graph of autodiff ops: impute, assemble the
-    input row, update the hidden state, then the affine head."""
+def ref_states(history, params):
+    """The encoder's hidden states as a per-step graph of autodiff ops, the
+    zero state first: impute, assemble the input row, update the state."""
     cfg = params.cfg
     n = history.y.shape[1]
-    h = Tensor(np.zeros((n, cfg.encoder_hidden_dim)))
+    hs = [Tensor(np.zeros((n, cfg.encoder_hidden_dim)))]
     prev_t = history.times[0]
     for k in range(history.times.size):
         a = history.a[k]
@@ -178,8 +181,15 @@ def ref_encode(history, params):
         mask = Tensor(history.mask[k])
         x = ad.concat([ref_impute(Tensor(history.y[k]), mask, params.b_impute),
                        mask, Tensor(a), dt], axis=1)
-        h = ref_gru(x, h, params.enc)
-    return ref_linear(h, params.head_W, params.head_b)
+        hs.append(ref_gru(x, hs[-1], params.enc))
+    return hs
+
+
+def ref_encode(history, params, lengths):
+    """The affine head on the states of :func:`ref_states` after each
+    prefix length in `lengths`, as :func:`encode_prefixes` orders them."""
+    hs = ref_states(history, params)
+    return [ref_linear(hs[k], params.head_W, params.head_b) for k in lengths]
 
 
 def run_node(node, inputs, params, seed, zeros=0.2):
@@ -257,34 +267,36 @@ def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0
     return results
 
 
-def gru_step_pair(d_y, rest, hidden, n, observed, h_grad, b_grad, seed, zeros=0.2):
-    """run_node results of the fused cell and of the reference that imputes
-    with autodiff ops and feeds the op-graph cell, on the input row
-    (imputed y, mask, rest) with no, all or some entries observed."""
+ENCODER = ("b_impute", "enc.Wr", "enc.Ur", "enc.br", "enc.Wu", "enc.Uu", "enc.bu",
+           "enc.Wh", "enc.Uh", "enc.bh")
+
+
+def random_history(d_y, d_a, T, n, seed, observed=0.6):
+    """A history on an uneven time grid, each y entry observed with
+    probability `observed`; unobserved entries hold random placeholders."""
     rng = np.random.default_rng(seed)
-    x_dim = 2 * d_y + rest
-    shapes = {"W": (x_dim, hidden), "U": (hidden, hidden), "b": (1, hidden)}
-    enc0 = {k + g: rng.normal(size=shapes[k]) for k in "WUb" for g in "ruh"}
-    y0 = rng.normal(size=(n, d_y))
-    mask = {"none": np.zeros((n, d_y)), "all": np.ones((n, d_y)),
-            "some": (rng.uniform(size=(n, d_y)) < 0.5).astype(float)}[observed]
-    tail = rng.normal(size=(n, rest))
-    h0 = rng.normal(size=(n, hidden))
-    b0 = rng.normal(size=(1, d_y))
+    mask = (rng.uniform(size=(T, n, d_y)) < observed).astype(float)
+    return History(np.cumsum(rng.uniform(0.1, 2.0, size=T)), rng.normal(size=(T, n, d_y)),
+                   mask, rng.uniform(0.0, 3.0, size=(T, n, d_a)))
+
+
+def encode_pair(d_y, d_a, T, n, lengths, seed, scaled=False, frozen=(), zeros=0.2,
+                observed=0.6, hidden=4):
+    """run_node results of :func:`encode_prefixes` and of :func:`ref_encode`
+    on one history, the heads' outputs for `lengths` stacked; the encoder
+    tensors named in `frozen` do not require grad."""
+    scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
+    cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=d_a, phi_hidden_dim=3, encoder_hidden_dim=hidden,
+                        treatment_scale=scale)
+    hist = random_history(d_y, d_a, T, n, seed, observed)
     results = []
-    for fused in (True, False):
-        enc = {k: Tensor(v.copy(), requires_grad=True) for k, v in enc0.items()}
-        b = Tensor(b0.copy(), requires_grad=b_grad)
-        h = Tensor(h0.copy(), requires_grad=h_grad)
-        if fused:
-            x = np.concatenate([y0 * mask + b0 * (1.0 - mask), mask, tail], axis=1)
-            node = lambda h, b: _gru_step(x, 1.0 - mask, h, b, enc)
-        else:
-            node = lambda h, b: ref_gru(
-                ad.concat([ref_impute(Tensor(y0), Tensor(mask), b), Tensor(mask),
-                           Tensor(tail)], axis=1), h, enc)
-        results.append(run_node(node, (h, b), [enc[k] for k in sorted(enc)], seed + 2,
-                                zeros=zeros))
+    for node in (lambda p: [s.z for s in encode_prefixes(hist, p, lengths)],
+                 lambda p: ref_encode(hist, p, lengths)):
+        params = make_params(cfg, seed)
+        for name in frozen:
+            params.by_name[name].requires_grad = False
+        results.append(run_node(lambda: ad.concat(node(params), axis=0), (),
+                                params.tensors(), seed + 2, zeros=zeros))
     return results
 
 
@@ -302,23 +314,13 @@ class TestBitwiseAgainstOpGraph:
         assert_bitwise(*rhs_pair(d_y, m, d_a, act, layers, n, control, scaled,
                                  z_grad, seed))
 
-    @settings(max_examples=80, deadline=None)
-    @given(d_y=st.integers(1, 3), rest=st.integers(1, 3), hidden=st.integers(1, 5),
-           n=st.sampled_from([1, 3]), observed=st.sampled_from(["none", "all", "some"]),
-           h_grad=st.booleans(), b_grad=st.booleans(), seed=st.integers(0, 2**16))
-    def test_gru_step(self, d_y, rest, hidden, n, observed, h_grad, b_grad, seed):
-        assert_bitwise(*gru_step_pair(d_y, rest, hidden, n, observed, h_grad,
-                                      b_grad, seed))
-
     @pytest.mark.parametrize("n,d_y", [(1, 1), (1, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize("seed", range(4))
     def test_signed_zeros(self, n, d_y, seed):
         # with every buffer entry -0.0, each zero a node adds keeps the sign
-        # that the op graph's reductions give it; a fully observed row sends
-        # only zeros to b_impute
+        # that the op graph's reductions give it
         assert_bitwise(*rhs_pair(d_y, 2, 1, "tanh", 1, n, "batch", False, True, seed,
                                  zeros=1.0))
-        assert_bitwise(*gru_step_pair(d_y, 1, 1, n, "all", False, True, seed, zeros=1.0))
 
     @pytest.mark.parametrize("n,d_y", [(1, 1), (1, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize("seed", range(4))
@@ -331,25 +333,29 @@ class TestBitwiseAgainstOpGraph:
         assert_bitwise(*rhs_pair(d_y, 2, 1, "leakyrelu", 2, n, "batch", False, True, seed,
                                  zeros=1.0, kink=True))
 
-    @settings(max_examples=30, deadline=None)
-    @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), T=st.integers(1, 5),
-           n=st.sampled_from([1, 3]), scaled=st.booleans(), seed=st.integers(0, 2**16))
-    def test_encode(self, d_y, d_a, T, n, scaled, seed):
-        # z and every parameter gradient, on an uneven time grid with a
-        # partly missing history
-        scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
-        cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=d_a, phi_hidden_dim=3,
-                            encoder_hidden_dim=4, treatment_scale=scale)
-        rng = np.random.default_rng(seed)
-        mask = (rng.uniform(size=(T, n, d_y)) < 0.6).astype(float)
-        hist = History(np.cumsum(rng.uniform(0.1, 2.0, size=T)),
-                       rng.normal(size=(T, n, d_y)) * mask, mask,
-                       rng.uniform(0.0, 3.0, size=(T, n, d_a)))
-        results = []
-        for node in (lambda p: encode(hist, p).z, lambda p: ref_encode(hist, p)):
-            params = make_params(cfg, seed)
-            results.append(run_node(lambda: node(params), (), params.tensors(), seed + 2))
-        assert_bitwise(*results)
+    @settings(max_examples=60, deadline=None)
+    @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), n=st.sampled_from([2, 3, 7]),
+           hidden=st.integers(1, 5), data=st.data(), scaled=st.booleans(),
+           frozen=st.sets(st.sampled_from(ENCODER), max_size=3), seed=st.integers(0, 2**16))
+    def test_encode(self, d_y, d_a, n, hidden, data, scaled, frozen, seed):
+        # the heads' outputs and every parameter gradient, for repeated and
+        # unsorted prefix lengths, with some encoder tensors frozen; T
+        # reaches past two blocks of input products
+        T = data.draw(st.integers(1, 2 * (model.GRU_BLOCK_ROWS // n) + 2), label="T")
+        lengths = data.draw(st.lists(st.integers(1, T), min_size=1, max_size=4),
+                            label="lengths")
+        assert_bitwise(*encode_pair(d_y, d_a, T, n, lengths, seed, scaled, frozen,
+                                    hidden=hidden))
+
+    @pytest.mark.parametrize("n,d_y", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("observed", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_encode_signed_zeros(self, n, d_y, observed, seed):
+        # test_signed_zeros for the encoder, over three blocks of input
+        # products; a fully observed history sends only zeros to b_impute
+        T = 2 * (model.GRU_BLOCK_ROWS // n) + 1
+        assert_bitwise(*encode_pair(d_y, 1, T, n, [T, 1, T // 2, T // 2], seed, zeros=1.0,
+                                    observed=observed))
 
 
 def assert_close(fused, ref, rtol=1e-12):
@@ -417,6 +423,59 @@ class TestStackedAgainstPerBlock:
         assert_close(*results)
 
 
+class TestSingleUnitEncoder:
+    @settings(max_examples=40, deadline=None)
+    @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), data=st.data(),
+           seed=st.integers(0, 2**16))
+    def test_against_the_op_graph(self, d_y, d_a, data, seed):
+        # a single unit's input products are rows of a block product, which
+        # rounds otherwise than the op graph's one-row products. With these
+        # N(0, 0.7) weights the recurrence carries that rounding to up to
+        # about 2e-15 of the largest state over 66 steps.
+        T = data.draw(st.integers(1, model.GRU_BLOCK_ROWS + 2), label="T")
+        lengths = data.draw(st.lists(st.integers(1, T), min_size=1, max_size=3),
+                            label="lengths")
+        fused, ref = encode_pair(d_y, d_a, T, 1, lengths, seed)
+        assert_close(fused[:1], ref[:1], rtol=1e-14)
+        assert_close(fused[1:], ref[1:])
+
+
+class TestNoLookAhead:
+    @settings(max_examples=40, deadline=None)
+    @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), n=st.sampled_from([1, 2, 5]),
+           data=st.data(), change=st.sampled_from(["y", "mask", "a"]),
+           seed=st.integers(0, 2**16))
+    def test_encoder_reads_nothing_past_its_prefix(self, d_y, d_a, n, data, change, seed):
+        # y values, mask flips or treatments changed at the times after
+        # prefix k, which share k's block of input products: the state at
+        # k and every parameter gradient of a loss on it stay bitwise
+        # equal, asked for alone and alongside a longer prefix
+        T = data.draw(st.integers(2, 2 * (model.GRU_BLOCK_ROWS // n) + 2), label="T")
+        k = data.draw(st.integers(1, T - 1), label="k")
+        longer = data.draw(st.integers(k + 1, T), label="longer")
+        cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=d_a, phi_hidden_dim=3, encoder_hidden_dim=4)
+        hist = random_history(d_y, d_a, T, n, seed)
+        changed = History(hist.times, hist.y.copy(), hist.mask.copy(), hist.a.copy())
+        rng = np.random.default_rng(seed + 3)
+        if change == "mask":
+            changed.mask[k:] = 1.0 - changed.mask[k:]
+        else:
+            part = getattr(changed, change)[k:]
+            part += rng.normal(size=part.shape)
+        w = Tensor(rng.normal(size=(n, cfg.d_z)))
+        results = []
+        for record in (hist, changed):
+            for lengths in ([k], [k, longer], [longer, k]):
+                params = make_params(cfg, seed)
+                with Tape() as tape:
+                    states = encode_prefixes(record, params, lengths)
+                    z = states[lengths.index(k)].z
+                    tape.backward(ad.tsum(ad.hadamard(z, w)))
+                results.append([z.data] + [t.grad for t in params.tensors()])
+        for other in results[1:]:
+            assert_bitwise(other, results[0])
+
+
 class TestStepNode:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
@@ -463,22 +522,16 @@ class TestFusedGradCheck:
         self.z = Tensor(rng.normal(size=(3, cfg.d_z)))
         self.a = Tensor(rng.normal(size=(1, cfg.d_a)))
         self.w = Tensor(rng.normal(size=(3, cfg.d_z)))
-        self.y = rng.normal(size=(3, cfg.d_y))
-        self.mask = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        self.tail = rng.normal(size=(3, cfg.encoder_input_dim - 2 * cfg.d_y))
-        self.h = Tensor(rng.normal(size=(3, 5)))
-        self.wh = Tensor(rng.normal(size=(3, 5)))
+        self.history = random_history(cfg.d_y, cfg.d_a, 7, 3, seed=5)
+        self.wz = Tensor(rng.normal(size=(9, cfg.d_z)))
 
     def rhs_loss(self):
         out = triangular_rhs(self.z, self.a, self.params)
         return ad.tsum(ad.hadamard(out, self.w))
 
-    def gru_loss(self):
-        b = self.params.b_impute
-        x = np.concatenate([self.y * self.mask + b.data * (1.0 - self.mask),
-                            self.mask, self.tail], axis=1)
-        out = _gru_step(x, 1.0 - self.mask, self.h, b, self.params.enc)
-        return ad.tsum(ad.hadamard(out, self.wh))
+    def encode_loss(self):
+        states = encode_prefixes(self.history, self.params, [7, 2, 5])
+        return ad.tsum(ad.hadamard(ad.concat([s.z for s in states], axis=0), self.wz))
 
     def test_triangular_rhs(self):
         assert grad_check(self.rhs_loss, self.z) < 1e-7
@@ -491,11 +544,9 @@ class TestFusedGradCheck:
         with pytest.raises(ValueError, match="control"):
             triangular_rhs(self.z, a, self.params)
 
-    def test_gru_step(self):
-        assert grad_check(self.gru_loss, self.h) < 1e-7
-        assert grad_check(self.gru_loss, self.params.b_impute) < 1e-7
-        for key in ("Wr", "Uu", "bh"):
-            assert grad_check(self.gru_loss, self.params.enc[key]) < 1e-7
+    def test_encode_prefixes(self):
+        for name in ("b_impute", "enc.Wr", "enc.Uu", "enc.bh", "enc.Uh"):
+            assert grad_check(self.encode_loss, self.params.by_name[name]) < 1e-7
 
 
 class TestFusedNonFinite:
@@ -511,11 +562,11 @@ class TestFusedNonFinite:
         with pytest.raises(NumericError, match="triangular_rhs"):
             triangular_rhs(Tensor(z), Tensor(np.zeros((2, 1))), self.params)
 
+    @pytest.mark.parametrize("field", ["y", "a", "times"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_gru_step_input(self, bad):
-        h = np.zeros((2, 3))
-        h[0, 2] = bad
-        x = np.zeros((2, self.cfg.encoder_input_dim))
-        with pytest.raises(NumericError, match="_gru_step"):
-            _gru_step(x, np.zeros((2, 1)), Tensor(h), self.params.b_impute,
-                      self.params.enc)
+    def test_encoder_input(self, field, bad):
+        # an observed y, a treatment or a time that is not finite
+        hist = random_history(1, 1, 4, 2, seed=6, observed=1.0)
+        getattr(hist, field)[-1] = bad
+        with pytest.raises(NumericError, match="encode_prefixes"):
+            encode_prefixes(hist, self.params, [4])

@@ -116,15 +116,15 @@ class TestEmitImpute:
         params.b_impute.data = np.array([[9.0, -9.0]])
         hist = History(np.array([0.0, 1.0]), np.array([[[1.0, 2.0]], [[0.0, 4.0]]]),
                        np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.zeros((2, 1, 1)))
-        rows, step = [], model_mod._gru_step
+        seen, cell = [], model_mod._gru_states
 
-        def record_row(x, *rest):
-            rows.append(x.copy())
-            return step(x, *rest)
+        def record_inputs(x, *rest):
+            seen.append(x.copy())
+            return cell(x, *rest)
 
-        monkeypatch.setattr(model_mod, "_gru_step", record_row)
+        monkeypatch.setattr(model_mod, "_gru_states", record_inputs)
         encode(hist, params)
-        np.testing.assert_array_equal([r[0, :2] for r in rows], [[1.0, -9.0], [9.0, 4.0]])
+        np.testing.assert_array_equal(seen[0][:, 0, :2], [[1.0, -9.0], [9.0, 4.0]])
 
     def test_impute_gradient(self):
         cfg, params = make_model(d_y=2, m=2)

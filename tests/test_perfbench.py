@@ -1,7 +1,7 @@
 """The benchmark's probes and workloads run against this checkout.
 
 perfbench/ imports the public functions of obsnode and a few private ones
-(``odeint._rk4_step``, ``model._gru_step``, ``train._batch_loss``). These
+(``odeint._rk4_step``, ``train._batch_loss``). These
 tests load its modules from the checkout, as ``perfbench/run.py`` does, so
 that a change which breaks an entry point it calls fails here.
 """
