@@ -258,10 +258,12 @@ def tmean(a):
 def _sigmoid(x):
     """Logistic function on a plain array; never evaluates exp of a positive
     argument, so it cannot overflow. One division per element, of 1.0 or e
-    by 1.0 + e: the IEEE operations of 1 / (1 + e) where x >= 0 and of
-    e / (1 + e) elsewhere, so the bits are those of that select form."""
+    by 1.0 + e (max(e, x >= 0) is 1.0 where x >= 0, as e <= 1, and e
+    elsewhere, NaN included): the IEEE operations of 1 / (1 + e) where
+    x >= 0 and of e / (1 + e) elsewhere, so the bits are those of that
+    select form."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _leaky_relu(x):
@@ -275,7 +277,7 @@ def _leaky_relu_slope(x):
     and g * d is bitwise the select of g or slope g, signed zeros,
     infinities and NaN included, so a forward pass that keeps d serves the
     VJP with one multiply."""
-    return np.where(x >= 0, 1.0, LEAKY_RELU_SLOPE)
+    return np.maximum(x >= 0, LEAKY_RELU_SLOPE)
 
 
 # Activations on plain arrays: name -> (forward(x), vjp(g, x, y)), where y is

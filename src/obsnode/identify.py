@@ -31,10 +31,18 @@ MAX_TRAJECTORIES = 10_000_000
 # random_query: 2^3 confounder, 4^3 latent and 4^2 unconditioned outcome values
 QUERY_CELLS = 2 ** 3 * 4 ** 3 * 4 ** 2
 MAX_VERIFY_CELLS = 1_000_000_000  # instances x QUERY_CELLS in one verification
+KERNELS = ("eps_init", "eps_trans", "z_init", "z_trans", "emission", "policy")
+# the outcome symbols each latent state of a random instance emits on, as
+# [lo, hi) ranges of its 4 outcomes, for 3 and 4 latent states: the split
+# np.array_split(np.arange(4), n_z) makes
+OUTCOME_GROUPS = {3: ((0, 2), (2, 3), (3, 4)), 4: ((0, 1), (1, 2), (2, 3), (3, 4))}
 
 
 def _check_rows(name, arr):
-    """DataError unless the last axis of `arr` holds distributions, to 1e-12."""
+    """DataError unless `arr` is finite and its last axis holds
+    distributions, to 1e-12."""
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name}: non-finite probability")
     if np.any(arr < -1e-12):
         raise DataError(f"{name}: negative probability")
     sums = arr.sum(axis=-1)
@@ -64,11 +72,18 @@ class DiscreteScm:
     def __post_init__(self):
         if self.T < 2:
             raise DataError("DiscreteScm: need T >= 2")
-        for name in ("eps_init", "eps_trans", "z_init", "z_trans",
-                     "emission", "policy"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            _check_rows(name, arr)
+        kernels = [np.asarray(getattr(self, name), dtype=np.float64) for name in KERNELS]
+        for name, arr in zip(KERNELS, kernels):
             setattr(self, name, arr)
+        # one pass over all six: the smallest entry and the largest row-sum
+        # deviation, in comparisons that NaN fails; only a failure checks
+        # them one by one, to name the first failing kernel
+        sums = np.concatenate([arr.sum(axis=-1).ravel() for arr in kernels])
+        lo = np.concatenate([arr.ravel() for arr in kernels]).min(initial=0.0)
+        dev = np.abs(sums - 1.0).max(initial=0.0)
+        if not (lo >= -1e-12 and dev <= 1e-12):
+            for name, arr in zip(KERNELS, kernels):
+                _check_rows(name, arr)
 
     @property
     def sizes(self):
@@ -115,12 +130,17 @@ def enumerate_joint(scm: DiscreteScm, policy_overrides=None, fixed=None):
     2009, sec. 9.3). Without it the joint holds every trajectory. A cell is the
     product, left to right, of eps_init, z_init and emission at step 0, then
     per step t >= 1 of the policy at t - 1, eps_trans, z_trans and emission.
+    A severed step's policy is 1.0 at the forced action and 0.0 elsewhere;
+    where `fixed` holds that action, its factor is 1.0 and is left out.
     """
     nE, nZ, nY, nA = scm.sizes
     T = scm.T
     fixed, overrides = fixed or {}, policy_overrides or {}
     dims = [nE] * T + [nZ] * T + [nY] * T + [nA] * (T - 1)
-    count = math.prod(1 if ax in fixed else dim for ax, dim in enumerate(dims))
+    cuts = [slice(None)] * len(dims)
+    for ax, v in fixed.items():
+        cuts[ax], dims[ax] = slice(v, v + 1), 1
+    count = math.prod(dims)
     if count > MAX_TRAJECTORIES:
         raise DataError(f"enumerate_joint: {count} trajectories exceed "
                         f"{MAX_TRAJECTORIES}")
@@ -130,23 +150,26 @@ def enumerate_joint(scm: DiscreteScm, policy_overrides=None, fixed=None):
     z_trans = scm.z_trans.transpose(1, 2, 0)    # (z_t, z_{t+1}, a_t)
 
     def place(kernel, *axes):  # cut on the fixed axes, reshaped onto the joint
-        kernel = kernel[tuple(slice(fixed[ax], fixed[ax] + 1) if ax in fixed
-                              else slice(None) for ax in axes)]
         shape = [1] * len(dims)
-        for ax, dim in zip(axes, kernel.shape):
-            shape[ax] = dim
-        return kernel.reshape(shape)
+        for ax in axes:
+            shape[ax] = dims[ax]
+        return kernel[tuple([cuts[ax] for ax in axes])].reshape(shape)
 
     joint = place(scm.eps_init, 0) * place(scm.z_init, T)
     joint = joint * place(emission, 0, T, 2 * T)
     for t in range(1, T):
-        pol = policy
-        if t - 1 in overrides:
+        a_ax = 3 * T + t - 1
+        if t - 1 not in overrides:
+            joint = joint * place(policy, t - 1, 2 * T + t - 1, a_ax)
+        elif fixed.get(a_ax) != overrides[t - 1]:
+            # a severed step whose action the cut leaves free, or fixes to
+            # another value; cut to its forced action the factor would be
+            # ones over axes the joint already spans, and x * 1.0 is x
             pol = np.zeros_like(policy)
             pol[:, :, overrides[t - 1]] = 1.0
-        joint = joint * place(pol, t - 1, 2 * T + t - 1, 3 * T + t - 1)
+            joint = joint * place(pol, t - 1, 2 * T + t - 1, a_ax)
         joint = joint * place(scm.eps_trans, t - 1, t)
-        joint = joint * place(z_trans, T + t - 1, T + t, 3 * T + t - 1)
+        joint = joint * place(z_trans, T + t - 1, T + t, a_ax)
         joint = joint * place(emission, t, T + t, 2 * T + t)
     return joint
 
@@ -162,12 +185,23 @@ def _reduce(joint, keep_axis):
     return dist / total
 
 
+def _check_symbols(scm: DiscreteScm, outcomes, actions):
+    """DataError unless every outcome and action is a symbol of the model's
+    alphabets: a negative value would index the kernels from the end."""
+    _, _, nY, nA = scm.sizes
+    for kind, values, n in (("outcome", outcomes, nY), ("action", actions, nA)):
+        for v in values:
+            if not 0 <= v < n:
+                raise DataError(f"{kind} {v} is outside the model's range 0..{n - 1}")
+
+
 def _query_axes(scm: DiscreteScm, q: InterventionQuery):
     """The joint's axes fixed by the query's outcomes and actions, prefix
     and intervention, as {axis: value}, and the target outcome's axis."""
     T = scm.T
     if q.target > T - 1:
         raise DataError(f"query target step {q.target} exceeds horizon {T - 1}")
+    _check_symbols(scm, q.y_prefix, q.a_prefix + q.intervention)
     fixed = {}
     for k, y in enumerate(q.y_prefix):
         fixed[2 * T + k] = y
@@ -198,6 +232,7 @@ def filter_distribution(scm: DiscreteScm, y_prefix, a_prefix):
         raise DataError("filter: need one more observed outcome than past treatments")
     if len(a_prefix) > scm.T - 1:
         raise DataError(f"filter: prefix step {len(a_prefix)} exceeds horizon {scm.T - 1}")
+    _check_symbols(scm, y_prefix, a_prefix)
     q_y = scm.emission.transpose(1, 0, 2)  # (nE, nZ, nY)
     alpha = np.outer(scm.eps_init, scm.z_init) * q_y[:, :, y_prefix[0]]
     for y, a, y_next in zip(y_prefix, a_prefix, y_prefix[1:]):
@@ -228,9 +263,10 @@ def adjustment_estimate(scm: DiscreteScm, q: InterventionQuery):
     """Filter x latent propagation x emission: the discrete adjustment."""
     if q.target > scm.T - 1:
         raise DataError(f"query target step {q.target} exceeds horizon {scm.T - 1}")
+    _check_symbols(scm, (), q.intervention)
     filt = filter_distribution(scm, q.y_prefix, q.a_prefix)
-    prop = np.eye(scm.z_init.size)
-    for a in q.intervention:
+    prop = scm.z_trans[q.intervention[0]]
+    for a in q.intervention[1:]:
         prop = prop @ scm.z_trans[a]
     dist = filt @ prop @ modeler_emission(scm, q.target)
     return dist / dist.sum()
@@ -268,23 +304,27 @@ def random_observable_scm(rng) -> DiscreteScm:
     confounding rather than averaging it away."""
     n_z, n_y, n_a, n_e, T = int(rng.integers(3, 5)), 4, 2, 2, 3
     eps_init = _rand_dist(rng, (n_e,))
-    eps_trans = np.tile(eps_init, (n_e, 1))
+    eps_trans = np.array([eps_init] * n_e)
     # disjoint outcome alphabet per state; within its alphabet a state's
     # outcome weights are peaked and depend on the confounder
-    groups = np.array_split(np.arange(n_y), n_z)
     emission = np.zeros((n_z, n_e, n_y))
-    for z, g in enumerate(groups):
+    for z, (lo, hi) in enumerate(OUTCOME_GROUPS[n_z]):
+        if hi - lo == 1:
+            # a lone symbol is emitted surely (w / w.sum() is 1.0), so its
+            # weights only advance the stream; rng.integers(1) draws nothing
+            rng.uniform(0.0, 1.0, n_e)
+            emission[z, :, lo] = 1.0
+            continue
         for e in range(n_e):
-            w = rng.uniform(0.0, 1.0, g.size)
-            w[rng.integers(g.size)] += 3.0
-            emission[z, e, g] = w / w.sum()
+            w = rng.uniform(0.0, 1.0, hi - lo)
+            w[rng.integers(hi - lo)] += 3.0
+            emission[z, e, lo:hi] = w / w.sum()
     # per action, a permutation of the states, then its rows' uniform noise
-    z_trans = np.stack([np.eye(n_z)[rng.permutation(n_z)] + rng.uniform(0.0, 0.15, (n_z, n_z))
-                        for _ in range(n_a)])
+    z_trans = np.array([np.eye(n_z)[rng.permutation(n_z)] + rng.uniform(0.0, 0.15, (n_z, n_z))
+                         for _ in range(n_a)])
     z_trans /= z_trans.sum(axis=2, keepdims=True)
-    policy = np.full((n_y, n_e, n_a), 0.15 / n_a)
     pref = rng.integers(0, n_a, size=(n_y, n_e))
-    np.put_along_axis(policy, pref[:, :, None], 0.15 / n_a + 0.85, axis=2)
+    policy = np.where(pref[:, :, None] == np.arange(n_a), 0.15 / n_a + 0.85, 0.15 / n_a)
     return DiscreteScm(
         eps_init=eps_init, eps_trans=eps_trans,
         z_init=_rand_dist(rng, (n_z,)),
@@ -302,7 +342,8 @@ def random_query(rng, scm: DiscreteScm) -> InterventionQuery:
     # G[e, z, a] = sum_y q(y | z, e) pi(a | y, e)
     nE, nZ, _, nA = scm.sizes
     alpha = np.einsum("e,z,zey->yez", scm.eps_init, scm.z_init, scm.emission)
-    y0 = int(rng.choice(np.nonzero(alpha.sum(axis=(1, 2)) > 1e-9)[0]))
+    cands = np.nonzero(alpha.sum(axis=(1, 2)) > 1e-9)[0]
+    y0 = int(cands[rng.integers(0, cands.size)])  # the draw rng.choice(cands) makes
     G = np.einsum("zey,yea->eza", scm.emission, scm.policy)
     msg = alpha[y0][:, :, None] * scm.policy[y0][:, None, :]  # (e, z, a_0)
     for _ in range(scm.T - 2):

@@ -175,6 +175,21 @@ def reencoded_loss(trajs, params, sigma2, decision_times, tcfg) -> float:
     return float(np.mean(vals))
 
 
+def per_kernel_check(kernels):
+    """The reference for `DiscreteScm`'s one-pass kernel check on finite
+    kernels: each kernel checked on its own, in order, for an entry below
+    -1e-12 and then for a row sum off 1 by more than 1e-12; the message of
+    the first failure, or None."""
+    for name, arr in kernels.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        if np.any(arr < -1e-12):
+            return f"{name}: negative probability"
+        sums = arr.sum(axis=-1)
+        if np.any(np.abs(sums - 1.0) > 1e-12):
+            return f"{name}: rows must sum to 1 (max dev {np.max(np.abs(sums - 1.0)):.3e})"
+    return None
+
+
 def naive_conditional(scm: DiscreteScm, q: InterventionQuery):
     """Observational P(y_target | prefix, a-sequence observed): no severing."""
     fixed, keep = _query_axes(scm, q)

@@ -67,8 +67,9 @@ class TestForwardOps:
     @given(data=st.data(), size=st.integers(1, 8))
     def test_sigmoid_matches_its_select_form_bitwise(self, data, size):
         # one division of 1.0 or e by 1 + e against the select of the two
-        # quotients, as int64 views: signed zeros, subnormals, infinities,
-        # NaN of either sign, and |x| > 745, where exp(-|x|) underflows to 0
+        # quotients, and the leaky slope's maximum against its select, as
+        # int64 views: signed zeros, subnormals, infinities, NaN of either
+        # sign, and |x| > 745, where exp(-|x|) underflows to 0
         special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
                                    np.nan, -np.nan, 745.2, -745.2, 1e300, -1e300])
         values = st.one_of(special, st.floats(allow_nan=False, allow_subnormal=True))
@@ -76,6 +77,8 @@ class TestForwardOps:
         e = np.exp(-np.abs(x))
         select = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         assert np.array_equal(ad._sigmoid(x).view(np.int64), select.view(np.int64))
+        slope = np.where(x >= 0, 1.0, ad.LEAKY_RELU_SLOPE)
+        assert np.array_equal(ad._leaky_relu_slope(x).view(np.int64), slope.view(np.int64))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), size=st.integers(1, 8))

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from obsnode.errors import DataError
-from obsnode.identify import (QUERY_CELLS, DiscreteScm, InterventionQuery, _query_axes,
-                              _reduce, adjustment_estimate, collapse_states,
+from obsnode.identify import (KERNELS, QUERY_CELLS, DiscreteScm, InterventionQuery,
+                              _query_axes, _reduce, adjustment_estimate, collapse_states,
                               enumerate_joint, filter_distribution,
                               interventional_truth, linear_gaussian_refinement,
                               nonidentifiability_witness, observational_law,
                               random_observable_scm, random_query, tv_distance)
 from support import (cellwise_observable_scm, enumerated_filter, enumerated_query,
-                     full_joint_reduce, naive_conditional, product_joint)
-
-KERNELS = ("eps_init", "eps_trans", "z_init", "z_trans", "emission", "policy")
+                     full_joint_reduce, naive_conditional, per_kernel_check, product_joint)
 
 
 def point(n, i):
@@ -169,6 +167,61 @@ class TestEnumerateJoint:
                         policy=np.full((1, 2, 2), 0.5), T=2)
 
 
+class TestKernelCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KERNELS), st.integers(0, 63),
+           st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_names_its_kernel(self, seed, name, index, value):
+        # NaN fails every comparison, so a check written as "fail if below
+        # -1e-12" would let it through to the query draw
+        scm = random_observable_scm(np.random.default_rng(seed))
+        kernels = {k: getattr(scm, k).copy() for k in KERNELS}
+        kernels[name].flat[index % kernels[name].size] = value
+        with pytest.raises(DataError, match=f"^{name}: non-finite probability$"):
+            DiscreteScm(**kernels, T=scm.T)
+
+    # entries set at and around the negative bound, and row sums moved to
+    # and around the deviation bound, where a check that summed the rows in
+    # another order would decide otherwise
+    EDGE = [1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), 5e-13, 2e-12, 1e-9]
+    SET_VALUES = st.one_of(st.sampled_from([-e for e in EDGE] + [0.0, -0.0, 1.0]),
+                           st.floats(-2e-12, 2e-12))
+    ADD_VALUES = st.one_of(st.sampled_from(EDGE + [-e for e in EDGE]),
+                           st.floats(-2e-12, 2e-12))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.sampled_from(KERNELS), st.integers(0, 63),
+                              st.one_of(st.tuples(st.just("set"), SET_VALUES),
+                                        st.tuples(st.just("add"), ADD_VALUES))),
+                    min_size=1, max_size=3))
+    def test_one_pass_raises_as_the_per_kernel_checks(self, seed, edits):
+        # on finite kernels the one-pass check raises exactly when the six
+        # per-kernel checks did, with the first failing kernel's message
+        scm = random_observable_scm(np.random.default_rng(seed))
+        kernels = {k: getattr(scm, k).copy() for k in KERNELS}
+        for name, index, (op, value) in edits:
+            arr = kernels[name].reshape(-1)
+            i = index % arr.size
+            arr[i] = value if op == "set" else arr[i] + value
+        expected = per_kernel_check(kernels)
+        try:
+            DiscreteScm(**kernels, T=scm.T)
+        except DataError as e:
+            assert str(e) == expected
+        else:
+            assert expected is None
+
+    def test_kernels_without_entries_fail_as_the_per_kernel_checks(self):
+        # the one pass has nothing to take a minimum of, and eps_init's one
+        # empty row sums to 0
+        kernels = dict(eps_init=np.zeros(0), eps_trans=np.zeros((0, 0)), z_init=np.zeros(0),
+                       z_trans=np.zeros((0, 0, 0)), emission=np.zeros((0, 0, 0)),
+                       policy=np.zeros((0, 0, 0)))
+        with pytest.raises(DataError, match=re.escape(per_kernel_check(kernels))):
+            DiscreteScm(**kernels, T=2)
+
+
 class TestInterventionalTruth:
     def test_normalized(self):
         scm = random_observable_scm(np.random.default_rng(1))
@@ -313,6 +366,86 @@ class TestAdjustmentEquivalence:
                            interventional_truth(scm, q)) >= 0.02:
                 hits += 1
         assert hits >= 0.8 * n
+
+
+def relabel(scm: DiscreteScm, kind, perm):
+    """The instance with its latent states, outcomes, actions or confounder
+    values renamed: new symbol j is old symbol perm[j]."""
+    k = {name: getattr(scm, name) for name in KERNELS}
+    if kind == "state":
+        k.update(z_init=k["z_init"][perm], z_trans=k["z_trans"][:, perm][:, :, perm],
+                 emission=k["emission"][perm])
+    elif kind == "outcome":
+        k.update(emission=k["emission"][:, :, perm], policy=k["policy"][perm])
+    elif kind == "action":
+        k.update(z_trans=k["z_trans"][perm], policy=k["policy"][:, :, perm])
+    else:
+        k.update(eps_init=k["eps_init"][perm], eps_trans=k["eps_trans"][perm][:, perm],
+                 emission=k["emission"][:, perm], policy=k["policy"][:, perm])
+    return DiscreteScm(**k, T=scm.T)
+
+
+class TestOracleLabels:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["state", "outcome", "action", "confounder"]), st.data())
+    def test_relabeling_permutes_or_keeps_the_answers(self, seed, kind, data):
+        # names carry no meaning: relabeled kernels with the query mapped to
+        # the new names give the same answers, permuted for outcomes; a
+        # zero-probability prefix stays one
+        rng = np.random.default_rng(seed)
+        scm = random_observable_scm(rng)
+        n = {"state": scm.z_init.size, "outcome": 4, "action": 2, "confounder": 2}[kind]
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+        inv = np.argsort(perm)
+        new = relabel(scm, kind, perm)
+        ys, acts = (inv if kind == "outcome" else range(4)), (inv if kind == "action" else range(2))
+        drawn = InterventionQuery(*(tuple(int(v) for v in rng.integers(hi, size=size))
+                                    for hi, size in ((4, 2), (2, 1), (2, 1))))
+        for q in (random_query(rng, scm), drawn):
+            q_new = InterventionQuery(tuple(int(ys[y]) for y in q.y_prefix),
+                                      tuple(int(acts[a]) for a in q.a_prefix),
+                                      tuple(int(acts[a]) for a in q.intervention))
+            for fn in (interventional_truth, adjustment_estimate):
+                try:
+                    want = fn(scm, q)
+                except DataError as e:
+                    with pytest.raises(DataError, match=re.escape(str(e))):
+                        fn(new, q_new)
+                    continue
+                want = want[perm] if kind == "outcome" else want
+                np.testing.assert_allclose(fn(new, q_new), want, rtol=0.0, atol=1e-13)
+
+
+class TestQuerySymbols:
+    # (y_prefix, a_prefix, intervention, the message): a negative value and
+    # one past the range, for an outcome and for an action; the random
+    # instances have outcomes 0..3 and actions 0..1
+    CASES = [pytest.param((-1,), (), (0, 1), "outcome -1 is outside the model's range 0..3",
+                          id="outcome-negative"),
+             pytest.param((4,), (), (0, 1), "outcome 4 is outside the model's range 0..3",
+                          id="outcome-past-range"),
+             pytest.param((0, 0), (-1,), (0,), "action -1 is outside the model's range 0..1",
+                          id="past-action-negative"),
+             pytest.param((0, 0), (2,), (0,), "action 2 is outside the model's range 0..1",
+                          id="past-action-past-range"),
+             pytest.param((0,), (), (0, -1), "action -1 is outside the model's range 0..1",
+                          id="intervened-action-negative"),
+             pytest.param((0,), (), (2, 0), "action 2 is outside the model's range 0..1",
+                          id="intervened-action-past-range")]
+
+    @pytest.mark.parametrize("fn", [_query_axes, interventional_truth, adjustment_estimate])
+    @pytest.mark.parametrize("y_prefix, a_prefix, intervention, message", CASES)
+    def test_query_values_are_checked(self, fn, y_prefix, a_prefix, intervention, message):
+        scm = random_observable_scm(np.random.default_rng(0))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            fn(scm, InterventionQuery(y_prefix, a_prefix, intervention))
+
+    @pytest.mark.parametrize("y_prefix, a_prefix, intervention, message", CASES[:4])
+    def test_filter_values_are_checked(self, y_prefix, a_prefix, intervention, message):
+        scm = random_observable_scm(np.random.default_rng(0))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            filter_distribution(scm, y_prefix, a_prefix)
 
 
 class TestWitness:
