@@ -2,7 +2,8 @@
 
 Everything is float64. A :class:`Tape` records operations executed while it is
 active (``with Tape():``); :meth:`Tape.backward` replays the record once in
-reverse and accumulates gradients into ``Tensor.grad``. Binary ops take
+reverse and accumulates gradients into ``Tensor.grad`` of the tensors that
+require grad (:func:`_accum` alone decides which). Binary ops take
 operands of one shape; a broadcast goes through an explicit ``expand`` op, so
 shape bugs fail loudly.
 """
@@ -74,6 +75,10 @@ def _active_tape():
 
 
 def _accum(t: Tensor, g):
+    """Add g to t.grad unless t requires no grad: backward passes hand every
+    input its gradient, and this is the one place that decides."""
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:
@@ -110,10 +115,8 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
+        _accum(a, g)
+        _accum(b, g)
 
     return _record(out, (a, b), bw)
 
@@ -123,10 +126,8 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
+        _accum(a, g)
+        _accum(b, -g)
 
     return _record(out, (a, b), bw)
 
@@ -136,10 +137,8 @@ def hadamard(a, b):
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
     return _record(out, (a, b), bw)
 
@@ -149,8 +148,7 @@ def scale(a, c: float):
     out = Tensor(a.data * c)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * c)
+        _accum(a, g * c)
 
     return _record(out, (a,), bw)
 
@@ -161,10 +159,8 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
     return _record(out, (a, b), bw)
 
@@ -180,10 +176,9 @@ def concat(tensors, axis=-1):
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accum(t, g[tuple(idx)])
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _accum(t, g[tuple(idx)])
 
     return _record(out, tensors, bw)
 
@@ -196,10 +191,9 @@ def slice_axis(a, start, stop, axis=-1):
     out = Tensor(a.data[idx])
 
     def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            _accum(a, full)
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        _accum(a, full)
 
     return _record(out, (a,), bw)
 
@@ -208,8 +202,7 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g.reshape(a.data.shape))
+        _accum(a, g.reshape(a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -223,13 +216,12 @@ def expand(a, shape):
     out = Tensor(np.array(data))
 
     def bw(g):
-        if a.requires_grad:
-            extra = g.ndim - a.data.ndim
-            red = g.sum(axis=tuple(range(extra))) if extra else g
-            axes = tuple(i for i, n in enumerate(a.data.shape) if n == 1 and red.shape[i] != 1)
-            if axes:
-                red = red.sum(axis=axes, keepdims=True)
-            _accum(a, red)
+        extra = g.ndim - a.data.ndim
+        red = g.sum(axis=tuple(range(extra))) if extra else g
+        axes = tuple(i for i, n in enumerate(a.data.shape) if n == 1 and red.shape[i] != 1)
+        if axes:
+            red = red.sum(axis=axes, keepdims=True)
+        _accum(a, red)
 
     return _record(out, (a,), bw)
 
@@ -238,8 +230,7 @@ def tsum(a):
     out = Tensor(np.sum(a.data))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g, a.data.shape))
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -249,8 +240,7 @@ def tmean(a):
     out = Tensor(np.mean(a.data))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g / n, a.data.shape))
+        _accum(a, np.broadcast_to(g / n, a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -296,8 +286,7 @@ def _activation(kind, a):
     out = Tensor(y)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, vjp(g, a.data, y))
+        _accum(a, vjp(g, a.data, y))
 
     return _record(out, (a,), bw)
 
@@ -318,8 +307,7 @@ def square(a):
     out = Tensor(a.data * a.data)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * 2.0 * a.data)
+        _accum(a, g * 2.0 * a.data)
 
     return _record(out, (a,), bw)
 

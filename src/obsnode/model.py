@@ -211,10 +211,9 @@ def _affine_vjp(g, x, W, b=None):
     """Backward of ``x @ W (+ b)``, also batched over leading block axes,
     for the upstream gradient g: accumulates the bias and weight gradients
     and returns the gradient for x."""
-    if b is not None and b.requires_grad:
+    if b is not None:
         ad._accum(b, _unit_sum(g))
-    if W.requires_grad:
-        ad._accum(W, x.mT @ g)
+    ad._accum(W, x.mT @ g)
     return g @ W.data.mT
 
 
@@ -249,18 +248,16 @@ def stack_field(params: ObsNodeParams):
 
     def unstack(g):
         for i, (W, _) in enumerate(first):
-            if W.requires_grad:
-                # the z rows and the control rows arrive as two zero-padded
-                # gradients, as from two slices of W in the op graph
-                k = (i + 1) * d_y
-                for rows, part in ((slice(0, k), g[i, :k]), (slice(k, None), tensors[1].grad[i])):
-                    full = np.zeros_like(W.data)
-                    full[rows] = part
-                    ad._accum(W, full)
+            # the z rows and the control rows arrive as two zero-padded
+            # gradients, as from two slices of W in the op graph
+            k = (i + 1) * d_y
+            for rows, part in ((slice(0, k), g[i, :k]), (slice(k, None), tensors[1].grad[i])):
+                full = np.zeros_like(W.data)
+                full[rows] = part
+                ad._accum(W, full)
         for ts, stacked in zip(stacks, tensors[2:]):
             for t, gt in zip(ts, stacked.grad):
-                if t.requires_grad:
-                    ad._accum(t, gt)
+                ad._accum(t, gt)
 
     # every use of the field accumulates into the first stacked tensor, so
     # the node's backward pass runs whenever any of them has a gradient
@@ -316,10 +313,8 @@ def stack_field(params: ObsNodeParams):
                     gx = _affine_vjp(gpre, y, W, b)
                     gpre = gx * s if leaky else act_vjp(gx, s, y)
                 gc = _unit_sum(gpre) if c.shape[1] == 1 else gpre
-                if b0.requires_grad:
-                    ad._accum(b0, _unit_sum(gc))
-                if W0c.requires_grad:
-                    ad._accum(W0c, ctrl.T @ gc)
+                ad._accum(b0, _unit_sum(gc))
+                ad._accum(W0c, ctrl.T @ gc)
                 chain = np.zeros_like(g)
                 chain[:, d_y:] = g[:, :-d_y]
                 return _affine_vjp(gpre, z, W0z).sum(axis=0) + chain
@@ -352,12 +347,7 @@ def triangular_rhs(z, a, params: ObsNodeParams):
     out, vjp = field(a.data)(z.data)
     ad._check_finite("triangular_rhs", out)
 
-    def backward(g):
-        gz = vjp(g)
-        if z.requires_grad:
-            ad._accum(z, gz)
-
-    return ad._record(Tensor(out), [z, *tensors], backward)
+    return ad._record(Tensor(out), [z, *tensors], lambda g: ad._accum(z, vjp(g)))
 
 
 def emit(z, cfg: ObsNodeConfig):
@@ -446,7 +436,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                 h, (r, u, cand, rh), xk = hs[k - 1], saved[k - 1], x[k - 1]
                 # the gradient of the state before step k: that state's own
                 # tensor at the segment's end, else a scratch one
-                into = states.get(k - 1) if k - 1 == bottom else Tensor(())
+                into = states.get(k - 1) if k - 1 == bottom else Tensor((), requires_grad=True)
                 grad_h = k > 1
                 # Reverse op order: the convex combination, the candidate,
                 # then the update gate, then the reset gate; last the
@@ -472,14 +462,12 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                 for (Wg, Ug, bg), gW, gUg, gb in zip(gates, np.matmul(xk.mT, G), gU,
                                                      _unit_sum(G)):
                     for t, gt in ((Wg, gW), (Ug, gUg), (bg, gb)):
-                        if t.requires_grad:
-                            ad._accum(t, gt)
-                if b_impute.requires_grad:
-                    # the whole input gradient: a product over fewer
-                    # columns rounds otherwise
-                    gx = np.matmul(G, WT)
-                    gx = gx[2] + gx[1] + gx[0]
-                    ad._accum(b_impute, _unit_sum(gx[:, :d_y] * unobs[k - 1]))
+                        ad._accum(t, gt)
+                # the whole input gradient: a product over fewer columns
+                # rounds otherwise
+                gx = np.matmul(G, WT)
+                gx = gx[2] + gx[1] + gx[0]
+                ad._accum(b_impute, _unit_sum(gx[:, :d_y] * unobs[k - 1]))
                 if k - 1 > bottom:
                     g = into.grad
 

@@ -134,8 +134,7 @@ def _step(f, z, h, rk4, params, t):
         else:
             gz = g + v1(g * h)
         ad._check_finite(f"integrate: the state gradient at t={t}", gz)
-        if z.requires_grad:
-            ad._accum(z, gz)
+        ad._accum(z, gz)
 
     return ad._record(Tensor(out), (z, *params), backward)
 

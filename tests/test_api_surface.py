@@ -1,6 +1,7 @@
 """Every function and method in ``src/obsnode`` has a caller in ``src/``,
-every function there reads each of its parameters, and every field of a
-config dataclass is read outside the checks of its own ``__post_init__``.
+every function there reads each of its parameters, every field of a
+config dataclass is read outside the checks of its own ``__post_init__``,
+and ``requires_grad`` is read only where the gradient rule lives.
 
 A name counts as referenced when a module other than its own body uses it:
 a module-level function by its bare name (in its own module, or in a module
@@ -162,3 +163,43 @@ def test_every_config_field_is_read():
 def test_field_allowlist_is_current():
     # a field that src/ reads, or that is gone, leaves the allowlist
     assert sorted(unread_config_fields(allowed={})) == sorted(ALLOWED_FIELDS)
+
+
+# The functions of src/ that touch ``Tensor.requires_grad``. ``_accum`` alone
+# decides which tensors take a gradient; a backward pass hands every input
+# its gradient and tests no flag, so a guard there fails the scan.
+REQUIRES_GRAD_READERS = {
+    "autodiff.Tensor.__init__": "sets the flag",
+    "autodiff.Tensor.__repr__": "shows the flag",
+    "autodiff._accum": "the gradient rule",
+    "autodiff._record": "a node is recorded when an input requires grad",
+    "autodiff.grad_check": "sets the flag of the tensor it checks, then restores it",
+    "model.stack_field": "the stacked tensors require grad when their assembly is recorded",
+    "model._gru_states": "the taped test: keep the gates for a backward pass",
+    "model.triangular_rhs": "refuses a control that requires grad",
+}
+
+
+def requires_grad_readers():
+    """'module.qualname' of the innermost function around each use of
+    ``.requires_grad`` in src/; a nested function or lambda is named by
+    its path, so a backward closure is not its maker."""
+    found = set()
+
+    def walk(node, mod, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                  ast.Lambda)):
+                walk(child, mod, path + [getattr(child, "name", "<lambda>")])
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "requires_grad":
+                    found.add(".".join([mod] + path))
+                walk(child, mod, path)
+
+    for p in sorted(SRC.glob("*.py")):
+        walk(ast.parse(p.read_text()), p.stem, [])
+    return found
+
+
+def test_requires_grad_is_read_only_by_the_gradient_rule():
+    assert sorted(requires_grad_readers()) == sorted(REQUIRES_GRAD_READERS)

@@ -146,6 +146,13 @@ class TestBackward:
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [2.0])
 
+    def test_loss_that_requires_no_grad_is_not_seeded(self):
+        # _accum decides for the loss as for any tensor
+        with Tape() as tape:
+            loss = ad.tsum(Tensor([1.0, 2.0]))
+            tape.backward(loss)
+        assert loss.grad is None and len(tape) == 0
+
     def test_accumulation_without_reset(self):
         x = Tensor([3.0], requires_grad=True)
         for _ in range(2):
@@ -278,6 +285,26 @@ def op_case(draw, name):
     return Tensor(x), lambda t: ad.tsum(ad.hadamard(f(t), w))
 
 
+@st.composite
+def op_node(draw, name):
+    """(arrays, f): every input of one node of the op `name`, and a function
+    of their Tensors that records it; the other arguments are drawn."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    op = getattr(ad, name)
+    if name in ("add", "sub", "hadamard"):
+        return [_array(draw, (r, c)), _array(draw, (r, c))], op
+    if name == "matmul":
+        return [_array(draw, (r, c)), _array(draw, (c, draw(st.integers(1, 4))))], op
+    if name == "concat":
+        axis = draw(st.sampled_from([0, 1, -1]))
+        shapes = [[r, c] for _ in range(draw(st.integers(1, 3)))]
+        for shape in shapes:
+            shape[axis] = draw(st.integers(1, 3))
+        return [_array(draw, tuple(s)) for s in shapes], lambda *ts: op(ts, axis=axis)
+    x, f = draw(op_case(name))  # a unary op: its one input
+    return [x.data], f
+
+
 class TestOpSweep:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -285,6 +312,30 @@ class TestOpSweep:
     def test_op_gradient_matches_finite_differences(self, name, data):
         x, f = data.draw(op_case(name), label="case")
         assert grad_check(lambda: f(x), x) < 1e-6
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("name", _perfbench_ops())
+    def test_frozen_inputs_take_no_gradient(self, name, data):
+        # a node's inputs, some frozen (requires_grad False): each frozen
+        # one ends with no gradient, and every other gradient is bitwise
+        # that of the run with every input active
+        arrays, f = data.draw(op_node(name), label="node")
+        frozen = data.draw(st.sets(st.sampled_from(range(len(arrays)))), label="frozen")
+        w = np.random.default_rng(0).normal(size=f(*map(Tensor, arrays)).shape)
+
+        def grads(frozen):
+            ts = [Tensor(x.copy(), requires_grad=i not in frozen) for i, x in enumerate(arrays)]
+            with Tape() as tape:
+                tape.backward(ad.tsum(ad.hadamard(f(*ts), Tensor(w))))
+            return [t.grad for t in ts]
+
+        active = grads(set())
+        for i, g in enumerate(grads(frozen)):
+            if i in frozen:
+                assert g is None
+            else:
+                assert g.tobytes() == active[i].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(["add", "sub", "hadamard"]),

@@ -63,6 +63,17 @@ def workspace(tmp_path_factory):
             "sim": sim, "train": trn, "eval": evl}
 
 
+@pytest.fixture(scope="module")
+def tiny_dataset(workspace):
+    """A 3-patient dataset on the workspace's grid: one unit per split."""
+    ds = workspace["root"] / "tiny_ds"
+    sim = write_json(workspace["root"] / "tiny_sim.json", {
+        "format_version": 1, "kind": "cancer", "output_dir": str(ds),
+        "params": {"n_patients": 3, "n_cycles": 2, "dt": 0.5, "obs_every": 3, "seed": 1}})
+    assert main(["simulate", "--config", sim]) == 0
+    return ds
+
+
 class TestExitCodes:
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
@@ -776,15 +787,21 @@ class TestConfigTypes:
         assert "Traceback" not in err
         assert report.exists() == (rc != 2)
 
-    @pytest.mark.parametrize("command", ["simulate_cancer", "simulate_semi", "evaluate"])
+    @pytest.mark.parametrize("command", ["simulate_cancer", "simulate_semi", "evaluate",
+                                         "train"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_values_inside_their_types(self, workspace, command, data):
+    def test_values_inside_their_types(self, workspace, tiny_dataset, command, data):
         # an extreme value of one field's own type: the command runs and
         # writes its artifacts, or rejects it and leaves no output directory.
-        # train is left out: epochs 10**6 is hours of valid work.
+        # train draws its model and train fields on 3 patients, all but
+        # epochs, which stays 1: epochs 10**6 is hours of valid work.
         sub, base, fields = fuzz_bases(workspace)[command]
+        if sub == "train":
+            base = dict(base, dataset_dir=str(tiny_dataset))
+            fields = [(path, hint) for path, hint in fuzz_bases(workspace)["model"][2] + fields
+                      if path != ("train", "epochs")]
         path, kind = data.draw(st.sampled_from(
             [(path, kind) for path, hint in fields
              for kind in own_types(hint) & {bool, int, float, list}]), label="field")
@@ -795,12 +812,14 @@ class TestConfigTypes:
             section = section[key]
         section[path[-1]] = data.draw(st.sampled_from(
             [v for v in EXTREME_VALUES[kind] if v not in slow]), label="value")
-        out = Path(cfg["output_dir"])
+        out_key, artifact = {"simulate": ("output_dir", "manifest.json"),
+                             "evaluate": ("output_dir", "rmse_grid.csv"),
+                             "train": ("run_dir", "checkpoint.json")}[sub]
+        out = Path(cfg[out_key])
         shutil.rmtree(out, ignore_errors=True)
         rc, err = run_config(sub, cfg, workspace["root"] / "fuzz.json")
         assert rc in (0, 2, 3, 4)
         assert "Traceback" not in err
-        artifact = "manifest.json" if sub == "simulate" else "rmse_grid.csv"
         assert out.exists() == (out / artifact).exists() == (rc == 0)
 
     @pytest.mark.parametrize("params,keys", [

@@ -16,16 +16,18 @@ sums only: they agree to 1e-12 relative.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
 from obsnode import model
-from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, encode_prefixes,
-                           stack_field, triangular_rhs)
+from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
+                           encode_prefixes, forecast, stack_field, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
+from obsnode.simulate import Trajectory
+from obsnode.train import TrainConfig, _batch_loss, evaluate_loss, stack_units
 from support import value_at
 
 
@@ -96,21 +98,16 @@ def ref_first_layer(params):
 def ref_bmm(x, W):
     """The batched product x (m, n, v) @ W (m, v, w), block by block."""
     def bw(g):
-        if x.requires_grad:
-            ad._accum(x, g @ W.data.mT)
-        if W.requires_grad:
-            ad._accum(W, x.data.mT @ g)
+        ad._accum(x, g @ W.data.mT)
+        ad._accum(W, x.data.mT @ g)
 
     return ad._record(Tensor(x.data @ W.data), (x, W), bw)
 
 
 def ref_swap(x):
     """The blocks' outputs (m, n, d_y) as (n, m, d_y)."""
-    def bw(g):
-        if x.requires_grad:
-            ad._accum(x, g.transpose(1, 0, 2))
-
-    return ad._record(Tensor(x.data.transpose(1, 0, 2)), (x,), bw)
+    return ad._record(Tensor(x.data.transpose(1, 0, 2)), (x,),
+                      lambda g: ad._accum(x, g.transpose(1, 0, 2)))
 
 
 def ref_shared(x, m):
@@ -199,10 +196,10 @@ def run_node(node, inputs, params, seed, zeros=0.2):
     zero, with its sign, show in the bits."""
     rng = np.random.default_rng(seed)
     for t in list(inputs) + params:
-        t.grad = None
-        if t.requires_grad:
-            t.grad = rng.normal(size=t.data.shape)
-            t.grad[rng.uniform(size=t.data.shape) < zeros] = -0.0
+        # drawn for every tensor, so freezing one leaves the others' draws
+        buf = rng.normal(size=t.data.shape)
+        buf[rng.uniform(size=t.data.shape) < zeros] = -0.0
+        t.grad = buf if t.requires_grad else None
     with Tape() as tape:
         out = node(*inputs)
         w = rng.normal(size=out.data.shape)
@@ -474,6 +471,148 @@ class TestNoLookAhead:
                 results.append([z.data] + [t.grad for t in params.tensors()])
         for other in results[1:]:
             assert_bitwise(other, results[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(["euler", "rk4"]), n=st.sampled_from([1, 3]),
+           knot_at_s=st.booleans(), data=st.data(), seed=st.integers(0, 2**16))
+    def test_prediction_reads_no_control_past_its_time(self, method, n, knot_at_s, data,
+                                                        seed):
+        # two control paths that agree before s, the second with a new knot
+        # at s or with its first new knot after s: the predictions at the
+        # query times up to s are bitwise equal, whatever step grid the
+        # knots after s cut
+        cfg = phi_config(2, 2, 2, "tanh", 1, True)
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, size=4))])
+        values = rng.uniform(0.0, 3.0, size=(times.size, n, 2))
+        s = data.draw(st.one_of(st.floats(0.5, 9.5), st.sampled_from(list(times[1:]))),
+                      label="s")
+        keep = times < s
+        new = s + np.concatenate([[0.0] if knot_at_s else [],
+                                  np.cumsum(rng.uniform(0.01, 2.0, size=3))])
+        other = ControlPath(np.concatenate([times[keep], new]),
+                            np.concatenate([values[keep], rng.uniform(0.0, 3.0, size=(
+                                new.size, n, 2))]))
+        qts = list(rng.uniform(0.05, 12.0, size=6)) + data.draw(
+            st.lists(st.just(s), max_size=1), label="query at s")
+        int_cfg = IntegrationConfig(method=method,
+                                    step_size=data.draw(st.floats(0.1, 1.0), label="step"))
+        z0 = rng.normal(size=(n, cfg.d_z))
+        preds = [forecast(EncodedState(z=Tensor(z0.copy()), t=0.0), control, qts,
+                          make_params(cfg, seed), int_cfg)
+                 for control in (ControlPath(times, values), other)]
+        for qt, p, q in zip(qts, *preds):
+            if qt <= s:
+                assert p.data.tobytes() == q.data.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1, 3]), change=st.sampled_from(["y", "mask", "a"]),
+           method=st.sampled_from(["euler", "rk4"]), data=st.data(),
+           seed=st.integers(0, 2**16))
+    def test_loss_reads_nothing_past_its_last_target(self, n, change, method, data, seed):
+        # y values, mask flips or treatments changed after the last target
+        # of the decision times (max_horizon set): _batch_loss's value and
+        # every parameter gradient, and evaluate_loss's value, stay bitwise
+        # equal
+        T = 12
+        hist = random_history(2, 2, T, n, seed)
+        t_cs = data.draw(st.lists(st.sampled_from(list(hist.times[:6])), min_size=1,
+                                  max_size=3), label="decision times")
+        # at least the widest spacing, so every decision time has a target
+        horizon = data.draw(st.floats(2.0, 5.0), label="max_horizon")
+        last = max(hist.times[window(hist.times, t, t + horizon)[1]][-1] for t in t_cs)
+        after = hist.times > last
+        assume(after.any())
+        tcfg = TrainConfig(decision_time_grid=t_cs, t_f=1e9, int_method=method, int_step=0.3,
+                           max_horizon=horizon)
+        cfg = ObsNodeConfig(d_y=2, m=2, d_a=2, phi_hidden_dim=4, encoder_hidden_dim=4)
+        rng = np.random.default_rng(seed + 3)
+        results = []
+        for changed in (False, True):
+            y, mask, a = hist.y.copy(), hist.mask.copy(), hist.a.copy()
+            if changed and change == "mask":
+                mask[after] = 1.0 - mask[after]
+            elif changed:
+                part = {"y": y, "a": a}[change]
+                part[after] += rng.normal(size=part[after].shape)
+            trajs = [Trajectory(unit_id=i, times=hist.times, y=y[:, i], mask=mask[:, i],
+                                a=a[:, i]) for i in range(n)]
+            params = make_params(cfg, seed)
+            with Tape() as tape:
+                loss = _batch_loss(stack_units(trajs), t_cs[0], params, np.ones(2),
+                                   IntegrationConfig(method, 0.3), max_horizon=horizon)
+                tape.backward(loss)
+            val = evaluate_loss(trajs, params, np.ones(2), t_cs, tcfg)
+            results.append([loss.data, np.float64(val)]
+                           + [t.grad for t in params.tensors()])
+        assert_bitwise(*results)
+
+
+class TestFrozenInputs:
+    """A frozen input (requires_grad False) of a fused node ends with no
+    gradient, and every other gradient, accumulated into a pre-filled
+    buffer, is bitwise that of the run with every input active."""
+
+    @staticmethod
+    def check(run, names, candidates, data):
+        """run(frozen) gives the run_node results of the tensors `names`;
+        a set of `candidates` is drawn and frozen."""
+        frozen = data.draw(st.sets(st.sampled_from(candidates)), label="frozen")
+        active, part = run(set()), run(frozen)
+        assert active[0].tobytes() == part[0].tobytes()
+        for name, a, p in zip(names, active[1:], part[1:]):
+            assert p is None if name in frozen else p.tobytes() == a.tobytes()
+
+    @staticmethod
+    def params(cfg, seed, frozen):
+        params = make_params(cfg, seed)
+        for name in frozen - {"z"}:
+            params.by_name[name].requires_grad = False
+        return params
+
+    @settings(max_examples=25, deadline=None)
+    @given(act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
+           n=st.sampled_from([1, 4]), node=st.sampled_from(["rhs", "euler", "rk4"]),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_field(self, act, layers, n, node, data, seed):
+        # the field alone (triangular_rhs) and through integrate, its state
+        # and per-block tensors frozen at random
+        cfg = phi_config(2, 2, 2, act, layers, True)
+        rng = np.random.default_rng(seed)
+        z0, a = rng.normal(size=(n, cfg.d_z)), Tensor(rng.normal(size=(n, 2)))
+        control = ControlPath(np.array([0.0, 0.6]), rng.normal(size=(2, n, 2)))
+
+        def run(frozen):
+            params = self.params(cfg, seed, frozen)
+
+            def f(z):
+                if node == "rhs":
+                    return triangular_rhs(z, a, params)
+                field, tensors = stack_field(params)
+                return ad.concat(integrate(field, z, control, 0.0, 1.5,
+                                           IntegrationConfig(node, 0.25), [0.7, 1.5],
+                                           tensors), axis=1)
+
+            z = Tensor(z0.copy(), requires_grad="z" not in frozen)
+            return run_node(f, (z,), params.tensors(), seed + 2)
+
+        names = ["z"] + [name for name, _ in model.param_shapes(cfg)]
+        self.check(run, names, [n for n in names if n == "z" or n.startswith("phi")], data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([1, 3]), data=st.data(), seed=st.integers(0, 2**16))
+    def test_encode(self, n, data, seed):
+        # the encoder and its head, their tensors frozen at random
+        cfg = ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=4)
+        hist = random_history(2, 1, 9, n, seed)
+
+        def run(frozen):
+            params = self.params(cfg, seed, frozen)
+            return run_node(lambda: ad.concat([s.z for s in encode_prefixes(
+                hist, params, [9, 3, 5])], axis=0), (), params.tensors(), seed + 2)
+
+        self.check(run, [name for name, _ in model.param_shapes(cfg)],
+                   ENCODER + ("head.W", "head.b"), data)
 
 
 class TestStepNode:
