@@ -261,32 +261,30 @@ def _leaky_relu(x):
     return np.maximum(x, y, out=y)
 
 
-def _leaky_relu_slope(x):
-    """The leaky ReLU's derivative d at x: 1.0 where x >= 0 (-0.0 too),
-    LEAKY_RELU_SLOPE elsewhere (NaN too). x * d is bitwise max(x, slope x)
-    and g * d is bitwise the select of g or slope g, signed zeros,
-    infinities and NaN included, so a forward pass that keeps d serves the
-    VJP with one multiply."""
-    return np.maximum(x >= 0, LEAKY_RELU_SLOPE)
-
-
-# Activations on plain arrays: name -> (forward(x), vjp(g, x, y)), where y is
-# forward(x). The activation ops and the fused model nodes share these, so
-# both round their arithmetic identically.
+# Activations on plain arrays: name -> (forward(x), keep(x), vjp(g, kept, y)),
+# where y is forward(x) and kept is keep(x), what the VJP reads besides y:
+# nothing for tanh and sigmoid, the mask x >= 0 for the leaky ReLU. Its VJP
+# rebuilds the derivative as max(mask, LEAKY_RELU_SLOPE): 1.0 where x >= 0
+# (-0.0 too), the slope elsewhere (NaN too), and g times it is bitwise the
+# select of g or slope g. The mask is kept because y cannot give it back:
+# for x in (-50 * 2^-1074, 0) slope x rounds to -0.0, as y is at x = -0.0.
+# The activation ops and the fused model nodes share these, so both keep
+# the same state and round their arithmetic identically.
 ACTIVATIONS = {
-    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
-    "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
-    "leakyrelu": (_leaky_relu, lambda g, x, y: g * _leaky_relu_slope(x)),
+    "tanh": (np.tanh, lambda x: None, lambda g, kept, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda x: None, lambda g, kept, y: g * y * (1.0 - y)),
+    "leakyrelu": (_leaky_relu, lambda x: x >= 0,
+                  lambda g, mask, y: g * np.maximum(mask, LEAKY_RELU_SLOPE)),
 }
 
 
 def _activation(kind, a):
-    fwd, vjp = ACTIVATIONS[kind]
+    fwd, keep, vjp = ACTIVATIONS[kind]
     y = fwd(a.data)
     out = Tensor(y)
 
     def bw(g):
-        _accum(a, vjp(g, a.data, y))
+        _accum(a, vjp(g, keep(a.data), y))
 
     return _record(out, (a,), bw)
 

@@ -42,8 +42,10 @@ class ObsNodeConfig:
             self.treatment_scale = tuple(float(s) for s in self.treatment_scale)
             if len(self.treatment_scale) != self.d_a:
                 raise ConfigError("treatment_scale must have d_a entries")
-            if any(s <= 0 for s in self.treatment_scale):
-                raise ConfigError("treatment_scale entries must be positive")
+            # below about 5.6e-309, 1 / s overflows and the scaled doses are inf
+            if not all(s > 0 and np.isfinite(1.0 / s) for s in self.treatment_scale):
+                raise ConfigError("treatment_scale entries must be positive, "
+                                  "with a finite reciprocal")
         if self.phi_activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.phi_activation!r}")
 
@@ -267,8 +269,7 @@ def stack_field(params: ObsNodeParams):
         t.requires_grad = tensors[0].requires_grad
     W0z, W0c, b0, *rest = tensors
     later = list(zip(rest[::2], rest[1::2]))
-    act, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
-    leaky = cfg.phi_activation == "leakyrelu"
+    act, keep, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
     inv_scale = None if cfg.treatment_scale is None else 1.0 / np.asarray(cfg.treatment_scale)
     # the later layers' biases tiled to (m, n, w) per batch size n: a
     # contiguous add costs a third of a broadcast one at n = 100. The tiles
@@ -280,6 +281,7 @@ def stack_field(params: ObsNodeParams):
         if inv_scale is not None:
             ctrl = ctrl * inv_scale
         c = ctrl @ W0c.data + b0.data  # (m, 1 or n, w)
+        shared = c.shape[1] == 1  # the VJP keeps this, so c dies with the segment
 
         def f(z):
             """(dz/dt, vjp) at the state z; vjp is None unless a tape is
@@ -290,16 +292,11 @@ def stack_field(params: ObsNodeParams):
             taped = ad._active_tape() is not None
             pre = z @ W0z.data
             pre += c
-            cache = []  # (pre-activation or leaky slope, activation) per hidden layer
+            cache = []  # (what the VJP keeps, activation) per hidden layer
             for (W, _), tile in zip(later, tiles[n]):
-                if taped and leaky:
-                    d = ad._leaky_relu_slope(pre)
-                    y = pre * d
-                    cache.append((d, y))
-                else:
-                    y = act(pre)
-                    if taped:
-                        cache.append((pre, y))
+                y = act(pre)
+                if taped:
+                    cache.append((keep(pre), y))
                 pre = y @ W.data
                 pre += tile
             out = pre.transpose(1, 0, 2).reshape(n, d_z)
@@ -309,10 +306,9 @@ def stack_field(params: ObsNodeParams):
 
             def vjp(g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
-                for (W, b), (s, y) in zip(reversed(later), reversed(cache)):
-                    gx = _affine_vjp(gpre, y, W, b)
-                    gpre = gx * s if leaky else act_vjp(gx, s, y)
-                gc = _unit_sum(gpre) if c.shape[1] == 1 else gpre
+                for (W, b), (kept, y) in zip(reversed(later), reversed(cache)):
+                    gpre = act_vjp(_affine_vjp(gpre, y, W, b), kept, y)
+                gc = _unit_sum(gpre) if shared else gpre
                 ad._accum(b0, _unit_sum(gc))
                 ad._accum(W0c, ctrl.T @ gc)
                 chain = np.zeros_like(g)
@@ -390,8 +386,8 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     Uh = enc["Uh"]
     H = Uh.data.shape[0]
     ad._check_finite("encode_prefixes", x)
-    sig, sig_vjp = ad.ACTIVATIONS["sigmoid"]
-    tanh, tanh_vjp = ad.ACTIVATIONS["tanh"]
+    sig, _, sig_vjp = ad.ACTIVATIONS["sigmoid"]
+    tanh, _, tanh_vjp = ad.ACTIVATIONS["tanh"]
     inputs = (b_impute, *(t for gate in gates for t in gate))
     taped = ad._active_tape() is not None and any(t.requires_grad for t in inputs)
     # the gates' weights stacked, (3, ., H) and (2, H, H): one call makes

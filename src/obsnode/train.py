@@ -262,7 +262,10 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         if skipped > 0.1 * n_batches:
             raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")
-        val = _record_loss(val_record, params, sigma2, val_times, tcfg)
+        try:
+            val = _record_loss(val_record, params, sigma2, val_times, tcfg)
+        except NumericError as e:
+            raise NumericError(f"epoch {epoch} validation: {e}") from e
         history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                         "val_loss": val})
         if val < best[0]:

@@ -97,7 +97,8 @@ def unread_parameters():
     """'module.function(parameter)' for each parameter of a function, method
     or lambda in src/ that its body (nested functions included) never reads.
     Dunder methods are exempt, and so are the ACTIVATIONS lambdas, which
-    share one (g, x, y) signature whether or not they need x."""
+    share one keep(x) and one vjp(g, kept, y) signature whether or not they
+    read x or kept."""
     unread = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -56,18 +56,19 @@ class TestForwardOps:
     def test_leaky_relu_matches_its_select_form_bitwise(self, x, g):
         # max(x, slope x) and the select of the slope on g against the
         # np.where / multiply forms, signed zeros and subnormals included
-        fwd, vjp = ad.ACTIVATIONS["leakyrelu"]
+        fwd, keep, vjp = ad.ACTIVATIONS["leakyrelu"]
         g = g[:x.size]
         slope = ad.LEAKY_RELU_SLOPE
         assert fwd(x).tobytes() == np.where(x >= 0, x, slope * x).tobytes()
-        assert (vjp(g, x, fwd(x)).tobytes()
+        assert (vjp(g, keep(x), fwd(x)).tobytes()
                 == (g * np.where(x >= 0, 1.0, slope)).tobytes())
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), size=st.integers(1, 8))
     def test_sigmoid_matches_its_select_form_bitwise(self, data, size):
         # one division of 1.0 or e by 1 + e against the select of the two
-        # quotients, and the leaky slope's maximum against its select, as
+        # quotients, and the leaky slope rebuilt from its mask against its
+        # select (the VJP of a unit gradient), as
         # int64 views: signed zeros, subnormals, infinities, NaN of either
         # sign, and |x| > 745, where exp(-|x|) underflows to 0
         special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
@@ -77,26 +78,50 @@ class TestForwardOps:
         e = np.exp(-np.abs(x))
         select = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         assert np.array_equal(ad._sigmoid(x).view(np.int64), select.view(np.int64))
+        fwd, keep, vjp = ad.ACTIVATIONS["leakyrelu"]
         slope = np.where(x >= 0, 1.0, ad.LEAKY_RELU_SLOPE)
-        assert np.array_equal(ad._leaky_relu_slope(x).view(np.int64), slope.view(np.int64))
+        assert np.array_equal(vjp(np.ones(size), keep(x), fwd(x)).view(np.int64),
+                              slope.view(np.int64))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), size=st.integers(1, 8))
     def test_saved_leaky_slope_matches_the_activation_bitwise(self, data, size):
-        # the taped field keeps d = _leaky_relu_slope(x) and computes x * d
-        # forward and g * d backward: as int64 views, the activation and
-        # both of its VJP forms, at signed zeros, subnormals, infinities and
-        # NaN of either sign
+        # the taped field keeps the mask x >= 0, from which the VJP
+        # rebuilds the slope d = max(mask, slope): as int64 views, x * d is
+        # the activation and g * d both of its VJP forms, at signed zeros,
+        # subnormals, infinities and NaN of either sign
         special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
                                    np.nan, -np.nan])
         values = st.one_of(special, st.floats(allow_nan=False, allow_subnormal=True))
         x, g = (data.draw(hnp.arrays(np.float64, size, elements=values)) for _ in range(2))
-        fwd, vjp = ad.ACTIVATIONS["leakyrelu"]
-        d = ad._leaky_relu_slope(x)
+        fwd, keep, vjp = ad.ACTIVATIONS["leakyrelu"]
+        d = np.maximum(keep(x), ad.LEAKY_RELU_SLOPE)
         select = np.where(x >= 0, g, ad.LEAKY_RELU_SLOPE * g)
         assert np.array_equal((x * d).view(np.int64), fwd(x).view(np.int64))
-        assert np.array_equal((g * d).view(np.int64), vjp(g, x, fwd(x)).view(np.int64))
+        assert np.array_equal((g * d).view(np.int64), vjp(g, keep(x), fwd(x)).view(np.int64))
         assert np.array_equal((g * d).view(np.int64), select.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_kept_mask_gives_the_slope_that_y_cannot(self, data):
+        # at x = -k 2^-1074 for k < 50, slope x rounds to -0.0, so the
+        # activation is -0.0 there as at x = -0.0, yet the slope is 0.01:
+        # the mask the taped passes keep gives the slope where x >= 0 gives
+        # it, as int64 views, also at +-0, +-inf and NaN of either sign,
+        # and reading it back from y would not
+        band = st.integers(1, 49).map(lambda k: -k * 5e-324)
+        special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+        x = np.array([data.draw(band)] + data.draw(st.lists(st.one_of(band, special),
+                                                            max_size=7)))
+        fwd, keep, vjp = ad.ACTIVATIONS["leakyrelu"]
+        y = fwd(x)
+        tiny = (x < 0) & (x > -50 * 5e-324)
+        assert np.array_equal(y[tiny].view(np.int64), np.full(tiny.sum(), -0.0).view(np.int64))
+        slope = np.where(x >= 0, 1.0, ad.LEAKY_RELU_SLOPE)
+        assert np.array_equal(vjp(np.ones_like(x), keep(x), y).view(np.int64),
+                              slope.view(np.int64))
+        from_y = np.where(y >= 0, 1.0, ad.LEAKY_RELU_SLOPE)
+        assert (from_y[tiny] == 1.0).all() and (slope[tiny] == ad.LEAKY_RELU_SLOPE).all()
 
     def test_shape_mismatch_names_operation(self):
         with pytest.raises(ShapeMismatch) as e:

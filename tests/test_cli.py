@@ -611,6 +611,42 @@ def test_diverging_training_is_numeric_error(tmp_path):
     assert "batches diverged" in err
     assert not (tmp_path / "run").exists()
 
+def tiny_train_config(workspace, tiny_dataset, tmp_path, section, **values):
+    """The workspace's train config on the 3-patient dataset, with `values`
+    set in its `section`, writing its run under tmp_path."""
+    cfg = json.loads(Path(workspace["train"]).read_text())
+    cfg.update(dataset_dir=str(tiny_dataset), run_dir=str(tmp_path / "run"))
+    cfg[section].update(values)
+    return cfg
+
+
+def test_failed_validation_names_its_epoch(workspace, tiny_dataset, tmp_path):
+    # at learning rate 1e300 epoch 0's one Adam step leaves parameters the
+    # solver cannot integrate with, so its validation pass fails: exit 4,
+    # naming the epoch and the phase before the solver's own message
+    cfg = tiny_train_config(workspace, tiny_dataset, tmp_path, "train", learning_rate=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 4
+    assert err.startswith("numeric error: epoch 0 validation: integrate: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-309])
+def test_treatment_scale_with_an_infinite_reciprocal_is_config_error(
+        workspace, tiny_dataset, tmp_path, scale):
+    # 1 / scale overflows, so the scaled doses would be inf: refused as a
+    # config value (exit 2, naming the key), not reported as divergence
+    cfg = tiny_train_config(workspace, tiny_dataset, tmp_path, "model",
+                            treatment_scale=[scale, 1.0])
+    rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 2
+    assert "treatment_scale" in err
+    assert not (tmp_path / "run").exists()
+
+
 def run_main(argv):
     """`obsnode *argv`; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

@@ -221,13 +221,15 @@ class TestSharedEncoder:
 
 
 def test_inference_keeps_no_backward_state(monkeypatch):
-    # with the leaky ReLU's saved-slope helper made to raise, the untaped
-    # rmse_grid and validation loss still complete, so neither builds the
-    # state a backward pass would read; under a tape rmse_grid reaches it
+    # with every activation's keep (what its VJP reads besides y, the leaky
+    # ReLU's mask here) made to raise, the untaped rmse_grid and validation
+    # loss still complete, so neither builds the state a backward pass
+    # would read; under a tape rmse_grid reaches it
     def taped_only(x):
         raise AssertionError("backward state built without a tape")
 
-    monkeypatch.setattr(ad, "_leaky_relu_slope", taped_only)
+    for kind, (fwd, _, vjp) in list(ad.ACTIVATIONS.items()):
+        monkeypatch.setitem(ad.ACTIVATIONS, kind, (fwd, taped_only, vjp))
     rng = np.random.default_rng(0)
     trajs, _ = linear_trajs(n=4, T=9, d_y=1, seed=3)
     params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=4,

@@ -14,6 +14,8 @@ input products are rows of a larger product), in the rounding of their
 sums only: they agree to 1e-12 relative.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -649,6 +651,35 @@ class TestStepNode:
         # the assembly node, one node per step (3 to the knot at 0.6, 1 to
         # the query at 0.7, 4 to 1.5) and the loss's 4
         assert sizes[0] == 1 + 8 + 4
+
+
+class TestTapeBytes:
+    @pytest.mark.parametrize("act,entry_bytes", [("leakyrelu", 9), ("tanh", 8)])
+    def test_taped_solve_keeps_only_what_the_vjps_read(self, act, entry_bytes):
+        # after a taped RK4 solve at n = 25 the tape holds, per step, stage
+        # and hidden layer, the (m, n, w) activation (8 bytes an entry) and
+        # for the leaky ReLU its one-byte mask, with 25% to spare for the
+        # states, the closures and the control terms; a float64 slope or
+        # pre-activation kept as well, 16 bytes an entry, breaks the bound
+        m, n, w, layers, steps = 2, 25, 32, 2, 16
+        cfg = ObsNodeConfig(d_y=1, m=m, d_a=1, phi_hidden_dim=w, phi_layers=layers,
+                            phi_activation=act, encoder_hidden_dim=3)
+        params = make_params(cfg, 5)
+        rng = np.random.default_rng(6)
+        z = Tensor(rng.normal(size=(n, cfg.d_z)), requires_grad=True)
+        control = ControlPath(np.arange(4.0), rng.normal(size=(4, n, 1)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                field, tensors = stack_field(params)
+                states = integrate(field, z, control, 0.0, 4.0,
+                                   IntegrationConfig(step_size=0.25), [4.0], tensors)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 + steps and states[0].requires_grad
+        assert held <= 1.25 * steps * 4 * layers * m * n * w * entry_bytes
 
 
 class TestFusedGradCheck:

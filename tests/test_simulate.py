@@ -153,6 +153,32 @@ class TestCancerSimulation:
         redo, = simulate_cancer_cohort([p], cfg, [9], dose_schedule=fact.latents[None])
         np.testing.assert_array_equal(fact.y, redo.y)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), n_cycles=st.integers(2, 4),
+           cycle_days=st.sampled_from([5.0, 10.0, 30.0]), data=st.data(),
+           seed=st.integers(0, 2 ** 16))
+    def test_schedule_changed_from_a_cycle_leaves_the_days_before_it(
+            self, n, n_cycles, cycle_days, data, seed):
+        # no look-ahead: a dose schedule that departs from the factual one
+        # from cycle k on reuses the noise stream, so every record time
+        # before that cycle's start keeps its y and a bitwise; from the
+        # start on the new doses are recorded
+        cfg = tiny_cancer_cfg(n_patients=n, n_cycles=n_cycles, cycle_days=cycle_days,
+                              dt=0.5, seed=seed)
+        ids = list(range(n))
+        patients = sample_cohort_params(cfg, ids)
+        fact = simulate_cancer_cohort(patients, cfg, ids)
+        k = data.draw(st.integers(1, n_cycles - 1), label="k")
+        schedule = np.stack([tr.latents for tr in fact])
+        rng = np.random.default_rng(seed)
+        schedule[:, k:] = rng.uniform(size=schedule[:, k:].shape) * [C_MAX, D_MAX_GY]
+        alt = simulate_cancer_cohort(patients, cfg, ids, dose_schedule=schedule)
+        before = fact[0].times < k * cycle_days
+        for f, g in zip(fact, alt):
+            assert f.y[before].tobytes() == g.y[before].tobytes()
+            assert f.a[before].tobytes() == g.a[before].tobytes()
+            assert not np.array_equal(f.a[~before][0], g.a[~before][0])
+
     def test_treatments_recorded_per_cycle(self):
         cfg = tiny_cancer_cfg(n_cycles=2)
         p = sample_patient_params(np.random.default_rng(0))
