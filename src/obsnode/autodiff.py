@@ -5,10 +5,13 @@ active (``with Tape():``); :meth:`Tape.backward` replays the record once in
 reverse and accumulates gradients into ``Tensor.grad`` of the tensors that
 require grad (:func:`_accum` alone decides which). Binary ops take
 operands of one shape; a broadcast goes through an explicit ``expand`` op, so
-shape bugs fail loudly.
+shape bugs fail loudly. Learnable tensors are :class:`Param` views of one
+flat buffer (:func:`flat_params`), which :class:`Adam` updates whole.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +41,38 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Param(Tensor):
+    """A Tensor whose data is a fixed view of a flat buffer: assigning data
+    writes into the view, so nothing detaches it; another shape raises."""
+
+    __slots__ = ("_view",)
+
+    def __init__(self, view):
+        self._view, self.requires_grad, self.grad = view, True, None
+
+    @property
+    def data(self):
+        return self._view
+
+    @data.setter
+    def data(self, value):
+        if value is not self._view:  # `p.data -= x` has already written
+            if np.shape(value) != self._view.shape:
+                raise ShapeMismatch("Param.data", np.shape(value), self._view.shape)
+            self._view[...] = value
+
+
+def views(flat, shapes):
+    """Views of the consecutive segments of the 1-D array `flat`, in `shapes`."""
+    ends = np.cumsum([math.prod(s) for s in shapes], dtype=int)
+    return [flat[e - math.prod(s):e].reshape(s) for s, e in zip(shapes, ends)]
+
+
+def flat_params(shapes):
+    """Zero Params of `shapes` viewing, in order, one new flat buffer."""
+    return [Param(v) for v in views(np.zeros(sum(math.prod(s) for s in shapes)), shapes)]
 
 
 class Tape:
@@ -317,7 +352,8 @@ def square(a):
 def grad_check(f, x: Tensor) -> float:
     """Max relative error between the tape gradient of the scalar ``f()``
     with respect to x, which f reads and which is perturbed in place, and
-    central differences with step 1e-5.
+    central differences with step 1e-5. x's values and flag are restored
+    whether or not f raises.
 
     Relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
     """
@@ -325,9 +361,11 @@ def grad_check(f, x: Tensor) -> float:
     x.zero_grad()
     prev = x.requires_grad
     x.requires_grad = True
-    with Tape() as tape:
-        tape.backward(f())
-    x.requires_grad = prev
+    try:
+        with Tape() as tape:
+            tape.backward(f())
+    finally:
+        x.requires_grad = prev
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
     x.zero_grad()
 
@@ -336,11 +374,13 @@ def grad_check(f, x: Tensor) -> float:
     nflat = numeric.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f().data)
-        flat[i] = orig - h
-        fm = float(f().data)
-        flat[i] = orig
+        try:
+            flat[i] = orig + h
+            fp = float(f().data)
+            flat[i] = orig - h
+            fm = float(f().data)
+        finally:
+            flat[i] = orig
         _check_finite("grad_check", fp, fm)
         nflat[i] = (fp - fm) / (2.0 * h)
 
@@ -353,37 +393,76 @@ def grad_check(f, x: Tensor) -> float:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Bias-corrected Adam over a list of Tensors, updating ``data`` in place,
-    with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    """Bias-corrected Adam, with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8,
+    over tensors whose data tile one flat buffer in order
+    (:func:`flat_params`): each step gathers the gradients into one flat
+    array and updates the buffer and its moments with whole-buffer ufunc
+    calls, each entry by the arithmetic of a per-tensor update. Clipping
+    sums one float sum of squares per part of `parts` (index groups of the
+    buffer; default: the tensors), in order; an entry in no part is frozen,
+    its gradient zeroed."""
 
-    def __init__(self, tensors, lr=1e-3):
-        self.tensors = list(tensors)
-        self.lr = lr
-        self.t = 0
-        self.m = [np.zeros_like(t.data) for t in self.tensors]
-        self.v = [np.zeros_like(t.data) for t in self.tensors]
+    def __init__(self, tensors, lr=1e-3, parts=None):
+        self.tensors, self.lr, self.t = list(tensors), lr, 0
+        shapes = [t.data.shape for t in self.tensors]
+        self.flat = flat = self.tensors[0].data.base
+        at = lambda a: a.__array_interface__["data"][0]
+        if (flat is None or flat.size != sum(math.prod(s) for s in shapes)
+                or any(at(t.data) != at(v) for t, v in zip(self.tensors, views(flat, shapes)))):
+            raise ValueError("Adam: the tensors must tile one flat buffer in order")
+        # the moments, the gathered gradient and a work array
+        self.m, self.v, self.g, self.w = (np.zeros(flat.size) for _ in range(4))
+        self._grads = views(self.g, shapes)
+        ends = np.cumsum([g.size for g in self._grads])
+        self.parts = parts or [slice(e - g.size, e) for g, e in zip(self._grads, ends)]
+        frozen = np.ones(flat.size, dtype=bool)
+        for p in self.parts:
+            frozen[p] = False
+        self.frozen = np.flatnonzero(frozen)
 
     def zero_grad(self):
         for t in self.tensors:
             t.zero_grad()
 
+    def gather(self):
+        """The gradients, zero where a tensor has none and at the frozen
+        entries, as one flat array: a workspace that a step overwrites."""
+        for t, g in zip(self.tensors, self._grads):
+            if t.grad is not None and t.grad.shape != g.shape:
+                raise ShapeMismatch("Adam.step", g.shape, t.grad.shape)
+            g[...] = 0.0 if t.grad is None else t.grad
+        self.g[self.frozen] = 0.0
+        return self.g
+
+    def _norm(self, g):
+        """The square root of the sum of each part's sum of squares of g."""
+        with np.errstate(over="ignore"):
+            sq = np.multiply(g, g, out=self.w)
+        return np.sqrt(sum(float(np.sum(sq[p])) for p in self.parts))
+
     def step(self, max_grad_norm=None):
-        grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in self.tensors]
-        for t, g in zip(self.tensors, grads):
-            if t.data.shape != g.shape:
-                raise ShapeMismatch("Adam.step", t.data.shape, g.shape)
+        g = self.gather()
         if max_grad_norm is not None:
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if norm > max_grad_norm:
-                grads = [g * (max_grad_norm / norm) for g in grads]
+            norm, unit = self._norm(g), 1.0
+            if norm == np.inf:  # g * g overflowed: measure g / max|g| instead
+                unit = np.max(np.abs(g))
+                norm = self._norm(g / unit)
+            if norm > max_grad_norm / unit:
+                g *= max_grad_norm / unit / norm
         self.t += 1
         b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for t, g, m, v in zip(self.tensors, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
-
+        m, v, w = self.m, self.v, self.w
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=w)
+        v *= b2
+        np.multiply(g, g, out=w)
+        v += np.multiply(w, 1.0 - b2, out=w)
+        np.divide(m, c1, out=w)
+        w *= self.lr
+        np.divide(v, c2, out=g)  # the gradient is spent: g takes the denominator
+        np.sqrt(g, out=g)
+        g += 1e-8
+        w /= g
+        self.flat -= w

@@ -193,7 +193,7 @@ def cmd_train(args):
         if differ:
             raise ConfigError(f"model fields {differ} differ from those of the "
                               f"init_checkpoint {cfg['init_checkpoint']}")
-        init_state = {name: t.data for name, t in init.named_parameters()}
+        init_state = init.state()
     params, history = train(model_cfg, normed, tcfg, run_dir=run_dir,
                             stats=stats, init_state=init_state)
     if history:

@@ -108,7 +108,7 @@ def _linear(x, W, b):
 
 
 def param_shapes(cfg: ObsNodeConfig):
-    """(name, shape) of each parameter in named_parameters order. A
+    """(name, shape) of each checkpoint entry, in checkpoint order. A
     generator, so a checkpoint can be checked against it one tensor at a
     time before anything is allocated."""
     d_y, H, hid = cfg.d_y, cfg.encoder_hidden_dim, cfg.phi_hidden_dim
@@ -168,39 +168,65 @@ def check_dims(record: History, cfg: ObsNodeConfig, where: str):
 
 
 class ObsNodeParams:
-    """All learnable parameters, held by name in :func:`param_shapes` order:
-    phi-block MLPs, gated recurrent encoder, imputation constants, and the
-    affine initial-state head; the other attributes are views of `by_name`."""
+    """All learnable parameters, stored once, as the fused nodes read them:
+    :class:`~obsnode.autodiff.Param` views of one flat buffer, `flat`.
+    `phi` is [W0z, W0c, b0, W1, b1, ...], each stacked over the blocks:
+    W0z (m, d_z, w) holds the first-layer z rows, exactly zero past
+    z^(1..i), W0c the control rows. `enc` is (W (3, k, H), U (2, H, H),
+    Uh, b (3, 1, H)), the gates in r, u, h order. `parts` holds, in
+    :func:`param_shapes` order, each checkpoint entry's positions in `flat`
+    (two slices, joined, for phi{i}.W0). Adam freezes the rest, the
+    padding, so it stays +0.0."""
 
     def __init__(self, cfg: ObsNodeConfig, rng: np.random.Generator):
         self.cfg = cfg
-        H = cfg.encoder_hidden_dim
-        t = self.by_name = {}
-        for name, shape in param_shapes(cfg):
+        d_y, d_z, H, hid, L = (cfg.d_y, cfg.d_z, cfg.encoder_hidden_dim,
+                               cfg.phi_hidden_dim, cfg.phi_layers)
+        m, w = cfg.m, hid if L else d_y
+        shapes = [(m, d_z, w), (m, cfg.d_a, w), (m, 1, w)]
+        shapes += [s for l in range(1, L + 1)
+                   for s in ((m, hid, d_y if l == L else hid), (m, 1, d_y if l == L else hid))]
+        shapes += [(3, cfg.encoder_input_dim, H), (2, H, H), (H, H), (3, 1, H),
+                   (1, d_y), (H, d_z), (1, d_z)]
+        stored = ad.flat_params(shapes)
+        self.flat = stored[0].data.base
+        *self.phi, W, U, Uh, b, self.b_impute, self.head_W, self.head_b = stored
+        self.enc = (W, U, Uh, b)
+        P = ad.views(np.arange(self.flat.size), shapes)  # positions in `flat`
+        W0z, W0c, *later = P[:2 * L + 3]
+        Wp, Up, Uhp, bp = P[2 * L + 3:-3]
+        where = []  # the checkpoint entries' positions, in param_shapes order
+        for i in range(m):
+            where.append((W0z[i, :(i + 1) * d_y], W0c[i]))  # z rows, control rows
+            where += [(p[i],) for p in later]  # b0, W1, b1, ...
+        for j in range(3):
+            where += [(Wp[j],), (Up[j] if j < 2 else Uhp,), (bp[j],)]
+        where += [(p,) for p in P[-3:]]  # b_impute, head.W, head.b
+        ixs = [np.concatenate([p.reshape(-1) for p in part]) for part in where]
+        self.parts = [slice(ix[0], ix[-1] + 1) if ix[-1] - ix[0] == ix.size - 1 else ix
+                      for ix in ixs]
+        for (name, shape), ix in zip(param_shapes(cfg), self.parts):
             # biases start at zero, and so does each phi block's output
             # layer, so the initial dynamics is the pure chain of integrators
             layer = name.rsplit(".", 1)[-1]
-            if layer[0] == "b" or name.startswith("phi") and layer == f"W{cfg.phi_layers}":
-                data = np.zeros(shape)
-            else:
+            if not (layer[0] == "b" or name.startswith("phi") and layer == f"W{L}"):
                 scale = 0.05 / np.sqrt(H) if name == "head.W" else 1.0 / np.sqrt(shape[0])
-                data = rng.normal(0.0, scale, size=shape)
-            t[name] = Tensor(data, requires_grad=True)
-        self.phi = [[(t[f"phi{i}.W{l}"], t[f"phi{i}.b{l}"]) for l in range(cfg.phi_layers + 1)]
-                    for i in range(1, cfg.m + 1)]
-        self.enc = {name[4:]: v for name, v in t.items() if name.startswith("enc.")}
-        self.b_impute, self.head_W, self.head_b = t["b_impute"], t["head.W"], t["head.b"]
-
-    def named_parameters(self):
-        return list(self.by_name.items())
+                self.flat[ix] = rng.normal(0.0, scale, size=shape).reshape(-1)
 
     def tensors(self):
-        return list(self.by_name.values())
+        """The stored tensors, in the order they tile `flat`."""
+        return [*self.phi, *self.enc, self.b_impute, self.head_W, self.head_b]
+
+    def state(self):
+        """{name: array} of the checkpoint entries in :func:`param_shapes`
+        order: views of `flat`, but for each phi{i}.W0, a joined copy."""
+        return {name: self.flat[ix].reshape(shape)
+                for (name, shape), ix in zip(param_shapes(self.cfg), self.parts)}
 
     def load_state(self, arrays: dict):
         check_state(arrays, self.cfg)
-        for name, t in self.by_name.items():
-            t.data = arrays[name].copy()
+        for (name, _), ix in zip(param_shapes(self.cfg), self.parts):
+            self.flat[ix] = arrays[name].reshape(-1)
 
 
 def _unit_sum(g):
@@ -209,78 +235,45 @@ def _unit_sum(g):
     return g.sum(axis=-2, keepdims=True) if g.shape[-2] > 1 else g
 
 
-def _affine_vjp(g, x, W, b=None):
-    """Backward of ``x @ W (+ b)``, also batched over leading block axes,
-    for the upstream gradient g: accumulates the bias and weight gradients
-    and returns the gradient for x."""
+def _affine_vjp(g, x, W, Wd, b=None):
+    """Backward of ``x @ Wd (+ b)``, Wd the data of W, also batched over
+    leading block axes, for the upstream gradient g: accumulates the bias
+    and weight gradients and returns the gradient for x."""
     if b is not None:
         ad._accum(b, _unit_sum(g))
     ad._accum(W, x.mT @ g)
-    return g @ W.data.mT
+    return g @ Wd.mT
 
 
 def stack_field(params: ObsNodeParams):
     """The vector field of the triangular normal form as (field, tensors)
-    in the field protocol of :func:`~obsnode.odeint.integrate`. Each layer
-    of the m phi-blocks is one batched product over the blocks,
+    in the field protocol of :func:`~obsnode.odeint.integrate`, `tensors`
+    being the stored phi tensors (:class:`ObsNodeParams`). Each layer of
+    the m phi-blocks is one batched product over the blocks,
     (m, n, v) @ (m, v, w); the first layer's input, [z, ctrl], is shared.
-    Each block's first-layer weights are padded to all of z with exact
-    zeros past z^(1..i) (the masks of MADE, Germain et al., 2015), so the
-    field stays triangular.
-
-    `tensors`, the per-block tensors stacked along a new first axis (the
-    first layer's z rows, control rows and bias; then weight and bias per
-    later layer), are assembled by one tape node whose backward pass hands
-    each per-block tensor its part of their gradients. Binding a control
-    computes its scaling and first-layer term once.
+    Each block's first-layer z rows are zero past z^(1..i) (the masks of
+    MADE, Germain et al., 2015), so the field stays triangular. The
+    weights' arrays are read once here; binding a control computes its
+    scaling and first-layer term once.
     """
     cfg = params.cfg
     d_y, m, d_z = cfg.d_y, cfg.m, cfg.d_z
-    first = [layers[0] for layers in params.phi]
-    W0z = np.zeros((m, d_z, first[0][0].data.shape[1]))
-    for i, (W, _) in enumerate(first):
-        W0z[i, :(i + 1) * d_y] = W.data[:(i + 1) * d_y]
-    # the blocks' first-layer biases, then per later layer their weights
-    # and their biases
-    stacks = [[b for _, b in first]] + [ts for layer in list(zip(*params.phi))[1:]
-                                        for ts in zip(*layer)]
-    tensors = [Tensor(W0z), Tensor(np.stack([W.data[(i + 1) * d_y:]
-                                             for i, (W, _) in enumerate(first)]))]
-    tensors += [Tensor(np.stack([t.data for t in ts])) for ts in stacks]
-
-    def unstack(g):
-        for i, (W, _) in enumerate(first):
-            # the z rows and the control rows arrive as two zero-padded
-            # gradients, as from two slices of W in the op graph
-            k = (i + 1) * d_y
-            for rows, part in ((slice(0, k), g[i, :k]), (slice(k, None), tensors[1].grad[i])):
-                full = np.zeros_like(W.data)
-                full[rows] = part
-                ad._accum(W, full)
-        for ts, stacked in zip(stacks, tensors[2:]):
-            for t, gt in zip(ts, stacked.grad):
-                ad._accum(t, gt)
-
-    # every use of the field accumulates into the first stacked tensor, so
-    # the node's backward pass runs whenever any of them has a gradient
-    ad._record(tensors[0], [t for layers in params.phi for Wb in layers for t in Wb],
-               unstack)
-    for t in tensors[1:]:
-        t.requires_grad = tensors[0].requires_grad
+    tensors = params.phi
     W0z, W0c, b0, *rest = tensors
-    later = list(zip(rest[::2], rest[1::2]))
+    later = [(W, W.data, b, b.data) for W, b in zip(rest[::2], rest[1::2])]
+    W0zd, W0cd, b0d = W0z.data, W0c.data, b0.data
     act, keep, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
     inv_scale = None if cfg.treatment_scale is None else 1.0 / np.asarray(cfg.treatment_scale)
     # the later layers' biases tiled to (m, n, w) per batch size n: a
     # contiguous add costs a third of a broadcast one at n = 100. The tiles
-    # copy the stacked tensors, which this call made, so they cannot go stale.
+    # are made per call, so an update between calls reaches the next one.
     tiles = {}
 
     def field(a):
         ctrl = np.atleast_2d(a)
         if inv_scale is not None:
             ctrl = ctrl * inv_scale
-        c = ctrl @ W0c.data + b0.data  # (m, 1 or n, w)
+        c = ctrl @ W0cd + b0d  # (m, 1 or n, w)
         shared = c.shape[1] == 1  # the VJP keeps this, so c dies with the segment
 
         def f(z):
@@ -288,16 +281,16 @@ def stack_field(params: ObsNodeParams):
             recording, and only then does the pass keep what a VJP reads."""
             n = z.shape[0]
             if n not in tiles:
-                tiles[n] = [np.repeat(b.data, n, axis=1) for _, b in later]
+                tiles[n] = [np.repeat(bd, n, axis=1) for _, _, _, bd in later]
             taped = ad._active_tape() is not None
-            pre = z @ W0z.data
+            pre = z @ W0zd
             pre += c
             cache = []  # (what the VJP keeps, activation) per hidden layer
-            for (W, _), tile in zip(later, tiles[n]):
+            for (_, Wd, _, _), tile in zip(later, tiles[n]):
                 y = act(pre)
                 if taped:
                     cache.append((keep(pre), y))
-                pre = y @ W.data
+                pre = y @ Wd
                 pre += tile
             out = pre.transpose(1, 0, 2).reshape(n, d_z)
             out[:, :-d_y] += z[:, d_y:]  # the integrator chain
@@ -306,14 +299,14 @@ def stack_field(params: ObsNodeParams):
 
             def vjp(g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
-                for (W, b), (kept, y) in zip(reversed(later), reversed(cache)):
-                    gpre = act_vjp(_affine_vjp(gpre, y, W, b), kept, y)
+                for (W, Wd, b, _), (kept, y) in zip(reversed(later), reversed(cache)):
+                    gpre = act_vjp(_affine_vjp(gpre, y, W, Wd, b), kept, y)
                 gc = _unit_sum(gpre) if shared else gpre
                 ad._accum(b0, _unit_sum(gc))
                 ad._accum(W0c, ctrl.T @ gc)
                 chain = np.zeros_like(g)
                 chain[:, d_y:] = g[:, :-d_y]
-                return _affine_vjp(gpre, z, W0z).sum(axis=0) + chain
+                return _affine_vjp(gpre, z, W0z, W0zd).sum(axis=0) + chain
 
             return out, vjp
 
@@ -326,9 +319,8 @@ def triangular_rhs(z, a, params: ObsNodeParams):
     """The field of :func:`stack_field` at the Tensor state z (n, d_z) under
     the constant control a, (n, d_a), (1, d_a) or the (d_a,) row of a
     single-trajectory control path (one that requires grad raises
-    ValueError), recorded as the assembly node and one node of its own. A
-    non-finite input or output raises NumericError. The solver does not
-    call it."""
+    ValueError), recorded as one node. A non-finite input or output raises
+    NumericError. The solver does not call it."""
     cfg = params.cfg
     if a.requires_grad:
         raise ValueError("triangular_rhs: the control is a constant and cannot require grad")
@@ -362,9 +354,9 @@ GRU_BLOCK_ROWS = 64
 
 def _gru_states(x, unobs, b_impute, enc, lengths):
     """{k: hidden state (n, H) after k steps} for each k in `lengths` of the
-    gated recurrent update run over the input rows x (T, n, 2 d_y + d_a + 1),
-    whose first d_y columns are y imputed with b_impute where `unobs`
-    (T, n, d_y) is 1.
+    gated recurrent update with the gates `enc` (:class:`ObsNodeParams`)
+    run over the input rows x (T, n, 2 d_y + d_a + 1), whose first d_y
+    columns are y imputed with b_impute where `unobs` (T, n, d_y) is 1.
 
     The input products of the three gates are made in zero-padded blocks of
     steps (:data:`GRU_BLOCK_ROWS`; Appleyard et al., 2016,
@@ -382,19 +374,16 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     state raises NumericError."""
     T, n, _ = x.shape
     d_y = unobs.shape[2]
-    gates = [(enc["W" + g], enc["U" + g], enc["b" + g]) for g in "ruh"]
-    Uh = enc["Uh"]
-    H = Uh.data.shape[0]
+    # the gates stacked as stored, (3, ., H) and (2, H, H): one call makes
+    # the products of all gates, each a contiguous (rows, H) array
+    Wt, Ut, Uht, bt = enc
+    W, U, Uh, b = Wt.data, Ut.data, Uht.data, bt.data
+    H = Uh.shape[0]
     ad._check_finite("encode_prefixes", x)
     sig, _, sig_vjp = ad.ACTIVATIONS["sigmoid"]
     tanh, _, tanh_vjp = ad.ACTIVATIONS["tanh"]
-    inputs = (b_impute, *(t for gate in gates for t in gate))
+    inputs = (b_impute, *enc)
     taped = ad._active_tape() is not None and any(t.requires_grad for t in inputs)
-    # the gates' weights stacked, (3, ., H) and (2, H, H): one call makes
-    # the products of all gates, each a contiguous (rows, H) array
-    W = np.array([Wg.data for Wg, _, _ in gates])
-    b = np.array([bg.data for _, _, bg in gates])
-    U = np.array([enc["Ur"].data, enc["Uu"].data])
     steps = max(1, GRU_BLOCK_ROWS // max(n, 1))
     rows = x.reshape(T * n, x.shape[2])
     block = np.zeros((steps * n, x.shape[2]))
@@ -413,7 +402,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
         pre = xk[:2] + np.matmul(h, U)
         r, u = sig(pre[0]), sig(pre[1])
         rh = r * h
-        cand = tanh(xk[2] + rh @ Uh.data)
+        cand = tanh(xk[2] + rh @ Uh)
         np.add((1.0 - u) * h, u * cand, out=hs[k + 1])
         if taped:
             saved.append((r, u, cand, rh))
@@ -444,7 +433,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                     ad._accum(into, g * (1.0 - u))
                 g_u += -g_keep
                 G[2] = tanh_vjp(g_cand, None, cand)
-                g_rh = G[2] @ Uh.data.mT
+                g_rh = G[2] @ Uh.mT
                 g_r = g_rh * h
                 if grad_h:
                     ad._accum(into, g_rh * r)
@@ -454,11 +443,10 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                     g_h = np.matmul(G[:2], UT)
                     ad._accum(into, g_h[1])
                     ad._accum(into, g_h[0])
-                gU = [*np.matmul(h.mT, G[:2]), rh.mT @ G[2]]
-                for (Wg, Ug, bg), gW, gUg, gb in zip(gates, np.matmul(xk.mT, G), gU,
-                                                     _unit_sum(G)):
-                    for t, gt in ((Wg, gW), (Ug, gUg), (bg, gb)):
-                        ad._accum(t, gt)
+                ad._accum(Wt, np.matmul(xk.mT, G))
+                ad._accum(Ut, np.matmul(h.mT, G[:2]))
+                ad._accum(Uht, rh.mT @ G[2])
+                ad._accum(bt, _unit_sum(G))
                 # the whole input gradient: a product over fewer columns
                 # rounds otherwise
                 gx = np.matmul(G, WT)
@@ -584,9 +572,9 @@ def save_model(path, params: ObsNodeParams, norm_stats=None):
                               "std": list(map(float, norm_stats.std))}
     tensors = ", ".join(
         '{"name": %s, "shape": %s, "values": [%s]}'
-        % (json.dumps(name), json.dumps(list(t.data.shape)),
-           ", ".join(f"{v:.17g}" for v in t.data.reshape(-1)))
-        for name, t in params.named_parameters())
+        % (json.dumps(name), json.dumps(list(arr.shape)),
+           ", ".join(f"{v:.17g}" for v in arr.reshape(-1)))
+        for name, arr in params.state().items())
     with open(path, "w") as fh:
         fh.write('{"format_version": 1, "metadata": ' + json.dumps(meta, sort_keys=True)
                  + ', "tensors": [' + tensors + "]}")

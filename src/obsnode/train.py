@@ -229,12 +229,12 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     params = ObsNodeParams(model_cfg, rng)
     if init_state is not None:
         params.load_state(init_state)
-    opt = Adam(params.tensors(), lr=tcfg.learning_rate)
+    opt = Adam(params.tensors(), lr=tcfg.learning_rate, parts=params.parts)
     n = record.y.shape[1]
     sigma2 = np.ones(model_cfg.d_y)
 
     history = []
-    best = (np.inf, {name: t.data.copy() for name, t in params.named_parameters()})
+    best = (np.inf, params.flat.copy())
     n_batches = int(np.ceil(n / tcfg.batch_size))
 
     for epoch in range(tcfg.epochs):
@@ -251,9 +251,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                     loss = _batch_loss(batch, t_c, params, sigma2, int_cfg,
                                        max_horizon=tcfg.max_horizon)
                     tape.backward(loss)
-                for name, t in params.named_parameters():
-                    if t.grad is not None:
-                        ad._check_finite(f"gradient of {name}", t.grad)
+                ad._check_finite("gradient", opt.gather())
             except NumericError:
                 skipped += 1
                 continue
@@ -269,9 +267,9 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                         "val_loss": val})
         if val < best[0]:
-            best = (val, {name: t.data.copy() for name, t in params.named_parameters()})
+            best = (val, params.flat.copy())
 
-    params.load_state(best[1])
+    params.flat[...] = best[1]
     if run_dir is not None:
         _write_run(run_dir, model_cfg, tcfg, history, params, stats)
     return params, history

@@ -11,17 +11,130 @@ from dataclasses import replace
 import numpy as np
 
 from obsnode.autodiff import Tensor
-from obsnode.errors import DataError
+from obsnode.errors import DataError, ShapeMismatch
 from obsnode.evaluate import RmseGrid, _binned_rmse, raw_forecasts
 from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _rand_dist,
                               _reduce, enumerate_joint, observational_law)
 from obsnode.model import (History, ObsNodeParams, emit, encode, factual_control, forecast,
-                           stack_field, window)
+                           param_shapes, stack_field, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
 from obsnode.train import (_int_config, _targets, masked_loss, stack_units, zscore_fit,
                            zscore_invert, zscore_outcomes)
+
+
+class PerTensorAdam:
+    """The reference for :class:`~obsnode.autodiff.Adam`: the same update
+    one tensor at a time, on tensors that need share no buffer, the clip
+    norm summed one float per tensor in order, without the overflow
+    rescaling."""
+
+    def __init__(self, tensors, lr=1e-3):
+        self.tensors = list(tensors)
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(t.data) for t in self.tensors]
+        self.v = [np.zeros_like(t.data) for t in self.tensors]
+
+    def step(self, max_grad_norm=None):
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in self.tensors]
+        for t, g in zip(self.tensors, grads):
+            if t.data.shape != g.shape:
+                raise ShapeMismatch("Adam.step", t.data.shape, g.shape)
+        if max_grad_norm is not None:
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            if norm > max_grad_norm:
+                grads = [g * (max_grad_norm / norm) for g in grads]
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for t, g, m, v in zip(self.tensors, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+class PerBlockParams:
+    """The checkpoint entries of `params` copied into separate Tensors, one
+    per name, as the per-block op graphs read them: phi[i][l] = (W, b) of
+    block i + 1, enc by gate name (Wr, Ur, br, ...), b_impute, head_W and
+    head_b; by_name in :func:`~obsnode.model.param_shapes` order."""
+
+    def __init__(self, params: ObsNodeParams):
+        self.cfg = cfg = params.cfg
+        t = self.by_name = {name: Tensor(arr.copy(), requires_grad=True)
+                            for name, arr in params.state().items()}
+        self.phi = [[(t[f"phi{i}.W{l}"], t[f"phi{i}.b{l}"]) for l in range(cfg.phi_layers + 1)]
+                    for i in range(1, cfg.m + 1)]
+        self.enc = {name[4:]: v for name, v in t.items() if name.startswith("enc.")}
+        self.b_impute, self.head_W, self.head_b = t["b_impute"], t["head.W"], t["head.b"]
+
+    def tensors(self):
+        return list(self.by_name.values())
+
+
+class GateViews:
+    """`params` as the per-gate op graph of the encoder reads it: enc by gate
+    name (Wr, Ur, br, ...) as leaf Tensors viewing the stored gates' data
+    and gradient buffers, so the graph accumulates into the stored
+    gradients in place; build it after those buffers are filled. The
+    other tensors are the stored ones."""
+
+    def __init__(self, params: ObsNodeParams):
+        W, U, Uh, b = params.enc
+
+        def view(t, j=None):
+            part = Tensor(t.data if j is None else t.data[j], requires_grad=t.requires_grad)
+            part.grad = t.grad if j is None or t.grad is None else t.grad[j]
+            return part
+
+        self.cfg = params.cfg
+        self.enc = {"Uh": view(Uh)}
+        for j, gate in enumerate("ruh"):
+            self.enc.update({"W" + gate: view(W, j), "b" + gate: view(b, j)})
+            if gate != "h":
+                self.enc["U" + gate] = view(U, j)
+        self.b_impute, self.head_W, self.head_b = params.b_impute, params.head_W, params.head_b
+
+
+def stored_names(cfg):
+    """Names of the stored tensors of :class:`~obsnode.model.ObsNodeParams`
+    in the order of its tensors()."""
+    phi = ["phi.W0z", "phi.W0c", "phi.b0"] + [f"phi.{k}{l}" for l in range(1, cfg.phi_layers + 1)
+                                              for k in "Wb"]
+    return phi + ["enc.W", "enc.U", "enc.Uh", "enc.b", "b_impute", "head.W", "head.b"]
+
+
+def checkpoint_grads(params: ObsNodeParams):
+    """{name: gradient} of the checkpoint entries, read off the stored
+    tensors' gradients (zero where a stored tensor has none), in
+    :func:`~obsnode.model.param_shapes` order."""
+    flat = np.concatenate([(np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1))
+                           for t in params.tensors()])
+    return {name: flat[ix].reshape(shape)
+            for (name, shape), ix in zip(param_shapes(params.cfg), params.parts)}
+
+
+def padding(params: ObsNodeParams):
+    """The mask of the stored first-layer z rows that are padding: block
+    i's rows past z^(1..i)."""
+    cfg = params.cfg
+    rows = np.arange(cfg.d_z)[None, :, None] >= cfg.d_y * np.arange(1, cfg.m + 1)[:, None, None]
+    return np.broadcast_to(rows, params.phi[0].data.shape)
+
+
+def random_params(cfg, seed, scale=1.0):
+    """Parameters whose every checkpoint entry is drawn N(0, scale^2) from
+    `seed`, the padding of the stored layout left at zero."""
+    params = ObsNodeParams(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    params.load_state({name: rng.normal(0.0, scale, size=shape)
+                       for name, shape in param_shapes(cfg)})
+    return params
 
 
 def value_at(control: ControlPath, t: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from obsnode.identify import (adjustment_estimate, interventional_truth,
                               nonidentifiability_witness,
                               random_observable_scm, random_query)
 from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, encode,
-                           forecast, triangular_rhs, window)
+                           forecast, param_shapes, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (PARAM_DISTS, CancerSimConfig, SemiSynthConfig,
                               generate_cancer_dataset, generate_semi_synthetic,
@@ -136,8 +136,8 @@ class TestIntegrator:
 def randomized_params(cfg, seed):
     params = ObsNodeParams(cfg, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    for _, t in params.named_parameters():
-        t.data[...] = rng.normal(0, 0.5, size=t.data.shape)
+    params.load_state({name: rng.normal(0, 0.5, size=shape)
+                       for name, shape in param_shapes(cfg)})
     return params
 
 

@@ -171,11 +171,11 @@ def test_field_allowlist_is_current():
 # its gradient and tests no flag, so a guard there fails the scan.
 REQUIRES_GRAD_READERS = {
     "autodiff.Tensor.__init__": "sets the flag",
+    "autodiff.Param.__init__": "sets the flag",
     "autodiff.Tensor.__repr__": "shows the flag",
     "autodiff._accum": "the gradient rule",
     "autodiff._record": "a node is recorded when an input requires grad",
     "autodiff.grad_check": "sets the flag of the tensor it checks, then restores it",
-    "model.stack_field": "the stacked tensors require grad when their assembly is recorded",
     "model._gru_states": "the taped test: keep the gates for a backward pass",
     "model.triangular_rhs": "refuses a control that requires grad",
 }

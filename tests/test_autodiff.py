@@ -11,6 +11,7 @@ from obsnode.autodiff import Adam, Tape, Tensor, grad_check
 from obsnode.errors import DataError, NumericError, ShapeMismatch
 from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model, save_model
 from obsnode.train import NormStats
+from support import PerTensorAdam
 
 
 def mlp_loss(widths, seed):
@@ -242,6 +243,32 @@ class TestGradCheck:
 
         assert grad_check(lambda: f(x), x) < 1e-6
 
+    def test_raising_f_restores_the_values(self):
+        # f raises on the first perturbed call of the central differences
+        x = Tensor([1.0, 2.0])
+        calls = []
+
+        def f():
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericError("injected")
+            return ad.tsum(ad.square(x))
+
+        with pytest.raises(NumericError, match="injected"):
+            grad_check(f, x)
+        assert x.data.tolist() == [1.0, 2.0]
+
+    def test_raising_f_restores_the_flag(self):
+        # f raises under the tape
+        x = Tensor([1.0, 2.0])
+
+        def f():
+            raise NumericError("injected")
+
+        with pytest.raises(NumericError, match="injected"):
+            grad_check(f, x)
+        assert not x.requires_grad
+
 
 def _perfbench_ops():
     """The op names perfbench's tracer counts (perfbench/tracer.OPS)."""
@@ -377,7 +404,8 @@ class TestOpSweep:
 def adam_on(values, grad):
     """An optimizer (lr 1e-3) over one tensor holding `values` whose gradient
     is `grad`."""
-    t = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+    [t] = ad.flat_params([np.shape(values)])
+    t.data = values
     t.grad = np.array(grad, dtype=np.float64)
     return t, Adam([t], lr=1e-3)
 
@@ -387,8 +415,8 @@ class TestAdam:
         t, opt = adam_on([1.0, 2.0], np.zeros(2))
         opt.step()
         np.testing.assert_array_equal(t.data, [1.0, 2.0])
-        np.testing.assert_array_equal(opt.m[0], [0.0, 0.0])
-        np.testing.assert_array_equal(opt.v[0], [0.0, 0.0])
+        np.testing.assert_array_equal(opt.m, [0.0, 0.0])
+        np.testing.assert_array_equal(opt.v, [0.0, 0.0])
         assert opt.t == 1
 
     def test_first_step_bias_corrected(self):
@@ -412,12 +440,99 @@ class TestAdam:
         np.testing.assert_array_equal(t.data, [0.0, 0.0])
 
     def test_wrapper_matches_functional(self):
-        t = Tensor([1.0], requires_grad=True)
-        opt = Adam([t], lr=0.01)
+        t, opt = adam_on([1.0], [0.0])
+        opt.lr = 0.01
+        t.zero_grad()
         with Tape() as tape:
             tape.backward(ad.tsum(ad.square(t)))
         opt.step()
         assert t.data[0] < 1.0
+
+
+    def test_tensors_that_do_not_tile_one_buffer_are_refused(self):
+        a, b = ad.flat_params([(2,), (3,)])
+        with pytest.raises(ValueError, match="tile one flat buffer"):
+            Adam([b, a])
+        with pytest.raises(ValueError, match="tile one flat buffer"):
+            Adam([a])
+        with pytest.raises(ValueError, match="tile one flat buffer"):
+            Adam([Tensor([1.0, 2.0], requires_grad=True)])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_overflowing_norm_clips_to_the_bound(self):
+        # g * g overflows for a finite gradient: the norm is measured on
+        # g / max|g|, so the clipped gradient has norm 1 and the step is
+        # about lr on the two large entries, not zero
+        t, opt = adam_on([0.0, 0.0, 0.0], [1e200, -1e200, 1.0])
+        opt.step(max_grad_norm=1.0)
+        np.testing.assert_allclose(np.linalg.norm(opt.m / (1.0 - 0.9)), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(t.data[:2], [-1e-3, 1e-3], rtol=1e-7)
+        assert abs(t.data[2]) < 1e-150
+
+    def test_a_gradient_inside_the_bound_is_not_clipped(self):
+        t, opt = adam_on([0.0, 0.0], [0.3, -0.4])
+        opt.step(max_grad_norm=0.5)
+        assert opt.m.tolist() == [(1.0 - 0.9) * 0.3, (1.0 - 0.9) * -0.4]
+
+
+@st.composite
+def adam_case(draw):
+    """Shapes of 1 to 4 tensors, and per step of 20 to 24 each one's
+    gradient or None."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+                           min_size=1, max_size=4))
+    steps = draw(st.integers(20, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    grads = [[None if rng.uniform() < 0.2 else rng.normal(0.0, scale, size=s) for s in shapes]
+             for _ in range(steps)]
+    return shapes, grads
+
+
+class TestAdamAgainstPerTensor:
+    @settings(max_examples=60, deadline=None)
+    @given(case=adam_case(), clip=st.sampled_from([None, 0.5, 1e3]),
+           lr=st.sampled_from([1e-3, 0.1]))
+    def test_bitwise(self, case, clip, lr):
+        # the flat update against the per-tensor one: data, m and v, as
+        # int64 views, after every step
+        shapes, grads = case
+        flat = ad.flat_params(shapes)
+        rng = np.random.default_rng(len(grads))
+        start = [rng.normal(size=s) for s in shapes]
+        ref = [Tensor(x.copy(), requires_grad=True) for x in start]
+        for t, x in zip(flat, start):
+            t.data = x
+        opt, ref_opt = Adam(flat, lr=lr), PerTensorAdam(ref, lr=lr)
+        bits = lambda arrays: np.concatenate([a.reshape(-1) for a in arrays]).view(np.int64)
+        for step in grads:
+            for ts in (flat, ref):
+                for t, g in zip(ts, step):
+                    t.grad = None if g is None else g.copy()
+            opt.step(max_grad_norm=clip)
+            ref_opt.step(max_grad_norm=clip)
+            assert (bits([t.data for t in flat]) == bits([t.data for t in ref])).all()
+            assert (opt.m.view(np.int64) == bits(ref_opt.m)).all()
+            assert (opt.v.view(np.int64) == bits(ref_opt.v)).all()
+
+
+class TestParam:
+    def test_same_shape_assignment_writes_into_the_buffer(self):
+        a, b = ad.flat_params([(2,), (2, 2)])
+        view = b.data
+        b.data = [[1.0, 2.0], [3.0, 4.0]]
+        assert b.data is view
+        assert a.data.base.tolist() == [0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+        b.data -= 1.0
+        assert a.data.base.tolist() == [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("value", [np.zeros(3), np.zeros((2, 1)), 1.0])
+    def test_other_shapes_raise(self, value):
+        [a] = ad.flat_params([(2,)])
+        a.data = [5.0, 6.0]
+        with pytest.raises(ShapeMismatch, match="Param.data"):
+            a.data = value
+        assert a.data.tolist() == [5.0, 6.0]
 
 
 class TestCheckpoint:
@@ -436,10 +551,9 @@ class TestCheckpoint:
         assert cfg2 == cfg
         np.testing.assert_array_equal(stats2.mean, stats.mean)
         np.testing.assert_array_equal(stats2.std, stats.std)
-        assert [n for n, _ in loaded.named_parameters()] == \
-            [n for n, _ in params.named_parameters()]
-        for (_, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
+        assert list(loaded.state()) == list(params.state())
+        for a, b in zip(params.state().values(), loaded.state().values()):
+            np.testing.assert_array_equal(a, b)
 
     def test_17_significant_digits(self, tmp_path):
         params = ObsNodeParams(ObsNodeConfig(d_y=1, m=1, d_a=0),

@@ -5,13 +5,14 @@ graphs of autodiff ops.
 The field and, for two or more units, the encoder promise bitwise equality
 with these graphs: the same forward values and the same gradients,
 accumulated in the same order, for every input that requires grad. The
-field's graph takes one batched product over the blocks per layer, as the
-field does; the encoder's graph is the per-step cell. The data they take
-(the control, the history) are plain constants. The field differs from the
-per-block op graph of the normal form, the step node from the op graph of
-its stages, and the encoder of a single unit from the per-step cell (its
-input products are rows of a larger product), in the rounding of their
-sums only: they agree to 1e-12 relative.
+field's graph takes one batched product over the blocks per layer on the
+stored tensors, as the field does; the encoder's graph is the per-step
+cell on views of the stored gates. The data they take (the control, the
+history) are plain constants. The field differs from the per-block op
+graph of the normal form, the step node from the op graph of its stages,
+and the encoder of a single unit from the per-step cell (its input
+products are rows of a larger product), in the rounding of their sums
+only: they agree to 1e-12 relative.
 """
 
 import tracemalloc
@@ -25,12 +26,13 @@ from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
 from obsnode import model
-from obsnode.model import (EncodedState, History, ObsNodeConfig, ObsNodeParams,
-                           encode_prefixes, forecast, stack_field, triangular_rhs, window)
+from obsnode.model import (EncodedState, History, ObsNodeConfig, encode_prefixes, forecast,
+                           stack_field, triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import Trajectory
 from obsnode.train import TrainConfig, _batch_loss, evaluate_loss, stack_units
-from support import value_at
+from support import (GateViews, PerBlockParams, checkpoint_grads, random_params,
+                     stored_names, value_at)
 
 
 def ref_linear(x, W, b):
@@ -57,7 +59,8 @@ def ref_control(z, a, cfg, expand=True):
 
 def ref_rhs(z, a, params):
     """The triangular vector field block by block, as a graph of autodiff
-    ops: each block's MLP on its own slice of z and the control."""
+    ops on :class:`PerBlockParams`: each block's MLP on its own slice of z
+    and the control."""
     cfg = params.cfg
     a = ref_control(z, a, cfg)
     act = REF_ACTIVATIONS[cfg.phi_activation]
@@ -74,27 +77,6 @@ def ref_rhs(z, a, params):
             phi = ad.add(ad.slice_axis(z, i * d_y, (i + 1) * d_y, axis=1), phi)
         blocks.append(phi)
     return ad.concat(blocks, axis=1)
-
-
-def ref_stack(tensors):
-    """The per-block tensors stacked along a new first axis."""
-    return ad.concat([ad.reshape(t, (1,) + t.data.shape) for t in tensors], axis=0)
-
-
-def ref_first_layer(params):
-    """The first layer of :func:`stack_field` built from the per-block
-    tensors by slices, zero blocks and stacking: (z rows padded to all of
-    z, control rows, bias), each (m, ., w)."""
-    cfg = params.cfg
-    d_y, d_a, d_z = cfg.d_y, cfg.d_a, cfg.d_z
-    first = [layers[0] for layers in params.phi]
-    w = first[0][0].data.shape[1]
-    Wz = ref_stack([ad.concat([ad.slice_axis(W, 0, k * d_y, axis=0),
-                               Tensor(np.zeros((d_z - k * d_y, w)))], axis=0)
-                    for k, (W, _) in enumerate(first, start=1)])
-    Wc = ref_stack([ad.slice_axis(W, k * d_y, k * d_y + d_a, axis=0)
-                    for k, (W, _) in enumerate(first, start=1)])
-    return Wz, Wc, ref_stack([b for _, b in first])
 
 
 def ref_bmm(x, W):
@@ -119,12 +101,12 @@ def ref_shared(x, m):
 
 def ref_batched_rhs(z, a, params):
     """The field of :func:`stack_field` as a graph of autodiff ops with its
-    arithmetic: one batched product over the blocks per layer, the first
-    over the weights of :func:`ref_first_layer` with the control's term on
-    its own rows, broadcast after."""
+    arithmetic on the stored tensors: one batched product over the blocks
+    per layer, the first with the control's term on its own rows,
+    broadcast after."""
     cfg = params.cfg
     n, d_y, m = z.data.shape[0], cfg.d_y, cfg.m
-    Wz, Wc, b0 = ref_first_layer(params)
+    Wz, Wc, b0, *later = params.phi
     c = ref_bmm(ref_shared(ref_control(z, a, cfg, expand=False), m), Wc)
     c = ad.add(c, b0 if c.data.shape[1] == 1 else ad.expand(b0, c.data.shape))
     # z enters once, so its two uses sum before they reach its gradient
@@ -133,9 +115,7 @@ def ref_batched_rhs(z, a, params):
         c = ad.expand(c, (m, n, c.data.shape[2]))
     x = ad.add(ref_bmm(ref_shared(z_in, m), Wz), c)
     act = REF_ACTIVATIONS[cfg.phi_activation]
-    for l in range(1, cfg.phi_layers + 1):
-        W = ref_stack([layers[l][0] for layers in params.phi])
-        b = ref_stack([layers[l][1] for layers in params.phi])
+    for W, b in zip(later[::2], later[1::2]):
         x = ad.add(ref_bmm(act(x), W), ad.expand(b, (m, n, b.data.shape[2])))
     x = ad.reshape(ref_swap(x), (n, cfg.d_z))
     # -0.0 is the identity of addition: the last block passes unchanged
@@ -165,7 +145,8 @@ def ref_impute(y, mask, b):
 
 
 def ref_states(history, params):
-    """The encoder's hidden states as a per-step graph of autodiff ops, the
+    """The encoder's hidden states as a per-step graph of autodiff ops on
+    per-gate tensors (:class:`PerBlockParams` or :class:`GateViews`), the
     zero state first: impute, assemble the input row, update the state."""
     cfg = params.cfg
     n = history.y.shape[1]
@@ -220,15 +201,7 @@ def assert_bitwise(fused, ref):
 
 
 def make_params(cfg, seed):
-    params = ObsNodeParams(cfg, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    for t in params.tensors():
-        t.data = rng.normal(0.0, 0.7, size=t.data.shape)
-    return params
-
-
-def phi_tensors(params):
-    return [t for layers in params.phi for W, b in layers for t in (W, b)]
+    return random_params(cfg, seed, scale=0.7)
 
 
 def phi_config(d_y, m, d_a, act, layers, scaled):
@@ -256,18 +229,23 @@ def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0
     for node in (triangular_rhs, ref_batched_rhs):
         params = make_params(cfg, seed)
         if kink:
-            for block in params.phi:
-                for _, b in block:
-                    b.data = np.where(np.arange(b.data.size) % 2, -0.0, 0.0).reshape(b.shape)
+            for b in params.phi[2::2]:
+                b.data = np.where(np.arange(b.data.size) % 2, -0.0, 0.0).reshape(b.shape)
         z = Tensor(z0.copy(), requires_grad=z_grad)
         a = Tensor(a0.copy())
         results.append(run_node(lambda z: node(z, a, params), (z,),
-                                phi_tensors(params), seed + 2, zeros=zeros))
+                                params.phi, seed + 2, zeros=zeros))
     return results
 
 
-ENCODER = ("b_impute", "enc.Wr", "enc.Ur", "enc.br", "enc.Wu", "enc.Uu", "enc.bu",
-           "enc.Wh", "enc.Uh", "enc.bh")
+ENCODER = ("enc.W", "enc.U", "enc.Uh", "enc.b", "b_impute")
+
+
+def freeze(params, names):
+    """Clear the flag of the stored tensors named in `names`."""
+    for name, t in zip(stored_names(params.cfg), params.tensors()):
+        if name in names:
+            t.requires_grad = False
 
 
 def random_history(d_y, d_a, T, n, seed, observed=0.6):
@@ -282,18 +260,17 @@ def random_history(d_y, d_a, T, n, seed, observed=0.6):
 def encode_pair(d_y, d_a, T, n, lengths, seed, scaled=False, frozen=(), zeros=0.2,
                 observed=0.6, hidden=4):
     """run_node results of :func:`encode_prefixes` and of :func:`ref_encode`
-    on one history, the heads' outputs for `lengths` stacked; the encoder
-    tensors named in `frozen` do not require grad."""
+    on one history, the heads' outputs for `lengths` stacked; the stored
+    encoder tensors named in `frozen` do not require grad."""
     scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
     cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=d_a, phi_hidden_dim=3, encoder_hidden_dim=hidden,
                         treatment_scale=scale)
     hist = random_history(d_y, d_a, T, n, seed, observed)
     results = []
     for node in (lambda p: [s.z for s in encode_prefixes(hist, p, lengths)],
-                 lambda p: ref_encode(hist, p, lengths)):
+                 lambda p: ref_encode(hist, GateViews(p), lengths)):
         params = make_params(cfg, seed)
-        for name in frozen:
-            params.by_name[name].requires_grad = False
+        freeze(params, frozen)
         results.append(run_node(lambda: ad.concat(node(params), axis=0), (),
                                 params.tensors(), seed + 2, zeros=zeros))
     return results
@@ -391,16 +368,19 @@ def ref_integrate(z0, control, t1, cfg, query_times, params):
 
 
 def value_and_grads(node, z0, params, seed):
-    """The value of node(z) and the gradients of z and of each per-block
-    tensor for the loss sum(w * value), from empty gradient buffers."""
+    """The value of node(z) and the gradients of z and of each phi entry of
+    the checkpoint for the loss sum(w * value), from empty gradient
+    buffers; `params` are stored or :class:`PerBlockParams`."""
     z = Tensor(z0.copy(), requires_grad=True)
     w = np.random.default_rng(seed).normal(size=node(z).data.shape)
-    for t in phi_tensors(params):
+    for t in params.tensors():
         t.zero_grad()
     with Tape() as tape:
         out = node(z)
         tape.backward(ad.tsum(ad.hadamard(out, Tensor(w))))
-    return [out.data, z.grad] + [t.grad for t in phi_tensors(params)]
+    grads = (checkpoint_grads(params) if hasattr(params, "parts")
+             else {name: t.grad for name, t in params.by_name.items()})
+    return [out.data, z.grad] + [g for name, g in grads.items() if name.startswith("phi")]
 
 
 class TestStackedAgainstPerBlock:
@@ -418,7 +398,33 @@ class TestStackedAgainstPerBlock:
         a = Tensor(rng.normal(size=(n, d_a) if control == "batch" else (d_a,)))
         results = [value_and_grads(lambda z: node(z, a, params), z0, params, seed + 2)
                    for node, params in ((triangular_rhs, make_params(cfg, seed)),
-                                        (ref_rhs, make_params(cfg, seed)))]
+                                        (ref_rhs, PerBlockParams(make_params(cfg, seed))))]
+        assert_close(*results)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(d_y=st.integers(1, 2), d_a=st.sampled_from([0, 1, 2]), n=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**16))
+    def test_encoder(self, d_y, d_a, n, seed):
+        # the stacked gates against the per-gate op graph on the checkpoint's
+        # named entries: the heads' outputs and every encoder gradient
+        cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=d_a, phi_hidden_dim=3, encoder_hidden_dim=4)
+        hist = random_history(d_y, d_a, 7, n, seed)
+        w = Tensor(np.random.default_rng(seed + 2).normal(size=(3 * n, cfg.d_z)))
+        results = []
+        for run in ("fused", "ops"):
+            params = make_params(cfg, seed)
+            if run == "ops":
+                params = PerBlockParams(params)
+            with Tape() as tape:
+                zs = ([s.z for s in encode_prefixes(hist, params, [7, 2, 5])] if run == "fused"
+                      else ref_encode(hist, params, [7, 2, 5]))
+                out = ad.concat(zs, axis=0)
+                tape.backward(ad.tsum(ad.hadamard(out, w)))
+            grads = (checkpoint_grads(params) if run == "fused"
+                     else {name: t.grad for name, t in params.by_name.items()})
+            results.append([out.data] + [g for name, g in grads.items()
+                                         if not name.startswith("phi")])
         assert_close(*results)
 
 
@@ -568,8 +574,7 @@ class TestFrozenInputs:
     @staticmethod
     def params(cfg, seed, frozen):
         params = make_params(cfg, seed)
-        for name in frozen - {"z"}:
-            params.by_name[name].requires_grad = False
+        freeze(params, frozen)
         return params
 
     @settings(max_examples=25, deadline=None)
@@ -578,7 +583,7 @@ class TestFrozenInputs:
            data=st.data(), seed=st.integers(0, 2**16))
     def test_field(self, act, layers, n, node, data, seed):
         # the field alone (triangular_rhs) and through integrate, its state
-        # and per-block tensors frozen at random
+        # and stored phi tensors frozen at random
         cfg = phi_config(2, 2, 2, act, layers, True)
         rng = np.random.default_rng(seed)
         z0, a = rng.normal(size=(n, cfg.d_z)), Tensor(rng.normal(size=(n, 2)))
@@ -598,7 +603,7 @@ class TestFrozenInputs:
             z = Tensor(z0.copy(), requires_grad="z" not in frozen)
             return run_node(f, (z,), params.tensors(), seed + 2)
 
-        names = ["z"] + [name for name, _ in model.param_shapes(cfg)]
+        names = ["z"] + stored_names(cfg)
         self.check(run, names, [n for n in names if n == "z" or n.startswith("phi")], data)
 
     @settings(max_examples=20, deadline=None)
@@ -613,8 +618,7 @@ class TestFrozenInputs:
             return run_node(lambda: ad.concat([s.z for s in encode_prefixes(
                 hist, params, [9, 3, 5])], axis=0), (), params.tensors(), seed + 2)
 
-        self.check(run, [name for name, _ in model.param_shapes(cfg)],
-                   ENCODER + ("head.W", "head.b"), data)
+        self.check(run, stored_names(cfg), ENCODER + ("head.W", "head.b"), data)
 
 
 class TestStepNode:
@@ -622,8 +626,8 @@ class TestStepNode:
     @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
     def test_against_the_op_graph_of_its_stages(self, method, act):
         # eight chained steps across a control knot, queried mid-solve and
-        # at the end: the states, the gradients of z0 and of every per-block
-        # tensor, and the tape's length
+        # at the end: the states, the gradients of z0 and of every phi entry
+        # of the checkpoint, and the tape's length
         cfg = phi_config(2, 2, 2, act, 2, True)
         rng = np.random.default_rng(11)
         z0 = rng.normal(size=(3, cfg.d_z))
@@ -634,6 +638,8 @@ class TestStepNode:
         results, sizes = [], []
         for run in ("fused", "ops"):
             params = make_params(cfg, 12)
+            if run == "ops":
+                params = PerBlockParams(params)
             z = Tensor(z0.copy(), requires_grad=True)
             with Tape() as tape:
                 if run == "fused":
@@ -645,12 +651,14 @@ class TestStepNode:
                                           for s, wk in zip(states, w)], axis=1))
                 tape.backward(loss)
             sizes.append(len(tape))
+            grads = (checkpoint_grads(params) if run == "fused"
+                     else {name: t.grad for name, t in params.by_name.items()})
             results.append([s.data for s in states] + [z.grad]
-                           + [t.grad for t in phi_tensors(params)])
+                           + [g for name, g in grads.items() if name.startswith("phi")])
         assert_close(*results)
-        # the assembly node, one node per step (3 to the knot at 0.6, 1 to
-        # the query at 0.7, 4 to 1.5) and the loss's 4
-        assert sizes[0] == 1 + 8 + 4
+        # one node per step (3 to the knot at 0.6, 1 to the query at 0.7, 4
+        # to 1.5) and the loss's 4
+        assert sizes[0] == 8 + 4
 
 
 class TestTapeBytes:
@@ -678,7 +686,7 @@ class TestTapeBytes:
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1 + steps and states[0].requires_grad
+        assert len(tape) == steps and states[0].requires_grad
         assert held <= 1.25 * steps * 4 * layers * m * n * w * entry_bytes
 
 
@@ -704,8 +712,10 @@ class TestFusedGradCheck:
         return ad.tsum(ad.hadamard(ad.concat([s.z for s in states], axis=0), self.wz))
 
     def test_triangular_rhs(self):
+        # the stored first-layer z rows, their padding included, and the
+        # biases of the first later layer
         assert grad_check(self.rhs_loss, self.z) < 1e-7
-        for W in (self.params.phi[0][0][0], self.params.phi[1][1][1]):
+        for W in (self.params.phi[0], self.params.phi[4]):
             assert grad_check(self.rhs_loss, W) < 1e-7
 
     def test_triangular_rhs_control_is_constant(self):
@@ -715,8 +725,8 @@ class TestFusedGradCheck:
             triangular_rhs(self.z, a, self.params)
 
     def test_encode_prefixes(self):
-        for name in ("b_impute", "enc.Wr", "enc.Uu", "enc.bh", "enc.Uh"):
-            assert grad_check(self.encode_loss, self.params.by_name[name]) < 1e-7
+        for t in (self.params.b_impute, *self.params.enc):
+            assert grad_check(self.encode_loss, t) < 1e-7
 
 
 class TestFusedNonFinite:

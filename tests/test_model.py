@@ -15,7 +15,8 @@ from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsN
                            param_count, param_shapes, save_model, stack_field,
                            triangular_rhs, window)
 from obsnode.odeint import ControlPath, IntegrationConfig
-from support import observability_probe, value_at
+from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, observability_probe,
+                     padding, random_params, value_at)
 
 
 def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
@@ -23,11 +24,11 @@ def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
                         phi_layers=2, encoder_hidden_dim=8, **kw)
     params = ObsNodeParams(cfg, np.random.default_rng(seed))
     if randomize_output:
+        # the blocks' output layers, stored stacked over the blocks
         rng = np.random.default_rng(seed + 1)
-        for layers in params.phi:
-            W, b = layers[-1]
-            W.data = rng.normal(0, 0.3, size=W.data.shape)
-            b.data = rng.normal(0, 0.1, size=b.data.shape)
+        W, b = params.phi[-2:]
+        W.data = rng.normal(0, 0.3, size=W.data.shape)
+        b.data = rng.normal(0, 0.1, size=b.data.shape)
     return cfg, params
 
 
@@ -199,30 +200,15 @@ class TestForecast:
         int_cfg = IntegrationConfig(method="rk4", step_size=0.5)
         qts = [hist.times[-1] + 0.5, hist.times[-1] + 1.0]
 
-        def loss_with(t, slot):
-            old = slot()
-            slot(t)
-            try:
-                state = encode(hist, params)
-                preds = forecast(state, control, qts, params, int_cfg)
-                return ad.tsum(ad.square(ad.concat(preds, axis=0)))
-            finally:
-                slot(old)
+        def loss():
+            state = encode(hist, params)
+            preds = forecast(state, control, qts, params, int_cfg)
+            return ad.tsum(ad.square(ad.concat(preds, axis=0)))
 
-        def enc_slot(v=None):
-            if v is None:
-                return params.enc["Wh"]
-            params.enc["Wh"] = v
-
-        def phi_slot(v=None):
-            if v is None:
-                return params.phi[0][0][0]
-            W, b = params.phi[0][0]
-            params.phi[0][0] = (v, b)
-
-        for slot in (enc_slot, phi_slot):
-            x = Tensor(slot().data.copy())
-            assert grad_check(lambda: loss_with(x, slot), x) < 1e-4
+        # the stored encoder input weights and first-layer z rows, their
+        # padding included
+        for t in (params.enc[0], params.phi[0]):
+            assert grad_check(loss, t) < 1e-4
 
     def test_control_bound_once_per_knot_segment(self, monkeypatch):
         # a forecast across three knots binds the field once per segment,
@@ -331,32 +317,37 @@ class TestTapeFreeInference:
     @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
     def test_field_built_outside_a_tape_steps_inside_one(self, act):
         # the field decides at each call whether to keep backward state, so
-        # one bound before the tape still gives the state's gradient, equal
-        # to that of a field bound under it
+        # one bound before the tape still gives the state's and the stored
+        # weights' gradients, equal to those of a field bound under it
         _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True,
                                phi_activation=act)
         outside = stack_field(params)
-        assert not outside[1][0].requires_grad
+        assert outside[1] is params.phi
         grads = []
         for bound_under_the_tape in (False, True):
             z0 = Tensor(self.z_init.copy(), requires_grad=True)
+            for t in params.phi:
+                t.zero_grad()
             with ad.Tape() as tape:
                 field, tensors = stack_field(params) if bound_under_the_tape else outside
                 states = odeint.integrate(field, z0, self.control, 0.0, 1.5, self.int_cfg,
                                           self.qts, tensors)
                 tape.backward(ad.tsum(ad.concat(states, axis=1)))
-            grads.append(z0.grad)
-        assert grads[0] is not None and np.isfinite(grads[0]).all()
-        assert grads[0].tobytes() == grads[1].tobytes()
+            grads.append([z0.grad] + [t.grad for t in params.phi])
+        assert grads[0][0] is not None and np.isfinite(grads[0][0]).all()
+        for g, h in zip(*grads):
+            assert g.tobytes() == h.tobytes()
 
     def test_in_place_update_reaches_the_next_forecast(self, tmp_path):
-        # Adam updates the parameters in place between forecasts; each
-        # forecast tiles the biases anew, so it equals a fresh model's
+        # Adam updates the parameters in place between forecasts, the
+        # padding of the stored layout excepted; each forecast tiles the
+        # biases anew, so it equals a fresh model's
         _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True)
         self.run(params)
         rng = np.random.default_rng(5)
         for t in params.tensors():
             t.data -= 0.1 * rng.normal(size=t.data.shape)
+        params.phi[0].data[padding(params)] = 0.0
         updated = self.run(params)
         save_model(tmp_path / "model.json", params)
         fresh = self.run(load_model(tmp_path / "model.json")[0])
@@ -427,6 +418,87 @@ class TestModelCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="missing tensor 'head.W'"):
             load_model(path)
+
+
+class TestStoredLayout:
+    """The one parameter buffer: what writes into it, what reads it, and
+    the checkpoint entries it keeps."""
+
+    def forecast_of(self, params):
+        rng = np.random.default_rng(8)
+        control = ControlPath(np.array([0.0, 0.6]), rng.normal(size=(2, 3, 1)))
+        state = EncodedState(z=Tensor(rng.normal(size=(3, params.cfg.d_z))), t=0.0)
+        preds = forecast(state, control, [0.5, 1.5], params, IntegrationConfig(step_size=0.25))
+        return np.stack([p.data for p in preds])
+
+    def test_assignment_reaches_the_field_and_adam(self):
+        # a same-shape assignment to a stored tensor's data writes into the
+        # buffer: the next forecast reads it, as a model loaded with the
+        # same checkpoint entries does, and Adam steps from it
+        _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True)
+        opt = ad.Adam(params.tensors(), parts=params.parts)
+        before = self.forecast_of(params)
+        W1 = params.phi[3]
+        new = np.random.default_rng(1).normal(size=W1.data.shape)
+        W1.data = new
+        after = self.forecast_of(params)
+        fresh = ObsNodeParams(params.cfg, np.random.default_rng(9))
+        fresh.load_state(params.state())
+        assert after.tobytes() == self.forecast_of(fresh).tobytes() != before.tobytes()
+        W1.grad = np.ones(W1.data.shape)
+        opt.step()
+        np.testing.assert_allclose(W1.data, new - 1e-3 / (1 + 1e-8), rtol=0, atol=1e-15)
+
+    def test_wrong_shape_assignment_raises(self):
+        _, params = make_model(d_y=2, m=2, d_a=1)
+        kept = params.flat.copy()
+        for t, value in ((params.head_W, np.zeros((1, 1))), (params.phi[0], np.zeros(3)),
+                         (params.enc[0], params.enc[0].data.T)):
+            with pytest.raises(ShapeMismatch, match="Param.data"):
+                t.data = value
+        assert params.flat.tobytes() == kept.tobytes()
+
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path):
+        cfg = ObsNodeConfig(d_y=2, m=3, d_a=2, phi_hidden_dim=4, phi_layers=2,
+                            encoder_hidden_dim=3)
+        save_model(tmp_path / "a.json", random_params(cfg, 4), NormStats([0.5, 1.0], [2.0, 3.0]))
+        params, _, stats = load_model(tmp_path / "a.json")
+        save_model(tmp_path / "b.json", params, stats)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_load_state_rejects_a_wrong_shape(self):
+        _, params = make_model(d_y=2, m=2, d_a=1)
+        kept = params.flat.copy()
+        state = {name: arr.copy() for name, arr in params.state().items()}
+        state["phi2.W0"] = np.zeros((4, 8))
+        with pytest.raises(DataError, match=r"'phi2.W0' has shape \(4, 8\), expected \(5, 8\)"):
+            params.load_state(state)
+        assert params.flat.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("max_grad_norm", [None, 1.0])
+    def test_clipping_keeps_the_per_entry_bits(self, max_grad_norm):
+        # Adam over the buffer, the padding's gradients nonzero, against the
+        # per-tensor update of the checkpoint entries: the clip norm sums
+        # one float per entry, in param_shapes order, so the entries'
+        # values agree bit for bit, and the padding stays +0.0
+        cfg = ObsNodeConfig(d_y=2, m=3, d_a=2, phi_hidden_dim=5, phi_layers=2,
+                            encoder_hidden_dim=4)
+        params = random_params(cfg, 2)
+        ref = PerBlockParams(params)
+        opt = ad.Adam(params.tensors(), lr=0.01, parts=params.parts)
+        ref_opt = PerTensorAdam(ref.tensors(), lr=0.01)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            for t in params.tensors():
+                t.grad = rng.normal(size=t.data.shape)
+            for name, g in checkpoint_grads(params).items():
+                ref.by_name[name].grad = g
+            opt.step(max_grad_norm=max_grad_norm)
+            ref_opt.step(max_grad_norm=max_grad_norm)
+        for name, arr in params.state().items():
+            assert arr.tobytes() == ref.by_name[name].data.tobytes(), name
+        pad = params.phi[0].data[padding(params)]
+        assert pad.size and (pad == 0.0).all() and not np.signbit(pad).any()
 
 
 @pytest.mark.parametrize("key,value", [

@@ -17,6 +17,7 @@ from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, evaluate_loss, masked_loss,
                            stack_units, train, zscore_apply, zscore_fit,
                            zscore_invert)
+from support import padding
 
 
 def make_trajs(n=4, T=6, d_y=2, d_a=1, seed=0, constant=None):
@@ -248,9 +249,7 @@ class TestTrainLoop:
         tcfg = tiny_train_cfg(epochs=2, learning_rate=0.0)
         params, _ = train(MODEL_CFG, splits, tcfg)
         fresh = ObsNodeParams(MODEL_CFG, np.random.default_rng(tcfg.seed))
-        for (_, a), (_, b) in zip(params.named_parameters(),
-                                  fresh.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(params.flat, fresh.flat)
 
     def test_best_checkpoint_no_worse_than_final(self):
         splits = tiny_splits(seed=7)
@@ -381,6 +380,47 @@ class TestTrainLoop:
         assert run({3}) == [1, 2, 4, 5, 6, 7, 8, 9, 10]
         with pytest.raises(NumericError, match="2/10 batches"):
             run({3, 5})
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_padding_stays_positive_zero(self, m):
+        # the first-layer z rows past z^(1..i) get gradients in every
+        # backward pass; Adam freezes them, so after training each is +0.0
+        cfg = ObsNodeConfig(d_y=1, m=m, d_a=1, phi_hidden_dim=4, phi_layers=1,
+                            encoder_hidden_dim=4)
+        params, _ = train(cfg, tiny_splits(seed=12), tiny_train_cfg(epochs=3, max_grad_norm=1.0))
+        pad = params.phi[0].data[padding(params)]
+        assert pad.size == m * (m - 1) // 2 * 4
+        assert (pad == 0.0).all() and not np.signbit(pad).any()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_gradient_norm_still_steps(self, monkeypatch):
+        # every gradient scaled by 1e200 after the backward pass stays
+        # finite, but its squares overflow: the clipped step still moves
+        # the parameters by about the learning rate
+        real_backward = ad.Tape.backward
+
+        def backward(tape, loss):
+            real_backward(tape, loss)
+            for t in params_seen[0].tensors():
+                if t.grad is not None:
+                    t.grad *= 1e200
+
+        params_seen = []
+        real_init = model_mod.ObsNodeParams.__init__
+
+        def init(self, *args):
+            real_init(self, *args)
+            params_seen.append(self)
+
+        monkeypatch.setattr(ad.Tape, "backward", backward)
+        monkeypatch.setattr(model_mod.ObsNodeParams, "__init__", init)
+        tcfg = tiny_train_cfg(epochs=1, batch_size=6, max_grad_norm=1.0)
+        params, history = train(MODEL_CFG, tiny_splits(seed=13), tcfg)
+        fresh = ObsNodeParams(MODEL_CFG, np.random.default_rng(tcfg.seed))
+        moved = np.abs(params.flat - fresh.flat)
+        assert np.isfinite(history[0]["val_loss"])
+        assert 0.9e-3 < moved.max() <= 1.0e-3 + 1e-12
 
 
 def with_placeholders(trajs, holes, value):
