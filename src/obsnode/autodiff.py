@@ -403,7 +403,7 @@ class Adam:
     its gradient zeroed."""
 
     def __init__(self, tensors, lr=1e-3, parts=None):
-        self.tensors, self.lr, self.t = list(tensors), lr, 0
+        self.tensors, self.lr, self.t, self.gathered = list(tensors), lr, 0, False
         shapes = [t.data.shape for t in self.tensors]
         self.flat = flat = self.tensors[0].data.base
         at = lambda a: a.__array_interface__["data"][0]
@@ -421,17 +421,19 @@ class Adam:
         self.frozen = np.flatnonzero(frozen)
 
     def zero_grad(self):
+        self.gathered = False
         for t in self.tensors:
             t.zero_grad()
 
     def gather(self):
-        """The gradients, zero where a tensor has none and at the frozen
-        entries, as one flat array: a workspace that a step overwrites."""
+        """The gradients as one flat array, zero where a tensor has none and at
+        the frozen entries: the next step spends it, unless zero_grad runs first."""
         for t, g in zip(self.tensors, self._grads):
             if t.grad is not None and t.grad.shape != g.shape:
                 raise ShapeMismatch("Adam.step", g.shape, t.grad.shape)
             g[...] = 0.0 if t.grad is None else t.grad
         self.g[self.frozen] = 0.0
+        self.gathered = True
         return self.g
 
     def _norm(self, g):
@@ -441,7 +443,8 @@ class Adam:
         return np.sqrt(sum(float(np.sum(sq[p])) for p in self.parts))
 
     def step(self, max_grad_norm=None):
-        g = self.gather()
+        g = self.g if self.gathered else self.gather()
+        self.gathered = False
         if max_grad_norm is not None:
             norm, unit = self._norm(g), 1.0
             if norm == np.inf:  # g * g overflowed: measure g / max|g| instead

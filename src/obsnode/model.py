@@ -232,7 +232,7 @@ class ObsNodeParams:
 def _unit_sum(g):
     """Sum the gradient g (..., n, k) of a (..., 1, k) tensor over the units,
     as the op graph's expand does: a single unit's row passes unchanged."""
-    return g.sum(axis=-2, keepdims=True) if g.shape[-2] > 1 else g
+    return np.add.reduce(g, axis=-2, keepdims=True) if g.shape[-2] > 1 else g
 
 
 def _affine_vjp(g, x, W, Wd, b=None):
@@ -274,21 +274,22 @@ def stack_field(params: ObsNodeParams):
         if inv_scale is not None:
             ctrl = ctrl * inv_scale
         c = ctrl @ W0cd + b0d  # (m, 1 or n, w)
-        shared = c.shape[1] == 1  # the VJP keeps this, so c dies with the segment
+        shared = c.shape[1] == 1
 
         def f(z):
             """(dz/dt, vjp) at the state z; vjp is None unless a tape is
-            recording, and only then does the pass keep what a VJP reads."""
+            recording, and only then does the pass keep what a VJP reads of
+            each hidden layer but the first, which the VJP rebuilds from z and c."""
             n = z.shape[0]
             if n not in tiles:
                 tiles[n] = [np.repeat(bd, n, axis=1) for _, _, _, bd in later]
             taped = ad._active_tape() is not None
             pre = z @ W0zd
             pre += c
-            cache = []  # (what the VJP keeps, activation) per hidden layer
-            for (_, Wd, _, _), tile in zip(later, tiles[n]):
+            cache = []  # (what the VJP keeps, activation) per hidden layer but the first
+            for l, ((_, Wd, _, _), tile) in enumerate(zip(later, tiles[n])):
                 y = act(pre)
-                if taped:
+                if taped and l:
                     cache.append((keep(pre), y))
                 pre = y @ Wd
                 pre += tile
@@ -299,14 +300,20 @@ def stack_field(params: ObsNodeParams):
 
             def vjp(g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
-                for (W, Wd, b, _), (kept, y) in zip(reversed(later), reversed(cache)):
+                layers = cache
+                if later:  # the first hidden layer, by the forward pass's calls
+                    pre = z @ W0zd
+                    pre += c
+                    layers = [(keep(pre), act(pre)), *cache]
+                for (W, Wd, b, _), (kept, y) in zip(reversed(later), reversed(layers)):
                     gpre = act_vjp(_affine_vjp(gpre, y, W, Wd, b), kept, y)
                 gc = _unit_sum(gpre) if shared else gpre
                 ad._accum(b0, _unit_sum(gc))
                 ad._accum(W0c, ctrl.T @ gc)
-                chain = np.zeros_like(g)
-                chain[:, d_y:] = g[:, :-d_y]
-                return _affine_vjp(gpre, z, W0z, W0zd).sum(axis=0) + chain
+                gz = np.add.reduce(_affine_vjp(gpre, z, W0z, W0zd), axis=0)
+                gz[:, d_y:] += g[:, :-d_y]  # the integrator chain
+                gz[:, :d_y] += 0.0  # a -0.0 sum becomes +0.0, as in the op graph
+                return gz
 
             return out, vjp
 
@@ -389,7 +396,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     block = np.zeros((steps * n, x.shape[2]))
     xw = np.empty((3, steps * n, H))
     hs = np.zeros((T + 1, n, H))
-    saved = []  # (r, u, candidate, r h) per step, kept only under a tape
+    saved = []  # ((r, u), candidate, r h) per step, kept only under a tape
     for k in range(T):
         j = k % steps
         if j == 0:
@@ -399,13 +406,12 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
             np.matmul(block, W, out=xw)
             xw += b
         h, xk = hs[k], xw[:, j * n:(j + 1) * n]
-        pre = xk[:2] + np.matmul(h, U)
-        r, u = sig(pre[0]), sig(pre[1])
+        r, u = ru = sig(xk[:2] + np.matmul(h, U))  # the reset and update gates
         rh = r * h
         cand = tanh(xk[2] + rh @ Uh)
         np.add((1.0 - u) * h, u * cand, out=hs[k + 1])
         if taped:
-            saved.append((r, u, cand, rh))
+            saved.append((ru, cand, rh))
     ad._check_finite("encode_prefixes", hs)
     ks = sorted(set(lengths))
     states = {k: Tensor(hs[k]) for k in ks}
@@ -417,8 +423,10 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
         """The backward pass of steps top down to bottom + 1."""
         def backward(g):
             G = np.empty((3, n, H))  # the gates' pre-activation gradients
+            g_ru = np.empty((2, n, H))
             for k in range(top, bottom, -1):
-                h, (r, u, cand, rh), xk = hs[k - 1], saved[k - 1], x[k - 1]
+                h, (ru, cand, rh), xk = hs[k - 1], saved[k - 1], x[k - 1]
+                r, u = ru
                 # the gradient of the state before step k: that state's own
                 # tensor at the segment's end, else a scratch one
                 into = states.get(k - 1) if k - 1 == bottom else Tensor((), requires_grad=True)
@@ -426,7 +434,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                 # Reverse op order: the convex combination, the candidate,
                 # then the update gate, then the reset gate; last the
                 # imputation.
-                g_u = g * cand
+                g_u = np.multiply(g, cand, out=g_ru[1])
                 g_cand = g * u
                 g_keep = g * h
                 if grad_h:
@@ -434,11 +442,10 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                 g_u += -g_keep
                 G[2] = tanh_vjp(g_cand, None, cand)
                 g_rh = G[2] @ Uh.mT
-                g_r = g_rh * h
+                np.multiply(g_rh, h, out=g_ru[0])
                 if grad_h:
                     ad._accum(into, g_rh * r)
-                G[1] = sig_vjp(g_u, None, u)
-                G[0] = sig_vjp(g_r, None, r)
+                G[:2] = sig_vjp(g_ru, None, ru)
                 if grad_h:
                     g_h = np.matmul(G[:2], UT)
                     ad._accum(into, g_h[1])

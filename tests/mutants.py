@@ -79,6 +79,87 @@ CATALOGUE = (
             "tests/test_model.py::TestStoredLayout::test_assignment_reaches_the_field_and_adam"),
            "an assignment detaches the tensor from the buffer that Adam and the "
            "checkpoint read"),
+    Mutant("adam-step-gathers-again", "autodiff.py",
+           "g = self.g if self.gathered else self.gather()", "g = self.gather()",
+           ("tests/test_train.py::TestTrainLoop::test_each_batch_gathers_its_gradient_once",),
+           "train() gathers each batch's gradient twice, for its scan and for the step"),
+    Mutant("adam-gathered-gradient-outlives-the-step", "autodiff.py",
+           "        self.gathered = False\n        if max_grad_norm", "        if max_grad_norm",
+           ("tests/test_autodiff.py::TestAdam::test_a_gathered_gradient_serves_one_step",),
+           "a second step reads the gathered array that the first one spent"),
+    Mutant("adam-gathered-gradient-outlives-zero-grad", "autodiff.py",
+           "        self.gathered = False\n        for t in self.tensors:",
+           "        for t in self.tensors:",
+           ("tests/test_autodiff.py::TestAdam::test_a_gathered_gradient_serves_one_step",),
+           "a step after zero_grad reads the gradient gathered before it"),
+    Mutant("accum-without-its-test", "autodiff.py",
+           "    if not t.requires_grad:\n        return\n", "",
+           ("tests/test_autodiff.py::TestOpSweep::test_frozen_inputs_take_no_gradient",),
+           "a tensor that requires no grad takes a gradient"),
+    Mutant("leaky-relu-mask-strict", "autodiff.py", "lambda x: x >= 0,", "lambda x: x > 0,",
+           ("tests/test_autodiff.py::TestForwardOps::test_kept_mask_gives_the_slope_that_y_cannot",),
+           "the leaky ReLU's VJP takes the slope, not 1, at pre = +0.0 and -0.0, "
+           "against the select form"),
+    Mutant("field-first-layer-rebuilt-without-control", "model.py",
+           "                    pre += c\n                    layers = [",
+           "                    layers = [",
+           ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_triangular_rhs",),
+           "the VJP rebuilds the first hidden layer from z alone, so its activation "
+           "and mask are not the forward pass's"),
+    Mutant("field-first-layer-cached-again", "model.py", "if taped and l:", "if taped:",
+           ("tests/test_fused.py::TestTapeBytes",),
+           "the forward pass keeps the first hidden layer as well; no VJP reads it, "
+           "so only the tape's bytes show it"),
+    Mutant("field-chain-unshifted", "model.py",
+           "gz[:, d_y:] += g[:, :-d_y]", "gz[:, d_y:] += g[:, d_y:]",
+           ("tests/test_fused.py::TestFusedGradCheck::test_triangular_rhs",),
+           "the integrator chain's gradient reaches each block of z from its own "
+           "block of dz/dt, not from the block before"),
+    Mutant("gru-gate-gradients-swapped", "model.py",
+           "G[:2] = sig_vjp(g_ru, None, ru)", "G[:2] = sig_vjp(g_ru[::-1], None, ru)",
+           ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode",),
+           "the one sigmoid VJP over both gates pairs r's gradient with u and u's with r"),
+    Mutant("gru-state-gradients-swapped", "model.py",
+           "                    ad._accum(into, g_h[1])\n                    ad._accum(into, g_h[0])",
+           "                    ad._accum(into, g_h[0])\n                    ad._accum(into, g_h[1])",
+           ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode",),
+           "the state gradients through the recurrent products accumulate in "
+           "another order than the op graph's, so they round otherwise"),
+    Mutant("legacy-chunk-key-kept", "model.py",
+           '    meta["config"].pop("recursive_chunk", None)\n', "",
+           ("tests/test_model.py::TestModelCheckpoint::"
+            "test_checkpoint_with_the_long_horizon_rollout_keys_loads",),
+           "a checkpoint written with a recursive_chunk key no longer loads"),
+    Mutant("rk4-state-gradient-without-s2", "odeint.py",
+           "(h / 2.0)) + s2 + s3 + s4", "(h / 2.0)) + s3 + s4",
+           ("tests/test_odeint.py::TestAdjoint::test_adjoint_matches_finite_differences",),
+           "the RK4 step's state gradient drops the second stage's direct term"),
+    Mutant("step-takes-the-control-at-its-end", "odeint.py",
+           'edges[:-1], side="right")', 'edges[1:], side="right")',
+           ("tests/test_odeint.py::TestIntegrate::test_piecewise_constant_control_is_exact",
+            "tests/test_fused.py::TestNoLookAhead::test_prediction_reads_no_control_past_its_time"),
+           "each step reads the control at its end time, a look-ahead"),
+    Mutant("targets-to-twice-max-horizon", "train.py",
+           "else t_c + max_horizon)", "else t_c + 2 * max_horizon)",
+           ("tests/test_fused.py::TestNoLookAhead::test_loss_reads_nothing_past_its_last_target",),
+           "the loss scores targets up to twice max_horizon after the decision time"),
+    Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[j]) / scale[j]", ".sum() / c[j])",
+           ("tests/test_evaluate.py::TestRmseGrid::test_scaling_invariance",),
+           "the RMSE grid is not divided by the split's std"),
+    Mutant("schedule-read-one-cycle-early", "simulate.py",
+           "doses[:, cycle] = dose_schedule[:, cycle]",
+           "doses[:, cycle] = dose_schedule[:, min(cycle + 1, config.n_cycles - 1)]",
+           ("tests/test_simulate.py::TestCancerSimulation::"
+            "test_schedule_changed_from_a_cycle_leaves_the_days_before_it",),
+           "an override schedule's doses are given one cycle early"),
+    Mutant("oracle-emission-untransposed", "identify.py",
+           "emission = scm.emission.transpose(1, 0, 2)", "emission = scm.emission",
+           ("tests/test_identify.py::TestOracleLabels", "tests/test_identify.py::TestEnumerateJoint"),
+           "enumerate_joint places the emission with its z and eps axes swapped"),
+    Mutant("numeric-error-exits-3", "cli.py",
+           "file=sys.stderr)\n        return 4", "file=sys.stderr)\n        return 3",
+           ("tests/test_cli.py::test_failed_validation_names_its_epoch",),
+           "a NumericError exits with the data-error code"),
 )
 
 

@@ -449,6 +449,27 @@ class TestAdam:
         assert t.data[0] < 1.0
 
 
+    def test_a_gathered_gradient_serves_one_step(self):
+        # a step spends the gradient that gather() made, and gathers anew
+        # after a step or a zero_grad; the reference takes each gradient
+        # after a zero_grad
+        t, opt = adam_on([0.5, -1.0], [1.0, -2.0])
+        u, ref = adam_on([0.5, -1.0], [0.0, 0.0])
+        for grad in ([1.0, -2.0], [3.0, 3.0], [-1.0, 4.0]):
+            ref.zero_grad()
+            u.grad = np.array(grad)
+            ref.step()
+        opt.gather()
+        opt.step()
+        t.grad[...] = 3.0
+        opt.step()
+        opt.gather()
+        opt.zero_grad()
+        t.grad = np.array([-1.0, 4.0])
+        opt.step()
+        for a, b in ((t.data, u.data), (opt.m, ref.m), (opt.v, ref.v)):
+            assert a.tobytes() == b.tobytes()
+
     def test_tensors_that_do_not_tile_one_buffer_are_refused(self):
         a, b = ad.flat_params([(2,), (3,)])
         with pytest.raises(ValueError, match="tile one flat buffer"):

@@ -662,14 +662,17 @@ class TestStepNode:
 
 
 class TestTapeBytes:
-    @pytest.mark.parametrize("act,entry_bytes", [("leakyrelu", 9), ("tanh", 8)])
-    def test_taped_solve_keeps_only_what_the_vjps_read(self, act, entry_bytes):
-        # after a taped RK4 solve at n = 25 the tape holds, per step, stage
-        # and hidden layer, the (m, n, w) activation (8 bytes an entry) and
-        # for the leaky ReLU its one-byte mask, with 25% to spare for the
-        # states, the closures and the control terms; a float64 slope or
-        # pre-activation kept as well, 16 bytes an entry, breaks the bound
-        m, n, w, layers, steps = 2, 25, 32, 2, 16
+    """After a taped 16-step RK4 solve at n = 25, m = 2, w = 32, the tape
+    holds, per step, stage and hidden layer but the first, the (m, n, w)
+    activation (8 bytes an entry) and for the leaky ReLU its one-byte mask;
+    the VJP rebuilds the first layer's from the stage input. A quarter of
+    one layer's worth is spare for the states, the closures and the
+    control terms."""
+    m, n, w, steps = 2, 25, 32, 16
+
+    def held(self, act, layers):
+        """(bytes the tape holds, entries of one hidden layer over the solve)."""
+        m, n, w = self.m, self.n, self.w
         cfg = ObsNodeConfig(d_y=1, m=m, d_a=1, phi_hidden_dim=w, phi_layers=layers,
                             phi_activation=act, encoder_hidden_dim=3)
         params = make_params(cfg, 5)
@@ -686,8 +689,21 @@ class TestTapeBytes:
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape) == steps and states[0].requires_grad
-        assert held <= 1.25 * steps * 4 * layers * m * n * w * entry_bytes
+        assert len(tape) == self.steps and states[0].requires_grad
+        return held, self.steps * 4 * m * n * w
+
+    @pytest.mark.parametrize("act,entry_bytes", [("leakyrelu", 9), ("tanh", 8)])
+    def test_taped_solve_keeps_only_what_the_vjps_read(self, act, entry_bytes):
+        # two hidden layers: the second one's activation and mask; a float64
+        # slope or pre-activation kept as well, or the first layer's
+        # activation, breaks the bound
+        held, layer = self.held(act, 2)
+        assert held <= 1.25 * layer * entry_bytes
+
+    @pytest.mark.parametrize("act,entry_bytes", [("leakyrelu", 9), ("tanh", 8)])
+    def test_one_hidden_layer_keeps_no_activation(self, act, entry_bytes):
+        held, layer = self.held(act, 1)
+        assert held <= 0.25 * layer * entry_bytes
 
 
 class TestFusedGradCheck:

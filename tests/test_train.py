@@ -335,6 +335,20 @@ class TestTrainLoop:
             run({3, 5})
 
 
+    def test_each_batch_gathers_its_gradient_once(self, monkeypatch):
+        # the finiteness scan and the step read one gathered gradient: batch
+        # k gathers once, after k steps
+        gathers = []
+
+        class CountingAdam(ad.Adam):
+            def gather(self):
+                gathers.append(self.t)
+                return super().gather()
+
+        monkeypatch.setattr(train_mod, "Adam", CountingAdam)
+        train(MODEL_CFG, tiny_splits(seed=11, n=10), tiny_train_cfg(epochs=1, batch_size=1))
+        assert gathers == list(range(10))
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_step_gradient_skips_the_batch(self, monkeypatch):
         # a field whose forward pass stays finite but whose VJP overflows on
