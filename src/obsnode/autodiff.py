@@ -130,7 +130,7 @@ def _record(out: Tensor, inputs, backward_fn):
 
 def _check_finite(name, *arrays):
     """NumericError naming `name` unless every array is finite. Ops do not
-    call it: the fused nodes, solver, loss and train loop check what they make."""
+    call it: the fused nodes, solver, loss and Adam check what they make."""
     for x in arrays:
         if not np.isfinite(x).all():
             raise NumericError(f"{name}: non-finite value")
@@ -394,16 +394,14 @@ def grad_check(f, x: Tensor) -> float:
 
 class Adam:
     """Bias-corrected Adam, with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8,
-    over tensors whose data tile one flat buffer in order
-    (:func:`flat_params`): each step gathers the gradients into one flat
-    array and updates the buffer and its moments with whole-buffer ufunc
-    calls, each entry by the arithmetic of a per-tensor update. Clipping
-    sums one float sum of squares per part of `parts` (index groups of the
-    buffer; default: the tensors), in order; an entry in no part is frozen,
-    its gradient zeroed."""
+    over tensors whose data tile one flat buffer in order (:func:`flat_params`),
+    by whole-buffer ufunc calls that give each entry the arithmetic of a
+    per-tensor update. Clipping sums one float sum of squares per part of
+    `parts` (index groups of the buffer; default: the tensors), in order; an
+    entry in no part is frozen, its gradient zeroed."""
 
     def __init__(self, tensors, lr=1e-3, parts=None):
-        self.tensors, self.lr, self.t, self.gathered = list(tensors), lr, 0, False
+        self.tensors, self.lr, self.t = list(tensors), lr, 0
         shapes = [t.data.shape for t in self.tensors]
         self.flat = flat = self.tensors[0].data.base
         at = lambda a: a.__array_interface__["data"][0]
@@ -421,20 +419,8 @@ class Adam:
         self.frozen = np.flatnonzero(frozen)
 
     def zero_grad(self):
-        self.gathered = False
         for t in self.tensors:
             t.zero_grad()
-
-    def gather(self):
-        """The gradients as one flat array, zero where a tensor has none and at
-        the frozen entries: the next step spends it, unless zero_grad runs first."""
-        for t, g in zip(self.tensors, self._grads):
-            if t.grad is not None and t.grad.shape != g.shape:
-                raise ShapeMismatch("Adam.step", g.shape, t.grad.shape)
-            g[...] = 0.0 if t.grad is None else t.grad
-        self.g[self.frozen] = 0.0
-        self.gathered = True
-        return self.g
 
     def _norm(self, g):
         """The square root of the sum of each part's sum of squares of g."""
@@ -443,8 +429,16 @@ class Adam:
         return np.sqrt(sum(float(np.sum(sq[p])) for p in self.parts))
 
     def step(self, max_grad_norm=None):
-        g = self.g if self.gathered else self.gather()
-        self.gathered = False
+        """Gather the gradients into one flat array, zero where a tensor has
+        none and at the frozen entries; unless it is finite, raise NumericError
+        before the buffer, m, v or t change; clip it to `max_grad_norm`; update."""
+        g = self.g
+        for t, gt in zip(self.tensors, self._grads):
+            if t.grad is not None and t.grad.shape != gt.shape:
+                raise ShapeMismatch("Adam.step", gt.shape, t.grad.shape)
+            gt[...] = 0.0 if t.grad is None else t.grad
+        self.g[self.frozen] = 0.0
+        _check_finite("gradient", g)
         if max_grad_norm is not None:
             norm, unit = self._norm(g), 1.0
             if norm == np.inf:  # g * g overflowed: measure g / max|g| instead

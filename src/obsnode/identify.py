@@ -195,13 +195,18 @@ def _check_symbols(scm: DiscreteScm, outcomes, actions):
                 raise DataError(f"{kind} {v} is outside the model's range 0..{n - 1}")
 
 
+def _check_query(scm: DiscreteScm, q: InterventionQuery):
+    """DataError unless the query's steps and symbols are the model's."""
+    if q.target > scm.T - 1:
+        raise DataError(f"query target step {q.target} exceeds horizon {scm.T - 1}")
+    _check_symbols(scm, q.y_prefix, q.a_prefix + q.intervention)
+
+
 def _query_axes(scm: DiscreteScm, q: InterventionQuery):
     """The joint's axes fixed by the query's outcomes and actions, prefix
     and intervention, as {axis: value}, and the target outcome's axis."""
+    _check_query(scm, q)
     T = scm.T
-    if q.target > T - 1:
-        raise DataError(f"query target step {q.target} exceeds horizon {T - 1}")
-    _check_symbols(scm, q.y_prefix, q.a_prefix + q.intervention)
     fixed = {}
     for k, y in enumerate(q.y_prefix):
         fixed[2 * T + k] = y
@@ -261,9 +266,7 @@ def modeler_emission(scm: DiscreteScm, step):
 
 def adjustment_estimate(scm: DiscreteScm, q: InterventionQuery):
     """Filter x latent propagation x emission: the discrete adjustment."""
-    if q.target > scm.T - 1:
-        raise DataError(f"query target step {q.target} exceeds horizon {scm.T - 1}")
-    _check_symbols(scm, (), q.intervention)
+    _check_query(scm, q)
     filt = filter_distribution(scm, q.y_prefix, q.a_prefix)
     prop = scm.z_trans[q.intervention[0]]
     for a in q.intervention[1:]:

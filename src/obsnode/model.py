@@ -417,7 +417,6 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     states = {k: Tensor(hs[k]) for k in ks}
     if not taped:
         return states
-    WT, UT = W.mT, U.mT
 
     def segment(top, bottom):
         """The backward pass of steps top down to bottom + 1."""
@@ -441,22 +440,18 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                     ad._accum(into, g * (1.0 - u))
                 g_u += -g_keep
                 G[2] = tanh_vjp(g_cand, None, cand)
-                g_rh = G[2] @ Uh.mT
+                g_rh = _affine_vjp(G[2], rh, Uht, Uh)
                 np.multiply(g_rh, h, out=g_ru[0])
                 if grad_h:
                     ad._accum(into, g_rh * r)
                 G[:2] = sig_vjp(g_ru, None, ru)
+                g_h = _affine_vjp(G[:2], h, Ut, U)
                 if grad_h:
-                    g_h = np.matmul(G[:2], UT)
                     ad._accum(into, g_h[1])
                     ad._accum(into, g_h[0])
-                ad._accum(Wt, np.matmul(xk.mT, G))
-                ad._accum(Ut, np.matmul(h.mT, G[:2]))
-                ad._accum(Uht, rh.mT @ G[2])
-                ad._accum(bt, _unit_sum(G))
                 # the whole input gradient: a product over fewer columns
                 # rounds otherwise
-                gx = np.matmul(G, WT)
+                gx = _affine_vjp(G, xk, Wt, W, bt)
                 gx = gx[2] + gx[1] + gx[0]
                 ad._accum(b_impute, _unit_sum(gx[:, :d_y] * unobs[k - 1]))
                 if k - 1 > bottom:

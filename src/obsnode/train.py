@@ -251,12 +251,10 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
                     loss = _batch_loss(batch, t_c, params, sigma2, int_cfg,
                                        max_horizon=tcfg.max_horizon)
                     tape.backward(loss)
-                ad._check_finite("gradient", opt.gather())
+                opt.step(max_grad_norm=tcfg.max_grad_norm)
+                epoch_losses.append(float(loss.data))
             except NumericError:
                 skipped += 1
-                continue
-            opt.step(max_grad_norm=tcfg.max_grad_norm)
-            epoch_losses.append(float(loss.data))
         if skipped > 0.1 * n_batches:
             raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")

@@ -79,19 +79,29 @@ CATALOGUE = (
             "tests/test_model.py::TestStoredLayout::test_assignment_reaches_the_field_and_adam"),
            "an assignment detaches the tensor from the buffer that Adam and the "
            "checkpoint read"),
-    Mutant("adam-step-gathers-again", "autodiff.py",
-           "g = self.g if self.gathered else self.gather()", "g = self.gather()",
-           ("tests/test_train.py::TestTrainLoop::test_each_batch_gathers_its_gradient_once",),
-           "train() gathers each batch's gradient twice, for its scan and for the step"),
-    Mutant("adam-gathered-gradient-outlives-the-step", "autodiff.py",
-           "        self.gathered = False\n        if max_grad_norm", "        if max_grad_norm",
-           ("tests/test_autodiff.py::TestAdam::test_a_gathered_gradient_serves_one_step",),
-           "a second step reads the gathered array that the first one spent"),
-    Mutant("adam-gathered-gradient-outlives-zero-grad", "autodiff.py",
-           "        self.gathered = False\n        for t in self.tensors:",
-           "        for t in self.tensors:",
-           ("tests/test_autodiff.py::TestAdam::test_a_gathered_gradient_serves_one_step",),
-           "a step after zero_grad reads the gradient gathered before it"),
+    Mutant("adam-scans-after-counting-the-step", "autodiff.py",
+           """        _check_finite("gradient", g)
+        if max_grad_norm is not None:
+            norm, unit = self._norm(g), 1.0
+            if norm == np.inf:  # g * g overflowed: measure g / max|g| instead
+                unit = np.max(np.abs(g))
+                norm = self._norm(g / unit)
+            if norm > max_grad_norm / unit:
+                g *= max_grad_norm / unit / norm
+        self.t += 1
+""", """        if max_grad_norm is not None:
+            norm, unit = self._norm(g), 1.0
+            if norm == np.inf:  # g * g overflowed: measure g / max|g| instead
+                unit = np.max(np.abs(g))
+                norm = self._norm(g / unit)
+            if norm > max_grad_norm / unit:
+                g *= max_grad_norm / unit / norm
+        self.t += 1
+        _check_finite("gradient", g)
+""",
+           ("tests/test_autodiff.py::TestAdam::test_a_nonfinite_gradient_changes_nothing",),
+           "a refused step still counts, so the next step's bias corrections are "
+           "one step late"),
     Mutant("accum-without-its-test", "autodiff.py",
            "    if not t.requires_grad:\n        return\n", "",
            ("tests/test_autodiff.py::TestOpSweep::test_frozen_inputs_take_no_gradient",),
@@ -139,6 +149,11 @@ CATALOGUE = (
            ("tests/test_odeint.py::TestIntegrate::test_piecewise_constant_control_is_exact",
             "tests/test_fused.py::TestNoLookAhead::test_prediction_reads_no_control_past_its_time"),
            "each step reads the control at its end time, a look-ahead"),
+    Mutant("default-step-a-half-spacing", "odeint.py",
+           "float(np.min(np.diff(times))) / 4.0", "float(np.min(np.diff(times))) / 2.0",
+           ("tests/test_train.py::test_omitted_int_step_is_a_quarter_of_the_smallest_spacing",),
+           "a train config without int_step integrates at half the smallest "
+           "spacing, not a quarter"),
     Mutant("targets-to-twice-max-horizon", "train.py",
            "else t_c + max_horizon)", "else t_c + 2 * max_horizon)",
            ("tests/test_fused.py::TestNoLookAhead::test_loss_reads_nothing_past_its_last_target",),
@@ -156,6 +171,12 @@ CATALOGUE = (
            "emission = scm.emission.transpose(1, 0, 2)", "emission = scm.emission",
            ("tests/test_identify.py::TestOracleLabels", "tests/test_identify.py::TestEnumerateJoint"),
            "enumerate_joint places the emission with its z and eps axes swapped"),
+    Mutant("adjustment-without-the-query-check", "identify.py",
+           "    _check_query(scm, q)\n    filt = filter_distribution",
+           "    filt = filter_distribution",
+           ("tests/test_identify.py::TestQuerySymbols::test_query_values_are_checked",),
+           "adjustment_estimate answers a query past the horizon, which "
+           "interventional_truth refuses"),
     Mutant("numeric-error-exits-3", "cli.py",
            "file=sys.stderr)\n        return 4", "file=sys.stderr)\n        return 3",
            ("tests/test_cli.py::test_failed_validation_names_its_epoch",),

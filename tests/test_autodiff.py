@@ -449,27 +449,6 @@ class TestAdam:
         assert t.data[0] < 1.0
 
 
-    def test_a_gathered_gradient_serves_one_step(self):
-        # a step spends the gradient that gather() made, and gathers anew
-        # after a step or a zero_grad; the reference takes each gradient
-        # after a zero_grad
-        t, opt = adam_on([0.5, -1.0], [1.0, -2.0])
-        u, ref = adam_on([0.5, -1.0], [0.0, 0.0])
-        for grad in ([1.0, -2.0], [3.0, 3.0], [-1.0, 4.0]):
-            ref.zero_grad()
-            u.grad = np.array(grad)
-            ref.step()
-        opt.gather()
-        opt.step()
-        t.grad[...] = 3.0
-        opt.step()
-        opt.gather()
-        opt.zero_grad()
-        t.grad = np.array([-1.0, 4.0])
-        opt.step()
-        for a, b in ((t.data, u.data), (opt.m, ref.m), (opt.v, ref.v)):
-            assert a.tobytes() == b.tobytes()
-
     def test_tensors_that_do_not_tile_one_buffer_are_refused(self):
         a, b = ad.flat_params([(2,), (3,)])
         with pytest.raises(ValueError, match="tile one flat buffer"):
@@ -494,6 +473,49 @@ class TestAdam:
         t, opt = adam_on([0.0, 0.0], [0.3, -0.4])
         opt.step(max_grad_norm=0.5)
         assert opt.m.tolist() == [(1.0 - 0.9) * 0.3, (1.0 - 0.9) * -0.4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=2).map(tuple),
+                           min_size=1, max_size=3),
+           seed=st.integers(0, 2**16), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           clip=st.sampled_from([None, 1.0]), data=st.data())
+    def test_a_nonfinite_gradient_changes_nothing(self, shapes, seed, bad, clip, data):
+        # NaN or +-inf at a live entry is refused before the buffer, m, v or
+        # t change; at a frozen entry it is zeroed like any frozen gradient
+        # and the step is the one a zero there takes
+        tensors = ad.flat_params(shapes)
+        rng = np.random.default_rng(seed)
+        size = sum(t.data.size for t in tensors)
+        frozen = rng.uniform(size=size) < 0.3
+        assume(not frozen.all())
+        opt = Adam(tensors, lr=0.1, parts=[np.flatnonzero(~frozen)])
+        opt.flat[...] = rng.normal(size=size)
+
+        def step(grad):
+            for t, g in zip(tensors, np.split(grad, np.cumsum([t.data.size for t in tensors]))):
+                t.grad = g.reshape(t.data.shape).copy()
+            opt.step(max_grad_norm=clip)
+
+        for _ in range(3):
+            step(rng.normal(size=size))
+        state = lambda: [opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.t]
+        before = state()
+        grad = rng.normal(size=size)
+        poisoned = grad.copy()
+        poisoned[data.draw(st.sampled_from(np.flatnonzero(~frozen).tolist()))] = bad
+        with pytest.raises(NumericError, match="^gradient: non-finite value$"):
+            step(poisoned)
+        assert state() == before
+        if frozen.any():
+            at = data.draw(st.sampled_from(np.flatnonzero(frozen).tolist()))
+            grad[at] = 0.0
+            step(grad)
+            after = state()
+            opt.flat[...], opt.m[...], opt.v[...] = (np.frombuffer(b) for b in before[:3])
+            opt.t = before[3]
+            grad[at] = bad
+            step(grad)
+            assert state() == after and opt.t == before[3] + 1
 
 
 @st.composite

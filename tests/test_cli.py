@@ -620,6 +620,73 @@ def tiny_train_config(workspace, tiny_dataset, tmp_path, section, **values):
     return cfg
 
 
+def test_null_optional_fields_run_as_omitted_ones(workspace, tiny_dataset, tmp_path):
+    # JSON null for an optional field is its default, None: a train config
+    # with all five set to null exits 0 and writes the run that omits them
+    optional = {"train": ["max_grad_norm", "int_step", "val_decision_times", "max_horizon"],
+                "model": ["treatment_scale"]}
+    runs = []
+    for name in ("null", "omitted"):
+        cfg = tiny_train_config(workspace, tiny_dataset, tmp_path / name, "train")
+        for section, keys in optional.items():
+            for key in keys:
+                cfg[section].pop(key, None)
+                if name == "null":
+                    cfg[section][key] = None
+        assert run_config("train", cfg, tmp_path / f"{name}.json") == (0, "")
+        runs.append([(tmp_path / name / "run" / f).read_bytes()
+                     for f in ("config.json", "metrics.csv", "checkpoint.json")])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("defect", ["directory", "norm_stats_length"])
+def test_unloadable_checkpoint_is_data_error(workspace, tmp_path, defect):
+    # evaluate and forecast refuse it with exit 3, naming what is wrong
+    if defect == "directory":
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        message = f"checkpoint {ck}: "
+    else:
+        doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
+        stats = doc["metadata"]["norm_stats"]
+        stats["mean"].append(0.0)
+        stats["std"].append(1.0)
+        ck = Path(write_json(tmp_path / "ck.json", doc))
+        message = "norm_stats of length 3 for d_y=2"
+    evl = json.loads(Path(workspace["eval"]).read_text())
+    evl.update(checkpoint=str(ck), output_dir=str(tmp_path / "eval"))
+    t = tmp_path / "a.csv"
+    t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+    for argv in (["evaluate", "--config", write_json(tmp_path / "eval.json", evl)],
+                 ["forecast", "--checkpoint", str(ck), "--dataset", str(workspace["ds"]),
+                  "--unit-id", "0", "--treatments", str(t), "--t-c", "30"]):
+        rc, _, err = run_main(argv)
+        assert rc == 3 and message in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_manifest_split_without_its_file_is_data_error(workspace, tmp_path):
+    # the manifest names val, whose records are gone: every command that
+    # reads the dataset exits 3, naming the missing file
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace["ds"], ds)
+    (ds / "val.jsonl").unlink()
+    evl = json.loads(Path(workspace["eval"]).read_text())
+    evl.update(dataset_dir=str(ds), output_dir=str(tmp_path / "eval"))
+    trn = json.loads(Path(workspace["train"]).read_text())
+    trn.update(dataset_dir=str(ds), run_dir=str(tmp_path / "run"))
+    t = tmp_path / "a.csv"
+    t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+    for argv in (["evaluate", "--config", write_json(tmp_path / "eval.json", evl)],
+                 ["train", "--config", write_json(tmp_path / "train.json", trn)],
+                 ["forecast", "--checkpoint", str(workspace["run"] / "checkpoint.json"),
+                  "--dataset", str(ds), "--unit-id", "0", "--treatments", str(t),
+                  "--t-c", "30"]):
+        rc, _, err = run_main(argv)
+        assert rc == 3 and str(ds / "val.jsonl") in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "run").exists()
+
+
 def test_failed_validation_names_its_epoch(workspace, tiny_dataset, tmp_path):
     # at learning rate 1e300 epoch 0's one Adam step leaves parameters the
     # solver cannot integrate with, so its validation pass fails: exit 4,

@@ -419,8 +419,9 @@ class TestOracleLabels:
 
 class TestQuerySymbols:
     # (y_prefix, a_prefix, intervention, the message): a negative value and
-    # one past the range, for an outcome and for an action; the random
-    # instances have outcomes 0..3 and actions 0..1
+    # one past the range, for an outcome and for an action, and a target past
+    # the horizon; the random instances have outcomes 0..3, actions 0..1 and
+    # horizon 2
     CASES = [pytest.param((-1,), (), (0, 1), "outcome -1 is outside the model's range 0..3",
                           id="outcome-negative"),
              pytest.param((4,), (), (0, 1), "outcome 4 is outside the model's range 0..3",
@@ -432,7 +433,9 @@ class TestQuerySymbols:
              pytest.param((0,), (), (0, -1), "action -1 is outside the model's range 0..1",
                           id="intervened-action-negative"),
              pytest.param((0,), (), (2, 0), "action 2 is outside the model's range 0..1",
-                          id="intervened-action-past-range")]
+                          id="intervened-action-past-range"),
+             pytest.param((0, 0), (0,), (1, 1), "query target step 3 exceeds horizon 2",
+                          id="target-past-horizon")]
 
     @pytest.mark.parametrize("fn", [_query_axes, interventional_truth, adjustment_estimate])
     @pytest.mark.parametrize("y_prefix, a_prefix, intervention, message", CASES)

@@ -311,8 +311,8 @@ class TestTrainLoop:
                     opts.append(self)
 
                 def step(self, max_grad_norm=None):
-                    steps.append(len(snapshots))
                     super().step(max_grad_norm)
+                    steps.append(len(snapshots))
 
             def backward(tape, loss):
                 snapshots.append([t.data.copy() for t in opts[0].tensors])
@@ -333,21 +333,6 @@ class TestTrainLoop:
             np.testing.assert_array_equal(before, after)
         with pytest.raises(NumericError, match="2/10 batches"):
             run({3, 5})
-
-
-    def test_each_batch_gathers_its_gradient_once(self, monkeypatch):
-        # the finiteness scan and the step read one gathered gradient: batch
-        # k gathers once, after k steps
-        gathers = []
-
-        class CountingAdam(ad.Adam):
-            def gather(self):
-                gathers.append(self.t)
-                return super().gather()
-
-        monkeypatch.setattr(train_mod, "Adam", CountingAdam)
-        train(MODEL_CFG, tiny_splits(seed=11, n=10), tiny_train_cfg(epochs=1, batch_size=1))
-        assert gathers == list(range(10))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_step_gradient_skips_the_batch(self, monkeypatch):
@@ -491,6 +476,18 @@ def test_single_time_records_are_unscorable():
     with pytest.raises(ConfigError, match="records span"):
         train(MODEL_CFG, {"train": trajs, "val": trajs},
               tiny_train_cfg(epochs=1, int_step=None))
+
+
+def test_omitted_int_step_is_a_quarter_of_the_smallest_spacing():
+    # the records' smallest spacing is 0.5, so the default step is 0.125
+    times = [0.0, 1.0, 2.0, 2.5, 4.0, 5.0]
+    splits = {k: [Trajectory(unit_id=t.unit_id, times=times, y=t.y, mask=t.mask, a=t.a)
+                  for t in trs] for k, trs in tiny_splits(seed=3).items()}
+    runs = []
+    for int_step in (None, 0.125):
+        params, history = train(MODEL_CFG, splits, tiny_train_cfg(epochs=2, int_step=int_step))
+        runs.append((json.dumps(history), params.flat.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_int_step_is_checked_against_the_longest_integration():
