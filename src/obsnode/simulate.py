@@ -10,6 +10,7 @@ confounded binary treatments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -34,6 +35,9 @@ MAX_SIM_STEPS = 100_000_000
 MAX_SIM_LOOPS = 1_000_000
 # least horizon_hours and lengthscale: near 1e-308 knot spacings and frequencies overflow
 MIN_SCALE = 1e-300
+# most random-feature products in one evaluation of a semi-synthetic cohort's
+# patient paths, which takes as many patients at a time as fit
+RFF_CHUNK = 2**15
 
 # Population parameter distributions: name -> (mean, sd)
 PARAM_DISTS = {
@@ -138,20 +142,20 @@ class SemiSynthConfig:
         for key in ("horizon_hours", "eps_lengthscale", "g_lengthscale", "readout_lengthscale"):
             if getattr(self, key) < MIN_SCALE:
                 raise ConfigError(f"{key} must be at least MIN_SCALE={MIN_SCALE!r}")
-        hours = int(self.horizon_hours) + 1
+        hours = _hour_count(self.horizon_hours)
         # per hour: the d_eps confounder and d_y trend-noise paths, and the
         # d_y + d_a read-outs of the d_eps confounders
         products = (self.n_patients * hours * self.nu
                     * (self.d_eps + self.d_y + (self.d_y + self.d_a) * self.d_eps))
         if products > MAX_SIM_STEPS:
-            raise ConfigError(f"n_patients x (floor(horizon_hours) + 1) x nu x (d_eps + "
+            raise ConfigError(f"n_patients x ceil(horizon_hours + 0.5) x nu x (d_eps + "
                               f"d_y + (d_y + d_a) x d_eps) is {products} random-feature "
                               f"products, more than MAX_SIM_STEPS={MAX_SIM_STEPS}")
         loops = (self.n_patients * (self.d_y + self.d_eps)
                  + hours * (self.d_a + min(self.w + 1, hours)))
         if loops > MAX_SIM_LOOPS:
-            raise ConfigError(f"n_patients x (d_y + d_eps) + (floor(horizon_hours) + 1) x "
-                              f"(d_a + min(w + 1, floor(horizon_hours) + 1)) is {loops} "
+            raise ConfigError(f"n_patients x (d_y + d_eps) + ceil(horizon_hours + 0.5) x "
+                              f"(d_a + min(w + 1, ceil(horizon_hours + 0.5))) is {loops} "
                               f"loop iterations, more than MAX_SIM_LOOPS={MAX_SIM_LOOPS}")
         for tup in (self.gamma_A, self.gamma_eps, self.bias):
             if len(tup) != self.d_a or not all(np.isfinite(v) for v in tup):
@@ -202,12 +206,17 @@ class Trajectory:
         self.y = np.where(observed, self.y, 0.0)
 
 
-def _patient_rngs(seed, unit_id):
-    """Separate parameter and noise streams so a patient can be re-simulated
-    with the same physiology under a different dose path or with noise off."""
-    params = np.random.default_rng(np.random.SeedSequence((seed, unit_id, 0)))
-    noise = np.random.default_rng(np.random.SeedSequence((seed, unit_id, 1)))
-    return params, noise
+def _hour_count(horizon_hours):
+    """Points of the semi-synthetic hourly grid 0, 1, 2, ... below
+    horizon_hours + 0.5, the length of np.arange(0.0, horizon_hours + 0.5)."""
+    return math.ceil(horizon_hours + 0.5)
+
+
+def _patient_rng(seed, unit_id, stream):
+    """Patient `unit_id`'s stream 0 (its parameters) or 1 (its noise); kept
+    apart so a patient can be re-simulated with the same physiology under a
+    different dose path or with noise off."""
+    return np.random.default_rng(np.random.SeedSequence((seed, unit_id, stream)))
 
 
 def sample_patient_params(rng) -> CancerPatientParams:
@@ -272,8 +281,9 @@ def simulate_cancer_cohort(patients, config: CancerSimConfig, unit_ids,
     p = CancerPatientParams(**{f.name: np.array([getattr(q, f.name) for q in patients])
                                for f in fields(CancerPatientParams)})
     # each patient's noise stream, drawn one cycle of (v, w) pairs at a time
-    rngs = [_patient_rngs(config.seed, uid)[1] for uid in unit_ids] if config.noise else []
+    rngs = [_patient_rng(config.seed, uid, 1) for uid in unit_ids] if config.noise else []
     sigma = np.stack([p.sigma_v, p.sigma_w], axis=1)
+    draws = np.empty((n, steps_per_cycle, 2))
     noise = np.zeros((steps_per_cycle, n, 2))
 
     v, w = p.v0, p.w0
@@ -297,8 +307,9 @@ def simulate_cancer_cohort(patients, config: CancerSimConfig, unit_ids,
                 doses[:, cycle] = np.stack(
                     dose_policy(np.mean(window, axis=1), config.gamma, p), axis=1)
             if rngs:
-                noise = np.stack([r.standard_normal((steps_per_cycle, 2)) for r in rngs],
-                                 axis=1) * sigma
+                for r, row in zip(rngs, draws):
+                    r.standard_normal(out=row)
+                np.multiply(draws.transpose(1, 0, 2), sigma, out=noise)
             c_dose, d_dose = doses[:, cycle, 0], doses[:, cycle, 1]
             # the terms constant over a cycle; d ** 2 in Python floats, since
             # numpy's squaring differs from C pow in the last bit
@@ -332,7 +343,7 @@ def simulate_cancer_cohort(patients, config: CancerSimConfig, unit_ids,
 
 def sample_cohort_params(config: CancerSimConfig, unit_ids):
     """Each unit's physiology, drawn from its own parameter stream."""
-    return [sample_patient_params(_patient_rngs(config.seed, uid)[0]) for uid in unit_ids]
+    return [sample_patient_params(_patient_rng(config.seed, uid, 0)) for uid in unit_ids]
 
 
 def generate_cancer_dataset(config: CancerSimConfig):
@@ -352,27 +363,33 @@ def _split_thirds(trajs):
 # Semi-synthetic cohort
 # ---------------------------------------------------------------------------
 
-def rff_function(rng, input_dim, n_features, lengthscale):
-    """Random-Fourier-feature sample path of a Matern-3/2 Gaussian process.
+def rff_draw(rng, input_dim, n_features):
+    """(t, b, w), the draws of one random-Fourier-feature sample path of a
+    Matern-3/2 Gaussian process in stream order: Student-t(3) variates t
+    (n_features, input_dim), phases b uniform on [0, 2 pi) and weights w
+    standard normal (n_features,)."""
+    return (rng.standard_t(3, size=(n_features, input_dim)),
+            rng.uniform(0.0, 2.0 * np.pi, size=n_features), rng.normal(size=n_features))
 
-    f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i), with frequencies
-    omega_i drawn as Student-t(3) variates scaled by sqrt(3)/lengthscale.
-    `f(x, rowwise=True)` evaluates each row of x as its own one-row product,
-    so its values are bitwise those of calling f on each row alone.
+
+def rff_eval(x, lengthscale, t, b, w, rowwise=False):
+    """f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i) at the points x
+    (..., T, input_dim), with frequencies omega = t * sqrt(3) / lengthscale.
+
+    t is (..., n, input_dim), b and w (..., n); their leading axes, x's and
+    lengthscale's broadcast, and each leading index is its own matrix
+    product, so its values are bitwise those of evaluating its one path
+    alone. `rowwise` evaluates each row of x as its own one-row product, so
+    its values are bitwise those of evaluating each row alone.
     """
-    omega = rng.standard_t(3, size=(n_features, input_dim)) * np.sqrt(3.0) / lengthscale
-    b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
-    w = rng.normal(size=n_features)
-
-    def f(x, rowwise=False):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if rowwise:
-            proj = (x[:, None, :] @ omega.T)[:, 0] + b
-            return np.sqrt(2.0 / n_features) * (np.cos(proj)[:, None, :] @ w)[:, 0]
-        proj = x @ omega.T + b
-        return np.sqrt(2.0 / n_features) * (np.cos(proj) @ w)
-
-    return f
+    omega_t = np.swapaxes(t * np.sqrt(3.0) / lengthscale, -1, -2)
+    if rowwise:
+        proj = (x[..., None, :] @ omega_t[..., None, :, :])[..., 0, :] + b[..., None, :]
+        out = (np.cos(proj)[..., None, :] @ w[..., None, :, None])[..., 0, 0]
+    else:
+        proj = x @ omega_t + b[..., None, :]
+        out = (np.cos(proj) @ w[..., :, None])[..., 0]
+    return np.sqrt(2.0 / w.shape[-1]) * out
 
 
 def _bspline(knots, coef, x):
@@ -429,41 +446,56 @@ def generate_semi_synthetic(config: SemiSynthConfig):
     sample, a nonlinear read-out of hidden smooth confounders, and white
     noise. Binary treatments depend on recent outcomes and the confounders;
     their effect decays quadratically inside a trailing window. Each
-    patient's random functions and noise come from its own streams; the
-    treatment loop then runs over all patients at once.
+    patient's random functions and noise come from its own streams, drawn
+    patient by patient; the functions are then evaluated a chunk of
+    patients at a time, and the treatment loop runs over all patients at once.
     """
-    times = np.arange(0.0, config.horizon_hours + 0.5, 1.0)
+    times = np.arange(float(_hour_count(config.horizon_hours)))
     T = times.size
     n, d_y, d_a, d_eps = config.n_patients, config.d_y, config.d_a, config.d_eps
     B = config.effect_matrix()
 
     ds_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     bsplines = [_bspline_mixture(ds_rng, config.horizon_hours) for _ in range(d_y)]
-    phi_y = [rff_function(ds_rng, d_eps, config.nu, config.readout_lengthscale)
-             for _ in range(d_y)]
+    phi_y = [rff_draw(ds_rng, d_eps, config.nu) for _ in range(d_y)]
     # confounder channels feeding each treatment: first channel for treatment
     # 1, the remaining channels for the others
     conf_idx = [np.array([0])] + [np.arange(1, d_eps)] * (d_a - 1)
-    phi_a = [rff_function(ds_rng, len(idx), config.nu,
-                          config.readout_lengthscale) for idx in conf_idx]
+    phi_a = [rff_draw(ds_rng, len(idx), config.nu) for idx in conf_idx]
+    readout_ls = config.readout_lengthscale
     trend = np.stack([config.alpha_s * sp(times) for sp in bsplines], axis=1)
 
     eps = np.empty((n, T, d_eps))
     y = np.empty((n, T, d_y))  # untreated until the treatment loop reaches t
     conf_readout = np.empty((n, T, d_a))
     U = np.empty((n, T, d_a))
-    for i in range(n):
-        prng, nrng = _patient_rngs(config.seed, i)
-        eps[i] = np.stack([rff_function(prng, 1, config.nu, config.eps_lengthscale)(
-            times[:, None]) for _ in range(d_eps)], axis=1)
-        g = np.stack([rff_function(prng, 1, config.nu, config.g_lengthscale)(times[:, None])
-                      for _ in range(d_y)], axis=1)
-        readout = np.stack([f(eps[i]) for f in phi_y], axis=1)
-        eta = nrng.normal(0.0, config.eta_sd, size=(T, d_y))
-        y[i] = trend + config.alpha_g * g + config.alpha_phi * readout + eta
-        U[i] = nrng.uniform(size=(T, d_a))
-        conf_readout[i] = np.stack([f(eps[i][:, idx], rowwise=True)
-                                    for f, idx in zip(phi_a, conf_idx)], axis=1)
+    # each patient's d_eps confounder paths, then its d_y trend-noise paths
+    n_paths = d_eps + d_y
+    path_ls = np.repeat([config.eps_lengthscale, config.g_lengthscale],
+                        [d_eps, d_y])[:, None, None]
+    chunk = max(1, RFF_CHUNK // (T * config.nu * n_paths))
+    feats = [np.empty((chunk, n_paths) + shape)
+             for shape in ((config.nu, 1), (config.nu,), (config.nu,))]
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        # only the draws, in each patient's stream order; the eta noise
+        # waits in y to be added last
+        for i in range(lo, hi):
+            prng, nrng = _patient_rng(config.seed, i, 0), _patient_rng(config.seed, i, 1)
+            for j in range(n_paths):
+                for out, draw in zip(feats, rff_draw(prng, 1, config.nu)):
+                    out[i - lo, j] = draw
+            y[i] = nrng.normal(0.0, config.eta_sd, size=(T, d_y))
+            U[i] = nrng.uniform(size=(T, d_a))
+        paths = rff_eval(times[:, None], path_ls,
+                         *(f[:hi - lo] for f in feats)).transpose(0, 2, 1)
+        eps[lo:hi] = paths[..., :d_eps]
+        readout = np.stack([rff_eval(eps[lo:hi], readout_ls, *f) for f in phi_y], axis=-1)
+        y[lo:hi] = (trend + config.alpha_g * paths[..., d_eps:]
+                    + config.alpha_phi * readout + y[lo:hi])
+        conf_readout[lo:hi] = np.stack(
+            [rff_eval(np.take(eps[lo:hi], idx, axis=-1), readout_ls, *f, rowwise=True)
+             for f, idx in zip(phi_a, conf_idx)], axis=-1)
 
     affected = [np.nonzero(B[l] > 0)[0] for l in range(d_a)]
     A = np.zeros((n, T, d_a))
@@ -498,22 +530,34 @@ def generate_semi_synthetic(config: SemiSynthConfig):
 # ---------------------------------------------------------------------------
 
 def write_dataset(dirpath, splits, config, seed):
-    """JSON-lines trajectories plus a manifest with the config, the seed and
-    the split membership."""
+    """JSON-lines trajectories, one line json.dumps of each unit's record,
+    plus a manifest with the config, the seed and the split membership.
+
+    The units of a split mostly share their times and mask, so the text of
+    either is made again only when its bits differ from the previous unit's.
+    """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     membership = {}
     for split, trajs in splits.items():
+        shared = {"times": (None, ""), "mask": (None, "")}  # key -> (bits, text)
         with open(dirpath / f"{split}.jsonl", "w") as fh:
             for tr in trajs:
-                rec = {"unit_id": tr.unit_id, "times": tr.times.tolist(),
-                       "y": tr.y.tolist(), "mask": tr.mask.tolist(),
-                       "a": tr.a.tolist()}
-                if tr.latents is not None:
-                    rec["latents"] = np.asarray(tr.latents).tolist()
-                if tr.confounders is not None:
-                    rec["confounders"] = np.asarray(tr.confounders).tolist()
-                fh.write(json.dumps(rec) + "\n")
+                parts = [f'{{"unit_id": {json.dumps(tr.unit_id)}']
+                for key in ("times", "y", "mask", "a", "latents", "confounders"):
+                    arr = getattr(tr, key)
+                    if arr is None:
+                        continue
+                    arr = np.asarray(arr)
+                    if key in shared:
+                        bits = (arr.dtype.str, arr.shape, arr.tobytes())
+                        if bits != shared[key][0]:
+                            shared[key] = bits, json.dumps(arr.tolist())
+                        text = shared[key][1]
+                    else:
+                        text = json.dumps(arr.tolist())
+                    parts.append(f'"{key}": {text}')
+                fh.write(", ".join(parts) + "}\n")
         membership[split] = [tr.unit_id for tr in trajs]
     manifest = {"format_version": 1, "config": asdict(config), "seed": seed,
                 "splits": membership}

@@ -167,6 +167,31 @@ CATALOGUE = (
            ("tests/test_simulate.py::TestCancerSimulation::"
             "test_schedule_changed_from_a_cycle_leaves_the_days_before_it",),
            "an override schedule's doses are given one cycle early"),
+    Mutant("cancer-noise-from-the-parameter-stream", "simulate.py",
+           "rngs = [_patient_rng(config.seed, uid, 1)", "rngs = [_patient_rng(config.seed, uid, 0)",
+           ("tests/test_simulate.py::TestCohortMatchesReference::test_cancer_cohort",
+            "tests/test_simulate.py::TestPinnedDatasetBytes::test_cancer"),
+           "each patient's physiological noise comes from its parameter stream"),
+    Mutant("semi-chunk-leaves-out-its-last-patient", "simulate.py",
+           "hi = min(lo + chunk, n)", "hi = min(lo + chunk - 1, n)",
+           ("tests/test_simulate.py::TestCohortMatchesReference::test_semi_synthetic_cohort",),
+           "the last patient of each full evaluation chunk is never drawn or "
+           "evaluated; a cohort inside one partial chunk does not show it"),
+    Mutant("semi-grid-counted-by-floor", "simulate.py",
+           "return math.ceil(horizon_hours + 0.5)", "return int(horizon_hours) + 1",
+           ("tests/test_simulate.py::TestSemiSynthetic::test_counted_hours_are_the_grid",),
+           "a horizon whose fraction is above one half loses its last grid hour"),
+    Mutant("writer-shared-text-outlives-its-array", "simulate.py",
+           "if bits != shared[key][0]:", "if shared[key][0] is None:",
+           ("tests/test_simulate.py::TestDatasetIo::"
+            "test_each_line_is_json_dumps_of_its_plain_record",),
+           "every unit of a split is written with the first unit's times and mask"),
+    Mutant("writer-shared-text-compared-by-value", "simulate.py",
+           "arr.tobytes())", "tuple(arr.flat))",
+           ("tests/test_simulate.py::TestDatasetIo::"
+            "test_each_line_is_json_dumps_of_its_plain_record",),
+           "times or a mask equal in value but not in bits (-0.0 for 0.0) keep "
+           "the previous unit's text"),
     Mutant("oracle-emission-untransposed", "identify.py",
            "emission = scm.emission.transpose(1, 0, 2)", "emission = scm.emission",
            ("tests/test_identify.py::TestOracleLabels", "tests/test_identify.py::TestEnumerateJoint"),

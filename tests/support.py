@@ -410,3 +410,40 @@ def mean_patient():
     mu = {name: mean for name, (mean, _) in PARAM_DISTS.items()}
     return CancerPatientParams(**mu, K=K_TUMOR, beta_r=mu["alpha_r"] / 10.0, K_w=70.0,
                                alpha_c_dose=2.5, alpha_r_dose=2.5, v0=1.0, w0=70.0)
+
+
+def rff_function(rng, input_dim, n_features, lengthscale):
+    """The reference for :func:`~obsnode.simulate.rff_draw` and
+    :func:`~obsnode.simulate.rff_eval`: one random-feature path, drawn in
+    the same stream order, as a closure over one point set.
+
+    f(x) = sqrt(2/n) * sum_i w_i cos(omega_i . x + b_i), with frequencies
+    omega_i drawn as Student-t(3) variates scaled by sqrt(3)/lengthscale.
+    `f(x, rowwise=True)` evaluates each row of x as its own one-row product,
+    so its values are bitwise those of calling f on each row alone.
+    """
+    omega = rng.standard_t(3, size=(n_features, input_dim)) * np.sqrt(3.0) / lengthscale
+    b = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
+    w = rng.normal(size=n_features)
+
+    def f(x, rowwise=False):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if rowwise:
+            proj = (x[:, None, :] @ omega.T)[:, 0] + b
+            return np.sqrt(2.0 / n_features) * (np.cos(proj)[:, None, :] @ w)[:, 0]
+        proj = x @ omega.T + b
+        return np.sqrt(2.0 / n_features) * (np.cos(proj) @ w)
+
+    return f
+
+
+def plain_record(tr):
+    """The reference for a line of :func:`~obsnode.simulate.write_dataset`:
+    ``json.dumps`` of this dict is the unit's line, without its newline."""
+    rec = {"unit_id": tr.unit_id, "times": tr.times.tolist(), "y": tr.y.tolist(),
+           "mask": tr.mask.tolist(), "a": tr.a.tolist()}
+    if tr.latents is not None:
+        rec["latents"] = np.asarray(tr.latents).tolist()
+    if tr.confounders is not None:
+        rec["confounders"] = np.asarray(tr.confounders).tolist()
+    return rec

@@ -930,14 +930,16 @@ class TestConfigTypes:
         ({"d_eps": 10**6}, ["d_eps", "MAX_SIM_STEPS"]),
         ({"d_y": 400_000, "d_eps": 1, "nu": 1}, ["d_y", "d_eps", "MAX_SIM_LOOPS"]),
         ({"horizon_hours": 2000.0, "w": 10**6}, ["horizon_hours", "w + 1", "MAX_SIM_LOOPS"]),
-    ], ids=["d_y", "d_eps", "functions", "window"])
+        ({"n_patients": 588, "horizon_hours": 0.6, "nu": 10_000},
+         ["horizon_hours", "MAX_SIM_STEPS"]),
+    ], ids=["d_y", "d_eps", "functions", "window", "fractional_hours"])
     def test_semi_size_is_checked_before_any_draw(self, workspace, tmp_path, monkeypatch,
                                                   params, keys):
         # each passes a bound on n_patients x hours x (d_y + d_a + d_eps) x
         # nu alone, and then asks for minutes of Python loops or gigabytes of
         # read-out weights; it exits 2 naming its keys before a random
         # function or spline is drawn
-        for draw in ("rff_function", "_bspline_mixture"):
+        for draw in ("rff_draw", "_bspline_mixture"):
             monkeypatch.setattr(f"obsnode.simulate.{draw}", None)
         sub, cfg, _ = fuzz_bases(workspace)["simulate_semi"]
         cfg = copy.deepcopy(cfg)

@@ -1,5 +1,8 @@
 import hashlib
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +13,15 @@ from scipy.interpolate import BSpline
 
 from obsnode.autodiff import _sigmoid
 from obsnode.errors import ConfigError, DataError, NumericError
-from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS,
-                              V_MIN, W_MIN, CancerSimConfig, SemiSynthConfig,
-                              Trajectory, _bspline, _bspline_mixture, _patient_rngs,
-                              _split_thirds, diameter, dose_policy,
+from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS, MAX_SIM_STEPS,
+                              RFF_CHUNK, V_MIN, W_MIN, CancerSimConfig, SemiSynthConfig,
+                              Trajectory, _bspline, _bspline_mixture, _hour_count,
+                              _patient_rng, _split_thirds, diameter, dose_policy,
                               generate_cancer_dataset, generate_semi_synthetic,
-                              read_dataset, rff_function, sample_cohort_params,
+                              read_dataset, rff_draw, rff_eval, sample_cohort_params,
                               sample_patient_params, simulate_cancer_cohort,
                               write_dataset)
-from support import mean_patient
+from support import mean_patient, plain_record, rff_function
 
 
 def tiny_cancer_cfg(**kw):
@@ -194,27 +197,49 @@ class TestCancerSimulation:
 class TestRff:
     def test_deterministic_given_rng(self):
         xs = np.linspace(-2, 2, 50)[:, None]
-        f1 = rff_function(np.random.default_rng(3), 1, 20, 1.0)
-        f2 = rff_function(np.random.default_rng(3), 1, 20, 1.0)
-        np.testing.assert_array_equal(f1(xs), f2(xs))
+        f1 = rff_draw(np.random.default_rng(3), 1, 20)
+        f2 = rff_draw(np.random.default_rng(3), 1, 20)
+        np.testing.assert_array_equal(rff_eval(xs, 1.0, *f1), rff_eval(xs, 1.0, *f2))
 
     def test_bounded_by_weight_sum(self):
         rng = np.random.default_rng(4)
         n = 30
-        f = rff_function(rng, 2, n, 0.7)
+        f = rff_draw(rng, 2, n)
         xs = np.random.default_rng(5).normal(size=(1000, 2))
         # recover the weights bound by probing: |f| <= sqrt(2/n) sum|w|
-        vals = f(xs)
+        vals = rff_eval(xs, 0.7, *f)
         w_bound = np.sqrt(2.0 / n) * np.sqrt(n) * 10  # loose uniform bound
         assert np.max(np.abs(vals)) < w_bound
 
     def test_smoothness_scales_with_lengthscale(self):
         xs = np.arange(0.0, 72.0)[:, None]
-        rough = rff_function(np.random.default_rng(1), 1, 50, 1.0)
-        smooth = rff_function(np.random.default_rng(1), 1, 50, 20.0)
-        dr = np.mean(np.abs(np.diff(rough(xs))))
-        ds = np.mean(np.abs(np.diff(smooth(xs))))
+        f = rff_draw(np.random.default_rng(1), 1, 50)
+        dr = np.mean(np.abs(np.diff(rff_eval(xs, 1.0, *f))))
+        ds = np.mean(np.abs(np.diff(rff_eval(xs, 20.0, *f))))
         assert ds < dr
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 6),
+           st.lists(st.integers(1, 3), max_size=2), st.booleans(), st.integers(0, 2**16))
+    def test_batched_paths_are_bitwise_one_path_each(self, input_dim, n_features, T,
+                                                      batch, rowwise, seed):
+        # each leading index of the draws, with its own lengthscale, and of
+        # the points is the one-path reference on its own points
+        rng = np.random.default_rng(seed)
+        seeds = rng.integers(0, 2**32, size=batch)
+        ls = rng.uniform(0.5, 20.0, size=batch)
+        xs = rng.normal(size=(*batch, T, input_dim)) * 5.0
+        draws = [np.empty((*batch,) + shape) for shape in
+                 ((n_features, input_dim), (n_features,), (n_features,))]
+        want = np.empty((*batch, T))
+        for idx in np.ndindex(*batch):
+            for out, draw in zip(draws, rff_draw(np.random.default_rng(seeds[idx]),
+                                                 input_dim, n_features)):
+                out[idx] = draw
+            f = rff_function(np.random.default_rng(seeds[idx]), input_dim, n_features, ls[idx])
+            want[idx] = (f(xs[idx], rowwise=True) if rowwise else f(xs[idx]))
+        got = rff_eval(xs, ls[..., None, None], *draws, rowwise=rowwise)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
@@ -303,6 +328,24 @@ class TestSemiSynthetic:
             assert np.all(diff >= -1e-12)
             assert np.all(diff <= bound + 1e-12)
 
+    @pytest.mark.parametrize("horizon", [0.4, 0.5, 0.6, 9.4, 9.5, 9.6, 72.0, 1e-300])
+    def test_counted_hours_are_the_grid(self, horizon):
+        # the cost bounds count the hours of the grid the simulator makes,
+        # for fractions of an hour below, at and above one half
+        grid = np.arange(0.0, horizon + 0.5, 1.0)
+        units = flat(generate_semi_synthetic(
+            SemiSynthConfig(n_patients=1, horizon_hours=horizon, nu=2)))
+        assert _hour_count(horizon) == grid.size == units[0].times.size
+        np.testing.assert_array_equal(units[0].times, grid)
+
+    def test_a_fractional_horizon_counts_its_last_hour(self):
+        # 0.6 h is a grid of 2 hours, so 588 patients ask for twice
+        # MAX_SIM_STEPS random-feature products, and 294 for just under it
+        base = dict(horizon_hours=0.6, nu=10_000)
+        with pytest.raises(ConfigError, match=f"is 199920000 .*MAX_SIM_STEPS={MAX_SIM_STEPS}"):
+            SemiSynthConfig(n_patients=588, **base)
+        SemiSynthConfig(n_patients=294, **base)
+
     def test_determinism(self):
         cfg = SemiSynthConfig(n_patients=4, seed=6)
         a = generate_semi_synthetic(cfg)
@@ -385,7 +428,7 @@ def reference_semi_synthetic(config):
 
     trajs = []
     for uid in range(config.n_patients):
-        prng, nrng = _patient_rngs(config.seed, uid)
+        prng, nrng = _patient_rng(config.seed, uid, 0), _patient_rng(config.seed, uid, 1)
         eps_fns = [rff_function(prng, 1, config.nu, config.eps_lengthscale)
                    for _ in range(d_eps)]
         eps = np.stack([fn(times[:, None]) for fn in eps_fns], axis=1)
@@ -467,13 +510,21 @@ def cancer_cases(draw):
 
 @st.composite
 def semi_configs(draw):
-    d_a = draw(st.integers(1, 3))
+    """One patient with a few random features, or two to three evaluation
+    chunks of one to three patients each, the last one maybe partial."""
+    d_a, d_y, d_eps = (draw(st.integers(1, 3)) for _ in range(3))
+    horizon = draw(st.sampled_from([1.0, 4.0, 9.5, 9.6, 12.0]))
+    paths = np.arange(0.0, horizon + 0.5, 1.0).size * (d_eps + d_y)
+    if draw(st.booleans()):
+        n, nu = 1, draw(st.integers(1, 6))
+    else:
+        nu = RFF_CHUNK // (paths * draw(st.integers(1, 3)))
+        chunk = RFF_CHUNK // (paths * nu)
+        n = draw(st.integers(chunk + 1, 3 * chunk))
     coef = st.floats(-3.0, 3.0)
     return SemiSynthConfig(
-        n_patients=draw(st.integers(1, 5)),
-        horizon_hours=draw(st.sampled_from([1.0, 4.0, 9.5, 12.0])),
-        d_y=draw(st.integers(1, 3)), d_a=d_a, d_eps=draw(st.integers(1, 3)),
-        w=draw(st.integers(1, 4)), nu=draw(st.integers(1, 6)),
+        n_patients=n, horizon_hours=horizon, d_y=d_y, d_a=d_a, d_eps=d_eps,
+        w=draw(st.integers(1, 4)), nu=nu,
         beta=draw(st.sampled_from([1.0, 0.5, 0.0, -1.0])),
         gamma_A=tuple(draw(coef) for _ in range(d_a)),
         gamma_eps=tuple(draw(coef) for _ in range(d_a)),
@@ -491,8 +542,8 @@ class TestCohortMatchesReference:
         cfg, schedule = case
         uids = list(range(cfg.n_patients))
         want = [reference_cancer_patient(
-                    sample_patient_params(_patient_rngs(cfg.seed, uid)[0]), cfg,
-                    _patient_rngs(cfg.seed, uid)[1], uid,
+                    sample_patient_params(_patient_rng(cfg.seed, uid, 0)), cfg,
+                    _patient_rng(cfg.seed, uid, 1), uid,
                     None if schedule is None else schedule[uid])
                 for uid in uids]
         got = simulate_cancer_cohort(sample_cohort_params(cfg, uids), cfg, uids,
@@ -567,7 +618,44 @@ def test_diverging_patient_names_its_unit_and_day():
         simulate_cancer_cohort(pats, cfg, range(3))
 
 
+@st.composite
+def written_splits(draw):
+    """Splits of units whose consecutive times and masks are the same bits,
+    the same values in other bits (-0.0 for 0.0), or other values of the
+    same or another length; partially observed, and with and without
+    latents and confounders."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    splits, uid = {}, 0
+    for name in draw(st.sampled_from([("train",), ("train", "val", "test")])):
+        units, times, mask = [], None, None
+        for _ in range(draw(st.integers(0, 6))):
+            T = draw(st.integers(2, 3))
+            if times is None or times.size != T or draw(st.booleans()):
+                times = np.arange(float(T))
+                times[0] = draw(st.sampled_from([0.0, -0.0, -0.5]))
+            if mask is None or len(mask) != T or draw(st.booleans()):
+                mask = draw(hnp.arrays(np.float64, (T, 2),
+                                       elements=st.sampled_from([1.0, 1.0, 0.0, -0.0])))
+            units.append(Trajectory(
+                unit_id=uid, times=times.copy(), mask=mask.copy(),
+                y=rng.normal(size=(T, 2)) * 1e3, a=rng.normal(size=(T, 1)),
+                latents=rng.normal(size=(T, 1)) if draw(st.booleans()) else None,
+                confounders=rng.normal(size=(T, 2)) if draw(st.booleans()) else None))
+            uid += 1
+        splits[name] = units
+    return splits
+
+
 class TestDatasetIo:
+    @settings(max_examples=80, deadline=None)
+    @given(written_splits())
+    def test_each_line_is_json_dumps_of_its_plain_record(self, splits):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(tmp, splits, SemiSynthConfig(), 0)
+            for name, units in splits.items():
+                lines = (Path(tmp) / f"{name}.jsonl").read_text().splitlines(keepends=True)
+                assert lines == [json.dumps(plain_record(tr)) + "\n" for tr in units]
+
     def test_roundtrip(self, tmp_path):
         cfg = SemiSynthConfig(n_patients=6, seed=7)
         splits = generate_semi_synthetic(cfg)
