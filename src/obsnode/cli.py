@@ -180,6 +180,9 @@ def cmd_train(args):
     if not ds_dir.exists():
         raise ConfigError(f"dataset directory not found: {ds_dir}")
     splits, _ = read_dataset(ds_dir)
+    for split in ("train", "val"):
+        if split not in splits:
+            raise DataError(f"dataset {ds_dir} has no {split} split")
     try:
         stats = zscore_fit(splits["train"])
     except DataError as e:
@@ -278,18 +281,18 @@ def cmd_forecast(args):
         raise DataError(f"unit {args.unit_id} not found in the dataset")
     control = read_treatment_csv(args.treatments, model_cfg.d_a)
     record = stack_units([unit])
-    fut = _targets(record.times, args.t_c, args.horizon)
-    if fut is None:
+    pair = _targets(record.times, args.t_c, args.horizon)
+    if pair is None:
         raise DataError("no record time at or before t_c, or no forecast times beyond t_c")
-    qts = record.times[fut]
-    pred = raw_forecasts(record, [(args.t_c, qts)], params, stats, control=control)[0][:, 0]
+    k, j = pair
+    pred = raw_forecasts(record, [(k, j)], params, stats, control=control)[0][:, 0]
 
     with (_open_output(args.output) if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["time"] + [f"component_{j + 1}"
                                     for j in range(model_cfg.d_y)])
-        for t, row in zip(qts, pred):
+        for t, row in zip(record.times[k:j], pred):
             writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
     return 0
 
@@ -356,9 +359,9 @@ def cmd_gradcheck(args):
         times = np.cumsum(rng.uniform(0.5, 1.0, 4))
         record = History(times, rng.normal(size=(4, n, d_y)),
                          rng.random((4, n, d_y)) < 0.7, rng.normal(size=(4, n, d_a)))
-        t_c = times[int(rng.integers(0, 3))]
+        k = int(rng.integers(1, 4))  # a decision after the first k of the 4 times
         int_cfg = IntegrationConfig(METHODS[int(rng.integers(2))], step_size=1.0)
-        loss = lambda: _batch_loss(record, t_c, params, np.ones(d_y), int_cfg)
+        loss = lambda: _batch_loss(record, k, 4, params, np.ones(d_y), int_cfg)
         worst = max([worst] + [grad_check(loss, t) for t in params.tensors()])
     print(f"networks: {args.n}")
     print(f"max_relative_error: {worst:.3e}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import History, NormStats, rollouts, window
+from .model import History, NormStats, rollouts
 from .odeint import ControlPath, IntegrationConfig
 from .train import _fit_stats, _targets, stack_units, zscore_invert, zscore_outcomes
 
@@ -51,8 +51,8 @@ def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
                   control: ControlPath | None = None):
     """:func:`~obsnode.model.rollouts` in raw outcome units: normalize the
     record's observed outcomes with `stats` once, forecast, and invert the
-    normalization. Returns, per (t_c, query_times) decision, a
-    (len(query_times), n, d_y) array."""
+    normalization. Returns, per index pair (k, j) of `decisions`, a
+    (j - k, n, d_y) array."""
     if stats is not None:
         record = History(record.times, zscore_outcomes(record.y, record.mask, stats),
                          record.mask, record.a)
@@ -61,23 +61,20 @@ def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
     return [zscore_invert(o, stats) for o in out] if stats is not None else out
 
 
-def _binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
+def _binned_rmse(record: History, k, j, pred, t_c, horizons, scale):
     """Scaled RMSE and observed-point counts per (horizon bin, component) of
-    predictions at times `qts`; the bin for s_k collects the points in
-    (t_c + s_{k-1}, t_c + s_k]."""
-    d_y = y.shape[2]
-    err2 = (pred - y) ** 2 * mask
-    lo = t_c + np.concatenate([[0.0], horizons[:-1]])
-    hi = t_c + horizons
-    values = np.full((horizons.size, d_y), np.nan)
-    counts = np.zeros((horizons.size, d_y), dtype=int)
-    for k in range(horizons.size):
-        _, in_bin = window(qts, lo[k], hi[k])
-        c = mask[in_bin].sum(axis=(0, 1))
-        counts[k] = c
-        for j in range(d_y):
-            if c[j] > 0:
-                values[k, j] = np.sqrt(err2[in_bin][:, :, j].sum() / c[j]) / scale[j]
+    the predictions `pred` at the record's targets times[k:j] of a decision
+    at t_c; the bin for s_b collects the targets in (t_c + s_{b-1}, t_c + s_b],
+    a run of them that `searchsorted` bounds."""
+    mask = record.mask[k:j]
+    err2 = (pred - record.y[k:j]) ** 2 * mask
+    edges = np.searchsorted(record.times[k:j], t_c + horizons + 1e-9, side="right")
+    values = np.full((horizons.size, mask.shape[2]), np.nan)
+    counts = np.zeros(values.shape, dtype=int)
+    for b, (lo, hi) in enumerate(zip(np.concatenate([[0], edges[:-1]]), edges)):
+        c = counts[b] = mask[lo:hi].sum(axis=(0, 1))
+        for d in np.flatnonzero(c):
+            values[b, d] = np.sqrt(err2[lo:hi, :, d].sum() / c[d]) / scale[d]
     return values, counts
 
 
@@ -98,13 +95,11 @@ def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
 
     values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
     counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
-    scored = [(i, float(t_c), fut) for i, t_c in enumerate(t_c_grid)
-              if (fut := _targets(record.times, t_c, horizons[-1])) is not None]
-    preds = raw_forecasts(record, [(t_c, record.times[fut]) for _, t_c, fut in scored],
-                          params, stats, int_cfg)
-    for (i, t_c, fut), pred in zip(scored, preds):
-        values[i], counts[i] = _binned_rmse(record.times[fut], pred, record.y[fut],
-                                            record.mask[fut], t_c, horizons, scale)
+    scored = [(i, float(t_c), pair) for i, t_c in enumerate(t_c_grid)
+              if (pair := _targets(record.times, t_c, horizons[-1])) is not None]
+    preds = raw_forecasts(record, [pair for _, _, pair in scored], params, stats, int_cfg)
+    for (i, t_c, (k, j)), pred in zip(scored, preds):
+        values[i], counts[i] = _binned_rmse(record, k, j, pred, t_c, horizons, scale)
     return RmseGrid(t_c_grid, horizons, values, counts)
 
 

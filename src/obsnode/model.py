@@ -91,15 +91,15 @@ class History:
             raise DataError("History: times must be ascending")
 
 
-def window(times, start, end=None):
-    """Masks of `times` at or before `start` and in (start, end], or after
-    `start` when `end` is None; a time within 1e-9 past a bound counts as on
-    it, so a grid time rounded off a decision time stays on its side."""
-    before = times <= start + 1e-9
-    inside = ~before
-    if end is not None:
-        inside &= times <= end + 1e-9
-    return before, inside
+def decision_split(times, t_c, end=np.inf):
+    """The index pair (k, j) of a decision at t_c on the ascending `times`:
+    the history times[:k] is at or before t_c, the targets times[k:j] after
+    it up to `end`. A time within 1e-9 past a bound counts as on it, so a
+    grid time rounded off a decision time stays on its side; no time is at
+    or before a NaN bound."""
+    k, j = (0 if np.isnan(b) else int(np.searchsorted(times, b + 1e-9, side="right"))
+            for b in (t_c, end))
+    return k, max(k, j)
 
 
 def _linear(x, W, b):
@@ -509,36 +509,29 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     return [emit(z, params.cfg) for z in states]
 
 
-def factual_control(record: History, k, query_times) -> ControlPath:
+def factual_control(record: History, k, j) -> ControlPath:
     """The recorded treatments as the control of a forecast from the first
-    k record times to `query_times` (ascending record times after them):
-    the treatment at times[k - 1] up to the first query time, then the
-    treatment recorded at each query time up to the next."""
-    qts = np.asarray(query_times, dtype=np.float64)
-    fut_a = record.a[np.isin(record.times, qts)]
-    return ControlPath(np.concatenate([record.times[k - 1:k], qts[:-1]]),
-                       np.concatenate([record.a[k - 1:k], fut_a[:-1]]))
+    k record times to the targets times[k:j]: the treatment recorded at each
+    time from times[k - 1] holds up to the next."""
+    return ControlPath(record.times[k - 1:j - 1], record.a[k - 1:j - 1])
 
 
 def rollouts(record: History, decisions, params: ObsNodeParams,
              int_cfg: IntegrationConfig | None = None,
              control: ControlPath | None = None):
     """Potential-outcome forecasts from one observed record at several
-    decision times: for each (t_c, query_times) of `decisions`, the state
-    encoded from the record up to t_c (one :func:`encode_prefixes` pass
-    serves them all) is forecast to query_times (ascending, after t_c) under
-    `control`, or without one under :func:`factual_control`. `int_cfg`
-    defaults to :meth:`IntegrationConfig.for_grid` of the record times.
-    Returns, per decision, a list of (n, d_y) Tensors aligned with its
-    query_times."""
-    lengths = [int(window(record.times, t_c)[0].sum()) for t_c, _ in decisions]
-    out = []
-    for (_, qts), k, state in zip(decisions, lengths, encode_prefixes(record, params, lengths)):
-        qts = np.asarray(qts, dtype=np.float64)
-        path = factual_control(record, k, qts) if control is None else control
-        out.append(forecast(state, path, list(qts), params,
-                            int_cfg or IntegrationConfig.for_grid(record.times)))
-    return out
+    decisions: for each index pair (k, j) of `decisions` (see
+    :func:`decision_split`), the state encoded from the first k record times
+    (one :func:`encode_prefixes` pass serves them all) is forecast to the
+    targets times[k:j] under `control`, or without one under
+    :func:`factual_control`. `int_cfg` defaults to
+    :meth:`IntegrationConfig.for_grid` of the record times. Returns, per
+    decision, a list of j - k (n, d_y) Tensors."""
+    states = encode_prefixes(record, params, [k for k, _ in decisions])
+    return [forecast(state, factual_control(record, k, j) if control is None else control,
+                     list(record.times[k:j]), params,
+                     int_cfg or IntegrationConfig.for_grid(record.times))
+            for (k, j), state in zip(decisions, states)]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,13 @@ class IntegrationConfig:
         return cls(method=method, step_size=float(np.min(np.diff(times))) / 4.0)
 
 
+def _steps_per_gap(anchors, step_size):
+    """The solver steps over each gap of the ascending `anchors`: the fewest
+    equal steps of at most `step_size`, and at least one. Floats, so a gap
+    too long to count in steps is inf, not an overflow."""
+    return np.maximum(1.0, np.ceil(np.diff(anchors) / step_size - 1e-12))
+
+
 def _step_boundaries(t0, t1, control, query_times, cfg):
     """All step edges: control knots, query times, and uniform subdivision of
     each segment at sizes <= cfg.step_size. The steps are counted before any
@@ -73,13 +80,12 @@ def _step_boundaries(t0, t1, control, query_times, cfg):
         if t0 < kt < t1:
             anchors.add(float(kt))
     anchors = sorted(anchors)
-    segments = [(lo, hi, max(1, int(np.ceil((hi - lo) / cfg.step_size - 1e-12))))
-                for lo, hi in zip(anchors[:-1], anchors[1:])]
-    n_steps = sum(nsub for _, _, nsub in segments)
+    steps = _steps_per_gap(anchors, cfg.step_size)
+    n_steps = steps.sum()
     if n_steps > MAX_STEPS:
-        raise NumericError(f"integrate: {n_steps} steps exceed MAX_STEPS={MAX_STEPS}")
+        raise NumericError(f"integrate: {n_steps:.0f} steps exceed MAX_STEPS={MAX_STEPS}")
     edges = [anchors[0]]
-    for lo, hi, nsub in segments:
+    for lo, hi, nsub in zip(anchors[:-1], anchors[1:], steps.astype(int).tolist()):
         span = hi - lo
         for j in range(1, nsub):
             edges.append(lo + span * j / nsub)

@@ -19,8 +19,8 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .model import (History, NormStats, ObsNodeConfig, ObsNodeParams, check_dims,
-                    rollouts, save_model, window)
-from .odeint import MAX_STEPS, METHODS, IntegrationConfig
+                    decision_split, rollouts, save_model)
+from .odeint import MAX_STEPS, METHODS, IntegrationConfig, _steps_per_gap
 
 
 def zscore_fit(trajs) -> NormStats:
@@ -138,60 +138,64 @@ class TrainConfig:
                               "validate on decision_time_grid")
 
 
-def _int_config(times, tc: TrainConfig):
-    if tc.int_step is None:
-        return IntegrationConfig.for_grid(times, tc.int_method)
-    return IntegrationConfig(method=tc.int_method, step_size=tc.int_step)
-
-
 def _targets(times, t_c, max_horizon):
-    """Mask of the times after t_c, up to `max_horizon` after it or to the
-    record end; None when t_c has no history or no such time."""
-    past, fut = window(times, t_c, None if max_horizon is None else t_c + max_horizon)
-    return fut if past.any() and fut.any() else None
+    """The index pair (k, j) of a decision at t_c (:func:`~obsnode.model.decision_split`)
+    whose targets run to `max_horizon` after it or to the record end; None
+    when t_c has no history or no target."""
+    k, j = decision_split(times, t_c, np.inf if max_horizon is None else t_c + max_horizon)
+    return (k, j) if 0 < k < j else None
 
 
-def _decisions(times, decision_times, max_horizon, split):
-    """[(t_c, target mask)] for each decision time (see :func:`_targets`);
-    ConfigError naming the split and the first time with no history or no
-    target."""
-    decisions = [(t_c, _targets(times, t_c, max_horizon)) for t_c in decision_times]
-    bad = [t_c for t_c, fut in decisions if fut is None]
+def _decisions(times, decision_times, tcfg: TrainConfig, split):
+    """The index pair (k, j) of each decision time, in order, on a split's
+    record `times` (see :func:`_targets`), and the split's integration
+    config. ConfigError names the split and the first time with no history
+    or no target, or int_step when a factual rollout, which steps each grid
+    gap from times[k - 1] to times[j - 1] as the solver does, takes more
+    than MAX_STEPS steps."""
+    pairs = [_targets(times, t_c, tcfg.max_horizon) for t_c in decision_times]
+    bad = [t_c for t_c, pair in zip(decision_times, pairs) if pair is None]
     if bad:
         raise ConfigError(f"{split} decision time {float(bad[0])!r} has no history or "
                           f"no target: the {split} records span "
                           f"[{float(times[0])!r}, {float(times[-1])!r}]")
-    return decisions
+    int_cfg = (IntegrationConfig.for_grid(times, tcfg.int_method) if tcfg.int_step is None
+               else IntegrationConfig(tcfg.int_method, tcfg.int_step))
+    steps, k, j = max((_steps_per_gap(times[k - 1:j], int_cfg.step_size).sum(), k, j)
+                      for k, j in pairs)
+    if steps > MAX_STEPS:
+        reach = float(times[j - 1] - times[k - 1])
+        raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
+                          f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
+    return pairs, int_cfg
 
 
-def _score(preds, record: History, fut, sigma2):
-    """The masked loss of the predictions at the record's target times."""
+def _score(preds, record: History, k, j, sigma2):
+    """The masked loss of the predictions at the record's targets times[k:j]."""
     pred = ad.reshape(ad.concat(preds, axis=0), (len(preds),) + preds[0].data.shape)
-    return masked_loss(pred, record.y[fut], record.mask[fut], sigma2)
+    return masked_loss(pred, record.y[k:j], record.mask[k:j], sigma2)
 
 
-def _batch_loss(record: History, t_c, params, sigma2, int_cfg, max_horizon=None):
-    """Forward pass on one batch: encode the record up to t_c, forecast its
-    targets (see :func:`_decisions`) under the factual treatments, and score."""
-    [(_, fut)] = _decisions(record.times, [t_c], max_horizon, "train")
-    preds = rollouts(record, [(t_c, record.times[fut])], params, int_cfg)[0]
-    return _score(preds, record, fut, sigma2)
+def _batch_loss(record: History, k, j, params, sigma2, int_cfg):
+    """Forward pass on one batch: encode the record's first k times, forecast
+    its targets times[k:j] under the factual treatments, and score."""
+    return _score(rollouts(record, [(k, j)], params, int_cfg)[0], record, k, j, sigma2)
 
 
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
     """Mean masked loss over a fixed grid of validation decision times (no
     gradients), each as :func:`_batch_loss` scores it, from one encoder pass
     over the units' stacked record."""
-    return _record_loss(stack_units(trajs), params, sigma2, decision_times, tcfg)
+    record = stack_units(trajs)
+    pairs, int_cfg = _decisions(record.times, decision_times, tcfg, "val")
+    return _record_loss(record, params, sigma2, pairs, int_cfg)
 
 
-def _record_loss(record: History, params, sigma2, decision_times, tcfg: TrainConfig):
-    """:func:`evaluate_loss` of a stacked record."""
-    futs = _decisions(record.times, decision_times, tcfg.max_horizon, "val")
-    preds = rollouts(record, [(t_c, record.times[fut]) for t_c, fut in futs], params,
-                     _int_config(record.times, tcfg))
-    vals = [float(_score(p, record, fut, sigma2).data) for p, (_, fut) in zip(preds, futs)]
-    return float(np.mean(vals))
+def _record_loss(record: History, params, sigma2, pairs, int_cfg):
+    """:func:`evaluate_loss` of a stacked record at its decisions' index pairs."""
+    preds = rollouts(record, pairs, params, int_cfg)
+    return float(np.mean([float(_score(p, record, k, j, sigma2).data)
+                          for p, (k, j) in zip(preds, pairs)]))
 
 
 # A value that overflows is reported once, by the _check_finite that finds it,
@@ -204,27 +208,21 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
     Returns (params, history) where history rows are dicts with epoch,
     train_loss, val_loss. The returned parameters are the checkpoint with the
     lowest validation loss. `init_state` (name -> array) warm-starts the
-    parameters, e.g. to resume from a checkpoint. Every decision time
-    (:func:`_decisions`), and the length of `stats`, the statistics the
-    checkpoint keeps, are checked before any parameter is made.
+    parameters, e.g. to resume from a checkpoint. Each split's decision
+    times are resolved to index pairs and checked once (:func:`_decisions`),
+    as is the length of `stats`, the statistics the checkpoint keeps, before
+    any parameter is made.
     """
     grid = list(tcfg.decision_time_grid)
     val_times = tcfg.val_decision_times or grid
-    records = {}
+    resolved = []
     for split, times in (("train", grid), ("val", val_times)):
-        rec = records[split] = stack_units(splits[split])
+        rec = stack_units(splits[split])
         check_dims(rec, model_cfg, f"{split} split")
-        futs = _decisions(rec.times, times, tcfg.max_horizon, split)
-        # a rollout integrates from t_c to its last target
-        reach = float(max(rec.times[fut][-1] - t_c for t_c, fut in futs))
-        step = _int_config(rec.times, tcfg).step_size
-        if reach / step > MAX_STEPS:
-            raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units "
-                              f"takes more than {MAX_STEPS} solver steps of {step!r}")
-    record, val_record = records["train"], records["val"]
+        resolved.append((rec, *_decisions(rec.times, times, tcfg, split)))
+    (record, pairs, int_cfg), (val_record, val_pairs, val_int_cfg) = resolved
     if stats is not None and stats.mean.size != model_cfg.d_y:
         raise DataError(f"norm stats of length {stats.mean.size} for d_y={model_cfg.d_y}")
-    int_cfg = _int_config(record.times, tcfg)
     rng = np.random.default_rng(tcfg.seed)
     params = ObsNodeParams(model_cfg, rng)
     if init_state is not None:
@@ -242,14 +240,13 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         epoch_losses, skipped = [], 0
         for bi in range(n_batches):
             idx = np.sort(order[bi * tcfg.batch_size:(bi + 1) * tcfg.batch_size])
-            t_c = grid[int(rng.integers(len(grid)))]
+            k, j = pairs[int(rng.integers(len(pairs)))]
             batch = History(record.times, record.y[:, idx], record.mask[:, idx],
                             record.a[:, idx])
             opt.zero_grad()
             try:
                 with Tape() as tape:
-                    loss = _batch_loss(batch, t_c, params, sigma2, int_cfg,
-                                       max_horizon=tcfg.max_horizon)
+                    loss = _batch_loss(batch, k, j, params, sigma2, int_cfg)
                     tape.backward(loss)
                 opt.step(max_grad_norm=tcfg.max_grad_norm)
                 epoch_losses.append(float(loss.data))
@@ -259,7 +256,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")
         try:
-            val = _record_loss(val_record, params, sigma2, val_times, tcfg)
+            val = _record_loss(val_record, params, sigma2, val_pairs, val_int_cfg)
         except NumericError as e:
             raise NumericError(f"epoch {epoch} validation: {e}") from e
         history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),

@@ -158,7 +158,26 @@ CATALOGUE = (
            "else t_c + max_horizon)", "else t_c + 2 * max_horizon)",
            ("tests/test_fused.py::TestNoLookAhead::test_loss_reads_nothing_past_its_last_target",),
            "the loss scores targets up to twice max_horizon after the decision time"),
-    Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[j]) / scale[j]", ".sum() / c[j])",
+    Mutant("factual-path-one-row-late", "model.py",
+           "record.a[k - 1:j - 1])", "record.a[k:j])",
+           ("tests/test_model.py::TestDecisionSplit::test_factual_control_is_the_isin_path",
+            "tests/test_evaluate.py::TestSharedEncoder"),
+           "each factual knot takes the treatment recorded one grid time after it, "
+           "a look-ahead"),
+    Mutant("decision-split-without-tolerance", "model.py",
+           "b + 1e-9, side=", "b, side=",
+           ("tests/test_model.py::test_window_splits_at_the_decision_time",
+            "tests/test_model.py::TestDecisionSplit::test_pair_equals_the_masks"),
+           "a grid time rounded just past a decision time or a horizon end moves "
+           "to the other side of it"),
+    Mutant("step-count-without-rounding", "odeint.py",
+           "np.maximum(1.0, np.ceil(np.diff(anchors) / step_size - 1e-12))",
+           "np.diff(anchors) / step_size",
+           ("tests/test_train.py::test_int_step_counts_the_steps_of_each_grid_gap",
+            "tests/test_train.py::test_step_count_is_the_solvers"),
+           "train's MAX_STEPS check measures the span in steps and misses the steps "
+           "that rounding each grid gap up adds"),
+    Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[d]) / scale[d]", ".sum() / c[d])",
            ("tests/test_evaluate.py::TestRmseGrid::test_scaling_invariance",),
            "the RMSE grid is not divided by the split's std"),
     Mutant("schedule-read-one-cycle-early", "simulate.py",

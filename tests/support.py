@@ -15,13 +15,13 @@ from obsnode.errors import DataError, ShapeMismatch
 from obsnode.evaluate import RmseGrid, _binned_rmse, raw_forecasts
 from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _rand_dist,
                               _reduce, enumerate_joint, observational_law)
-from obsnode.model import (History, ObsNodeParams, emit, encode, factual_control, forecast,
-                           param_shapes, stack_field, window)
+from obsnode.model import (History, ObsNodeParams, decision_split, emit, encode, forecast,
+                           param_shapes, stack_field)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
-from obsnode.train import (_int_config, _targets, masked_loss, stack_units, zscore_fit,
-                           zscore_invert, zscore_outcomes)
+from obsnode.train import (_decisions, masked_loss, stack_units, zscore_fit, zscore_invert,
+                           zscore_outcomes)
 
 
 class PerTensorAdam:
@@ -230,25 +230,65 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
                                     unit_ids, dose_schedule=scheds)
 
     record, oracle = stack_units(facts), stack_units(truths)
-    _, fut = window(record.times, t_c, t_c + horizons[-1])
-    qts = record.times[fut]
+    k, j = decision_split(record.times, t_c, t_c + horizons[-1])
     cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
     ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
-    pred = raw_forecasts(record, [(t_c, qts)], params, stats, int_cfg, ctrl)[0]
+    pred = raw_forecasts(record, [(k, j)], params, stats, int_cfg, ctrl)[0]
     scale = zscore_fit(facts).std
-    values, counts = _binned_rmse(qts, pred, oracle.y[fut], oracle.mask[fut],
-                                  t_c, horizons, scale)
+    values, counts = _binned_rmse(oracle, k, j, pred, t_c, horizons, scale)
     return RmseGrid(np.array([t_c]), horizons, values[None], counts[None])
+
+
+def mask_window(times, start, end=None):
+    """The reference for :func:`~obsnode.model.decision_split`: masks of
+    `times` at or before `start` and in (start, end], or after `start` when
+    `end` is None; a time within 1e-9 past a bound counts as on it."""
+    before = times <= start + 1e-9
+    inside = ~before
+    if end is not None:
+        inside &= times <= end + 1e-9
+    return before, inside
+
+
+def isin_factual_control(record, k, query_times) -> ControlPath:
+    """The reference for :func:`~obsnode.model.factual_control`: the
+    treatment at times[k - 1] up to the first of `query_times` (record times
+    after it), then the treatment recorded at each query time, found by
+    value in the record, up to the next."""
+    qts = np.asarray(query_times, dtype=np.float64)
+    fut_a = record.a[np.isin(record.times, qts)]
+    return ControlPath(np.concatenate([record.times[k - 1:k], qts[:-1]]),
+                       np.concatenate([record.a[k - 1:k], fut_a[:-1]]))
+
+
+def masked_binned_rmse(qts, pred, y, mask, t_c, horizons, scale):
+    """The reference for :func:`~obsnode.evaluate._binned_rmse`: each horizon
+    bin (t_c + s_{k-1}, t_c + s_k] picked from the predictions at `qts` by
+    a :func:`mask_window` mask, its sums taken over boolean copies."""
+    d_y = y.shape[2]
+    err2 = (pred - y) ** 2 * mask
+    lo = t_c + np.concatenate([[0.0], horizons[:-1]])
+    hi = t_c + horizons
+    values = np.full((horizons.size, d_y), np.nan)
+    counts = np.zeros((horizons.size, d_y), dtype=int)
+    for k in range(horizons.size):
+        _, in_bin = mask_window(qts, lo[k], hi[k])
+        c = mask[in_bin].sum(axis=(0, 1))
+        counts[k] = c
+        for j in range(d_y):
+            if c[j] > 0:
+                values[k, j] = np.sqrt(err2[in_bin][:, :, j].sum() / c[j]) / scale[j]
+    return values, counts
 
 
 def reencoded_rollout(record, t_c, query_times, params, int_cfg):
     """The reference for the shared encoder pass: the factual forecasts at
     `query_times`, as an array, from a fresh encode of the record's history
     up to t_c."""
-    past, _ = window(record.times, t_c)
+    past, _ = mask_window(record.times, t_c)
     hist = History(record.times[past], record.y[past], record.mask[past], record.a[past])
     qts = np.asarray(query_times, dtype=np.float64)
-    control = factual_control(record, int(past.sum()), qts)
+    control = isin_factual_control(record, int(past.sum()), qts)
     return np.stack([p.data for p in forecast(encode(hist, params), control, list(qts),
                                               params, int_cfg)])
 
@@ -265,12 +305,12 @@ def reencoded_grid(test_trajs, t_c_grid, horizons, params, stats, int_cfg) -> Rm
     values = np.full((t_c_grid.size, horizons.size, record.y.shape[2]), np.nan)
     counts = np.zeros(values.shape, dtype=int)
     for i, t_c in enumerate(t_c_grid):
-        past, fut = window(record.times, t_c, t_c + horizons[-1])
+        past, fut = mask_window(record.times, t_c, t_c + horizons[-1])
         if past.any() and fut.any():
             qts = record.times[fut]
             pred = zscore_invert(reencoded_rollout(normed, t_c, qts, params, int_cfg), stats)
-            values[i], counts[i] = _binned_rmse(qts, pred, record.y[fut], record.mask[fut],
-                                                t_c, horizons, scale)
+            values[i], counts[i] = masked_binned_rmse(qts, pred, record.y[fut],
+                                                      record.mask[fut], t_c, horizons, scale)
     return RmseGrid(t_c_grid, horizons, values, counts)
 
 
@@ -278,10 +318,11 @@ def reencoded_loss(trajs, params, sigma2, decision_times, tcfg) -> float:
     """The reference for :func:`~obsnode.train.evaluate_loss`: each decision
     time's forecasts from a fresh encode (:func:`reencoded_rollout`)."""
     record = stack_units(trajs)
-    int_cfg = _int_config(record.times, tcfg)
+    _, int_cfg = _decisions(record.times, decision_times, tcfg, "val")
     vals = []
     for t_c in decision_times:
-        fut = _targets(record.times, t_c, tcfg.max_horizon)
+        _, fut = mask_window(record.times, t_c, None if tcfg.max_horizon is None
+                             else t_c + tcfg.max_horizon)
         pred = reencoded_rollout(record, t_c, record.times[fut], params, int_cfg)
         loss = masked_loss(Tensor(pred), record.y[fut], record.mask[fut], sigma2)
         vals.append(float(loss.data))

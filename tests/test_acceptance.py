@@ -24,8 +24,8 @@ from obsnode.evaluate import rmse_grid
 from obsnode.identify import (adjustment_estimate, interventional_truth,
                               nonidentifiability_witness,
                               random_observable_scm, random_query)
-from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, encode,
-                           forecast, param_shapes, triangular_rhs, window)
+from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, decision_split, encode,
+                           forecast, param_shapes, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (PARAM_DISTS, CancerSimConfig, SemiSynthConfig,
                               generate_cancer_dataset, generate_semi_synthetic,
@@ -328,11 +328,11 @@ class TestCancerEndToEnd:
             if not np.any(sched[cycles >= t_c - 1e-9] > 0):
                 continue
             used += 1
-            past, _ = window(fact.times, t_c)
+            k, _ = decision_split(fact.times, t_c)
             yn = zscore_outcomes(fact.y, fact.mask, stats)
-            hist = History(fact.times[past], yn[past][:, None, :],
-                           fact.mask[past][:, None, :],
-                           fact.a[past][:, None, :])
+            hist = History(fact.times[:k], yn[:k][:, None, :],
+                           fact.mask[:k][:, None, :],
+                           fact.a[:k][:, None, :])
             state = encode(hist, params)
             v_fact = forecast(state, ControlPath(cycles, sched), [t_q],
                               params, CANCER_INT)[0].data[0, 0]

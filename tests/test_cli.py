@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 import obsnode
 from obsnode import cli
 from obsnode import model as model_mod
+from obsnode import train as train_mod
 from obsnode.cli import main, read_treatment_csv
 from obsnode.evaluate import raw_forecasts
 from obsnode.identify import MAX_VERIFY_CELLS, QUERY_CELLS
-from obsnode.model import ObsNodeConfig, load_model, window
+from obsnode.model import ObsNodeConfig, decision_split, load_model
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
 from obsnode.train import TrainConfig, stack_units
@@ -418,8 +419,9 @@ class TestForecast:
         params, mcfg, stats = load_model(workspace["run"] / "checkpoint.json")
         step = float(np.min(np.diff(unit.times))) / 4.0
         record = stack_units([unit])
-        qts = record.times[window(record.times, t_c)[1]]
-        ref = raw_forecasts(record, [(t_c, qts)], params, stats,
+        k, j = decision_split(record.times, t_c)
+        qts = record.times[k:j]
+        ref = raw_forecasts(record, [(k, j)], params, stats,
                             IntegrationConfig(step_size=step))[0][:, 0, :]
 
         lines = out.read_text().splitlines()
@@ -585,6 +587,45 @@ def test_too_small_int_step_is_config_error(tmp_path):
     rc, _, err = run_main(["train", "--config", trn])
     assert rc == 2
     assert "int_step" in err and "1000000 solver steps" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_int_step_counts_the_steps_of_each_grid_gap(tmp_path, monkeypatch):
+    # from t_c = 1 on a 61-point hourly grid, the 59 hours at int_step
+    # 59 / 999999.5 are 999999.5 steps, but the solver rounds each hour up
+    # to 16950 steps, 1000050 in all: train names int_step before any batch
+    # (exit 2), where a batch would fail as a divergence (exit 4)
+    def batch(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(train_mod, "_batch_loss", batch)
+    sim = write_json(tmp_path / "s.json", {
+        "format_version": 1, "kind": "semi_synthetic", "output_dir": str(tmp_path / "ds"),
+        "params": {"n_patients": 6, "horizon_hours": 60.0}})
+    assert run_main(["simulate", "--config", sim])[0] == 0
+    trn = write_json(tmp_path / "t.json", {
+        "format_version": 1, "dataset_dir": str(tmp_path / "ds"),
+        "run_dir": str(tmp_path / "run"), "model": {"d_y": 2, "m": 2, "d_a": 2},
+        "train": {"epochs": 1, "decision_time_grid": [1.0], "t_f": 60.0,
+                  "int_method": "euler", "int_step": 59 / 999999.5}})
+    rc, _, err = run_main(["train", "--config", trn])
+    assert rc == 2
+    assert "int_step: a train rollout over 59.0" in err and "1000000 solver steps" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_dataset_without_a_train_or_val_split_is_data_error(workspace, tiny_dataset,
+                                                            tmp_path, split):
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, ds)
+    manifest = json.loads((ds / "manifest.json").read_text())
+    del manifest["splits"][split]
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    rc, err = run_config("train", tiny_train_config(workspace, ds, tmp_path, "train"),
+                         tmp_path / "t.json")
+    assert rc == 3
+    assert f"has no {split} split" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

@@ -11,11 +11,12 @@ from obsnode.autodiff import Tape
 from obsnode.errors import ConfigError, DataError
 from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
                               write_grid_pgm)
-from obsnode.model import ObsNodeConfig, ObsNodeParams, window
+from obsnode.model import History, ObsNodeConfig, ObsNodeParams, decision_split
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
 from obsnode.train import NormStats, TrainConfig, _targets, evaluate_loss, zscore_fit
-from support import counterfactual_rmse, read_grid_csv, reencoded_grid, reencoded_loss
+from support import (counterfactual_rmse, masked_binned_rmse, read_grid_csv, reencoded_grid,
+                     reencoded_loss)
 
 
 def linear_trajs(n=5, T=13, d_y=1, seed=0, noise_sd=0.0):
@@ -34,21 +35,21 @@ def linear_trajs(n=5, T=13, d_y=1, seed=0, noise_sd=0.0):
 
 
 def oracle_predict(trajs):
-    def predict(record, t_c, query_times):
-        sel = np.isin(record.times, np.asarray(query_times))
-        return record.y[sel].copy()
+    def predict(record, k, j):
+        return record.y[k:j].copy()
 
     return predict
 
 
 @pytest.fixture
 def grid_of(monkeypatch):
-    """rmse_grid(trajs, t_c_grid, horizons) with `predict(record, t_c,
-    query_times)` standing in for the model's forecasts."""
+    """rmse_grid(trajs, t_c_grid, horizons) with `predict(record, k, j)`,
+    the forecasts from the first k record times to the targets times[k:j],
+    standing in for the model's."""
 
     def grid(trajs, t_c_grid, horizons, predict):
         monkeypatch.setattr(evaluate, "raw_forecasts", lambda record, decisions, *_: [
-            predict(record, t_c, qts) for t_c, qts in decisions])
+            predict(record, k, j) for k, j in decisions])
         return rmse_grid(trajs, t_c_grid, horizons, params=None)
 
     return grid
@@ -90,8 +91,8 @@ class TestRmseGrid:
         ys = np.stack([tr.y for tr in trajs], axis=1)
         gmean = ys.mean()
 
-        def predict(record, t_c, query_times):
-            return np.full((len(query_times),) + record.y.shape[1:], gmean)
+        def predict(record, k, j):
+            return np.full((j - k,) + record.y.shape[1:], gmean)
 
         grid = grid_of(trajs, [4.0], [2.0], predict)
         fut = (times > 4.0) & (times <= 6.0)
@@ -121,9 +122,8 @@ class TestRmseGrid:
         rng = np.random.default_rng(5)
         noise = rng.normal(0, 0.2, size=ys.shape)
 
-        def predict(record, t_c, query_times):
-            sel = np.isin(record.times, np.asarray(query_times))
-            return record.y[sel] + noise[sel]
+        def predict(record, k, j):
+            return record.y[k:j] + noise[k:j]
 
         t_c, hs = 4.0, np.array([2.0, 5.0])
         grid = grid_of(trajs, [t_c], hs, predict)
@@ -142,9 +142,8 @@ class TestRmseGrid:
         noise = rng.normal(0, 0.2, size=ys.shape)
 
         def make_predict(c):
-            def predict(record, t_c, query_times):
-                sel = np.isin(record.times, np.asarray(query_times))
-                return record.y[sel] + c * noise[sel]
+            def predict(record, k, j):
+                return record.y[k:j] + c * noise[k:j]
             return predict
 
         g1 = grid_of(trajs, [4.0], [3.0], make_predict(1.0))
@@ -157,12 +156,11 @@ class TestRmseGrid:
         # least-squares line fit from the seen window: more data, better fit
         trajs, _ = linear_trajs(n=10, seed=8, noise_sd=0.5)
 
-        def predict(record, t_c, query_times):
-            seen = record.times <= t_c
-            preds = np.zeros((len(query_times),) + record.y.shape[1:])
+        def predict(record, k, j):
+            preds = np.zeros((j - k,) + record.y.shape[1:])
             for i in range(record.y.shape[1]):
-                c, b = np.polyfit(record.times[seen], record.y[seen, i, 0], 1)
-                preds[:, i, 0] = b + c * np.asarray(query_times)
+                c, b = np.polyfit(record.times[:k], record.y[:k, i, 0], 1)
+                preds[:, i, 0] = b + c * record.times[k:j]
             return preds
 
         grid = grid_of(trajs, [2.0, 5.0, 8.0], [2.0], predict)
@@ -272,11 +270,35 @@ class TestBins:
         rng = np.random.default_rng(seed)
         mask = rng.integers(0, 2, size=(times.size, 3, 2)).astype(float)
         y = rng.normal(size=mask.shape)
-        _, fut = window(times, t_c, t_c + horizons[-1])
-        _, counts = _binned_rmse(times[fut], y[fut], y[fut], mask[fut], t_c,
-                                 horizons, np.ones(2))
+        k, j = decision_split(times, t_c, t_c + horizons[-1])
+        record = History(times, y, mask, np.zeros((times.size, 3, 0)))
+        _, counts = _binned_rmse(record, k, j, y[k:j], t_c, horizons, np.ones(2))
         np.testing.assert_array_equal(counts.sum(axis=0),
-                                      mask[fut].sum(axis=(0, 1)))
+                                      mask[k:j].sum(axis=(0, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=30),
+           t_c=st.floats(-5.0, 60.0),
+           widths=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=6),
+           nudge=st.sampled_from([-2e-9, -1e-9, 0.0, 5e-10, 1e-9, 2e-9]),
+           seed=st.integers(0, 2 ** 16))
+    def test_slices_equal_the_masked_bins(self, steps, t_c, widths, nudge, seed):
+        # the searchsorted runs give the values and counts of bins picked
+        # by mask, bit for bit, with grid times within 1e-9 of every edge
+        horizons = np.cumsum(widths)
+        times = np.unique(np.concatenate([np.cumsum(steps), [t_c], t_c + horizons + nudge]))
+        rng = np.random.default_rng(seed)
+        mask = rng.integers(0, 2, size=(times.size, 3, 2)).astype(float)
+        y = rng.normal(size=mask.shape)
+        scale = rng.uniform(0.5, 2.0, size=2)
+        k, j = decision_split(times, t_c, t_c + horizons[-1])
+        pred = y[k:j] + rng.normal(size=y[k:j].shape)
+        record = History(times, y, mask, np.zeros((times.size, 3, 0)))
+        values, counts = _binned_rmse(record, k, j, pred, t_c, horizons, scale)
+        ref_values, ref_counts = masked_binned_rmse(times[k:j], pred, y[k:j], mask[k:j],
+                                                    t_c, horizons, scale)
+        assert values.tobytes() == ref_values.tobytes()
+        assert np.array_equal(counts, ref_counts)
 
 
 class TestComponentMean:

@@ -26,11 +26,11 @@ from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import NumericError
 from obsnode import model
-from obsnode.model import (EncodedState, History, ObsNodeConfig, encode_prefixes, forecast,
-                           stack_field, triangular_rhs, window)
+from obsnode.model import (EncodedState, History, ObsNodeConfig, decision_split,
+                           encode_prefixes, forecast, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import Trajectory
-from obsnode.train import TrainConfig, _batch_loss, evaluate_loss, stack_units
+from obsnode.train import TrainConfig, _batch_loss, _targets, evaluate_loss, stack_units
 from support import (GateViews, PerBlockParams, checkpoint_grads, random_params,
                      stored_names, value_at)
 
@@ -528,7 +528,7 @@ class TestNoLookAhead:
                                   max_size=3), label="decision times")
         # at least the widest spacing, so every decision time has a target
         horizon = data.draw(st.floats(2.0, 5.0), label="max_horizon")
-        last = max(hist.times[window(hist.times, t, t + horizon)[1]][-1] for t in t_cs)
+        last = max(hist.times[decision_split(hist.times, t, t + horizon)[1] - 1] for t in t_cs)
         after = hist.times > last
         assume(after.any())
         tcfg = TrainConfig(decision_time_grid=t_cs, t_f=1e9, int_method=method, int_step=0.3,
@@ -547,8 +547,8 @@ class TestNoLookAhead:
                                 a=a[:, i]) for i in range(n)]
             params = make_params(cfg, seed)
             with Tape() as tape:
-                loss = _batch_loss(stack_units(trajs), t_cs[0], params, np.ones(2),
-                                   IntegrationConfig(method, 0.3), max_horizon=horizon)
+                loss = _batch_loss(stack_units(trajs), *_targets(hist.times, t_cs[0], horizon),
+                                   params, np.ones(2), IntegrationConfig(method, 0.3))
                 tape.backward(loss)
             val = evaluate_loss(trajs, params, np.ones(2), t_cs, tcfg)
             results.append([loss.data, np.float64(val)]

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
@@ -11,12 +11,13 @@ from obsnode import odeint
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, ShapeMismatch
 from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsNodeParams,
-                           check_size, emit, encode, forecast, load_model,
-                           param_count, param_shapes, save_model, stack_field,
-                           triangular_rhs, window)
+                           check_size, decision_split, emit, encode, factual_control,
+                           forecast, load_model, param_count, param_shapes, save_model,
+                           stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
-from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, observability_probe,
-                     padding, random_params, value_at)
+from obsnode.train import TrainConfig, _decisions, _targets
+from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, isin_factual_control,
+                     mask_window, observability_probe, padding, random_params, value_at)
 
 
 def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
@@ -569,9 +570,64 @@ def test_many_narrow_layers_are_rejected_without_walking_the_shapes(monkeypatch)
 
 
 def test_window_splits_at_the_decision_time():
+    # the history is times[:k] and the targets times[k:j]
     times = np.array([0.0, 1.0, 1.0 + 1e-10, 2.0, 3.0, 3.0 + 1e-10, 4.0])
-    before, inside = window(times, 1.0, 3.0)
-    assert before.tolist() == [True, True, True, False, False, False, False]
-    assert inside.tolist() == [False, False, False, True, True, True, False]
-    before, inside = window(times, 1.0)
-    assert inside.tolist() == [False, False, False, True, True, True, True]
+    assert decision_split(times, 1.0, 3.0) == (3, 6)
+    assert decision_split(times, 1.0) == (3, 7)
+
+
+# bounds on, between and off the grid, and non-finite ones
+BOUNDS = st.one_of(st.floats(-5.0, 60.0), st.sampled_from([np.inf, -np.inf, np.nan]))
+# offsets of grid times placed near a bound: on either side of the 1e-9 rule
+NUDGES = st.lists(st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-9]),
+                  max_size=4)
+
+
+def near(bounds, nudges):
+    """Grid times within a few 1e-9 of each finite bound."""
+    return [b + d for b in bounds if np.isfinite(b) for d in nudges]
+
+
+class TestDecisionSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
+           origin=st.floats(-5.0, 5.0), start=BOUNDS, end=st.one_of(st.none(), BOUNDS),
+           nudges=NUDGES)
+    def test_pair_equals_the_masks(self, steps, origin, start, end, nudges):
+        # ascending grids with ties, times within 1e-9 of a bound, end
+        # before start, and +-inf and NaN bounds: the history is the mask of
+        # times at or before start, the targets the mask of times in
+        # (start, end]
+        times = np.sort(np.append(origin + np.cumsum(steps), near([start, end or 0.0], nudges)))
+        before, inside = mask_window(times, start, end)
+        k, j = decision_split(times, start, np.inf if end is None else end)
+        assert 0 <= k <= j <= times.size
+        index = np.arange(times.size)
+        assert before.tolist() == (index < k).tolist()
+        assert inside.tolist() == ((k <= index) & (index < j)).tolist()
+
+    @pytest.mark.parametrize("t_c", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("max_horizon", [None, 2.0, np.inf])
+    def test_nonfinite_decision_time_is_refused(self, t_c, max_horizon):
+        times = np.arange(6.0)
+        assert _targets(times, t_c, max_horizon) is None
+        with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
+            _decisions(times, [2.0, t_c], TrainConfig(decision_time_grid=[2.0], t_f=6.0,
+                                                      max_horizon=max_horizon), "train")
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=20),
+           d_a=st.integers(0, 2), n=st.integers(1, 3), data=st.data())
+    def test_factual_control_is_the_isin_path(self, gaps, d_a, n, data):
+        # the slice ControlPath(times[k-1:j-1], a[k-1:j-1]) is the path the
+        # record's treatments give when each target is found by value
+        times = np.cumsum(gaps)
+        assume(np.all(np.diff(times) > 0))
+        k = data.draw(st.integers(1, times.size - 1), label="k")
+        j = data.draw(st.integers(k + 1, times.size), label="j")
+        a = np.random.default_rng(k * 31 + j).normal(size=(times.size, n, d_a))
+        record = History(times, np.zeros((times.size, n, 1)), np.ones((times.size, n, 1)), a)
+        got = factual_control(record, k, j)
+        ref = isin_factual_control(record, k, times[k:j])
+        assert got.knot_times.tobytes() == ref.knot_times.tobytes()
+        assert got.knot_values.tobytes() == ref.knot_values.tobytes()

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
@@ -12,7 +12,8 @@ from obsnode import train as train_mod
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.evaluate import rmse_grid
-from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model
+from obsnode.model import History, ObsNodeConfig, ObsNodeParams, factual_control, load_model
+from obsnode.odeint import MAX_STEPS, IntegrationConfig, _step_boundaries, _steps_per_gap
 from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, evaluate_loss, masked_loss,
                            stack_units, train, zscore_apply, zscore_fit,
@@ -274,14 +275,13 @@ class TestTrainLoop:
         np.testing.assert_array_equal(loaded_stats.std, stats.std)
 
     @pytest.mark.parametrize("t_c", [-1.0, 5.0])
-    def test_unscorable_batch_time_is_config_error(self, t_c):
+    def test_unscorable_batch_time_is_config_error(self, t_c, monkeypatch):
         # records span [0, 5]: -1 has no history and 5 no target, so the
-        # batch is rejected, never returned empty
-        record = stack_units(tiny_splits()["train"])
-        params = ObsNodeParams(MODEL_CFG, np.random.default_rng(0))
-        int_cfg = train_mod._int_config(record.times, tiny_train_cfg())
+        # batch time is rejected before any batch runs, never scored empty
+        monkeypatch.setattr(train_mod, "_batch_loss", None)
+        tcfg = tiny_train_cfg(decision_time_grid=[2.0, t_c], t_f=6.0)
         with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
-            train_mod._batch_loss(record, t_c, params, np.ones(1), int_cfg)
+            train(MODEL_CFG, tiny_splits(), tcfg)
 
     def test_shape_bug_propagates(self, monkeypatch):
         # a programming error must not be counted as a diverged batch
@@ -495,3 +495,37 @@ def test_int_step_is_checked_against_the_longest_integration():
     tcfg = tiny_train_cfg(epochs=0, int_step=1e-6)
     with pytest.raises(ConfigError, match="int_step: a train rollout over 3.0"):
         train(MODEL_CFG, tiny_splits(), tcfg)
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_int_step_counts_the_steps_of_each_grid_gap(split, monkeypatch):
+    # from t_c = 1 on a 61-point hourly grid, the 59 hours at 59 / 999999.5
+    # are 999999.5 steps, but the solver rounds each hour up to 16950 steps,
+    # 1000050 in all, more than MAX_STEPS: a ConfigError before any batch
+    monkeypatch.setattr(train_mod, "_batch_loss", None)
+    splits = {"train": make_trajs(n=3, T=61, d_y=1), "val": make_trajs(n=2, T=61, d_y=1)}
+    t_cs = {"train": [30.0], "val": [30.0], split: [1.0]}
+    tcfg = TrainConfig(epochs=1, decision_time_grid=t_cs["train"],
+                       val_decision_times=t_cs["val"], t_f=60.0, int_method="euler",
+                       int_step=59 / 999999.5)
+    assert _steps_per_gap(np.arange(1.0, 61.0), tcfg.int_step).sum() == 1_000_050
+    with pytest.raises(ConfigError, match=f"int_step: a {split} rollout over 59.0 .* "
+                                          f"more than {MAX_STEPS} solver steps"):
+        train(MODEL_CFG, splits, tcfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=12),
+       step=st.floats(1e-2, 5.0), data=st.data())
+def test_step_count_is_the_solvers(gaps, step, data):
+    # the count over times[k - 1:j] is the number of steps the solver makes
+    # on a factual rollout from the first k times to the targets times[k:j]
+    times = np.cumsum(gaps)
+    assume(np.all(np.diff(times) > 0))
+    k = data.draw(st.integers(1, times.size - 1), label="k")
+    j = data.draw(st.integers(k + 1, times.size), label="j")
+    record = History(times, np.zeros((times.size, 1, 1)), np.ones((times.size, 1, 1)),
+                     np.zeros((times.size, 1, 1)))
+    edges = _step_boundaries(times[k - 1], times[j - 1], factual_control(record, k, j),
+                             times[k:j], IntegrationConfig(step_size=step))
+    assert _steps_per_gap(times[k - 1:j], step).sum() == len(edges) - 1
