@@ -56,8 +56,9 @@ def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
     if stats is not None:
         record = History(record.times, zscore_outcomes(record.y, record.mask, stats),
                          record.mask, record.a)
-    out = [np.stack([p.data for p in preds])
-           for preds in rollouts(record, decisions, params, int_cfg, control)]
+    d_y = params.cfg.d_y
+    out = [np.stack([z.data[:, :d_y] for z in states])
+           for states in rollouts(record, decisions, params, int_cfg, control)]
     return [zscore_invert(o, stats) for o in out] if stats is not None else out
 
 

@@ -102,11 +102,6 @@ def decision_split(times, t_c, end=np.inf):
     return k, max(k, j)
 
 
-def _linear(x, W, b):
-    n = x.data.shape[0]
-    return ad.add(ad.matmul(x, W), ad.expand(b, (n, b.data.shape[1])))
-
-
 def param_shapes(cfg: ObsNodeConfig):
     """(name, shape) of each checkpoint entry, in checkpoint order. A
     generator, so a checkpoint can be checked against it one tensor at a
@@ -245,6 +240,13 @@ def _affine_vjp(g, x, W, Wd, b=None):
     return g @ Wd.mT
 
 
+def _head(x, W, b):
+    """The affine head x @ W + b of the Tensors x (n, H), W (H, d_z) and
+    b (1, d_z) as one node, rounded as matmul, expand and add round it."""
+    return ad._record(Tensor(x.data @ W.data + b.data), (x, W, b),
+                      lambda g: ad._accum(x, _affine_vjp(g, x.data, W, W.data, b)))
+
+
 def stack_field(params: ObsNodeParams):
     """The vector field of the triangular normal form as (field, tensors)
     in the field protocol of :func:`~obsnode.odeint.integrate`, `tensors`
@@ -350,6 +352,19 @@ def emit(z, cfg: ObsNodeConfig):
     if z.data.shape[1] != cfg.d_z:
         raise ValueError(f"emit: state dim {z.data.shape[1]} != {cfg.d_z}")
     return ad.slice_axis(z, 0, cfg.d_y, axis=1)
+
+
+def emissions(states, d_y):
+    """The observations (first d_y columns) of the states (n, d_z) as one
+    (len(states), n, d_y) node, whose backward pass writes each state's rows
+    into a zero (n, d_z) array, as one :func:`emit` per state, concat and reshape did."""
+    def backward(g):
+        for z, gz in zip(reversed(states), g[::-1]):
+            full = np.zeros_like(z.data)
+            full[:, :d_y] = gz
+            ad._accum(z, full)
+
+    return ad._record(Tensor(np.stack([z.data[:, :d_y] for z in states])), states, backward)
 
 
 # Rows of one block of hoisted input products. A block holds
@@ -486,7 +501,7 @@ def encode_prefixes(history: History, params: ObsNodeParams, lengths) -> list[En
     x = np.concatenate([history.y[:T] * mask + params.b_impute.data * unobs, mask, a,
                         np.broadcast_to(dt[:, None, None], (T, n, 1))], axis=2)
     hs = _gru_states(x, unobs, params.b_impute, params.enc, lengths)
-    return [EncodedState(z=_linear(hs[k], params.head_W, params.head_b),
+    return [EncodedState(z=_head(hs[k], params.head_W, params.head_b),
                          t=float(history.times[k - 1])) for k in lengths]
 
 
@@ -522,16 +537,17 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     """Potential-outcome forecasts from one observed record at several
     decisions: for each index pair (k, j) of `decisions` (see
     :func:`decision_split`), the state encoded from the first k record times
-    (one :func:`encode_prefixes` pass serves them all) is forecast to the
-    targets times[k:j] under `control`, or without one under
+    (one :func:`encode_prefixes` pass serves them all) is integrated by one
+    field to the targets times[k:j] under `control`, or without one under
     :func:`factual_control`. `int_cfg` defaults to
     :meth:`IntegrationConfig.for_grid` of the record times. Returns, per
-    decision, a list of j - k (n, d_y) Tensors."""
+    decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
     states = encode_prefixes(record, params, [k for k, _ in decisions])
-    return [forecast(state, factual_control(record, k, j) if control is None else control,
-                     list(record.times[k:j]), params,
-                     int_cfg or IntegrationConfig.for_grid(record.times))
-            for (k, j), state in zip(decisions, states)]
+    field, tensors = stack_field(params)
+    return [integrate(field, s.z, factual_control(record, k, j) if control is None else control,
+                      s.t, record.times[j - 1], int_cfg or IntegrationConfig.for_grid(record.times),
+                      record.times[k:j], tensors)
+            for (k, j), s in zip(decisions, states)]
 
 
 # ---------------------------------------------------------------------------

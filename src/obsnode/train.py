@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .model import (History, NormStats, ObsNodeConfig, ObsNodeParams, check_dims,
-                    decision_split, rollouts, save_model)
+                    decision_split, emissions, rollouts, save_model)
 from .odeint import MAX_STEPS, METHODS, IntegrationConfig, _steps_per_gap
 
 
@@ -90,7 +90,8 @@ def masked_loss(pred, y, mask, sigma2):
     pred: Tensor (T, n, d_y); y, mask: arrays of the same shape; sigma2: per
     component variances (d_y,). Each (unit, component) pair is averaged over
     its own observed count, scaled by 1/(n sigma_j^2), and pairs with no
-    observations contribute zero.
+    observations contribute zero. One tape node, whose value and gradient
+    round as those of the graph of sub, square, hadamard and tsum.
     """
     y = np.asarray(y, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -101,10 +102,10 @@ def masked_loss(pred, y, mask, sigma2):
     counts = mask.sum(axis=0)  # (n, d_y)
     denom = n * sigma2 * np.where(counts > 0, counts, 1.0)
     weights = mask / denom
-    err = ad.sub(pred, Tensor(y))
-    loss = ad.tsum(ad.hadamard(ad.square(err), Tensor(weights)))
+    err = pred.data - y
+    loss = Tensor(np.sum(err * err * weights))
     ad._check_finite("masked_loss", loss.data)
-    return loss
+    return ad._record(loss, (pred,), lambda g: ad._accum(pred, g * weights * 2.0 * err))
 
 
 @dataclass
@@ -170,10 +171,11 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
     return pairs, int_cfg
 
 
-def _score(preds, record: History, k, j, sigma2):
-    """The masked loss of the predictions at the record's targets times[k:j]."""
-    pred = ad.reshape(ad.concat(preds, axis=0), (len(preds),) + preds[0].data.shape)
-    return masked_loss(pred, record.y[k:j], record.mask[k:j], sigma2)
+def _score(states, record: History, k, j, sigma2):
+    """The masked loss of the observations of the states (:func:`~obsnode.model.rollouts`)
+    at the record's targets times[k:j]."""
+    return masked_loss(emissions(states, record.y.shape[2]), record.y[k:j], record.mask[k:j],
+                       sigma2)
 
 
 def _batch_loss(record: History, k, j, params, sigma2, int_cfg):
@@ -193,9 +195,9 @@ def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
 
 def _record_loss(record: History, params, sigma2, pairs, int_cfg):
     """:func:`evaluate_loss` of a stacked record at its decisions' index pairs."""
-    preds = rollouts(record, pairs, params, int_cfg)
-    return float(np.mean([float(_score(p, record, k, j, sigma2).data)
-                          for p, (k, j) in zip(preds, pairs)]))
+    states = rollouts(record, pairs, params, int_cfg)
+    return float(np.mean([float(_score(s, record, k, j, sigma2).data)
+                          for s, (k, j) in zip(states, pairs)]))
 
 
 # A value that overflows is reported once, by the _check_finite that finds it,

@@ -7,7 +7,8 @@ and a note. Run from the repository root:
     python3 tests/mutants.py              # every entry
     python3 tests/mutants.py --only NAME  # one entry
 
-For each entry the runner copies the tracked tree (``git ls-files``) to a
+For each entry the runner copies the tracked tree (``git ls-files``; outside
+a git work tree, every file but those under ``.git`` and the caches) to a
 temporary directory, applies the one mutation there, runs
 ``pytest -x -q -p no:cacheprovider`` on the entry's ids and reports killed
 (the tests failed) or survived, with the seconds taken. It exits 1 if any
@@ -69,7 +70,8 @@ CATALOGUE = (
     Mutant("gru-gates-r-and-u-swapped", "model.py",
            "where += [(Wp[j],), (Up[j] if j < 2 else Uhp,), (bp[j],)]",
            "where += [(Wp[(1, 0, 2)[j]],), (Up[1 - j] if j < 2 else Uhp,), (bp[(1, 0, 2)[j]],)]",
-           ("tests/test_fused.py::TestStackedAgainstPerBlock::test_encoder",),
+           ("tests/test_model.py::TestStoredLayout::test_entries_name_their_stored_tensors",
+            "tests/test_fused.py::TestStackedAgainstPerBlock::test_encoder"),
            "enc.Wr, enc.Ur and enc.br name the stored update gate, and the u "
            "entries the reset gate"),
     Mutant("param-assignment-rebinds", "autodiff.py",
@@ -127,7 +129,8 @@ CATALOGUE = (
            "block of dz/dt, not from the block before"),
     Mutant("gru-gate-gradients-swapped", "model.py",
            "G[:2] = sig_vjp(g_ru, None, ru)", "G[:2] = sig_vjp(g_ru[::-1], None, ru)",
-           ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode",),
+           ("tests/test_fused.py::TestFusedGradCheck::test_encode_prefixes",
+            "tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode"),
            "the one sigmoid VJP over both gates pairs r's gradient with u and u's with r"),
     Mutant("gru-state-gradients-swapped", "model.py",
            "                    ad._accum(into, g_h[1])\n                    ad._accum(into, g_h[0])",
@@ -135,6 +138,21 @@ CATALOGUE = (
            ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode",),
            "the state gradients through the recurrent products accumulate in "
            "another order than the op graph's, so they round otherwise"),
+    Mutant("head-bias-gradient-of-one-unit", "model.py",
+           "x.data, W, W.data, b))", "x.data, W, W.data)) or ad._accum(b, g[-1:])",
+           ("tests/test_fused.py::TestTailAgainstOpGraph::test_head",),
+           "the encoder head's bias takes the last unit's gradient, not the sum "
+           "over the units; a single unit does not show it"),
+    Mutant("emission-gradient-into-the-last-block", "model.py",
+           "full[:, :d_y] = gz", "full[:, -d_y:] = gz",
+           ("tests/test_fused.py::TestTailAgainstOpGraph::test_emissions",),
+           "the emission's backward pass writes each state's gradient into its "
+           "last d_y columns, not the observed first block; m = 1 does not show it"),
+    Mutant("loss-gradient-without-the-factor-two", "train.py",
+           "g * weights * 2.0 * err", "g * weights * err",
+           ("tests/test_fused.py::TestTailAgainstOpGraph::test_masked_loss",),
+           "the masked loss's VJP drops the 2 of d(err^2)/d(err), so every "
+           "gradient is half the loss's"),
     Mutant("legacy-chunk-key-kept", "model.py",
            '    meta["config"].pop("recursive_chunk", None)\n', "",
            ("tests/test_model.py::TestModelCheckpoint::"
@@ -160,7 +178,9 @@ CATALOGUE = (
            "the loss scores targets up to twice max_horizon after the decision time"),
     Mutant("factual-path-one-row-late", "model.py",
            "record.a[k - 1:j - 1])", "record.a[k:j])",
-           ("tests/test_model.py::TestDecisionSplit::test_factual_control_is_the_isin_path",
+           ("tests/test_model.py::TestDecisionSplit::"
+            "test_factual_control_holds_each_recorded_treatment",
+            "tests/test_model.py::TestDecisionSplit::test_factual_control_is_the_isin_path",
             "tests/test_evaluate.py::TestSharedEncoder"),
            "each factual knot takes the treatment recorded one grid time after it, "
            "a look-ahead"),
@@ -228,12 +248,27 @@ CATALOGUE = (
 )
 
 
+CACHES = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
+
+
+def tracked_files():
+    """The paths, relative to the root, of the files git tracks (and those
+    not yet committed but staged or new, as git ls-files --others
+    --exclude-standard lists them); outside a git work tree, or without
+    git, every file not under a directory named in CACHES."""
+    try:
+        listed = subprocess.run(["git", "ls-files", "--cached", "--others",
+                                 "--exclude-standard"], cwd=ROOT, check=True,
+                                capture_output=True, text=True).stdout
+        return listed.splitlines()
+    except (OSError, subprocess.CalledProcessError):
+        return [p.relative_to(ROOT).as_posix() for p in sorted(ROOT.rglob("*"))
+                if p.is_file() and not CACHES & set(p.relative_to(ROOT).parts)]
+
+
 def tracked_tree(dest: Path):
-    """Copy the files git tracks (and those not yet committed but staged or
-    new, as git ls-files --others --exclude-standard lists them) to dest."""
-    listed = subprocess.run(["git", "ls-files", "--cached", "--others", "--exclude-standard"],
-                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    for rel in listed.splitlines():
+    """Copy the :func:`tracked_files` to dest."""
+    for rel in tracked_files():
         src = ROOT / rel
         if src.is_file():
             (dest / rel).parent.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from obsnode import autodiff as ad
 from obsnode.autodiff import Tensor
 from obsnode.errors import DataError, ShapeMismatch
 from obsnode.evaluate import RmseGrid, _binned_rmse, raw_forecasts
@@ -22,6 +23,30 @@ from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerS
                               sample_cohort_params, simulate_cancer_cohort)
 from obsnode.train import (_decisions, masked_loss, stack_units, zscore_fit, zscore_invert,
                            zscore_outcomes)
+
+
+def op_graph_affine(x, W, b):
+    """x @ W + b as the op graph of matmul, expand and add: the reference for
+    the encoder's affine head (``model._head``)."""
+    n = x.data.shape[0]
+    return ad.add(ad.matmul(x, W), ad.expand(b, (n, b.data.shape[1])))
+
+
+def op_graph_emissions(states, d_y):
+    """The reference for :func:`~obsnode.model.emissions`: one slice_axis
+    per state, then concat and reshape."""
+    preds = [ad.slice_axis(z, 0, d_y, axis=1) for z in states]
+    return ad.reshape(ad.concat(preds, axis=0), (len(preds),) + preds[0].data.shape)
+
+
+def op_graph_loss(pred, y, mask, sigma2):
+    """The reference for :func:`~obsnode.train.masked_loss`: its weights,
+    and the op graph of sub, square, hadamard and tsum."""
+    T, n, d_y = y.shape
+    counts = mask.sum(axis=0)
+    weights = mask / (n * np.asarray(sigma2) * np.where(counts > 0, counts, 1.0))
+    err = ad.sub(pred, Tensor(y))
+    return ad.tsum(ad.hadamard(ad.square(err), Tensor(weights)))
 
 
 class PerTensorAdam:

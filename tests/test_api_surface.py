@@ -29,6 +29,15 @@ ALLOWED = {
     "autodiff.leaky_relu": "perfbench/tracer.OPS lists it; its op counter wraps it",
     "autodiff.tanh": "perfbench/tracer.OPS lists it; its op counter wraps it",
     "autodiff.tmean": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.sub": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.hadamard": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.matmul": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.concat": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.expand": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.tsum": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "autodiff.square": "perfbench/tracer.OPS lists it; its op counter wraps it",
+    "model.forecast": "perfbench calls it: probes.py's backward probe and workloads.query; "
+                      "src/ forecasts through rollouts",
     "model.encode": "perfbench/probes.py's encode probe and workloads.query call it; src/ "
                     "encodes through encode_prefixes",
     "model.triangular_rhs": "perfbench/probes.py's model.rhs_* probes call it on Tensors",

@@ -1,0 +1,57 @@
+"""The output contract's runner (tests/contract.py) on its small run set:
+two runs give one report, and --compare tells identical outputs from
+changed ones."""
+
+import json
+
+import numpy as np
+import pytest
+
+import contract
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return [contract.run_in_temp(quick=True) for _ in range(2)]
+
+
+def write(path, report, arrays):
+    path.write_text(json.dumps(report))
+    with open(f"{path}.npz", "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+def test_every_command_exits_zero_and_writes(runs):
+    (report, arrays), _ = runs
+    assert report["commands"] and all(c["exit"] == 0 for c in report["commands"].values())
+    assert {"runs/cancer/checkpoint.json", "eval/semi/rmse_grid.csv",
+            "forecast/cancer.csv"} <= set(report["artifacts"])
+    grads = [k for k in report["gradients"] if k.startswith("gradient:")]
+    assert len(grads) == 2 * 24 and all(np.isfinite(arrays[k]).all() for k in grads)
+    assert any(np.any(arrays[k] != 0.0) for k in grads)
+
+
+def test_two_runs_give_one_report(runs, tmp_path):
+    (a, arrays_a), (b, arrays_b) = runs
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    lines, same = contract.compare(write(tmp_path / "a.json", a, arrays_a),
+                                   write(tmp_path / "b.json", b, arrays_b))
+    assert same and all(line.endswith(": identical") for line in lines)
+
+
+def test_compare_names_what_changed(runs, tmp_path):
+    (a, arrays_a), _ = runs
+    b = json.loads(json.dumps(a))
+    arrays_b = dict(arrays_a)
+    key = "gradient:cancer:head.b"
+    arrays_b[key] = arrays_a[key] * (1.0 + 1e-3)
+    b["gradients"][key] = contract.sha(arrays_b[key].tobytes())
+    b["commands"]["gradcheck"]["exit"] = 4
+    lines, same = contract.compare(write(tmp_path / "a.json", a, arrays_a),
+                                   write(tmp_path / "b.json", b, arrays_b))
+    changed = [line for line in lines if not line.endswith(": identical")]
+    assert not same
+    assert changed[0] == "gradcheck [exit]: differs (0 != 4)"
+    assert changed[1].startswith(f"{key}: largest relative difference 9.99")
+    assert len(changed) == 2

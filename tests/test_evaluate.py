@@ -14,7 +14,8 @@ from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
 from obsnode.model import History, ObsNodeConfig, ObsNodeParams, decision_split
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
-from obsnode.train import NormStats, TrainConfig, _targets, evaluate_loss, zscore_fit
+from obsnode.train import (NormStats, TrainConfig, _targets, evaluate_loss, stack_units,
+                           zscore_fit)
 from support import (counterfactual_rmse, masked_binned_rmse, read_grid_csv, reencoded_grid,
                      reencoded_loss)
 
@@ -373,9 +374,34 @@ class TestPgm:
 
 class TestCounterfactual:
     def test_oracle_like_forecaster_scores_well(self):
-        # the simulator itself serves as the model stand-in via a predictor
-        # path, so here we only check the routine produces finite values on a
-        # tiny cohort with an untrained model
+        # the simulator's noiseless truth, as its own forecast, scores
+        # exactly 0.0 in every bin with a point; shifted by a constant c in
+        # component d, that component reads |c| / scale[d] and the other
+        # still 0.0
+        from obsnode.simulate import CancerSimConfig, sample_cohort_params, simulate_cancer_cohort
+
+        cfg = CancerSimConfig(n_patients=3, n_cycles=4, dt=0.5, obs_every=3.0, noise=False,
+                              seed=1)
+        ids = [0, 1, 2]
+        truths = simulate_cancer_cohort(sample_cohort_params(cfg, ids), cfg, ids)
+        record = stack_units(truths)
+        scale = zscore_fit(truths).std
+        t_c, horizons = 30.0, np.array([15.0, 30.0, 60.0])
+        k, j = decision_split(record.times, t_c, t_c + horizons[-1])
+        values, counts = _binned_rmse(record, k, j, record.y[k:j].copy(), t_c, horizons, scale)
+        present = counts > 0
+        assert present.all()
+        assert np.all(values == 0.0)
+        for d, c in ((0, 0.25), (1, -3.0)):
+            pred = record.y[k:j].copy()
+            pred[..., d] += c
+            values, _ = _binned_rmse(record, k, j, pred, t_c, horizons, scale)
+            np.testing.assert_allclose(values[:, d], abs(c) / scale[d], rtol=1e-12)
+            assert np.all(values[:, 1 - d] == 0.0)
+
+    def test_untrained_model_scores_finite_values(self):
+        # the counterfactual scoring runs end to end on a tiny cohort with
+        # an untrained model and gives finite, nonnegative values
         from obsnode.model import ObsNodeConfig, ObsNodeParams
         from obsnode.simulate import CancerSimConfig
         from obsnode.train import NormStats

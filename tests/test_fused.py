@@ -1,6 +1,6 @@
 """The fused tape nodes of the model (the triangular vector field, the solver
-step and the recurrent encoder) against the same computations written as
-graphs of autodiff ops.
+step, the recurrent encoder, its affine head, the emission and the masked
+loss) against the same computations written as graphs of autodiff ops.
 
 The field and, for two or more units, the encoder promise bitwise equality
 with these graphs: the same forward values and the same gradients,
@@ -31,13 +31,9 @@ from obsnode.model import (EncodedState, History, ObsNodeConfig, decision_split,
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import Trajectory
 from obsnode.train import TrainConfig, _batch_loss, _targets, evaluate_loss, stack_units
-from support import (GateViews, PerBlockParams, checkpoint_grads, random_params,
-                     stored_names, value_at)
-
-
-def ref_linear(x, W, b):
-    n = x.data.shape[0]
-    return ad.add(ad.matmul(x, W), ad.expand(b, (n, b.data.shape[1])))
+from obsnode import train as train_mod
+from support import (GateViews, PerBlockParams, checkpoint_grads, op_graph_affine,
+                     op_graph_emissions, op_graph_loss, random_params, stored_names, value_at)
 
 
 REF_ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid,
@@ -71,8 +67,8 @@ def ref_rhs(z, a, params):
         if cfg.d_a:
             x = ad.concat([x, a], axis=1)
         for W, b in layers[:-1]:
-            x = act(ref_linear(x, W, b))
-        phi = ref_linear(x, *layers[-1])
+            x = act(op_graph_affine(x, W, b))
+        phi = op_graph_affine(x, *layers[-1])
         if i < m:
             phi = ad.add(ad.slice_axis(z, i * d_y, (i + 1) * d_y, axis=1), phi)
         blocks.append(phi)
@@ -126,11 +122,11 @@ def ref_batched_rhs(z, a, params):
 
 def ref_gru(x, h, enc):
     """The gated recurrent update as a graph of autodiff ops."""
-    r = ad.sigmoid(ad.add(ref_linear(x, enc["Wr"], enc["br"]),
+    r = ad.sigmoid(ad.add(op_graph_affine(x, enc["Wr"], enc["br"]),
                           ad.matmul(h, enc["Ur"])))
-    u = ad.sigmoid(ad.add(ref_linear(x, enc["Wu"], enc["bu"]),
+    u = ad.sigmoid(ad.add(op_graph_affine(x, enc["Wu"], enc["bu"]),
                           ad.matmul(h, enc["Uu"])))
-    cand = ad.tanh(ad.add(ref_linear(x, enc["Wh"], enc["bh"]),
+    cand = ad.tanh(ad.add(op_graph_affine(x, enc["Wh"], enc["bh"]),
                           ad.matmul(ad.hadamard(r, h), enc["Uh"])))
     ones = Tensor(np.ones_like(u.data))
     return ad.add(ad.hadamard(ad.sub(ones, u), h), ad.hadamard(u, cand))
@@ -169,7 +165,7 @@ def ref_encode(history, params, lengths):
     """The affine head on the states of :func:`ref_states` after each
     prefix length in `lengths`, as :func:`encode_prefixes` orders them."""
     hs = ref_states(history, params)
-    return [ref_linear(hs[k], params.head_W, params.head_b) for k in lengths]
+    return [op_graph_affine(hs[k], params.head_W, params.head_b) for k in lengths]
 
 
 def run_node(node, inputs, params, seed, zeros=0.2):
@@ -553,6 +549,93 @@ class TestNoLookAhead:
             val = evaluate_loss(trajs, params, np.ones(2), t_cs, tcfg)
             results.append([loss.data, np.float64(val)]
                            + [t.grad for t in params.tensors()])
+        assert_bitwise(*results)
+
+
+def observed_mask(rng, shape, unobserved):
+    """A 0/1 mask of `shape` (T, n, d_y) observed with probability 0.6, in
+    which each (unit, component) pair is, with probability `unobserved`,
+    never observed."""
+    mask = (rng.uniform(size=shape) < 0.6).astype(float)
+    mask[:, rng.uniform(size=shape[1:]) < unobserved] = 0.0
+    return mask
+
+
+class TestTailAgainstOpGraph:
+    """The encoder's head, the emission and the masked loss, each one node,
+    against the op graphs they replace (tests/support.py): values and every
+    gradient bitwise, signed zeros and the order of accumulation included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 5]), H=st.integers(1, 4), d_z=st.integers(1, 6),
+           seed=st.integers(0, 2**16))
+    def test_head(self, n, H, d_z, seed):
+        rng = np.random.default_rng(seed)
+        x0, W0, b0 = (rng.normal(size=s) for s in ((n, H), (H, d_z), (1, d_z)))
+        results = []
+        for node in (model._head, op_graph_affine):
+            x, W, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0))
+            results.append(run_node(lambda x: node(x, W, b), (x,), [W, b], seed + 1))
+        assert_bitwise(*results)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 3]), d_y=st.integers(1, 3), m=st.integers(1, 3),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_emissions(self, n, d_y, m, data, seed):
+        # repeated states, as repeated query times give, take their
+        # gradients in the op graph's order
+        picks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6), label="picks")
+        rng = np.random.default_rng(seed)
+        z0 = rng.normal(size=(4, n, m * d_y))
+        results = []
+        for node in (model.emissions, op_graph_emissions):
+            zs = [Tensor(z.copy(), requires_grad=True) for z in z0]
+            results.append(run_node(lambda *states: node(list(states), d_y),
+                                    [zs[i] for i in picks], [], seed + 1, zeros=0.5))
+        assert_bitwise(*results)
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(1, 5), n=st.sampled_from([1, 2, 4]), d_y=st.integers(1, 3),
+           unobserved=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
+    def test_masked_loss(self, T, n, d_y, unobserved, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(T, n, d_y))
+        mask = observed_mask(rng, y.shape, unobserved)
+        sigma2 = rng.uniform(0.5, 2.0, size=d_y)
+        p0 = rng.normal(size=y.shape)
+        results = []
+        for node in (train_mod.masked_loss, op_graph_loss):
+            pred = Tensor(p0.copy(), requires_grad=True)
+            results.append(run_node(lambda p: node(p, y, mask, sigma2), (pred,), [], seed + 1))
+        assert_bitwise(*results)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d_y=st.integers(1, 2), m=st.integers(1, 3), d_a=st.sampled_from([0, 2]),
+           n=st.sampled_from([1, 2, 4]), method=st.sampled_from(["euler", "rk4"]),
+           unobserved=st.sampled_from([0.0, 0.5]), data=st.data(), seed=st.integers(0, 2**16))
+    def test_batch_loss(self, d_y, m, d_a, n, method, unobserved, data, seed):
+        # a training batch's loss and every parameter gradient with the
+        # three nodes, and with the op graphs in their place
+        T = 7
+        k = data.draw(st.integers(1, T - 1), label="k")
+        j = data.draw(st.integers(k + 1, T), label="j")
+        hist = random_history(d_y, d_a, T, n, seed)
+        hist.mask[...] = observed_mask(np.random.default_rng(seed + 1), hist.y.shape, unobserved)
+        cfg = phi_config(d_y, m, d_a, "tanh", 1, True)
+        sigma2 = np.random.default_rng(seed + 2).uniform(0.5, 2.0, size=d_y)
+        int_cfg = IntegrationConfig(method, 0.4)
+        results = []
+        for graph in (False, True):
+            params = make_params(cfg, seed)
+            with pytest.MonkeyPatch.context() as mp:
+                if graph:
+                    mp.setattr(model, "_head", op_graph_affine)
+                    mp.setattr(train_mod, "emissions", op_graph_emissions)
+                    mp.setattr(train_mod, "masked_loss", op_graph_loss)
+                with Tape() as tape:
+                    loss = _batch_loss(hist, k, j, params, sigma2, int_cfg)
+                    tape.backward(loss)
+            results.append([loss.data] + [t.grad for t in params.tensors()])
         assert_bitwise(*results)
 
 

@@ -450,6 +450,29 @@ class TestStoredLayout:
         opt.step()
         np.testing.assert_allclose(W1.data, new - 1e-3 / (1 + 1e-8), rtol=0, atol=1e-15)
 
+    def test_entries_name_their_stored_tensors(self):
+        # each checkpoint entry is the stored part its name says: the gates
+        # in r, u, h order, and each block's first layer its z rows, then
+        # its control rows
+        cfg = ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=3, phi_layers=1,
+                            encoder_hidden_dim=4)
+        params = random_params(cfg, 3)
+        state = params.state()
+        W, U, Uh, b = (t.data for t in params.enc)
+        for j, gate in enumerate("ruh"):
+            assert np.array_equal(state[f"enc.W{gate}"], W[j])
+            assert np.array_equal(state[f"enc.U{gate}"], U[j] if j < 2 else Uh)
+            assert np.array_equal(state[f"enc.b{gate}"], b[j])
+        W0z, W0c, b0, W1, b1 = (t.data for t in params.phi)
+        for i in range(cfg.m):
+            assert np.array_equal(state[f"phi{i + 1}.W0"],
+                                  np.concatenate([W0z[i, :(i + 1) * cfg.d_y], W0c[i]]))
+            for name, stored in (("b0", b0), ("W1", W1), ("b1", b1)):
+                assert np.array_equal(state[f"phi{i + 1}.{name}"], stored[i])
+        for name, t in (("b_impute", params.b_impute), ("head.W", params.head_W),
+                        ("head.b", params.head_b)):
+            assert np.array_equal(state[name], t.data)
+
     def test_wrong_shape_assignment_raises(self):
         _, params = make_model(d_y=2, m=2, d_a=1)
         kept = params.flat.copy()
@@ -614,6 +637,16 @@ class TestDecisionSplit:
         with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
             _decisions(times, [2.0, t_c], TrainConfig(decision_time_grid=[2.0], t_f=6.0,
                                                       max_horizon=max_horizon), "train")
+
+    def test_factual_control_holds_each_recorded_treatment(self):
+        # from the first 2 of 5 times to the targets times[2:4]: the knots
+        # are times[1] and times[2], each with the treatment recorded then
+        times = np.array([0.0, 1.0, 2.5, 3.0, 4.5])
+        a = np.arange(10.0).reshape(5, 1, 2)
+        record = History(times, np.zeros((5, 1, 1)), np.ones((5, 1, 1)), a)
+        got = factual_control(record, 2, 4)
+        assert got.knot_times.tolist() == [1.0, 2.5]
+        assert got.knot_values.tolist() == [[[2.0, 3.0]], [[4.0, 5.0]]]
 
     @settings(max_examples=100, deadline=None)
     @given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=20),

@@ -18,6 +18,8 @@ from obsnode.simulate import (CancerSimConfig, SemiSynthConfig, Trajectory,
                               generate_cancer_dataset, generate_semi_synthetic)
 from obsnode.train import NormStats, train
 
+import contract
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -67,3 +69,25 @@ def test_train_configs_pass_the_decision_check(monkeypatch, name, sim_cls, gener
     tcfg = replace(getattr(configs, f"{name}_TRAIN"), epochs=0)
     _, history = train(getattr(configs, f"{name}_MODEL"), splits, tcfg)
     assert history == []
+
+
+def test_no_command_runs_a_counted_op(monkeypatch):
+    # every op the benchmark's tracer counts raises, wherever obsnode holds
+    # it: train, evaluate, forecast and gradcheck (contract.py's small run
+    # set) still exit 0, each on fused nodes alone
+    tracer = load("tracer", monkeypatch)
+    from obsnode import autodiff as ad
+
+    def refuse(op):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"autodiff.{op.__name__} ran")
+        return raising
+
+    undo = tracer.replace_everywhere({getattr(ad, name) for name in tracer.OPS}, refuse)
+    try:
+        report, _ = contract.run_in_temp(quick=True)
+    finally:
+        tracer.restore(undo)
+    assert {"train cancer", "evaluate semi", "forecast cancer to stdout", "gradcheck"} <= set(
+        report["commands"])
+    assert all(c["exit"] == 0 for c in report["commands"].values())

@@ -529,3 +529,21 @@ def test_step_count_is_the_solvers(gaps, step, data):
     edges = _step_boundaries(times[k - 1], times[j - 1], factual_control(record, k, j),
                              times[k:j], IntegrationConfig(step_size=step))
     assert _steps_per_gap(times[k - 1:j], step).sum() == len(edges) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 3]), method=st.sampled_from(["euler", "rk4"]),
+       step=st.floats(0.1, 2.0), data=st.data(), seed=st.integers(0, 2**16))
+def test_a_batch_tape_is_the_solver_steps_and_four_nodes(n, method, step, data, seed):
+    # one node per solver step of the rollout, then the encoder (one GRU
+    # node), its head, the emission and the masked loss
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.5, 2.0, size=8))
+    k = data.draw(st.integers(1, times.size - 1), label="k")
+    j = data.draw(st.integers(k + 1, times.size), label="j")
+    record = History(times, rng.normal(size=(8, n, 1)), np.ones((8, n, 1)),
+                     rng.normal(size=(8, n, 1)))
+    params = ObsNodeParams(MODEL_CFG, rng)
+    with ad.Tape() as tape:
+        train_mod._batch_loss(record, k, j, params, np.ones(1), IntegrationConfig(method, step))
+    assert len(tape) == _steps_per_gap(times[k - 1:j], step).sum() + 4
