@@ -256,10 +256,15 @@ def stack_field(params: ObsNodeParams):
     Each block's first-layer z rows are zero past z^(1..i) (the masks of
     MADE, Germain et al., 2015), so the field stays triangular. The
     weights' arrays are read once here; binding a control computes its
-    scaling and first-layer term once.
+    scaling and first-layer term once. A state may carry leading axes (the
+    decisions :func:`rollouts` steps in lockstep), which the control term
+    and the bias tiles broadcast over: each product takes a lone state's
+    (n, .) operands and rounds as it does, where extra rows would not (a
+    narrow product's row rounds otherwise at another row count). A pass's
+    temporaries scale with the leading axes times n times the width.
     """
     cfg = params.cfg
-    d_y, m, d_z = cfg.d_y, cfg.m, cfg.d_z
+    d_y, m = cfg.d_y, cfg.m
     tensors = params.phi
     W0z, W0c, b0, *rest = tensors
     later = [(W, W.data, b, b.data) for W, b in zip(rest[::2], rest[1::2])]
@@ -279,14 +284,16 @@ def stack_field(params: ObsNodeParams):
         shared = c.shape[1] == 1
 
         def f(z):
-            """(dz/dt, vjp) at the state z; vjp is None unless a tape is
-            recording, and only then does the pass keep what a VJP reads of
-            each hidden layer but the first, which the VJP rebuilds from z and c."""
-            n = z.shape[0]
+            """(dz/dt, vjp) at the state z (..., n, d_z); vjp is None unless a
+            tape is recording (z is then (n, d_z)), and only then does the
+            pass keep what a VJP reads of each hidden layer but the first,
+            which the VJP rebuilds from z and c."""
+            n = z.shape[-2]
             if n not in tiles:
                 tiles[n] = [np.repeat(bd, n, axis=1) for _, _, _, bd in later]
             taped = ad._active_tape() is not None
-            pre = z @ W0zd
+            # a lone state skips the indexing, about 0.4 us a call at n = 1
+            pre = (z if z.ndim == 2 else z[..., None, :, :]) @ W0zd
             pre += c
             cache = []  # (what the VJP keeps, activation) per hidden layer but the first
             for l, ((_, Wd, _, _), tile) in enumerate(zip(later, tiles[n])):
@@ -295,8 +302,8 @@ def stack_field(params: ObsNodeParams):
                     cache.append((keep(pre), y))
                 pre = y @ Wd
                 pre += tile
-            out = pre.transpose(1, 0, 2).reshape(n, d_z)
-            out[:, :-d_y] += z[:, d_y:]  # the integrator chain
+            out = pre.swapaxes(-3, -2).reshape(z.shape)
+            out[..., :-d_y] += z[..., d_y:]  # the integrator chain
             if not taped:
                 return out, None
 
@@ -538,16 +545,42 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     decisions: for each index pair (k, j) of `decisions` (see
     :func:`decision_split`), the state encoded from the first k record times
     (one :func:`encode_prefixes` pass serves them all) is integrated by one
-    field to the targets times[k:j] under `control`, or without one under
-    :func:`factual_control`. `int_cfg` defaults to
-    :meth:`IntegrationConfig.for_grid` of the record times. Returns, per
+    field to the targets times[k:j] under `control` ((K, d_a) or (K, n, d_a)
+    knot values), or without one under :func:`factual_control`. The
+    decisions step in lockstep: between two consecutive join (times[k - 1])
+    or leave (times[j - 1]) times, one :func:`~obsnode.odeint.integrate`
+    call steps those in flight, stacked on a leading axis; each anchor of a
+    step edge is a record time or a knot, so each state is bitwise that of
+    the decision's own rollout. A lone decision steps its (n, d_z) state,
+    taped or not; several under a tape raise ValueError. `int_cfg` defaults
+    to :meth:`IntegrationConfig.for_grid` of the record times. Returns, per
     decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
-    states = encode_prefixes(record, params, [k for k, _ in decisions])
+    n, d_a = record.y.shape[1], params.cfg.d_a
+    if control is not None and control.knot_values.shape[1:] not in ((d_a,), (n, d_a)):
+        raise ShapeMismatch("rollouts: the control's knot values", control.knot_values.shape,
+                            (control.knot_times.size, n, d_a))
+    lone = len(decisions) == 1
+    if not lone and ad._active_tape() is not None:
+        raise ValueError("rollouts: a taped call takes one decision")
+    times = record.times
+    encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
-    return [integrate(field, s.z, factual_control(record, k, j) if control is None else control,
-                      s.t, record.times[j - 1], int_cfg or IntegrationConfig.for_grid(record.times),
-                      record.times[k:j], tensors)
-            for (k, j), s in zip(decisions, states)]
+    out = [[] for _ in decisions]
+    at = {}  # the latest state of each decision in flight
+    events = sorted({i for k, j in decisions for i in (k - 1, j - 1)})
+    for lo, hi in zip(events, events[1:]):
+        at = {d: z for d, z in at.items() if decisions[d][1] - 1 > lo}
+        at.update((d, encoded[d].z) for d, (k, j) in enumerate(decisions) if k - 1 == lo < j - 1)
+        if not at:
+            continue
+        z = at[0] if lone else Tensor(np.stack([s.data for s in at.values()]))
+        ctrl = factual_control(record, lo + 1, hi + 1) if control is None else control
+        qs = integrate(field, z, ctrl, times[lo], times[hi],
+                       int_cfg or IntegrationConfig.for_grid(times), times[lo + 1:hi + 1], tensors)
+        for i, d in enumerate(at):
+            out[d] += qs if lone else [Tensor(q.data[i]) for q in qs]
+            at[d] = out[d][-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,9 @@ def _step(f, z, h, rk4, params, t):
 def integrate(field, z0, control: ControlPath, t0, t1,
               cfg: IntegrationConfig, query_times, params=()):
     """Integrate ``dz/dt = f(z)`` from the Tensor z0 and return the states at
-    `query_times` (list of Tensors, same shape as z0).
+    `query_times` (list of Tensors, same shape as z0). z0 may carry leading
+    axes that f broadcasts over, such as the decisions that
+    :func:`~obsnode.model.rollouts` steps in lockstep rather than in extra rows.
 
     ``field(a)`` binds the control value a (a row of
     ``control.knot_values``) and returns f; it is called once per control

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -123,7 +124,15 @@ class Workspace:
 def batch_gradients(ws, name, run_dir, data_dir, train_cfg, batch_size):
     """Each checkpoint entry's gradient of the loss of one taped training
     batch on the trained model: its first `batch_size` train units, at the
-    middle decision time of the grid; none when training wrote no model."""
+    middle decision time of the grid; none when training wrote no model, and
+    none, with a note on stderr, when the checkout predates the decisions
+    as index pairs: a `train._batch_loss(record, k, j, ...)` and the
+    `train._decisions` that returns its pairs."""
+    from obsnode import train
+    if "k" not in inspect.signature(getattr(train, "_batch_loss", lambda: None)).parameters:
+        print(f"contract: gradients of {name} absent: this checkout's train has no "
+              "_batch_loss(record, k, j, ...)", file=sys.stderr)
+        return {}
     from obsnode.autodiff import Tape
     from obsnode.model import load_model, param_shapes
     from obsnode.simulate import read_dataset

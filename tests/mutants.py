@@ -197,6 +197,22 @@ CATALOGUE = (
             "tests/test_train.py::test_step_count_is_the_solvers"),
            "train's MAX_STEPS check measures the span in steps and misses the steps "
            "that rounding each grid gap up adds"),
+    Mutant("lockstep-join-one-segment-late", "model.py",
+           "if k - 1 == lo < j - 1)", "if k - 1 < lo < j - 1 and d not in at)",
+           ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),
+           "a decision joins the lockstep at the first join or leave time after "
+           "its own, from the state encoded before it"),
+    Mutant("lockstep-leave-one-segment-early", "model.py",
+           "if decisions[d][1] - 1 > lo}", "if decisions[d][1] - 1 > hi}",
+           ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),
+           "a decision leaves the lockstep before the segment that ends at its "
+           "last target, so it misses that segment's states"),
+    Mutant("lockstep-control-term-of-the-first-decision", "model.py",
+           "z[..., None, :, :]) @ W0zd\n            pre += c",
+           "z[..., None, :, :]) @ W0zd\n            pre.reshape(-1, *pre.shape[-3:])[0] += c",
+           ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),
+           "the control term is not broadcast over the decision axis: only the "
+           "first decision in flight gets it; a lone state does not show it"),
     Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[d]) / scale[d]", ".sum() / c[d])",
            ("tests/test_evaluate.py::TestRmseGrid::test_scaling_invariance",),
            "the RMSE grid is not divided by the split's std"),

@@ -55,3 +55,19 @@ def test_compare_names_what_changed(runs, tmp_path):
     assert changed[0] == "gradcheck [exit]: differs (0 != 4)"
     assert changed[1].startswith(f"{key}: largest relative difference 9.99")
     assert len(changed) == 2
+
+
+def test_a_checkout_before_the_pair_decisions_has_no_gradients(monkeypatch, capsys):
+    # a train module whose _batch_loss takes a decision time, as before
+    # decisions were index pairs, or has none: the gradient part is absent
+    from obsnode import train
+
+    def batch_loss_of_a_time(record, t_c, params, sigma2, int_cfg, max_horizon=None):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(train, "_batch_loss", batch_loss_of_a_time)
+    assert contract.batch_gradients(None, "cancer", "runs/cancer", "data/cancer", {}, 1) == {}
+    monkeypatch.delattr(train, "_batch_loss")
+    assert contract.batch_gradients(None, "semi", "runs/semi", "data/semi", {}, 1) == {}
+    err = capsys.readouterr().err
+    assert "gradients of cancer absent" in err and "gradients of semi absent" in err

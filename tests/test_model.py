@@ -9,11 +9,12 @@ from obsnode import autodiff as ad
 from obsnode import model as model_mod
 from obsnode import odeint
 from obsnode.autodiff import Tensor, grad_check
-from obsnode.errors import ConfigError, DataError, ShapeMismatch
+from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
+from obsnode.evaluate import raw_forecasts
 from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsNodeParams,
                            check_size, decision_split, emit, encode, factual_control,
-                           forecast, load_model, param_count, param_shapes, save_model,
-                           stack_field, triangular_rhs)
+                           forecast, load_model, param_count, param_shapes, rollouts,
+                           save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.train import TrainConfig, _decisions, _targets
 from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, isin_factual_control,
@@ -664,3 +665,100 @@ class TestDecisionSplit:
         ref = isin_factual_control(record, k, times[k:j])
         assert got.knot_times.tobytes() == ref.knot_times.tobytes()
         assert got.knot_values.tobytes() == ref.knot_values.tobytes()
+
+
+def lockstep_case(n, d_y, hidden, seed, T=6):
+    """A random model (d_a = 2, its output layers nonzero) and an n-unit
+    record of T strictly increasing times, some outcomes missing."""
+    cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=2, phi_hidden_dim=hidden, phi_layers=2,
+                        encoder_hidden_dim=3)
+    params = random_params(cfg, seed, scale=0.5)
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.2, 1.0, size=T))
+    mask = (rng.uniform(size=(T, n, d_y)) < 0.7).astype(float)
+    return cfg, params, History(times, rng.normal(size=(T, n, d_y)) * mask, mask,
+                                rng.normal(size=(T, n, 2)))
+
+
+class TestLockstep:
+    """`rollouts` steps a record's decisions together, stacked on a leading
+    axis, and gives each the states of its own rollout."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 7]), hidden=st.integers(1, 5), d_y=st.integers(1, 2),
+           method=st.sampled_from(["euler", "rk4"]), step=st.floats(0.05, 0.9),
+           control=st.sampled_from([None, "shared", "per unit"]), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_lockstep_equals_one_call_per_decision(self, n, hidden, d_y, method, step,
+                                                   control, seed, data):
+        # narrow hidden and output layers, whose products round otherwise
+        # at another row count; steps that do not divide the gaps; repeated
+        # pairs, pairs that share a start, and ends that differ, as a
+        # max_horizon makes them; the factual control or a given one,
+        # shared or per unit, with knots between the record times
+        _, params, record = lockstep_case(n, d_y, hidden, seed)
+        T = record.times.size
+        pair = st.integers(1, T - 1).flatmap(lambda k: st.tuples(st.just(k),
+                                                                st.integers(k + 1, T)))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=5), label="pairs")
+        k0, j0 = pairs[0]
+        pairs += [pairs[0], (k0, data.draw(st.integers(k0 + 1, T), label="end"))]
+        ctrl = None
+        if control is not None:
+            rng = np.random.default_rng(seed + 2)
+            knots = np.unique(rng.uniform(record.times[0] - 0.5, record.times[-1] + 0.5, 4))
+            ctrl = ControlPath(knots, rng.normal(size=(knots.size,) + (n,) * (control != "shared")
+                                                 + (2,)))
+        int_cfg = IntegrationConfig(method, step)
+        together = rollouts(record, pairs, params, int_cfg, ctrl)
+        assert len(together) == len(pairs)
+        for (k, j), states in zip(pairs, together):
+            alone = rollouts(record, [(k, j)], params, int_cfg, ctrl)[0]
+            assert len(states) == len(alone) == j - k
+            for s, t in zip(states, alone):
+                assert s.data.shape == (n, 2 * d_y)
+                assert s.data.tobytes() == t.data.tobytes()
+
+    def test_a_state_gone_nonfinite_among_others_raises(self, monkeypatch):
+        # the decision from the first 3 times overflows on its first step,
+        # while the one from the first time is in flight
+        _, params, record = lockstep_case(2, 1, 4, seed=3)
+        real = model_mod.encode_prefixes
+
+        def huge_second_state(history, params, lengths):
+            states = real(history, params, lengths)
+            if len(states) > 1:
+                states[1].z = Tensor(np.full(states[1].z.shape, 1e308))
+            return states
+
+        monkeypatch.setattr(model_mod, "encode_prefixes", huge_second_state)
+        int_cfg = IntegrationConfig("rk4", 1.0)
+        rollouts(record, [(1, 6)], params, int_cfg)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=re.escape(f"integrate: the state at t={record.times[3]}")):
+            rollouts(record, [(1, 6), (3, 6)], params, int_cfg)
+
+    def test_a_taped_call_takes_one_decision(self):
+        _, params, record = lockstep_case(2, 1, 4, seed=4)
+        with ad.Tape():
+            assert len(rollouts(record, [(2, 5)], params)[0]) == 3
+            with pytest.raises(ValueError, match="a taped call takes one decision"):
+                rollouts(record, [(2, 5), (3, 5)], params)
+
+    @pytest.mark.parametrize("units, d_a, values", [(2, 2, (5, 3, 2)), (2, 1, (5, 2))])
+    def test_control_of_the_wrong_shape_is_refused_before_any_step(self, monkeypatch, units,
+                                                                   d_a, values):
+        # a per-unit control for 3 units on a 2-unit record, and a shared
+        # one of 2 components for a model with d_a = 1
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=d_a, phi_hidden_dim=3, encoder_hidden_dim=3)
+        params = random_params(cfg, 0)
+        T = 6
+        record = History(np.arange(T, dtype=float), np.zeros((T, units, 1)),
+                         np.ones((T, units, 1)), np.zeros((T, units, d_a)))
+        control = ControlPath(np.arange(5.0), np.zeros(values))
+        monkeypatch.setattr(model_mod, "integrate", None)
+        expect = re.escape(f"{values} vs {(5, units, d_a)}")
+        with pytest.raises(ShapeMismatch, match=expect):
+            rollouts(record, [(2, 5)], params, control=control)
+        with pytest.raises(ShapeMismatch, match=expect):
+            raw_forecasts(record, [(2, 5)], params, None, control=control)
