@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeMismatch
-from .odeint import ControlPath, IntegrationConfig, integrate
+from .odeint import ControlPath, IntegrationConfig, _counted_steps, integrate
 
 
 @dataclass
@@ -257,11 +257,13 @@ def stack_field(params: ObsNodeParams):
     MADE, Germain et al., 2015), so the field stays triangular. The
     weights' arrays are read once here; binding a control computes its
     scaling and first-layer term once. A state may carry leading axes (the
-    decisions :func:`rollouts` steps in lockstep), which the control term
-    and the bias tiles broadcast over: each product takes a lone state's
-    (n, .) operands and rounds as it does, where extra rows would not (a
-    narrow product's row rounds otherwise at another row count). A pass's
-    temporaries scale with the leading axes times n times the width.
+    decisions :func:`rollouts` steps in lockstep, the stages of a step that
+    rebuild takes), which the control term and the bias tiles broadcast
+    over: each product takes a lone state's (n, .) operands and rounds as
+    it does, where extra rows would not (a narrow product's row rounds
+    otherwise at another row count); so rebuild's one pass gives each
+    stage's hidden layers bitwise as f made them. A pass's temporaries
+    scale with the leading axes times n times the width.
     """
     cfg = params.cfg
     d_y, m = cfg.d_y, cfg.m
@@ -284,49 +286,50 @@ def stack_field(params: ObsNodeParams):
         shared = c.shape[1] == 1
 
         def f(z):
-            """(dz/dt, vjp) at the state z (..., n, d_z); vjp is None unless a
-            tape is recording (z is then (n, d_z)), and only then does the
-            pass keep what a VJP reads of each hidden layer but the first,
-            which the VJP rebuilds from z and c."""
+            """dz/dt at the state z (..., n, d_z)."""
             n = z.shape[-2]
             if n not in tiles:
                 tiles[n] = [np.repeat(bd, n, axis=1) for _, _, _, bd in later]
-            taped = ad._active_tape() is not None
             # a lone state skips the indexing, about 0.4 us a call at n = 1
             pre = (z if z.ndim == 2 else z[..., None, :, :]) @ W0zd
             pre += c
-            cache = []  # (what the VJP keeps, activation) per hidden layer but the first
-            for l, ((_, Wd, _, _), tile) in enumerate(zip(later, tiles[n])):
-                y = act(pre)
-                if taped and l:
-                    cache.append((keep(pre), y))
-                pre = y @ Wd
+            for (_, Wd, _, _), tile in zip(later, tiles[n]):
+                pre = act(pre) @ Wd
                 pre += tile
             out = pre.swapaxes(-3, -2).reshape(z.shape)
             out[..., :-d_y] += z[..., d_y:]  # the integrator chain
-            if not taped:
-                return out, None
+            return out
 
-            def vjp(g):
+        def rebuild(zs):
+            """vjp(i, g) of f at the stage inputs zs (s, n, d_z), whose one
+            pass rebuilds every hidden layer by f's calls."""
+            n = zs.shape[1]
+            layers = []  # (kept, activation) per hidden layer
+            if later:
+                pre = zs[:, None] @ W0zd
+                pre += c
+                layers.append((keep(pre), act(pre)))
+                for (_, Wd, _, _), tile in zip(later[:-1], tiles[n]):  # tiles made by f
+                    pre = layers[-1][1] @ Wd
+                    pre += tile
+                    layers.append((keep(pre), act(pre)))
+
+            def vjp(i, g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
-                layers = cache
-                if later:  # the first hidden layer, by the forward pass's calls
-                    pre = z @ W0zd
-                    pre += c
-                    layers = [(keep(pre), act(pre)), *cache]
                 for (W, Wd, b, _), (kept, y) in zip(reversed(later), reversed(layers)):
-                    gpre = act_vjp(_affine_vjp(gpre, y, W, Wd, b), kept, y)
+                    gpre = act_vjp(_affine_vjp(gpre, y[i], W, Wd, b),
+                                   None if kept is None else kept[i], y[i])
                 gc = _unit_sum(gpre) if shared else gpre
                 ad._accum(b0, _unit_sum(gc))
                 ad._accum(W0c, ctrl.T @ gc)
-                gz = np.add.reduce(_affine_vjp(gpre, z, W0z, W0zd), axis=0)
+                gz = np.add.reduce(_affine_vjp(gpre, zs[i], W0z, W0zd), axis=0)
                 gz[:, d_y:] += g[:, :-d_y]  # the integrator chain
                 gz[:, :d_y] += 0.0  # a -0.0 sum becomes +0.0, as in the op graph
                 return gz
 
-            return out, vjp
+            return vjp
 
-        return f
+        return f, rebuild
 
     return field, tensors
 
@@ -348,10 +351,12 @@ def triangular_rhs(z, a, params: ObsNodeParams):
         raise ShapeMismatch("triangular_rhs", z.shape, a.shape)
     ad._check_finite("triangular_rhs", z.data, a.data)
     field, tensors = stack_field(params)
-    out, vjp = field(a.data)(z.data)
+    f, rebuild = field(a.data)
+    out = f(z.data)
     ad._check_finite("triangular_rhs", out)
 
-    return ad._record(Tensor(out), [z, *tensors], lambda g: ad._accum(z, vjp(g)))
+    return ad._record(Tensor(out), [z, *tensors],
+                      lambda g: ad._accum(z, rebuild(z.data[None])(0, g)))
 
 
 def emit(z, cfg: ObsNodeConfig):
@@ -553,8 +558,9 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     step edge is a record time or a knot, so each state is bitwise that of
     the decision's own rollout. A lone decision steps its (n, d_z) state,
     taped or not; several under a tape raise ValueError. `int_cfg` defaults
-    to :meth:`IntegrationConfig.for_grid` of the record times. Returns, per
-    decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
+    to :meth:`IntegrationConfig.for_grid` of the record times. More than
+    MAX_STEPS in one decision raise NumericError before any work. Returns,
+    per decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
     n, d_a = record.y.shape[1], params.cfg.d_a
     if control is not None and control.knot_values.shape[1:] not in ((d_a,), (n, d_a)):
         raise ShapeMismatch("rollouts: the control's knot values", control.knot_values.shape,
@@ -563,6 +569,12 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     if not lone and ad._active_tape() is not None:
         raise ValueError("rollouts: a taped call takes one decision")
     times = record.times
+    knots = np.empty(0) if control is None else control.knot_times
+    for k, j in decisions:
+        if j > k:  # the anchors of the decision's own rollout
+            int_cfg = int_cfg or IntegrationConfig.for_grid(times)
+            inside = knots[(times[k - 1] < knots) & (knots < times[j - 1])].tolist()
+            _counted_steps(sorted({*times[k - 1:j].tolist(), *inside}), int_cfg.step_size)
     encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]
@@ -575,8 +587,8 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
             continue
         z = at[0] if lone else Tensor(np.stack([s.data for s in at.values()]))
         ctrl = factual_control(record, lo + 1, hi + 1) if control is None else control
-        qs = integrate(field, z, ctrl, times[lo], times[hi],
-                       int_cfg or IntegrationConfig.for_grid(times), times[lo + 1:hi + 1], tensors)
+        qs = integrate(field, z, ctrl, times[lo], times[hi], int_cfg, times[lo + 1:hi + 1],
+                       tensors)
         for i, d in enumerate(at):
             out[d] += qs if lone else [Tensor(q.data[i]) for q in qs]
             at[d] = out[d][-1]

@@ -42,7 +42,7 @@ class ControlPath:
 
 
 METHODS = ("euler", "rk4")
-MAX_STEPS = 1_000_000  # per integrate call
+MAX_STEPS = 1_000_000  # per integrate call, and per decision of a rollout
 
 
 @dataclass
@@ -70,20 +70,25 @@ def _steps_per_gap(anchors, step_size):
     return np.maximum(1.0, np.ceil(np.diff(anchors) / step_size - 1e-12))
 
 
+def _counted_steps(anchors, step_size):
+    """:func:`_steps_per_gap`; more than MAX_STEPS in all raise NumericError."""
+    steps = _steps_per_gap(anchors, step_size)
+    if steps.sum() > MAX_STEPS:
+        raise NumericError(f"integrate: {steps.sum():.0f} steps exceed MAX_STEPS={MAX_STEPS}")
+    return steps
+
+
 def _step_boundaries(t0, t1, control, query_times, cfg):
     """All step edges: control knots, query times, and uniform subdivision of
     each segment at sizes <= cfg.step_size. The steps are counted before any
-    edge is made: more than MAX_STEPS raise NumericError."""
+    edge is made (:func:`_counted_steps`)."""
     anchors = {float(t0), float(t1)}
     anchors.update(float(t) for t in query_times)
     for kt in control.knot_times:
         if t0 < kt < t1:
             anchors.add(float(kt))
     anchors = sorted(anchors)
-    steps = _steps_per_gap(anchors, cfg.step_size)
-    n_steps = steps.sum()
-    if n_steps > MAX_STEPS:
-        raise NumericError(f"integrate: {n_steps:.0f} steps exceed MAX_STEPS={MAX_STEPS}")
+    steps = _counted_steps(anchors, cfg.step_size)
     edges = [anchors[0]]
     for lo, hi, nsub in zip(anchors[:-1], anchors[1:], steps.astype(int).tolist()):
         span = hi - lo
@@ -105,21 +110,22 @@ def _rk4_step(field, z, a, params, dt):
     return ad.add(z, ad.scale(incr, dt / 6.0))
 
 
-def _step(f, z, h, rk4, params, t):
+def _step(field, z, h, rk4, params, t):
     """One Euler or RK4 step of size h from the Tensor z with the bound field
-    f, recorded as one tape node whose inputs are z and `params`; t, the
-    step's end time, names it in errors. The forward pass runs the stages
-    on arrays and scans the new state once for finiteness. The backward
-    pass runs the stages' VJPs in reverse
-    (discretise-then-optimise: Kidger 2022, *On Neural Differential
-    Equations*, section 5), and a non-finite state gradient raises
-    NumericError there."""
+    (f, rebuild), recorded as one tape node whose inputs are z and `params`;
+    t, the step's end time, names it in errors. The forward pass runs the
+    stages on arrays, keeps their inputs and scans the new state once for
+    finiteness. The backward pass calls rebuild on the stacked stage inputs
+    and runs the stages' VJPs in reverse (discretise-then-optimise: Kidger
+    2022, *On Neural Differential Equations*, section 5); a non-finite
+    state gradient raises NumericError there."""
+    f, rebuild = field
     zd = z.data
-    k1, v1 = f(zd)
+    k1 = f(zd)
     if rk4:
-        k2, v2 = f(zd + k1 * (h / 2.0))
-        k3, v3 = f(zd + k2 * (h / 2.0))
-        k4, v4 = f(zd + k3 * h)
+        k2 = f(z2 := zd + k1 * (h / 2.0))
+        k3 = f(z3 := zd + k2 * (h / 2.0))
+        k4 = f(z4 := zd + k3 * h)
         out = zd + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
     else:
         out = zd + k1 * h
@@ -128,17 +134,18 @@ def _step(f, z, h, rk4, params, t):
     ad._check_finite(f"integrate: the state at t={t}", out)
 
     def backward(g):
+        vjp = rebuild(np.stack((zd, z2, z3, z4) if rk4 else (zd,)))
         if rk4:
             # g1 reaches k1 and k4 through the update, g2 reaches k2 and k3;
             # s_i is the gradient at the input of stage i
             g1 = g * (h / 6.0)
             g2 = g1 * 2.0
-            s4 = v4(g1)
-            s3 = v3(g2 + s4 * h)
-            s2 = v2(g2 + s3 * (h / 2.0))
-            gz = g + v1(g1 + s2 * (h / 2.0)) + s2 + s3 + s4
+            s4 = vjp(3, g1)
+            s3 = vjp(2, g2 + s4 * h)
+            s2 = vjp(1, g2 + s3 * (h / 2.0))
+            gz = g + vjp(0, g1 + s2 * (h / 2.0)) + s2 + s3 + s4
         else:
-            gz = g + v1(g * h)
+            gz = g + vjp(0, g * h)
         ad._check_finite(f"integrate: the state gradient at t={t}", gz)
         ad._accum(z, gz)
 
@@ -152,13 +159,14 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     axes that f broadcasts over, such as the decisions that
     :func:`~obsnode.model.rollouts` steps in lockstep rather than in extra rows.
 
-    ``field(a)`` binds the control value a (a row of
-    ``control.knot_values``) and returns f; it is called once per control
-    segment, and f serves every step in that segment. f maps a state array to
-    ``(dz/dt, vjp)``; vjp maps a gradient of dz/dt to the gradient of the
-    state and accumulates into the gradients of `params`, the Tensors the
-    field reads. Each step is one tape node (:func:`_step`), so f may
-    return vjp None when no tape is recording: no backward pass calls it.
+    ``field(a)`` binds the control value a (a row of ``control.knot_values``)
+    and returns (f, rebuild); it is called once per control segment. f maps
+    a state array to dz/dt and keeps nothing. Only a backward pass calls
+    rebuild, once per step (:func:`_step`), on the step's stage inputs
+    stacked on a leading axis, (s, n, d_z); it recomputes what the VJPs read
+    and returns vjp(i, g), which maps a gradient of stage i's dz/dt to that
+    of its input and accumulates into the gradients of `params`, the
+    Tensors the field reads.
     """
     t0, t1 = float(t0), float(t1)
     if t1 < t0:
@@ -189,7 +197,7 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     bound = None
     for lo, hi, k in zip(edges[:-1], edges[1:], knots):
         if k != bound:
-            f, bound = field(control.knot_values[k]), k
-        z = _step(f, z, hi - lo, rk4, params, hi)
+            pair, bound = field(control.knot_values[k]), k
+        z = _step(pair, z, hi - lo, rk4, params, hi)
         note(hi, z)
     return [out[qt] for qt in query_times]

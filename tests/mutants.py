@@ -113,15 +113,31 @@ CATALOGUE = (
            "the leaky ReLU's VJP takes the slope, not 1, at pre = +0.0 and -0.0, "
            "against the select form"),
     Mutant("field-first-layer-rebuilt-without-control", "model.py",
-           "                    pre += c\n                    layers = [",
-           "                    layers = [",
+           "zs[:, None] @ W0zd\n                pre += c\n", "zs[:, None] @ W0zd\n",
            ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_triangular_rhs",),
-           "the VJP rebuilds the first hidden layer from z alone, so its activation "
+           "the rebuild makes the first hidden layer from z alone, so its activation "
            "and mask are not the forward pass's"),
-    Mutant("field-first-layer-cached-again", "model.py", "if taped and l:", "if taped:",
+    Mutant("field-taped-forward-keeps-a-hidden-layer", "model.py",
+           "                pre = act(pre) @ Wd\n",
+           "                y = act(pre)\n"
+           "                if ad._active_tape() is not None:\n"
+           "                    tiles.setdefault(None, []).append(y)\n"
+           "                pre = y @ Wd\n",
            ("tests/test_fused.py::TestTapeBytes",),
-           "the forward pass keeps the first hidden layer as well; no VJP reads it, "
-           "so only the tape's bytes show it"),
+           "under a tape the forward pass keeps each hidden activation as well; no "
+           "VJP reads it, so only the tape's bytes show it"),
+    Mutant("field-stage-vjp-reads-the-next-stage", "model.py",
+           "zip(reversed(later), reversed(layers)):",
+           "zip(reversed(later), reversed([(k if k is None else np.roll(k, -1, 0), "
+           "np.roll(y, -1, 0)) for k, y in layers])):",
+           ("tests/test_fused.py::TestSolveAgainstOpGraph",),
+           "each RK4 stage's VJP reads the next stage's rebuilt activations and "
+           "masks, the last stage the first's; an Euler step does not show it"),
+    Mutant("field-rebuild-from-the-first-stage", "model.py",
+           "pre = zs[:, None] @ W0zd", "pre = zs[[0] * len(zs), None] @ W0zd",
+           ("tests/test_fused.py::TestSolveAgainstOpGraph",),
+           "the rebuild makes every stage's hidden layers from the first stage's "
+           "input, the step's start state"),
     Mutant("field-chain-unshifted", "model.py",
            "gz[:, d_y:] += g[:, :-d_y]", "gz[:, d_y:] += g[:, d_y:]",
            ("tests/test_fused.py::TestFusedGradCheck::test_triangular_rhs",),

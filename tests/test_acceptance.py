@@ -106,7 +106,7 @@ class TestAutodiffSweep:
 class TestIntegrator:
     @staticmethod
     def decay(a):
-        return lambda z: (-z, lambda g: -g)
+        return (lambda z: -z), (lambda zs: lambda i, g: -g)
 
     def test_rk4_order(self):
         cfg = IntegrationConfig(method="rk4", step_size=0.2)

@@ -14,8 +14,8 @@ from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
 from obsnode.model import History, ObsNodeConfig, ObsNodeParams, decision_split
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
-from obsnode.train import (NormStats, TrainConfig, _targets, evaluate_loss, stack_units,
-                           zscore_fit)
+from obsnode.train import (NormStats, TrainConfig, _batch_loss, _targets, evaluate_loss,
+                           stack_units, zscore_fit)
 from support import (counterfactual_rmse, masked_binned_rmse, read_grid_csv, reencoded_grid,
                      reencoded_loss)
 
@@ -222,13 +222,14 @@ class TestSharedEncoder:
 def test_inference_keeps_no_backward_state(monkeypatch):
     # with every activation's keep (what its VJP reads besides y, the leaky
     # ReLU's mask here) made to raise, the untaped rmse_grid and validation
-    # loss still complete, so neither builds the state a backward pass
-    # would read; under a tape rmse_grid reaches it
-    def taped_only(x):
-        raise AssertionError("backward state built without a tape")
+    # loss still complete, and so does a taped batch's forward pass: no
+    # forward pass builds the state a backward pass reads. The taped
+    # batch's tape.backward rebuilds it.
+    def backward_only(x):
+        raise AssertionError("keep called")
 
     for kind, (fwd, _, vjp) in list(ad.ACTIVATIONS.items()):
-        monkeypatch.setitem(ad.ACTIVATIONS, kind, (fwd, taped_only, vjp))
+        monkeypatch.setitem(ad.ACTIVATIONS, kind, (fwd, backward_only, vjp))
     rng = np.random.default_rng(0)
     trajs, _ = linear_trajs(n=4, T=9, d_y=1, seed=3)
     params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=4,
@@ -240,8 +241,13 @@ def test_inference_keeps_no_backward_state(monkeypatch):
     assert grid.counts.any()
     tcfg = TrainConfig(decision_time_grid=[2.0, 5.0], t_f=12.0, int_step=0.5)
     assert np.isfinite(evaluate_loss(trajs, params, np.ones(1), [2.0, 5.0], tcfg))
-    with Tape(), pytest.raises(AssertionError, match="without a tape"):
-        rmse_grid(trajs, [2.0], [2.0], params, int_cfg=int_cfg)
+    record = stack_units(trajs)
+    with Tape() as tape:
+        loss = _batch_loss(record, *decision_split(record.times, 2.0), params, np.ones(1),
+                           int_cfg)
+        assert np.isfinite(loss.data)
+        with pytest.raises(AssertionError, match="keep called"):
+            tape.backward(loss)
 
 
 def test_single_time_records_give_an_empty_grid():

@@ -291,8 +291,9 @@ class TestForecast:
 
 
 class TestTapeFreeInference:
-    """The bound field keeps backward state only while a tape records, and
-    tiles its biases once per :func:`stack_field` call."""
+    """The bound field's forward pass is the same taped or not and keeps no
+    backward state, and the field tiles its biases once per
+    :func:`stack_field` call."""
 
     def setup_method(self):
         self.control = ControlPath(np.array([0.0, 0.7]),
@@ -318,9 +319,9 @@ class TestTapeFreeInference:
 
     @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
     def test_field_built_outside_a_tape_steps_inside_one(self, act):
-        # the field decides at each call whether to keep backward state, so
-        # one bound before the tape still gives the state's and the stored
-        # weights' gradients, equal to those of a field bound under it
+        # the field keeps no backward state, so one bound before the tape
+        # still gives the state's and the stored weights' gradients, equal
+        # to those of a field bound under it
         _, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True,
                                phi_activation=act)
         outside = stack_field(params)
@@ -744,6 +745,27 @@ class TestLockstep:
             assert len(rollouts(record, [(2, 5)], params)[0]) == 3
             with pytest.raises(ValueError, match="a taped call takes one decision"):
                 rollouts(record, [(2, 5), (3, 5)], params)
+
+    def test_max_steps_bounds_each_decision(self, monkeypatch):
+        # 60 Euler steps of 0.1 over the times 0..6 pass MAX_STEPS = 50
+        # whether (1, 7) steps alone or (4, 7) splits its span into two
+        # stretches; a knot inside a gap adds a step. Each is refused before
+        # the encoder runs.
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=3)
+        params = random_params(cfg, 0)
+        T = 7
+        record = History(np.arange(T, dtype=float), np.zeros((T, 1, 1)), np.ones((T, 1, 1)),
+                         np.zeros((T, 1, 1)))
+        int_cfg = IntegrationConfig("euler", 0.1)
+        monkeypatch.setattr(model_mod, "encode_prefixes", None)
+        monkeypatch.setattr(odeint, "MAX_STEPS", 50)
+        for decisions in ([(1, 7)], [(1, 7), (4, 7)]):
+            with pytest.raises(NumericError, match="^integrate: 60 steps exceed MAX_STEPS=50$"):
+                rollouts(record, decisions, params, int_cfg)
+        monkeypatch.setattr(odeint, "MAX_STEPS", 60)
+        control = ControlPath(np.array([0.0, 0.55]), np.zeros((2, 1)))
+        with pytest.raises(NumericError, match="^integrate: 61 steps exceed MAX_STEPS=60$"):
+            rollouts(record, [(4, 7), (1, 7)], params, int_cfg, control)
 
     @pytest.mark.parametrize("units, d_a, values", [(2, 2, (5, 3, 2)), (2, 1, (5, 2))])
     def test_control_of_the_wrong_shape_is_refused_before_any_step(self, monkeypatch, units,

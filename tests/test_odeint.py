@@ -12,12 +12,13 @@ from support import convergence_order, value_at
 
 
 def decay(a):
-    return lambda z: (-z, lambda g: -g)
+    return (lambda z: -z), (lambda zs: lambda i, g: -g)
 
 
 def drive(a):
     """dz/dt = a: the control alone."""
-    return lambda z: (np.broadcast_to(a, z.shape).copy(), lambda g: np.zeros_like(g))
+    return ((lambda z: np.broadcast_to(a, z.shape).copy()),
+            (lambda zs: lambda i, g: np.zeros_like(g)))
 
 
 CONST_CONTROL = ControlPath(np.array([0.0]), np.array([[0.0]]))
@@ -90,7 +91,7 @@ class TestIntegrate:
 
     def test_chained_segments_bit_identical(self):
         control = ControlPath(np.array([0.0, 1.0]), np.array([[0.5], [-0.25]]))
-        field = lambda a: lambda z: (z * a, lambda g: g * a)
+        field = lambda a: ((lambda z: z * a), (lambda zs: lambda i, g: g * a))
         cfg = IntegrationConfig(method="rk4", step_size=0.1)
         z1, z2 = integrate(field, Tensor([1.0]), control, 0.0, 2.0, cfg, [1.0, 2.0])
         (z1b,) = integrate(field, Tensor([1.0]), control, 0.0, 1.0, cfg, [1.0])
@@ -118,7 +119,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_raises(self):
         # dz/dt = z^2 from z0 = 2 escapes in finite time; euler overflows
-        field = lambda a: lambda z: (z * z, lambda g: g * 2.0 * z)
+        field = lambda a: ((lambda z: z * z), (lambda zs: lambda i, g: g * 2.0 * zs[i]))
         cfg = IntegrationConfig(method="euler", step_size=0.1)
         with pytest.raises(NumericError):
             integrate(field, Tensor([2.0]), CONST_CONTROL, 0.0, 50.0, cfg, [50.0])
@@ -128,7 +129,7 @@ class TestIntegrate:
     def test_nonfinite_state_gradient_raises_at_its_step(self, method, t_bad):
         # a finite forward pass whose VJP overflows: the node of the step
         # where the state gradient first turns non-finite names its end time
-        field = lambda a: lambda z: (-z, lambda g: g * 1e300)
+        field = lambda a: ((lambda z: -z), (lambda zs: lambda i, g: g * 1e300))
         cfg = IntegrationConfig(method=method, step_size=0.5)
         z0 = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
@@ -140,7 +141,7 @@ class TestIntegrate:
 
     def test_field_of_another_shape_is_a_shape_mismatch(self):
         # a control of 3 rows would broadcast a single state to 3 units
-        field = lambda a: lambda z: (z + a, lambda g: g)
+        field = lambda a: ((lambda z: z + a), (lambda zs: lambda i, g: g))
         control = ControlPath(np.array([0.0]), np.ones((1, 3, 1)))
         cfg = IntegrationConfig(step_size=0.5)
         with pytest.raises(ShapeMismatch, match="integrate"):
@@ -189,12 +190,12 @@ class TestAdjoint:
         theta = Tensor([0.4], requires_grad=True)
 
         def field(a):
-            def f(z):
-                def vjp(g):
-                    ad._accum(theta, g * z)
+            def rebuild(zs):
+                def vjp(i, g):
+                    ad._accum(theta, g * zs[i])
                     return g * theta.data
-                return z * theta.data, vjp
-            return f
+                return vjp
+            return (lambda z: z * theta.data), rebuild
 
         with Tape() as tape:
             (zT,) = integrate(field, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0,
@@ -207,10 +208,10 @@ class TestAdjoint:
         control = ControlPath(np.array([0.0, 0.7]), np.array([[0.3], [-0.6]]))
 
         def field(a):
-            def f(z):
-                y = np.tanh(z)
-                return y + a, lambda g: g * (1.0 - y * y)
-            return f
+            def rebuild(zs):
+                y = np.tanh(zs)
+                return lambda i, g: g * (1.0 - y[i] * y[i])
+            return (lambda z: np.tanh(z) + a), rebuild
 
         def f(z0):
             (zT,) = integrate(field, z0, control, 0.0, 1.5, cfg, [1.5])

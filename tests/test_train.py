@@ -348,14 +348,14 @@ class TestTrainLoop:
                 field, tensors = real_stack(params)
 
                 def bind(a):
-                    f = field(a)
+                    f, rebuild = field(a)
 
-                    def overflowing(z):
-                        dz, vjp = f(z)
+                    def overflowing(zs):
+                        vjp = rebuild(zs)
                         # the backward pass of batch k runs once k is counted
                         scale = lambda: 1e300 if len(batches) in poisoned else 1.0
-                        return dz, lambda g: vjp(g) * scale() * scale()
-                    return overflowing
+                        return lambda i, g: vjp(i, g) * scale() * scale()
+                    return f, overflowing
                 return bind, tensors
 
             class SpyAdam(ad.Adam):
