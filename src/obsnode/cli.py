@@ -29,14 +29,14 @@ from .evaluate import raw_forecasts, rmse_grid, write_grid_csv, write_grid_pgm
 from .identify import (MAX_VERIFY_CELLS, QUERY_CELLS, adjustment_estimate,
                        interventional_truth, linear_gaussian_refinement,
                        nonidentifiability_witness, random_observable_scm, random_query)
-from .model import (History, ObsNodeConfig, ObsNodeParams, check_size, load_model,
-                    param_shapes)
+from .model import (History, ObsNodeConfig, ObsNodeParams, check_size, decision_split,
+                    load_model, param_shapes)
 from .odeint import METHODS, ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, SemiSynthConfig,
                        generate_cancer_dataset, generate_semi_synthetic,
                        read_dataset, write_dataset)
-from .train import (TrainConfig, _batch_loss, _targets, stack_units, train,
-                    zscore_apply, zscore_fit)
+from .train import (TrainConfig, _batch_loss, stack_units, train, zscore_apply,
+                    zscore_fit)
 
 FORMAT_VERSION = 1
 # The top-level keys of each command's config, by type; a section has its dataclass.
@@ -281,9 +281,10 @@ def cmd_forecast(args):
         raise DataError(f"unit {args.unit_id} not found in the dataset")
     control = read_treatment_csv(args.treatments, model_cfg.d_a)
     record = stack_units([unit])
-    pair = _targets(record.times, args.t_c, args.horizon)
-    if pair is None:
-        raise DataError("no record time at or before t_c, or no forecast times beyond t_c")
+    if (pair := decision_split(record.times, args.t_c, args.horizon)) is None:
+        raise DataError(f"no record time within --horizon {args.horizon!r} after t_c"
+                        if decision_split(record.times, args.t_c) else
+                        "no record time at or before t_c, or no forecast times beyond t_c")
     k, j = pair
     pred = raw_forecasts(record, [(k, j)], params, stats, control=control)[0][:, 0]
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import History, NormStats, rollouts
+from .model import History, NormStats, decision_split, rollouts
 from .odeint import ControlPath, IntegrationConfig
-from .train import _fit_stats, _targets, stack_units, zscore_invert, zscore_outcomes
+from .train import _fit_stats, stack_units, zscore_invert, zscore_outcomes
 
 
 @dataclass
@@ -97,7 +97,7 @@ def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
     values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
     counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
     scored = [(i, float(t_c), pair) for i, t_c in enumerate(t_c_grid)
-              if (pair := _targets(record.times, t_c, horizons[-1])) is not None]
+              if (pair := decision_split(record.times, t_c, horizons[-1])) is not None]
     preds = raw_forecasts(record, [pair for _, _, pair in scored], params, stats, int_cfg)
     for (i, t_c, (k, j)), pred in zip(scored, preds):
         values[i], counts[i] = _binned_rmse(record, k, j, pred, t_c, horizons, scale)

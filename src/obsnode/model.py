@@ -91,15 +91,16 @@ class History:
             raise DataError("History: times must be ascending")
 
 
-def decision_split(times, t_c, end=np.inf):
-    """The index pair (k, j) of a decision at t_c on the ascending `times`:
-    the history times[:k] is at or before t_c, the targets times[k:j] after
-    it up to `end`. A time within 1e-9 past a bound counts as on it, so a
-    grid time rounded off a decision time stays on its side; no time is at
-    or before a NaN bound."""
+def decision_split(times, t_c, horizon=None):
+    """The index pair (k, j) of a decision at t_c on the ascending `times`, or
+    None unless 0 < k < j: the history times[:k] is at or before t_c, the
+    targets times[k:j] after it, up to t_c + `horizon` if one is given. A time
+    within 1e-9 past a bound counts as on it, so a grid time rounded off a
+    decision time stays on its side; no time is at or before a NaN bound."""
+    end = np.inf if horizon is None else t_c + horizon
     k, j = (0 if np.isnan(b) else int(np.searchsorted(times, b + 1e-9, side="right"))
             for b in (t_c, end))
-    return k, max(k, j)
+    return (k, j) if 0 < k < j else None
 
 
 def param_shapes(cfg: ObsNodeConfig):
@@ -569,12 +570,11 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     if not lone and ad._active_tape() is not None:
         raise ValueError("rollouts: a taped call takes one decision")
     times = record.times
-    knots = np.empty(0) if control is None else control.knot_times
+    knots = () if control is None else control.knot_times
     for k, j in decisions:
-        if j > k:  # the anchors of the decision's own rollout
+        if j > k:  # the steps of the decision's own rollout
             int_cfg = int_cfg or IntegrationConfig.for_grid(times)
-            inside = knots[(times[k - 1] < knots) & (knots < times[j - 1])].tolist()
-            _counted_steps(sorted({*times[k - 1:j].tolist(), *inside}), int_cfg.step_size)
+            _counted_steps(times[k - 1], times[j - 1], knots, times[k:j], int_cfg.step_size)
     encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]

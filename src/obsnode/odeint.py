@@ -70,25 +70,23 @@ def _steps_per_gap(anchors, step_size):
     return np.maximum(1.0, np.ceil(np.diff(anchors) / step_size - 1e-12))
 
 
-def _counted_steps(anchors, step_size):
-    """:func:`_steps_per_gap`; more than MAX_STEPS in all raise NumericError."""
+def _counted_steps(t0, t1, knots, query_times, step_size):
+    """The ascending anchors of a solve from t0 to t1 (t0, t1, the query times
+    and the knots strictly between) and the steps over each gap (:func:`_steps_per_gap`);
+    more than MAX_STEPS in all, the one bound on a solve, raise NumericError."""
+    anchors = sorted({float(t0), float(t1), *(float(t) for t in query_times),
+                      *(float(kt) for kt in knots if t0 < kt < t1)})
     steps = _steps_per_gap(anchors, step_size)
     if steps.sum() > MAX_STEPS:
         raise NumericError(f"integrate: {steps.sum():.0f} steps exceed MAX_STEPS={MAX_STEPS}")
-    return steps
+    return anchors, steps
 
 
 def _step_boundaries(t0, t1, control, query_times, cfg):
     """All step edges: control knots, query times, and uniform subdivision of
     each segment at sizes <= cfg.step_size. The steps are counted before any
     edge is made (:func:`_counted_steps`)."""
-    anchors = {float(t0), float(t1)}
-    anchors.update(float(t) for t in query_times)
-    for kt in control.knot_times:
-        if t0 < kt < t1:
-            anchors.add(float(kt))
-    anchors = sorted(anchors)
-    steps = _counted_steps(anchors, cfg.step_size)
+    anchors, steps = _counted_steps(t0, t1, control.knot_times, query_times, cfg.step_size)
     edges = [anchors[0]]
     for lo, hi, nsub in zip(anchors[:-1], anchors[1:], steps.astype(int).tolist()):
         span = hi - lo

@@ -20,7 +20,7 @@ from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .model import (History, NormStats, ObsNodeConfig, ObsNodeParams, check_dims,
                     decision_split, emissions, rollouts, save_model)
-from .odeint import MAX_STEPS, METHODS, IntegrationConfig, _steps_per_gap
+from .odeint import MAX_STEPS, METHODS, IntegrationConfig, _counted_steps
 
 
 def zscore_fit(trajs) -> NormStats:
@@ -139,35 +139,29 @@ class TrainConfig:
                               "validate on decision_time_grid")
 
 
-def _targets(times, t_c, max_horizon):
-    """The index pair (k, j) of a decision at t_c (:func:`~obsnode.model.decision_split`)
-    whose targets run to `max_horizon` after it or to the record end; None
-    when t_c has no history or no target."""
-    k, j = decision_split(times, t_c, np.inf if max_horizon is None else t_c + max_horizon)
-    return (k, j) if 0 < k < j else None
-
-
 def _decisions(times, decision_times, tcfg: TrainConfig, split):
     """The index pair (k, j) of each decision time, in order, on a split's
-    record `times` (see :func:`_targets`), and the split's integration
-    config. ConfigError names the split and the first time with no history
-    or no target, or int_step when a factual rollout, which steps each grid
-    gap from times[k - 1] to times[j - 1] as the solver does, takes more
-    than MAX_STEPS steps."""
-    pairs = [_targets(times, t_c, tcfg.max_horizon) for t_c in decision_times]
+    record `times` (:func:`~obsnode.model.decision_split` within `max_horizon`),
+    and the split's integration config. ConfigError names the split and the
+    first time with no history or no target (within `max_horizon`, if that is
+    the cause), or int_step when a factual rollout, counted from times[k - 1]
+    by :func:`~obsnode.odeint._counted_steps`, takes more than MAX_STEPS."""
+    pairs = [decision_split(times, t_c, tcfg.max_horizon) for t_c in decision_times]
     bad = [t_c for t_c, pair in zip(decision_times, pairs) if pair is None]
     if bad:
-        raise ConfigError(f"{split} decision time {float(bad[0])!r} has no history or "
-                          f"no target: the {split} records span "
-                          f"[{float(times[0])!r}, {float(times[-1])!r}]")
+        cause = (f"no record time within max_horizon={tcfg.max_horizon!r} after it"
+                 if decision_split(times, bad[0]) else "no history or no target")
+        raise ConfigError(f"{split} decision time {float(bad[0])!r} has {cause}: the "
+                          f"{split} records span [{float(times[0])!r}, {float(times[-1])!r}]")
     int_cfg = (IntegrationConfig.for_grid(times, tcfg.int_method) if tcfg.int_step is None
                else IntegrationConfig(tcfg.int_method, tcfg.int_step))
-    steps, k, j = max((_steps_per_gap(times[k - 1:j], int_cfg.step_size).sum(), k, j)
-                      for k, j in pairs)
-    if steps > MAX_STEPS:
-        reach = float(times[j - 1] - times[k - 1])
-        raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
-                          f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
+    for k, j in pairs:
+        try:
+            _counted_steps(times[k - 1], times[j - 1], (), times[k:j], int_cfg.step_size)
+        except NumericError:
+            reach = float(times[j - 1] - times[k - 1])
+            raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
+                              f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
     return pairs, int_cfg
 
 

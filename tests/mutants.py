@@ -126,16 +126,26 @@ CATALOGUE = (
            ("tests/test_fused.py::TestTapeBytes",),
            "under a tape the forward pass keeps each hidden activation as well; no "
            "VJP reads it, so only the tape's bytes show it"),
+    Mutant("field-taped-forward-keeps-a-mask", "model.py",
+           "                pre = act(pre) @ Wd\n",
+           "                if ad._active_tape() is not None:\n"
+           "                    tiles.setdefault(None, []).append(keep(pre))\n"
+           "                pre = act(pre) @ Wd\n",
+           ("tests/test_fused.py::TestTapeBytes::test_one_hidden_layer_keeps_no_activation",
+            "tests/test_fused.py::TestTapeBytes::test_taped_solve_keeps_only_what_the_vjps_read"),
+           "under a tape the forward pass keeps each hidden layer's leaky-ReLU mask, "
+           "one byte an entry; the rebuild makes its own, so only the tape's bytes "
+           "show it"),
     Mutant("field-stage-vjp-reads-the-next-stage", "model.py",
            "zip(reversed(later), reversed(layers)):",
            "zip(reversed(later), reversed([(k if k is None else np.roll(k, -1, 0), "
            "np.roll(y, -1, 0)) for k, y in layers])):",
-           ("tests/test_fused.py::TestSolveAgainstOpGraph",),
+           ("tests/test_fused.py::TestStepNode", "tests/test_fused.py::TestSolveAgainstOpGraph"),
            "each RK4 stage's VJP reads the next stage's rebuilt activations and "
            "masks, the last stage the first's; an Euler step does not show it"),
     Mutant("field-rebuild-from-the-first-stage", "model.py",
            "pre = zs[:, None] @ W0zd", "pre = zs[[0] * len(zs), None] @ W0zd",
-           ("tests/test_fused.py::TestSolveAgainstOpGraph",),
+           ("tests/test_fused.py::TestStepNode", "tests/test_fused.py::TestSolveAgainstOpGraph"),
            "the rebuild makes every stage's hidden layers from the first stage's "
            "input, the step's start state"),
     Mutant("field-chain-unshifted", "model.py",
@@ -188,8 +198,8 @@ CATALOGUE = (
            ("tests/test_train.py::test_omitted_int_step_is_a_quarter_of_the_smallest_spacing",),
            "a train config without int_step integrates at half the smallest "
            "spacing, not a quarter"),
-    Mutant("targets-to-twice-max-horizon", "train.py",
-           "else t_c + max_horizon)", "else t_c + 2 * max_horizon)",
+    Mutant("targets-to-twice-max-horizon", "model.py",
+           "else t_c + horizon\n", "else t_c + 2 * horizon\n",
            ("tests/test_fused.py::TestNoLookAhead::test_loss_reads_nothing_past_its_last_target",),
            "the loss scores targets up to twice max_horizon after the decision time"),
     Mutant("factual-path-one-row-late", "model.py",
@@ -213,6 +223,18 @@ CATALOGUE = (
             "tests/test_train.py::test_step_count_is_the_solvers"),
            "train's MAX_STEPS check measures the span in steps and misses the steps "
            "that rounding each grid gap up adds"),
+    Mutant("rollouts-counts-without-the-knots", "model.py",
+           "times[j - 1], knots, times[k:j]", "times[j - 1], (), times[k:j]",
+           ("tests/test_model.py::TestLockstep::test_max_steps_bounds_each_decision",
+            "tests/test_train.py::test_one_count_bounds_every_solve"),
+           "rollouts checks a decision without the control's knots, so a knot "
+           "inside a grid gap adds a step that MAX_STEPS does not see"),
+    Mutant("decisions-count-from-t-c", "train.py",
+           "_counted_steps(times[k - 1],",
+           "_counted_steps(decision_times[pairs.index((k, j))],",
+           ("tests/test_train.py::test_one_count_bounds_every_solve",),
+           "train's MAX_STEPS check counts from t_c, not from times[k - 1] where the "
+           "rollout starts, so it misses the steps of the gap before t_c"),
     Mutant("lockstep-join-one-segment-late", "model.py",
            "if k - 1 == lo < j - 1)", "if k - 1 < lo < j - 1 and d not in at)",
            ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),

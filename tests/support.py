@@ -255,7 +255,7 @@ def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
                                     unit_ids, dose_schedule=scheds)
 
     record, oracle = stack_units(facts), stack_units(truths)
-    k, j = decision_split(record.times, t_c, t_c + horizons[-1])
+    k, j = decision_split(record.times, t_c, horizons[-1])
     cycle_starts = np.arange(sim_config.n_cycles) * sim_config.cycle_days
     ctrl = ControlPath(cycle_starts, np.stack(scheds, axis=1))
     pred = raw_forecasts(record, [(k, j)], params, stats, int_cfg, ctrl)[0]

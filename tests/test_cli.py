@@ -444,14 +444,28 @@ class TestForecast:
         assert out == "" and args[-2] in err and "Traceback" not in err
 
     def test_horizon_without_a_record_time_is_data_error(self, workspace, tmp_path):
-        # records are 3 days apart: (30, 31] holds none of their times
+        # records are 3 days apart: (30, 31] holds none of their times,
+        # though 33 and later are beyond t_c, so the error names the horizon
         t = tmp_path / "a.csv"
         t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
         rc, _, err = run_main(["forecast", "--checkpoint",
                                str(workspace["run"] / "checkpoint.json"),
                                "--dataset", str(workspace["ds"]), "--unit-id", "0",
                                "--treatments", str(t), "--t-c", "30", "--horizon", "1"])
-        assert rc == 3 and "no forecast times beyond t_c" in err
+        assert rc == 3
+        assert err == "data error: no record time within --horizon 1.0 after t_c\n"
+
+    def test_t_c_at_the_record_end_is_data_error(self, workspace, tmp_path):
+        # 60 is the records' last time: no forecast time with or without
+        # a horizon
+        t = tmp_path / "a.csv"
+        t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+        for horizon in ([], ["--horizon", "3"]):
+            rc, _, err = run_main(["forecast", "--checkpoint",
+                                   str(workspace["run"] / "checkpoint.json"),
+                                   "--dataset", str(workspace["ds"]), "--unit-id", "0",
+                                   "--treatments", str(t), "--t-c", "60", *horizon])
+            assert rc == 3 and "no forecast times beyond t_c" in err
 
     def test_t_c_before_the_record_is_data_error(self, workspace, tmp_path):
         # the records start at 0: t_c = -1 has no history to encode
@@ -1024,19 +1038,24 @@ class TestConfigTypes:
 
 
 class TestUnscorableDecisionTimes:
-    @pytest.mark.parametrize("change,split", [
-        ({"decision_time_grid": [60.0], "t_f": 90.0}, "train"),
-        ({"val_decision_times": [500.0]}, "val"),
-        ({"max_horizon": 1.0}, "train"),
+    # records are 3 days apart: 30.0 has history and later times, but none
+    # within max_horizon = 1.0 after it, so that error names the horizon
+    @pytest.mark.parametrize("change,split,message", [
+        ({"decision_time_grid": [60.0], "t_f": 90.0}, "train",
+         "train decision time 60.0 has no history or no target"),
+        ({"val_decision_times": [500.0]}, "val",
+         "val decision time 500.0 has no history or no target"),
+        ({"max_horizon": 1.0}, "train",
+         "train decision time 30.0 has no record time within max_horizon=1.0 after it"),
     ], ids=["grid_at_record_end", "val_times_past_end", "horizon_below_spacing"])
     def test_no_scorable_time_is_config_error(self, workspace, tmp_path,
-                                              change, split):
+                                              change, split, message):
         cfg = json.loads((workspace["root"] / "train.json").read_text())
         cfg["run_dir"] = str(tmp_path / "run")
         cfg["train"].update(change)
         rc, err = run_config("train", cfg, tmp_path / "t.json")
         assert rc == 2
-        assert f"the {split} records span [0.0, 60.0]" in err
+        assert err == f"config error: {message}: the {split} records span [0.0, 60.0]\n"
         assert not (tmp_path / "run").exists()
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import evaluate
@@ -14,7 +14,7 @@ from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
 from obsnode.model import History, ObsNodeConfig, ObsNodeParams, decision_split
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
-from obsnode.train import (NormStats, TrainConfig, _batch_loss, _targets, evaluate_loss,
+from obsnode.train import (NormStats, TrainConfig, _batch_loss, evaluate_loss,
                            stack_units, zscore_fit)
 from support import (counterfactual_rmse, masked_binned_rmse, read_grid_csv, reencoded_grid,
                      reencoded_loss)
@@ -208,7 +208,7 @@ class TestSharedEncoder:
         # evaluate_loss takes only decision times with history and a target
         tcfg = TrainConfig(decision_time_grid=t_cs, t_f=times[-1] + 1.0, int_step=0.3,
                            max_horizon=max_horizon)
-        scored = [t_c for t_c in t_cs if _targets(times, t_c, max_horizon) is not None]
+        scored = [t_c for t_c in t_cs if decision_split(times, t_c, max_horizon) is not None]
         sigma2 = rng.uniform(0.5, 2.0, size=d_y)
         if scored:
             loss = evaluate_loss(trajs, params, sigma2, scored, tcfg)
@@ -277,7 +277,7 @@ class TestBins:
         rng = np.random.default_rng(seed)
         mask = rng.integers(0, 2, size=(times.size, 3, 2)).astype(float)
         y = rng.normal(size=mask.shape)
-        k, j = decision_split(times, t_c, t_c + horizons[-1])
+        k, j = decision_split(times, t_c, horizons[-1])
         record = History(times, y, mask, np.zeros((times.size, 3, 0)))
         _, counts = _binned_rmse(record, k, j, y[k:j], t_c, horizons, np.ones(2))
         np.testing.assert_array_equal(counts.sum(axis=0),
@@ -298,7 +298,9 @@ class TestBins:
         mask = rng.integers(0, 2, size=(times.size, 3, 2)).astype(float)
         y = rng.normal(size=mask.shape)
         scale = rng.uniform(0.5, 2.0, size=2)
-        k, j = decision_split(times, t_c, t_c + horizons[-1])
+        pair = decision_split(times, t_c, horizons[-1])
+        assume(pair is not None)  # rmse_grid scores only a decision with a target
+        k, j = pair
         pred = y[k:j] + rng.normal(size=y[k:j].shape)
         record = History(times, y, mask, np.zeros((times.size, 3, 0)))
         values, counts = _binned_rmse(record, k, j, pred, t_c, horizons, scale)
@@ -393,7 +395,7 @@ class TestCounterfactual:
         record = stack_units(truths)
         scale = zscore_fit(truths).std
         t_c, horizons = 30.0, np.array([15.0, 30.0, 60.0])
-        k, j = decision_split(record.times, t_c, t_c + horizons[-1])
+        k, j = decision_split(record.times, t_c, horizons[-1])
         values, counts = _binned_rmse(record, k, j, record.y[k:j].copy(), t_c, horizons, scale)
         present = counts > 0
         assert present.all()

@@ -16,7 +16,7 @@ from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsN
                            forecast, load_model, param_count, param_shapes, rollouts,
                            save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
-from obsnode.train import TrainConfig, _decisions, _targets
+from obsnode.train import TrainConfig, _decisions
 from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, isin_factual_control,
                      mask_window, observability_probe, padding, random_params, value_at)
 
@@ -597,8 +597,10 @@ def test_many_narrow_layers_are_rejected_without_walking_the_shapes(monkeypatch)
 def test_window_splits_at_the_decision_time():
     # the history is times[:k] and the targets times[k:j]
     times = np.array([0.0, 1.0, 1.0 + 1e-10, 2.0, 3.0, 3.0 + 1e-10, 4.0])
-    assert decision_split(times, 1.0, 3.0) == (3, 6)
+    assert decision_split(times, 1.0, 2.0) == (3, 6)
     assert decision_split(times, 1.0) == (3, 7)
+    # no history before 0, and no target within 0.5 after 1.0
+    assert decision_split(times, -1.0) is None and decision_split(times, 1.0, 0.5) is None
 
 
 # bounds on, between and off the grid, and non-finite ones
@@ -616,26 +618,30 @@ def near(bounds, nudges):
 class TestDecisionSplit:
     @settings(max_examples=300, deadline=None)
     @given(steps=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
-           origin=st.floats(-5.0, 5.0), start=BOUNDS, end=st.one_of(st.none(), BOUNDS),
-           nudges=NUDGES)
-    def test_pair_equals_the_masks(self, steps, origin, start, end, nudges):
-        # ascending grids with ties, times within 1e-9 of a bound, end
-        # before start, and +-inf and NaN bounds: the history is the mask of
-        # times at or before start, the targets the mask of times in
-        # (start, end]
+           origin=st.floats(-5.0, 5.0), start=BOUNDS,
+           horizon=st.one_of(st.none(), st.floats(-5.0, 60.0), st.sampled_from(
+               [0.0, np.inf, -np.inf, np.nan])), nudges=NUDGES)
+    def test_pair_equals_the_masks(self, steps, origin, start, horizon, nudges):
+        # ascending grids with ties, times within 1e-9 of a bound, a
+        # negative or zero horizon, and +-inf and NaN bounds: the history is
+        # the mask of times at or before start, the targets the mask of
+        # times in (start, start + horizon]; None exactly when either is empty
+        end = None if horizon is None else start + horizon
         times = np.sort(np.append(origin + np.cumsum(steps), near([start, end or 0.0], nudges)))
         before, inside = mask_window(times, start, end)
-        k, j = decision_split(times, start, np.inf if end is None else end)
-        assert 0 <= k <= j <= times.size
-        index = np.arange(times.size)
-        assert before.tolist() == (index < k).tolist()
-        assert inside.tolist() == ((k <= index) & (index < j)).tolist()
+        pair = decision_split(times, start, horizon)
+        assert (pair is None) == (not before.any() or not inside.any())
+        if pair is not None:
+            k, j = pair
+            index = np.arange(times.size)
+            assert before.tolist() == (index < k).tolist()
+            assert inside.tolist() == ((k <= index) & (index < j)).tolist()
 
     @pytest.mark.parametrize("t_c", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("max_horizon", [None, 2.0, np.inf])
     def test_nonfinite_decision_time_is_refused(self, t_c, max_horizon):
         times = np.arange(6.0)
-        assert _targets(times, t_c, max_horizon) is None
+        assert decision_split(times, t_c, max_horizon) is None
         with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
             _decisions(times, [2.0, t_c], TrainConfig(decision_time_grid=[2.0], t_f=6.0,
                                                       max_horizon=max_horizon), "train")

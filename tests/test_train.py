@@ -12,8 +12,11 @@ from obsnode import train as train_mod
 from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.evaluate import rmse_grid
-from obsnode.model import History, ObsNodeConfig, ObsNodeParams, factual_control, load_model
-from obsnode.odeint import MAX_STEPS, IntegrationConfig, _step_boundaries, _steps_per_gap
+from obsnode import odeint
+from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, decision_split,
+                           factual_control, load_model, rollouts)
+from obsnode.odeint import (MAX_STEPS, ControlPath, IntegrationConfig, _counted_steps,
+                            _step_boundaries, _steps_per_gap)
 from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, evaluate_loss, masked_loss,
                            stack_units, train, zscore_apply, zscore_fit,
@@ -529,6 +532,61 @@ def test_step_count_is_the_solvers(gaps, step, data):
     edges = _step_boundaries(times[k - 1], times[j - 1], factual_control(record, k, j),
                              times[k:j], IntegrationConfig(step_size=step))
     assert _steps_per_gap(times[k - 1:j], step).sum() == len(edges) - 1
+
+
+class Reached(Exception):
+    """Raised by a stand-in for the first call after a function's checks."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaps=st.lists(st.floats(1e-2, 3.0), min_size=2, max_size=10),
+       step=st.floats(0.05, 2.0), data=st.data())
+def test_one_count_bounds_every_solve(gaps, step, data):
+    # random grids, step sizes, knots and decision times: _step_boundaries
+    # makes one edge per step of the one count, and with MAX_STEPS at or
+    # just below a decision's count, rollouts (counting the control's
+    # knots) raises NumericError and train() (counting none) ConfigError
+    # exactly when some decision's count exceeds it, before the encoder
+    # runs or any parameter is made
+    times = np.cumsum(gaps)
+    assume(np.all(np.diff(times) > 0))
+    t_cs = data.draw(st.lists(st.floats(times[0], times[-1]), min_size=1, max_size=3),
+                     label="decision times")
+    horizon = data.draw(st.one_of(st.none(), st.floats(0.1, 10.0)), label="max_horizon")
+    knots = data.draw(st.lists(st.floats(0.0, times[-1] + 1.0), min_size=1, max_size=4,
+                               unique=True), label="knots")
+    pairs = [decision_split(times, t_c, horizon) for t_c in t_cs]
+    assume(None not in pairs)
+    control = ControlPath(np.sort(knots), np.zeros((len(knots), 1)))
+    int_cfg = IntegrationConfig("euler", step)
+    counts, factual = [], []
+    for k, j in pairs:
+        _, steps = _counted_steps(times[k - 1], times[j - 1], control.knot_times, times[k:j],
+                                  step)
+        edges = _step_boundaries(times[k - 1], times[j - 1], control, times[k:j], int_cfg)
+        assert len(edges) - 1 == steps.sum()
+        counts.append(steps.sum())
+        factual.append(_counted_steps(times[k - 1], times[j - 1], (), times[k:j], step)[1].sum())
+    limit = int(data.draw(st.sampled_from(sorted({c - d for c in counts + factual
+                                                   for d in (0, 1)})), label="MAX_STEPS"))
+    T = times.size
+    trajs = [Trajectory(unit_id=i, times=times, y=np.zeros((T, 1)), mask=np.ones((T, 1)),
+                        a=np.zeros((T, 1))) for i in range(2)]
+    tcfg = TrainConfig(decision_time_grid=t_cs, t_f=times[-1] + 1.0, int_method="euler",
+                       int_step=step, max_horizon=horizon)
+    params = ObsNodeParams(MODEL_CFG, np.random.default_rng(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeint, "MAX_STEPS", limit)
+        mp.setattr(model_mod, "encode_prefixes", reached)
+        mp.setattr(train_mod, "ObsNodeParams", reached)
+        with pytest.raises(NumericError if max(counts) > limit else Reached):
+            rollouts(stack_units(trajs), pairs, params, int_cfg, control)
+        with pytest.raises(ConfigError if max(factual) > limit else Reached):
+            train(MODEL_CFG, {"train": trajs, "val": trajs}, tcfg)
 
 
 @settings(max_examples=40, deadline=None)
