@@ -280,7 +280,7 @@ def tmean(a):
     return _record(out, (a,), bw)
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     """Logistic function on a plain array; never evaluates exp of a positive
     argument, so it cannot overflow. One division per element, of 1.0 or e
     by 1.0 + e (max(e, x >= 0) is 1.0 where x >= 0, as e <= 1, and e
@@ -288,16 +288,17 @@ def _sigmoid(x):
     x >= 0 and of e / (1 + e) elsewhere, so the bits are those of that
     select form."""
     e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
-def _leaky_relu(x):
+def _leaky_relu(x, out=None):
     y = x * LEAKY_RELU_SLOPE
-    return np.maximum(x, y, out=y)
+    return np.maximum(x, y, out=y if out is None else out)
 
 
-# Activations on plain arrays: name -> (forward(x), keep(x), vjp(g, kept, y)),
-# where y is forward(x) and kept is keep(x), what the VJP reads besides y:
+# Activations on plain arrays: name -> (forward(x, out=None), keep(x),
+# vjp(g, kept, y)), where y is forward(x), written into `out` if given (x
+# itself too), and kept is keep(x), what the VJP reads besides y:
 # nothing for tanh and sigmoid, the mask x >= 0 for the leaky ReLU. Its VJP
 # rebuilds the derivative as max(mask, LEAKY_RELU_SLOPE): 1.0 where x >= 0
 # (-0.0 too), the slope elsewhere (NaN too), and g times it is bitwise the

@@ -256,15 +256,17 @@ def stack_field(params: ObsNodeParams):
     (m, n, v) @ (m, v, w); the first layer's input, [z, ctrl], is shared.
     Each block's first-layer z rows are zero past z^(1..i) (the masks of
     MADE, Germain et al., 2015), so the field stays triangular. The
-    weights' arrays are read once here; binding a control computes its
-    scaling and first-layer term once. A state may carry leading axes (the
-    decisions :func:`rollouts` steps in lockstep, the stages of a step that
-    rebuild takes), which the control term and the bias tiles broadcast
-    over: each product takes a lone state's (n, .) operands and rounds as
-    it does, where extra rows would not (a narrow product's row rounds
-    otherwise at another row count); so rebuild's one pass gives each
-    stage's hidden layers bitwise as f made them. A pass's temporaries
-    scale with the leading axes times n times the width.
+    weights' arrays are read once here; binding a control scales it once
+    and makes its first-layer term once for f, which runs each activation
+    in place; rebuild, which keeps only the scaled control, makes the term
+    again. A state may carry leading axes (the decisions :func:`rollouts`
+    steps in lockstep, the stages of a step that rebuild takes), which the
+    control term and the bias tiles broadcast over: each product takes a
+    lone state's (n, .) operands and rounds as it does, where extra rows
+    would not (a narrow product's row rounds otherwise at another row
+    count); so rebuild's one pass gives each stage's hidden layers bitwise
+    as f made them. A pass's temporaries scale with the leading axes times
+    n times the width.
     """
     cfg = params.cfg
     d_y, m = cfg.d_y, cfg.m
@@ -283,7 +285,7 @@ def stack_field(params: ObsNodeParams):
         ctrl = np.atleast_2d(a)
         if inv_scale is not None:
             ctrl = ctrl * inv_scale
-        c = ctrl @ W0cd + b0d  # (m, 1 or n, w)
+        c = ctrl @ W0cd + b0d  # (m, 1 or n, w); only f keeps it
         shared = c.shape[1] == 1
 
         def f(z):
@@ -295,7 +297,7 @@ def stack_field(params: ObsNodeParams):
             pre = (z if z.ndim == 2 else z[..., None, :, :]) @ W0zd
             pre += c
             for (_, Wd, _, _), tile in zip(later, tiles[n]):
-                pre = act(pre) @ Wd
+                pre = act(pre, out=pre) @ Wd
                 pre += tile
             out = pre.swapaxes(-3, -2).reshape(z.shape)
             out[..., :-d_y] += z[..., d_y:]  # the integrator chain
@@ -303,17 +305,17 @@ def stack_field(params: ObsNodeParams):
 
         def rebuild(zs):
             """vjp(i, g) of f at the stage inputs zs (s, n, d_z), whose one
-            pass rebuilds every hidden layer by f's calls."""
+            pass rebuilds the control term and every hidden layer by f's calls."""
             n = zs.shape[1]
             layers = []  # (kept, activation) per hidden layer
             if later:
                 pre = zs[:, None] @ W0zd
-                pre += c
-                layers.append((keep(pre), act(pre)))
+                pre += ctrl @ W0cd + b0d
+                layers.append((keep(pre), act(pre, out=pre)))
                 for (_, Wd, _, _), tile in zip(later[:-1], tiles[n]):  # tiles made by f
                     pre = layers[-1][1] @ Wd
                     pre += tile
-                    layers.append((keep(pre), act(pre)))
+                    layers.append((keep(pre), act(pre, out=pre)))
 
             def vjp(i, g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
@@ -396,17 +398,21 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     The input products of the three gates are made in zero-padded blocks of
     steps (:data:`GRU_BLOCK_ROWS`; Appleyard et al., 2016,
     arXiv:1604.01946), the recurrent ones per step, those of the reset and
-    update gates in one call; the states are written into one
-    (T + 1, n, H) buffer. For n >= 2 every product rounds as the per-step
-    one of the op graph the cell is built from, so the states equal that
-    graph's bit for bit.
+    update gates in one call. For n >= 2 every product rounds as the
+    per-step one of the op graph the cell is built from, so the states
+    equal that graph's bit for bit.
 
-    Each distinct k is one tape node whose backward pass runs the steps
-    down to the next smaller k in reverse. It replays the op graph's
-    arithmetic and its order of accumulation, per step, into each
+    Under a tape the states are written into one (T + 1, n, H) history and
+    each step keeps its gates (r, u) and candidate; each distinct k is one
+    tape node whose backward pass runs the steps down to the next smaller
+    k in reverse, forming r h again from the history. It replays the op
+    graph's arithmetic and its order of accumulation, per step, into each
     parameter and each state, so the gradients equal the graph's too;
-    b_impute gets the imputed columns' gradient. A non-finite input or
-    state raises NumericError."""
+    b_impute gets the imputed columns' gradient. Untaped, the steps take
+    turns in two rows and only the states after each k are copied out. A
+    non-finite input or state raises NumericError: checking the last state
+    is enough, as a NaN state stays NaN through the convex update and a
+    finite one has |h| <= 1."""
     T, n, _ = x.shape
     d_y = unobs.shape[2]
     # the gates stacked as stored, (3, ., H) and (2, H, H): one call makes
@@ -423,8 +429,9 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     rows = x.reshape(T * n, x.shape[2])
     block = np.zeros((steps * n, x.shape[2]))
     xw = np.empty((3, steps * n, H))
-    hs = np.zeros((T + 1, n, H))
-    saved = []  # ((r, u), candidate, r h) per step, kept only under a tape
+    hs = np.zeros((T + 1 if taped else 2, n, H))  # the history, or the last two states
+    ks, states = sorted(set(lengths)), {}
+    saved = []  # ((r, u), candidate) per step, kept only under a tape
     for k in range(T):
         j = k % steps
         if j == 0:
@@ -433,16 +440,15 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
             block[len(part):] = 0.0
             np.matmul(block, W, out=xw)
             xw += b
-        h, xk = hs[k], xw[:, j * n:(j + 1) * n]
+        h, xk, new = hs[k % len(hs)], xw[:, j * n:(j + 1) * n], hs[(k + 1) % len(hs)]
         r, u = ru = sig(xk[:2] + np.matmul(h, U))  # the reset and update gates
-        rh = r * h
-        cand = tanh(xk[2] + rh @ Uh)
-        np.add((1.0 - u) * h, u * cand, out=hs[k + 1])
+        cand = tanh(xk[2] + (r * h) @ Uh)
+        np.add((1.0 - u) * h, u * cand, out=new)
         if taped:
-            saved.append((ru, cand, rh))
+            saved.append((ru, cand))
+        if k + 1 in ks:
+            states[k + 1] = Tensor(new if taped else new.copy())
     ad._check_finite("encode_prefixes", hs)
-    ks = sorted(set(lengths))
-    states = {k: Tensor(hs[k]) for k in ks}
     if not taped:
         return states
 
@@ -452,7 +458,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
             G = np.empty((3, n, H))  # the gates' pre-activation gradients
             g_ru = np.empty((2, n, H))
             for k in range(top, bottom, -1):
-                h, (ru, cand, rh), xk = hs[k - 1], saved[k - 1], x[k - 1]
+                h, (ru, cand), xk = hs[k - 1], saved[k - 1], x[k - 1]
                 r, u = ru
                 # the gradient of the state before step k: that state's own
                 # tensor at the segment's end, else a scratch one
@@ -468,7 +474,7 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
                     ad._accum(into, g * (1.0 - u))
                 g_u += -g_keep
                 G[2] = tanh_vjp(g_cand, None, cand)
-                g_rh = _affine_vjp(G[2], rh, Uht, Uh)
+                g_rh = _affine_vjp(G[2], r * h, Uht, Uh)
                 np.multiply(g_rh, h, out=g_ru[0])
                 if grad_h:
                     ad._accum(into, g_rh * r)

@@ -161,7 +161,8 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     and returns (f, rebuild); it is called once per control segment. f maps
     a state array to dz/dt and keeps nothing. Only a backward pass calls
     rebuild, once per step (:func:`_step`), on the step's stage inputs
-    stacked on a leading axis, (s, n, d_z); it recomputes what the VJPs read
+    stacked on a leading axis, (s, n, d_z); it recomputes what the VJPs read,
+    so a step node holds no more than those inputs and the bound control,
     and returns vjp(i, g), which maps a gradient of stage i's dz/dt to that
     of its input and accumulates into the gradients of `params`, the
     Tensors the field reads.

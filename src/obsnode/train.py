@@ -178,6 +178,17 @@ def _batch_loss(record: History, k, j, params, sigma2, int_cfg):
     return _score(rollouts(record, [(k, j)], params, int_cfg)[0], record, k, j, sigma2)
 
 
+def _train_step(batch: History, k, j, params, sigma2, int_cfg, opt: Adam, max_grad_norm):
+    """One Adam step on :func:`_batch_loss`, returning the loss. The batch's
+    tape dies here, before validation or the next batch starts."""
+    opt.zero_grad()
+    with Tape() as tape:
+        loss = _batch_loss(batch, k, j, params, sigma2, int_cfg)
+        tape.backward(loss)
+    opt.step(max_grad_norm=max_grad_norm)
+    return float(loss.data)
+
+
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
     """Mean masked loss over a fixed grid of validation decision times (no
     gradients), each as :func:`_batch_loss` scores it, from one encoder pass
@@ -239,13 +250,9 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
             k, j = pairs[int(rng.integers(len(pairs)))]
             batch = History(record.times, record.y[:, idx], record.mask[:, idx],
                             record.a[:, idx])
-            opt.zero_grad()
             try:
-                with Tape() as tape:
-                    loss = _batch_loss(batch, k, j, params, sigma2, int_cfg)
-                    tape.backward(loss)
-                opt.step(max_grad_norm=tcfg.max_grad_norm)
-                epoch_losses.append(float(loss.data))
+                epoch_losses.append(_train_step(batch, k, j, params, sigma2, int_cfg, opt,
+                                                tcfg.max_grad_norm))
             except NumericError:
                 skipped += 1
         if skipped > 0.1 * n_batches:

@@ -113,12 +113,13 @@ CATALOGUE = (
            "the leaky ReLU's VJP takes the slope, not 1, at pre = +0.0 and -0.0, "
            "against the select form"),
     Mutant("field-first-layer-rebuilt-without-control", "model.py",
-           "zs[:, None] @ W0zd\n                pre += c\n", "zs[:, None] @ W0zd\n",
+           "zs[:, None] @ W0zd\n                pre += ctrl @ W0cd + b0d\n",
+           "zs[:, None] @ W0zd\n",
            ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_triangular_rhs",),
            "the rebuild makes the first hidden layer from z alone, so its activation "
            "and mask are not the forward pass's"),
     Mutant("field-taped-forward-keeps-a-hidden-layer", "model.py",
-           "                pre = act(pre) @ Wd\n",
+           "                pre = act(pre, out=pre) @ Wd\n",
            "                y = act(pre)\n"
            "                if ad._active_tape() is not None:\n"
            "                    tiles.setdefault(None, []).append(y)\n"
@@ -127,15 +128,27 @@ CATALOGUE = (
            "under a tape the forward pass keeps each hidden activation as well; no "
            "VJP reads it, so only the tape's bytes show it"),
     Mutant("field-taped-forward-keeps-a-mask", "model.py",
-           "                pre = act(pre) @ Wd\n",
+           "                pre = act(pre, out=pre) @ Wd\n",
            "                if ad._active_tape() is not None:\n"
            "                    tiles.setdefault(None, []).append(keep(pre))\n"
-           "                pre = act(pre) @ Wd\n",
+           "                pre = act(pre, out=pre) @ Wd\n",
            ("tests/test_fused.py::TestTapeBytes::test_one_hidden_layer_keeps_no_activation",
             "tests/test_fused.py::TestTapeBytes::test_taped_solve_keeps_only_what_the_vjps_read"),
            "under a tape the forward pass keeps each hidden layer's leaky-ReLU mask, "
            "one byte an entry; the rebuild makes its own, so only the tape's bytes "
            "show it"),
+    Mutant("field-rebuild-keeps-the-control-term", "model.py",
+           "pre += ctrl @ W0cd + b0d\n", "pre += c\n",
+           ("tests/test_fused.py::TestTapeBytes",),
+           "the rebuild reads the segment's first-layer control term that f made, "
+           "so every step node keeps one (m, n, w) array per control segment alive; "
+           "only the tape's bytes show it"),
+    Mutant("field-rebuild-reads-another-segments-control", "model.py",
+           "pre += ctrl @ W0cd + b0d\n", "pre += tiles.setdefault(0.5, ctrl) @ W0cd + b0d\n",
+           ("tests/test_fused.py::TestSolveAgainstOpGraph",),
+           "every rebuild of a solve takes the control of the first step the backward "
+           "pass reaches, the last segment's, so the other segments' gradients are "
+           "those of another control term"),
     Mutant("field-stage-vjp-reads-the-next-stage", "model.py",
            "zip(reversed(later), reversed(layers)):",
            "zip(reversed(later), reversed([(k if k is None else np.roll(k, -1, 0), "
@@ -158,6 +171,24 @@ CATALOGUE = (
            ("tests/test_fused.py::TestFusedGradCheck::test_encode_prefixes",
             "tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode"),
            "the one sigmoid VJP over both gates pairs r's gradient with u and u's with r"),
+    Mutant("gru-backward-reset-product-of-the-next-state", "model.py",
+           "_affine_vjp(G[2], r * h, Uht, Uh)", "_affine_vjp(G[2], r * hs[k], Uht, Uh)",
+           ("tests/test_fused.py::TestFusedGradCheck::test_encode_prefixes",
+            "tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode"),
+           "the backward pass forms r h again from the state after the step, not "
+           "the one before it that the forward pass multiplied"),
+    Mutant("untaped-encoder-copies-the-state-before-the-step", "model.py",
+           "Tensor(new if taped else new.copy())", "Tensor(new if taped else h.copy())",
+           ("tests/test_model.py::TestUntapedEncoder::"
+            "test_untaped_states_equal_the_taped_ones_bitwise",),
+           "the untaped pass copies out the state before step k, not after it, so "
+           "each prefix's state is one step short; a taped pass does not show it"),
+    Mutant("train-keeps-the-batch-tape", "train.py",
+           "    opt.step(max_grad_norm=max_grad_norm)\n",
+           "    opt.step(max_grad_norm=max_grad_norm)\n    params.last_tape = tape\n",
+           ("tests/test_train.py::TestTrainLoop::test_no_batch_tape_outlives_its_batch",),
+           "each batch's tape, with every array its backward pass read, stays alive "
+           "through the next batch's forward pass and through validation"),
     Mutant("gru-state-gradients-swapped", "model.py",
            "                    ad._accum(into, g_h[1])\n                    ad._accum(into, g_h[0])",
            "                    ad._accum(into, g_h[0])\n                    ad._accum(into, g_h[1])",
@@ -237,18 +268,21 @@ CATALOGUE = (
            "rollout starts, so it misses the steps of the gap before t_c"),
     Mutant("lockstep-join-one-segment-late", "model.py",
            "if k - 1 == lo < j - 1)", "if k - 1 < lo < j - 1 and d not in at)",
-           ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),
+           ("tests/test_model.py::TestLockstep::test_a_fixed_case_equals_one_call_per_decision",
+            "tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision"),
            "a decision joins the lockstep at the first join or leave time after "
            "its own, from the state encoded before it"),
     Mutant("lockstep-leave-one-segment-early", "model.py",
            "if decisions[d][1] - 1 > lo}", "if decisions[d][1] - 1 > hi}",
-           ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),
+           ("tests/test_model.py::TestLockstep::test_a_fixed_case_equals_one_call_per_decision",
+            "tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision"),
            "a decision leaves the lockstep before the segment that ends at its "
            "last target, so it misses that segment's states"),
     Mutant("lockstep-control-term-of-the-first-decision", "model.py",
            "z[..., None, :, :]) @ W0zd\n            pre += c",
            "z[..., None, :, :]) @ W0zd\n            pre.reshape(-1, *pre.shape[-3:])[0] += c",
-           ("tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision",),
+           ("tests/test_model.py::TestLockstep::test_a_fixed_case_equals_one_call_per_decision",
+            "tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision"),
            "the control term is not broadcast over the decision axis: only the "
            "first decision in flight gets it; a lone state does not show it"),
     Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[d]) / scale[d]", ".sum() / c[d])",

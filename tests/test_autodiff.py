@@ -103,6 +103,24 @@ class TestForwardOps:
         assert np.array_equal((g * d).view(np.int64), select.view(np.int64))
 
     @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(ad.ACTIVATIONS)),
+           shape=st.sampled_from([(1,), (7,), (33,), (2, 3, 5), (4, 2, 3, 9)]))
+    def test_forward_into_its_own_input_is_the_out_of_place_value(self, data, name, shape):
+        # the field runs each activation in place, act(pre, out=pre): as
+        # int64 views it equals the out-of-place value at signed zeros,
+        # subnormals, infinities, NaN of either sign and values whose exp
+        # underflows, over lengths that take a vector loop and its tail
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                                   np.inf, -np.inf, np.nan, -np.nan, 745.2, -745.2])
+        values = st.one_of(special, st.floats(allow_nan=False, allow_subnormal=True))
+        x = data.draw(hnp.arrays(np.float64, shape, elements=values))
+        fwd = ad.ACTIVATIONS[name][0]
+        apart = fwd(x)
+        inplace = x.copy()
+        assert fwd(inplace, out=inplace) is inplace
+        assert np.array_equal(inplace.view(np.int64), apart.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_kept_mask_gives_the_slope_that_y_cannot(self, data):
         # at x = -k 2^-1074 for k < 50, slope x rounds to -0.0, so the

@@ -20,7 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import odeint
@@ -759,6 +759,7 @@ class TestSolveAgainstOpGraph:
     @given(act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
            method=st.sampled_from(["euler", "rk4"]), n=st.sampled_from([1, 3]),
            control=st.sampled_from(["batch", "path_row"]), seed=st.integers(0, 2**16))
+    @example(act="tanh", layers=1, method="rk4", n=3, control="batch", seed=0)
     def test_taped_solve(self, act, layers, method, n, control, seed):
         # the step nodes on the fused field, whose backward passes rebuild
         # the hidden layers, against ref_integrate on the field's batched op
@@ -793,10 +794,12 @@ class TestTapeBytes:
     """After a taped 16-step RK4 solve at n = 25, m = 2, w = 32, the tape
     holds no entry of any hidden layer: each step keeps its stage inputs,
     and its backward pass rebuilds every (m, n, w) activation (8 bytes an
-    entry) and the leaky ReLU's one-byte mask from them. The bound is 0.15
-    of one layer's float64 entries over the solve (122,880 B): room for the
-    stage inputs, the states, the closures, the control terms and the bias
-    tiles (at most about 111 KB), but not for one kept mask (102,400 B)."""
+    entry), the leaky ReLU's one-byte mask and the control term from them.
+    The bound is 0.1 of one layer's float64 entries over the solve
+    (81,920 B): room for the stage inputs, the states, the closures and the
+    bias tiles (at most about 59 KB), but not for one kept mask
+    (102,400 B), nor for the control term of each of the 4 segments
+    (51,200 B)."""
     m, n, w, steps = 2, 25, 32, 16
 
     def held(self, act, layers):
@@ -826,12 +829,33 @@ class TestTapeBytes:
         # two hidden layers: either one's activation or mask kept over the
         # solve breaks the bound
         held, layer = self.held(act, 2)
-        assert held <= 0.15 * layer * 8
+        assert held <= 0.1 * layer * 8
 
     @pytest.mark.parametrize("act", ["leakyrelu", "tanh"])
     def test_one_hidden_layer_keeps_no_activation(self, act):
         held, layer = self.held(act, 1)
-        assert held <= 0.15 * layer * 8
+        assert held <= 0.1 * layer * 8
+
+    def test_taped_encoder_keeps_three_gates_a_step(self):
+        # a taped pass over T steps keeps per step the gates r and u and
+        # the candidate, (n, H) each, and the (T + 1, n, H) state history:
+        # (4 T + 1) n H float64 entries. The bound adds half an (n, H)
+        # array per step for the cell inputs, the array headers and the
+        # nodes (about a quarter); a kept r h, one more a step, breaks it
+        T, n, H = 20, 25, 32
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=H)
+        params = make_params(cfg, 7)
+        history = random_history(1, 1, T, n, seed=8)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                states = encode_prefixes(history, params, [T, 5, 12])
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 6 and all(s.z.requires_grad for s in states)
+        assert held <= (4 * T + 1 + 0.5 * T) * n * H * 8
 
 
 class TestFusedGradCheck:

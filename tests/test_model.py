@@ -1,9 +1,11 @@
+import contextlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
@@ -12,9 +14,9 @@ from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.evaluate import raw_forecasts
 from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsNodeParams,
-                           check_size, decision_split, emit, encode, factual_control,
-                           forecast, load_model, param_count, param_shapes, rollouts,
-                           save_model, stack_field, triangular_rhs)
+                           check_size, decision_split, emit, encode, encode_prefixes,
+                           factual_control, forecast, load_model, param_count, param_shapes,
+                           rollouts, save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.train import TrainConfig, _decisions
 from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, isin_factual_control,
@@ -180,6 +182,80 @@ class TestEncode:
         with pytest.raises(DataError):
             History(np.array([1.0, 0.5]), np.zeros((2, 1, 1)),
                     np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
+
+
+class TestUntapedEncoder:
+    """An untaped :func:`encode_prefixes` steps through two rows and copies
+    out the states it returns; a taped one keeps the whole history."""
+
+    @staticmethod
+    def both(params, hist, lengths):
+        """Each pass's states (n, d_z) as bytes, or the NumericError it raised."""
+        out = []
+        for taped in (False, True):
+            with ad.Tape() if taped else contextlib.nullcontext():
+                try:
+                    out.append([s.z.data.tobytes() for s in encode_prefixes(hist, params,
+                                                                            lengths)])
+                except NumericError as e:
+                    out.append(e)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), T=st.integers(1, 9), d_y=st.integers(1, 2),
+           seed=st.integers(0, 2**16), picks=st.lists(st.integers(0, 8), max_size=5))
+    @example(n=3, T=6, d_y=1, seed=0, picks=[1, 3])
+    def test_untaped_states_equal_the_taped_ones_bitwise(self, n, T, d_y, seed, picks):
+        # any lengths in 1..T, repeats and T itself among them
+        cfg = ObsNodeConfig(d_y=d_y, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=5)
+        params = random_params(cfg, seed, scale=0.7)
+        hist = make_history(cfg, T=T, n=n, seed=seed)
+        lengths = [p % T + 1 for p in picks]
+        lengths += [T, lengths[0] if lengths else T]
+        untaped, taped = self.both(params, hist, lengths)
+        assert len(untaped) == len(lengths) and untaped == taped
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, 4), value=st.sampled_from([np.nan, np.inf, -np.inf]),
+           T=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
+    def test_nonfinite_weights_raise_on_both_paths(self, which, value, T, seed, data):
+        # a NaN anywhere makes a state NaN, and so does an inf in U or Uh,
+        # which meets the zero first state; one in b_impute makes the cell
+        # inputs non-finite: both passes raise. An inf in W or b may
+        # saturate a gate instead; then both raise or neither does, and the
+        # states agree
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=4)
+        params = random_params(cfg, seed, scale=0.7)
+        tensor = (*params.enc, params.b_impute)[which]
+        ix = data.draw(st.tuples(*(st.integers(0, k - 1) for k in tensor.data.shape)),
+                       label="entry")
+        tensor.data[ix] = value
+        hist = make_history(cfg, T=T, n=2, seed=seed)
+        with np.errstate(all="ignore"):
+            untaped, taped = self.both(params, hist, [T, 1])
+        if np.isnan(value) or which in (1, 2, 4):
+            assert isinstance(untaped, NumericError) and isinstance(taped, NumericError)
+        if isinstance(untaped, NumericError) or isinstance(taped, NumericError):
+            for e in (untaped, taped):
+                assert isinstance(e, NumericError) and "encode_prefixes" in str(e)
+        else:
+            assert untaped == taped
+
+    def test_untaped_pass_keeps_no_state_history(self):
+        # one (T + 1, n, H) history would be 2 MB; the untaped pass's peak
+        # is a step's gate temporaries, the cell inputs and the two rows
+        T, n, H = 80, 50, 64
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=H)
+        params = random_params(cfg, 3, scale=0.5)
+        hist = make_history(cfg, T=T, n=n, seed=4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            encode_prefixes(hist, params, [T, 3, 3])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (T + 1) * n * H * 8
 
 
 class TestForecast:
@@ -703,13 +779,23 @@ class TestLockstep:
         # pairs, pairs that share a start, and ends that differ, as a
         # max_horizon makes them; the factual control or a given one,
         # shared or per unit, with knots between the record times
-        _, params, record = lockstep_case(n, d_y, hidden, seed)
-        T = record.times.size
+        T = 6  # lockstep_case's record length
         pair = st.integers(1, T - 1).flatmap(lambda k: st.tuples(st.just(k),
                                                                 st.integers(k + 1, T)))
         pairs = data.draw(st.lists(pair, min_size=1, max_size=5), label="pairs")
         k0, j0 = pairs[0]
         pairs += [pairs[0], (k0, data.draw(st.integers(k0 + 1, T), label="end"))]
+        self.check(n, hidden, d_y, method, step, control, seed, pairs)
+
+    def test_a_fixed_case_equals_one_call_per_decision(self):
+        # decisions that join after the first, leave before the last and
+        # overlap, under a shared control: the hypothesis test's kind of
+        # case, small enough to run first
+        self.check(2, 3, 1, "rk4", 0.3, "shared", 5, [(1, 6), (3, 5), (2, 4), (3, 6)])
+
+    @staticmethod
+    def check(n, hidden, d_y, method, step, control, seed, pairs):
+        _, params, record = lockstep_case(n, d_y, hidden, seed)
         ctrl = None
         if control is not None:
             rng = np.random.default_rng(seed + 2)

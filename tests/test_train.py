@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -383,6 +385,36 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="2/10 batches"):
             run({3, 5})
 
+
+    def test_no_batch_tape_outlives_its_batch(self, monkeypatch):
+        # with the cyclic collector off, so only references keep a tape:
+        # each batch's forward pass starts with no earlier batch's tape
+        # alive, and validation with none at all
+        tapes, seen = [], []
+
+        class WatchedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        def watch(real, live):
+            def call(*args, **kwargs):
+                seen.append([t() is not None for t in tapes[:len(tapes) - live]])
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(train_mod, "Tape", WatchedTape)
+        monkeypatch.setattr(train_mod, "_batch_loss", watch(train_mod._batch_loss, 1))
+        monkeypatch.setattr(train_mod, "_record_loss", watch(train_mod._record_loss, 0))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(MODEL_CFG, tiny_splits(seed=14), tiny_train_cfg(epochs=2))
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(tapes) == 4 and len(seen) == 6
+        assert not any(alive for call in seen for alive in call)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_padding_stays_positive_zero(self, m):
