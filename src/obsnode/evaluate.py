@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import History, NormStats, decision_split, rollouts
+from .model import History, NormStats, decision_split, emissions, rollouts
 from .odeint import ControlPath, IntegrationConfig
 from .train import _fit_stats, stack_units, zscore_invert, zscore_outcomes
 
@@ -46,47 +46,42 @@ class RmseGrid:
         return np.where(n > 0, np.nansum(self.values, axis=2) / np.maximum(n, 1), np.nan)
 
 
-def raw_forecasts(record: History, decisions, params, stats: NormStats | None,
+def raw_forecasts(record: History, decisions, params, stats: NormStats,
                   int_cfg: IntegrationConfig | None = None,
                   control: ControlPath | None = None):
     """:func:`~obsnode.model.rollouts` in raw outcome units: normalize the
-    record's observed outcomes with `stats` once, forecast, and invert the
-    normalization. Returns, per index pair (k, j) of `decisions`, a
-    (j - k, n, d_y) array."""
-    if stats is not None:
-        record = History(record.times, zscore_outcomes(record.y, record.mask, stats),
-                         record.mask, record.a)
-    d_y = params.cfg.d_y
-    out = [np.stack([z.data[:, :d_y] for z in states])
-           for states in rollouts(record, decisions, params, int_cfg, control)]
-    return [zscore_invert(o, stats) for o in out] if stats is not None else out
+    record's observed outcomes with `stats` once, forecast, observe through
+    :func:`~obsnode.model.emissions` and invert the normalization. Returns,
+    per index pair (k, j) of `decisions`, a (j - k, n, d_y) array."""
+    record = History(record.times, zscore_outcomes(record.y, record.mask, stats),
+                     record.mask, record.a)
+    return [zscore_invert(emissions(states, params.cfg.d_y).data, stats)
+            for states in rollouts(record, decisions, params, int_cfg, control)]
 
 
 def _binned_rmse(record: History, k, j, pred, t_c, horizons, scale):
     """Scaled RMSE and observed-point counts per (horizon bin, component) of
     the predictions `pred` at the record's targets times[k:j] of a decision
     at t_c; the bin for s_b collects the targets in (t_c + s_{b-1}, t_c + s_b],
-    a run of them that `searchsorted` bounds."""
+    which end where :func:`~obsnode.model.decision_split` at horizon s_b ends."""
     mask = record.mask[k:j]
     err2 = (pred - record.y[k:j]) ** 2 * mask
-    edges = np.searchsorted(record.times[k:j], t_c + horizons + 1e-9, side="right")
+    edges = [(decision_split(record.times, t_c, s) or (k, k))[1] - k for s in horizons]
     values = np.full((horizons.size, mask.shape[2]), np.nan)
     counts = np.zeros(values.shape, dtype=int)
-    for b, (lo, hi) in enumerate(zip(np.concatenate([[0], edges[:-1]]), edges)):
+    for b, (lo, hi) in enumerate(zip([0] + edges[:-1], edges)):
         c = counts[b] = mask[lo:hi].sum(axis=(0, 1))
         for d in np.flatnonzero(c):
             values[b, d] = np.sqrt(err2[lo:hi, :, d].sum() / c[d]) / scale[d]
     return values, counts
 
 
-def rmse_grid(test_trajs, t_c_grid, horizons, params, stats=None,
+def rmse_grid(test_trajs, t_c_grid, horizons, params, stats: NormStats,
               int_cfg=None) -> RmseGrid:
     """Scaled RMSE per (assimilation time, horizon bin, component) of the
     forecasts of :func:`raw_forecasts`, all from one encoder pass over the
-    record. The horizon bin for s_k collects observed points in
-    (t_c + s_{k-1}, t_c + s_k]; the RMSE scale is the split's own
-    :func:`~obsnode.train.zscore_fit` std.
-    """
+    record, binned by :func:`_binned_rmse`; the RMSE scale is the split's
+    own :func:`~obsnode.train.zscore_fit` std."""
     horizons = np.sort(np.asarray(horizons, dtype=np.float64))
     t_c_grid = np.sort(np.asarray(t_c_grid, dtype=np.float64))
 

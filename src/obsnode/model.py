@@ -441,8 +441,8 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
             np.matmul(block, W, out=xw)
             xw += b
         h, xk, new = hs[k % len(hs)], xw[:, j * n:(j + 1) * n], hs[(k + 1) % len(hs)]
-        r, u = ru = sig(xk[:2] + np.matmul(h, U))  # the reset and update gates
-        cand = tanh(xk[2] + (r * h) @ Uh)
+        r, u = ru = sig(pre := xk[:2] + np.matmul(h, U), out=pre)  # the reset and update gates
+        cand = tanh(pre := xk[2] + (r * h) @ Uh, out=pre)
         np.add((1.0 - u) * h, u * cand, out=new)
         if taped:
             saved.append((ru, cand))
@@ -624,14 +624,13 @@ class NormStats:
                                 f"component {j} has mean {m!r} and std {s!r}")
 
 
-def save_model(path, params: ObsNodeParams, norm_stats=None):
-    """Write the parameters and a metadata header (config and, when given,
-    the normalization statistics) as JSON, format_version 1; tensor values
+def save_model(path, params: ObsNodeParams, norm_stats: NormStats):
+    """Write the parameters and a metadata header (config and the
+    normalization statistics) as JSON, format_version 1; tensor values
     keep 17 significant digits."""
-    meta = {"format_version": 1, "config": asdict(params.cfg), "cell": "gru"}
-    if norm_stats is not None:
-        meta["norm_stats"] = {"mean": list(map(float, norm_stats.mean)),
-                              "std": list(map(float, norm_stats.std))}
+    meta = {"format_version": 1, "config": asdict(params.cfg), "cell": "gru",
+            "norm_stats": {"mean": list(map(float, norm_stats.mean)),
+                           "std": list(map(float, norm_stats.std))}}
     tensors = ", ".join(
         '{"name": %s, "shape": %s, "values": [%s]}'
         % (json.dumps(name), json.dumps(list(arr.shape)),
@@ -643,9 +642,9 @@ def save_model(path, params: ObsNodeParams, norm_stats=None):
 
 
 def load_model(path):
-    """(params, cfg, norm stats or None) of a checkpoint written by
-    :func:`save_model`. A missing or malformed file, a non-finite value, or
-    metadata that does not describe the stored tensors raises DataError."""
+    """(params, cfg, norm stats) of a checkpoint written by :func:`save_model`.
+    A missing or malformed file, a non-finite value, or metadata that lacks the
+    norm stats or does not describe the stored tensors raises DataError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -664,19 +663,11 @@ def load_model(path):
     meta = doc.get("metadata")
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise DataError(f"checkpoint {path}: missing the model metadata header")
-    # older checkpoints name a rollout mode and chunk; only long-horizon loads
-    mode = meta["config"].pop("rollout_mode", "long_horizon")
-    meta["config"].pop("recursive_chunk", None)
-    if mode != "long_horizon":
-        raise DataError(f"checkpoint {path}: rollout_mode {mode!r} is not supported; "
-                        "only long-horizon models load")
     try:
         cfg = ObsNodeConfig(**meta["config"])
-        stats = None
-        if "norm_stats" in meta:
-            stats = NormStats(mean=meta["norm_stats"]["mean"], std=meta["norm_stats"]["std"])
-            if stats.mean.size != cfg.d_y:
-                raise ValueError(f"norm_stats of length {stats.mean.size} for d_y={cfg.d_y}")
+        stats = NormStats(mean=meta["norm_stats"]["mean"], std=meta["norm_stats"]["std"])
+        if stats.mean.size != cfg.d_y:
+            raise ValueError(f"norm_stats of length {stats.mean.size} for d_y={cfg.d_y}")
         # the shapes the metadata implies are checked before they are allocated
         check_state(arrays, cfg)
         check_size(cfg)

@@ -101,7 +101,8 @@ CATALOGUE = (
         self.t += 1
         _check_finite("gradient", g)
 """,
-           ("tests/test_autodiff.py::TestAdam::test_a_nonfinite_gradient_changes_nothing",),
+           ("tests/test_autodiff.py::TestAdam::test_a_refused_step_is_not_counted",
+            "tests/test_autodiff.py::TestAdam::test_a_nonfinite_gradient_changes_nothing"),
            "a refused step still counts, so the next step's bias corrections are "
            "one step late"),
     Mutant("accum-without-its-test", "autodiff.py",
@@ -192,7 +193,8 @@ CATALOGUE = (
     Mutant("gru-state-gradients-swapped", "model.py",
            "                    ad._accum(into, g_h[1])\n                    ad._accum(into, g_h[0])",
            "                    ad._accum(into, g_h[0])\n                    ad._accum(into, g_h[1])",
-           ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode",),
+           ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode_fixed_draws",
+            "tests/test_fused.py::TestBitwiseAgainstOpGraph::test_encode"),
            "the state gradients through the recurrent products accumulate in "
            "another order than the op graph's, so they round otherwise"),
     Mutant("head-bias-gradient-of-one-unit", "model.py",
@@ -210,11 +212,6 @@ CATALOGUE = (
            ("tests/test_fused.py::TestTailAgainstOpGraph::test_masked_loss",),
            "the masked loss's VJP drops the 2 of d(err^2)/d(err), so every "
            "gradient is half the loss's"),
-    Mutant("legacy-chunk-key-kept", "model.py",
-           '    meta["config"].pop("recursive_chunk", None)\n', "",
-           ("tests/test_model.py::TestModelCheckpoint::"
-            "test_checkpoint_with_the_long_horizon_rollout_keys_loads",),
-           "a checkpoint written with a recursive_chunk key no longer loads"),
     Mutant("rk4-state-gradient-without-s2", "odeint.py",
            "(h / 2.0)) + s2 + s3 + s4", "(h / 2.0)) + s3 + s4",
            ("tests/test_odeint.py::TestAdjoint::test_adjoint_matches_finite_differences",),
@@ -244,9 +241,11 @@ CATALOGUE = (
     Mutant("decision-split-without-tolerance", "model.py",
            "b + 1e-9, side=", "b, side=",
            ("tests/test_model.py::test_window_splits_at_the_decision_time",
-            "tests/test_model.py::TestDecisionSplit::test_pair_equals_the_masks"),
+            "tests/test_model.py::TestDecisionSplit::test_pair_equals_the_masks",
+            "tests/test_evaluate.py::TestBins::test_slices_equal_the_masked_bins"),
            "a grid time rounded just past a decision time or a horizon end moves "
-           "to the other side of it"),
+           "to the other side of it, and so does a target rounded just past a "
+           "horizon bin's end"),
     Mutant("step-count-without-rounding", "odeint.py",
            "np.maximum(1.0, np.ceil(np.diff(anchors) / step_size - 1e-12))",
            "np.diff(anchors) / step_size",
@@ -285,6 +284,13 @@ CATALOGUE = (
             "tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision"),
            "the control term is not broadcast over the decision axis: only the "
            "first decision in flight gets it; a lone state does not show it"),
+    Mutant("forecasts-in-normalized-units", "evaluate.py",
+           "zscore_invert(emissions(states, params.cfg.d_y).data, stats)",
+           "emissions(states, params.cfg.d_y).data",
+           ("tests/test_evaluate.py::test_forecasts_are_in_the_records_units",
+            "tests/test_evaluate.py::TestSharedEncoder"),
+           "raw_forecasts returns the model's z-scored outcomes, so the RMSE grid "
+           "and obsnode forecast read them as raw units"),
     Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[d]) / scale[d]", ".sum() / c[d])",
            ("tests/test_evaluate.py::TestRmseGrid::test_scaling_invariance",),
            "the RMSE grid is not divided by the split's std"),
@@ -292,7 +298,9 @@ CATALOGUE = (
            "doses[:, cycle] = dose_schedule[:, cycle]",
            "doses[:, cycle] = dose_schedule[:, min(cycle + 1, config.n_cycles - 1)]",
            ("tests/test_simulate.py::TestCancerSimulation::"
-            "test_schedule_changed_from_a_cycle_leaves_the_days_before_it",),
+            "test_dose_override_keeps_physiological_noise",
+            "tests/test_simulate.py::TestCancerSimulation::"
+            "test_schedule_changed_from_a_cycle_leaves_the_days_before_it"),
            "an override schedule's doses are given one cycle early"),
     Mutant("cancer-noise-from-the-parameter-stream", "simulate.py",
            "rngs = [_patient_rng(config.seed, uid, 1)", "rngs = [_patient_rng(config.seed, uid, 0)",
@@ -321,7 +329,8 @@ CATALOGUE = (
            "the previous unit's text"),
     Mutant("oracle-emission-untransposed", "identify.py",
            "emission = scm.emission.transpose(1, 0, 2)", "emission = scm.emission",
-           ("tests/test_identify.py::TestOracleLabels", "tests/test_identify.py::TestEnumerateJoint"),
+           ("tests/test_identify.py::TestEnumerateJoint::test_cells_are_the_trajectory_products",
+            "tests/test_identify.py::TestOracleLabels"),
            "enumerate_joint places the emission with its z and eps axes swapped"),
     Mutant("adjustment-without-the-query-check", "identify.py",
            "    _check_query(scm, q)\n    filt = filter_distribution",

@@ -16,8 +16,8 @@ from obsnode.errors import DataError, ShapeMismatch
 from obsnode.evaluate import RmseGrid, _binned_rmse, raw_forecasts
 from obsnode.identify import (DiscreteScm, InterventionQuery, _query_axes, _rand_dist,
                               _reduce, enumerate_joint, observational_law)
-from obsnode.model import (History, ObsNodeParams, decision_split, emit, encode, forecast,
-                           param_shapes, stack_field)
+from obsnode.model import (History, NormStats, ObsNodeParams, decision_split, emit, encode,
+                           forecast, param_shapes, stack_field)
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
@@ -150,6 +150,12 @@ def padding(params: ObsNodeParams):
     cfg = params.cfg
     rows = np.arange(cfg.d_z)[None, :, None] >= cfg.d_y * np.arange(1, cfg.m + 1)[:, None, None]
     return np.broadcast_to(rows, params.phi[0].data.shape)
+
+
+def identity_stats(d_y):
+    """Norm stats of mean 0 and std 1, for a checkpoint or forecast whose
+    test does not care about the outcome units."""
+    return NormStats(np.zeros(d_y), np.ones(d_y))
 
 
 def random_params(cfg, seed, scale=1.0):

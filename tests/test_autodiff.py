@@ -11,7 +11,7 @@ from obsnode.autodiff import Adam, Tape, Tensor, grad_check
 from obsnode.errors import DataError, NumericError, ShapeMismatch
 from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model, save_model
 from obsnode.train import NormStats
-from support import PerTensorAdam
+from support import PerTensorAdam, identity_stats
 
 
 def mlp_loss(widths, seed):
@@ -492,6 +492,16 @@ class TestAdam:
         opt.step(max_grad_norm=0.5)
         assert opt.m.tolist() == [(1.0 - 0.9) * 0.3, (1.0 - 0.9) * -0.4]
 
+    def test_a_refused_step_is_not_counted(self):
+        # the scan comes before the step count, so the next step's bias
+        # corrections are those of the steps taken
+        t, = ad.flat_params([(3,)])
+        opt = Adam([t], lr=0.1)
+        t.grad = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(NumericError, match="^gradient: non-finite value$"):
+            opt.step()
+        assert opt.t == 0
+
     @settings(max_examples=40, deadline=None)
     @given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=2).map(tuple),
                            min_size=1, max_size=3),
@@ -621,7 +631,7 @@ class TestCheckpoint:
                                np.random.default_rng(0))
         params.b_impute.data[0, 0] = 1.0 / 3.0
         path = tmp_path / "c.json"
-        save_model(path, params)
+        save_model(path, params, identity_stats(1))
         assert "0.33333333333333331" in path.read_text()
         assert load_model(path)[0].b_impute.data[0, 0] == 1.0 / 3.0
 

@@ -1170,36 +1170,25 @@ def train_evaluate_forecast(workspace, tmp, ds, unit, checkpoint=None,
 
 
 class TestLegacyCheckpoint:
-    """Checkpoints written while the model had a recursive rollout mode name
-    `rollout_mode` and `recursive_chunk` in their metadata config."""
+    """A checkpoint carries its normalization, and its config names only
+    today's model keys: one without `norm_stats`, or one written while the
+    model had a recursive rollout mode (`rollout_mode`, `recursive_chunk`),
+    is a data error naming the file."""
 
-    def legacy_checkpoint(self, workspace, tmp_path, mode):
+    @pytest.mark.parametrize("key", ["norm_stats", "rollout_mode"])
+    def test_checkpoint_is_data_error_naming_it(self, workspace, tmp_path, key):
         doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
-        doc["metadata"]["config"].update(rollout_mode=mode, recursive_chunk=1.0)
-        return write_json(tmp_path / "legacy.json", doc)
-
-    def test_long_horizon_checkpoint_runs_as_before(self, workspace, tmp_path):
-        # a warm start, evaluate and forecast from it give the same bytes as
-        # from the checkpoint without the keys
-        outputs = []
-        for name, ck in (("current", str(workspace["run"] / "checkpoint.json")),
-                         ("legacy", self.legacy_checkpoint(workspace, tmp_path,
-                                                           "long_horizon"))):
-            tmp = tmp_path / name
-            tmp.mkdir()
-            runs = train_evaluate_forecast(workspace, tmp, workspace["ds"], 0, ck, epochs=0)
-            assert [rc for rc, _, _ in runs] == [0, 0, 0]
-            outputs.append([(tmp / f).read_bytes() for f in (
-                "run/checkpoint.json", "eval/rmse_grid.csv", "forecast.csv")])
-        assert outputs[0] == outputs[1]
-
-    def test_recursive_checkpoint_is_data_error(self, workspace, tmp_path):
-        ck = self.legacy_checkpoint(workspace, tmp_path, "recursive")
+        if key == "norm_stats":
+            del doc["metadata"]["norm_stats"]
+        else:
+            doc["metadata"]["config"].update(rollout_mode="long_horizon", recursive_chunk=1.0)
+        ck = write_json(tmp_path / "legacy.json", doc)
+        # train from it (init_checkpoint), evaluate with it and forecast from it
         for rc, out, err in train_evaluate_forecast(workspace, tmp_path, workspace["ds"],
                                                     0, ck, epochs=0):
             assert rc == 3 and out == ""
-            assert "rollout_mode 'recursive' is not supported" in err
-        assert not (tmp_path / "run").exists()
+            assert f"checkpoint {ck}: bad metadata: " in err and key in err
+        assert not any((tmp_path / d).exists() for d in ("run", "eval", "forecast.csv"))
 
     @pytest.mark.parametrize("key,value", [("rollout_mode", "long_horizon"),
                                            ("recursive_chunk", 1.0)])

@@ -9,15 +9,15 @@ from obsnode import autodiff as ad
 from obsnode import evaluate
 from obsnode.autodiff import Tape
 from obsnode.errors import ConfigError, DataError
-from obsnode.evaluate import (RmseGrid, _binned_rmse, rmse_grid, write_grid_csv,
-                              write_grid_pgm)
+from obsnode.evaluate import (RmseGrid, _binned_rmse, raw_forecasts, rmse_grid,
+                              write_grid_csv, write_grid_pgm)
 from obsnode.model import History, ObsNodeConfig, ObsNodeParams, decision_split
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, _batch_loss, evaluate_loss,
                            stack_units, zscore_fit)
-from support import (counterfactual_rmse, masked_binned_rmse, read_grid_csv, reencoded_grid,
-                     reencoded_loss)
+from support import (counterfactual_rmse, identity_stats, masked_binned_rmse, read_grid_csv,
+                     reencoded_grid, reencoded_loss)
 
 
 def linear_trajs(n=5, T=13, d_y=1, seed=0, noise_sd=0.0):
@@ -51,7 +51,8 @@ def grid_of(monkeypatch):
     def grid(trajs, t_c_grid, horizons, predict):
         monkeypatch.setattr(evaluate, "raw_forecasts", lambda record, decisions, *_: [
             predict(record, k, j) for k, j in decisions])
-        return rmse_grid(trajs, t_c_grid, horizons, params=None)
+        return rmse_grid(trajs, t_c_grid, horizons, params=None,
+                         stats=identity_stats(trajs[0].y.shape[1]))
 
     return grid
 
@@ -219,6 +220,25 @@ class TestSharedEncoder:
             evaluate_loss(trajs, params, sigma2, t_cs, tcfg)
 
 
+def test_forecasts_are_in_the_records_units():
+    # moving the outcomes and the norm stats to the units s y + c moves
+    # every forecast the same way: the model forecasts in z-scored units,
+    # and raw_forecasts reads them back in the record's
+    trajs, _ = linear_trajs(n=3, T=9, d_y=2, seed=1)
+    params = ObsNodeParams(ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=4,
+                                         encoder_hidden_dim=3), np.random.default_rng(7))
+    record = stack_units(trajs)
+    stats = NormStats([0.5, -1.0], [2.0, 0.5])
+    int_cfg = IntegrationConfig(step_size=0.5)
+    pair = decision_split(record.times, 4.0)
+    base = raw_forecasts(record, [pair], params, stats, int_cfg)[0]
+    s, c = 4.0, 3.0
+    moved = History(record.times, s * record.y + c, record.mask, record.a)
+    got = raw_forecasts(moved, [pair], params, NormStats(s * stats.mean + c, s * stats.std),
+                        int_cfg)[0]
+    np.testing.assert_allclose(got, s * base + c, rtol=1e-12, atol=1e-12)
+
+
 def test_inference_keeps_no_backward_state(monkeypatch):
     # with every activation's keep (what its VJP reads besides y, the leaky
     # ReLU's mask here) made to raise, the untaped rmse_grid and validation
@@ -237,7 +257,7 @@ def test_inference_keeps_no_backward_state(monkeypatch):
     for t in params.tensors():
         t.data = rng.normal(0.0, 0.5, size=t.data.shape)
     int_cfg = IntegrationConfig(step_size=0.5)
-    grid = rmse_grid(trajs, [2.0, 5.0], [2.0, 4.0], params, int_cfg=int_cfg)
+    grid = rmse_grid(trajs, [2.0, 5.0], [2.0, 4.0], params, identity_stats(1), int_cfg)
     assert grid.counts.any()
     tcfg = TrainConfig(decision_time_grid=[2.0, 5.0], t_f=12.0, int_step=0.5)
     assert np.isfinite(evaluate_loss(trajs, params, np.ones(1), [2.0, 5.0], tcfg))
@@ -257,7 +277,7 @@ def test_single_time_records_give_an_empty_grid():
              for i in range(3)]
     params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3,
                                          encoder_hidden_dim=3), np.random.default_rng(0))
-    grid = rmse_grid(trajs, [0.0, 1.0], [1.0], params)
+    grid = rmse_grid(trajs, [0.0, 1.0], [1.0], params, identity_stats(1))
     assert not grid.counts.any() and np.isnan(grid.values).all()
 
 
@@ -290,8 +310,9 @@ class TestBins:
            nudge=st.sampled_from([-2e-9, -1e-9, 0.0, 5e-10, 1e-9, 2e-9]),
            seed=st.integers(0, 2 ** 16))
     def test_slices_equal_the_masked_bins(self, steps, t_c, widths, nudge, seed):
-        # the searchsorted runs give the values and counts of bins picked
-        # by mask, bit for bit, with grid times within 1e-9 of every edge
+        # the runs that decision_split ends give the values and counts of
+        # bins picked by mask, bit for bit, with grid times within 1e-9 of
+        # every edge
         horizons = np.cumsum(widths)
         times = np.unique(np.concatenate([np.cumsum(steps), [t_c], t_c + horizons + nudge]))
         rng = np.random.default_rng(seed)

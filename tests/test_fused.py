@@ -322,6 +322,13 @@ class TestBitwiseAgainstOpGraph:
                                     hidden=hidden))
 
     @pytest.mark.parametrize("n,d_y", [(2, 1), (3, 2)])
+    def test_encode_fixed_draws(self, n, d_y):
+        # two fixed cases of test_encode: a failure shows at once, with no
+        # shrinking search
+        T = 8
+        assert_bitwise(*encode_pair(d_y, 1, T, n, [T, 1, 5], seed=0, hidden=5))
+
+    @pytest.mark.parametrize("n,d_y", [(2, 1), (3, 2)])
     @pytest.mark.parametrize("observed", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("seed", range(3))
     def test_encode_signed_zeros(self, n, d_y, observed, seed):

@@ -19,8 +19,9 @@ from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsN
                            rollouts, save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.train import TrainConfig, _decisions
-from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, isin_factual_control,
-                     mask_window, observability_probe, padding, random_params, value_at)
+from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, identity_stats,
+                     isin_factual_control, mask_window, observability_probe, padding,
+                     random_params, value_at)
 
 
 def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
@@ -428,7 +429,7 @@ class TestTapeFreeInference:
             t.data -= 0.1 * rng.normal(size=t.data.shape)
         params.phi[0].data[padding(params)] = 0.0
         updated = self.run(params)
-        save_model(tmp_path / "model.json", params)
+        save_model(tmp_path / "model.json", params, identity_stats(2))
         fresh = self.run(load_model(tmp_path / "model.json")[0])
         for p, q in zip(updated, fresh):
             assert p.data.tobytes() == q.data.tobytes()
@@ -461,37 +462,34 @@ class TestModelCheckpoint:
 
         before = forecast(encode(hist, params), control, qts, params, int_cfg)
         path = tmp_path / "model.json"
-        save_model(path, params)
+        save_model(path, params, NormStats([0.5, -1.0], [2.0, 3.0]))
         params2, cfg2, stats = load_model(path)
         assert cfg2 == cfg
-        assert stats is None
+        assert stats.mean.tolist() == [0.5, -1.0] and stats.std.tolist() == [2.0, 3.0]
         after = forecast(encode(hist, params2), control, qts, params2, int_cfg)
         np.testing.assert_array_equal(before[0].data, after[0].data)
 
-    def test_checkpoint_with_the_long_horizon_rollout_keys_loads(self, tmp_path):
-        # checkpoints written while the model had a recursive rollout mode
-        # name it and its chunk in the metadata config; the long-horizon
-        # defaults load and forecast as before, bit for bit
-        cfg, params = make_model(d_y=2, m=2, d_a=1, randomize_output=True)
-        hist = make_history(cfg, T=4, n=2, seed=11)
-        control = ControlPath(np.array([hist.times[-1]]), np.array([[0.3]]))
-        qts = [hist.times[-1] + 0.5, hist.times[-1] + 1.0]
-        int_cfg = IntegrationConfig(step_size=0.25)
+    @pytest.mark.parametrize("key", ["norm_stats", "rollout_mode", "recursive_chunk"])
+    def test_legacy_metadata_is_data_error(self, tmp_path, key):
+        # every checkpoint carries its normalization, and its config names
+        # only ObsNodeConfig's keys: the rollout mode and chunk of the
+        # recursive model that is gone no longer load
+        _, params = make_model(d_y=2, m=2, d_a=1)
         path = tmp_path / "model.json"
-        save_model(path, params)
+        save_model(path, params, identity_stats(2))
         doc = json.loads(path.read_text())
-        doc["metadata"]["config"].update(rollout_mode="long_horizon", recursive_chunk=1.0)
+        if key == "norm_stats":
+            del doc["metadata"]["norm_stats"]
+        else:
+            doc["metadata"]["config"][key] = "long_horizon" if key == "rollout_mode" else 1.0
         path.write_text(json.dumps(doc))
-        params2, cfg2, _ = load_model(path)
-        assert cfg2 == cfg
-        for p, q in zip(forecast(encode(hist, params), control, qts, params, int_cfg),
-                        forecast(encode(hist, params2), control, qts, params2, int_cfg)):
-            np.testing.assert_array_equal(p.data, q.data)
+        with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))}: .*{key}"):
+            load_model(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
         cfg, params = make_model()
         path = tmp_path / "model.json"
-        save_model(path, params)
+        save_model(path, params, identity_stats(1))
         doc = json.loads(path.read_text())
         doc["tensors"] = [e for e in doc["tensors"] if e["name"] != "head.W"]
         path.write_text(json.dumps(doc))
@@ -613,7 +611,7 @@ def test_huge_metadata_is_rejected_before_allocation(tmp_path, key, value):
     # count cannot even be iterated
     _, params = make_model()
     path = tmp_path / "model.json"
-    save_model(path, params)
+    save_model(path, params, identity_stats(1))
     doc = json.loads(path.read_text())
     doc["metadata"]["config"][key] = value
     path.write_text(json.dumps(doc))
@@ -627,7 +625,7 @@ def test_int_past_the_float_range_is_data_error(tmp_path, part):
     # ValueError): the checkpoint is rejected by name
     _, params = make_model()
     path = tmp_path / "model.json"
-    save_model(path, params, norm_stats=NormStats(mean=[0.0], std=[1.0]))
+    save_model(path, params, norm_stats=identity_stats(1))
     doc = json.loads(path.read_text())
     if part == "tensor":
         doc["tensors"][0]["values"][0] = 10 ** 400
@@ -642,7 +640,7 @@ def test_checkpoint_past_max_params_is_rejected_before_allocation(tmp_path, monk
     # a checkpoint whose metadata and tensors agree but whose size passes
     # the bound is a DataError, raised before any parameter is made
     _, params = make_model()
-    save_model(tmp_path / "model.json", params)
+    save_model(tmp_path / "model.json", params, identity_stats(1))
     monkeypatch.setattr(model_mod, "MAX_PARAMS", 100)
     monkeypatch.setattr(model_mod, "ObsNodeParams", None)
     with pytest.raises(DataError, match="MAX_PARAMS=100"):
@@ -875,4 +873,4 @@ class TestLockstep:
         with pytest.raises(ShapeMismatch, match=expect):
             rollouts(record, [(2, 5)], params, control=control)
         with pytest.raises(ShapeMismatch, match=expect):
-            raw_forecasts(record, [(2, 5)], params, None, control=control)
+            raw_forecasts(record, [(2, 5)], params, identity_stats(1), control=control)
