@@ -93,11 +93,9 @@ def _checked(key, hint, value):
 
 
 def _checked_section(section, fields, required_keys, where):
-    """`section` once it is a JSON object whose keys are among `fields` (key
-    -> annotation) and include `required_keys`, and whose values have their
+    """The JSON object `section` once its keys are among `fields` (key ->
+    annotation) and include `required_keys`, and its values have their
     annotated types (see :func:`_checked`); otherwise ConfigError."""
-    if type(section) is not dict:
-        raise ConfigError(f"{where}: expected an object")
     unknown = sorted(set(section) - set(fields))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -176,9 +174,7 @@ def cmd_train(args):
     check_size(model_cfg)
     tcfg = _build(TrainConfig, cfg["train"], "train")
     run_dir = _output_dir(cfg["run_dir"])
-    ds_dir = Path(cfg["dataset_dir"])
-    if not ds_dir.exists():
-        raise ConfigError(f"dataset directory not found: {ds_dir}")
+    ds_dir = cfg["dataset_dir"]
     splits, _ = read_dataset(ds_dir)
     for split in ("train", "val"):
         if split not in splits:
@@ -250,9 +246,6 @@ def cmd_evaluate(args):
 def read_treatment_csv(path, d_a):
     """Piecewise-constant treatment path: rows start_time,component_1,...;
     an unreadable or malformed file raises DataError naming it."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"treatment file not found: {path}")
     expect = ["start_time"] + [f"component_{i + 1}" for i in range(d_a)]
     try:
         with open(path, newline="") as fh:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .model import History, NormStats, decision_split, emissions, rollouts
 from .odeint import ControlPath, IntegrationConfig
 from .train import _fit_stats, stack_units, zscore_invert, zscore_outcomes
@@ -25,19 +24,6 @@ class RmseGrid:
     horizons: np.ndarray             # (n_s,)
     values: np.ndarray               # (n_tc, n_s, d_y); NaN marks absent bins
     counts: np.ndarray               # (n_tc, n_s, d_y) observed points per bin
-
-    def __post_init__(self):
-        self.assimilation_times = np.asarray(self.assimilation_times, dtype=np.float64)
-        self.horizons = np.asarray(self.horizons, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.counts = np.asarray(self.counts)
-        expect = (self.assimilation_times.size, self.horizons.size)
-        if self.values.shape[:2] != expect or self.counts.shape != self.values.shape:
-            raise DataError("RmseGrid: inconsistent dimensions")
-        if np.any(self.horizons <= 0) or np.any(np.diff(self.horizons) <= 0):
-            raise DataError("RmseGrid: horizons must be sorted and positive")
-        if np.nanmin(self.values, initial=0.0) < 0:
-            raise DataError("RmseGrid: negative value")
 
     def component_mean(self):
         """Mean over components per cell, ignoring absent entries (as

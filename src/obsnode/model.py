@@ -67,13 +67,12 @@ class EncodedState:
 
 @dataclass
 class History:
-    """Per-time observation/treatment record, batched over units.
-
-    times: (T,); y, mask: (T, n, d_y); a: (T, n, d_a). Missing y entries may
-    hold any placeholder; mask defines validity. Records read from outside
-    reach a History through :class:`~obsnode.simulate.Trajectory`, which
-    enforces that rule by zeroing the placeholders.
-    """
+    """A record of observations and treatments, batched over units. Its
+    construction applies :meth:`checked`, the one rule of every record:
+    times (T,) nonempty, finite and strictly increasing; y and mask (T, n,
+    d_y), a (T, n, d_a); mask entries 0 or 1; observed y and all of a
+    finite. A record that breaks it is a DataError, and each unobserved y
+    entry becomes +0.0 whatever placeholder it held."""
 
     times: np.ndarray
     y: np.ndarray
@@ -81,14 +80,32 @@ class History:
     a: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        if self.times.size == 0:
-            raise DataError("History: empty history")
-        if np.any(np.diff(self.times) < 0):
-            raise DataError("History: times must be ascending")
+        self.times, self.y, self.mask, self.a = History.checked(
+            self.times, self.y, self.mask, self.a, "History", ndim=3)
+
+    @staticmethod
+    def checked(times, y, mask, a, where, ndim):
+        """The record rule on float64 arrays of (times, y, mask, a), whose
+        outcome arrays have `ndim` axes, 2 for one unit's (T, d_y); returns
+        them with each unobserved y entry +0.0, or raises DataError
+        starting with `where`."""
+        times, y, mask, a = (np.asarray(v, dtype=np.float64) for v in (times, y, mask, a))
+        T = times.size
+        if (times.ndim != 1 or T == 0 or not np.isfinite(times).all()
+                or np.any(np.diff(times) <= 0)):
+            raise DataError(f"{where}: times must be nonempty, finite and strictly increasing")
+        if (y.ndim != ndim or a.ndim != ndim or mask.shape != y.shape
+                or y.shape[:-1] != a.shape[:-1] or len(y) != T):
+            dims = "T, n" if ndim == 3 else "T"
+            raise DataError(f"{where}: with T={T}, y {y.shape} and mask {mask.shape} must "
+                            f"be ({dims}, d_y), a {a.shape} ({dims}, d_a)")
+        observed = mask == 1.0
+        if not (observed | (mask == 0.0)).all():
+            raise DataError(f"{where}: mask entries must be 0 or 1")
+        y = np.where(observed, y, 0.0)
+        if not (np.isfinite(y).all() and np.isfinite(a).all()):
+            raise DataError(f"{where}: non-finite observed y or a")
+        return times, y, mask, a
 
 
 def decision_split(times, t_c, horizon=None):

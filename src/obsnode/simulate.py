@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import _sigmoid
 from .errors import ConfigError, DataError, NumericError
+from .model import History
 
 # Tumor model constants
 C_MAX = 14.0     # mg/m^3, maximum chemotherapy dose
@@ -173,8 +174,10 @@ class SemiSynthConfig:
 
 @dataclass
 class Trajectory:
-    """One unit's record, checked on construction (DataError naming the
-    unit); unobserved `y` entries may hold any placeholder and become 0.0."""
+    """One unit's record, as a simulator makes it and a dataset line holds
+    it. The record rule is :meth:`~obsnode.model.History.checked`: the
+    simulators compute records that keep it, and :func:`read_dataset`
+    applies it to each line."""
     unit_id: int
     times: np.ndarray
     y: np.ndarray      # (T, d_y)
@@ -182,28 +185,6 @@ class Trajectory:
     a: np.ndarray      # (T, d_a)
     latents: np.ndarray | None = None
     confounders: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        T = self.times.size
-        if (self.times.ndim != 1 or T == 0 or not np.isfinite(self.times).all()
-                or np.any(np.diff(self.times) <= 0)):
-            raise DataError(f"unit {self.unit_id}: times must be nonempty, "
-                            "finite and strictly increasing")
-        if (self.y.ndim != 2 or self.a.ndim != 2 or self.mask.shape != self.y.shape
-                or len(self.y) != T or len(self.a) != T):
-            raise DataError(f"unit {self.unit_id}: with T={T}, y {self.y.shape} and "
-                            f"mask {self.mask.shape} must be (T, d_y), a {self.a.shape}"
-                            " (T, d_a)")
-        observed = self.mask == 1.0
-        if not (observed | (self.mask == 0.0)).all():
-            raise DataError(f"unit {self.unit_id}: mask entries must be 0 or 1")
-        if not (np.isfinite(self.y[observed]).all() and np.isfinite(self.a).all()):
-            raise DataError(f"unit {self.unit_id}: non-finite observed y or a")
-        self.y = np.where(observed, self.y, 0.0)
 
 
 def _hour_count(horizon_hours):
@@ -449,6 +430,7 @@ def generate_semi_synthetic(config: SemiSynthConfig):
     patient's random functions and noise come from its own streams, drawn
     patient by patient; the functions are then evaluated a chunk of
     patients at a time, and the treatment loop runs over all patients at once.
+    A non-finite outcome raises NumericError naming the first unit that has one.
     """
     times = np.arange(float(_hour_count(config.horizon_hours)))
     T = times.size
@@ -519,6 +501,8 @@ def generate_semi_synthetic(config: SemiSynthConfig):
             decay = 1.0 / (t - k + 1) ** 2
             effect = np.where(active.any(axis=1)[:, None], effect + hit * decay, effect)
         y[:, t] += effect
+    if not (finite := np.isfinite(y).all(axis=(1, 2))).all():
+        raise NumericError(f"unit {np.argmin(finite)}: non-finite outcome")
 
     return _split_thirds([Trajectory(unit_id=i, times=times.copy(), y=y[i],
                                      mask=np.ones_like(y[i]), a=A[i], latents=P[i],
@@ -567,7 +551,11 @@ def write_dataset(dirpath, splits, config, seed):
 
 def read_dataset(dirpath):
     """Load splits written by write_dataset; returns (splits, manifest). A
-    missing or malformed manifest, split file or record raises DataError."""
+    missing or malformed manifest or split file raises DataError naming it.
+    Each line's record is held to the record rule of
+    :meth:`~obsnode.model.History.checked`, so a line that breaks it raises
+    DataError naming the file, the line and the unit, and each unobserved
+    y entry is read as +0.0."""
     dirpath = Path(dirpath)
     mpath = dirpath / "manifest.json"
     if not mpath.exists():
@@ -587,14 +575,12 @@ def read_dataset(dirpath):
                 for lineno, line in enumerate(fh, start=1):
                     try:
                         rec = json.loads(line)
-                        trajs.append(Trajectory(
-                            unit_id=rec["unit_id"], times=np.array(rec["times"]),
-                            y=np.array(rec["y"]), mask=np.array(rec["mask"]),
-                            a=np.array(rec["a"]),
-                            latents=(np.array(rec["latents"])
-                                     if "latents" in rec else None),
-                            confounders=(np.array(rec["confounders"])
-                                         if "confounders" in rec else None)))
+                        uid = rec["unit_id"]
+                        record = History.checked(rec["times"], rec["y"], rec["mask"],
+                                                 rec["a"], f"unit {uid}", ndim=2)
+                        trajs.append(Trajectory(uid, *record, *(
+                            np.array(rec[k]) if k in rec else None
+                            for k in ("latents", "confounders"))))
                     except (ValueError, KeyError, TypeError, DataError) as e:
                         raise DataError(f"{path}, line {lineno}: malformed "
                                         f"record: {e!r}")

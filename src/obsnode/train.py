@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +52,7 @@ def zscore_outcomes(y, mask, stats: NormStats):
 
 def zscore_apply(trajs, stats: NormStats):
     """Normalize observed outcome entries; treatments are left untouched."""
-    out = []
-    for tr in trajs:
-        y = zscore_outcomes(tr.y, tr.mask, stats)
-        out.append(type(tr)(unit_id=tr.unit_id, times=tr.times.copy(), y=y,
-                            mask=tr.mask.copy(), a=tr.a.copy(),
-                            latents=tr.latents, confounders=tr.confounders))
-    return out
+    return [replace(tr, y=zscore_outcomes(tr.y, tr.mask, stats)) for tr in trajs]
 
 
 def zscore_invert(y, stats: NormStats):

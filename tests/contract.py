@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 tests/contract.py --out FILE       # run the set; write FILE and FILE.npz
     python3 tests/contract.py --compare A B    # two files that --out wrote
+    python3 tests/contract.py --reach          # src/ statements the run set never executes
 
 ``--out`` runs the run set with the obsnode of this checkout (its ``src/``
 goes first on ``sys.path``), in a temporary working directory, every path
@@ -17,6 +18,13 @@ order, and each parameter's gradient on one taped training batch.
 ``--compare`` prints each output of A and B, with "identical" or the
 largest absolute difference of its numbers relative to the largest
 magnitude among them, and exits 1 unless every output is identical.
+
+``--reach`` runs the run set under ``sys.settrace`` and prints, for each
+function in ``src/obsnode`` with a statement that no command executed, the
+first line of each such statement, or "never called". A statement counts
+as executed when any line of it runs (of a compound statement, its header
+lines); ``try:`` headers, which run nothing, and the body of a lambda,
+which shares its line with the statement around it, are not told apart.
 
 The run set:
 
@@ -38,6 +46,7 @@ The run set:
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import inspect
@@ -278,12 +287,80 @@ def compare(a_path, b_path):
     return lines, same
 
 
+def function_statements(tree):
+    """{qualified name: [(first, last) line of each statement]} of the
+    functions of a module's syntax tree. A statement of a nested function
+    belongs to that function; a compound statement spans its header, up to
+    its first inner statement; docstrings, `try` statements and the
+    statements of class and module bodies, which run no line of their own
+    or run on import, are left out."""
+    found = {}
+
+    def walk(body, name, in_function):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = f"{name}.{stmt.name}" if name else stmt.name
+                walk(stmt.body, qualname, not isinstance(stmt, ast.ClassDef))
+                continue
+            inner = [s for key in ("body", "orelse", "finalbody") for s in getattr(stmt, key, [])]
+            inner += [s for h in getattr(stmt, "handlers", []) for s in h.body]
+            docstring = isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            if in_function and not (docstring or isinstance(stmt, ast.Try)):
+                last = min(s.lineno for s in inner) - 1 if inner else stmt.end_lineno
+                found.setdefault(name, []).append((stmt.lineno, max(last, stmt.lineno)))
+            walk(inner, name, in_function)
+
+    walk(tree.body, "", False)
+    return found
+
+
+def unexecuted(paths, run):
+    """{(path, function): (the first line of each of its statements that
+    did not run, its number of statements)} of the functions in the files
+    `paths` that have such a statement, while `run()` runs under
+    ``sys.settrace``."""
+    files = {str(Path(p)) for p in paths}
+    hit = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            hit.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename in files else None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    missed = {}
+    for path in sorted(files):
+        for name, spans in function_statements(ast.parse(Path(path).read_text())).items():
+            lines = [a for a, b in spans if not any((path, k) in hit for k in range(a, b + 1))]
+            if lines:
+                missed[path, name] = lines, len(spans)
+    return missed
+
+
+def reach():
+    """Lines of "file function: lines ..." or "file function: never called"
+    for each src/ function with a statement that the run set never runs."""
+    missed = unexecuted(sorted((ROOT / "src" / "obsnode").glob("*.py")), run_in_temp)
+    return [f"{Path(path).relative_to(ROOT)} {name}: "
+            + ("never called" if len(lines) == n else "lines " + ", ".join(map(str, lines)))
+            for (path, name), (lines, n) in missed.items()]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--out", help="run the set and write this JSON file and its .npz")
     g.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two --out files")
+    g.add_argument("--reach", action="store_true",
+                   help="list the src/ statements that the run set never executes")
     args = p.parse_args(argv)
+    if args.reach:
+        print("\n".join(reach()))
+        return 0
     if args.compare:
         lines, same = compare(*args.compare)
         print("\n".join(lines))

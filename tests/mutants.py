@@ -294,6 +294,38 @@ CATALOGUE = (
     Mutant("rmse-unscaled", "evaluate.py", ".sum() / c[d]) / scale[d]", ".sum() / c[d])",
            ("tests/test_evaluate.py::TestRmseGrid::test_scaling_invariance",),
            "the RMSE grid is not divided by the split's std"),
+    Mutant("rmse-scale-after-the-forecasts", "evaluate.py",
+           """    scale = _fit_stats(record).std
+
+    values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
+    counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
+    scored = [(i, float(t_c), pair) for i, t_c in enumerate(t_c_grid)
+              if (pair := decision_split(record.times, t_c, horizons[-1])) is not None]
+    preds = raw_forecasts(record, [pair for _, _, pair in scored], params, stats, int_cfg)
+""", """
+    values = np.full((t_c_grid.size, horizons.size, d_y), np.nan)
+    counts = np.zeros((t_c_grid.size, horizons.size, d_y), dtype=int)
+    scored = [(i, float(t_c), pair) for i, t_c in enumerate(t_c_grid)
+              if (pair := decision_split(record.times, t_c, horizons[-1])) is not None]
+    preds = raw_forecasts(record, [pair for _, _, pair in scored], params, stats, int_cfg)
+    scale = _fit_stats(record).std
+""",
+           ("tests/test_evaluate.py::TestRmseGrid::"
+            "test_bad_scale_is_data_error_before_any_forecast",),
+           "a split rmse_grid cannot scale is found only after every forecast is made"),
+    Mutant("record-placeholders-kept", "model.py",
+           """        y = np.where(observed, y, 0.0)
+        if not (np.isfinite(y).all() and np.isfinite(a).all()):""",
+           """        if not (np.isfinite(np.where(observed, y, 0.0)).all() and np.isfinite(a).all()):""",
+           ("tests/test_simulate.py::test_unobserved_entries_become_zero",
+            "tests/test_model.py::TestRecordRule"),
+           "a record keeps its unobserved placeholders, NaN included, where the "
+           "rule makes them +0.0"),
+    Mutant("record-times-non-strict", "model.py",
+           "np.any(np.diff(times) <= 0)", "np.any(np.diff(times) < 0)",
+           ("tests/test_simulate.py::test_trajectory_requires_increasing_times",
+            "tests/test_model.py::TestRecordRule"),
+           "a record with a repeated time is accepted"),
     Mutant("schedule-read-one-cycle-early", "simulate.py",
            "doses[:, cycle] = dose_schedule[:, cycle]",
            "doses[:, cycle] = dose_schedule[:, min(cycle + 1, config.n_cycles - 1)]",

@@ -86,7 +86,7 @@ class TestExitCodes:
             "run_dir": str(tmp_path / "r"),
             "model": {"d_y": 2, "m": 2, "d_a": 2},
             "train": {"decision_time_grid": [1.0], "t_f": 2.0}})
-        assert main(["train", "--config", cfg]) == 2
+        assert main(["train", "--config", cfg]) == 3
         assert str(tmp_path / "absent") in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -131,12 +131,35 @@ class TestExitCodes:
                    "--treatments", str(t), "--t-c", "30"])
         assert rc == 3
 
-    def test_missing_treatment_file_is_config_error(self, workspace, tmp_path):
+    def test_missing_treatment_file_is_data_error(self, workspace, tmp_path):
         rc, _, err = run_main(["forecast", "--checkpoint",
                                str(workspace["run"] / "checkpoint.json"),
                                "--dataset", str(workspace["ds"]), "--unit-id", "0",
                                "--treatments", str(tmp_path / "absent.csv"), "--t-c", "30"])
-        assert rc == 2 and str(tmp_path / "absent.csv") in err
+        assert rc == 3 and str(tmp_path / "absent.csv") in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "dataset_dir"), ("train", "init_checkpoint"), ("evaluate", "dataset_dir"),
+        ("evaluate", "checkpoint"), ("forecast", "--dataset"), ("forecast", "--checkpoint")])
+    def test_every_missing_input_file_is_data_error(self, workspace, tmp_path, command, key):
+        # only a missing config file is a usage error; a missing dataset,
+        # checkpoint or treatment file is a data error naming its path
+        absent = str(tmp_path / "absent")
+        if command == "forecast":
+            t = tmp_path / "a.csv"
+            t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+            argv = {"--checkpoint": str(workspace["run"] / "checkpoint.json"),
+                    "--dataset": str(workspace["ds"]), "--unit-id": "0",
+                    "--treatments": str(t), "--t-c": "30", key: absent}
+            rc, out, err = run_main(["forecast", *[v for kv in argv.items() for v in kv]])
+        else:
+            cfg = json.loads(Path(workspace[{"train": "train", "evaluate": "eval"}[command]]).read_text())
+            cfg.update({key: absent, "run_dir" if command == "train" else "output_dir":
+                        str(tmp_path / "out")})
+            rc, err = run_config(command, cfg, tmp_path / "c.json")
+            out = ""
+        assert rc == 3 and absent in err and err.startswith("data error: ") and not out
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_key_is_config_error(self, workspace, tmp_path):
         cfg = json.loads((workspace["root"] / "train.json").read_text())
@@ -740,6 +763,19 @@ def test_manifest_split_without_its_file_is_data_error(workspace, tmp_path):
         rc, _, err = run_main(argv)
         assert rc == 3 and str(ds / "val.jsonl") in err and "Traceback" not in err
     assert not (tmp_path / "eval").exists() and not (tmp_path / "run").exists()
+
+
+def test_overflowing_semi_cohort_is_numeric_error(tmp_path):
+    # outcomes the simulator cannot compute are a numeric failure, not bad
+    # data, and no dataset is written
+    sim = write_json(tmp_path / "s.json", {
+        "format_version": 1, "kind": "semi_synthetic", "output_dir": str(tmp_path / "ds"),
+        "params": {"n_patients": 6, "horizon_hours": 12.0, "alpha_g": 1e308}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, out, err = run_main(["simulate", "--config", sim])
+    assert (rc, out, err) == (4, "", "numeric error: unit 1: non-finite outcome\n")
+    assert not (tmp_path / "ds").exists()
 
 
 def test_failed_validation_names_its_epoch(workspace, tiny_dataset, tmp_path):

@@ -2,6 +2,7 @@
 two runs give one report, and --compare tells identical outputs from
 changed ones."""
 
+import importlib.util
 import json
 
 import numpy as np
@@ -71,3 +72,37 @@ def test_a_checkout_before_the_pair_decisions_has_no_gradients(monkeypatch, caps
     assert contract.batch_gradients(None, "semi", "runs/semi", "data/semi", {}, 1) == {}
     err = capsys.readouterr().err
     assert "gradients of cancer absent" in err and "gradients of semi absent" in err
+
+
+def test_reach_lists_the_statements_that_did_not_run(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text('''\
+def f(x):
+    """A docstring runs no line."""
+    def g():
+        return 1
+    try:
+        y = (x
+             + 1)
+    except TypeError:
+        raise ValueError("never")
+    if y > 5:
+        return g()
+    elif y > 2:
+        return 2
+    return 0
+
+
+class C:
+    def m(self):
+        return 3
+''')
+    spec = importlib.util.spec_from_file_location("probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    missed = contract.unexecuted([path], lambda: probe.f(2))
+    # f(2): the raise and the returns of the branches not taken, by their
+    # first lines, of f's 7 statements (its nested g's are g's own); the
+    # two-line assignment ran; g and C.m never ran
+    assert missed == {(str(path), "f"): ([9, 11, 14], 7), (str(path), "f.g"): ([4], 1),
+                      (str(path), "C.m"): ([19], 1)}

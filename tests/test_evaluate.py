@@ -81,11 +81,20 @@ class TestRmseGrid:
 
     @pytest.mark.parametrize("std", [0.0, np.nan])
     def test_bad_scale_is_data_error_before_any_forecast(self, monkeypatch, std):
+        # the split's own std is the RMSE scale: 0 for a constant outcome,
+        # and undefined (NaN) for one observed entry; either is a data error
+        # before any forecast is made (raw_forecasts is not callable here)
         monkeypatch.setattr(evaluate, "raw_forecasts", None)
         trajs, _ = linear_trajs()
-        with pytest.raises(DataError, match="component 0 has "):
-            rmse_grid(trajs, [4.0], [2.0], params=None,
-                      stats=NormStats(mean=[0.0], std=[std]))
+        for tr in trajs:
+            if std == 0.0:
+                tr.y[:] = 1.0
+            else:
+                tr.mask[:] = 0.0
+        trajs[0].mask[0] = 1.0
+        with pytest.raises(DataError, match="component 0 has zero spread" if std == 0.0
+                           else "component 0: fewer than 2 observations"):
+            rmse_grid(trajs, [4.0], [2.0], params=None, stats=identity_stats(1))
 
     def test_mean_predictor_matches_bin_sd_ratio(self, grid_of):
         trajs, _ = linear_trajs(n=40, seed=2)
@@ -273,8 +282,8 @@ def test_inference_keeps_no_backward_state(monkeypatch):
 def test_single_time_records_give_an_empty_grid():
     # no decision time has both history and a target, so nothing is
     # forecast and the default step, which needs two times, is never made
-    trajs = [Trajectory(unit_id=i, times=[0.0], y=[[1.0 + i]], mask=[[1.0]], a=[[0.0]])
-             for i in range(3)]
+    trajs = [Trajectory(unit_id=i, times=np.zeros(1), y=np.full((1, 1), 1.0 + i),
+                        mask=np.ones((1, 1)), a=np.zeros((1, 1))) for i in range(3)]
     params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3,
                                          encoder_hidden_dim=3), np.random.default_rng(0))
     grid = rmse_grid(trajs, [0.0, 1.0], [1.0], params, identity_stats(1))

@@ -1,6 +1,8 @@
 import contextlib
 import json
+import math
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsN
                            factual_control, forecast, load_model, param_count, param_shapes,
                            rollouts, save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
+from obsnode.simulate import read_dataset
 from obsnode.train import TrainConfig, _decisions
 from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, identity_stats,
                      isin_factual_control, mask_window, observability_probe, padding,
@@ -183,6 +186,84 @@ class TestEncode:
         with pytest.raises(DataError):
             History(np.array([1.0, 0.5]), np.zeros((2, 1, 1)),
                     np.ones((2, 1, 1)), np.zeros((2, 1, 1)))
+
+
+def breaks_the_rule(times, y, mask, a):
+    """The record rule, entry by entry, on one unit's lists: times (T,), y
+    and mask (T, d_y), a (T, d_a)."""
+    def finite(values):
+        return all(math.isfinite(v) for v in values)
+    return (not times or not finite(times) or any(t1 <= t0 for t0, t1 in zip(times, times[1:]))
+            or any(m not in (0.0, 1.0) or (m == 1.0 and not math.isfinite(v))
+                   for ys, ms in zip(y, mask) for v, m in zip(ys, ms))
+            or not all(finite(row) for row in a))
+
+
+@st.composite
+def records(draw):
+    """(times, y, mask, a) of a record of up to 4 times, 3 units and 2
+    outcomes and treatments, partly observed, with up to 3 changes that
+    may break the rule: a bad time, mask entry, observed outcome or
+    treatment, or a non-finite placeholder, which keeps it."""
+    T, n, d_y, d_a = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 3), (1, 2), (0, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.cumsum(rng.uniform(0.1, 2.0, T)) - 1.0
+    y, a = rng.normal(size=(T, n, d_y)), rng.normal(size=(T, n, d_a))
+    mask = (rng.uniform(size=(T, n, d_y)) < 0.7) * 1.0
+    mask[rng.uniform(size=mask.shape) < 0.1] = -0.0
+    bad = st.sampled_from([np.nan, np.inf, -np.inf])
+    for _ in range(draw(st.integers(0, 3))):
+        at = tuple(draw(st.integers(0, k - 1)) for k in (T, n, d_y))
+        change = draw(st.sampled_from(["time", "mask", "outcome", "placeholder", "treatment"]))
+        if change == "time":
+            times[at[0]] = draw(st.sampled_from([np.nan, np.inf, times[at[0] - 1], -5.0]))
+        elif change == "mask":
+            mask[at] = draw(st.sampled_from([0.5, 2.0, -1.0, np.nan]))
+        elif change in ("outcome", "placeholder"):
+            mask[at], y[at] = float(change == "outcome"), draw(bad)
+        elif d_a:
+            a[at[:2] + (draw(st.integers(0, d_a - 1)),)] = draw(bad)
+    return times, y, mask, a
+
+
+class TestRecordRule:
+    @settings(max_examples=150, deadline=None)
+    @given(records())
+    def test_history_and_dataset_lines_hold_every_unit_to_one_rule(self, record):
+        # a History is refused exactly when some unit's slice breaks the
+        # rule, and read_dataset refuses the line of the first such unit
+        times, y, mask, a = record
+        units = [{"unit_id": 10 + i, "times": times.tolist(), "y": y[:, i].tolist(),
+                  "mask": mask[:, i].tolist(), "a": a[:, i].tolist()} for i in range(y.shape[1])]
+        broken = [breaks_the_rule(*(u[k] for k in ("times", "y", "mask", "a"))) for u in units]
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(f"{tmp}/manifest.json", "w") as fh:
+                json.dump({"splits": {"test": []}}, fh)
+            with open(f"{tmp}/test.jsonl", "w") as fh:
+                fh.writelines(json.dumps(u) + "\n" for u in units)
+            if any(broken):
+                first = broken.index(True)
+                with pytest.raises(DataError, match=f"line {first + 1}: .*'unit {10 + first}: "):
+                    read_dataset(tmp)
+                with pytest.raises(DataError, match="^History: "):
+                    History(times, y, mask, a)
+                return
+            read = read_dataset(tmp)[0]["test"]
+        hist = History(times, y, mask, a)
+        unobserved = mask == 0.0
+        assert (hist.y[unobserved] == 0.0).all() and not np.signbit(hist.y[unobserved]).any()
+        assert hist.y[~unobserved].tobytes() == y[~unobserved].tobytes()
+        for i, tr in enumerate(read):
+            assert tr.y.tobytes() == np.ascontiguousarray(hist.y[:, i]).tobytes()
+
+    @pytest.mark.parametrize("field,shape", [
+        ("y", (3, 2)), ("y", (2, 2, 1)), ("mask", (3, 2, 2)), ("a", (3, 1, 1)),
+        ("a", (3, 2))], ids=["y_per_unit", "y_row_short", "mask_wide", "a_one_unit", "a_2d"])
+    def test_history_refuses_arrays_of_other_shapes(self, field, shape):
+        arrays = {"y": np.zeros((3, 2, 1)), "mask": np.ones((3, 2, 1)), "a": np.zeros((3, 2, 1)),
+                  field: np.zeros(shape)}
+        with pytest.raises(DataError, match=r"^History: with T=3, .*\(T, n, d_y\)"):
+            History(np.arange(3.0), **arrays)
 
 
 class TestUntapedEncoder:

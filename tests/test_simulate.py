@@ -282,6 +282,19 @@ class TestSemiSynthetic:
         with pytest.raises(ConfigError):
             SemiSynthConfig(gamma_A=(0.3,))
 
+    @pytest.mark.parametrize("eta_sd", [0.0, -0.005])
+    def test_nonpositive_noise_sd_is_config_error(self, eta_sd):
+        with pytest.raises(ConfigError, match="eta_sd must be positive"):
+            SemiSynthConfig(eta_sd=eta_sd)
+
+    def test_overflowing_outcome_names_its_unit(self):
+        # at alpha_g = 1e308 the trend-noise path of unit 1, not unit 0's,
+        # overflows: a numeric failure of the simulator, not bad data
+        cfg = SemiSynthConfig(n_patients=6, horizon_hours=12.0, alpha_g=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"^unit 1: non-finite outcome$"):
+            generate_semi_synthetic(cfg)
+
     def test_shapes_and_grid(self):
         cfg = SemiSynthConfig(n_patients=6, seed=1)
         splits = generate_semi_synthetic(cfg)
@@ -674,56 +687,71 @@ class TestDatasetIo:
             read_dataset(tmp_path)
 
 
-def test_trajectory_requires_increasing_times():
-    with pytest.raises(DataError):
-        Trajectory(unit_id=0, times=[0.0, 0.0], y=np.zeros((2, 1)),
-                   mask=np.ones((2, 1)), a=np.zeros((2, 1)))
+def read_lines(tmp_path, *recs):
+    """The units read_dataset makes of a dataset whose one split, train,
+    holds one line per record dict of `recs`."""
+    (tmp_path / "manifest.json").write_text(json.dumps({"splits": {"train": []}}))
+    (tmp_path / "train.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return read_dataset(tmp_path)[0]["train"]
+
+
+def record_with(field, change, unit_id=7):
+    """The dataset line, as a dict, of a 3-time, 2-outcome, 1-treatment
+    record with `change` applied to the array named `field`."""
+    rec = {"times": np.arange(3.0), "y": np.ones((3, 2)), "mask": np.ones((3, 2)),
+           "a": np.zeros((3, 1))}
+    rec[field] = change(rec[field].copy())
+    return {"unit_id": unit_id, **{k: v.tolist() for k, v in rec.items()}}
+
+
+def put(index, value):
+    def change(arr):
+        arr[index] = value
+        return arr
+    return change
+
+
+# every unit's record enters through a simulator or a dataset line, and
+# read_dataset holds each line to the record rule: a good line 1 of unit 3,
+# then a broken line 2 of unit 7
+GOOD_LINE = record_with("y", lambda arr: arr, unit_id=3)
+BROKEN_LINE_2 = r"train\.jsonl, line 2: malformed record: DataError\('unit 7: "
+
+
+def test_trajectory_requires_increasing_times(tmp_path):
+    with pytest.raises(DataError, match=BROKEN_LINE_2 + "times must be"):
+        read_lines(tmp_path, GOOD_LINE, record_with("times", put(1, 0.0)))
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], []],
                          ids=["nan_time", "no_times"])
-def test_trajectory_requires_finite_nonempty_times(times):
+def test_trajectory_requires_finite_nonempty_times(tmp_path, times):
     # a NaN time compares false both ways, so the increasing-times check
     # alone lets it through; a record without times has no history to encode
     T = len(times)
-    with pytest.raises(DataError):
-        Trajectory(unit_id=0, times=times, y=np.zeros((T, 1)),
-                   mask=np.ones((T, 1)), a=np.zeros((T, 1)))
-
-
-def record_with(field, change):
-    """Trajectory fields of a 3-time, 2-outcome, 1-treatment record with
-    `change` applied to the array named `field`."""
-    rec = {"times": np.arange(3.0), "y": np.ones((3, 2)), "mask": np.ones((3, 2)),
-           "a": np.zeros((3, 1))}
-    rec[field] = change(rec[field].copy())
-    return rec
-
-
-def put(k, j, value):
-    def change(arr):
-        arr[k, j] = value
-        return arr
-    return change
+    rec = {"unit_id": 7, "times": times, "y": [[0.0]] * T, "mask": [[1.0]] * T,
+           "a": [[0.0]] * T}
+    with pytest.raises(DataError, match=BROKEN_LINE_2 + "times must be"):
+        read_lines(tmp_path, GOOD_LINE, rec)
 
 
 @pytest.mark.parametrize("field,change", [
     ("y", lambda arr: arr[:-1]), ("mask", lambda arr: arr[:, :1]),
     ("a", lambda arr: arr[1:]), ("y", lambda arr: arr[:, 0]),
-    ("mask", put(1, 0, 2.0)), ("mask", put(1, 0, -1.0)),
-    ("mask", put(1, 0, np.nan)), ("y", put(1, 0, np.nan)),
-    ("y", put(2, 1, -np.inf)), ("a", put(0, 0, np.nan)),
+    ("mask", put((1, 0), 2.0)), ("mask", put((1, 0), -1.0)),
+    ("mask", put((1, 0), np.nan)), ("y", put((1, 0), np.nan)),
+    ("y", put((2, 1), -np.inf)), ("a", put((0, 0), np.nan)),
 ], ids=["y_row_short", "mask_narrow", "a_row_short", "y_1d", "mask_2",
         "mask_negative", "mask_nan", "observed_y_nan", "observed_y_inf",
         "a_nan"])
-def test_trajectory_rejects_a_broken_record(field, change):
-    with pytest.raises(DataError, match="unit 7"):
-        Trajectory(unit_id=7, **record_with(field, change))
+def test_trajectory_rejects_a_broken_record(tmp_path, field, change):
+    with pytest.raises(DataError, match=BROKEN_LINE_2):
+        read_lines(tmp_path, GOOD_LINE, record_with(field, change))
 
 
-def test_unobserved_entries_become_zero():
-    rec = record_with("mask", put(1, 0, 0.0))
-    rec["y"][1, 0] = np.nan
-    tr = Trajectory(unit_id=0, **rec)
+def test_unobserved_entries_become_zero(tmp_path):
+    rec = record_with("mask", put((1, 0), 0.0))
+    rec["y"][1][0] = np.nan
+    tr, = read_lines(tmp_path, rec)
     assert tr.y[1, 0] == 0.0 and not np.signbit(tr.y[1, 0])
     np.testing.assert_array_equal(np.delete(tr.y.ravel(), 2), 1.0)

@@ -506,8 +506,8 @@ class TestUnobservedPlaceholder:
 
 def test_single_time_records_are_unscorable():
     # the default step comes from the grid spacing, which one time lacks
-    trajs = [Trajectory(unit_id=i, times=[0.0], y=[[1.0]], mask=[[1.0]],
-                        a=[[0.0]]) for i in range(3)]
+    trajs = [Trajectory(unit_id=i, times=np.zeros(1), y=np.ones((1, 1)), mask=np.ones((1, 1)),
+                        a=np.zeros((1, 1))) for i in range(3)]
     with pytest.raises(ConfigError, match="records span"):
         train(MODEL_CFG, {"train": trajs, "val": trajs},
               tiny_train_cfg(epochs=1, int_step=None))
@@ -515,7 +515,7 @@ def test_single_time_records_are_unscorable():
 
 def test_omitted_int_step_is_a_quarter_of_the_smallest_spacing():
     # the records' smallest spacing is 0.5, so the default step is 0.125
-    times = [0.0, 1.0, 2.0, 2.5, 4.0, 5.0]
+    times = np.array([0.0, 1.0, 2.0, 2.5, 4.0, 5.0])
     splits = {k: [Trajectory(unit_id=t.unit_id, times=times, y=t.y, mask=t.mask, a=t.a)
                   for t in trs] for k, trs in tiny_splits(seed=3).items()}
     runs = []
