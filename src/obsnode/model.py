@@ -43,8 +43,8 @@ class ObsNodeConfig:
             if len(self.treatment_scale) != self.d_a:
                 raise ConfigError("treatment_scale must have d_a entries")
             # below about 5.6e-309, 1 / s overflows and the scaled doses are inf
-            if not all(s > 0 and np.isfinite(1.0 / s) for s in self.treatment_scale):
-                raise ConfigError("treatment_scale entries must be positive, "
+            if not all(0 < s < np.inf and np.isfinite(1.0 / s) for s in self.treatment_scale):
+                raise ConfigError("treatment_scale entries must be positive and finite, "
                                   "with a finite reciprocal")
         if self.phi_activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.phi_activation!r}")

@@ -53,8 +53,8 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ConfigError("step_size must be positive and finite")
 
     @classmethod
     def for_grid(cls, times, method="rk4"):

@@ -138,11 +138,13 @@ class SemiSynthConfig:
     def __post_init__(self):
         if min(self.n_patients, self.d_y, self.d_a, self.nu, self.d_eps, self.w) < 1:
             raise ConfigError("n_patients, d_y, d_a, nu, d_eps and w must be >= 1")
-        if self.eta_sd <= 0 or self.seed < 0:
-            raise ConfigError("eta_sd must be positive, seed >= 0")
+        if not 0 < self.eta_sd < np.inf or self.seed < 0:
+            raise ConfigError("eta_sd must be positive and finite, seed >= 0")
+        if not np.isfinite([self.alpha_s, self.alpha_g, self.alpha_phi, self.beta]).all():
+            raise ConfigError("alpha_s, alpha_g, alpha_phi and beta must be finite")
         for key in ("horizon_hours", "eps_lengthscale", "g_lengthscale", "readout_lengthscale"):
-            if getattr(self, key) < MIN_SCALE:
-                raise ConfigError(f"{key} must be at least MIN_SCALE={MIN_SCALE!r}")
+            if not MIN_SCALE <= getattr(self, key) < np.inf:
+                raise ConfigError(f"{key} must be finite and at least MIN_SCALE={MIN_SCALE!r}")
         hours = _hour_count(self.horizon_hours)
         # per hour: the d_eps confounder and d_y trend-noise paths, and the
         # d_y + d_a read-outs of the d_eps confounders

@@ -61,21 +61,28 @@ def zscore_invert(y, stats: NormStats):
 
 def stack_units(trajs) -> History:
     """The units' records stacked into one batched :class:`History` on their
-    shared time grid."""
+    shared time grid, in one array pass per field. Only a split that fails
+    the pass is walked unit by unit, so the first unit in list order off the
+    first unit's grid or widths names the DataError."""
     if not trajs:
         raise DataError("stack_units: empty split")
-    first = trajs[0]
-    for tr in trajs[1:]:
-        if tr.times.shape != first.times.shape or np.any(tr.times != first.times):
-            raise DataError("stack_units: units must share one time grid")
-        if tr.y.shape[1] != first.y.shape[1] or tr.a.shape[1] != first.a.shape[1]:
-            raise DataError(f"stack_units: (d_y, d_a) of unit {tr.unit_id} "
-                            f"{tr.y.shape[1], tr.a.shape[1]} != unit {first.unit_id} "
-                            f"{first.y.shape[1], first.a.shape[1]}")
-    y = np.stack([tr.y for tr in trajs], axis=1)
-    mask = np.stack([tr.mask for tr in trajs], axis=1)
-    a = np.stack([tr.a for tr in trajs], axis=1)
-    return History(first.times, y, mask, a)
+    first, ragged = trajs[0], None
+    try:
+        grids, y, mask, a = (np.array([getattr(tr, f) for tr in trajs])
+                             for f in ("times", "y", "mask", "a"))
+    except ValueError as e:  # a unit's grid or a field's shape differs
+        ragged = e
+    if ragged or not (grids == first.times).all():  # (n, T) against (T,)
+        for tr in trajs[1:]:
+            if tr.times.shape != first.times.shape or np.any(tr.times != first.times):
+                raise DataError("stack_units: units must share one time grid")
+            if tr.y.shape[1] != first.y.shape[1] or tr.a.shape[1] != first.a.shape[1]:
+                raise DataError(f"stack_units: (d_y, d_a) of unit {tr.unit_id} "
+                                f"{tr.y.shape[1], tr.a.shape[1]} != unit {first.unit_id} "
+                                f"{first.y.shape[1], first.a.shape[1]}")
+        if ragged:
+            raise ragged
+    return History(first.times, *(v.swapaxes(0, 1).copy() for v in (y, mask, a)))
 
 
 def masked_loss(pred, y, mask, sigma2):
@@ -119,13 +126,17 @@ class TrainConfig:
     def __post_init__(self):
         if not self.decision_time_grid:
             raise ConfigError("decision_time_grid must be nonempty")
+        if not np.isfinite([*self.decision_time_grid, *(self.val_decision_times or ()),
+                            self.t_f]).all():
+            raise ConfigError("decision times and t_f must be finite")
         if any(t >= self.t_f for t in self.decision_time_grid):
             raise ConfigError("decision times must be < t_f")
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
-            raise ConfigError("batch_size >= 1, epochs >= 0, learning_rate >= 0")
-        if any(v is not None and v <= 0 for v in (self.max_grad_norm, self.int_step,
-                                                  self.max_horizon)):
-            raise ConfigError("max_grad_norm, int_step and max_horizon must be positive")
+        if self.batch_size < 1 or self.epochs < 0 or not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("batch_size >= 1, epochs >= 0, finite learning_rate >= 0")
+        if any(v is not None and not 0 < v < np.inf for v in (self.max_grad_norm,
+                                                             self.int_step, self.max_horizon)):
+            raise ConfigError("max_grad_norm, int_step and max_horizon must be positive "
+                              "and finite")
         if self.int_method not in METHODS or self.seed < 0:
             raise ConfigError(f"int_method must be one of {METHODS}, seed >= 0")
         if self.val_decision_times is not None and not self.val_decision_times:

@@ -326,6 +326,20 @@ CATALOGUE = (
            ("tests/test_simulate.py::test_trajectory_requires_increasing_times",
             "tests/test_model.py::TestRecordRule"),
            "a record with a repeated time is accepted"),
+    Mutant("stack-units-compares-grid-shapes-only", "train.py",
+           "if ragged or not (grids == first.times).all():",
+           "if ragged or grids.shape[1:] != first.times.shape:",
+           ("tests/test_train.py::TestStackUnits::test_an_off_grid_unit_anywhere_is_rejected",
+            "tests/test_train.py::TestStackUnits::test_grid_mismatch_rejected"),
+           "units whose grids have one length but differ in a time are stacked on "
+           "the first unit's grid"),
+    Mutant("semi-noise-sd-check-passes-nan", "simulate.py",
+           "if not 0 < self.eta_sd < np.inf or self.seed < 0:",
+           "if self.eta_sd <= 0 or self.seed < 0:",
+           ("tests/test_api_surface.py::"
+            "test_every_float_field_refuses_nonfinite_values[SemiSynthConfig]",),
+           "a NaN or infinite eta_sd passes SemiSynthConfig; NaN fails later as "
+           "the simulator's numeric error"),
     Mutant("schedule-read-one-cycle-early", "simulate.py",
            "doses[:, cycle] = dose_schedule[:, cycle]",
            "doses[:, cycle] = dose_schedule[:, min(cycle + 1, config.n_cycles - 1)]",

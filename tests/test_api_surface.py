@@ -1,7 +1,8 @@
 """Every function and method in ``src/obsnode`` has a caller in ``src/``,
 every function there reads each of its parameters, every field of a
-config dataclass is read outside the checks of its own ``__post_init__``,
-and ``requires_grad`` is read only where the gradient rule lives.
+config dataclass is read outside the checks of its own ``__post_init__``
+and, if it holds floats, refuses NaN and infinities, and
+``requires_grad`` is read only where the gradient rule lives.
 
 A name counts as referenced when a module other than its own body uses it:
 a module-level function by its bare name (in its own module, or in a module
@@ -12,9 +13,15 @@ with them, not in the package; so does a parameter that nothing reads.
 
 import ast
 import dataclasses
+import types
+import typing
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import obsnode
+from obsnode.errors import ConfigError
 from obsnode.model import ObsNodeConfig
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import CancerSimConfig, SemiSynthConfig
@@ -173,6 +180,49 @@ def test_every_config_field_is_read():
 def test_field_allowlist_is_current():
     # a field that src/ reads, or that is gone, leaves the allowlist
     assert sorted(unread_config_fields(allowed={})) == sorted(ALLOWED_FIELDS)
+
+
+# A valid config of each class, with every float-carrying field that defaults
+# to None or to an empty list set, so that each of its entries is tried.
+VALID = {
+    ObsNodeConfig: dict(d_y=1, m=1, d_a=2, treatment_scale=(1.0, 2.0)),
+    TrainConfig: dict(decision_time_grid=[1.0, 2.0], t_f=3.0, max_grad_norm=1.0,
+                      int_step=0.25, val_decision_times=[1.0], max_horizon=2.0),
+    IntegrationConfig: {},
+    CancerSimConfig: dict(n_patients=1),
+    SemiSynthConfig: dict(n_patients=1),
+}
+
+
+def float_fields(cls):
+    """(field, is_sequence) of each field of `cls` annotated as a float, a
+    tuple or list of floats, or either of those or None."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if isinstance(hint, types.UnionType):
+            hint = typing.get_args(hint)[0]
+        if hint is float:
+            yield name, False
+        elif typing.get_origin(hint) in (tuple, list) and typing.get_args(hint)[0] is float:
+            yield name, True
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_float_field_refuses_nonfinite_values(cls):
+    # the CLI's JSON checks refuse NaN and inf; the Python API does too
+    base = {f.name: getattr(cls(**VALID[cls]), f.name) for f in dataclasses.fields(cls)}
+    accepted = []
+    for name, is_sequence in float_fields(cls):
+        if is_sequence:
+            assert base[name], f"{cls.__name__}.{name}: give VALID entries to try"
+        for i in range(len(base[name])) if is_sequence else [None]:
+            for bad in (np.nan, np.inf, -np.inf):
+                value = bad if i is None else [*base[name][:i], bad, *base[name][i + 1:]]
+                try:
+                    cls(**{**base, name: value})
+                except ConfigError:
+                    continue
+                accepted.append(f"{name}{'' if i is None else [i]}={bad}")
+    assert accepted == []
 
 
 # The functions of src/ that touch ``Tensor.requires_grad``. ``_accum`` alone

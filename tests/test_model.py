@@ -797,9 +797,11 @@ class TestDecisionSplit:
     def test_nonfinite_decision_time_is_refused(self, t_c, max_horizon):
         times = np.arange(6.0)
         assert decision_split(times, t_c, max_horizon) is None
+        # TrainConfig refuses an infinite max_horizon; None is the same horizon
+        tcfg = TrainConfig(decision_time_grid=[2.0], t_f=6.0,
+                           max_horizon=None if max_horizon == np.inf else max_horizon)
         with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
-            _decisions(times, [2.0, t_c], TrainConfig(decision_time_grid=[2.0], t_f=6.0,
-                                                      max_horizon=max_horizon), "train")
+            _decisions(times, [2.0, t_c], tcfg, "train")
 
     def test_factual_control_holds_each_recorded_treatment(self):
         # from the first 2 of 5 times to the targets times[2:4]: the knots

@@ -130,6 +130,49 @@ class TestStackUnits:
             stack_units(trajs)
         assert "unit 7 (3, 1) != unit 0 (2, 1)" in str(e.value)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), T=st.integers(1, 6), d_y=st.integers(1, 3),
+           d_a=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_field_is_the_units_stacked_on_axis_1(self, n, T, d_y, d_a, seed):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.1, 2.0, size=T))
+        trajs = []
+        for uid in range(n):
+            mask = (rng.uniform(size=(T, d_y)) < 0.7).astype(float)
+            trajs.append(Trajectory(unit_id=uid, times=times.copy(),
+                                    y=np.where(mask == 1.0, rng.normal(size=(T, d_y)), 0.0),
+                                    mask=mask, a=rng.normal(size=(T, d_a))))
+        record = stack_units(trajs)
+        assert record.times.view(np.int64).tolist() == times.view(np.int64).tolist()
+        for f in ("y", "mask", "a"):
+            got, want = getattr(record, f), np.stack([getattr(tr, f) for tr in trajs], axis=1)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("where", range(4))
+    @pytest.mark.parametrize("kind", ["another T", "one time off"])
+    def test_an_off_grid_unit_anywhere_is_rejected(self, where, kind):
+        trajs = make_trajs(n=4, T=5)
+        if kind == "another T":
+            trajs[where] = make_trajs(n=1, T=6)[0]
+        else:
+            trajs[where].times[3] = np.nextafter(trajs[where].times[3], np.inf)
+        with pytest.raises(DataError, match="^stack_units: units must share one time grid$"):
+            stack_units(trajs)
+
+    @pytest.mark.parametrize("order,message", [
+        ("grid, width", "^stack_units: units must share one time grid$"),
+        ("width, grid", r"^stack_units: \(d_y, d_a\) of unit 8 \(2, 3\) != unit 0 \(2, 1\)$")])
+    def test_the_first_off_unit_in_list_order_names_the_error(self, order, message):
+        trajs = make_trajs(n=3, T=5)
+        off = {"grid": make_trajs(n=1, T=5)[0], "width": make_trajs(n=1, T=5, d_a=3)[0]}
+        off["grid"].times = off["grid"].times + 0.5
+        off["width"].unit_id = 8
+        trajs += [off[kind] for kind in order.split(", ")] + make_trajs(n=1, T=5, d_y=1)
+        with pytest.raises(DataError, match=message):
+            stack_units(trajs)
+
 
 class TestMaskedLoss:
     def test_perfect_predictions_give_zero(self):
