@@ -85,17 +85,23 @@ def rmse_grid(test_trajs, t_c_grid, horizons, params, stats: NormStats,
     return RmseGrid(t_c_grid, horizons, values, counts)
 
 
-def write_grid_csv(grid: RmseGrid, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+def write_grid_csvs(grid: RmseGrid, out):
+    """Write rmse_grid.csv, a row per cell and component with its point count,
+    and rmse_grid_mean.csv, a row per cell (:meth:`RmseGrid.component_mean`),
+    to the directory `out` (a Path); an absent entry is an empty field."""
+    mean = grid.component_mean()
+    fmt = lambda v: "" if np.isnan(v) else repr(float(v))
+    with (open(out / "rmse_grid.csv", "w", newline="") as fh,
+          open(out / "rmse_grid_mean.csv", "w", newline="") as fm):
+        wr, wm = csv.writer(fh), csv.writer(fm)
         wr.writerow(["t_c", "horizon", "component", "rmse", "n_points"])
+        wm.writerow(["t_c", "horizon", "rmse"])
         for i, t_c in enumerate(grid.assimilation_times):
             for k, s in enumerate(grid.horizons):
+                cell = [repr(float(t_c)), repr(float(s))]
+                wm.writerow(cell + [fmt(mean[i, k])])
                 for j in range(grid.values.shape[2]):
-                    v = grid.values[i, k, j]
-                    wr.writerow([repr(float(t_c)), repr(float(s)), j,
-                                 "" if np.isnan(v) else repr(float(v)),
-                                 int(grid.counts[i, k, j])])
+                    wr.writerow(cell + [j, fmt(grid.values[i, k, j]), int(grid.counts[i, k, j])])
 
 
 def write_grid_pgm(grid: RmseGrid, path, component):

@@ -165,13 +165,17 @@ def check_size(cfg: ObsNodeConfig):
 
 
 def check_state(arrays: dict, cfg: ObsNodeConfig):
-    """DataError unless `arrays` holds every parameter of `cfg` in its shape."""
+    """DataError unless `arrays` holds every parameter of `cfg` in its shape,
+    and nothing else."""
     for name, shape in param_shapes(cfg):
         if name not in arrays:
             raise DataError(f"checkpoint missing tensor {name!r}")
         if tuple(arrays[name].shape) != shape:
             raise DataError(f"checkpoint tensor {name!r} has shape "
                             f"{arrays[name].shape}, expected {shape}")
+    known = dict(param_shapes(cfg))  # no larger than arrays: each entry is in it
+    if unknown := [name for name in arrays if name not in known]:
+        raise DataError(f"checkpoint tensor {unknown[0]!r} is not a parameter of the config")
 
 
 def check_dims(record: History, cfg: ObsNodeConfig, where: str):
@@ -553,10 +557,8 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     once (:func:`stack_field`) and integrated from the encoded state to the
     last query time in one :func:`~obsnode.odeint.integrate` call. Returns
     a list of (n, d_y) Tensors aligned with `query_times`."""
-    qs = [float(t) for t in query_times]
     field, tensors = stack_field(params)
-    states = integrate(field, state.z, control, state.t, max(qs, default=state.t), int_cfg,
-                       qs, tensors)
+    states = integrate(field, state.z, control, state.t, int_cfg, query_times, tensors)
     return [emit(z, params.cfg) for z in states]
 
 
@@ -597,7 +599,7 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     for k, j in decisions:
         if j > k:  # the steps of the decision's own rollout
             int_cfg = int_cfg or IntegrationConfig.for_grid(times)
-            _counted_steps(times[k - 1], times[j - 1], knots, times[k:j], int_cfg.step_size)
+            _counted_steps(times[k - 1], knots, times[k:j], int_cfg.step_size)
     encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]
@@ -610,8 +612,7 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
             continue
         z = at[0] if lone else Tensor(np.stack([s.data for s in at.values()]))
         ctrl = factual_control(record, lo + 1, hi + 1) if control is None else control
-        qs = integrate(field, z, ctrl, times[lo], times[hi], int_cfg, times[lo + 1:hi + 1],
-                       tensors)
+        qs = integrate(field, z, ctrl, times[lo], int_cfg, times[lo + 1:hi + 1], tensors)
         for i, d in enumerate(at):
             out[d] += qs if lone else [Tensor(q.data[i]) for q in qs]
             at[d] = out[d][-1]
@@ -660,8 +661,9 @@ def save_model(path, params: ObsNodeParams, norm_stats: NormStats):
 
 def load_model(path):
     """(params, cfg, norm stats) of a checkpoint written by :func:`save_model`.
-    A missing or malformed file, a non-finite value, or metadata that lacks the
-    norm stats or does not describe the stored tensors raises DataError."""
+    A missing or malformed file, a non-finite value, a repeated tensor, or
+    metadata that lacks the norm stats or does not describe exactly the
+    stored tensors raises DataError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -669,9 +671,12 @@ def load_model(path):
         raise DataError(f"checkpoint {path}: {e}")
     if not isinstance(doc, dict) or doc.get("format_version") != 1:
         raise DataError(f"checkpoint {path}: format_version must be 1")
+    arrays = {}
     try:
-        arrays = {e["name"]: np.array(e["values"], dtype=np.float64).reshape(e["shape"])
-                  for e in doc["tensors"]}
+        for e in doc["tensors"]:
+            if e["name"] in arrays:
+                raise ValueError(f"tensor {e['name']!r} appears twice")
+            arrays[e["name"]] = np.array(e["values"], dtype=np.float64).reshape(e["shape"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"checkpoint {path}: malformed tensors: {e!r}")
     for name, arr in arrays.items():

@@ -24,7 +24,8 @@ class ControlPath:
     knot_values[k]; the last value extends to the right.
 
     knot_values has shape (k, d_a) for a single trajectory or (k, n, d_a) for a
-    batch sharing knot times.
+    batch sharing knot times. Knot times finite and strictly increasing, and
+    one finite value per knot, else DataError.
     """
 
     knot_times: np.ndarray
@@ -35,6 +36,8 @@ class ControlPath:
         self.knot_values = np.asarray(self.knot_values, dtype=np.float64)
         if self.knot_times.ndim != 1 or self.knot_times.size < 1:
             raise DataError("ControlPath: need at least one knot")
+        if not (np.isfinite(self.knot_times).all() and np.isfinite(self.knot_values).all()):
+            raise DataError("ControlPath: non-finite value")
         if np.any(np.diff(self.knot_times) <= 0):
             raise DataError("ControlPath: knot_times must be strictly increasing")
         if self.knot_values.shape[0] != self.knot_times.size:
@@ -70,11 +73,12 @@ def _steps_per_gap(anchors, step_size):
     return np.maximum(1.0, np.ceil(np.diff(anchors) / step_size - 1e-12))
 
 
-def _counted_steps(t0, t1, knots, query_times, step_size):
-    """The ascending anchors of a solve from t0 to t1 (t0, t1, the query times
-    and the knots strictly between) and the steps over each gap (:func:`_steps_per_gap`);
-    more than MAX_STEPS in all, the one bound on a solve, raise NumericError."""
-    anchors = sorted({float(t0), float(t1), *(float(t) for t in query_times),
+def _counted_steps(t0, knots, query_times, step_size):
+    """The ascending anchors of a solve from t0 to its last query time t1 (t0,
+    the query times and the knots strictly between) and the steps over each gap
+    (:func:`_steps_per_gap`); more than MAX_STEPS, the one bound on a solve, raise NumericError."""
+    t1 = max(query_times, default=t0)
+    anchors = sorted({float(t0), *(float(t) for t in query_times),
                       *(float(kt) for kt in knots if t0 < kt < t1)})
     steps = _steps_per_gap(anchors, step_size)
     if steps.sum() > MAX_STEPS:
@@ -82,11 +86,11 @@ def _counted_steps(t0, t1, knots, query_times, step_size):
     return anchors, steps
 
 
-def _step_boundaries(t0, t1, control, query_times, cfg):
+def _step_boundaries(t0, control, query_times, cfg):
     """All step edges: control knots, query times, and uniform subdivision of
     each segment at sizes <= cfg.step_size. The steps are counted before any
     edge is made (:func:`_counted_steps`)."""
-    anchors, steps = _counted_steps(t0, t1, control.knot_times, query_times, cfg.step_size)
+    anchors, steps = _counted_steps(t0, control.knot_times, query_times, cfg.step_size)
     edges = [anchors[0]]
     for lo, hi, nsub in zip(anchors[:-1], anchors[1:], steps.astype(int).tolist()):
         span = hi - lo
@@ -150,11 +154,12 @@ def _step(field, z, h, rk4, params, t):
     return ad._record(Tensor(out), (z, *params), backward)
 
 
-def integrate(field, z0, control: ControlPath, t0, t1,
-              cfg: IntegrationConfig, query_times, params=()):
-    """Integrate ``dz/dt = f(z)`` from the Tensor z0 and return the states at
-    `query_times` (list of Tensors, same shape as z0). z0 may carry leading
-    axes that f broadcasts over, such as the decisions that
+def integrate(field, z0, control: ControlPath, t0, cfg: IntegrationConfig, query_times,
+              params):
+    """Integrate ``dz/dt = f(z)`` from the Tensor z0 at t0 to the last of
+    `query_times` and return the states at `query_times` (list of Tensors,
+    same shape as z0); a query time before t0 raises ValueError. z0 may
+    carry leading axes that f broadcasts over, such as the decisions that
     :func:`~obsnode.model.rollouts` steps in lockstep rather than in extra rows.
 
     ``field(a)`` binds the control value a (a row of ``control.knot_values``)
@@ -167,36 +172,28 @@ def integrate(field, z0, control: ControlPath, t0, t1,
     of its input and accumulates into the gradients of `params`, the
     Tensors the field reads.
     """
-    t0, t1 = float(t0), float(t1)
-    if t1 < t0:
-        raise ValueError(f"integrate: t1={t1} < t0={t0}")
+    t0 = float(t0)
     query_times = [float(t) for t in query_times]
     for qt in query_times:
-        if qt < t0 - 1e-12 or qt > t1 + 1e-12:
-            raise ValueError(f"query time {qt} outside [{t0}, {t1}]")
+        if not qt >= t0 - 1e-12:
+            raise ValueError(f"query time {qt} is not at or after t0={t0}")
     # A query up to 1e-12 before t0 is a rounding of t0: it gets z0, and the
     # integration still starts at t0.
     query_times = [max(qt, t0) for qt in query_times]
 
     z = z0
     rk4 = cfg.method == "rk4"
-    edges = _step_boundaries(t0, t1, control, query_times, cfg)
-
-    out = {}
-    qset = set(query_times)
-
-    def note(t, state):
-        if t in qset:
-            out[t] = state
-
+    edges = _step_boundaries(t0, control, query_times, cfg)
+    # every query time is an edge; those at t0 keep z0
+    out = dict.fromkeys(query_times, z0)
     # the knot whose value holds on each step: the last one at or before the
     # step's start, else the first
     knots = np.maximum(np.searchsorted(control.knot_times, edges[:-1], side="right") - 1, 0)
-    note(edges[0], z)
     bound = None
     for lo, hi, k in zip(edges[:-1], edges[1:], knots):
         if k != bound:
             pair, bound = field(control.knot_values[k]), k
         z = _step(pair, z, hi - lo, rk4, params, hi)
-        note(hi, z)
+        if hi in out:
+            out[hi] = z
     return [out[qt] for qt in query_times]

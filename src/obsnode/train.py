@@ -162,7 +162,7 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
                else IntegrationConfig(tcfg.int_method, tcfg.int_step))
     for k, j in pairs:
         try:
-            _counted_steps(times[k - 1], times[j - 1], (), times[k:j], int_cfg.step_size)
+            _counted_steps(times[k - 1], (), times[k:j], int_cfg.step_size)
         except NumericError:
             reach = float(times[j - 1] - times[k - 1])
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
@@ -213,8 +213,8 @@ def _record_loss(record: History, params, sigma2, pairs, int_cfg):
 # A value that overflows is reported once, by the _check_finite that finds it,
 # not also as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
-          stats: NormStats | None = None, init_state=None):
+def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, stats: NormStats,
+          run_dir=None, init_state=None):
     """Fit the model on normalized splits {"train": [...], "val": [...]}.
 
     Returns (params, history) where history rows are dicts with epoch,
@@ -233,7 +233,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, run_dir=None,
         check_dims(rec, model_cfg, f"{split} split")
         resolved.append((rec, *_decisions(rec.times, times, tcfg, split)))
     (record, pairs, int_cfg), (val_record, val_pairs, val_int_cfg) = resolved
-    if stats is not None and stats.mean.size != model_cfg.d_y:
+    if stats.mean.size != model_cfg.d_y:
         raise DataError(f"norm stats of length {stats.mean.size} for d_y={model_cfg.d_y}")
     rng = np.random.default_rng(tcfg.seed)
     params = ObsNodeParams(model_cfg, rng)

@@ -254,11 +254,19 @@ CATALOGUE = (
            "train's MAX_STEPS check measures the span in steps and misses the steps "
            "that rounding each grid gap up adds"),
     Mutant("rollouts-counts-without-the-knots", "model.py",
-           "times[j - 1], knots, times[k:j]", "times[j - 1], (), times[k:j]",
+           "times[k - 1], knots, times[k:j]", "times[k - 1], (), times[k:j]",
            ("tests/test_model.py::TestLockstep::test_max_steps_bounds_each_decision",
             "tests/test_train.py::test_one_count_bounds_every_solve"),
            "rollouts checks a decision without the control's knots, so a knot "
            "inside a grid gap adds a step that MAX_STEPS does not see"),
+    Mutant("control-path-accepts-nonfinite-knots", "odeint.py",
+           "if not (np.isfinite(self.knot_times).all() and np.isfinite(self.knot_values).all()):",
+           "if False:",
+           ("tests/test_odeint.py::TestControlPath::"
+            "test_refused_exactly_when_nonfinite_or_not_increasing",
+            "tests/test_evaluate.py::test_nonfinite_control_is_a_data_error"),
+           "a NaN or infinite knot builds a path: a NaN time is passed over, a NaN "
+           "value fails mid-solve as a numeric error"),
     Mutant("decisions-count-from-t-c", "train.py",
            "_counted_steps(times[k - 1],",
            "_counted_steps(decision_times[pairs.index((k, j))],",
@@ -313,6 +321,12 @@ CATALOGUE = (
            ("tests/test_evaluate.py::TestRmseGrid::"
             "test_bad_scale_is_data_error_before_any_forecast",),
            "a split rmse_grid cannot scale is found only after every forecast is made"),
+    Mutant("checkpoint-extra-tensor-accepted", "model.py",
+           "if unknown := [name for name in arrays if name not in known]:", "if unknown := []:",
+           ("tests/test_model.py::TestModelCheckpoint::"
+            "test_tensor_the_metadata_does_not_describe_rejected[unknown]",),
+           "a checkpoint tensor that no parameter of the config names is loaded "
+           "and ignored"),
     Mutant("record-placeholders-kept", "model.py",
            """        y = np.where(observed, y, 0.0)
         if not (np.isfinite(y).all() and np.isfinite(a).all()):""",

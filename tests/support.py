@@ -186,7 +186,7 @@ def convergence_order(field, z0, control, t0, t1, cfg, reference, halvings=3):
     for _ in range(halvings + 1):
         c = IntegrationConfig(method=cfg.method, step_size=dt)
         (zT,) = integrate(field, Tensor(np.asarray(z0, dtype=np.float64)),
-                          control, t0, t1, c, [t1])
+                          control, t0, c, [t1], ())
         errs.append(float(np.max(np.abs(zT.data - np.asarray(reference)))))
         dt /= 2.0
     if errs[0] < 1e-13:
@@ -211,8 +211,8 @@ def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
         eta = np.asarray(eta, dtype=np.float64).reshape(1, -1)
         if np.linalg.norm(zeta - eta) < 1e-3:
             raise ValueError("observability_probe: pair members too close")
-        ya = integrate(field, Tensor(zeta), control, 0.0, horizon, int_cfg, times)
-        yb = integrate(field, Tensor(eta), control, 0.0, horizon, int_cfg, times)
+        ya = integrate(field, Tensor(zeta), control, 0.0, int_cfg, times, ())
+        yb = integrate(field, Tensor(eta), control, 0.0, int_cfg, times, ())
         disc = max(float(np.max(np.abs(emit(sa, cfg).data - emit(sb, cfg).data)))
                    for sa, sb in zip(ya, yb))
         best = min(best, disc)
@@ -220,7 +220,7 @@ def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
 
 
 def read_grid_csv(path) -> RmseGrid:
-    """The grid :func:`~obsnode.evaluate.write_grid_csv` wrote to `path`."""
+    """The grid :func:`~obsnode.evaluate.write_grid_csvs` wrote to `path`."""
     rows = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)

@@ -124,7 +124,7 @@ class TestIntegrator:
         z0 = Tensor(np.array([1.0]), requires_grad=True)
         cfg = IntegrationConfig(method="rk4", step_size=0.01)
         with Tape() as tape:
-            (zT,) = integrate(self.decay, z0, ZERO_CONTROL, 0.0, 1.0, cfg, [1.0])
+            (zT,) = integrate(self.decay, z0, ZERO_CONTROL, 0.0, cfg, [1.0], ())
             tape.backward(ad.tsum(zT))
         assert abs(z0.grad[0] - np.exp(-1.0)) < 1e-6
 

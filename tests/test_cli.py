@@ -196,9 +196,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("rows", ["30.0,0.0,0.0\n0.0,1.0,1.0\n",
                                       "0.0,0.0,0.0\n30.0,1.0\n",
-                                      "nan,0.0,0.0\n"],
+                                      "nan,0.0,0.0\n", "0.0,0.0,0.0\n30.0,nan,1.0\n"],
                              ids=["nonincreasing_starts", "short_row",
-                                  "nan_start"])
+                                  "nan_start", "nan_value"])
     def test_bad_treatment_rows_are_data_error(self, workspace, tmp_path,
                                                rows, capsys):
         t = tmp_path / "a.csv"
@@ -1307,10 +1307,15 @@ LARGE_INTS = [10**9, 10**12, 10**30]
 
 
 def mutate_checkpoint(doc, data):
-    """One tensor value, one tensor shape entry, or one metadata entry of the
-    checkpoint `doc`, changed in place."""
-    target = data.draw(st.sampled_from(["value", "shape", "metadata"]),
+    """One tensor value, one tensor shape entry, one tensor name or one
+    metadata entry of the checkpoint `doc`, changed in place."""
+    target = data.draw(st.sampled_from(["value", "shape", "name", "metadata"]),
                        label="checkpoint part")
+    if target == "name":
+        names = [e["name"] for e in doc["tensors"]]
+        entry = data.draw(st.sampled_from(doc["tensors"]), label="tensor")
+        entry["name"] = data.draw(st.sampled_from(names + ["foo", ""]), label="name")
+        return
     if target == "metadata":
         meta = doc["metadata"]
         keys = [("config", k) for k in meta["config"]] + [

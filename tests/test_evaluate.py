@@ -10,9 +10,9 @@ from obsnode import evaluate
 from obsnode.autodiff import Tape
 from obsnode.errors import ConfigError, DataError
 from obsnode.evaluate import (RmseGrid, _binned_rmse, raw_forecasts, rmse_grid,
-                              write_grid_csv, write_grid_pgm)
+                              write_grid_csvs, write_grid_pgm)
 from obsnode.model import History, ObsNodeConfig, ObsNodeParams, decision_split
-from obsnode.odeint import IntegrationConfig
+from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, _batch_loss, evaluate_loss,
                            stack_units, zscore_fit)
@@ -365,11 +365,13 @@ class TestGridCsv:
         vals = np.array([[[0.5], [np.nan]], [[0.7], [1.2]]])
         counts = np.array([[[3], [0]], [[4], [2]]])
         g = RmseGrid(np.array([1.0, 2.0]), np.array([1.0, 2.0]), vals, counts)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(g, path)
+        write_grid_csvs(g, tmp_path)
+        path = tmp_path / "rmse_grid.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "t_c,horizon,component,rmse,n_points"
         assert len(lines) == 5
+        assert (tmp_path / "rmse_grid_mean.csv").read_text().splitlines() == [
+            "t_c,horizon,rmse", "1.0,1.0,0.5", "1.0,2.0,", "2.0,1.0,0.7", "2.0,2.0,1.2"]
         back = read_grid_csv(path)
         np.testing.assert_array_equal(back.assimilation_times, g.assimilation_times)
         np.testing.assert_array_equal(back.counts, counts)
@@ -381,9 +383,8 @@ class TestGridCsv:
         vals = np.array([[[np.nan]]])
         g = RmseGrid(np.array([1.0]), np.array([1.0]), vals,
                      np.zeros((1, 1, 1), int))
-        path = tmp_path / "g.csv"
-        write_grid_csv(g, path)
-        row = path.read_text().splitlines()[1].split(",")
+        write_grid_csvs(g, tmp_path)
+        row = (tmp_path / "rmse_grid.csv").read_text().splitlines()[1].split(",")
         assert row[3] == "" and row[4] == "0"
 
     def test_bad_header_rejected(self, tmp_path):
@@ -408,6 +409,19 @@ class TestPgm:
         # white (255), RMSE at or above the cap of 1 -> black (0), an absent
         # (NaN) bin -> black
         assert lines[3:] == ["0 0", "128 255", "0 191", "255 0"]
+
+
+def test_nonfinite_control_is_a_data_error():
+    # a NaN knot value is bad input, refused where the path is built, not
+    # a state that turns non-finite mid-solve
+    trajs, _ = linear_trajs(n=3, T=9, d_y=2, seed=1)
+    params = ObsNodeParams(ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=4,
+                                         encoder_hidden_dim=3), np.random.default_rng(7))
+    record = stack_units(trajs)
+    pair = decision_split(record.times, 4.0)
+    with pytest.raises(DataError, match="non-finite"):
+        raw_forecasts(record, [pair], params, identity_stats(2), IntegrationConfig(step_size=0.5),
+                      control=ControlPath([4.0, 6.0], [[0.5], [np.nan]]))
 
 
 class TestCounterfactual:

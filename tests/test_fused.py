@@ -350,14 +350,14 @@ def assert_close(fused, ref, rtol=1e-12):
                 f"relative error {np.max(np.abs(f - r)) / np.max(np.abs(r)):.3e}"
 
 
-def ref_integrate(z0, control, t1, cfg, query_times, rhs):
+def ref_integrate(z0, control, cfg, query_times, rhs):
     """:func:`~obsnode.odeint.integrate` of the field rhs(z, a) from t = 0 on
     the solver's step edges, each Euler or RK4 step written as ad.add and
     ad.scale over the stages. A step reads its input through one copy per
     use, made in reverse order of use, so the input's gradient sums as the
     step node's does: the update's term, then stage 1's to stage 4's."""
     out, z = {}, z0
-    edges = odeint._step_boundaries(0.0, t1, control, query_times, cfg)
+    edges = odeint._step_boundaries(0.0, control, query_times, cfg)
     rk4 = cfg.method == "rk4"
     for lo, hi in zip(edges[:-1], edges[1:]):
         a, h = Tensor(value_at(control, lo)), hi - lo
@@ -695,9 +695,8 @@ class TestFrozenInputs:
                 if node == "rhs":
                     return triangular_rhs(z, a, params)
                 field, tensors = stack_field(params)
-                return ad.concat(integrate(field, z, control, 0.0, 1.5,
-                                           IntegrationConfig(node, 0.25), [0.7, 1.5],
-                                           tensors), axis=1)
+                return ad.concat(integrate(field, z, control, 0.0, IntegrationConfig(node, 0.25),
+                                           [0.7, 1.5], tensors), axis=1)
 
             z = Tensor(z0.copy(), requires_grad="z" not in frozen)
             return run_node(f, (z,), params.tensors(), seed + 2)
@@ -743,9 +742,9 @@ class TestStepNode:
             with Tape() as tape:
                 if run == "fused":
                     field, tensors = stack_field(params)
-                    states = integrate(field, z, control, 0.0, 1.5, int_cfg, qts, tensors)
+                    states = integrate(field, z, control, 0.0, int_cfg, qts, tensors)
                 else:
-                    states = ref_integrate(z, control, 1.5, int_cfg, qts,
+                    states = ref_integrate(z, control, int_cfg, qts,
                                            lambda s, a: ref_rhs(s, a, params))
                 loss = ad.tsum(ad.concat([ad.hadamard(s, Tensor(wk))
                                           for s, wk in zip(states, w)], axis=1))
@@ -786,9 +785,9 @@ class TestSolveAgainstOpGraph:
             def solve(z):
                 if fused:
                     field, tensors = stack_field(params)
-                    states = integrate(field, z, path, 0.0, 1.5, int_cfg, [0.7, 1.5], tensors)
+                    states = integrate(field, z, path, 0.0, int_cfg, [0.7, 1.5], tensors)
                 else:
-                    states = ref_integrate(z, path, 1.5, int_cfg, [0.7, 1.5],
+                    states = ref_integrate(z, path, int_cfg, [0.7, 1.5],
                                            lambda s, a: ref_batched_rhs(s, a, params))
                 return ad.concat(states, axis=1)
 
@@ -823,8 +822,8 @@ class TestTapeBytes:
             with Tape() as tape:
                 before = tracemalloc.get_traced_memory()[0]
                 field, tensors = stack_field(params)
-                states = integrate(field, z, control, 0.0, 4.0,
-                                   IntegrationConfig(step_size=0.25), [4.0], tensors)
+                states = integrate(field, z, control, 0.0, IntegrationConfig(step_size=0.25),
+                                   [4.0], tensors)
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -374,8 +374,8 @@ class TestForecast:
         # a forecast across three knots binds the field once per segment,
         # and its states and gradients equal, bit for bit, those of binding
         # the control on every step
-        def per_step_integrate(field, z0, control, t0, t1, cfg, query_times, params=()):
-            edges = odeint._step_boundaries(t0, t1, control, query_times, cfg)
+        def per_step_integrate(field, z0, control, t0, cfg, query_times, params):
+            edges = odeint._step_boundaries(t0, control, query_times, cfg)
             z, states = z0, {edges[0]: z0}
             for lo, hi in zip(edges[:-1], edges[1:]):
                 z = odeint._step(field(value_at(control, lo)), z, hi - lo,
@@ -491,8 +491,8 @@ class TestTapeFreeInference:
                 t.zero_grad()
             with ad.Tape() as tape:
                 field, tensors = stack_field(params) if bound_under_the_tape else outside
-                states = odeint.integrate(field, z0, self.control, 0.0, 1.5, self.int_cfg,
-                                          self.qts, tensors)
+                states = odeint.integrate(field, z0, self.control, 0.0, self.int_cfg, self.qts,
+                                          tensors)
                 tape.backward(ad.tsum(ad.concat(states, axis=1)))
             grads.append([z0.grad] + [t.grad for t in params.phi])
         assert grads[0][0] is not None and np.isfinite(grads[0][0]).all()
@@ -565,6 +565,22 @@ class TestModelCheckpoint:
             doc["metadata"]["config"][key] = "long_horizon" if key == "rollout_mode" else 1.0
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))}: .*{key}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name,message", [("foo", "tensor 'foo' is not a parameter"),
+                                              ("phi1.W0", "tensor 'phi1.W0' appears twice")],
+                             ids=["unknown", "repeated"])
+    def test_tensor_the_metadata_does_not_describe_rejected(self, tmp_path, name, message):
+        # an unknown tensor, or a second entry of a known one, is refused by
+        # name, not ignored or loaded over the first
+        cfg, params = make_model()
+        path = tmp_path / "model.json"
+        save_model(path, params, identity_stats(1))
+        doc = json.loads(path.read_text())
+        first = next(e for e in doc["tensors"] if e["name"] == "phi1.W0")
+        doc["tensors"].append(dict(first, name=name, values=[0.5] * len(first["values"])))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))}: .*{message}"):
             load_model(path)
 
     def test_missing_tensor_rejected(self, tmp_path):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import odeint
@@ -43,6 +44,26 @@ class TestControlPath:
         with pytest.raises(DataError):
             ControlPath(np.array([0.0, 1.0]), np.zeros((3, 1)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), ordered=st.booleans())
+    def test_refused_exactly_when_nonfinite_or_not_increasing(self, data, k, ordered):
+        # the whole control-path rule: finite, strictly increasing knot
+        # times and one finite value per knot, whichever API builds the path
+        number = st.one_of(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
+        times = data.draw(st.lists(number, min_size=k, max_size=k), label="times")
+        values = np.array(data.draw(st.lists(number, min_size=2 * k, max_size=2 * k),
+                                    label="values")).reshape(k, 1, 2)
+        if ordered:
+            times.sort()
+        valid = (np.isfinite(times).all() and np.isfinite(values).all()
+                 and all(a < b for a, b in zip(times, times[1:])))
+        if valid:
+            ControlPath(times, values)
+        else:
+            with pytest.raises(DataError, match="^ControlPath: "):
+                ControlPath(times, values)
+
 
 class TestIntegrationConfig:
     def test_bad_method(self):
@@ -57,12 +78,12 @@ class TestIntegrationConfig:
 class TestIntegrate:
     def test_exponential_decay_rk4(self):
         cfg = IntegrationConfig(method="rk4", step_size=0.05)
-        (zT,) = integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0, cfg, [1.0])
+        (zT,) = integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [1.0], ())
         assert abs(zT.data[0] - np.exp(-1.0)) < 1e-7
 
     def test_query_at_t0_returns_initial_state(self):
         cfg = IntegrationConfig(step_size=0.1)
-        z0, zT = integrate(decay, Tensor([2.0]), CONST_CONTROL, 0.0, 1.0, cfg, [0.0, 1.0])
+        z0, zT = integrate(decay, Tensor([2.0]), CONST_CONTROL, 0.0, cfg, [0.0, 1.0], ())
         assert z0.data[0] == 2.0
 
     def test_query_just_before_t0_snaps_to_t0(self, monkeypatch):
@@ -77,8 +98,8 @@ class TestIntegrate:
         monkeypatch.setattr(odeint, "_step_boundaries", spy)
         cfg = IntegrationConfig(step_size=0.5)
         z0 = Tensor([2.0])
-        early, start, end = integrate(decay, z0, CONST_CONTROL, 1.0, 2.0, cfg,
-                                      [1.0 - 1e-13, 1.0, 2.0])
+        early, start, end = integrate(decay, z0, CONST_CONTROL, 1.0, cfg,
+                                      [1.0 - 1e-13, 1.0, 2.0], ())
         assert early is z0 and start is z0
         assert edges == [1.0, 1.5, 2.0]
 
@@ -86,23 +107,26 @@ class TestIntegrate:
         # dz/dt = a with a = 1 on [0,1) and a = -2 on [1,3]; z(3) = 1 - 4 = -3
         control = ControlPath(np.array([0.0, 1.0]), np.array([[1.0], [-2.0]]))
         cfg = IntegrationConfig(method="rk4", step_size=0.4)
-        (zT,) = integrate(drive, Tensor([0.0]), control, 0.0, 3.0, cfg, [3.0])
+        (zT,) = integrate(drive, Tensor([0.0]), control, 0.0, cfg, [3.0], ())
         assert abs(zT.data[0] - (-3.0)) < 1e-12
 
     def test_chained_segments_bit_identical(self):
         control = ControlPath(np.array([0.0, 1.0]), np.array([[0.5], [-0.25]]))
         field = lambda a: ((lambda z: z * a), (lambda zs: lambda i, g: g * a))
         cfg = IntegrationConfig(method="rk4", step_size=0.1)
-        z1, z2 = integrate(field, Tensor([1.0]), control, 0.0, 2.0, cfg, [1.0, 2.0])
-        (z1b,) = integrate(field, Tensor([1.0]), control, 0.0, 1.0, cfg, [1.0])
-        (z2b,) = integrate(field, z1b, control, 1.0, 2.0, cfg, [2.0])
+        z1, z2 = integrate(field, Tensor([1.0]), control, 0.0, cfg, [1.0, 2.0], ())
+        (z1b,) = integrate(field, Tensor([1.0]), control, 0.0, cfg, [1.0], ())
+        (z2b,) = integrate(field, z1b, control, 1.0, cfg, [2.0], ())
         assert z1.data[0] == z1b.data[0]
         assert z2.data[0] == z2b.data[0]
 
     def test_query_outside_span_rejected(self):
+        # a solve runs from t0 to its last query time, so only a query
+        # before t0, or NaN, lies outside it
         cfg = IntegrationConfig(step_size=0.1)
-        with pytest.raises(ValueError):
-            integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0, cfg, [2.0])
+        for query in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="not at or after t0=0.0"):
+                integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [0.5, query], ())
 
     def test_max_steps_guard(self):
         # about 5e6 steps: the guard counts them before any step edge is made
@@ -110,7 +134,7 @@ class TestIntegrate:
         tracemalloc.start()
         try:
             with pytest.raises(NumericError, match=f"MAX_STEPS={MAX_STEPS}"):
-                integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0, cfg, [0.5, 1.0])
+                integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [0.5, 1.0], ())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -122,7 +146,7 @@ class TestIntegrate:
         field = lambda a: ((lambda z: z * z), (lambda zs: lambda i, g: g * 2.0 * zs[i]))
         cfg = IntegrationConfig(method="euler", step_size=0.1)
         with pytest.raises(NumericError):
-            integrate(field, Tensor([2.0]), CONST_CONTROL, 0.0, 50.0, cfg, [50.0])
+            integrate(field, Tensor([2.0]), CONST_CONTROL, 0.0, cfg, [50.0], ())
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("method,t_bad", [("euler", 1.5), ("rk4", 2.0)])
@@ -133,7 +157,7 @@ class TestIntegrate:
         cfg = IntegrationConfig(method=method, step_size=0.5)
         z0 = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
-            (zT,) = integrate(field, z0, CONST_CONTROL, 0.0, 2.0, cfg, [2.0])
+            (zT,) = integrate(field, z0, CONST_CONTROL, 0.0, cfg, [2.0], ())
             assert np.isfinite(zT.data).all()
             with pytest.raises(NumericError,
                                match=f"^integrate: the state gradient at t={t_bad}: "):
@@ -145,12 +169,12 @@ class TestIntegrate:
         control = ControlPath(np.array([0.0]), np.ones((1, 3, 1)))
         cfg = IntegrationConfig(step_size=0.5)
         with pytest.raises(ShapeMismatch, match="integrate"):
-            integrate(field, Tensor(np.zeros((1, 1))), control, 0.0, 1.0, cfg, [1.0])
+            integrate(field, Tensor(np.zeros((1, 1))), control, 0.0, cfg, [1.0], ())
 
     def test_batched_state(self):
         cfg = IntegrationConfig(method="rk4", step_size=0.05)
         z0 = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        (zT,) = integrate(decay, z0, CONST_CONTROL, 0.0, 1.0, cfg, [1.0])
+        (zT,) = integrate(decay, z0, CONST_CONTROL, 0.0, cfg, [1.0], ())
         np.testing.assert_allclose(zT.data, z0.data * np.exp(-1.0), rtol=1e-7)
 
 
@@ -180,7 +204,7 @@ class TestAdjoint:
         cfg = IntegrationConfig(method="rk4", step_size=0.02)
         z0 = Tensor([1.3], requires_grad=True)
         with Tape() as tape:
-            (zT,) = integrate(decay, z0, CONST_CONTROL, 0.0, 1.0, cfg, [1.0])
+            (zT,) = integrate(decay, z0, CONST_CONTROL, 0.0, cfg, [1.0], ())
             tape.backward(ad.tsum(zT))
         assert abs(z0.grad[0] - np.exp(-1.0)) < 1e-6
 
@@ -198,8 +222,7 @@ class TestAdjoint:
             return (lambda z: z * theta.data), rebuild
 
         with Tape() as tape:
-            (zT,) = integrate(field, Tensor([1.0]), CONST_CONTROL, 0.0, 1.0,
-                              cfg, [1.0], params=[theta])
+            (zT,) = integrate(field, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [1.0], [theta])
             tape.backward(ad.tsum(zT))
         assert abs(theta.grad[0] - np.exp(0.4)) < 1e-6
 
@@ -214,7 +237,7 @@ class TestAdjoint:
             return (lambda z: np.tanh(z) + a), rebuild
 
         def f(z0):
-            (zT,) = integrate(field, z0, control, 0.0, 1.5, cfg, [1.5])
+            (zT,) = integrate(field, z0, control, 0.0, cfg, [1.5], ())
             return ad.tsum(ad.square(zT))
 
         z0 = Tensor(np.array([0.2, -0.5, 1.0]))

@@ -19,6 +19,7 @@ from obsnode.simulate import (CancerSimConfig, SemiSynthConfig, Trajectory,
 from obsnode.train import NormStats, train
 
 import contract
+from support import identity_stats
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,7 +68,8 @@ def test_train_configs_pass_the_decision_check(monkeypatch, name, sim_cls, gener
     configs = load("configs", monkeypatch)
     splits = generate(sim_cls(**dict(getattr(configs, f"{name}_SIM"), n_patients=3)))
     tcfg = replace(getattr(configs, f"{name}_TRAIN"), epochs=0)
-    _, history = train(getattr(configs, f"{name}_MODEL"), splits, tcfg)
+    model_cfg = getattr(configs, f"{name}_MODEL")
+    _, history = train(model_cfg, splits, tcfg, stats=identity_stats(model_cfg.d_y))
     assert history == []
 
 

@@ -23,7 +23,7 @@ from obsnode.simulate import Trajectory
 from obsnode.train import (NormStats, TrainConfig, evaluate_loss, masked_loss,
                            stack_units, train, zscore_apply, zscore_fit,
                            zscore_invert)
-from support import padding
+from support import identity_stats, padding
 
 
 def make_trajs(n=4, T=6, d_y=2, d_a=1, seed=0, constant=None):
@@ -269,6 +269,7 @@ def tiny_train_cfg(**kw):
 
 MODEL_CFG = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=8, phi_layers=1,
                           encoder_hidden_dim=8)
+STATS = identity_stats(MODEL_CFG.d_y)
 
 
 class TestTrainConfig:
@@ -283,27 +284,27 @@ class TestTrainLoop:
     def test_constant_dataset_reaches_small_loss(self):
         splits = tiny_splits(constant=0.0)
         tcfg = tiny_train_cfg(epochs=30, learning_rate=3e-3)
-        params, history = train(MODEL_CFG, splits, tcfg)
+        params, history = train(MODEL_CFG, splits, tcfg, stats=STATS)
         assert history[-1]["train_loss"] < 1e-3
 
     def test_same_seed_bit_identical_history(self):
         splits = tiny_splits(seed=5)
         tcfg = tiny_train_cfg(epochs=2)
-        _, h1 = train(MODEL_CFG, splits, tcfg)
-        _, h2 = train(MODEL_CFG, splits, tcfg)
+        _, h1 = train(MODEL_CFG, splits, tcfg, stats=STATS)
+        _, h2 = train(MODEL_CFG, splits, tcfg, stats=STATS)
         assert h1 == h2
 
     def test_zero_learning_rate_keeps_parameters(self):
         splits = tiny_splits(seed=6)
         tcfg = tiny_train_cfg(epochs=2, learning_rate=0.0)
-        params, _ = train(MODEL_CFG, splits, tcfg)
+        params, _ = train(MODEL_CFG, splits, tcfg, stats=STATS)
         fresh = ObsNodeParams(MODEL_CFG, np.random.default_rng(tcfg.seed))
         np.testing.assert_array_equal(params.flat, fresh.flat)
 
     def test_best_checkpoint_no_worse_than_final(self):
         splits = tiny_splits(seed=7)
         tcfg = tiny_train_cfg(epochs=4)
-        params, history = train(MODEL_CFG, splits, tcfg)
+        params, history = train(MODEL_CFG, splits, tcfg, stats=STATS)
         best_val = evaluate_loss(splits["val"], params, np.ones(1),
                                  tcfg.decision_time_grid, tcfg)
         final_val = history[-1]["val_loss"]
@@ -329,7 +330,7 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod, "_batch_loss", None)
         tcfg = tiny_train_cfg(decision_time_grid=[2.0, t_c], t_f=6.0)
         with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
-            train(MODEL_CFG, tiny_splits(), tcfg)
+            train(MODEL_CFG, tiny_splits(), tcfg, stats=STATS)
 
     def test_shape_bug_propagates(self, monkeypatch):
         # a programming error must not be counted as a diverged batch
@@ -343,7 +344,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(train_mod, "_batch_loss", faulty)
         with pytest.raises(ShapeMismatch):
-            train(MODEL_CFG, tiny_splits(seed=10), tiny_train_cfg(epochs=1))
+            train(MODEL_CFG, tiny_splits(seed=10), tiny_train_cfg(epochs=1), stats=STATS)
 
     def test_nonfinite_gradient_skips_the_batch(self, monkeypatch):
         # an inf gradient must never reach Adam: the batch is skipped and
@@ -371,7 +372,7 @@ class TestTrainLoop:
             monkeypatch.setattr(train_mod, "Adam", SpyAdam)
             monkeypatch.setattr(ad.Tape, "backward", backward)
             train(MODEL_CFG, tiny_splits(seed=11, n=10),
-                  tiny_train_cfg(epochs=1, batch_size=1))
+                  tiny_train_cfg(epochs=1, batch_size=1), stats=STATS)
             return steps, snapshots
 
         steps, snapshots = run({3})
@@ -421,7 +422,7 @@ class TestTrainLoop:
             monkeypatch.setattr(train_mod, "Adam", SpyAdam)
             monkeypatch.setattr(ad.Tape, "backward", backward)
             train(MODEL_CFG, tiny_splits(seed=11, n=10),
-                  tiny_train_cfg(epochs=1, batch_size=1))
+                  tiny_train_cfg(epochs=1, batch_size=1), stats=STATS)
             return steps
 
         assert run({3}) == [1, 2, 4, 5, 6, 7, 8, 9, 10]
@@ -452,7 +453,7 @@ class TestTrainLoop:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            train(MODEL_CFG, tiny_splits(seed=14), tiny_train_cfg(epochs=2))
+            train(MODEL_CFG, tiny_splits(seed=14), tiny_train_cfg(epochs=2), stats=STATS)
         finally:
             if enabled:
                 gc.enable()
@@ -465,7 +466,8 @@ class TestTrainLoop:
         # backward pass; Adam freezes them, so after training each is +0.0
         cfg = ObsNodeConfig(d_y=1, m=m, d_a=1, phi_hidden_dim=4, phi_layers=1,
                             encoder_hidden_dim=4)
-        params, _ = train(cfg, tiny_splits(seed=12), tiny_train_cfg(epochs=3, max_grad_norm=1.0))
+        params, _ = train(cfg, tiny_splits(seed=12), tiny_train_cfg(epochs=3, max_grad_norm=1.0),
+                          stats=identity_stats(cfg.d_y))
         pad = params.phi[0].data[padding(params)]
         assert pad.size == m * (m - 1) // 2 * 4
         assert (pad == 0.0).all() and not np.signbit(pad).any()
@@ -493,7 +495,7 @@ class TestTrainLoop:
         monkeypatch.setattr(ad.Tape, "backward", backward)
         monkeypatch.setattr(model_mod.ObsNodeParams, "__init__", init)
         tcfg = tiny_train_cfg(epochs=1, batch_size=6, max_grad_norm=1.0)
-        params, history = train(MODEL_CFG, tiny_splits(seed=13), tcfg)
+        params, history = train(MODEL_CFG, tiny_splits(seed=13), tcfg, stats=STATS)
         fresh = ObsNodeParams(MODEL_CFG, np.random.default_rng(tcfg.seed))
         moved = np.abs(params.flat - fresh.flat)
         assert np.isfinite(history[0]["val_loss"])
@@ -527,7 +529,7 @@ class TestUnobservedPlaceholder:
         normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
         cfg = ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=8, phi_layers=1,
                             encoder_hidden_dim=8)
-        params, history = train(cfg, normed, tiny_train_cfg(epochs=2))
+        params, history = train(cfg, normed, tiny_train_cfg(epochs=2), stats=stats)
         digest = hashlib.sha256(b"".join(t.data.tobytes()
                                          for t in params.tensors())).hexdigest()
         grid = rmse_grid(splits["test"], [2.0, 3.0], [1.0, 2.0], params=params,
@@ -553,7 +555,7 @@ def test_single_time_records_are_unscorable():
                         a=np.zeros((1, 1))) for i in range(3)]
     with pytest.raises(ConfigError, match="records span"):
         train(MODEL_CFG, {"train": trajs, "val": trajs},
-              tiny_train_cfg(epochs=1, int_step=None))
+              tiny_train_cfg(epochs=1, int_step=None), stats=STATS)
 
 
 def test_omitted_int_step_is_a_quarter_of_the_smallest_spacing():
@@ -563,7 +565,8 @@ def test_omitted_int_step_is_a_quarter_of_the_smallest_spacing():
                   for t in trs] for k, trs in tiny_splits(seed=3).items()}
     runs = []
     for int_step in (None, 0.125):
-        params, history = train(MODEL_CFG, splits, tiny_train_cfg(epochs=2, int_step=int_step))
+        params, history = train(MODEL_CFG, splits, tiny_train_cfg(epochs=2, int_step=int_step),
+                                stats=STATS)
         runs.append((json.dumps(history), params.flat.tobytes()))
     assert runs[0] == runs[1]
 
@@ -572,7 +575,7 @@ def test_int_step_is_checked_against_the_longest_integration():
     # the rollout from t_c = 2 to the record end at 5 takes 3e6 steps of 1e-6
     tcfg = tiny_train_cfg(epochs=0, int_step=1e-6)
     with pytest.raises(ConfigError, match="int_step: a train rollout over 3.0"):
-        train(MODEL_CFG, tiny_splits(), tcfg)
+        train(MODEL_CFG, tiny_splits(), tcfg, stats=STATS)
 
 
 @pytest.mark.parametrize("split", ["train", "val"])
@@ -589,7 +592,7 @@ def test_int_step_counts_the_steps_of_each_grid_gap(split, monkeypatch):
     assert _steps_per_gap(np.arange(1.0, 61.0), tcfg.int_step).sum() == 1_000_050
     with pytest.raises(ConfigError, match=f"int_step: a {split} rollout over 59.0 .* "
                                           f"more than {MAX_STEPS} solver steps"):
-        train(MODEL_CFG, splits, tcfg)
+        train(MODEL_CFG, splits, tcfg, stats=STATS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -604,8 +607,8 @@ def test_step_count_is_the_solvers(gaps, step, data):
     j = data.draw(st.integers(k + 1, times.size), label="j")
     record = History(times, np.zeros((times.size, 1, 1)), np.ones((times.size, 1, 1)),
                      np.zeros((times.size, 1, 1)))
-    edges = _step_boundaries(times[k - 1], times[j - 1], factual_control(record, k, j),
-                             times[k:j], IntegrationConfig(step_size=step))
+    edges = _step_boundaries(times[k - 1], factual_control(record, k, j), times[k:j],
+                             IntegrationConfig(step_size=step))
     assert _steps_per_gap(times[k - 1:j], step).sum() == len(edges) - 1
 
 
@@ -640,12 +643,11 @@ def test_one_count_bounds_every_solve(gaps, step, data):
     int_cfg = IntegrationConfig("euler", step)
     counts, factual = [], []
     for k, j in pairs:
-        _, steps = _counted_steps(times[k - 1], times[j - 1], control.knot_times, times[k:j],
-                                  step)
-        edges = _step_boundaries(times[k - 1], times[j - 1], control, times[k:j], int_cfg)
+        _, steps = _counted_steps(times[k - 1], control.knot_times, times[k:j], step)
+        edges = _step_boundaries(times[k - 1], control, times[k:j], int_cfg)
         assert len(edges) - 1 == steps.sum()
         counts.append(steps.sum())
-        factual.append(_counted_steps(times[k - 1], times[j - 1], (), times[k:j], step)[1].sum())
+        factual.append(_counted_steps(times[k - 1], (), times[k:j], step)[1].sum())
     limit = int(data.draw(st.sampled_from(sorted({c - d for c in counts + factual
                                                    for d in (0, 1)})), label="MAX_STEPS"))
     T = times.size
@@ -661,7 +663,7 @@ def test_one_count_bounds_every_solve(gaps, step, data):
         with pytest.raises(NumericError if max(counts) > limit else Reached):
             rollouts(stack_units(trajs), pairs, params, int_cfg, control)
         with pytest.raises(ConfigError if max(factual) > limit else Reached):
-            train(MODEL_CFG, {"train": trajs, "val": trajs}, tcfg)
+            train(MODEL_CFG, {"train": trajs, "val": trajs}, tcfg, stats=STATS)
 
 
 @settings(max_examples=40, deadline=None)
