@@ -562,13 +562,6 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     return [emit(z, params.cfg) for z in states]
 
 
-def factual_control(record: History, k, j) -> ControlPath:
-    """The recorded treatments as the control of a forecast from the first
-    k record times to the targets times[k:j]: the treatment recorded at each
-    time from times[k - 1] holds up to the next."""
-    return ControlPath(record.times[k - 1:j - 1], record.a[k - 1:j - 1])
-
-
 def rollouts(record: History, decisions, params: ObsNodeParams,
              int_cfg: IntegrationConfig | None = None,
              control: ControlPath | None = None):
@@ -577,7 +570,8 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     :func:`decision_split`), the state encoded from the first k record times
     (one :func:`encode_prefixes` pass serves them all) is integrated by one
     field to the targets times[k:j] under `control` ((K, d_a) or (K, n, d_a)
-    knot values), or without one under :func:`factual_control`. The
+    knot values), by default the record's own ``ControlPath(times, a)``: the
+    treatment recorded at each time holds up to the next. The
     decisions step in lockstep: between two consecutive join (times[k - 1])
     or leave (times[j - 1]) times, one :func:`~obsnode.odeint.integrate`
     call steps those in flight, stacked on a leading axis; each anchor of a
@@ -585,21 +579,22 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     the decision's own rollout. A lone decision steps its (n, d_z) state,
     taped or not; several under a tape raise ValueError. `int_cfg` defaults
     to :meth:`IntegrationConfig.for_grid` of the record times. More than
-    MAX_STEPS in one decision raise NumericError before any work. Returns,
+    MAX_STEPS in one decision raise DataError before any work. Returns,
     per decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
     n, d_a = record.y.shape[1], params.cfg.d_a
-    if control is not None and control.knot_values.shape[1:] not in ((d_a,), (n, d_a)):
+    times = record.times
+    if control is None:
+        control = ControlPath(times, record.a)
+    if control.knot_values.shape[1:] not in ((d_a,), (n, d_a)):
         raise ShapeMismatch("rollouts: the control's knot values", control.knot_values.shape,
                             (control.knot_times.size, n, d_a))
     lone = len(decisions) == 1
     if not lone and ad._active_tape() is not None:
         raise ValueError("rollouts: a taped call takes one decision")
-    times = record.times
-    knots = () if control is None else control.knot_times
     for k, j in decisions:
         if j > k:  # the steps of the decision's own rollout
             int_cfg = int_cfg or IntegrationConfig.for_grid(times)
-            _counted_steps(times[k - 1], knots, times[k:j], int_cfg.step_size)
+            _counted_steps(times[k - 1], control.knot_times, times[k:j], int_cfg.step_size)
     encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]
@@ -611,8 +606,7 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
         if not at:
             continue
         z = at[0] if lone else Tensor(np.stack([s.data for s in at.values()]))
-        ctrl = factual_control(record, lo + 1, hi + 1) if control is None else control
-        qs = integrate(field, z, ctrl, times[lo], int_cfg, times[lo + 1:hi + 1], tensors)
+        qs = integrate(field, z, control, times[lo], int_cfg, times[lo + 1:hi + 1], tensors)
         for i, d in enumerate(at):
             out[d] += qs if lone else [Tensor(q.data[i]) for q in qs]
             at[d] = out[d][-1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, NumericError, ShapeMismatch
+from .errors import ConfigError, DataError, ShapeMismatch
 
 
 @dataclass
@@ -75,14 +75,14 @@ def _steps_per_gap(anchors, step_size):
 
 def _counted_steps(t0, knots, query_times, step_size):
     """The ascending anchors of a solve from t0 to its last query time t1 (t0,
-    the query times and the knots strictly between) and the steps over each gap
-    (:func:`_steps_per_gap`); more than MAX_STEPS, the one bound on a solve, raise NumericError."""
+    the query times and the array `knots` strictly between) and the steps over
+    each gap (:func:`_steps_per_gap`); more than MAX_STEPS raise DataError."""
     t1 = max(query_times, default=t0)
     anchors = sorted({float(t0), *(float(t) for t in query_times),
-                      *(float(kt) for kt in knots if t0 < kt < t1)})
+                      *knots[(t0 < knots) & (knots < t1)].tolist()})
     steps = _steps_per_gap(anchors, step_size)
     if steps.sum() > MAX_STEPS:
-        raise NumericError(f"integrate: {steps.sum():.0f} steps exceed MAX_STEPS={MAX_STEPS}")
+        raise DataError(f"integrate: {steps.sum():.6g} steps exceed MAX_STEPS={MAX_STEPS}")
     return anchors, steps
 
 

@@ -553,11 +553,13 @@ def write_dataset(dirpath, splits, config, seed):
 
 def read_dataset(dirpath):
     """Load splits written by write_dataset; returns (splits, manifest). A
-    missing or malformed manifest or split file raises DataError naming it.
-    Each line's record is held to the record rule of
-    :meth:`~obsnode.model.History.checked`, so a line that breaks it raises
-    DataError naming the file, the line and the unit, and each unobserved
-    y entry is read as +0.0."""
+    missing or malformed manifest or split file raises DataError naming it:
+    the manifest must have format_version 1 and a `splits` object, each split
+    file must hold the units of its manifest list in that order, and no unit
+    id may appear twice in the dataset. Each line's record is held to the
+    record rule of :meth:`~obsnode.model.History.checked`, so a line that
+    breaks it raises DataError naming the file, the line and the unit, and
+    each unobserved y entry is read as +0.0."""
     dirpath = Path(dirpath)
     mpath = dirpath / "manifest.json"
     if not mpath.exists():
@@ -565,11 +567,15 @@ def read_dataset(dirpath):
     try:
         with open(mpath) as fh:
             manifest = json.load(fh)
-        split_names = list(manifest["splits"])
+        membership = manifest["splits"]
+        if manifest["format_version"] != 1:
+            raise ValueError("format_version must be 1")
+        if not isinstance(membership, dict):
+            raise TypeError("splits must be an object")
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise DataError(f"{mpath}: malformed manifest: {e!r}")
-    splits = {}
-    for split in split_names:
+    splits, seen = {}, {}  # seen: unit id -> the split file that holds it
+    for split, members in membership.items():
         path = dirpath / f"{split}.jsonl"
         trajs = []
         try:
@@ -578,6 +584,9 @@ def read_dataset(dirpath):
                     try:
                         rec = json.loads(line)
                         uid = rec["unit_id"]
+                        if uid in seen:
+                            raise ValueError(f"unit {uid!r} appears twice, also in {seen[uid]}")
+                        seen[uid] = path
                         record = History.checked(rec["times"], rec["y"], rec["mask"],
                                                  rec["a"], f"unit {uid}", ndim=2)
                         trajs.append(Trajectory(uid, *record, *(
@@ -588,5 +597,7 @@ def read_dataset(dirpath):
                                         f"record: {e!r}")
         except (OSError, ValueError) as e:
             raise DataError(f"{path}: {e}")
+        if [tr.unit_id for tr in trajs] != members:
+            raise DataError(f"{path}: its unit ids are not the {split!r} list of {mpath}")
         splits[split] = trajs
     return splits, manifest

@@ -150,7 +150,9 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
     and the split's integration config. ConfigError names the split and the
     first time with no history or no target (within `max_horizon`, if that is
     the cause), or int_step when a factual rollout, counted from times[k - 1]
-    by :func:`~obsnode.odeint._counted_steps`, takes more than MAX_STEPS."""
+    against the record knots by :func:`~obsnode.odeint._counted_steps`, takes
+    more than MAX_STEPS; without int_step, that is a DataError naming the split
+    and its smallest time gap."""
     pairs = [decision_split(times, t_c, tcfg.max_horizon) for t_c in decision_times]
     bad = [t_c for t_c, pair in zip(decision_times, pairs) if pair is None]
     if bad:
@@ -162,9 +164,14 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
                else IntegrationConfig(tcfg.int_method, tcfg.int_step))
     for k, j in pairs:
         try:
-            _counted_steps(times[k - 1], (), times[k:j], int_cfg.step_size)
-        except NumericError:
+            _counted_steps(times[k - 1], times, times[k:j], int_cfg.step_size)
+        except DataError:
             reach = float(times[j - 1] - times[k - 1])
+            if tcfg.int_step is None:
+                raise DataError(f"the {split} records' smallest time gap "
+                                f"{float(np.min(np.diff(times)))!r} sets solver steps of "
+                                f"{int_cfg.step_size!r}: a rollout over {reach!r} time "
+                                f"units takes more than {MAX_STEPS}")
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
                               f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
     return pairs, int_cfg

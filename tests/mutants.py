@@ -231,10 +231,10 @@ CATALOGUE = (
            ("tests/test_fused.py::TestNoLookAhead::test_loss_reads_nothing_past_its_last_target",),
            "the loss scores targets up to twice max_horizon after the decision time"),
     Mutant("factual-path-one-row-late", "model.py",
-           "record.a[k - 1:j - 1])", "record.a[k:j])",
-           ("tests/test_model.py::TestDecisionSplit::"
-            "test_factual_control_holds_each_recorded_treatment",
-            "tests/test_model.py::TestDecisionSplit::test_factual_control_is_the_isin_path",
+           "ControlPath(times, record.a)", "ControlPath(times[:-1], record.a[1:])",
+           ("tests/test_model.py::TestLockstep::"
+            "test_zero_width_steps_at_record_times_keep_the_isin_path",
+            "tests/test_model.py::TestLockstep::test_no_control_is_the_records_own_path",
             "tests/test_evaluate.py::TestSharedEncoder"),
            "each factual knot takes the treatment recorded one grid time after it, "
            "a look-ahead"),
@@ -254,11 +254,18 @@ CATALOGUE = (
            "train's MAX_STEPS check measures the span in steps and misses the steps "
            "that rounding each grid gap up adds"),
     Mutant("rollouts-counts-without-the-knots", "model.py",
-           "times[k - 1], knots, times[k:j]", "times[k - 1], (), times[k:j]",
+           "times[k - 1], control.knot_times, times[k:j]", "times[k - 1], times, times[k:j]",
            ("tests/test_model.py::TestLockstep::test_max_steps_bounds_each_decision",
             "tests/test_train.py::test_one_count_bounds_every_solve"),
-           "rollouts checks a decision without the control's knots, so a knot "
-           "inside a grid gap adds a step that MAX_STEPS does not see"),
+           "rollouts checks a decision against the record times, not the control's "
+           "knots, so a knot inside a grid gap adds a step that MAX_STEPS does not see"),
+    Mutant("max-steps-is-numeric", "odeint.py",
+           'raise DataError(f"integrate: {steps.sum()',
+           'raise ad.NumericError(f"integrate: {steps.sum()',
+           ("tests/test_odeint.py::TestIntegrate::test_max_steps_guard",
+            "tests/test_cli.py::test_a_tiny_time_gap_is_a_data_error"),
+           "more steps than MAX_STEPS, which the times and knots ask for, exit 4 as a "
+           "numeric failure, not 3 as bad input"),
     Mutant("control-path-accepts-nonfinite-knots", "odeint.py",
            "if not (np.isfinite(self.knot_times).all() and np.isfinite(self.knot_values).all()):",
            "if False:",
@@ -347,6 +354,12 @@ CATALOGUE = (
             "tests/test_train.py::TestStackUnits::test_grid_mismatch_rejected"),
            "units whose grids have one length but differ in a time are stacked on "
            "the first unit's grid"),
+    Mutant("manifest-version-unchecked", "simulate.py",
+           'if manifest["format_version"] != 1:', "if False:",
+           ("tests/test_simulate.py::TestDatasetIo::"
+            "test_a_manifest_that_does_not_describe_the_files_is_refused",
+            "tests/test_cli.py::test_manifest_that_does_not_describe_the_dataset_is_data_error"),
+           "a dataset manifest of another format_version is read as version 1"),
     Mutant("semi-noise-sd-check-passes-nan", "simulate.py",
            "if not 0 < self.eta_sd < np.inf or self.seed < 0:",
            "if self.eta_sd <= 0 or self.seed < 0:",

@@ -6,6 +6,7 @@ this directory on ``sys.path`` when it imports a test module from it.
 
 import csv
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -282,7 +283,7 @@ def mask_window(times, start, end=None):
 
 
 def isin_factual_control(record, k, query_times) -> ControlPath:
-    """The reference for :func:`~obsnode.model.factual_control`: the
+    """The reference for the factual path of :func:`~obsnode.model.rollouts`: the
     treatment at times[k - 1] up to the first of `query_times` (record times
     after it), then the treatment recorded at each query time, found by
     value in the record, up to the next."""
@@ -519,3 +520,29 @@ def plain_record(tr):
     if tr.confounders is not None:
         rec["confounders"] = np.asarray(tr.confounders).tolist()
     return rec
+
+
+MANIFEST_DEFECTS = ("version_99", "splits_a_list", "ids_out_of_order", "id_in_two_splits")
+
+
+def break_manifest(ds, defect):
+    """Change the dataset written at `ds` so that its manifest no longer
+    describes it, as `defect` (one of MANIFEST_DEFECTS) names: format_version
+    99, `splits` a list, the test split's ids listed in reverse, or the first
+    train unit appended to the test split too. Returns the file that
+    :func:`~obsnode.simulate.read_dataset` must name."""
+    mpath = ds / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    if defect == "version_99":
+        manifest["format_version"] = 99
+    elif defect == "splits_a_list":
+        manifest["splits"] = list(manifest["splits"])
+    elif defect == "ids_out_of_order":
+        manifest["splits"]["test"].reverse()
+    else:
+        line = (ds / "train.jsonl").read_text().splitlines()[0]
+        with open(ds / "test.jsonl", "a") as fh:
+            fh.write(line + "\n")
+        manifest["splits"]["test"].append(json.loads(line)["unit_id"])
+    mpath.write_text(json.dumps(manifest))
+    return mpath if defect in MANIFEST_DEFECTS[:2] else ds / "test.jsonl"

@@ -25,9 +25,10 @@ from obsnode.evaluate import raw_forecasts
 from obsnode.identify import MAX_VERIFY_CELLS, QUERY_CELLS
 from obsnode.model import ObsNodeConfig, decision_split, load_model
 from obsnode.odeint import IntegrationConfig
-from obsnode.simulate import CancerSimConfig, SemiSynthConfig, read_dataset
+from obsnode.simulate import (CancerSimConfig, SemiSynthConfig, Trajectory, read_dataset,
+                              write_dataset)
 from obsnode.train import TrainConfig, stack_units
-from support import value_at
+from support import MANIFEST_DEFECTS, break_manifest, value_at
 
 
 def write_json(path, obj):
@@ -627,6 +628,45 @@ def test_too_small_int_step_is_config_error(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_a_tiny_time_gap_is_a_data_error(workspace, tmp_path):
+    # three units on the times 0, 1e-300, 1, 2: the default step, a quarter
+    # of the smallest gap, asks for about 4e300 steps from t_c = 0.5 to 1.
+    # evaluate, forecast and train without int_step exit 3, the count in six
+    # significant digits; train with an int_step that asks for too many
+    # steps exits 2.
+    rng = np.random.default_rng(0)
+    times = np.array([0.0, 1e-300, 1.0, 2.0])
+    units = [Trajectory(i, times, rng.normal(size=(4, 2)), np.ones((4, 2)), np.zeros((4, 2)))
+             for i in range(3)]
+    ds = tmp_path / "ds"
+    write_dataset(ds, dict(zip(("train", "val", "test"), ([u] for u in units))),
+                  CancerSimConfig(), 0)
+    evl = json.loads(Path(workspace["eval"]).read_text())
+    evl.update(dataset_dir=str(ds), output_dir=str(tmp_path / "eval"), t_c_grid=[0.5],
+               horizons=[1.0])
+    t = tmp_path / "a.csv"
+    t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
+    for argv in (["evaluate", "--config", write_json(tmp_path / "eval.json", evl)],
+                 ["forecast", "--checkpoint", str(workspace["run"] / "checkpoint.json"),
+                  "--dataset", str(ds), "--unit-id", "2", "--treatments", str(t),
+                  "--t-c", "0.5", "--horizon", "1"]):
+        rc, out, err = run_main(argv)
+        assert (rc, out) == (3, "")
+        assert "integrate: 4e+300 steps exceed MAX_STEPS=1000000" in err
+    trn = json.loads(Path(workspace["train"]).read_text())
+    trn.update(dataset_dir=str(ds), run_dir=str(tmp_path / "run"))
+    trn["train"].update(decision_time_grid=[0.5], t_f=3.0)
+    del trn["train"]["int_step"]
+    rc, err = run_config("train", trn, tmp_path / "t.json")
+    assert rc == 3 and err == ("data error: the train records' smallest time gap 1e-300 sets "
+                               "solver steps of 2.5e-301: a rollout over 2.0 time units takes "
+                               "more than 1000000\n")
+    trn["train"]["int_step"] = 1e-6
+    rc, err = run_config("train", trn, tmp_path / "t.json")
+    assert rc == 2 and "int_step: a train rollout over 2.0 time units" in err
+    assert not any((tmp_path / d).exists() for d in ("eval", "run"))
+
+
 def test_int_step_counts_the_steps_of_each_grid_gap(tmp_path, monkeypatch):
     # from t_c = 1 on a 61-point hourly grid, the 59 hours at int_step
     # 59 / 999999.5 are 999999.5 steps, but the solver rounds each hour up
@@ -763,6 +803,22 @@ def test_manifest_split_without_its_file_is_data_error(workspace, tmp_path):
         rc, _, err = run_main(argv)
         assert rc == 3 and str(ds / "val.jsonl") in err and "Traceback" not in err
     assert not (tmp_path / "eval").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("defect", MANIFEST_DEFECTS)
+def test_manifest_that_does_not_describe_the_dataset_is_data_error(workspace, tmp_path,
+                                                                   defect):
+    # a manifest of another version, splits that are not an object, a split
+    # file whose ids are not its manifest list, or a unit in two splits:
+    # forecast of that unit, evaluate and train each exit 3 naming the file
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace["ds"], ds)
+    bad = break_manifest(ds, defect)
+    unit = json.loads((ds / "train.jsonl").read_text().splitlines()[0])["unit_id"]
+    rcs = [(rc, str(bad) in err, "Traceback" in err) for rc, _, err in
+           train_evaluate_forecast(workspace, tmp_path, ds, unit)]
+    assert rcs == [(3, True, False)] * 3
+    assert not any((tmp_path / d).exists() for d in ("run", "eval", "forecast.csv"))
 
 
 def test_overflowing_semi_cohort_is_numeric_error(tmp_path):
@@ -1336,17 +1392,39 @@ def mutate_checkpoint(doc, data):
         field[i] = data.draw(st.sampled_from(BAD_VALUES), label="value")
 
 
+def mutate_manifest(path, data):
+    """One part of the dataset manifest at `path` changed in place: its
+    format_version, its splits object, or one unit id of one split's list."""
+    doc = json.loads(path.read_text())
+    target = data.draw(st.sampled_from(["format_version", "splits", "unit id"]),
+                       label="manifest part")
+    if target == "format_version":
+        doc[target] = data.draw(st.sampled_from(BAD_VALUES + [0, 99, True]), label="value")
+    elif target == "splits":
+        doc[target] = data.draw(st.sampled_from([list(doc[target]), "train", None, {}]),
+                                label="value")
+    else:
+        ids = doc["splits"][data.draw(st.sampled_from(sorted(doc["splits"])), label="split")]
+        i = data.draw(st.integers(0, len(ids) - 1), label="index")
+        if data.draw(st.booleans(), label="drop"):
+            del ids[i]
+        else:
+            ids[i] = data.draw(st.sampled_from(BAD_VALUES + [ids[0], 10**30]), label="value")
+    path.write_text(json.dumps(doc))
+
+
 class TestInputFuzz:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_mutated_input_never_crashes(self, workspace, data):
-        # one record entry, treatment-CSV cell or checkpoint entry changed:
-        # train, evaluate and forecast run or reject it, never with a traceback
+        # one record entry, manifest entry, treatment-CSV cell or checkpoint
+        # entry changed: train, evaluate and forecast run or reject it, never
+        # with a traceback
         tmp = workspace["root"] / "input_fuzz"
         shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir()
         ds, ck, treatments, unit = workspace["ds"], None, None, 0
-        target = data.draw(st.sampled_from(["record", "csv", "checkpoint"]),
+        target = data.draw(st.sampled_from(["record", "manifest", "csv", "checkpoint"]),
                            label="target")
         if target == "record":
             split = data.draw(st.sampled_from(["train", "val", "test"]),
@@ -1368,6 +1446,10 @@ class TestInputFuzz:
 
             ds = tmp / "ds"
             unit = mutated_dataset(workspace["ds"], ds, split, 0, mutate)
+        elif target == "manifest":
+            ds = tmp / "ds"
+            shutil.copytree(workspace["ds"], ds)
+            mutate_manifest(ds / "manifest.json", data)
         elif target == "csv":
             rows = [["start_time", "component_1", "component_2"],
                     ["0.0", "14.0", "2.0"], ["30.0", "0.0", "0.0"]]

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obsnode import autodiff as ad
 from obsnode import model as model_mod
@@ -16,15 +16,15 @@ from obsnode.autodiff import Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.evaluate import raw_forecasts
 from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsNodeParams,
-                           check_size, decision_split, emit, encode, encode_prefixes,
-                           factual_control, forecast, load_model, param_count, param_shapes,
+                           check_size, decision_split, emissions, emit, encode,
+                           encode_prefixes, forecast, load_model, param_count, param_shapes,
                            rollouts, save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.simulate import read_dataset
 from obsnode.train import TrainConfig, _decisions
 from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, identity_stats,
-                     isin_factual_control, mask_window, observability_probe, padding,
-                     random_params, value_at)
+                     mask_window, observability_probe, padding, random_params,
+                     reencoded_rollout, value_at)
 
 
 def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
@@ -238,7 +238,8 @@ class TestRecordRule:
         broken = [breaks_the_rule(*(u[k] for k in ("times", "y", "mask", "a"))) for u in units]
         with tempfile.TemporaryDirectory() as tmp:
             with open(f"{tmp}/manifest.json", "w") as fh:
-                json.dump({"splits": {"test": []}}, fh)
+                json.dump({"format_version": 1,
+                           "splits": {"test": [u["unit_id"] for u in units]}}, fh)
             with open(f"{tmp}/test.jsonl", "w") as fh:
                 fh.writelines(json.dumps(u) + "\n" for u in units)
             if any(broken):
@@ -819,33 +820,6 @@ class TestDecisionSplit:
         with pytest.raises(ConfigError, match=f"train decision time {t_c!r} has no"):
             _decisions(times, [2.0, t_c], tcfg, "train")
 
-    def test_factual_control_holds_each_recorded_treatment(self):
-        # from the first 2 of 5 times to the targets times[2:4]: the knots
-        # are times[1] and times[2], each with the treatment recorded then
-        times = np.array([0.0, 1.0, 2.5, 3.0, 4.5])
-        a = np.arange(10.0).reshape(5, 1, 2)
-        record = History(times, np.zeros((5, 1, 1)), np.ones((5, 1, 1)), a)
-        got = factual_control(record, 2, 4)
-        assert got.knot_times.tolist() == [1.0, 2.5]
-        assert got.knot_values.tolist() == [[[2.0, 3.0]], [[4.0, 5.0]]]
-
-    @settings(max_examples=100, deadline=None)
-    @given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=20),
-           d_a=st.integers(0, 2), n=st.integers(1, 3), data=st.data())
-    def test_factual_control_is_the_isin_path(self, gaps, d_a, n, data):
-        # the slice ControlPath(times[k-1:j-1], a[k-1:j-1]) is the path the
-        # record's treatments give when each target is found by value
-        times = np.cumsum(gaps)
-        assume(np.all(np.diff(times) > 0))
-        k = data.draw(st.integers(1, times.size - 1), label="k")
-        j = data.draw(st.integers(k + 1, times.size), label="j")
-        a = np.random.default_rng(k * 31 + j).normal(size=(times.size, n, d_a))
-        record = History(times, np.zeros((times.size, n, 1)), np.ones((times.size, n, 1)), a)
-        got = factual_control(record, k, j)
-        ref = isin_factual_control(record, k, times[k:j])
-        assert got.knot_times.tobytes() == ref.knot_times.tobytes()
-        assert got.knot_values.tobytes() == ref.knot_values.tobytes()
-
 
 def lockstep_case(n, d_y, hidden, seed, T=6):
     """A random model (d_a = 2, its output layers nonzero) and an n-unit
@@ -909,6 +883,44 @@ class TestLockstep:
                 assert s.data.shape == (n, 2 * d_y)
                 assert s.data.tobytes() == t.data.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 3]), method=st.sampled_from(["euler", "rk4"]),
+           step=st.floats(0.05, 0.9), taped=st.booleans(), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_no_control_is_the_records_own_path(self, n, method, step, taped, seed, data):
+        # taped (one decision) or not (one or several), Euler or RK4: without
+        # a control, each state is that under ControlPath(times, a), bit for bit
+        T = 6
+        _, params, record = lockstep_case(n, 1, 3, seed, T)
+        pair = st.integers(1, T - 1).flatmap(lambda k: st.tuples(st.just(k),
+                                                                st.integers(k + 1, T)))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=1 if taped else 4), label="pairs")
+        int_cfg = IntegrationConfig(method, step)
+        with ad.Tape() if taped else contextlib.nullcontext():
+            got = rollouts(record, pairs, params, int_cfg)
+            ref = rollouts(record, pairs, params, int_cfg, ControlPath(record.times, record.a))
+        for states, expect in zip(got, ref):
+            assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in expect]
+
+    def test_zero_width_steps_at_record_times_keep_the_isin_path(self):
+        # on a grid offset by 2^52, where the float spacing is 1, step edges
+        # round onto record times and make zero-width steps there, which may
+        # read the row recorded at their time; each decision's forecasts,
+        # alone and in lockstep, are still the isin path's bit for bit
+        _, params, record = lockstep_case(2, 1, 3, seed=11, T=9)
+        times = 2.0**52 + np.cumsum([0.0, 1, 3, 5, 7, 3, 1, 3, 5])
+        record = History(times, record.y, record.mask, record.a)
+        int_cfg = IntegrationConfig("rk4", 0.45)
+        edges = np.array(odeint._step_boundaries(times[0], ControlPath(times, record.a),
+                                                 times[1:], int_cfg))
+        assert np.isin(edges[:-1][np.diff(edges) == 0], times).sum() == 16
+        pairs = [(1, 9), (3, 7), (4, 9), (2, 5)]
+        for (k, j), states in zip(pairs, rollouts(record, pairs, params, int_cfg)):
+            alone = rollouts(record, [(k, j)], params, int_cfg)[0]
+            ref = reencoded_rollout(record, times[k - 1], times[k:j], params, int_cfg)
+            assert emissions(states, 1).data.tobytes() == ref.tobytes()
+            assert emissions(alone, 1).data.tobytes() == ref.tobytes()
+
     def test_a_state_gone_nonfinite_among_others_raises(self, monkeypatch):
         # the decision from the first 3 times overflows on its first step,
         # while the one from the first time is in flight
@@ -949,11 +961,11 @@ class TestLockstep:
         monkeypatch.setattr(model_mod, "encode_prefixes", None)
         monkeypatch.setattr(odeint, "MAX_STEPS", 50)
         for decisions in ([(1, 7)], [(1, 7), (4, 7)]):
-            with pytest.raises(NumericError, match="^integrate: 60 steps exceed MAX_STEPS=50$"):
+            with pytest.raises(DataError, match="^integrate: 60 steps exceed MAX_STEPS=50$"):
                 rollouts(record, decisions, params, int_cfg)
         monkeypatch.setattr(odeint, "MAX_STEPS", 60)
         control = ControlPath(np.array([0.0, 0.55]), np.zeros((2, 1)))
-        with pytest.raises(NumericError, match="^integrate: 61 steps exceed MAX_STEPS=60$"):
+        with pytest.raises(DataError, match="^integrate: 61 steps exceed MAX_STEPS=60$"):
             rollouts(record, [(4, 7), (1, 7)], params, int_cfg, control)
 
     @pytest.mark.parametrize("units, d_a, values", [(2, 2, (5, 3, 2)), (2, 1, (5, 2))])

@@ -129,16 +129,22 @@ class TestIntegrate:
                 integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [0.5, query], ())
 
     def test_max_steps_guard(self):
-        # about 5e6 steps: the guard counts them before any step edge is made
+        # about 5e6 steps: the guard counts them before any step edge is made,
+        # and the times and step ask for that work, so it is a DataError; a
+        # count of 4e300 prints in six significant digits
         cfg = IntegrationConfig(step_size=2e-7)
         tracemalloc.start()
         try:
-            with pytest.raises(NumericError, match=f"MAX_STEPS={MAX_STEPS}"):
+            with pytest.raises(DataError, match=rf"^integrate: 5e\+06 steps exceed "
+                                                f"MAX_STEPS={MAX_STEPS}$"):
                 integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [0.5, 1.0], ())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"peak {peak} B"
+        with pytest.raises(DataError, match=r"^integrate: 4e\+300 steps exceed"):
+            integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0,
+                      IntegrationConfig(step_size=2.5e-301), [1.0], ())
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_raises(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from obsnode.simulate import (C_MAX, D_MAX_GY, DIAM_WINDOW_DAYS, MAX_SIM_STEPS,
                               read_dataset, rff_draw, rff_eval, sample_cohort_params,
                               sample_patient_params, simulate_cancer_cohort,
                               write_dataset)
-from support import mean_patient, plain_record, rff_function
+from support import break_manifest, mean_patient, plain_record, rff_function
 
 
 def tiny_cancer_cfg(**kw):
@@ -668,6 +669,10 @@ class TestDatasetIo:
             for name, units in splits.items():
                 lines = (Path(tmp) / f"{name}.jsonl").read_text().splitlines(keepends=True)
                 assert lines == [json.dumps(plain_record(tr)) + "\n" for tr in units]
+            # and read_dataset, which checks the manifest, reads it back
+            read, _ = read_dataset(tmp)
+            assert {name: [tr.unit_id for tr in units] for name, units in read.items()} == \
+                {name: [tr.unit_id for tr in units] for name, units in splits.items()}
 
     def test_roundtrip(self, tmp_path):
         cfg = SemiSynthConfig(n_patients=6, seed=7)
@@ -686,11 +691,31 @@ class TestDatasetIo:
         with pytest.raises(DataError):
             read_dataset(tmp_path)
 
+    @pytest.mark.parametrize("defect, message", [
+        ("version_99", "malformed manifest: ValueError('format_version must be 1')"),
+        ("splits_a_list", "malformed manifest: TypeError('splits must be an object')"),
+        ("ids_out_of_order", "its unit ids are not the 'test' list of "),
+        ("id_in_two_splits", "appears twice, also in ")])
+    def test_a_manifest_that_does_not_describe_the_files_is_refused(self, tmp_path, defect,
+                                                                    message):
+        # each is a DataError naming the file; the last is found at the
+        # repeated unit's line and names the file that held it first
+        cfg = SemiSynthConfig(n_patients=6, seed=7)
+        write_dataset(tmp_path, generate_semi_synthetic(cfg), cfg, cfg.seed)
+        bad = break_manifest(tmp_path, defect)
+        if defect == "ids_out_of_order":
+            message += str(tmp_path / "manifest.json")
+        elif defect == "id_in_two_splits":
+            message += str(tmp_path / "train.jsonl")
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}.*{re.escape(message)}"):
+            read_dataset(tmp_path)
+
 
 def read_lines(tmp_path, *recs):
     """The units read_dataset makes of a dataset whose one split, train,
     holds one line per record dict of `recs`."""
-    (tmp_path / "manifest.json").write_text(json.dumps({"splits": {"train": []}}))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"format_version": 1, "splits": {"train": [rec["unit_id"] for rec in recs]}}))
     (tmp_path / "train.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in recs))
     return read_dataset(tmp_path)[0]["train"]
 

@@ -16,7 +16,7 @@ from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.evaluate import rmse_grid
 from obsnode import odeint
 from obsnode.model import (History, ObsNodeConfig, ObsNodeParams, decision_split,
-                           factual_control, load_model, rollouts)
+                           load_model, rollouts)
 from obsnode.odeint import (MAX_STEPS, ControlPath, IntegrationConfig, _counted_steps,
                             _step_boundaries, _steps_per_gap)
 from obsnode.simulate import Trajectory
@@ -595,6 +595,27 @@ def test_int_step_counts_the_steps_of_each_grid_gap(split, monkeypatch):
         train(MODEL_CFG, splits, tcfg, stats=STATS)
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_a_tiny_time_gap_is_a_data_error_unless_int_step_is_set(split, monkeypatch):
+    # on the times 0, 1e-300, 1, 2 the default step, a quarter of the
+    # smallest gap, asks for about 8e300 steps: a DataError naming the split
+    # and the gap, its count not printed digit by digit. An int_step that
+    # asks for too many steps is the config's doing, a ConfigError. The
+    # other split's rollout, over 0.6 time units, takes fewer.
+    monkeypatch.setattr(train_mod, "_batch_loss", None)
+    splits = {s: make_trajs(n=2, T=4, d_y=1) for s in ("train", "val")}
+    for s, trajs in splits.items():
+        for tr in trajs:
+            tr.times = np.array([0.0, 1e-300, 1.0, 2.0] if s == split else [0.0, 0.4, 0.6, 1.0])
+    with pytest.raises(DataError, match=re.escape(
+            f"the {split} records' smallest time gap 1e-300 sets solver steps of 2.5e-301: "
+            f"a rollout over 2.0 time units takes more than {MAX_STEPS}")):
+        train(MODEL_CFG, splits, TrainConfig(decision_time_grid=[0.5], t_f=3.0), stats=STATS)
+    tcfg = TrainConfig(decision_time_grid=[0.5], t_f=3.0, int_step=1e-6)
+    with pytest.raises(ConfigError, match=f"int_step: a {split} rollout over 2.0 time units"):
+        train(MODEL_CFG, splits, tcfg, stats=STATS)
+
+
 @settings(max_examples=100, deadline=None)
 @given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=12),
        step=st.floats(1e-2, 5.0), data=st.data())
@@ -605,10 +626,8 @@ def test_step_count_is_the_solvers(gaps, step, data):
     assume(np.all(np.diff(times) > 0))
     k = data.draw(st.integers(1, times.size - 1), label="k")
     j = data.draw(st.integers(k + 1, times.size), label="j")
-    record = History(times, np.zeros((times.size, 1, 1)), np.ones((times.size, 1, 1)),
-                     np.zeros((times.size, 1, 1)))
-    edges = _step_boundaries(times[k - 1], factual_control(record, k, j), times[k:j],
-                             IntegrationConfig(step_size=step))
+    edges = _step_boundaries(times[k - 1], ControlPath(times, np.zeros((times.size, 1, 1))),
+                             times[k:j], IntegrationConfig(step_size=step))
     assert _steps_per_gap(times[k - 1:j], step).sum() == len(edges) - 1
 
 
@@ -627,7 +646,7 @@ def test_one_count_bounds_every_solve(gaps, step, data):
     # random grids, step sizes, knots and decision times: _step_boundaries
     # makes one edge per step of the one count, and with MAX_STEPS at or
     # just below a decision's count, rollouts (counting the control's
-    # knots) raises NumericError and train() (counting none) ConfigError
+    # knots) raises DataError and train() (counting the record's) ConfigError
     # exactly when some decision's count exceeds it, before the encoder
     # runs or any parameter is made
     times = np.cumsum(gaps)
@@ -647,7 +666,7 @@ def test_one_count_bounds_every_solve(gaps, step, data):
         edges = _step_boundaries(times[k - 1], control, times[k:j], int_cfg)
         assert len(edges) - 1 == steps.sum()
         counts.append(steps.sum())
-        factual.append(_counted_steps(times[k - 1], (), times[k:j], step)[1].sum())
+        factual.append(_counted_steps(times[k - 1], times, times[k:j], step)[1].sum())
     limit = int(data.draw(st.sampled_from(sorted({c - d for c in counts + factual
                                                    for d in (0, 1)})), label="MAX_STEPS"))
     T = times.size
@@ -660,7 +679,7 @@ def test_one_count_bounds_every_solve(gaps, step, data):
         mp.setattr(odeint, "MAX_STEPS", limit)
         mp.setattr(model_mod, "encode_prefixes", reached)
         mp.setattr(train_mod, "ObsNodeParams", reached)
-        with pytest.raises(NumericError if max(counts) > limit else Reached):
+        with pytest.raises(DataError if max(counts) > limit else Reached):
             rollouts(stack_units(trajs), pairs, params, int_cfg, control)
         with pytest.raises(ConfigError if max(factual) > limit else Reached):
             train(MODEL_CFG, {"train": trajs, "val": trajs}, tcfg, stats=STATS)
