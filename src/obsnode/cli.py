@@ -31,7 +31,7 @@ from .identify import (MAX_VERIFY_CELLS, QUERY_CELLS, adjustment_estimate,
                        nonidentifiability_witness, random_observable_scm, random_query)
 from .model import (History, ObsNodeConfig, ObsNodeParams, check_size, decision_split,
                     load_model, param_shapes)
-from .odeint import METHODS, ControlPath, IntegrationConfig
+from .odeint import ControlPath, IntegrationConfig
 from .simulate import (CancerSimConfig, SemiSynthConfig,
                        generate_cancer_dataset, generate_semi_synthetic,
                        read_dataset, write_dataset)
@@ -344,8 +344,7 @@ def cmd_gradcheck(args):
         record = History(times, rng.normal(size=(4, n, d_y)),
                          rng.random((4, n, d_y)) < 0.7, rng.normal(size=(4, n, d_a)))
         k = int(rng.integers(1, 4))  # a decision after the first k of the 4 times
-        int_cfg = IntegrationConfig(METHODS[int(rng.integers(2))], step_size=1.0)
-        loss = lambda: _batch_loss(record, k, 4, params, np.ones(d_y), int_cfg)
+        loss = lambda: _batch_loss(record, k, 4, params, np.ones(d_y), IntegrationConfig(1.0))
         worst = max([worst] + [grad_check(loss, t) for t in params.tensors()])
     print(f"networks: {args.n}")
     print(f"max_relative_error: {worst:.3e}")

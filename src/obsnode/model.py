@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeMismatch
-from .odeint import ControlPath, IntegrationConfig, _counted_steps, integrate
+from .odeint import ControlPath, IntegrationConfig, _counted_steps, grid_budget_error, integrate
 
 
 @dataclass
@@ -325,8 +325,8 @@ def stack_field(params: ObsNodeParams):
             return out
 
         def rebuild(zs):
-            """vjp(i, g) of f at the stage inputs zs (s, n, d_z), whose one
-            pass rebuilds the control term and every hidden layer by f's calls."""
+            """vjp(i, g) of f at a step's four stage inputs zs (4, n, d_z), whose
+            one pass rebuilds the control term and every hidden layer by f's calls."""
             n = zs.shape[1]
             layers = []  # (kept, activation) per hidden layer
             if later:
@@ -591,10 +591,14 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     lone = len(decisions) == 1
     if not lone and ad._active_tape() is not None:
         raise ValueError("rollouts: a taped call takes one decision")
+    derived = int_cfg is None
     for k, j in decisions:
         if j > k:  # the steps of the decision's own rollout
             int_cfg = int_cfg or IntegrationConfig.for_grid(times)
-            _counted_steps(times[k - 1], control.knot_times, times[k:j], int_cfg.step_size)
+            try:
+                _counted_steps(times[k - 1], control.knot_times, times[k:j], int_cfg.step_size)
+            except DataError as e:
+                raise grid_budget_error(times, times[j - 1] - times[k - 1]) if derived else e
     encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]
@@ -684,12 +688,10 @@ def load_model(path):
         stats = NormStats(mean=meta["norm_stats"]["mean"], std=meta["norm_stats"]["std"])
         if stats.mean.size != cfg.d_y:
             raise ValueError(f"norm_stats of length {stats.mean.size} for d_y={cfg.d_y}")
-        # the shapes the metadata implies are checked before they are allocated
-        check_state(arrays, cfg)
-        check_size(cfg)
+        check_size(cfg)  # before the parameters are allocated
+        params = ObsNodeParams(cfg, np.random.default_rng(0))
+        params.load_state(arrays)
     except (ConfigError, DataError, KeyError, TypeError, ValueError,
             OverflowError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e}")
-    params = ObsNodeParams(cfg, np.random.default_rng(0))
-    params.load_state(arrays)
     return params, cfg, stats

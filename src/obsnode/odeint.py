@@ -1,4 +1,4 @@
-"""Fixed-step explicit integration of controlled vector fields.
+"""Fixed-step RK4 integration of controlled vector fields.
 
 Controls are piecewise constant. Step boundaries are aligned so that every
 control knot and every query time falls exactly on a boundary (local step
@@ -44,26 +44,30 @@ class ControlPath:
             raise DataError("ControlPath: one value per knot required")
 
 
-METHODS = ("euler", "rk4")
 MAX_STEPS = 1_000_000  # per integrate call, and per decision of a rollout
 
 
 @dataclass
 class IntegrationConfig:
-    method: str = "rk4"
     step_size: float = 0.25
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
         if not 0 < self.step_size < np.inf:
             raise ConfigError("step_size must be positive and finite")
 
     @classmethod
-    def for_grid(cls, times, method="rk4"):
+    def for_grid(cls, times):
         """Default config for an observation grid: a step of a quarter of the
         smallest spacing of `times`."""
-        return cls(method=method, step_size=float(np.min(np.diff(times))) / 4.0)
+        return cls(step_size=float(np.min(np.diff(times))) / 4.0)
+
+
+def grid_budget_error(times, reach, records="records"):
+    """The DataError of a rollout over `reach` time units past MAX_STEPS at the
+    :meth:`IntegrationConfig.for_grid` step, naming the `records`' smallest gap."""
+    return DataError(f"the {records}' smallest time gap {float(np.min(np.diff(times)))!r} "
+                     f"sets solver steps of {IntegrationConfig.for_grid(times).step_size!r}: "
+                     f"a rollout over {float(reach)!r} time units takes more than {MAX_STEPS}")
 
 
 def _steps_per_gap(anchors, step_size):
@@ -112,42 +116,36 @@ def _rk4_step(field, z, a, params, dt):
     return ad.add(z, ad.scale(incr, dt / 6.0))
 
 
-def _step(field, z, h, rk4, params, t):
-    """One Euler or RK4 step of size h from the Tensor z with the bound field
+def _step(field, z, h, params, t):
+    """One RK4 step of size h from the Tensor z with the bound field
     (f, rebuild), recorded as one tape node whose inputs are z and `params`;
     t, the step's end time, names it in errors. The forward pass runs the
-    stages on arrays, keeps their inputs and scans the new state once for
-    finiteness. The backward pass calls rebuild on the stacked stage inputs
+    four stages on arrays, keeps their inputs and scans the new state once
+    for finiteness. The backward pass calls rebuild on those inputs stacked
     and runs the stages' VJPs in reverse (discretise-then-optimise: Kidger
     2022, *On Neural Differential Equations*, section 5); a non-finite
     state gradient raises NumericError there."""
     f, rebuild = field
     zd = z.data
     k1 = f(zd)
-    if rk4:
-        k2 = f(z2 := zd + k1 * (h / 2.0))
-        k3 = f(z3 := zd + k2 * (h / 2.0))
-        k4 = f(z4 := zd + k3 * h)
-        out = zd + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
-    else:
-        out = zd + k1 * h
+    k2 = f(z2 := zd + k1 * (h / 2.0))
+    k3 = f(z3 := zd + k2 * (h / 2.0))
+    k4 = f(z4 := zd + k3 * h)
+    out = zd + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
     if out.shape != zd.shape:
         raise ShapeMismatch("integrate: the field's value", out.shape, zd.shape)
     ad._check_finite(f"integrate: the state at t={t}", out)
 
     def backward(g):
-        vjp = rebuild(np.stack((zd, z2, z3, z4) if rk4 else (zd,)))
-        if rk4:
-            # g1 reaches k1 and k4 through the update, g2 reaches k2 and k3;
-            # s_i is the gradient at the input of stage i
-            g1 = g * (h / 6.0)
-            g2 = g1 * 2.0
-            s4 = vjp(3, g1)
-            s3 = vjp(2, g2 + s4 * h)
-            s2 = vjp(1, g2 + s3 * (h / 2.0))
-            gz = g + vjp(0, g1 + s2 * (h / 2.0)) + s2 + s3 + s4
-        else:
-            gz = g + vjp(0, g * h)
+        vjp = rebuild(np.stack((zd, z2, z3, z4)))
+        # g1 reaches k1 and k4 through the update, g2 reaches k2 and k3;
+        # s_i is the gradient at the input of stage i
+        g1 = g * (h / 6.0)
+        g2 = g1 * 2.0
+        s4 = vjp(3, g1)
+        s3 = vjp(2, g2 + s4 * h)
+        s2 = vjp(1, g2 + s3 * (h / 2.0))
+        gz = g + vjp(0, g1 + s2 * (h / 2.0)) + s2 + s3 + s4
         ad._check_finite(f"integrate: the state gradient at t={t}", gz)
         ad._accum(z, gz)
 
@@ -165,8 +163,8 @@ def integrate(field, z0, control: ControlPath, t0, cfg: IntegrationConfig, query
     ``field(a)`` binds the control value a (a row of ``control.knot_values``)
     and returns (f, rebuild); it is called once per control segment. f maps
     a state array to dz/dt and keeps nothing. Only a backward pass calls
-    rebuild, once per step (:func:`_step`), on the step's stage inputs
-    stacked on a leading axis, (s, n, d_z); it recomputes what the VJPs read,
+    rebuild, once per step (:func:`_step`), on the step's four stage inputs
+    stacked on a leading axis, (4, n, d_z); it recomputes what the VJPs read,
     so a step node holds no more than those inputs and the bound control,
     and returns vjp(i, g), which maps a gradient of stage i's dz/dt to that
     of its input and accumulates into the gradients of `params`, the
@@ -182,7 +180,6 @@ def integrate(field, z0, control: ControlPath, t0, cfg: IntegrationConfig, query
     query_times = [max(qt, t0) for qt in query_times]
 
     z = z0
-    rk4 = cfg.method == "rk4"
     edges = _step_boundaries(t0, control, query_times, cfg)
     # every query time is an edge; those at t0 keep z0
     out = dict.fromkeys(query_times, z0)
@@ -193,7 +190,7 @@ def integrate(field, z0, control: ControlPath, t0, cfg: IntegrationConfig, query
     for lo, hi, k in zip(edges[:-1], edges[1:], knots):
         if k != bound:
             pair, bound = field(control.knot_values[k]), k
-        z = _step(pair, z, hi - lo, rk4, params, hi)
+        z = _step(pair, z, hi - lo, params, hi)
         if hi in out:
             out[hi] = z
     return [out[qt] for qt in query_times]

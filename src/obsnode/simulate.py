@@ -555,11 +555,11 @@ def read_dataset(dirpath):
     """Load splits written by write_dataset; returns (splits, manifest). A
     missing or malformed manifest or split file raises DataError naming it:
     the manifest must have format_version 1 and a `splits` object, each split
-    file must hold the units of its manifest list in that order, and no unit
-    id may appear twice in the dataset. Each line's record is held to the
-    record rule of :meth:`~obsnode.model.History.checked`, so a line that
-    breaks it raises DataError naming the file, the line and the unit, and
-    each unobserved y entry is read as +0.0."""
+    file must hold the units of its manifest list in that order, and each
+    unit id must be a JSON integer, once in the dataset. Each line's record
+    is held to the record rule of :meth:`~obsnode.model.History.checked`, so
+    a line that breaks it raises DataError naming the file, the line and the
+    unit, and each unobserved y entry is read as +0.0."""
     dirpath = Path(dirpath)
     mpath = dirpath / "manifest.json"
     if not mpath.exists():
@@ -583,7 +583,8 @@ def read_dataset(dirpath):
                 for lineno, line in enumerate(fh, start=1):
                     try:
                         rec = json.loads(line)
-                        uid = rec["unit_id"]
+                        if type(uid := rec["unit_id"]) is not int:  # as `forecast --unit-id`
+                            raise TypeError(f"unit id {uid!r} is not an integer")
                         if uid in seen:
                             raise ValueError(f"unit {uid!r} appears twice, also in {seen[uid]}")
                         seen[uid] = path

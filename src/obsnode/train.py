@@ -20,7 +20,7 @@ from .autodiff import Adam, Tape, Tensor
 from .errors import ConfigError, DataError, NumericError, ShapeMismatch
 from .model import (History, NormStats, ObsNodeConfig, ObsNodeParams, check_dims,
                     decision_split, emissions, rollouts, save_model)
-from .odeint import MAX_STEPS, METHODS, IntegrationConfig, _counted_steps
+from .odeint import MAX_STEPS, IntegrationConfig, _counted_steps, grid_budget_error
 
 
 def zscore_fit(trajs) -> NormStats:
@@ -118,7 +118,6 @@ class TrainConfig:
     t_f: float = 0.0
     seed: int = 0
     max_grad_norm: float | None = None
-    int_method: str = "rk4"
     int_step: float | None = None  # default: a quarter of the grid spacing
     val_decision_times: list[float] | None = None
     max_horizon: float | None = None  # None: forecast to the record end
@@ -131,14 +130,13 @@ class TrainConfig:
             raise ConfigError("decision times and t_f must be finite")
         if any(t >= self.t_f for t in self.decision_time_grid):
             raise ConfigError("decision times must be < t_f")
-        if self.batch_size < 1 or self.epochs < 0 or not 0 <= self.learning_rate < np.inf:
-            raise ConfigError("batch_size >= 1, epochs >= 0, finite learning_rate >= 0")
+        if (self.batch_size < 1 or self.epochs < 0 or self.seed < 0
+                or not 0 <= self.learning_rate < np.inf):
+            raise ConfigError("batch_size >= 1, epochs >= 0, seed >= 0, finite learning_rate >= 0")
         if any(v is not None and not 0 < v < np.inf for v in (self.max_grad_norm,
                                                              self.int_step, self.max_horizon)):
             raise ConfigError("max_grad_norm, int_step and max_horizon must be positive "
                               "and finite")
-        if self.int_method not in METHODS or self.seed < 0:
-            raise ConfigError(f"int_method must be one of {METHODS}, seed >= 0")
         if self.val_decision_times is not None and not self.val_decision_times:
             raise ConfigError("val_decision_times must be nonempty; omit it to "
                               "validate on decision_time_grid")
@@ -151,8 +149,8 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
     first time with no history or no target (within `max_horizon`, if that is
     the cause), or int_step when a factual rollout, counted from times[k - 1]
     against the record knots by :func:`~obsnode.odeint._counted_steps`, takes
-    more than MAX_STEPS; without int_step, that is a DataError naming the split
-    and its smallest time gap."""
+    more than MAX_STEPS; without int_step, that is the split's
+    :func:`~obsnode.odeint.grid_budget_error`."""
     pairs = [decision_split(times, t_c, tcfg.max_horizon) for t_c in decision_times]
     bad = [t_c for t_c, pair in zip(decision_times, pairs) if pair is None]
     if bad:
@@ -160,18 +158,15 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
                  if decision_split(times, bad[0]) else "no history or no target")
         raise ConfigError(f"{split} decision time {float(bad[0])!r} has {cause}: the "
                           f"{split} records span [{float(times[0])!r}, {float(times[-1])!r}]")
-    int_cfg = (IntegrationConfig.for_grid(times, tcfg.int_method) if tcfg.int_step is None
-               else IntegrationConfig(tcfg.int_method, tcfg.int_step))
+    int_cfg = (IntegrationConfig.for_grid(times) if tcfg.int_step is None
+               else IntegrationConfig(tcfg.int_step))
     for k, j in pairs:
         try:
             _counted_steps(times[k - 1], times, times[k:j], int_cfg.step_size)
         except DataError:
             reach = float(times[j - 1] - times[k - 1])
             if tcfg.int_step is None:
-                raise DataError(f"the {split} records' smallest time gap "
-                                f"{float(np.min(np.diff(times)))!r} sets solver steps of "
-                                f"{int_cfg.step_size!r}: a rollout over {reach!r} time "
-                                f"units takes more than {MAX_STEPS}")
+                raise grid_budget_error(times, reach, f"{split} records")
             raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
                               f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
     return pairs, int_cfg

@@ -29,9 +29,8 @@ which shares its line with the statement around it, are not told apart.
 The run set:
 
 - ``simulate`` of both kinds, 30 patients each;
-- ``train`` for 3 epochs, RK4 on the cancer cohort and Euler on the
-  semi-synthetic one; on each trained model, ``evaluate`` with heatmaps,
-  and ``forecast`` to a file and to stdout;
+- ``train`` for 3 epochs on both cohorts; on each trained model,
+  ``evaluate`` with heatmaps, and ``forecast`` to a file and to stdout;
 - ``verify-identification`` at the default config, and at 300 instances
   for seeds 0-3;
 - ``gradcheck --n 3``;
@@ -180,11 +179,10 @@ def run_set(quick=False):
         data = f"data/{name}"
         ws.run(f"simulate {name}", "simulate", "--config", ws.json(
             f"in/simulate_{name}.json", {"kind": kind, "output_dir": data, "params": sim}))
-        method = "rk4" if kind == "cancer" else "euler"
         run_dir = f"runs/{name}"
         ws.run(f"train {name}", "train", "--config", ws.json(f"in/train_{name}.json", {
             "dataset_dir": data, "run_dir": run_dir, "model": model,
-            "train": {**train_cfg, "epochs": epochs, "int_method": method}}))
+            "train": {**train_cfg, "epochs": epochs}}))
         ws.run(f"evaluate {name}", "evaluate", "--config", ws.json(f"in/evaluate_{name}.json", {
             "dataset_dir": data, "checkpoint": f"{run_dir}/checkpoint.json",
             "output_dir": f"eval/{name}", "heatmap": True, **grid}))

@@ -156,7 +156,7 @@ CATALOGUE = (
            "np.roll(y, -1, 0)) for k, y in layers])):",
            ("tests/test_fused.py::TestStepNode", "tests/test_fused.py::TestSolveAgainstOpGraph"),
            "each RK4 stage's VJP reads the next stage's rebuilt activations and "
-           "masks, the last stage the first's; an Euler step does not show it"),
+           "masks, the last stage the first's"),
     Mutant("field-rebuild-from-the-first-stage", "model.py",
            "pre = zs[:, None] @ W0zd", "pre = zs[[0] * len(zs), None] @ W0zd",
            ("tests/test_fused.py::TestStepNode", "tests/test_fused.py::TestSolveAgainstOpGraph"),
@@ -360,6 +360,19 @@ CATALOGUE = (
             "test_a_manifest_that_does_not_describe_the_files_is_refused",
             "tests/test_cli.py::test_manifest_that_does_not_describe_the_dataset_is_data_error"),
            "a dataset manifest of another format_version is read as version 1"),
+    Mutant("unit-id-may-be-a-boolean", "simulate.py",
+           'if type(uid := rec["unit_id"]) is not int:',
+           'if not isinstance(uid := rec["unit_id"], int):',
+           ("tests/test_simulate.py::TestDatasetIo::"
+            "test_a_unit_id_that_is_not_an_integer_is_refused",),
+           "a true or false unit id reads, as bool is a subclass of int, and no "
+           "`forecast --unit-id` can name it"),
+    Mutant("rollouts-default-step-error-unworded", "model.py",
+           "if derived else e", "if False else e",
+           ("tests/test_model.py::TestLockstep::test_a_default_step_names_the_smallest_time_gap",
+            "tests/test_cli.py::test_a_tiny_time_gap_is_a_data_error"),
+           "evaluate and forecast at the default step print only the step count, "
+           "not the time gap that set the step"),
     Mutant("semi-noise-sd-check-passes-nan", "simulate.py",
            "if not 0 < self.eta_sd < np.inf or self.seed < 0:",
            "if self.eta_sd <= 0 or self.seed < 0:",

@@ -185,7 +185,7 @@ def convergence_order(field, z0, control, t0, t1, cfg, reference, halvings=3):
     errs = []
     dt = cfg.step_size
     for _ in range(halvings + 1):
-        c = IntegrationConfig(method=cfg.method, step_size=dt)
+        c = IntegrationConfig(step_size=dt)
         (zT,) = integrate(field, Tensor(np.asarray(z0, dtype=np.float64)),
                           control, t0, c, [t1], ())
         errs.append(float(np.max(np.abs(zT.data - np.asarray(reference)))))
@@ -203,7 +203,7 @@ def observability_probe(params: ObsNodeParams, control: ControlPath, z_pairs,
     shared control; strictly positive values witness distinguishability."""
     cfg = params.cfg
     if int_cfg is None:
-        int_cfg = IntegrationConfig(method="rk4", step_size=horizon / max(n_samples, 1))
+        int_cfg = IntegrationConfig(step_size=horizon / max(n_samples, 1))
     times = np.linspace(0.0, horizon, n_samples + 1)[1:]
     field, _ = stack_field(params)
     best = np.inf

@@ -243,6 +243,8 @@ class TestExitCodes:
                                            ("encoder_hidden_dim", 10**12)])
     def test_huge_checkpoint_dims_are_data_error(self, workspace, tmp_path,
                                                  key, value):
+        # the size the dims imply is bounded before any parameter is built
+        # or any stored tensor is compared with them
         doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
         doc["metadata"]["config"][key] = value
         ck = write_json(tmp_path / "ck.json", doc)
@@ -251,7 +253,8 @@ class TestExitCodes:
         rc, _, err = run_main(["evaluate", "--config",
                                write_json(tmp_path / "eval.json", evl)])
         assert rc == 3 and "Traceback" not in err
-        assert "checkpoint tensor" in err or "checkpoint missing tensor" in err
+        assert ("bad metadata: d_y, m, d_a, phi_hidden_dim, phi_layers and encoder_hidden_dim "
+                "give more than MAX_PARAMS=") in err
 
     def test_zero_epoch_train_on_mismatched_dims_is_data_error(self, workspace,
                                                               tmp_path):
@@ -631,9 +634,9 @@ def test_too_small_int_step_is_config_error(tmp_path):
 def test_a_tiny_time_gap_is_a_data_error(workspace, tmp_path):
     # three units on the times 0, 1e-300, 1, 2: the default step, a quarter
     # of the smallest gap, asks for about 4e300 steps from t_c = 0.5 to 1.
-    # evaluate, forecast and train without int_step exit 3, the count in six
-    # significant digits; train with an int_step that asks for too many
-    # steps exits 2.
+    # evaluate, forecast and train without int_step exit 3 with one wording,
+    # naming that gap and the step it sets; train with an int_step that asks
+    # for too many steps exits 2.
     rng = np.random.default_rng(0)
     times = np.array([0.0, 1e-300, 1.0, 2.0])
     units = [Trajectory(i, times, rng.normal(size=(4, 2)), np.ones((4, 2)), np.zeros((4, 2)))
@@ -646,13 +649,14 @@ def test_a_tiny_time_gap_is_a_data_error(workspace, tmp_path):
                horizons=[1.0])
     t = tmp_path / "a.csv"
     t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
-    for argv in (["evaluate", "--config", write_json(tmp_path / "eval.json", evl)],
-                 ["forecast", "--checkpoint", str(workspace["run"] / "checkpoint.json"),
-                  "--dataset", str(ds), "--unit-id", "2", "--treatments", str(t),
-                  "--t-c", "0.5", "--horizon", "1"]):
-        rc, out, err = run_main(argv)
-        assert (rc, out) == (3, "")
-        assert "integrate: 4e+300 steps exceed MAX_STEPS=1000000" in err
+    budget = ("the records' smallest time gap 1e-300 sets solver steps of 2.5e-301: a "
+              "rollout over 1.0 time units takes more than 1000000\n")
+    for argv, where in (
+            (["evaluate", "--config", write_json(tmp_path / "eval.json", evl)], "test split: "),
+            (["forecast", "--checkpoint", str(workspace["run"] / "checkpoint.json"),
+              "--dataset", str(ds), "--unit-id", "2", "--treatments", str(t),
+              "--t-c", "0.5", "--horizon", "1"], "")):
+        assert run_main(argv) == (3, "", f"data error: {where}{budget}")
     trn = json.loads(Path(workspace["train"]).read_text())
     trn.update(dataset_dir=str(ds), run_dir=str(tmp_path / "run"))
     trn["train"].update(decision_time_grid=[0.5], t_f=3.0)
@@ -684,7 +688,7 @@ def test_int_step_counts_the_steps_of_each_grid_gap(tmp_path, monkeypatch):
         "format_version": 1, "dataset_dir": str(tmp_path / "ds"),
         "run_dir": str(tmp_path / "run"), "model": {"d_y": 2, "m": 2, "d_a": 2},
         "train": {"epochs": 1, "decision_time_grid": [1.0], "t_f": 60.0,
-                  "int_method": "euler", "int_step": 59 / 999999.5}})
+                  "int_step": 59 / 999999.5}})
     rc, _, err = run_main(["train", "--config", trn])
     assert rc == 2
     assert "int_step: a train rollout over 59.0" in err and "1000000 solver steps" in err
@@ -967,7 +971,6 @@ class TestConfigTypes:
         ("train", ("train", "batch_size"), 3.5),
         ("train", ("train", "epochs"), 1.5),
         ("train", ("train", "epochs"), True),
-        ("train", ("train", "int_method"), "midpoint"),
         ("train", ("train", "int_step"), -1.0),
         ("train", ("train", "val_decision_times"), []),
         ("train", ("train", "seed"), -1),
@@ -1171,6 +1174,18 @@ def test_decision_sampling_is_an_unknown_key(workspace, tmp_path, value):
     cfg["train"]["decision_sampling"] = value
     rc, err = run_config("train", cfg, tmp_path / "t.json")
     assert rc == 2 and "unknown keys ['decision_sampling']" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["rk4", "euler"])
+def test_int_method_is_an_unknown_key(workspace, tmp_path, value):
+    # RK4 is the only solver, so a train config that names a method, even
+    # RK4, names a key that no longer exists
+    cfg = json.loads((workspace["root"] / "train.json").read_text())
+    cfg["run_dir"] = str(tmp_path / "run")
+    cfg["train"]["int_method"] = value
+    rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 2 and "unknown keys ['int_method']" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -352,27 +352,23 @@ def assert_close(fused, ref, rtol=1e-12):
 
 def ref_integrate(z0, control, cfg, query_times, rhs):
     """:func:`~obsnode.odeint.integrate` of the field rhs(z, a) from t = 0 on
-    the solver's step edges, each Euler or RK4 step written as ad.add and
+    the solver's step edges, each RK4 step written as ad.add and
     ad.scale over the stages. A step reads its input through one copy per
     use, made in reverse order of use, so the input's gradient sums as the
     step node's does: the update's term, then stage 1's to stage 4's."""
     out, z = {}, z0
     edges = odeint._step_boundaries(0.0, control, query_times, cfg)
-    rk4 = cfg.method == "rk4"
     for lo, hi in zip(edges[:-1], edges[1:]):
         a, h = Tensor(value_at(control, lo)), hi - lo
         f = lambda s: rhs(s, a)
         z_in = ad.reshape(z, z.data.shape)
-        z_upd, *zs = reversed([ad.reshape(z_in, z.data.shape) for _ in range(5 if rk4 else 2)])
+        z_upd, *zs = reversed([ad.reshape(z_in, z.data.shape) for _ in range(5)])
         k1 = f(zs[0])
-        if rk4:
-            k2 = f(ad.add(zs[1], ad.scale(k1, h / 2.0)))
-            k3 = f(ad.add(zs[2], ad.scale(k2, h / 2.0)))
-            k4 = f(ad.add(zs[3], ad.scale(k3, h)))
-            incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
-            z = ad.add(z_upd, ad.scale(incr, h / 6.0))
-        else:
-            z = ad.add(z_upd, ad.scale(k1, h))
+        k2 = f(ad.add(zs[1], ad.scale(k1, h / 2.0)))
+        k3 = f(ad.add(zs[2], ad.scale(k2, h / 2.0)))
+        k4 = f(ad.add(zs[3], ad.scale(k3, h)))
+        incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
+        z = ad.add(z_upd, ad.scale(incr, h / 6.0))
         out[hi] = z
     return [out[t] for t in query_times]
 
@@ -491,10 +487,9 @@ class TestNoLookAhead:
             assert_bitwise(other, results[0])
 
     @settings(max_examples=40, deadline=None)
-    @given(method=st.sampled_from(["euler", "rk4"]), n=st.sampled_from([1, 3]),
-           knot_at_s=st.booleans(), data=st.data(), seed=st.integers(0, 2**16))
-    def test_prediction_reads_no_control_past_its_time(self, method, n, knot_at_s, data,
-                                                        seed):
+    @given(n=st.sampled_from([1, 3]), knot_at_s=st.booleans(), data=st.data(),
+           seed=st.integers(0, 2**16))
+    def test_prediction_reads_no_control_past_its_time(self, n, knot_at_s, data, seed):
         # two control paths that agree before s, the second with a new knot
         # at s or with its first new knot after s: the predictions at the
         # query times up to s are bitwise equal, whatever step grid the
@@ -513,8 +508,7 @@ class TestNoLookAhead:
                                 new.size, n, 2))]))
         qts = list(rng.uniform(0.05, 12.0, size=6)) + data.draw(
             st.lists(st.just(s), max_size=1), label="query at s")
-        int_cfg = IntegrationConfig(method=method,
-                                    step_size=data.draw(st.floats(0.1, 1.0), label="step"))
+        int_cfg = IntegrationConfig(step_size=data.draw(st.floats(0.1, 1.0), label="step"))
         z0 = rng.normal(size=(n, cfg.d_z))
         preds = [forecast(EncodedState(z=Tensor(z0.copy()), t=0.0), control, qts,
                           make_params(cfg, seed), int_cfg)
@@ -525,9 +519,8 @@ class TestNoLookAhead:
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([1, 3]), change=st.sampled_from(["y", "mask", "a"]),
-           method=st.sampled_from(["euler", "rk4"]), data=st.data(),
-           seed=st.integers(0, 2**16))
-    def test_loss_reads_nothing_past_its_last_target(self, n, change, method, data, seed):
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_loss_reads_nothing_past_its_last_target(self, n, change, data, seed):
         # y values, mask flips or treatments changed after the last target
         # of the decision times (max_horizon set): _batch_loss's value and
         # every parameter gradient, and evaluate_loss's value, stay bitwise
@@ -542,7 +535,7 @@ class TestNoLookAhead:
         last = max(hist.times[mask_window(hist.times, t + horizon)[0]][-1] for t in t_cs)
         after = hist.times > last
         assume(after.any())
-        tcfg = TrainConfig(decision_time_grid=t_cs, t_f=1e9, int_method=method, int_step=0.3,
+        tcfg = TrainConfig(decision_time_grid=t_cs, t_f=1e9, int_step=0.3,
                            max_horizon=horizon)
         cfg = ObsNodeConfig(d_y=2, m=2, d_a=2, phi_hidden_dim=4, encoder_hidden_dim=4)
         rng = np.random.default_rng(seed + 3)
@@ -560,7 +553,7 @@ class TestNoLookAhead:
             with Tape() as tape:
                 loss = _batch_loss(stack_units(trajs),
                                    *decision_split(hist.times, t_cs[0], horizon),
-                                   params, np.ones(2), IntegrationConfig(method, 0.3))
+                                   params, np.ones(2), IntegrationConfig(0.3))
                 tape.backward(loss)
             val = evaluate_loss(trajs, params, np.ones(2), t_cs, tcfg)
             results.append([loss.data, np.float64(val)]
@@ -627,9 +620,9 @@ class TestTailAgainstOpGraph:
 
     @settings(max_examples=40, deadline=None)
     @given(d_y=st.integers(1, 2), m=st.integers(1, 3), d_a=st.sampled_from([0, 2]),
-           n=st.sampled_from([1, 2, 4]), method=st.sampled_from(["euler", "rk4"]),
-           unobserved=st.sampled_from([0.0, 0.5]), data=st.data(), seed=st.integers(0, 2**16))
-    def test_batch_loss(self, d_y, m, d_a, n, method, unobserved, data, seed):
+           n=st.sampled_from([1, 2, 4]), unobserved=st.sampled_from([0.0, 0.5]),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_batch_loss(self, d_y, m, d_a, n, unobserved, data, seed):
         # a training batch's loss and every parameter gradient with the
         # three nodes, and with the op graphs in their place
         T = 7
@@ -639,7 +632,7 @@ class TestTailAgainstOpGraph:
         hist.mask[...] = observed_mask(np.random.default_rng(seed + 1), hist.y.shape, unobserved)
         cfg = phi_config(d_y, m, d_a, "tanh", 1, True)
         sigma2 = np.random.default_rng(seed + 2).uniform(0.5, 2.0, size=d_y)
-        int_cfg = IntegrationConfig(method, 0.4)
+        int_cfg = IntegrationConfig(0.4)
         results = []
         for graph in (False, True):
             params = make_params(cfg, seed)
@@ -678,7 +671,7 @@ class TestFrozenInputs:
 
     @settings(max_examples=25, deadline=None)
     @given(act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
-           n=st.sampled_from([1, 4]), node=st.sampled_from(["rhs", "euler", "rk4"]),
+           n=st.sampled_from([1, 4]), node=st.sampled_from(["rhs", "solve"]),
            data=st.data(), seed=st.integers(0, 2**16))
     def test_field(self, act, layers, n, node, data, seed):
         # the field alone (triangular_rhs) and through integrate, its state
@@ -695,7 +688,7 @@ class TestFrozenInputs:
                 if node == "rhs":
                     return triangular_rhs(z, a, params)
                 field, tensors = stack_field(params)
-                return ad.concat(integrate(field, z, control, 0.0, IntegrationConfig(node, 0.25),
+                return ad.concat(integrate(field, z, control, 0.0, IntegrationConfig(0.25),
                                            [0.7, 1.5], tensors), axis=1)
 
             z = Tensor(z0.copy(), requires_grad="z" not in frozen)
@@ -720,9 +713,8 @@ class TestFrozenInputs:
 
 
 class TestStepNode:
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
-    def test_against_the_op_graph_of_its_stages(self, method, act):
+    def test_against_the_op_graph_of_its_stages(self, act):
         # eight chained steps across a control knot, queried mid-solve and
         # at the end: the states, the gradients of z0 and of every phi entry
         # of the checkpoint, and the tape's length
@@ -730,7 +722,7 @@ class TestStepNode:
         rng = np.random.default_rng(11)
         z0 = rng.normal(size=(3, cfg.d_z))
         control = ControlPath(np.array([0.0, 0.6]), rng.normal(size=(2, 3, 2)))
-        int_cfg = IntegrationConfig(method=method, step_size=0.25)
+        int_cfg = IntegrationConfig(step_size=0.25)
         qts = [0.7, 1.5]
         w = [rng.normal(size=z0.shape) for _ in qts]
         results, sizes = [], []
@@ -763,10 +755,10 @@ class TestStepNode:
 class TestSolveAgainstOpGraph:
     @settings(max_examples=60, deadline=None)
     @given(act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
-           method=st.sampled_from(["euler", "rk4"]), n=st.sampled_from([1, 3]),
-           control=st.sampled_from(["batch", "path_row"]), seed=st.integers(0, 2**16))
-    @example(act="tanh", layers=1, method="rk4", n=3, control="batch", seed=0)
-    def test_taped_solve(self, act, layers, method, n, control, seed):
+           n=st.sampled_from([1, 3]), control=st.sampled_from(["batch", "path_row"]),
+           seed=st.integers(0, 2**16))
+    @example(act="tanh", layers=1, n=3, control="batch", seed=0)
+    def test_taped_solve(self, act, layers, n, control, seed):
         # the step nodes on the fused field, whose backward passes rebuild
         # the hidden layers, against ref_integrate on the field's batched op
         # graph, across a knot and queried mid-solve: the states and the
@@ -777,7 +769,7 @@ class TestSolveAgainstOpGraph:
         z0 = rng.normal(size=(n, cfg.d_z))
         path = ControlPath(np.array([0.0, 0.6]),
                            rng.normal(size=(2, n, 2) if control == "batch" else (2, 2)))
-        int_cfg = IntegrationConfig(method, 0.25)
+        int_cfg = IntegrationConfig(0.25)
         results = []
         for fused in (True, False):
             params = make_params(cfg, seed)

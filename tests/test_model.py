@@ -345,7 +345,7 @@ class TestForecast:
     def setup_method(self):
         self.cfg, self.params = make_model(d_y=1, m=2, d_a=1)
         self.control = ControlPath(np.array([0.0]), np.array([[0.0]]))
-        self.int_cfg = IntegrationConfig(method="rk4", step_size=0.25)
+        self.int_cfg = IntegrationConfig(step_size=0.25)
 
     def test_pure_integrator_chain_is_analytic(self):
         # at init dz1 = z2, dz2 = 0, so y(t) = z1 + z2 (t - t0)
@@ -358,7 +358,7 @@ class TestForecast:
         cfg, params = make_model(d_y=1, m=2, d_a=1, randomize_output=True)
         hist = make_history(cfg, T=3, n=2, seed=5)
         control = ControlPath(np.array([hist.times[-1]]), np.array([[0.2]]))
-        int_cfg = IntegrationConfig(method="rk4", step_size=0.5)
+        int_cfg = IntegrationConfig(step_size=0.5)
         qts = [hist.times[-1] + 0.5, hist.times[-1] + 1.0]
 
         def loss():
@@ -379,8 +379,7 @@ class TestForecast:
             edges = odeint._step_boundaries(t0, control, query_times, cfg)
             z, states = z0, {edges[0]: z0}
             for lo, hi in zip(edges[:-1], edges[1:]):
-                z = odeint._step(field(value_at(control, lo)), z, hi - lo,
-                                 cfg.method == "rk4", params, hi)
+                z = odeint._step(field(value_at(control, lo)), z, hi - lo, params, hi)
                 states[hi] = z
             return [states[q] for q in query_times]
 
@@ -392,7 +391,7 @@ class TestForecast:
 
         rng = np.random.default_rng(2)
         control = ControlPath(np.array([-1.0, 0.5, 1.2, 2.0]), rng.normal(size=(4, 2, 1)))
-        int_cfg = IntegrationConfig(method="rk4", step_size=0.2)
+        int_cfg = IntegrationConfig(step_size=0.2)
         z_init = rng.normal(size=(2, 3))
         runs = []
         for run in ("segment", "step"):
@@ -427,7 +426,7 @@ class TestForecast:
         # weighs each prediction by its query time
         rng = np.random.default_rng(4)
         control = ControlPath(np.array([0.0, 0.8, 1.9]), rng.normal(size=(3, 2, 1)))
-        int_cfg = IntegrationConfig(method="rk4", step_size=0.3)
+        int_cfg = IntegrationConfig(step_size=0.3)
         z_init = rng.normal(size=(2, 3))
         unsorted = [2.0, 0.5, 2.0, 1.3, 0.5, 3.0]
         runs = []
@@ -457,7 +456,7 @@ class TestTapeFreeInference:
     def setup_method(self):
         self.control = ControlPath(np.array([0.0, 0.7]),
                                    np.random.default_rng(3).normal(size=(2, 3, 1)))
-        self.int_cfg = IntegrationConfig(method="rk4", step_size=0.25)
+        self.int_cfg = IntegrationConfig(step_size=0.25)
         self.z_init = np.random.default_rng(4).normal(size=(3, 4))
         self.qts = [0.5, 1.5]
 
@@ -704,9 +703,9 @@ class TestStoredLayout:
     ("encoder_hidden_dim", 10**12), ("phi_hidden_dim", 10**12),
     ("m", float("nan")), ("phi_layers", float("nan"))])
 def test_huge_metadata_is_rejected_before_allocation(tmp_path, key, value):
-    # the shapes the metadata implies are compared with the stored tensors
-    # before any parameter is built, so none of these is allocated; a NaN
-    # count cannot even be iterated
+    # the parameter count the metadata implies is bounded before any
+    # parameter is built, so none of these is allocated; a NaN count
+    # cannot even be iterated
     _, params = make_model()
     path = tmp_path / "model.json"
     save_model(path, params, identity_stats(1))
@@ -743,6 +742,18 @@ def test_checkpoint_past_max_params_is_rejected_before_allocation(tmp_path, monk
     monkeypatch.setattr(model_mod, "ObsNodeParams", None)
     with pytest.raises(DataError, match="MAX_PARAMS=100"):
         load_model(tmp_path / "model.json")
+
+
+def test_a_checkpoint_is_checked_once(tmp_path, monkeypatch):
+    # load_model leaves the stored tensors' names and shapes to load_state
+    _, params = make_model()
+    save_model(tmp_path / "model.json", params, identity_stats(1))
+    calls = []
+    real = model_mod.check_state
+    monkeypatch.setattr(model_mod, "check_state", lambda *a: calls.append(a) or real(*a))
+    loaded, _, _ = load_model(tmp_path / "model.json")
+    assert len(calls) == 1
+    assert loaded.flat.tobytes() == params.flat.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -840,11 +851,10 @@ class TestLockstep:
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 7]), hidden=st.integers(1, 5), d_y=st.integers(1, 2),
-           method=st.sampled_from(["euler", "rk4"]), step=st.floats(0.05, 0.9),
-           control=st.sampled_from([None, "shared", "per unit"]), seed=st.integers(0, 2**16),
-           data=st.data())
-    def test_lockstep_equals_one_call_per_decision(self, n, hidden, d_y, method, step,
-                                                   control, seed, data):
+           step=st.floats(0.05, 0.9), control=st.sampled_from([None, "shared", "per unit"]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_lockstep_equals_one_call_per_decision(self, n, hidden, d_y, step, control, seed,
+                                                   data):
         # narrow hidden and output layers, whose products round otherwise
         # at another row count; steps that do not divide the gaps; repeated
         # pairs, pairs that share a start, and ends that differ, as a
@@ -856,16 +866,16 @@ class TestLockstep:
         pairs = data.draw(st.lists(pair, min_size=1, max_size=5), label="pairs")
         k0, j0 = pairs[0]
         pairs += [pairs[0], (k0, data.draw(st.integers(k0 + 1, T), label="end"))]
-        self.check(n, hidden, d_y, method, step, control, seed, pairs)
+        self.check(n, hidden, d_y, step, control, seed, pairs)
 
     def test_a_fixed_case_equals_one_call_per_decision(self):
         # decisions that join after the first, leave before the last and
         # overlap, under a shared control: the hypothesis test's kind of
         # case, small enough to run first
-        self.check(2, 3, 1, "rk4", 0.3, "shared", 5, [(1, 6), (3, 5), (2, 4), (3, 6)])
+        self.check(2, 3, 1, 0.3, "shared", 5, [(1, 6), (3, 5), (2, 4), (3, 6)])
 
     @staticmethod
-    def check(n, hidden, d_y, method, step, control, seed, pairs):
+    def check(n, hidden, d_y, step, control, seed, pairs):
         _, params, record = lockstep_case(n, d_y, hidden, seed)
         ctrl = None
         if control is not None:
@@ -873,7 +883,7 @@ class TestLockstep:
             knots = np.unique(rng.uniform(record.times[0] - 0.5, record.times[-1] + 0.5, 4))
             ctrl = ControlPath(knots, rng.normal(size=(knots.size,) + (n,) * (control != "shared")
                                                  + (2,)))
-        int_cfg = IntegrationConfig(method, step)
+        int_cfg = IntegrationConfig(step)
         together = rollouts(record, pairs, params, int_cfg, ctrl)
         assert len(together) == len(pairs)
         for (k, j), states in zip(pairs, together):
@@ -884,18 +894,17 @@ class TestLockstep:
                 assert s.data.tobytes() == t.data.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.sampled_from([1, 3]), method=st.sampled_from(["euler", "rk4"]),
-           step=st.floats(0.05, 0.9), taped=st.booleans(), seed=st.integers(0, 2**16),
-           data=st.data())
-    def test_no_control_is_the_records_own_path(self, n, method, step, taped, seed, data):
-        # taped (one decision) or not (one or several), Euler or RK4: without
+    @given(n=st.sampled_from([1, 3]), step=st.floats(0.05, 0.9), taped=st.booleans(),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_no_control_is_the_records_own_path(self, n, step, taped, seed, data):
+        # taped (one decision) or not (one or several): without
         # a control, each state is that under ControlPath(times, a), bit for bit
         T = 6
         _, params, record = lockstep_case(n, 1, 3, seed, T)
         pair = st.integers(1, T - 1).flatmap(lambda k: st.tuples(st.just(k),
                                                                 st.integers(k + 1, T)))
         pairs = data.draw(st.lists(pair, min_size=1, max_size=1 if taped else 4), label="pairs")
-        int_cfg = IntegrationConfig(method, step)
+        int_cfg = IntegrationConfig(step)
         with ad.Tape() if taped else contextlib.nullcontext():
             got = rollouts(record, pairs, params, int_cfg)
             ref = rollouts(record, pairs, params, int_cfg, ControlPath(record.times, record.a))
@@ -910,7 +919,7 @@ class TestLockstep:
         _, params, record = lockstep_case(2, 1, 3, seed=11, T=9)
         times = 2.0**52 + np.cumsum([0.0, 1, 3, 5, 7, 3, 1, 3, 5])
         record = History(times, record.y, record.mask, record.a)
-        int_cfg = IntegrationConfig("rk4", 0.45)
+        int_cfg = IntegrationConfig(0.45)
         edges = np.array(odeint._step_boundaries(times[0], ControlPath(times, record.a),
                                                  times[1:], int_cfg))
         assert np.isin(edges[:-1][np.diff(edges) == 0], times).sum() == 16
@@ -934,7 +943,7 @@ class TestLockstep:
             return states
 
         monkeypatch.setattr(model_mod, "encode_prefixes", huge_second_state)
-        int_cfg = IntegrationConfig("rk4", 1.0)
+        int_cfg = IntegrationConfig(1.0)
         rollouts(record, [(1, 6)], params, int_cfg)
         with np.errstate(all="ignore"), pytest.raises(
                 NumericError, match=re.escape(f"integrate: the state at t={record.times[3]}")):
@@ -948,7 +957,7 @@ class TestLockstep:
                 rollouts(record, [(2, 5), (3, 5)], params)
 
     def test_max_steps_bounds_each_decision(self, monkeypatch):
-        # 60 Euler steps of 0.1 over the times 0..6 pass MAX_STEPS = 50
+        # 60 steps of 0.1 over the times 0..6 pass MAX_STEPS = 50
         # whether (1, 7) steps alone or (4, 7) splits its span into two
         # stretches; a knot inside a gap adds a step. Each is refused before
         # the encoder runs.
@@ -957,7 +966,7 @@ class TestLockstep:
         T = 7
         record = History(np.arange(T, dtype=float), np.zeros((T, 1, 1)), np.ones((T, 1, 1)),
                          np.zeros((T, 1, 1)))
-        int_cfg = IntegrationConfig("euler", 0.1)
+        int_cfg = IntegrationConfig(0.1)
         monkeypatch.setattr(model_mod, "encode_prefixes", None)
         monkeypatch.setattr(odeint, "MAX_STEPS", 50)
         for decisions in ([(1, 7)], [(1, 7), (4, 7)]):
@@ -967,6 +976,25 @@ class TestLockstep:
         control = ControlPath(np.array([0.0, 0.55]), np.zeros((2, 1)))
         with pytest.raises(DataError, match="^integrate: 61 steps exceed MAX_STEPS=60$"):
             rollouts(record, [(4, 7), (1, 7)], params, int_cfg, control)
+
+    def test_a_default_step_names_the_smallest_time_gap(self, monkeypatch):
+        # without int_cfg the step is a quarter of the smallest time gap:
+        # 24 steps of 0.25 from the time 0 to 6 pass MAX_STEPS = 20, and the
+        # error names the gap, the step and the rollout's reach, as train's
+        # does; the same step given names only the count
+        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=3)
+        params = random_params(cfg, 0)
+        T = 7
+        record = History(np.arange(T, dtype=float), np.zeros((T, 1, 1)), np.ones((T, 1, 1)),
+                         np.zeros((T, 1, 1)))
+        monkeypatch.setattr(model_mod, "encode_prefixes", None)
+        monkeypatch.setattr(odeint, "MAX_STEPS", 20)
+        with pytest.raises(DataError, match=re.escape(
+                "the records' smallest time gap 1.0 sets solver steps of 0.25: a rollout "
+                "over 6.0 time units takes more than 20")):
+            rollouts(record, [(4, 7), (1, 7)], params)
+        with pytest.raises(DataError, match="^integrate: 24 steps exceed MAX_STEPS=20$"):
+            rollouts(record, [(1, 7)], params, IntegrationConfig(0.25))
 
     @pytest.mark.parametrize("units, d_a, values", [(2, 2, (5, 3, 2)), (2, 1, (5, 2))])
     def test_control_of_the_wrong_shape_is_refused_before_any_step(self, monkeypatch, units,

@@ -66,10 +66,6 @@ class TestControlPath:
 
 
 class TestIntegrationConfig:
-    def test_bad_method(self):
-        with pytest.raises(ConfigError):
-            IntegrationConfig(method="heun")
-
     def test_bad_step(self):
         with pytest.raises(ConfigError):
             IntegrationConfig(step_size=0.0)
@@ -77,7 +73,7 @@ class TestIntegrationConfig:
 
 class TestIntegrate:
     def test_exponential_decay_rk4(self):
-        cfg = IntegrationConfig(method="rk4", step_size=0.05)
+        cfg = IntegrationConfig(step_size=0.05)
         (zT,) = integrate(decay, Tensor([1.0]), CONST_CONTROL, 0.0, cfg, [1.0], ())
         assert abs(zT.data[0] - np.exp(-1.0)) < 1e-7
 
@@ -106,14 +102,14 @@ class TestIntegrate:
     def test_piecewise_constant_control_is_exact(self):
         # dz/dt = a with a = 1 on [0,1) and a = -2 on [1,3]; z(3) = 1 - 4 = -3
         control = ControlPath(np.array([0.0, 1.0]), np.array([[1.0], [-2.0]]))
-        cfg = IntegrationConfig(method="rk4", step_size=0.4)
+        cfg = IntegrationConfig(step_size=0.4)
         (zT,) = integrate(drive, Tensor([0.0]), control, 0.0, cfg, [3.0], ())
         assert abs(zT.data[0] - (-3.0)) < 1e-12
 
     def test_chained_segments_bit_identical(self):
         control = ControlPath(np.array([0.0, 1.0]), np.array([[0.5], [-0.25]]))
         field = lambda a: ((lambda z: z * a), (lambda zs: lambda i, g: g * a))
-        cfg = IntegrationConfig(method="rk4", step_size=0.1)
+        cfg = IntegrationConfig(step_size=0.1)
         z1, z2 = integrate(field, Tensor([1.0]), control, 0.0, cfg, [1.0, 2.0], ())
         (z1b,) = integrate(field, Tensor([1.0]), control, 0.0, cfg, [1.0], ())
         (z2b,) = integrate(field, z1b, control, 1.0, cfg, [2.0], ())
@@ -148,25 +144,24 @@ class TestIntegrate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_raises(self):
-        # dz/dt = z^2 from z0 = 2 escapes in finite time; euler overflows
+        # dz/dt = z^2 from z0 = 2 escapes in finite time; rk4 overflows
         field = lambda a: ((lambda z: z * z), (lambda zs: lambda i, g: g * 2.0 * zs[i]))
-        cfg = IntegrationConfig(method="euler", step_size=0.1)
+        cfg = IntegrationConfig(step_size=0.1)
         with pytest.raises(NumericError):
             integrate(field, Tensor([2.0]), CONST_CONTROL, 0.0, cfg, [50.0], ())
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.parametrize("method,t_bad", [("euler", 1.5), ("rk4", 2.0)])
-    def test_nonfinite_state_gradient_raises_at_its_step(self, method, t_bad):
+    def test_nonfinite_state_gradient_raises_at_its_step(self):
         # a finite forward pass whose VJP overflows: the node of the step
         # where the state gradient first turns non-finite names its end time
         field = lambda a: ((lambda z: -z), (lambda zs: lambda i, g: g * 1e300))
-        cfg = IntegrationConfig(method=method, step_size=0.5)
+        cfg = IntegrationConfig(step_size=0.5)
         z0 = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
             (zT,) = integrate(field, z0, CONST_CONTROL, 0.0, cfg, [2.0], ())
             assert np.isfinite(zT.data).all()
             with pytest.raises(NumericError,
-                               match=f"^integrate: the state gradient at t={t_bad}: "):
+                               match="^integrate: the state gradient at t=2.0: "):
                 tape.backward(ad.tsum(zT))
 
     def test_field_of_another_shape_is_a_shape_mismatch(self):
@@ -178,7 +173,7 @@ class TestIntegrate:
             integrate(field, Tensor(np.zeros((1, 1))), control, 0.0, cfg, [1.0], ())
 
     def test_batched_state(self):
-        cfg = IntegrationConfig(method="rk4", step_size=0.05)
+        cfg = IntegrationConfig(step_size=0.05)
         z0 = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         (zT,) = integrate(decay, z0, CONST_CONTROL, 0.0, cfg, [1.0], ())
         np.testing.assert_allclose(zT.data, z0.data * np.exp(-1.0), rtol=1e-7)
@@ -186,19 +181,13 @@ class TestIntegrate:
 
 class TestConvergenceOrder:
     def test_rk4_is_fourth_order(self):
-        cfg = IntegrationConfig(method="rk4", step_size=0.25)
+        cfg = IntegrationConfig(step_size=0.25)
         p = convergence_order(decay, [1.0], CONST_CONTROL, 0.0, 1.0, cfg,
                               reference=[np.exp(-1.0)])
         assert abs(p - 4.0) < 0.2
 
-    def test_euler_is_first_order(self):
-        cfg = IntegrationConfig(method="euler", step_size=0.1)
-        p = convergence_order(decay, [1.0], CONST_CONTROL, 0.0, 1.0, cfg,
-                              reference=[np.exp(-1.0)])
-        assert abs(p - 1.0) < 0.1
-
     def test_inconclusive_when_exact(self):
-        cfg = IntegrationConfig(method="rk4", step_size=0.5)
+        cfg = IntegrationConfig(step_size=0.5)
         control = ControlPath(np.array([0.0]), np.array([[1.0]]))
         assert convergence_order(drive, [0.0], control, 0.0, 1.0, cfg,
                                  reference=[1.0]) is None
@@ -207,7 +196,7 @@ class TestConvergenceOrder:
 class TestAdjoint:
     def test_gradient_wrt_initial_state(self):
         # z(1) = z0 e^{-1}, so d z(1)/d z0 = e^{-1}
-        cfg = IntegrationConfig(method="rk4", step_size=0.02)
+        cfg = IntegrationConfig(step_size=0.02)
         z0 = Tensor([1.3], requires_grad=True)
         with Tape() as tape:
             (zT,) = integrate(decay, z0, CONST_CONTROL, 0.0, cfg, [1.0], ())
@@ -216,7 +205,7 @@ class TestAdjoint:
 
     def test_gradient_wrt_field_parameter(self):
         # dz/dt = theta z with z0 = 1: z(1) = e^theta, d/dtheta = e^theta
-        cfg = IntegrationConfig(method="rk4", step_size=0.02)
+        cfg = IntegrationConfig(step_size=0.02)
         theta = Tensor([0.4], requires_grad=True)
 
         def field(a):
@@ -233,7 +222,7 @@ class TestAdjoint:
         assert abs(theta.grad[0] - np.exp(0.4)) < 1e-6
 
     def test_adjoint_matches_finite_differences(self):
-        cfg = IntegrationConfig(method="rk4", step_size=0.1)
+        cfg = IntegrationConfig(step_size=0.1)
         control = ControlPath(np.array([0.0, 0.7]), np.array([[0.3], [-0.6]]))
 
         def field(a):

@@ -710,6 +710,16 @@ class TestDatasetIo:
         with pytest.raises(DataError, match=f"^{re.escape(str(bad))}.*{re.escape(message)}"):
             read_dataset(tmp_path)
 
+    @pytest.mark.parametrize("uid", ["x", 1.5, None, True], ids=["string", "float", "null",
+                                                                "bool"])
+    def test_a_unit_id_that_is_not_an_integer_is_refused(self, tmp_path, uid):
+        # `forecast --unit-id` names a unit by an integer, so a line whose id
+        # is any other JSON value, a boolean included, is malformed
+        with pytest.raises(DataError, match=r"train\.jsonl, line 2: malformed record: "
+                                            rf"TypeError\(.unit id {re.escape(repr(uid))} is "
+                                            "not an integer"):
+            read_lines(tmp_path, GOOD_LINE, record_with("y", lambda arr: arr, unit_id=uid))
+
 
 def read_lines(tmp_path, *recs):
     """The units read_dataset makes of a dataset whose one split, train,

@@ -587,8 +587,7 @@ def test_int_step_counts_the_steps_of_each_grid_gap(split, monkeypatch):
     splits = {"train": make_trajs(n=3, T=61, d_y=1), "val": make_trajs(n=2, T=61, d_y=1)}
     t_cs = {"train": [30.0], "val": [30.0], split: [1.0]}
     tcfg = TrainConfig(epochs=1, decision_time_grid=t_cs["train"],
-                       val_decision_times=t_cs["val"], t_f=60.0, int_method="euler",
-                       int_step=59 / 999999.5)
+                       val_decision_times=t_cs["val"], t_f=60.0, int_step=59 / 999999.5)
     assert _steps_per_gap(np.arange(1.0, 61.0), tcfg.int_step).sum() == 1_000_050
     with pytest.raises(ConfigError, match=f"int_step: a {split} rollout over 59.0 .* "
                                           f"more than {MAX_STEPS} solver steps"):
@@ -659,7 +658,7 @@ def test_one_count_bounds_every_solve(gaps, step, data):
     pairs = [decision_split(times, t_c, horizon) for t_c in t_cs]
     assume(None not in pairs)
     control = ControlPath(np.sort(knots), np.zeros((len(knots), 1)))
-    int_cfg = IntegrationConfig("euler", step)
+    int_cfg = IntegrationConfig(step)
     counts, factual = [], []
     for k, j in pairs:
         _, steps = _counted_steps(times[k - 1], control.knot_times, times[k:j], step)
@@ -672,8 +671,8 @@ def test_one_count_bounds_every_solve(gaps, step, data):
     T = times.size
     trajs = [Trajectory(unit_id=i, times=times, y=np.zeros((T, 1)), mask=np.ones((T, 1)),
                         a=np.zeros((T, 1))) for i in range(2)]
-    tcfg = TrainConfig(decision_time_grid=t_cs, t_f=times[-1] + 1.0, int_method="euler",
-                       int_step=step, max_horizon=horizon)
+    tcfg = TrainConfig(decision_time_grid=t_cs, t_f=times[-1] + 1.0, int_step=step,
+                       max_horizon=horizon)
     params = ObsNodeParams(MODEL_CFG, np.random.default_rng(0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(odeint, "MAX_STEPS", limit)
@@ -686,9 +685,9 @@ def test_one_count_bounds_every_solve(gaps, step, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([1, 3]), method=st.sampled_from(["euler", "rk4"]),
-       step=st.floats(0.1, 2.0), data=st.data(), seed=st.integers(0, 2**16))
-def test_a_batch_tape_is_the_solver_steps_and_four_nodes(n, method, step, data, seed):
+@given(n=st.sampled_from([1, 3]), step=st.floats(0.1, 2.0), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_a_batch_tape_is_the_solver_steps_and_four_nodes(n, step, data, seed):
     # one node per solver step of the rollout, then the encoder (one GRU
     # node), its head, the emission and the masked loss
     rng = np.random.default_rng(seed)
@@ -699,5 +698,5 @@ def test_a_batch_tape_is_the_solver_steps_and_four_nodes(n, method, step, data, 
                      rng.normal(size=(8, n, 1)))
     params = ObsNodeParams(MODEL_CFG, rng)
     with ad.Tape() as tape:
-        train_mod._batch_loss(record, k, j, params, np.ones(1), IntegrationConfig(method, step))
+        train_mod._batch_loss(record, k, j, params, np.ones(1), IntegrationConfig(step))
     assert len(tape) == _steps_per_gap(times[k - 1:j], step).sum() + 4
