@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import grad_check
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import raw_forecasts, rmse_grid, write_grid_csvs, write_grid_pgm
@@ -184,17 +183,8 @@ def cmd_train(args):
     except DataError as e:
         raise DataError(f"train split: {e}")
     normed = {s: zscore_apply(splits[s], stats) for s in ("train", "val")}
-    init_state = None
-    if "init_checkpoint" in cfg:
-        init, init_cfg, _ = load_model(cfg["init_checkpoint"])
-        ours, theirs = dataclasses.asdict(model_cfg), dataclasses.asdict(init_cfg)
-        differ = [k for k in ours if ours[k] != theirs[k]]
-        if differ:
-            raise ConfigError(f"model fields {differ} differ from those of the "
-                              f"init_checkpoint {cfg['init_checkpoint']}")
-        init_state = init.state()
-    params, history = train(model_cfg, normed, tcfg, run_dir=run_dir,
-                            stats=stats, init_state=init_state)
+    init = load_model(cfg["init_checkpoint"])[0] if "init_checkpoint" in cfg else None
+    params, history = train(model_cfg, normed, tcfg, run_dir=run_dir, stats=stats, init=init)
     if history:
         print(f"epochs: {len(history)}")
         print(f"best_val_loss: {_fmt(min(h['val_loss'] for h in history))}")
@@ -325,17 +315,17 @@ def cmd_verify_identification(args):
 
 def cmd_gradcheck(args):
     """Tape gradients of the training loss against central differences for
-    every parameter of small random models, all redrawn so that no zero
-    output layer hides a gradient, on batches with missing entries."""
+    every parameter of small random models (the field's leaky ReLU, the
+    GRU's sigmoid and tanh), all redrawn so that no zero output layer
+    hides a gradient, on batches with missing entries."""
     if args.n < 1 or not 0 < args.tol < np.inf or args.seed < 0:
         raise ConfigError("--n must be >= 1, --tol finite and positive, --seed >= 0")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for trial in range(args.n):
+    for _ in range(args.n):
         d_y, m, d_a, n, hidden, layers, enc = (int(rng.integers(lo, hi)) for lo, hi in (
             (1, 3), (1, 4), (0, 3), (2, 4), (2, 4), (0, 3), (2, 4)))
-        cfg = ObsNodeConfig(d_y, m, d_a, hidden, layers,
-                            list(ad.ACTIVATIONS)[trial % len(ad.ACTIVATIONS)], enc,
+        cfg = ObsNodeConfig(d_y, m, d_a, hidden, layers, enc,
                             treatment_scale=(rng.uniform(0.5, 2.0, d_a)
                                              if rng.random() < 0.5 else None))
         params = ObsNodeParams(cfg, rng)

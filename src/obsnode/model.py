@@ -29,7 +29,6 @@ class ObsNodeConfig:
     d_a: int
     phi_hidden_dim: int = 64
     phi_layers: int = 2
-    phi_activation: str = "leakyrelu"
     encoder_hidden_dim: int = 64
     treatment_scale: tuple[float, ...] | None = None
 
@@ -46,8 +45,6 @@ class ObsNodeConfig:
             if not all(0 < s < np.inf and np.isfinite(1.0 / s) for s in self.treatment_scale):
                 raise ConfigError("treatment_scale entries must be positive and finite, "
                                   "with a finite reciprocal")
-        if self.phi_activation not in ad.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.phi_activation!r}")
 
     @property
     def d_z(self):
@@ -274,20 +271,20 @@ def stack_field(params: ObsNodeParams):
     in the field protocol of :func:`~obsnode.odeint.integrate`, `tensors`
     being the stored phi tensors (:class:`ObsNodeParams`). Each layer of
     the m phi-blocks is one batched product over the blocks,
-    (m, n, v) @ (m, v, w); the first layer's input, [z, ctrl], is shared.
-    Each block's first-layer z rows are zero past z^(1..i) (the masks of
-    MADE, Germain et al., 2015), so the field stays triangular. The
-    weights' arrays are read once here; binding a control scales it once
-    and makes its first-layer term once for f, which runs each activation
-    in place; rebuild, which keeps only the scaled control, makes the term
-    again. A state may carry leading axes (the decisions :func:`rollouts`
-    steps in lockstep, the stages of a step that rebuild takes), which the
-    control term and the bias tiles broadcast over: each product takes a
-    lone state's (n, .) operands and rounds as it does, where extra rows
-    would not (a narrow product's row rounds otherwise at another row
-    count); so rebuild's one pass gives each stage's hidden layers bitwise
-    as f made them. A pass's temporaries scale with the leading axes times
-    n times the width.
+    (m, n, v) @ (m, v, w); the first layer's input, [z, ctrl], is shared,
+    and every hidden layer is a leaky ReLU. Each block's first-layer z rows
+    are zero past z^(1..i) (the masks of MADE, Germain et al., 2015), so the
+    field stays triangular. The weights' arrays are read once here; binding
+    a control scales it once and makes its first-layer term once for f,
+    which runs the leaky ReLU in place; rebuild, which keeps only the scaled
+    control, makes the term again. A state may carry leading axes (the
+    decisions :func:`rollouts` steps in lockstep, the stages of a step that
+    rebuild takes), which the control term and the bias tiles broadcast
+    over: each product takes a lone state's (n, .) operands and rounds as it
+    does, where extra rows would not (a narrow product's row rounds
+    otherwise at another row count); so rebuild's one pass gives each
+    stage's hidden layers bitwise as f made them. A pass's temporaries scale
+    with the leading axes times n times the width.
     """
     cfg = params.cfg
     d_y, m = cfg.d_y, cfg.m
@@ -295,7 +292,7 @@ def stack_field(params: ObsNodeParams):
     W0z, W0c, b0, *rest = tensors
     later = [(W, W.data, b, b.data) for W, b in zip(rest[::2], rest[1::2])]
     W0zd, W0cd, b0d = W0z.data, W0c.data, b0.data
-    act, keep, act_vjp = ad.ACTIVATIONS[cfg.phi_activation]
+    act, keep, act_vjp = ad.ACTIVATIONS["leakyrelu"]
     inv_scale = None if cfg.treatment_scale is None else 1.0 / np.asarray(cfg.treatment_scale)
     # the later layers' biases tiled to (m, n, w) per batch size n: a
     # contiguous add costs a third of a broadcast one at n = 100. The tiles
@@ -328,7 +325,7 @@ def stack_field(params: ObsNodeParams):
             """vjp(i, g) of f at a step's four stage inputs zs (4, n, d_z), whose
             one pass rebuilds the control term and every hidden layer by f's calls."""
             n = zs.shape[1]
-            layers = []  # (kept, activation) per hidden layer
+            layers = []  # (mask, activation) per hidden layer
             if later:
                 pre = zs[:, None] @ W0zd
                 pre += ctrl @ W0cd + b0d
@@ -340,9 +337,8 @@ def stack_field(params: ObsNodeParams):
 
             def vjp(i, g):
                 gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
-                for (W, Wd, b, _), (kept, y) in zip(reversed(later), reversed(layers)):
-                    gpre = act_vjp(_affine_vjp(gpre, y[i], W, Wd, b),
-                                   None if kept is None else kept[i], y[i])
+                for (W, Wd, b, _), (mask, y) in zip(reversed(later), reversed(layers)):
+                    gpre = act_vjp(_affine_vjp(gpre, y[i], W, Wd, b), mask[i], y[i])
                 gc = _unit_sum(gpre) if shared else gpre
                 ad._accum(b0, _unit_sum(gc))
                 ad._accum(W0c, ctrl.T @ gc)

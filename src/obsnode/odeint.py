@@ -49,7 +49,7 @@ MAX_STEPS = 1_000_000  # per integrate call, and per decision of a rollout
 
 @dataclass
 class IntegrationConfig:
-    step_size: float = 0.25
+    step_size: float
 
     def __post_init__(self):
         if not 0 < self.step_size < np.inf:
@@ -173,11 +173,8 @@ def integrate(field, z0, control: ControlPath, t0, cfg: IntegrationConfig, query
     t0 = float(t0)
     query_times = [float(t) for t in query_times]
     for qt in query_times:
-        if not qt >= t0 - 1e-12:
+        if not qt >= t0:
             raise ValueError(f"query time {qt} is not at or after t0={t0}")
-    # A query up to 1e-12 before t0 is a rounding of t0: it gets z0, and the
-    # integration still starts at t0.
-    query_times = [max(qt, t0) for qt in query_times]
 
     z = z0
     edges = _step_boundaries(t0, control, query_times, cfg)

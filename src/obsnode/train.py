@@ -216,17 +216,24 @@ def _record_loss(record: History, params, sigma2, pairs, int_cfg):
 # not also as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
 def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, stats: NormStats,
-          run_dir=None, init_state=None):
+          run_dir=None, init: ObsNodeParams | None = None):
     """Fit the model on normalized splits {"train": [...], "val": [...]}.
 
     Returns (params, history) where history rows are dicts with epoch,
     train_loss, val_loss. The returned parameters are the checkpoint with the
-    lowest validation loss. `init_state` (name -> array) warm-starts the
-    parameters, e.g. to resume from a checkpoint. Each split's decision
-    times are resolved to index pairs and checked once (:func:`_decisions`),
-    as is the length of `stats`, the statistics the checkpoint keeps, before
-    any parameter is made.
+    lowest validation loss. `init`, parameters of a model with the fields
+    of `model_cfg` (else ConfigError naming those that differ), warm-starts
+    them, e.g. to resume from a checkpoint that
+    :func:`~obsnode.model.load_model` has read and checked. Each split's
+    decision times are resolved to index pairs and checked once
+    (:func:`_decisions`), as is the length of `stats`, the statistics the
+    checkpoint keeps, before any parameter is made.
     """
+    if init is not None:
+        ours, theirs = asdict(model_cfg), asdict(init.cfg)
+        if differ := [k for k in ours if ours[k] != theirs[k]]:
+            raise ConfigError(f"model fields {differ} differ from those of the "
+                              "warm-start parameters")
     grid = list(tcfg.decision_time_grid)
     val_times = tcfg.val_decision_times or grid
     resolved = []
@@ -239,8 +246,8 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, stats: NormStats,
         raise DataError(f"norm stats of length {stats.mean.size} for d_y={model_cfg.d_y}")
     rng = np.random.default_rng(tcfg.seed)
     params = ObsNodeParams(model_cfg, rng)
-    if init_state is not None:
-        params.load_state(init_state)
+    if init is not None:
+        params.flat[...] = init.flat
     opt = Adam(params.tensors(), lr=tcfg.learning_rate, parts=params.parts)
     n = record.y.shape[1]
     sigma2 = np.ones(model_cfg.d_y)

@@ -82,7 +82,10 @@ SEMI_GRID = {"t_c_grid": [6.0, 24.0, 48.0], "horizons": [1.0, 3.0, 6.0]}
 # (name, kind, model, train, evaluation grid, forecast t_c and horizon)
 COHORTS = (("cancer", "cancer", CANCER_MODEL, CANCER_TRAIN, CANCER_GRID, (150.0, 120.0)),
            ("semi", "semi_synthetic", SEMI_MODEL, SEMI_TRAIN, SEMI_GRID, (24.0, 6.0)))
-NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|NaN|inf|Infinity)\b")
+# a number starts where no letter, digit, "_" or "." precedes it, so the
+# digits inside a name (rk4, phi0.W0, component_1) are not read as numbers
+NUMBER = re.compile(rb"(?<![A-Za-z0-9_.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    rb"|\b(?:nan|NaN|inf|Infinity)\b)")
 
 
 def sha(data: bytes) -> str:

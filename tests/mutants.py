@@ -152,8 +152,8 @@ CATALOGUE = (
            "those of another control term"),
     Mutant("field-stage-vjp-reads-the-next-stage", "model.py",
            "zip(reversed(later), reversed(layers)):",
-           "zip(reversed(later), reversed([(k if k is None else np.roll(k, -1, 0), "
-           "np.roll(y, -1, 0)) for k, y in layers])):",
+           "zip(reversed(later), reversed([(np.roll(k, -1, 0), np.roll(y, -1, 0)) "
+           "for k, y in layers])):",
            ("tests/test_fused.py::TestStepNode", "tests/test_fused.py::TestSolveAgainstOpGraph"),
            "each RK4 stage's VJP reads the next stage's rebuilt activations and "
            "masks, the last stage the first's"),
@@ -184,6 +184,11 @@ CATALOGUE = (
             "test_untaped_states_equal_the_taped_ones_bitwise",),
            "the untaped pass copies out the state before step k, not after it, so "
            "each prefix's state is one step short; a taped pass does not show it"),
+    Mutant("warm-start-not-copied", "train.py",
+           "params.flat[...] = init.flat", "params.flat[...] = params.flat",
+           ("tests/test_cli.py::TestResume::test_zero_epoch_resume_keeps_weights",),
+           "train() ignores its init parameters and starts from the seed's draw, "
+           "so a warm start from a checkpoint resumes nothing"),
     Mutant("train-keeps-the-batch-tape", "train.py",
            "    opt.step(max_grad_norm=max_grad_norm)\n",
            "    opt.step(max_grad_norm=max_grad_norm)\n    params.last_tape = tape\n",

@@ -188,7 +188,7 @@ VALID = {
     ObsNodeConfig: dict(d_y=1, m=1, d_a=2, treatment_scale=(1.0, 2.0)),
     TrainConfig: dict(decision_time_grid=[1.0, 2.0], t_f=3.0, max_grad_norm=1.0,
                       int_step=0.25, val_decision_times=[1.0], max_horizon=2.0),
-    IntegrationConfig: {},
+    IntegrationConfig: dict(step_size=0.25),
     CancerSimConfig: dict(n_patients=1),
     SemiSynthConfig: dict(n_patients=1),
 }

@@ -395,13 +395,24 @@ class TestResume:
         b = json.loads((tmp_path / "resumed" / "checkpoint.json").read_text())
         assert a["tensors"] == b["tensors"]
 
-    @pytest.mark.parametrize("change", [{"phi_activation": "tanh"},
-                                        {"phi_activation": "tanh",
-                                         "treatment_scale": [1.0, 2.0]}],
-                             ids=["activation", "activation_and_scale"])
+    def test_a_warm_start_checks_the_checkpoint_once(self, workspace, tmp_path, monkeypatch):
+        # load_model checks the tensors; train() copies them as they are
+        calls = []
+        real = model_mod.check_state
+        monkeypatch.setattr(model_mod, "check_state", lambda *a: calls.append(a) or real(*a))
+        cfg = json.loads((workspace["root"] / "train.json").read_text())
+        cfg["run_dir"] = str(tmp_path / "resumed")
+        cfg["init_checkpoint"] = str(workspace["run"] / "checkpoint.json")
+        cfg["train"]["epochs"] = 0
+        assert main(["train", "--config", write_json(tmp_path / "resume.json", cfg)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", [{"phi_hidden_dim": 4},
+                                        {"phi_hidden_dim": 4, "treatment_scale": [1.0, 2.0]}],
+                             ids=["hidden_dim", "hidden_dim_and_scale"])
     def test_checkpoint_of_another_model_is_config_error(self, workspace, tmp_path,
                                                          change):
-        # the workspace checkpoint is a leakyrelu model without treatment_scale
+        # the workspace checkpoint has phi_hidden_dim 8 and no treatment_scale
         cfg = json.loads((workspace["root"] / "train.json").read_text())
         cfg["run_dir"] = str(tmp_path / "resumed")
         cfg["init_checkpoint"] = str(workspace["run"] / "checkpoint.json")
@@ -1189,6 +1200,18 @@ def test_int_method_is_an_unknown_key(workspace, tmp_path, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["leakyrelu", "tanh", "sigmoid"])
+def test_phi_activation_is_an_unknown_key(workspace, tmp_path, value):
+    # the field's leaky ReLU is fixed, so a model config that names an
+    # activation, even the leaky ReLU, names a key that no longer exists
+    cfg = json.loads((workspace["root"] / "train.json").read_text())
+    cfg["run_dir"] = str(tmp_path / "run")
+    cfg["model"]["phi_activation"] = value
+    rc, err = run_config("train", cfg, tmp_path / "t.json")
+    assert rc == 2 and "unknown keys ['phi_activation']" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("defect,message", [
     ("unobserved", "component 1: fewer than 2 observations"),
     ("observed_once", "component 1: fewer than 2 observations"),
@@ -1279,16 +1302,19 @@ def train_evaluate_forecast(workspace, tmp, ds, unit, checkpoint=None,
 class TestLegacyCheckpoint:
     """A checkpoint carries its normalization, and its config names only
     today's model keys: one without `norm_stats`, or one written while the
-    model had a recursive rollout mode (`rollout_mode`, `recursive_chunk`),
-    is a data error naming the file."""
+    model had a recursive rollout mode (`rollout_mode`, `recursive_chunk`)
+    or a choice of the field's activation (`phi_activation`), is a data
+    error naming the file."""
 
-    @pytest.mark.parametrize("key", ["norm_stats", "rollout_mode"])
+    @pytest.mark.parametrize("key", ["norm_stats", "rollout_mode", "phi_activation"])
     def test_checkpoint_is_data_error_naming_it(self, workspace, tmp_path, key):
         doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
         if key == "norm_stats":
             del doc["metadata"]["norm_stats"]
-        else:
+        elif key == "rollout_mode":
             doc["metadata"]["config"].update(rollout_mode="long_horizon", recursive_chunk=1.0)
+        else:
+            doc["metadata"]["config"]["phi_activation"] = "leakyrelu"
         ck = write_json(tmp_path / "legacy.json", doc)
         # train from it (init_checkpoint), evaluate with it and forecast from it
         for rc, out, err in train_evaluate_forecast(workspace, tmp_path, workspace["ds"],

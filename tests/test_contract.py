@@ -41,6 +41,11 @@ def test_two_runs_give_one_report(runs, tmp_path):
     assert same and all(line.endswith(": identical") for line in lines)
 
 
+def test_numbers_skip_the_digits_inside_names():
+    assert contract.numbers(b'{"int_method": "rk4", "phi0.W0": [1.5, -2e-3], '
+                            b'"component_1": 7}').tolist() == [1.5, -0.002, 7.0]
+
+
 def test_compare_names_what_changed(runs, tmp_path):
     (a, arrays_a), _ = runs
     b = json.loads(json.dumps(a))

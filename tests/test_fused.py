@@ -38,10 +38,6 @@ from support import (GateViews, PerBlockParams, checkpoint_grads, op_graph_affin
                      stored_names, value_at)
 
 
-REF_ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid,
-                   "leakyrelu": ad.leaky_relu}
-
-
 def ref_control(z, a, cfg, expand=True):
     """The control as a (n, d_a), or with expand=False (1, d_a), graph node,
     scaled by the treatment scale."""
@@ -61,7 +57,6 @@ def ref_rhs(z, a, params):
     and the control."""
     cfg = params.cfg
     a = ref_control(z, a, cfg)
-    act = REF_ACTIVATIONS[cfg.phi_activation]
     d_y, m = cfg.d_y, cfg.m
     blocks = []
     for i, layers in enumerate(params.phi, start=1):
@@ -69,7 +64,7 @@ def ref_rhs(z, a, params):
         if cfg.d_a:
             x = ad.concat([x, a], axis=1)
         for W, b in layers[:-1]:
-            x = act(op_graph_affine(x, W, b))
+            x = ad.leaky_relu(op_graph_affine(x, W, b))
         phi = op_graph_affine(x, *layers[-1])
         if i < m:
             phi = ad.add(ad.slice_axis(z, i * d_y, (i + 1) * d_y, axis=1), phi)
@@ -112,9 +107,8 @@ def ref_batched_rhs(z, a, params):
     if c.data.shape[1] != n:
         c = ad.expand(c, (m, n, c.data.shape[2]))
     x = ad.add(ref_bmm(ref_shared(z_in, m), Wz), c)
-    act = REF_ACTIVATIONS[cfg.phi_activation]
     for W, b in zip(later[::2], later[1::2]):
-        x = ad.add(ref_bmm(act(x), W), ad.expand(b, (m, n, b.data.shape[2])))
+        x = ad.add(ref_bmm(ad.leaky_relu(x), W), ad.expand(b, (m, n, b.data.shape[2])))
     x = ad.reshape(ref_swap(x), (n, cfg.d_z))
     # -0.0 is the identity of addition: the last block passes unchanged
     shift = ad.concat([ad.slice_axis(z_in, d_y, cfg.d_z, axis=1),
@@ -202,20 +196,20 @@ def make_params(cfg, seed):
     return random_params(cfg, seed, scale=0.7)
 
 
-def phi_config(d_y, m, d_a, act, layers, scaled):
+def phi_config(d_y, m, d_a, layers, scaled):
     scale = tuple(0.5 + np.arange(d_a)) if scaled and d_a else None
     return ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=5, phi_layers=layers,
-                         phi_activation=act, encoder_hidden_dim=3, treatment_scale=scale)
+                         encoder_hidden_dim=3, treatment_scale=scale)
 
 
-def rhs_pair(d_y, m, d_a, act, layers, n, control, scaled, z_grad, seed, zeros=0.2,
+def rhs_pair(d_y, m, d_a, layers, n, control, scaled, z_grad, seed, zeros=0.2,
              kink=False):
     """run_node results of the fused field and of its batched op graph; the
     control is (n, d_a), (1, d_a), or the (d_a,) row that a
     single-trajectory ControlPath gives. With `kink`, the first unit's state
     and the control are zero and every bias is +0.0 or -0.0, so each of that
     unit's pre-activations is exactly zero."""
-    cfg = phi_config(d_y, m, d_a, act, layers, scaled)
+    cfg = phi_config(d_y, m, d_a, layers, scaled)
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(n, cfg.d_z))
     a0 = rng.normal(size={"batch": (n, d_a), "one_row": (1, d_a),
@@ -278,33 +272,30 @@ class TestBitwiseAgainstOpGraph:
     @settings(max_examples=80, deadline=None)
     @given(d_y=st.integers(1, 3), m=st.integers(1, 3),
            d_a=st.sampled_from([0, 1, 2]),
-           act=st.sampled_from(["tanh", "sigmoid", "leakyrelu"]),
            layers=st.integers(0, 2), n=st.sampled_from([1, 4]),
            control=st.sampled_from(["batch", "one_row", "path_row"]),
            scaled=st.booleans(), z_grad=st.booleans(),
            seed=st.integers(0, 2**16))
-    def test_triangular_rhs(self, d_y, m, d_a, act, layers, n, control,
-                            scaled, z_grad, seed):
-        assert_bitwise(*rhs_pair(d_y, m, d_a, act, layers, n, control, scaled,
-                                 z_grad, seed))
+    def test_triangular_rhs(self, d_y, m, d_a, layers, n, control, scaled, z_grad, seed):
+        assert_bitwise(*rhs_pair(d_y, m, d_a, layers, n, control, scaled, z_grad, seed))
 
     @pytest.mark.parametrize("n,d_y", [(1, 1), (1, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize("seed", range(4))
     def test_signed_zeros(self, n, d_y, seed):
         # with every buffer entry -0.0, each zero a node adds keeps the sign
         # that the op graph's reductions give it
-        assert_bitwise(*rhs_pair(d_y, 2, 1, "tanh", 1, n, "batch", False, True, seed,
+        assert_bitwise(*rhs_pair(d_y, 2, 1, 1, n, "batch", False, True, seed,
                                  zeros=1.0))
 
     @pytest.mark.parametrize("n,d_y", [(1, 1), (1, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize("seed", range(4))
     def test_signed_zeros_at_the_leaky_kink(self, n, d_y, seed):
-        # test_signed_zeros for leakyrelu, whose derivative the taped field
-        # keeps from its forward pass: the first unit's pre-activations sit
-        # on the kink in both hidden layers. A matmul sums from +0.0, so
+        # test_signed_zeros on the leaky ReLU's kink, whose side the taped
+        # field keeps from its forward pass: the first unit's
+        # pre-activations sit on it in both hidden layers. A matmul sums from +0.0, so
         # they are +0.0 whichever sign the bias has; the slope's rule on
         # -0.0 itself is checked in test_autodiff.
-        assert_bitwise(*rhs_pair(d_y, 2, 1, "leakyrelu", 2, n, "batch", False, True, seed,
+        assert_bitwise(*rhs_pair(d_y, 2, 1, 2, n, "batch", False, True, seed,
                                  zeros=1.0, kink=True))
 
     @settings(max_examples=60, deadline=None)
@@ -392,13 +383,12 @@ def value_and_grads(node, z0, params, seed):
 class TestStackedAgainstPerBlock:
     @settings(max_examples=80, deadline=None)
     @given(d_y=st.integers(1, 3), m=st.integers(1, 3), d_a=st.sampled_from([0, 1, 2]),
-           act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
-           scaled=st.booleans(), n=st.sampled_from([1, 5, 25]),
+           layers=st.integers(0, 2), scaled=st.booleans(), n=st.sampled_from([1, 5, 25]),
            control=st.sampled_from(["batch", "path_row"]), seed=st.integers(0, 2**16))
-    def test_field(self, d_y, m, d_a, act, layers, scaled, n, control, seed):
+    def test_field(self, d_y, m, d_a, layers, scaled, n, control, seed):
         # the batched field against the per-block op graph: values, per-block
         # parameter gradients and the state gradient
-        cfg = phi_config(d_y, m, d_a, act, layers, scaled)
+        cfg = phi_config(d_y, m, d_a, layers, scaled)
         rng = np.random.default_rng(seed)
         z0 = rng.normal(size=(n, cfg.d_z))
         a = Tensor(rng.normal(size=(n, d_a) if control == "batch" else (d_a,)))
@@ -494,7 +484,7 @@ class TestNoLookAhead:
         # at s or with its first new knot after s: the predictions at the
         # query times up to s are bitwise equal, whatever step grid the
         # knots after s cut
-        cfg = phi_config(2, 2, 2, "tanh", 1, True)
+        cfg = phi_config(2, 2, 2, 1, True)
         rng = np.random.default_rng(seed)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, size=4))])
         values = rng.uniform(0.0, 3.0, size=(times.size, n, 2))
@@ -630,7 +620,7 @@ class TestTailAgainstOpGraph:
         j = data.draw(st.integers(k + 1, T), label="j")
         hist = random_history(d_y, d_a, T, n, seed)
         hist.mask[...] = observed_mask(np.random.default_rng(seed + 1), hist.y.shape, unobserved)
-        cfg = phi_config(d_y, m, d_a, "tanh", 1, True)
+        cfg = phi_config(d_y, m, d_a, 1, True)
         sigma2 = np.random.default_rng(seed + 2).uniform(0.5, 2.0, size=d_y)
         int_cfg = IntegrationConfig(0.4)
         results = []
@@ -670,13 +660,12 @@ class TestFrozenInputs:
         return params
 
     @settings(max_examples=25, deadline=None)
-    @given(act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
-           n=st.sampled_from([1, 4]), node=st.sampled_from(["rhs", "solve"]),
-           data=st.data(), seed=st.integers(0, 2**16))
-    def test_field(self, act, layers, n, node, data, seed):
+    @given(layers=st.integers(0, 2), n=st.sampled_from([1, 4]),
+           node=st.sampled_from(["rhs", "solve"]), data=st.data(), seed=st.integers(0, 2**16))
+    def test_field(self, layers, n, node, data, seed):
         # the field alone (triangular_rhs) and through integrate, its state
         # and stored phi tensors frozen at random
-        cfg = phi_config(2, 2, 2, act, layers, True)
+        cfg = phi_config(2, 2, 2, layers, True)
         rng = np.random.default_rng(seed)
         z0, a = rng.normal(size=(n, cfg.d_z)), Tensor(rng.normal(size=(n, 2)))
         control = ControlPath(np.array([0.0, 0.6]), rng.normal(size=(2, n, 2)))
@@ -713,12 +702,11 @@ class TestFrozenInputs:
 
 
 class TestStepNode:
-    @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
-    def test_against_the_op_graph_of_its_stages(self, act):
+    def test_against_the_op_graph_of_its_stages(self):
         # eight chained steps across a control knot, queried mid-solve and
         # at the end: the states, the gradients of z0 and of every phi entry
         # of the checkpoint, and the tape's length
-        cfg = phi_config(2, 2, 2, act, 2, True)
+        cfg = phi_config(2, 2, 2, 2, True)
         rng = np.random.default_rng(11)
         z0 = rng.normal(size=(3, cfg.d_z))
         control = ControlPath(np.array([0.0, 0.6]), rng.normal(size=(2, 3, 2)))
@@ -754,17 +742,16 @@ class TestStepNode:
 
 class TestSolveAgainstOpGraph:
     @settings(max_examples=60, deadline=None)
-    @given(act=st.sampled_from(sorted(ad.ACTIVATIONS)), layers=st.integers(0, 2),
-           n=st.sampled_from([1, 3]), control=st.sampled_from(["batch", "path_row"]),
-           seed=st.integers(0, 2**16))
-    @example(act="tanh", layers=1, n=3, control="batch", seed=0)
-    def test_taped_solve(self, act, layers, n, control, seed):
+    @given(layers=st.integers(0, 2), n=st.sampled_from([1, 3]),
+           control=st.sampled_from(["batch", "path_row"]), seed=st.integers(0, 2**16))
+    @example(layers=1, n=3, control="batch", seed=0)
+    def test_taped_solve(self, layers, n, control, seed):
         # the step nodes on the fused field, whose backward passes rebuild
         # the hidden layers, against ref_integrate on the field's batched op
         # graph, across a knot and queried mid-solve: the states and the
         # gradients of z0 and of every stored phi tensor, bitwise. At n = 1,
         # and for a path row, the control term is shared by the units.
-        cfg = phi_config(2, 2, 2, act, layers, True)
+        cfg = phi_config(2, 2, 2, layers, True)
         rng = np.random.default_rng(seed)
         z0 = rng.normal(size=(n, cfg.d_z))
         path = ControlPath(np.array([0.0, 0.6]),
@@ -800,11 +787,11 @@ class TestTapeBytes:
     (51,200 B)."""
     m, n, w, steps = 2, 25, 32, 16
 
-    def held(self, act, layers):
+    def held(self, layers):
         """(bytes the tape holds, entries of one hidden layer over the solve)."""
         m, n, w = self.m, self.n, self.w
         cfg = ObsNodeConfig(d_y=1, m=m, d_a=1, phi_hidden_dim=w, phi_layers=layers,
-                            phi_activation=act, encoder_hidden_dim=3)
+                            encoder_hidden_dim=3)
         params = make_params(cfg, 5)
         rng = np.random.default_rng(6)
         z = Tensor(rng.normal(size=(n, cfg.d_z)), requires_grad=True)
@@ -822,16 +809,14 @@ class TestTapeBytes:
         assert len(tape) == self.steps and states[0].requires_grad
         return held, self.steps * 4 * m * n * w
 
-    @pytest.mark.parametrize("act", ["leakyrelu", "tanh"])
-    def test_taped_solve_keeps_only_what_the_vjps_read(self, act):
+    def test_taped_solve_keeps_only_what_the_vjps_read(self):
         # two hidden layers: either one's activation or mask kept over the
         # solve breaks the bound
-        held, layer = self.held(act, 2)
+        held, layer = self.held(2)
         assert held <= 0.1 * layer * 8
 
-    @pytest.mark.parametrize("act", ["leakyrelu", "tanh"])
-    def test_one_hidden_layer_keeps_no_activation(self, act):
-        held, layer = self.held(act, 1)
+    def test_one_hidden_layer_keeps_no_activation(self):
+        held, layer = self.held(1)
         assert held <= 0.1 * layer * 8
 
     def test_taped_encoder_keeps_three_gates_a_step(self):
@@ -859,7 +844,7 @@ class TestTapeBytes:
 class TestFusedGradCheck:
     def setup_method(self):
         cfg = ObsNodeConfig(d_y=2, m=2, d_a=2, phi_hidden_dim=6, phi_layers=2,
-                            phi_activation="tanh", encoder_hidden_dim=5,
+                            encoder_hidden_dim=5,
                             treatment_scale=(2.0, 0.5))
         self.params = make_params(cfg, 3)
         rng = np.random.default_rng(4)

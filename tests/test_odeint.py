@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obsnode import autodiff as ad
-from obsnode import odeint
 from obsnode.autodiff import Tape, Tensor, grad_check
 from obsnode.errors import ConfigError, DataError, NumericError, ShapeMismatch
 from obsnode.odeint import MAX_STEPS, ControlPath, IntegrationConfig, integrate
@@ -82,22 +81,13 @@ class TestIntegrate:
         z0, zT = integrate(decay, Tensor([2.0]), CONST_CONTROL, 0.0, cfg, [0.0, 1.0], ())
         assert z0.data[0] == 2.0
 
-    def test_query_just_before_t0_snaps_to_t0(self, monkeypatch):
-        # a query within the 1e-12 tolerance before t0 gets z0, and the
-        # integration still starts at t0
-        real, edges = odeint._step_boundaries, []
-
-        def spy(*args):
-            edges.extend(real(*args))
-            return edges
-
-        monkeypatch.setattr(odeint, "_step_boundaries", spy)
+    def test_query_just_before_t0_snaps_to_t0(self):
+        # no query is snapped onto t0 any more: one 1e-13 before t0 lies
+        # outside the solve and raises like any earlier query
         cfg = IntegrationConfig(step_size=0.5)
-        z0 = Tensor([2.0])
-        early, start, end = integrate(decay, z0, CONST_CONTROL, 1.0, cfg,
-                                      [1.0 - 1e-13, 1.0, 2.0], ())
-        assert early is z0 and start is z0
-        assert edges == [1.0, 1.5, 2.0]
+        with pytest.raises(ValueError, match="not at or after t0=1.0"):
+            integrate(decay, Tensor([2.0]), CONST_CONTROL, 1.0, cfg,
+                      [1.0 - 1e-13, 1.0, 2.0], ())
 
     def test_piecewise_constant_control_is_exact(self):
         # dz/dt = a with a = 1 on [0,1) and a = -2 on [1,3]; z(3) = 1 - 4 = -3
