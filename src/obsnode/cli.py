@@ -207,7 +207,7 @@ def cmd_evaluate(args):
     params, _, stats = load_model(cfg["checkpoint"])
     try:
         grid = rmse_grid(splits[split], cfg["t_c_grid"], cfg["horizons"],
-                         params=params, stats=stats)
+                         params=params, stats=stats, int_cfg=params.int_cfg)
     except DataError as e:
         raise DataError(f"{split} split: {e}")
     if not grid.counts.any():
@@ -259,7 +259,7 @@ def cmd_forecast(args):
                         if decision_split(record.times, args.t_c) else
                         "no record time at or before t_c, or no forecast times beyond t_c")
     k, j = pair
-    pred = raw_forecasts(record, [(k, j)], params, stats, control=control)[0][:, 0]
+    pred = raw_forecasts(record, [(k, j)], params, stats, params.int_cfg, control)[0][:, 0]
 
     with (_open_output(args.output) if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:

@@ -33,8 +33,7 @@ class RmseGrid:
 
 
 def raw_forecasts(record: History, decisions, params, stats: NormStats,
-                  int_cfg: IntegrationConfig | None = None,
-                  control: ControlPath | None = None):
+                  int_cfg: IntegrationConfig, control: ControlPath | None = None):
     """:func:`~obsnode.model.rollouts` in raw outcome units: normalize the
     record's observed outcomes with `stats` once, forecast, observe through
     :func:`~obsnode.model.emissions` and invert the normalization. Returns,
@@ -63,7 +62,7 @@ def _binned_rmse(record: History, k, j, pred, t_c, horizons, scale):
 
 
 def rmse_grid(test_trajs, t_c_grid, horizons, params, stats: NormStats,
-              int_cfg=None) -> RmseGrid:
+              int_cfg: IntegrationConfig) -> RmseGrid:
     """Scaled RMSE per (assimilation time, horizon bin, component) of the
     forecasts of :func:`raw_forecasts`, all from one encoder pass over the
     record, binned by :func:`_binned_rmse`; the RMSE scale is the split's

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeMismatch
-from .odeint import ControlPath, IntegrationConfig, _counted_steps, grid_budget_error, integrate
+from .odeint import ControlPath, IntegrationConfig, _counted_steps, integrate
 
 
 @dataclass
@@ -190,10 +190,11 @@ class ObsNodeParams:
     Uh, b (3, 1, H)), the gates in r, u, h order. `parts` holds, in
     :func:`param_shapes` order, each checkpoint entry's positions in `flat`
     (two slices, joined, for phi{i}.W0). Adam freezes the rest, the
-    padding, so it stays +0.0."""
+    padding, so it stays +0.0. `int_cfg`, the step the parameters were
+    trained at, is set by :func:`~obsnode.train.train` and :func:`load_model`."""
 
     def __init__(self, cfg: ObsNodeConfig, rng: np.random.Generator):
-        self.cfg = cfg
+        self.cfg, self.int_cfg = cfg, None
         d_y, d_z, H, hid, L = (cfg.d_y, cfg.d_z, cfg.encoder_hidden_dim,
                                cfg.phi_hidden_dim, cfg.phi_layers)
         m, w = cfg.m, hid if L else d_y
@@ -558,8 +559,7 @@ def forecast(state: EncodedState, control: ControlPath, query_times, params: Obs
     return [emit(z, params.cfg) for z in states]
 
 
-def rollouts(record: History, decisions, params: ObsNodeParams,
-             int_cfg: IntegrationConfig | None = None,
+def rollouts(record: History, decisions, params: ObsNodeParams, int_cfg: IntegrationConfig,
              control: ControlPath | None = None):
     """Potential-outcome forecasts from one observed record at several
     decisions: for each index pair (k, j) of `decisions` (see
@@ -573,8 +573,7 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     call steps those in flight, stacked on a leading axis; each anchor of a
     step edge is a record time or a knot, so each state is bitwise that of
     the decision's own rollout. A lone decision steps its (n, d_z) state,
-    taped or not; several under a tape raise ValueError. `int_cfg` defaults
-    to :meth:`IntegrationConfig.for_grid` of the record times. More than
+    taped or not; several under a tape raise ValueError. More than
     MAX_STEPS in one decision raise DataError before any work. Returns,
     per decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
     n, d_a = record.y.shape[1], params.cfg.d_a
@@ -587,14 +586,9 @@ def rollouts(record: History, decisions, params: ObsNodeParams,
     lone = len(decisions) == 1
     if not lone and ad._active_tape() is not None:
         raise ValueError("rollouts: a taped call takes one decision")
-    derived = int_cfg is None
     for k, j in decisions:
         if j > k:  # the steps of the decision's own rollout
-            int_cfg = int_cfg or IntegrationConfig.for_grid(times)
-            try:
-                _counted_steps(times[k - 1], control.knot_times, times[k:j], int_cfg.step_size)
-            except DataError as e:
-                raise grid_budget_error(times, times[j - 1] - times[k - 1]) if derived else e
+            _counted_steps(times[k - 1], control.knot_times, times[k:j], int_cfg.step_size)
     encoded = encode_prefixes(record, params, [k for k, _ in decisions])
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]
@@ -637,10 +631,11 @@ class NormStats:
 
 
 def save_model(path, params: ObsNodeParams, norm_stats: NormStats):
-    """Write the parameters and a metadata header (config and the
-    normalization statistics) as JSON, format_version 1; tensor values
-    keep 17 significant digits."""
+    """Write the parameters and a metadata header (config, the normalization
+    statistics and `int_step`, the step of params.int_cfg) as JSON,
+    format_version 1; tensor values keep 17 significant digits."""
     meta = {"format_version": 1, "config": asdict(params.cfg), "cell": "gru",
+            "int_step": float(params.int_cfg.step_size),
             "norm_stats": {"mean": list(map(float, norm_stats.mean)),
                            "std": list(map(float, norm_stats.std))}}
     tensors = ", ".join(
@@ -654,9 +649,10 @@ def save_model(path, params: ObsNodeParams, norm_stats: NormStats):
 
 
 def load_model(path):
-    """(params, cfg, norm stats) of a checkpoint written by :func:`save_model`.
-    A missing or malformed file, a non-finite value, a repeated tensor, or
-    metadata that lacks the norm stats or does not describe exactly the
+    """(params, cfg, norm stats) of a checkpoint written by :func:`save_model`,
+    params.int_cfg at its `int_step`. A missing or malformed file, a
+    non-finite value, a repeated tensor, or metadata that lacks the norm
+    stats or a positive finite `int_step`, or does not describe exactly the
     stored tensors raises DataError."""
     try:
         with open(path) as fh:
@@ -684,9 +680,13 @@ def load_model(path):
         stats = NormStats(mean=meta["norm_stats"]["mean"], std=meta["norm_stats"]["std"])
         if stats.mean.size != cfg.d_y:
             raise ValueError(f"norm_stats of length {stats.mean.size} for d_y={cfg.d_y}")
+        step = meta.get("int_step")
+        if type(step) not in (int, float) or not 0 < step <= float(np.finfo(float).max):
+            raise ValueError(f"int_step must be a positive finite number, got {step!r}")
         check_size(cfg)  # before the parameters are allocated
         params = ObsNodeParams(cfg, np.random.default_rng(0))
         params.load_state(arrays)
+        params.int_cfg = IntegrationConfig(float(step))
     except (ConfigError, DataError, KeyError, TypeError, ValueError,
             OverflowError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e}")

@@ -62,11 +62,11 @@ class IntegrationConfig:
         return cls(step_size=float(np.min(np.diff(times))) / 4.0)
 
 
-def grid_budget_error(times, reach, records="records"):
-    """The DataError of a rollout over `reach` time units past MAX_STEPS at the
-    :meth:`IntegrationConfig.for_grid` step, naming the `records`' smallest gap."""
+def grid_budget_error(times, cfg, reach, records):
+    """The DataError of a rollout over `reach` time units past MAX_STEPS at
+    `cfg`, the :meth:`IntegrationConfig.for_grid` of the `records`' `times`."""
     return DataError(f"the {records}' smallest time gap {float(np.min(np.diff(times)))!r} "
-                     f"sets solver steps of {IntegrationConfig.for_grid(times).step_size!r}: "
+                     f"sets solver steps of {cfg.step_size!r}: "
                      f"a rollout over {float(reach)!r} time units takes more than {MAX_STEPS}")
 
 

@@ -118,7 +118,7 @@ class TrainConfig:
     t_f: float = 0.0
     seed: int = 0
     max_grad_norm: float | None = None
-    int_step: float | None = None  # default: a quarter of the grid spacing
+    int_step: float | None = None  # default: a quarter of the train split's smallest gap
     val_decision_times: list[float] | None = None
     max_horizon: float | None = None  # None: forecast to the record end
 
@@ -144,13 +144,9 @@ class TrainConfig:
 
 def _decisions(times, decision_times, tcfg: TrainConfig, split):
     """The index pair (k, j) of each decision time, in order, on a split's
-    record `times` (:func:`~obsnode.model.decision_split` within `max_horizon`),
-    and the split's integration config. ConfigError names the split and the
-    first time with no history or no target (within `max_horizon`, if that is
-    the cause), or int_step when a factual rollout, counted from times[k - 1]
-    against the record knots by :func:`~obsnode.odeint._counted_steps`, takes
-    more than MAX_STEPS; without int_step, that is the split's
-    :func:`~obsnode.odeint.grid_budget_error`."""
+    record `times` (:func:`~obsnode.model.decision_split` within `max_horizon`).
+    ConfigError names the split and the first time with no history or no
+    target (within `max_horizon`, if that is the cause)."""
     pairs = [decision_split(times, t_c, tcfg.max_horizon) for t_c in decision_times]
     bad = [t_c for t_c, pair in zip(decision_times, pairs) if pair is None]
     if bad:
@@ -158,18 +154,7 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
                  if decision_split(times, bad[0]) else "no history or no target")
         raise ConfigError(f"{split} decision time {float(bad[0])!r} has {cause}: the "
                           f"{split} records span [{float(times[0])!r}, {float(times[-1])!r}]")
-    int_cfg = (IntegrationConfig.for_grid(times) if tcfg.int_step is None
-               else IntegrationConfig(tcfg.int_step))
-    for k, j in pairs:
-        try:
-            _counted_steps(times[k - 1], times, times[k:j], int_cfg.step_size)
-        except DataError:
-            reach = float(times[j - 1] - times[k - 1])
-            if tcfg.int_step is None:
-                raise grid_budget_error(times, reach, f"{split} records")
-            raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
-                              f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
-    return pairs, int_cfg
+    return pairs
 
 
 def _score(states, record: History, k, j, sigma2):
@@ -198,11 +183,11 @@ def _train_step(batch: History, k, j, params, sigma2, int_cfg, opt: Adam, max_gr
 
 def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
     """Mean masked loss over a fixed grid of validation decision times (no
-    gradients), each as :func:`_batch_loss` scores it, from one encoder pass
-    over the units' stacked record."""
+    gradients), each as :func:`_batch_loss` scores it at params.int_cfg,
+    from one encoder pass over the units' stacked record."""
     record = stack_units(trajs)
-    pairs, int_cfg = _decisions(record.times, decision_times, tcfg, "val")
-    return _record_loss(record, params, sigma2, pairs, int_cfg)
+    pairs = _decisions(record.times, decision_times, tcfg, "val")
+    return _record_loss(record, params, sigma2, pairs, params.int_cfg)
 
 
 def _record_loss(record: History, params, sigma2, pairs, int_cfg):
@@ -227,7 +212,11 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, stats: NormStats,
     :func:`~obsnode.model.load_model` has read and checked. Each split's
     decision times are resolved to index pairs and checked once
     (:func:`_decisions`), as is the length of `stats`, the statistics the
-    checkpoint keeps, before any parameter is made.
+    checkpoint keeps, before any parameter is made. So is the one step,
+    the parameters' int_cfg, that both splits integrate at: int_step, else
+    a quarter of the train split's smallest gap; a factual rollout past
+    MAX_STEPS is a ConfigError naming int_step and the split, or without
+    int_step, the train split's :func:`~obsnode.odeint.grid_budget_error`.
     """
     if init is not None:
         ours, theirs = asdict(model_cfg), asdict(init.cfg)
@@ -235,17 +224,29 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, stats: NormStats,
             raise ConfigError(f"model fields {differ} differ from those of the "
                               "warm-start parameters")
     grid = list(tcfg.decision_time_grid)
-    val_times = tcfg.val_decision_times or grid
-    resolved = []
-    for split, times in (("train", grid), ("val", val_times)):
+    resolved = {}
+    for split, times in (("train", grid), ("val", tcfg.val_decision_times or grid)):
         rec = stack_units(splits[split])
         check_dims(rec, model_cfg, f"{split} split")
-        resolved.append((rec, *_decisions(rec.times, times, tcfg, split)))
-    (record, pairs, int_cfg), (val_record, val_pairs, val_int_cfg) = resolved
+        resolved[split] = rec, _decisions(rec.times, times, tcfg, split)
+    (record, pairs), (val_record, val_pairs) = resolved.values()
+    int_cfg = (IntegrationConfig.for_grid(record.times) if tcfg.int_step is None
+               else IntegrationConfig(tcfg.int_step))
+    for split, (rec, split_pairs) in resolved.items():
+        for k, j in split_pairs:
+            try:
+                _counted_steps(rec.times[k - 1], rec.times, rec.times[k:j], int_cfg.step_size)
+            except DataError:
+                reach = float(rec.times[j - 1] - rec.times[k - 1])
+                if tcfg.int_step is None:
+                    raise grid_budget_error(record.times, int_cfg, reach, "train records")
+                raise ConfigError(f"int_step: a {split} rollout over {reach!r} time units takes "
+                                  f"more than {MAX_STEPS} solver steps of {int_cfg.step_size!r}")
     if stats.mean.size != model_cfg.d_y:
         raise DataError(f"norm stats of length {stats.mean.size} for d_y={model_cfg.d_y}")
     rng = np.random.default_rng(tcfg.seed)
     params = ObsNodeParams(model_cfg, rng)
+    params.int_cfg = int_cfg
     if init is not None:
         params.flat[...] = init.flat
     opt = Adam(params.tensors(), lr=tcfg.learning_rate, parts=params.parts)
@@ -273,7 +274,7 @@ def train(model_cfg: ObsNodeConfig, splits, tcfg: TrainConfig, stats: NormStats,
             raise NumericError(f"epoch {epoch}: {skipped}/{n_batches} batches "
                             "diverged; aborting")
         try:
-            val = _record_loss(val_record, params, sigma2, val_pairs, val_int_cfg)
+            val = _record_loss(val_record, params, sigma2, val_pairs, int_cfg)
         except NumericError as e:
             raise NumericError(f"epoch {epoch} validation: {e}") from e
         history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),

@@ -84,8 +84,8 @@ COHORTS = (("cancer", "cancer", CANCER_MODEL, CANCER_TRAIN, CANCER_GRID, (150.0,
            ("semi", "semi_synthetic", SEMI_MODEL, SEMI_TRAIN, SEMI_GRID, (24.0, 6.0)))
 # a number starts where no letter, digit, "_" or "." precedes it, so the
 # digits inside a name (rk4, phi0.W0, component_1) are not read as numbers
-NUMBER = re.compile(rb"(?<![A-Za-z0-9_.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-                    rb"|\b(?:nan|NaN|inf|Infinity)\b)")
+NUMBER = re.compile(rb"(?<![A-Za-z0-9_.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    rb"|(?:nan|NaN|inf|Infinity)\b)")
 
 
 def sha(data: bytes) -> str:
@@ -155,7 +155,9 @@ def batch_gradients(ws, name, run_dir, data_dir, train_cfg, batch_size):
     splits, _ = read_dataset(data_dir)
     record = stack_units(zscore_apply(splits["train"][:batch_size], stats))
     tcfg = TrainConfig(**train_cfg)
-    pairs, int_cfg = _decisions(record.times, tcfg.decision_time_grid, tcfg, "train")
+    pairs = _decisions(record.times, tcfg.decision_time_grid, tcfg, "train")
+    # a checkout whose checkpoint keeps no step: _decisions returns it with the pairs
+    pairs, int_cfg = pairs if isinstance(pairs, tuple) else (pairs, params.int_cfg)
     k, j = pairs[len(pairs) // 2]
     with Tape() as tape:
         loss = _batch_loss(record, k, j, params, np.ones(cfg.d_y), int_cfg)

@@ -280,8 +280,9 @@ CATALOGUE = (
            "a NaN or infinite knot builds a path: a NaN time is passed over, a NaN "
            "value fails mid-solve as a numeric error"),
     Mutant("decisions-count-from-t-c", "train.py",
-           "_counted_steps(times[k - 1],",
-           "_counted_steps(decision_times[pairs.index((k, j))],",
+           "_counted_steps(rec.times[k - 1],",
+           "_counted_steps((grid if split == 'train' else tcfg.val_decision_times or grid)"
+           "[split_pairs.index((k, j))],",
            ("tests/test_train.py::test_one_count_bounds_every_solve",),
            "train's MAX_STEPS check counts from t_c, not from times[k - 1] where the "
            "rollout starts, so it misses the steps of the gap before t_c"),
@@ -372,12 +373,20 @@ CATALOGUE = (
             "test_a_unit_id_that_is_not_an_integer_is_refused",),
            "a true or false unit id reads, as bool is a subclass of int, and no "
            "`forecast --unit-id` can name it"),
-    Mutant("rollouts-default-step-error-unworded", "model.py",
-           "if derived else e", "if False else e",
-           ("tests/test_model.py::TestLockstep::test_a_default_step_names_the_smallest_time_gap",
-            "tests/test_cli.py::test_a_tiny_time_gap_is_a_data_error"),
-           "evaluate and forecast at the default step print only the step count, "
-           "not the time gap that set the step"),
+    Mutant("evaluate-at-the-scored-splits-step", "cli.py",
+           "int_cfg=params.int_cfg)",
+           "int_cfg=IntegrationConfig.for_grid(stack_units(splits[split]).times))",
+           ("tests/test_cli.py::test_evaluate_scores_at_the_checkpoints_step",),
+           "evaluate integrates at a quarter of the scored split's smallest gap, not "
+           "at the step the model was trained at"),
+    Mutant("validation-at-the-val-splits-step", "train.py",
+           "val = _record_loss(val_record, params, sigma2, val_pairs, int_cfg)",
+           "val = _record_loss(val_record, params, sigma2, val_pairs,\n"
+           "                               IntegrationConfig.for_grid(val_record.times))",
+           ("tests/test_train.py::test_validation_integrates_at_the_train_splits_step",
+            "tests/test_train.py::test_a_tiny_val_gap_sets_no_step"),
+           "without int_step, validation integrates at a quarter of the val split's "
+           "smallest gap, not at the train split's step that the parameters carry"),
     Mutant("semi-noise-sd-check-passes-nan", "simulate.py",
            "if not 0 < self.eta_sd < np.inf or self.seed < 0:",
            "if self.eta_sd <= 0 or self.seed < 0:",

@@ -22,7 +22,7 @@ from obsnode.model import (History, NormStats, ObsNodeParams, decision_split, em
 from obsnode.odeint import ControlPath, IntegrationConfig, integrate
 from obsnode.simulate import (K_TUMOR, PARAM_DISTS, CancerPatientParams, CancerSimConfig,
                               sample_cohort_params, simulate_cancer_cohort)
-from obsnode.train import (_decisions, masked_loss, stack_units, zscore_fit, zscore_invert,
+from obsnode.train import (masked_loss, stack_units, zscore_fit, zscore_invert,
                            zscore_outcomes)
 
 
@@ -161,8 +161,10 @@ def identity_stats(d_y):
 
 def random_params(cfg, seed, scale=1.0):
     """Parameters whose every checkpoint entry is drawn N(0, scale^2) from
-    `seed`, the padding of the stored layout left at zero."""
+    `seed`, the padding of the stored layout left at zero; a checkpoint of
+    them keeps the step 0.5."""
     params = ObsNodeParams(cfg, np.random.default_rng(seed))
+    params.int_cfg = IntegrationConfig(0.5)
     rng = np.random.default_rng(seed + 1)
     params.load_state({name: rng.normal(0.0, scale, size=shape)
                        for name, shape in param_shapes(cfg)})
@@ -243,7 +245,7 @@ def read_grid_csv(path) -> RmseGrid:
 
 
 def counterfactual_rmse(params, stats, sim_config: CancerSimConfig, unit_ids,
-                        schedule_fn, t_c, horizons, int_cfg=None) -> RmseGrid:
+                        schedule_fn, t_c, horizons, int_cfg) -> RmseGrid:
     """Interventional check against the simulator.
 
     For each patient: simulate the factual noisy record, derive an
@@ -348,14 +350,14 @@ def reencoded_grid(test_trajs, t_c_grid, horizons, params, stats, int_cfg) -> Rm
 
 def reencoded_loss(trajs, params, sigma2, decision_times, tcfg) -> float:
     """The reference for :func:`~obsnode.train.evaluate_loss`: each decision
-    time's forecasts from a fresh encode (:func:`reencoded_rollout`)."""
+    time's forecasts from a fresh encode (:func:`reencoded_rollout`) at the
+    parameters' step."""
     record = stack_units(trajs)
-    _, int_cfg = _decisions(record.times, decision_times, tcfg, "val")
     vals = []
     for t_c in decision_times:
         _, fut = mask_window(record.times, t_c, None if tcfg.max_horizon is None
                              else t_c + tcfg.max_horizon)
-        pred = reencoded_rollout(record, t_c, record.times[fut], params, int_cfg)
+        pred = reencoded_rollout(record, t_c, record.times[fut], params, params.int_cfg)
         loss = masked_loss(Tensor(pred), record.y[fut], record.mask[fut], sigma2)
         vals.append(float(loss.data))
     return float(np.mean(vals))

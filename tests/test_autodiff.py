@@ -10,6 +10,7 @@ from obsnode import autodiff as ad
 from obsnode.autodiff import Adam, Tape, Tensor, grad_check
 from obsnode.errors import DataError, NumericError, ShapeMismatch
 from obsnode.model import ObsNodeConfig, ObsNodeParams, load_model, save_model
+from obsnode.odeint import IntegrationConfig
 from obsnode.train import NormStats
 from support import PerTensorAdam, identity_stats
 
@@ -612,6 +613,7 @@ class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         cfg = ObsNodeConfig(d_y=2, m=2, d_a=1, phi_hidden_dim=4, encoder_hidden_dim=4)
         params = ObsNodeParams(cfg, np.random.default_rng(0))
+        params.int_cfg = IntegrationConfig(step_size=0.25)
         rng = np.random.default_rng(1)
         for t in params.tensors():
             t.data = rng.normal(size=t.data.shape)
@@ -619,7 +621,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_model(path, params, norm_stats=stats)
         loaded, cfg2, stats2 = load_model(path)
-        assert cfg2 == cfg
+        assert cfg2 == cfg and loaded.int_cfg == params.int_cfg
         np.testing.assert_array_equal(stats2.mean, stats.mean)
         np.testing.assert_array_equal(stats2.std, stats.std)
         assert list(loaded.state()) == list(params.state())
@@ -630,6 +632,7 @@ class TestCheckpoint:
         params = ObsNodeParams(ObsNodeConfig(d_y=1, m=1, d_a=0),
                                np.random.default_rng(0))
         params.b_impute.data[0, 0] = 1.0 / 3.0
+        params.int_cfg = IntegrationConfig(step_size=0.25)
         path = tmp_path / "c.json"
         save_model(path, params, identity_stats(1))
         assert "0.33333333333333331" in path.read_text()

@@ -21,14 +21,14 @@ from obsnode import cli
 from obsnode import model as model_mod
 from obsnode import train as train_mod
 from obsnode.cli import main, read_treatment_csv
-from obsnode.evaluate import raw_forecasts
+from obsnode.evaluate import raw_forecasts, rmse_grid
 from obsnode.identify import MAX_VERIFY_CELLS, QUERY_CELLS
 from obsnode.model import ObsNodeConfig, decision_split, load_model
 from obsnode.odeint import IntegrationConfig
 from obsnode.simulate import (CancerSimConfig, SemiSynthConfig, Trajectory, read_dataset,
                               write_dataset)
 from obsnode.train import TrainConfig, stack_units
-from support import MANIFEST_DEFECTS, break_manifest, value_at
+from support import MANIFEST_DEFECTS, break_manifest, read_grid_csv, value_at
 
 
 def write_json(path, obj):
@@ -383,6 +383,18 @@ class TestDeterminism:
             (workspace["run"] / "metrics.csv").read_bytes()
 
 
+def test_evaluate_scores_at_the_checkpoints_step(workspace):
+    # the grid evaluate wrote is rmse_grid's at the step the checkpoint
+    # keeps, bit for bit, not at one the scored split's times would set
+    params, _, stats = load_model(workspace["run"] / "checkpoint.json")
+    splits, _ = read_dataset(workspace["ds"])
+    ref = rmse_grid(splits["test"], [30.0], [15.0, 30.0], params, stats, params.int_cfg)
+    got = read_grid_csv(workspace["out"] / "rmse_grid.csv")
+    assert ref.counts.any()
+    np.testing.assert_array_equal(got.values, ref.values)
+    np.testing.assert_array_equal(got.counts, ref.counts)
+
+
 class TestResume:
     def test_zero_epoch_resume_keeps_weights(self, workspace, tmp_path):
         cfg = json.loads((workspace["root"] / "train.json").read_text())
@@ -454,13 +466,13 @@ class TestForecast:
                    "--output", str(out)])
         assert rc == 0
 
+        # at the step the checkpoint keeps, the training run's int_step
         params, mcfg, stats = load_model(workspace["run"] / "checkpoint.json")
-        step = float(np.min(np.diff(unit.times))) / 4.0
+        assert params.int_cfg == IntegrationConfig(step_size=3.0)
         record = stack_units([unit])
         k, j = decision_split(record.times, t_c)
         qts = record.times[k:j]
-        ref = raw_forecasts(record, [(k, j)], params, stats,
-                            IntegrationConfig(step_size=step))[0][:, 0, :]
+        ref = raw_forecasts(record, [(k, j)], params, stats, params.int_cfg)[0][:, 0, :]
 
         lines = out.read_text().splitlines()
         assert lines[0] == "time,component_1,component_2"
@@ -644,10 +656,11 @@ def test_too_small_int_step_is_config_error(tmp_path):
 
 def test_a_tiny_time_gap_is_a_data_error(workspace, tmp_path):
     # three units on the times 0, 1e-300, 1, 2: the default step, a quarter
-    # of the smallest gap, asks for about 4e300 steps from t_c = 0.5 to 1.
-    # evaluate, forecast and train without int_step exit 3 with one wording,
-    # naming that gap and the step it sets; train with an int_step that asks
-    # for too many steps exits 2.
+    # of the smallest gap, asks for about 8e300 steps from t_c = 0.5 to 2.
+    # train without int_step exits 3, naming that gap and the step it sets;
+    # train with an int_step that asks for too many steps exits 2. evaluate
+    # and forecast integrate at the checkpoint's step, 3.0, so the gap sets
+    # nothing there and they exit 0.
     rng = np.random.default_rng(0)
     times = np.array([0.0, 1e-300, 1.0, 2.0])
     units = [Trajectory(i, times, rng.normal(size=(4, 2)), np.ones((4, 2)), np.zeros((4, 2)))
@@ -660,14 +673,12 @@ def test_a_tiny_time_gap_is_a_data_error(workspace, tmp_path):
                horizons=[1.0])
     t = tmp_path / "a.csv"
     t.write_text("start_time,component_1,component_2\n0.0,0.0,0.0\n")
-    budget = ("the records' smallest time gap 1e-300 sets solver steps of 2.5e-301: a "
-              "rollout over 1.0 time units takes more than 1000000\n")
-    for argv, where in (
-            (["evaluate", "--config", write_json(tmp_path / "eval.json", evl)], "test split: "),
-            (["forecast", "--checkpoint", str(workspace["run"] / "checkpoint.json"),
-              "--dataset", str(ds), "--unit-id", "2", "--treatments", str(t),
-              "--t-c", "0.5", "--horizon", "1"], "")):
-        assert run_main(argv) == (3, "", f"data error: {where}{budget}")
+    rc, _, err = run_main(["evaluate", "--config", write_json(tmp_path / "eval.json", evl)])
+    assert (rc, err) == (0, "")
+    rc, out, err = run_main(["forecast", "--checkpoint", str(workspace["run"] / "checkpoint.json"),
+                             "--dataset", str(ds), "--unit-id", "2", "--treatments", str(t),
+                             "--t-c", "0.5", "--horizon", "1"])
+    assert (rc, err) == (0, "") and out.splitlines()[1].startswith("1.0,")
     trn = json.loads(Path(workspace["train"]).read_text())
     trn.update(dataset_dir=str(ds), run_dir=str(tmp_path / "run"))
     trn["train"].update(decision_time_grid=[0.5], t_f=3.0)
@@ -679,7 +690,7 @@ def test_a_tiny_time_gap_is_a_data_error(workspace, tmp_path):
     trn["train"]["int_step"] = 1e-6
     rc, err = run_config("train", trn, tmp_path / "t.json")
     assert rc == 2 and "int_step: a train rollout over 2.0 time units" in err
-    assert not any((tmp_path / d).exists() for d in ("eval", "run"))
+    assert not (tmp_path / "run").exists()
 
 
 def test_int_step_counts_the_steps_of_each_grid_gap(tmp_path, monkeypatch):
@@ -1300,17 +1311,19 @@ def train_evaluate_forecast(workspace, tmp, ds, unit, checkpoint=None,
 
 
 class TestLegacyCheckpoint:
-    """A checkpoint carries its normalization, and its config names only
-    today's model keys: one without `norm_stats`, or one written while the
-    model had a recursive rollout mode (`rollout_mode`, `recursive_chunk`)
-    or a choice of the field's activation (`phi_activation`), is a data
-    error naming the file."""
+    """A checkpoint carries its normalization and the step it was trained
+    at, and its config names only today's model keys: one without
+    `norm_stats` or `int_step`, or one written while the model had a
+    recursive rollout mode (`rollout_mode`, `recursive_chunk`) or a choice
+    of the field's activation (`phi_activation`), is a data error naming
+    the file."""
 
-    @pytest.mark.parametrize("key", ["norm_stats", "rollout_mode", "phi_activation"])
+    @pytest.mark.parametrize("key", ["norm_stats", "int_step", "rollout_mode",
+                                     "phi_activation"])
     def test_checkpoint_is_data_error_naming_it(self, workspace, tmp_path, key):
         doc = json.loads((workspace["run"] / "checkpoint.json").read_text())
-        if key == "norm_stats":
-            del doc["metadata"]["norm_stats"]
+        if key in ("norm_stats", "int_step"):
+            del doc["metadata"][key]
         elif key == "rollout_mode":
             doc["metadata"]["config"].update(rollout_mode="long_horizon", recursive_chunk=1.0)
         else:

@@ -46,6 +46,13 @@ def test_numbers_skip_the_digits_inside_names():
                             b'"component_1": 7}').tolist() == [1.5, -0.002, 7.0]
 
 
+def test_a_sign_reaches_an_infinity():
+    # a signed infinity reads with its sign, so a sign flip of an infinite
+    # output is a difference; the start of a word is no number
+    assert contract.numbers(b"[-Infinity, -inf, +inf, Infinity, -1e3, -info]").tolist() == [
+        -np.inf, -np.inf, np.inf, np.inf, -1000.0]
+
+
 def test_compare_names_what_changed(runs, tmp_path):
     (a, arrays_a), _ = runs
     b = json.loads(json.dumps(a))

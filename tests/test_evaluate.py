@@ -52,7 +52,7 @@ def grid_of(monkeypatch):
         monkeypatch.setattr(evaluate, "raw_forecasts", lambda record, decisions, *_: [
             predict(record, k, j) for k, j in decisions])
         return rmse_grid(trajs, t_c_grid, horizons, params=None,
-                         stats=identity_stats(trajs[0].y.shape[1]))
+                         stats=identity_stats(trajs[0].y.shape[1]), int_cfg=None)
 
     return grid
 
@@ -94,7 +94,7 @@ class TestRmseGrid:
         trajs[0].mask[0] = 1.0
         with pytest.raises(DataError, match="component 0 has zero spread" if std == 0.0
                            else "component 0: fewer than 2 observations"):
-            rmse_grid(trajs, [4.0], [2.0], params=None, stats=identity_stats(1))
+            rmse_grid(trajs, [4.0], [2.0], params=None, stats=identity_stats(1), int_cfg=None)
 
     def test_mean_predictor_matches_bin_sd_ratio(self, grid_of):
         trajs, _ = linear_trajs(n=40, seed=2)
@@ -207,7 +207,7 @@ class TestSharedEncoder:
         t_cs = [times[0] - 1.0, times[-1], times[1], between[0], between[-1], times[1]]
         horizons = np.cumsum(rng.uniform(0.5, 3.0, size=2))
         stats = NormStats(rng.normal(size=d_y), rng.uniform(0.5, 2.0, size=d_y))
-        int_cfg = IntegrationConfig(step_size=0.3)
+        int_cfg = params.int_cfg = IntegrationConfig(step_size=0.3)
 
         grid = rmse_grid(trajs, t_cs, horizons, params, stats, int_cfg)
         ref = reencoded_grid(trajs, t_cs, horizons, params, stats, int_cfg)
@@ -265,7 +265,7 @@ def test_inference_keeps_no_backward_state(monkeypatch):
                                          encoder_hidden_dim=3), rng)
     for t in params.tensors():
         t.data = rng.normal(0.0, 0.5, size=t.data.shape)
-    int_cfg = IntegrationConfig(step_size=0.5)
+    int_cfg = params.int_cfg = IntegrationConfig(step_size=0.5)
     grid = rmse_grid(trajs, [2.0, 5.0], [2.0, 4.0], params, identity_stats(1), int_cfg)
     assert grid.counts.any()
     tcfg = TrainConfig(decision_time_grid=[2.0, 5.0], t_f=12.0, int_step=0.5)
@@ -281,12 +281,13 @@ def test_inference_keeps_no_backward_state(monkeypatch):
 
 def test_single_time_records_give_an_empty_grid():
     # no decision time has both history and a target, so nothing is
-    # forecast and the default step, which needs two times, is never made
+    # forecast
     trajs = [Trajectory(unit_id=i, times=np.zeros(1), y=np.full((1, 1), 1.0 + i),
                         mask=np.ones((1, 1)), a=np.zeros((1, 1))) for i in range(3)]
     params = ObsNodeParams(ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3,
                                          encoder_hidden_dim=3), np.random.default_rng(0))
-    grid = rmse_grid(trajs, [0.0, 1.0], [1.0], params, identity_stats(1))
+    grid = rmse_grid(trajs, [0.0, 1.0], [1.0], params, identity_stats(1),
+                     IntegrationConfig(step_size=0.5))
     assert not grid.counts.any() and np.isnan(grid.values).all()
 
 
@@ -465,7 +466,8 @@ class TestCounterfactual:
         stats = NormStats(mean=np.array([1.0, 70.0]), std=np.array([1.0, 5.0]))
         grid = counterfactual_rmse(params, stats, cfg, [0, 1, 2],
                                    schedule_fn=lambda s: np.zeros_like(s),
-                                   t_c=30.0, horizons=[15.0, 30.0])
+                                   t_c=30.0, horizons=[15.0, 30.0],
+                                   int_cfg=IntegrationConfig(step_size=0.5))
         assert grid.values.shape == (1, 2, 2)
         assert np.isfinite(grid.values).all()
         assert np.all(grid.values[np.isfinite(grid.values)] >= 0)

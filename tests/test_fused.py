@@ -540,10 +540,11 @@ class TestNoLookAhead:
             trajs = [Trajectory(unit_id=i, times=hist.times, y=y[:, i], mask=mask[:, i],
                                 a=a[:, i]) for i in range(n)]
             params = make_params(cfg, seed)
+            params.int_cfg = IntegrationConfig(0.3)
             with Tape() as tape:
                 loss = _batch_loss(stack_units(trajs),
                                    *decision_split(hist.times, t_cs[0], horizon),
-                                   params, np.ones(2), IntegrationConfig(0.3))
+                                   params, np.ones(2), params.int_cfg)
                 tape.backward(loss)
             val = evaluate_loss(trajs, params, np.ones(2), t_cs, tcfg)
             results.append([loss.data, np.float64(val)]

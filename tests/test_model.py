@@ -4,6 +4,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ def make_model(d_y=1, m=3, d_a=1, seed=0, randomize_output=False, **kw):
     cfg = ObsNodeConfig(d_y=d_y, m=m, d_a=d_a, phi_hidden_dim=8,
                         phi_layers=2, encoder_hidden_dim=8, **kw)
     params = ObsNodeParams(cfg, np.random.default_rng(seed))
+    params.int_cfg = IntegrationConfig(0.5)  # the step a checkpoint of them keeps
     if randomize_output:
         # the blocks' output layers, stored stacked over the blocks
         rng = np.random.default_rng(seed + 1)
@@ -561,6 +563,46 @@ class TestModelCheckpoint:
         with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))}: .*{key}"):
             load_model(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(step=5e-324)
+    @example(step=1.7976931348623157e308)
+    @example(step=3.0)
+    def test_the_step_round_trips_bitwise(self, step):
+        # any positive finite step the parameters carry is the one a
+        # checkpoint of them gives back, and a second save writes the same
+        # bytes
+        _, params = make_model()
+        params.int_cfg = IntegrationConfig(step)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(f"{tmp}/a.json", params, identity_stats(1))
+            loaded = load_model(f"{tmp}/a.json")[0]
+            save_model(f"{tmp}/b.json", loaded, identity_stats(1))
+            assert Path(f"{tmp}/a.json").read_bytes() == Path(f"{tmp}/b.json").read_bytes()
+        assert np.float64(loaded.int_cfg.step_size).tobytes() == np.float64(step).tobytes()
+
+    @pytest.mark.parametrize("value", [None, "0.5", True, [0.5], 0, 0.0, -0.0, -0.5,
+                                       math.nan, math.inf, -math.inf, 2 ** 1024 - 1, 10 ** 400,
+                                       "missing"],
+                             ids=["null", "string", "bool", "list", "zero", "zero_float",
+                                  "negative_zero", "negative", "nan", "inf", "minus_inf",
+                                  "below_2**1024", "10**400", "missing"])
+    def test_a_bad_step_is_data_error_naming_it(self, tmp_path, value):
+        # int_step must be a JSON number, not a bool, positive and finite:
+        # 2 ** 1024 - 1 and a 400-digit integer are past the float range
+        _, params = make_model()
+        path = tmp_path / "model.json"
+        save_model(path, params, identity_stats(1))
+        doc = json.loads(path.read_text())
+        if value == "missing":
+            del doc["metadata"]["int_step"]
+        else:
+            doc["metadata"]["int_step"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))}: bad "
+                                            "metadata: int_step must be a positive finite"):
+            load_model(path)
+
     @pytest.mark.parametrize("name,message", [("foo", "tensor 'foo' is not a parameter"),
                                               ("phi1.W0", "tensor 'phi1.W0' appears twice")],
                              ids=["unknown", "repeated"])
@@ -945,10 +987,11 @@ class TestLockstep:
 
     def test_a_taped_call_takes_one_decision(self):
         _, params, record = lockstep_case(2, 1, 4, seed=4)
+        int_cfg = IntegrationConfig(0.25)
         with ad.Tape():
-            assert len(rollouts(record, [(2, 5)], params)[0]) == 3
+            assert len(rollouts(record, [(2, 5)], params, int_cfg)[0]) == 3
             with pytest.raises(ValueError, match="a taped call takes one decision"):
-                rollouts(record, [(2, 5), (3, 5)], params)
+                rollouts(record, [(2, 5), (3, 5)], params, int_cfg)
 
     def test_max_steps_bounds_each_decision(self, monkeypatch):
         # 60 steps of 0.1 over the times 0..6 pass MAX_STEPS = 50
@@ -971,25 +1014,6 @@ class TestLockstep:
         with pytest.raises(DataError, match="^integrate: 61 steps exceed MAX_STEPS=60$"):
             rollouts(record, [(4, 7), (1, 7)], params, int_cfg, control)
 
-    def test_a_default_step_names_the_smallest_time_gap(self, monkeypatch):
-        # without int_cfg the step is a quarter of the smallest time gap:
-        # 24 steps of 0.25 from the time 0 to 6 pass MAX_STEPS = 20, and the
-        # error names the gap, the step and the rollout's reach, as train's
-        # does; the same step given names only the count
-        cfg = ObsNodeConfig(d_y=1, m=2, d_a=1, phi_hidden_dim=3, encoder_hidden_dim=3)
-        params = random_params(cfg, 0)
-        T = 7
-        record = History(np.arange(T, dtype=float), np.zeros((T, 1, 1)), np.ones((T, 1, 1)),
-                         np.zeros((T, 1, 1)))
-        monkeypatch.setattr(model_mod, "encode_prefixes", None)
-        monkeypatch.setattr(odeint, "MAX_STEPS", 20)
-        with pytest.raises(DataError, match=re.escape(
-                "the records' smallest time gap 1.0 sets solver steps of 0.25: a rollout "
-                "over 6.0 time units takes more than 20")):
-            rollouts(record, [(4, 7), (1, 7)], params)
-        with pytest.raises(DataError, match="^integrate: 24 steps exceed MAX_STEPS=20$"):
-            rollouts(record, [(1, 7)], params, IntegrationConfig(0.25))
-
     @pytest.mark.parametrize("units, d_a, values", [(2, 2, (5, 3, 2)), (2, 1, (5, 2))])
     def test_control_of_the_wrong_shape_is_refused_before_any_step(self, monkeypatch, units,
                                                                    d_a, values):
@@ -1004,6 +1028,7 @@ class TestLockstep:
         monkeypatch.setattr(model_mod, "integrate", None)
         expect = re.escape(f"{values} vs {(5, units, d_a)}")
         with pytest.raises(ShapeMismatch, match=expect):
-            rollouts(record, [(2, 5)], params, control=control)
+            rollouts(record, [(2, 5)], params, IntegrationConfig(0.5), control)
         with pytest.raises(ShapeMismatch, match=expect):
-            raw_forecasts(record, [(2, 5)], params, identity_stats(1), control=control)
+            raw_forecasts(record, [(2, 5)], params, identity_stats(1), IntegrationConfig(0.5),
+                          control)

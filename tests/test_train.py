@@ -533,7 +533,7 @@ class TestUnobservedPlaceholder:
         digest = hashlib.sha256(b"".join(t.data.tobytes()
                                          for t in params.tensors())).hexdigest()
         grid = rmse_grid(splits["test"], [2.0, 3.0], [1.0, 2.0], params=params,
-                         stats=stats)
+                         stats=stats, int_cfg=params.int_cfg)
         return json.dumps(history), digest, grid.values.tobytes()
 
     @settings(max_examples=8, deadline=None)
@@ -594,25 +594,67 @@ def test_int_step_counts_the_steps_of_each_grid_gap(split, monkeypatch):
         train(MODEL_CFG, splits, tcfg, stats=STATS)
 
 
-@pytest.mark.parametrize("split", ["train", "val"])
-def test_a_tiny_time_gap_is_a_data_error_unless_int_step_is_set(split, monkeypatch):
-    # on the times 0, 1e-300, 1, 2 the default step, a quarter of the
-    # smallest gap, asks for about 8e300 steps: a DataError naming the split
-    # and the gap, its count not printed digit by digit. An int_step that
-    # asks for too many steps is the config's doing, a ConfigError. The
-    # other split's rollout, over 0.6 time units, takes fewer.
-    monkeypatch.setattr(train_mod, "_batch_loss", None)
+def tiny_gap_splits(split):
+    """Two-unit train and val splits, the `split` on the times 0, 1e-300, 1,
+    2 and the other on 0, 0.4, 0.6, 1."""
     splits = {s: make_trajs(n=2, T=4, d_y=1) for s in ("train", "val")}
     for s, trajs in splits.items():
         for tr in trajs:
             tr.times = np.array([0.0, 1e-300, 1.0, 2.0] if s == split else [0.0, 0.4, 0.6, 1.0])
+    return splits
+
+
+def test_a_tiny_time_gap_is_a_data_error_unless_int_step_is_set(monkeypatch):
+    # on the train times 0, 1e-300, 1, 2 the default step, a quarter of the
+    # smallest gap, asks for about 8e300 steps: a DataError naming the train
+    # split and the gap, its count not printed digit by digit. An int_step
+    # that asks for too many steps is the config's doing, a ConfigError. The
+    # val split's rollout, over 0.6 time units, takes fewer.
+    monkeypatch.setattr(train_mod, "_batch_loss", None)
+    splits = tiny_gap_splits("train")
     with pytest.raises(DataError, match=re.escape(
-            f"the {split} records' smallest time gap 1e-300 sets solver steps of 2.5e-301: "
+            "the train records' smallest time gap 1e-300 sets solver steps of 2.5e-301: "
             f"a rollout over 2.0 time units takes more than {MAX_STEPS}")):
         train(MODEL_CFG, splits, TrainConfig(decision_time_grid=[0.5], t_f=3.0), stats=STATS)
     tcfg = TrainConfig(decision_time_grid=[0.5], t_f=3.0, int_step=1e-6)
-    with pytest.raises(ConfigError, match=f"int_step: a {split} rollout over 2.0 time units"):
+    with pytest.raises(ConfigError, match="int_step: a train rollout over 2.0 time units"):
         train(MODEL_CFG, splits, tcfg, stats=STATS)
+
+
+def test_a_tiny_val_gap_sets_no_step():
+    # the val split's times 0, 1e-300, 1, 2 set no step: without int_step
+    # both splits integrate at a quarter of the train split's smallest gap,
+    # 40 steps over the val rollout's 2.0 time units, and the best val_loss
+    # is evaluate_loss's at the returned parameters' step. An int_step of
+    # 1e-6 still takes too many steps on the val rollout: a ConfigError.
+    splits = tiny_gap_splits("val")
+    tcfg = TrainConfig(decision_time_grid=[0.5], t_f=3.0, epochs=1)
+    params, history = train(MODEL_CFG, splits, tcfg, stats=STATS)
+    train_times = splits["train"][0].times
+    assert params.int_cfg == IntegrationConfig.for_grid(train_times)
+    assert history[0]["val_loss"] == evaluate_loss(splits["val"], params, np.ones(1), [0.5],
+                                                   tcfg)
+    tcfg = TrainConfig(decision_time_grid=[0.5], t_f=3.0, int_step=1e-6)
+    with pytest.raises(ConfigError, match="int_step: a val rollout over 2.0 time units"):
+        train(MODEL_CFG, splits, tcfg, stats=STATS)
+
+
+def test_validation_integrates_at_the_train_splits_step():
+    # train and val splits on different grids, without int_step: the best
+    # val_loss is the loss at the step the train split sets, which the
+    # returned parameters carry, not at the val split's own (a quarter of
+    # 0.5 against a quarter of 1.0), and the two differ
+    splits = tiny_splits(seed=9)
+    for tr in splits["val"]:
+        tr.times = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+    tcfg = tiny_train_cfg(epochs=2, int_step=None, learning_rate=0.05)
+    params, history = train(MODEL_CFG, splits, tcfg, stats=STATS)
+    assert params.int_cfg == IntegrationConfig(0.25)
+    val_loss = evaluate_loss(splits["val"], params, np.ones(1), tcfg.decision_time_grid, tcfg)
+    assert min(h["val_loss"] for h in history) == val_loss
+    params.int_cfg = IntegrationConfig(0.125)
+    assert evaluate_loss(splits["val"], params, np.ones(1), tcfg.decision_time_grid,
+                         tcfg) != val_loss
 
 
 @settings(max_examples=100, deadline=None)
