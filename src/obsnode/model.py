@@ -58,7 +58,7 @@ class ObsNodeConfig:
 
 @dataclass
 class EncodedState:
-    z: Tensor  # (n, d_z)
+    z: Tensor  # (n, d_z), or (1, n, d_z) for rollouts
     t: float
 
 
@@ -260,11 +260,13 @@ def _affine_vjp(g, x, W, Wd, b=None):
     return g @ Wd.mT
 
 
-def _head(x, W, b):
+def _head(x, W, b, lead=()):
     """The affine head x @ W + b of the Tensors x (n, H), W (H, d_z) and
-    b (1, d_z) as one node, rounded as matmul, expand and add round it."""
-    return ad._record(Tensor(x.data @ W.data + b.data), (x, W, b),
-                      lambda g: ad._accum(x, _affine_vjp(g, x.data, W, W.data, b)))
+    b (1, d_z) as one node, rounded as matmul, expand and add round it,
+    with the leading axes `lead`: (1,) for a state :func:`rollouts` steps."""
+    y = x.data @ W.data + b.data
+    return ad._record(Tensor(y.reshape(lead + y.shape)), (x, W, b), lambda g: ad._accum(
+        x, _affine_vjp(g.reshape(y.shape), x.data, W, W.data, b)))
 
 
 def stack_field(params: ObsNodeParams):
@@ -281,11 +283,11 @@ def stack_field(params: ObsNodeParams):
     control, makes the term again. A state may carry leading axes (the
     decisions :func:`rollouts` steps in lockstep, the stages of a step that
     rebuild takes), which the control term and the bias tiles broadcast
-    over: each product takes a lone state's (n, .) operands and rounds as it
-    does, where extra rows would not (a narrow product's row rounds
-    otherwise at another row count); so rebuild's one pass gives each
-    stage's hidden layers bitwise as f made them. A pass's temporaries scale
-    with the leading axes times n times the width.
+    over: each product takes one (n, .) operand and rounds as a single
+    state's does, where extra rows would not (a narrow product's row rounds
+    otherwise at another row count); so rebuild gives each stage's hidden
+    layers bitwise as f made them, and vjp sums each parameter's gradient
+    over the decisions. Temporaries scale with the leading axes, n and w.
     """
     cfg = params.cfg
     d_y, m = cfg.d_y, cfg.m
@@ -312,7 +314,7 @@ def stack_field(params: ObsNodeParams):
             n = z.shape[-2]
             if n not in tiles:
                 tiles[n] = [np.repeat(bd, n, axis=1) for _, _, _, bd in later]
-            # a lone state skips the indexing, about 0.4 us a call at n = 1
+            # an (n, d_z) state skips the indexing, about 0.4 us a call at n = 1
             pre = (z if z.ndim == 2 else z[..., None, :, :]) @ W0zd
             pre += c
             for (_, Wd, _, _), tile in zip(later, tiles[n]):
@@ -323,30 +325,34 @@ def stack_field(params: ObsNodeParams):
             return out
 
         def rebuild(zs):
-            """vjp(i, g) of f at a step's four stage inputs zs (4, n, d_z), whose
-            one pass rebuilds the control term and every hidden layer by f's calls."""
-            n = zs.shape[1]
-            layers = []  # (mask, activation) per hidden layer
+            """vjp(i, g) of f at a step's four stage inputs zs (4, ..., n, d_z), whose
+            one pass rebuilds the control term and every hidden layer by f's calls.
+            vjp's products take the units of every decision of the state as rows,
+            and so sum each parameter's gradient over the decisions."""
+            n, d_z = zs.shape[-2:]
+            units = ctrl if shared else np.tile(ctrl, (zs[0].size // n // d_z, 1))
+            layers = []  # (mask, activation) per hidden layer, as (4, m, rows, w)
             if later:
-                pre = zs[:, None] @ W0zd
-                pre += ctrl @ W0cd + b0d
-                layers.append((keep(pre), act(pre, out=pre)))
+                pre = zs.reshape(len(zs), 1, -1, n, d_z) @ W0zd[:, None]
+                pre += (ctrl @ W0cd + b0d)[:, None]
+                rows = (len(zs), m, -1, pre.shape[-1])
+                layers.append((keep(pre).reshape(rows), act(pre, out=pre).reshape(rows)))
                 for (_, Wd, _, _), tile in zip(later[:-1], tiles[n]):  # tiles made by f
-                    pre = layers[-1][1] @ Wd
-                    pre += tile
-                    layers.append((keep(pre), act(pre, out=pre)))
+                    pre = pre @ Wd[:, None]
+                    pre += tile[:, None]
+                    layers.append((keep(pre).reshape(rows), act(pre, out=pre).reshape(rows)))
 
             def vjp(i, g):
-                gpre = g.reshape(n, m, d_y).transpose(1, 0, 2)
+                gpre = g.reshape(-1, m, d_y).transpose(1, 0, 2)
                 for (W, Wd, b, _), (mask, y) in zip(reversed(later), reversed(layers)):
                     gpre = act_vjp(_affine_vjp(gpre, y[i], W, Wd, b), mask[i], y[i])
                 gc = _unit_sum(gpre) if shared else gpre
                 ad._accum(b0, _unit_sum(gc))
-                ad._accum(W0c, ctrl.T @ gc)
-                gz = np.add.reduce(_affine_vjp(gpre, zs[i], W0z, W0zd), axis=0)
-                gz[:, d_y:] += g[:, :-d_y]  # the integrator chain
+                ad._accum(W0c, units.T @ gc)
+                gz = np.add.reduce(_affine_vjp(gpre, zs[i].reshape(-1, d_z), W0z, W0zd), axis=0)
+                gz[:, d_y:] += g.reshape(gz.shape)[:, :-d_y]  # the integrator chain
                 gz[:, :d_y] += 0.0  # a -0.0 sum becomes +0.0, as in the op graph
-                return gz
+                return gz.reshape(g.shape)
 
             return vjp
 
@@ -388,16 +394,19 @@ def emit(z, cfg: ObsNodeConfig):
 
 
 def emissions(states, d_y):
-    """The observations (first d_y columns) of the states (n, d_z) as one
-    (len(states), n, d_y) node, whose backward pass writes each state's rows
-    into a zero (n, d_z) array, as one :func:`emit` per state, concat and reshape did."""
+    """The observations (first d_y columns, or all if d_y is None, as a
+    lockstep stretch takes its states) of the states, each the row i of a
+    Tensor q (D, n, d_z) given as (q, i) (:func:`rollouts`), as one
+    (len(states), n, d_y) node, whose backward pass writes each state's
+    rows into a zero array of q's shape, as slice_axis and concat would."""
     def backward(g):
-        for z, gz in zip(reversed(states), g[::-1]):
-            full = np.zeros_like(z.data)
-            full[:, :d_y] = gz
-            ad._accum(z, full)
+        for (q, i), gz in zip(reversed(states), g[::-1]):
+            full = np.zeros_like(q.data)
+            full[i, :, :d_y] = gz
+            ad._accum(q, full)
 
-    return ad._record(Tensor(np.stack([z.data[:, :d_y] for z in states])), states, backward)
+    return ad._record(Tensor(np.stack([q.data[i, :, :d_y] for q, i in states])),
+                      [q for q, _ in states], backward)
 
 
 # Rows of one block of hoisted input products. A block holds
@@ -516,14 +525,15 @@ def _gru_states(x, unobs, b_impute, enc, lengths):
     return states
 
 
-def encode_prefixes(history: History, params: ObsNodeParams, lengths) -> list[EncodedState]:
+def encode_prefixes(history: History, params: ObsNodeParams, lengths,
+                    lead=()) -> list[EncodedState]:
     """The latent point estimates after the first k history times, for each
     k >= 1 in `lengths` (any order, repeats allowed), at times[k - 1]. The
     recurrence (:func:`_gru_states`) runs once, over the longest prefix;
     its hidden state after k steps is, bit for bit, that of a run over the
-    first k times, and the affine head maps it to the state. The cell
-    inputs, (imputed y, mask, scaled treatment, delta-t) per time, are one
-    array."""
+    first k times, and the affine head maps it to the state (n, d_z), with
+    the leading axes `lead` (:func:`_head`). The cell inputs, (imputed y,
+    mask, scaled treatment, delta-t) per time, are one array."""
     cfg = params.cfg
     check_dims(history, cfg, "encode")
     if min(lengths, default=1) < 1:
@@ -538,7 +548,7 @@ def encode_prefixes(history: History, params: ObsNodeParams, lengths) -> list[En
     x = np.concatenate([history.y[:T] * mask + params.b_impute.data * unobs, mask, a,
                         np.broadcast_to(dt[:, None, None], (T, n, 1))], axis=2)
     hs = _gru_states(x, unobs, params.b_impute, params.enc, lengths)
-    return [EncodedState(z=_head(hs[k], params.head_W, params.head_b),
+    return [EncodedState(z=_head(hs[k], params.head_W, params.head_b, lead),
                          t=float(history.times[k - 1])) for k in lengths]
 
 
@@ -567,15 +577,14 @@ def rollouts(record: History, decisions, params: ObsNodeParams, int_cfg: Integra
     (one :func:`encode_prefixes` pass serves them all) is integrated by one
     field to the targets times[k:j] under `control` ((K, d_a) or (K, n, d_a)
     knot values), by default the record's own ``ControlPath(times, a)``: the
-    treatment recorded at each time holds up to the next. The
-    decisions step in lockstep: between two consecutive join (times[k - 1])
-    or leave (times[j - 1]) times, one :func:`~obsnode.odeint.integrate`
-    call steps those in flight, stacked on a leading axis; each anchor of a
-    step edge is a record time or a knot, so each state is bitwise that of
-    the decision's own rollout. A lone decision steps its (n, d_z) state,
-    taped or not; several under a tape raise ValueError. More than
-    MAX_STEPS in one decision raise DataError before any work. Returns,
-    per decision, the j - k states (n, d_z) at the targets (see :func:`emissions`)."""
+    treatment recorded at each time holds up to the next. The decisions
+    step in lockstep, taped or not: between two consecutive join (times[k - 1])
+    or leave (times[j - 1]) times, one :func:`~obsnode.odeint.integrate` call
+    steps those in flight as one (D, n, d_z) state, a row per k; each anchor
+    of a step edge is a record time or a knot, so each state is bitwise that
+    of the decision's own rollout. More than MAX_STEPS in one decision raise
+    DataError before any work. Returns, per decision, its j - k states at
+    the targets, each the row i of a stepped q as (q, i) (see :func:`emissions`)."""
     n, d_a = record.y.shape[1], params.cfg.d_a
     times = record.times
     if control is None:
@@ -583,27 +592,28 @@ def rollouts(record: History, decisions, params: ObsNodeParams, int_cfg: Integra
     if control.knot_values.shape[1:] not in ((d_a,), (n, d_a)):
         raise ShapeMismatch("rollouts: the control's knot values", control.knot_values.shape,
                             (control.knot_times.size, n, d_a))
-    lone = len(decisions) == 1
-    if not lone and ad._active_tape() is not None:
-        raise ValueError("rollouts: a taped call takes one decision")
     for k, j in decisions:
         if j > k:  # the steps of the decision's own rollout
             _counted_steps(times[k - 1], control.knot_times, times[k:j], int_cfg.step_size)
-    encoded = encode_prefixes(record, params, [k for k, _ in decisions])
+    ks = sorted({k for k, _ in decisions})
+    heads = {k: s.z for k, s in zip(ks, encode_prefixes(record, params, ks, lead=(1,)))}
     field, tensors = stack_field(params)
     out = [[] for _ in decisions]
-    at = {}  # the latest state of each decision in flight
+    z, at = None, {}  # the last stretch's end state; the row of each decision in flight
     events = sorted({i for k, j in decisions for i in (k - 1, j - 1)})
     for lo, hi in zip(events, events[1:]):
-        at = {d: z for d, z in at.items() if decisions[d][1] - 1 > lo}
-        at.update((d, encoded[d].z) for d, (k, j) in enumerate(decisions) if k - 1 == lo < j - 1)
+        at = {d: i for d, i in at.items() if decisions[d][1] - 1 > lo}
+        rows = sorted(set(at.values()))
+        new = [d for d, (k, j) in enumerate(decisions) if k - 1 == lo < j - 1]
+        at = {d: rows.index(i) for d, i in at.items()} | dict.fromkeys(new, len(rows))
         if not at:
             continue
-        z = at[0] if lone else Tensor(np.stack([s.data for s in at.values()]))
+        parts = [(z, i) for i in rows] + ([(heads[lo + 1], 0)] if new else [])
+        z = emissions(parts, None) if rows else parts[0][0]  # the rows that go on, the join
         qs = integrate(field, z, control, times[lo], int_cfg, times[lo + 1:hi + 1], tensors)
-        for i, d in enumerate(at):
-            out[d] += qs if lone else [Tensor(q.data[i]) for q in qs]
-            at[d] = out[d][-1]
+        for d, i in at.items():
+            out[d] += [(q, i) for q in qs]
+        z = qs[-1]
     return out
 
 

@@ -117,14 +117,15 @@ def _rk4_step(field, z, a, params, dt):
 
 
 def _step(field, z, h, params, t):
-    """One RK4 step of size h from the Tensor z with the bound field
-    (f, rebuild), recorded as one tape node whose inputs are z and `params`;
-    t, the step's end time, names it in errors. The forward pass runs the
-    four stages on arrays, keeps their inputs and scans the new state once
-    for finiteness. The backward pass calls rebuild on those inputs stacked
-    and runs the stages' VJPs in reverse (discretise-then-optimise: Kidger
-    2022, *On Neural Differential Equations*, section 5); a non-finite
-    state gradient raises NumericError there."""
+    """One RK4 step of size h from the Tensor z (..., n, d_z) with the bound
+    field (f, rebuild), recorded as one tape node whose inputs are z and
+    `params`; t, the step's end time, names it in errors. The forward pass
+    runs the four stages on arrays, keeps their inputs and scans the new
+    state once for finiteness. The backward pass calls rebuild on those
+    inputs stacked and runs the stages' VJPs in reverse, each parameter's
+    gradient summed over z's leading axes (discretise-then-optimise: Kidger
+    2022, *On Neural Differential Equations*, section 5); a non-finite state
+    gradient raises NumericError there."""
     f, rebuild = field
     zd = z.data
     k1 = f(zd)
@@ -164,7 +165,7 @@ def integrate(field, z0, control: ControlPath, t0, cfg: IntegrationConfig, query
     and returns (f, rebuild); it is called once per control segment. f maps
     a state array to dz/dt and keeps nothing. Only a backward pass calls
     rebuild, once per step (:func:`_step`), on the step's four stage inputs
-    stacked on a leading axis, (4, n, d_z); it recomputes what the VJPs read,
+    stacked on a leading axis, (4, ..., n, d_z); it recomputes what the VJPs read,
     so a step node holds no more than those inputs and the bound control,
     and returns vjp(i, g), which maps a gradient of stage i's dz/dt to that
     of its input and accumulates into the gradients of `params`, the

@@ -157,17 +157,17 @@ def _decisions(times, decision_times, tcfg: TrainConfig, split):
     return pairs
 
 
-def _score(states, record: History, k, j, sigma2):
-    """The masked loss of the observations of the states (:func:`~obsnode.model.rollouts`)
-    at the record's targets times[k:j]."""
-    return masked_loss(emissions(states, record.y.shape[2]), record.y[k:j], record.mask[k:j],
-                       sigma2)
+def _losses(record: History, pairs, params, sigma2, int_cfg):
+    """The masked loss of each decision (k, j) of `pairs`, all from one
+    :func:`~obsnode.model.rollouts` call: its observations at times[k:j]."""
+    return [masked_loss(emissions(s, record.y.shape[2]), record.y[k:j], record.mask[k:j], sigma2)
+            for s, (k, j) in zip(rollouts(record, pairs, params, int_cfg), pairs)]
 
 
 def _batch_loss(record: History, k, j, params, sigma2, int_cfg):
     """Forward pass on one batch: encode the record's first k times, forecast
     its targets times[k:j] under the factual treatments, and score."""
-    return _score(rollouts(record, [(k, j)], params, int_cfg)[0], record, k, j, sigma2)
+    return _losses(record, [(k, j)], params, sigma2, int_cfg)[0]
 
 
 def _train_step(batch: History, k, j, params, sigma2, int_cfg, opt: Adam, max_grad_norm):
@@ -192,9 +192,8 @@ def evaluate_loss(trajs, params, sigma2, decision_times, tcfg: TrainConfig):
 
 def _record_loss(record: History, params, sigma2, pairs, int_cfg):
     """:func:`evaluate_loss` of a stacked record at its decisions' index pairs."""
-    states = rollouts(record, pairs, params, int_cfg)
-    return float(np.mean([float(_score(s, record, k, j, sigma2).data)
-                          for s, (k, j) in zip(states, pairs)]))
+    return float(np.mean([float(loss.data)
+                          for loss in _losses(record, pairs, params, sigma2, int_cfg)]))
 
 
 # A value that overflows is reported once, by the _check_finite that finds it,

@@ -13,7 +13,8 @@ FILE is JSON: the sha256 of each artifact (every file a command writes, by
 its path in the workspace), and of each command its exit code and the
 sha256 of its stdout and of its stderr. FILE.npz keeps the numbers of each
 output as one float64 vector: those in an artifact's text or a stdout, in
-order, and each parameter's gradient on one taped training batch.
+order, and each parameter's gradient on one taped training batch, at one
+decision and at three in lockstep.
 
 ``--compare`` prints each output of A and B, with "identical" or the
 largest absolute difference of its numbers relative to the largest
@@ -37,7 +38,7 @@ The run set:
 - the benchmark's acceptance configs, copied here (the benchmark is not
   imported): both cohorts at 90 patients, ``train`` for 2 epochs, the
   cancer model's RMSE grid, and the per-parameter gradients of one taped
-  batch on each trained model.
+  batch on each trained model, at one decision and at three in lockstep.
 
 ``run_set(quick=True)`` is a smaller set of the same commands, for the tests.
 """
@@ -132,18 +133,27 @@ class Workspace:
         return found
 
 
-def batch_gradients(ws, name, run_dir, data_dir, train_cfg, batch_size):
+def batch_gradients(ws, name, run_dir, data_dir, train_cfg, batch_size, lockstep=False):
     """Each checkpoint entry's gradient of the loss of one taped training
     batch on the trained model: its first `batch_size` train units, at the
-    middle decision time of the grid; none when training wrote no model, and
-    none, with a note on stderr, when the checkout predates the decisions
-    as index pairs: a `train._batch_loss(record, k, j, ...)` and the
-    `train._decisions` that returns its pairs."""
+    middle decision time of the grid, or with `lockstep`, the sum of the
+    losses at the first, middle and last, scored from one taped rollouts
+    call by `train._losses`. None when training wrote no model, and none,
+    with a note on stderr, when the checkout predates the decisions as index
+    pairs (a `train._batch_loss(record, k, j, ...)` and the `train._decisions`
+    that returns its pairs) or, with `lockstep`, has no `train._losses`: its
+    rollouts takes one decision under a tape."""
     from obsnode import train
     if "k" not in inspect.signature(getattr(train, "_batch_loss", lambda: None)).parameters:
         print(f"contract: gradients of {name} absent: this checkout's train has no "
               "_batch_loss(record, k, j, ...)", file=sys.stderr)
         return {}
+    if lockstep and not hasattr(train, "_losses"):
+        print(f"contract: lockstep gradients of {name} absent: this checkout's train has no "
+              "_losses(record, pairs, ...), as its rollouts takes one decision under a tape",
+              file=sys.stderr)
+        return {}
+    from obsnode import autodiff as ad
     from obsnode.autodiff import Tape
     from obsnode.model import load_model, param_shapes
     from obsnode.simulate import read_dataset
@@ -160,18 +170,26 @@ def batch_gradients(ws, name, run_dir, data_dir, train_cfg, batch_size):
     pairs, int_cfg = pairs if isinstance(pairs, tuple) else (pairs, params.int_cfg)
     k, j = pairs[len(pairs) // 2]
     with Tape() as tape:
-        loss = _batch_loss(record, k, j, params, np.ones(cfg.d_y), int_cfg)
+        if lockstep:
+            picks = [pairs[0], (k, j), pairs[-1]]
+            losses = train._losses(record, picks, params, np.ones(cfg.d_y), int_cfg)
+            # their sum as one node, not autodiff.add: the run set runs with every op refused
+            loss = ad._record(ad.Tensor(sum(float(x.data) for x in losses)), losses,
+                              lambda g: [ad._accum(x, g) for x in losses])
+        else:
+            loss = _batch_loss(record, k, j, params, np.ones(cfg.d_y), int_cfg)
         tape.backward(loss)
+    prefix = "lockstep " if lockstep else ""
     flat = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
                            for t in params.tensors()])
     digests = {}
     for (entry, shape), ix in zip(param_shapes(cfg), params.parts):
         g = np.ascontiguousarray(flat[ix].reshape(shape))
-        key = f"gradient:{name}:{entry}"
+        key = f"{prefix}gradient:{name}:{entry}"
         digests[key] = sha(g.tobytes())
         ws.arrays[key] = g.reshape(-1)
-    ws.arrays[f"loss:{name}"] = np.array([float(loss.data)])
-    digests[f"loss:{name}"] = sha(np.float64(loss.data).tobytes())
+    ws.arrays[f"{prefix}loss:{name}"] = np.array([float(loss.data)])
+    digests[f"{prefix}loss:{name}"] = sha(np.float64(loss.data).tobytes())
     return digests
 
 
@@ -223,8 +241,9 @@ def run_set(quick=False):
                 f"in/bench_evaluate_{name}.json", {"dataset_dir": data, "split": "test",
                                                    "checkpoint": f"{run_dir}/checkpoint.json",
                                                    "output_dir": f"bench/eval/{name}", **grid}))
-        gradients.update(batch_gradients(ws, name, run_dir, data, train_cfg,
-                                         train_cfg["batch_size"]))
+        for lockstep in (False, True):
+            gradients.update(batch_gradients(ws, name, run_dir, data, train_cfg,
+                                             train_cfg["batch_size"], lockstep))
     report = {"commands": ws.commands, "artifacts": ws.artifacts(), "gradients": gradients}
     return report, ws.arrays
 

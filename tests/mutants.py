@@ -114,8 +114,8 @@ CATALOGUE = (
            "the leaky ReLU's VJP takes the slope, not 1, at pre = +0.0 and -0.0, "
            "against the select form"),
     Mutant("field-first-layer-rebuilt-without-control", "model.py",
-           "zs[:, None] @ W0zd\n                pre += ctrl @ W0cd + b0d\n",
-           "zs[:, None] @ W0zd\n",
+           "@ W0zd[:, None]\n                pre += (ctrl @ W0cd + b0d)[:, None]\n",
+           "@ W0zd[:, None]\n",
            ("tests/test_fused.py::TestBitwiseAgainstOpGraph::test_triangular_rhs",),
            "the rebuild makes the first hidden layer from z alone, so its activation "
            "and mask are not the forward pass's"),
@@ -139,13 +139,14 @@ CATALOGUE = (
            "one byte an entry; the rebuild makes its own, so only the tape's bytes "
            "show it"),
     Mutant("field-rebuild-keeps-the-control-term", "model.py",
-           "pre += ctrl @ W0cd + b0d\n", "pre += c\n",
+           "pre += (ctrl @ W0cd + b0d)[:, None]\n", "pre += c[:, None]\n",
            ("tests/test_fused.py::TestTapeBytes",),
            "the rebuild reads the segment's first-layer control term that f made, "
            "so every step node keeps one (m, n, w) array per control segment alive; "
            "only the tape's bytes show it"),
     Mutant("field-rebuild-reads-another-segments-control", "model.py",
-           "pre += ctrl @ W0cd + b0d\n", "pre += tiles.setdefault(0.5, ctrl) @ W0cd + b0d\n",
+           "pre += (ctrl @ W0cd + b0d)[:, None]\n",
+           "pre += (tiles.setdefault(0.5, ctrl) @ W0cd + b0d)[:, None]\n",
            ("tests/test_fused.py::TestSolveAgainstOpGraph",),
            "every rebuild of a solve takes the control of the first step the backward "
            "pass reaches, the last segment's, so the other segments' gradients are "
@@ -158,12 +159,14 @@ CATALOGUE = (
            "each RK4 stage's VJP reads the next stage's rebuilt activations and "
            "masks, the last stage the first's"),
     Mutant("field-rebuild-from-the-first-stage", "model.py",
-           "pre = zs[:, None] @ W0zd", "pre = zs[[0] * len(zs), None] @ W0zd",
+           "pre = zs.reshape(len(zs), 1, -1, n, d_z)",
+           "pre = zs[[0] * len(zs)].reshape(len(zs), 1, -1, n, d_z)",
            ("tests/test_fused.py::TestStepNode", "tests/test_fused.py::TestSolveAgainstOpGraph"),
            "the rebuild makes every stage's hidden layers from the first stage's "
            "input, the step's start state"),
     Mutant("field-chain-unshifted", "model.py",
-           "gz[:, d_y:] += g[:, :-d_y]", "gz[:, d_y:] += g[:, d_y:]",
+           "gz[:, d_y:] += g.reshape(gz.shape)[:, :-d_y]",
+           "gz[:, d_y:] += g.reshape(gz.shape)[:, d_y:]",
            ("tests/test_fused.py::TestFusedGradCheck::test_triangular_rhs",),
            "the integrator chain's gradient reaches each block of z from its own "
            "block of dz/dt, not from the block before"),
@@ -208,7 +211,7 @@ CATALOGUE = (
            "the encoder head's bias takes the last unit's gradient, not the sum "
            "over the units; a single unit does not show it"),
     Mutant("emission-gradient-into-the-last-block", "model.py",
-           "full[:, :d_y] = gz", "full[:, -d_y:] = gz",
+           "full[i, :, :d_y] = gz", "full[i, :, full.shape[-1] - gz.shape[-1]:] = gz",
            ("tests/test_fused.py::TestTailAgainstOpGraph::test_emissions",),
            "the emission's backward pass writes each state's gradient into its "
            "last d_y columns, not the observed first block; m = 1 does not show it"),
@@ -287,7 +290,16 @@ CATALOGUE = (
            "train's MAX_STEPS check counts from t_c, not from times[k - 1] where the "
            "rollout starts, so it misses the steps of the gap before t_c"),
     Mutant("lockstep-join-one-segment-late", "model.py",
-           "if k - 1 == lo < j - 1)", "if k - 1 < lo < j - 1 and d not in at)",
+           """k - 1 == lo < j - 1]
+        at = {d: rows.index(i) for d, i in at.items()} | dict.fromkeys(new, len(rows))
+        if not at:
+            continue
+        parts = [(z, i) for i in rows] + ([(heads[lo + 1], 0)] if new else [])""",
+           """k - 1 < lo < j - 1 and d not in at]
+        at = {d: rows.index(i) for d, i in at.items()} | dict.fromkeys(new, len(rows))
+        if not at:
+            continue
+        parts = [(z, i) for i in rows] + ([(heads[decisions[new[0]][0]], 0)] if new else [])""",
            ("tests/test_model.py::TestLockstep::test_a_fixed_case_equals_one_call_per_decision",
             "tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision"),
            "a decision joins the lockstep at the first join or leave time after "
@@ -305,6 +317,19 @@ CATALOGUE = (
             "tests/test_model.py::TestLockstep::test_lockstep_equals_one_call_per_decision"),
            "the control term is not broadcast over the decision axis: only the "
            "first decision in flight gets it; a lone state does not show it"),
+    Mutant("lockstep-control-gradient-of-the-first-decision", "model.py",
+           "ad._accum(W0c, units.T @ gc)", "ad._accum(W0c, units[:n].T @ gc[:, :n])",
+           ("tests/test_model.py::TestLockstep::test_a_taped_call_steps_in_lockstep",),
+           "the control weights' gradient takes the units of the first decision in "
+           "flight only, not the sum over the decisions; a shared control or a "
+           "single decision does not show it"),
+    Mutant("lockstep-observation-gradient-into-another-decision", "model.py",
+           "full[i, :, :d_y] = gz", "full[-1 - i, :, :d_y] = gz",
+           ("tests/test_model.py::TestLockstep::test_a_taped_call_steps_in_lockstep",
+            "tests/test_fused.py::TestTailAgainstOpGraph::test_emissions"),
+           "each observation's gradient goes into the row of another decision of "
+           "its stepped state, the rows counted from the end; a single decision "
+           "does not show it, and the forward pass is unchanged"),
     Mutant("forecasts-in-normalized-units", "evaluate.py",
            "zscore_invert(emissions(states, params.cfg.d_y).data, stats)",
            "emissions(states, params.cfg.d_y).data",

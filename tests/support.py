@@ -26,18 +26,21 @@ from obsnode.train import (masked_loss, stack_units, zscore_fit, zscore_invert,
                            zscore_outcomes)
 
 
-def op_graph_affine(x, W, b):
-    """x @ W + b as the op graph of matmul, expand and add: the reference for
-    the encoder's affine head (``model._head``)."""
+def op_graph_affine(x, W, b, lead=()):
+    """x @ W + b as the op graph of matmul, expand and add, reshaped to the
+    leading axes `lead` if any: the reference for the encoder's affine head
+    (``model._head``)."""
     n = x.data.shape[0]
-    return ad.add(ad.matmul(x, W), ad.expand(b, (n, b.data.shape[1])))
+    out = ad.add(ad.matmul(x, W), ad.expand(b, (n, b.data.shape[1])))
+    return ad.reshape(out, lead + out.shape) if lead else out
 
 
 def op_graph_emissions(states, d_y):
-    """The reference for :func:`~obsnode.model.emissions`: one slice_axis
-    per state, then concat and reshape."""
-    preds = [ad.slice_axis(z, 0, d_y, axis=1) for z in states]
-    return ad.reshape(ad.concat(preds, axis=0), (len(preds),) + preds[0].data.shape)
+    """The reference for :func:`~obsnode.model.emissions`: for each state
+    (q, i), a slice_axis of q's row i and one of its first d_y columns (all
+    if d_y is None), then concat."""
+    return ad.concat([ad.slice_axis(ad.slice_axis(q, i, i + 1, axis=0), 0, d_y, axis=2)
+                      for q, i in states], axis=0)
 
 
 def op_graph_loss(pred, y, mask, sigma2):

@@ -31,6 +31,10 @@ def test_every_command_exits_zero_and_writes(runs):
     grads = [k for k in report["gradients"] if k.startswith("gradient:")]
     assert len(grads) == 2 * 24 and all(np.isfinite(arrays[k]).all() for k in grads)
     assert any(np.any(arrays[k] != 0.0) for k in grads)
+    # and those of three decisions in lockstep, which differ from the one's
+    lockstep = [k for k in report["gradients"] if k.startswith("lockstep gradient:")]
+    assert len(lockstep) == 2 * 24 and all(np.isfinite(arrays[k]).all() for k in lockstep)
+    assert report["gradients"]["lockstep loss:cancer"] != report["gradients"]["loss:cancer"]
 
 
 def test_two_runs_give_one_report(runs, tmp_path):
@@ -84,6 +88,18 @@ def test_a_checkout_before_the_pair_decisions_has_no_gradients(monkeypatch, caps
     assert contract.batch_gradients(None, "semi", "runs/semi", "data/semi", {}, 1) == {}
     err = capsys.readouterr().err
     assert "gradients of cancer absent" in err and "gradients of semi absent" in err
+
+
+def test_a_checkout_that_scores_one_decision_per_tape_has_no_lockstep_gradients(
+        monkeypatch, capsys):
+    # a train module without _losses, as when rollouts refused several
+    # decisions under a tape: the lockstep part is absent, with a note
+    from obsnode import train
+
+    monkeypatch.delattr(train, "_losses")
+    assert contract.batch_gradients(None, "cancer", "runs/cancer", "data/cancer", {}, 1,
+                                    lockstep=True) == {}
+    assert "lockstep gradients of cancer absent" in capsys.readouterr().err
 
 
 def test_reach_lists_the_statements_that_did_not_run(tmp_path):

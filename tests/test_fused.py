@@ -582,16 +582,20 @@ class TestTailAgainstOpGraph:
     @given(n=st.sampled_from([1, 3]), d_y=st.integers(1, 3), m=st.integers(1, 3),
            data=st.data(), seed=st.integers(0, 2**16))
     def test_emissions(self, n, d_y, m, data, seed):
-        # repeated states, as repeated query times give, take their
-        # gradients in the op graph's order
-        picks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6), label="picks")
+        # rows of states stacked over 2 decisions, repeated as repeated
+        # query times repeat them, take their gradients in the op graph's
+        # order; so do whole states (d_y None), as a lockstep stretch takes them
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)),
+                                   min_size=1, max_size=6), label="picks")
+        cols = data.draw(st.sampled_from([d_y, None]), label="columns")
         rng = np.random.default_rng(seed)
-        z0 = rng.normal(size=(4, n, m * d_y))
+        z0 = rng.normal(size=(4, 2, n, m * d_y))
         results = []
         for node in (model.emissions, op_graph_emissions):
             zs = [Tensor(z.copy(), requires_grad=True) for z in z0]
-            results.append(run_node(lambda *states: node(list(states), d_y),
-                                    [zs[i] for i in picks], [], seed + 1, zeros=0.5))
+            results.append(run_node(
+                lambda *qs: node([(q, i) for q, (_, i) in zip(qs, picks)], cols),
+                [zs[a] for a, _ in picks], [], seed + 1, zeros=0.5))
         assert_bitwise(*results)
 
     @settings(max_examples=60, deadline=None)
@@ -788,14 +792,15 @@ class TestTapeBytes:
     (51,200 B)."""
     m, n, w, steps = 2, 25, 32, 16
 
-    def held(self, layers):
-        """(bytes the tape holds, entries of one hidden layer over the solve)."""
+    def held(self, layers, lead=()):
+        """(bytes the tape holds, entries of one hidden layer over the solve
+        of a single state), the state carrying the leading axes `lead`."""
         m, n, w = self.m, self.n, self.w
         cfg = ObsNodeConfig(d_y=1, m=m, d_a=1, phi_hidden_dim=w, phi_layers=layers,
                             encoder_hidden_dim=3)
         params = make_params(cfg, 5)
         rng = np.random.default_rng(6)
-        z = Tensor(rng.normal(size=(n, cfg.d_z)), requires_grad=True)
+        z = Tensor(rng.normal(size=lead + (n, cfg.d_z)), requires_grad=True)
         control = ControlPath(np.arange(4.0), rng.normal(size=(4, n, 1)))
         tracemalloc.start()
         try:
@@ -818,6 +823,14 @@ class TestTapeBytes:
 
     def test_one_hidden_layer_keeps_no_activation(self):
         held, layer = self.held(1)
+        assert held <= 0.1 * layer * 8
+
+    def test_a_lockstep_step_keeps_only_its_stage_inputs(self):
+        # two decisions stacked on a leading axis, as rollouts steps them,
+        # with one hidden layer: the stage inputs and states double (about
+        # 25 KB more, 72 KB in all), and the bound stays that of a single
+        # state's solve, so a kept mask or control term still breaks it
+        held, layer = self.held(1, lead=(2,))
         assert held <= 0.1 * layer * 8
 
     def test_taped_encoder_keeps_three_gates_a_step(self):

@@ -22,7 +22,7 @@ from obsnode.model import (EncodedState, History, NormStats, ObsNodeConfig, ObsN
                            rollouts, save_model, stack_field, triangular_rhs)
 from obsnode.odeint import ControlPath, IntegrationConfig
 from obsnode.simulate import read_dataset
-from obsnode.train import TrainConfig, _decisions
+from obsnode.train import TrainConfig, _decisions, masked_loss
 from support import (PerBlockParams, PerTensorAdam, checkpoint_grads, identity_stats,
                      mask_window, observability_probe, padding, random_params,
                      reencoded_rollout, value_at)
@@ -911,41 +911,55 @@ class TestLockstep:
         self.check(2, 3, 1, 0.3, "shared", 5, [(1, 6), (3, 5), (2, 4), (3, 6)])
 
     @staticmethod
-    def check(n, hidden, d_y, step, control, seed, pairs):
+    def control(record, control, seed):
+        """None, or a path of 4 random knots around the record's times whose
+        values are shared or per unit."""
+        if control is None:
+            return None
+        n = record.y.shape[1]
+        rng = np.random.default_rng(seed + 2)
+        knots = np.unique(rng.uniform(record.times[0] - 0.5, record.times[-1] + 0.5, 4))
+        return ControlPath(knots, rng.normal(size=(knots.size,) + (n,) * (control != "shared")
+                                             + (2,)))
+
+    @staticmethod
+    def assert_rows_equal(states, alone, n, d_z):
+        """Each state of `states`, a (q, i) of rollouts, holds the bits of
+        the same state of `alone`, a decision's own rollout (one row)."""
+        assert len(states) == len(alone)
+        for (q, i), (r, l) in zip(states, alone):
+            assert q.data[i].shape == (n, d_z) and r.data.shape == (1, n, d_z) and l == 0
+            assert q.data[i].tobytes() == r.data[l].tobytes()
+
+    def check(self, n, hidden, d_y, step, control, seed, pairs):
         _, params, record = lockstep_case(n, d_y, hidden, seed)
-        ctrl = None
-        if control is not None:
-            rng = np.random.default_rng(seed + 2)
-            knots = np.unique(rng.uniform(record.times[0] - 0.5, record.times[-1] + 0.5, 4))
-            ctrl = ControlPath(knots, rng.normal(size=(knots.size,) + (n,) * (control != "shared")
-                                                 + (2,)))
+        ctrl = self.control(record, control, seed)
         int_cfg = IntegrationConfig(step)
         together = rollouts(record, pairs, params, int_cfg, ctrl)
         assert len(together) == len(pairs)
         for (k, j), states in zip(pairs, together):
             alone = rollouts(record, [(k, j)], params, int_cfg, ctrl)[0]
-            assert len(states) == len(alone) == j - k
-            for s, t in zip(states, alone):
-                assert s.data.shape == (n, 2 * d_y)
-                assert s.data.tobytes() == t.data.tobytes()
+            assert len(states) == j - k
+            self.assert_rows_equal(states, alone, n, 2 * d_y)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 3]), step=st.floats(0.05, 0.9), taped=st.booleans(),
            seed=st.integers(0, 2**16), data=st.data())
     def test_no_control_is_the_records_own_path(self, n, step, taped, seed, data):
-        # taped (one decision) or not (one or several): without
-        # a control, each state is that under ControlPath(times, a), bit for bit
+        # taped or not, one decision or several: without a control, each
+        # state is that under ControlPath(times, a), bit for bit
         T = 6
         _, params, record = lockstep_case(n, 1, 3, seed, T)
         pair = st.integers(1, T - 1).flatmap(lambda k: st.tuples(st.just(k),
                                                                 st.integers(k + 1, T)))
-        pairs = data.draw(st.lists(pair, min_size=1, max_size=1 if taped else 4), label="pairs")
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=4), label="pairs")
         int_cfg = IntegrationConfig(step)
         with ad.Tape() if taped else contextlib.nullcontext():
             got = rollouts(record, pairs, params, int_cfg)
             ref = rollouts(record, pairs, params, int_cfg, ControlPath(record.times, record.a))
         for states, expect in zip(got, ref):
-            assert [s.data.tobytes() for s in states] == [s.data.tobytes() for s in expect]
+            assert [q.data[i].tobytes() for q, i in states] == [
+                q.data[i].tobytes() for q, i in expect]
 
     def test_zero_width_steps_at_record_times_keep_the_isin_path(self):
         # on a grid offset by 2^52, where the float spacing is 1, step edges
@@ -972,8 +986,8 @@ class TestLockstep:
         _, params, record = lockstep_case(2, 1, 4, seed=3)
         real = model_mod.encode_prefixes
 
-        def huge_second_state(history, params, lengths):
-            states = real(history, params, lengths)
+        def huge_second_state(history, params, lengths, **kwargs):
+            states = real(history, params, lengths, **kwargs)
             if len(states) > 1:
                 states[1].z = Tensor(np.full(states[1].z.shape, 1e308))
             return states
@@ -985,13 +999,59 @@ class TestLockstep:
                 NumericError, match=re.escape(f"integrate: the state at t={record.times[3]}")):
             rollouts(record, [(1, 6), (3, 6)], params, int_cfg)
 
-    def test_a_taped_call_takes_one_decision(self):
-        _, params, record = lockstep_case(2, 1, 4, seed=4)
-        int_cfg = IntegrationConfig(0.25)
-        with ad.Tape():
-            assert len(rollouts(record, [(2, 5)], params, int_cfg)[0]) == 3
-            with pytest.raises(ValueError, match="a taped call takes one decision"):
-                rollouts(record, [(2, 5), (3, 5)], params, int_cfg)
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), hidden=st.integers(1, 5), d_y=st.integers(1, 2),
+           step=st.floats(0.05, 0.9), control=st.sampled_from([None, "shared", "per unit"]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_a_taped_call_steps_in_lockstep(self, n, hidden, d_y, step, control, seed, data):
+        # 1-5 decisions that join, leave and overlap, under a tape: each
+        # state is bitwise that of the decision's own taped call, and the
+        # parameter gradients of the summed per-decision losses are the sum
+        # of the decisions' own to 1e-12 of their largest summed magnitude
+        T = 6
+        pair = st.integers(1, T - 1).flatmap(lambda k: st.tuples(st.just(k),
+                                                                st.integers(k + 1, T)))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=5), label="pairs")
+        _, params, record = lockstep_case(n, d_y, hidden, seed, T)
+        ctrl = self.control(record, control, seed)
+        int_cfg = IntegrationConfig(step)
+        # a weight per target time and state entry, so the loss reads every column
+        weights = np.random.default_rng(seed + 3).normal(size=(T, 1, n, 2 * d_y))
+
+        def loss(states, k, j):
+            # the masked loss of the observations, plus sum(w * state)
+            total = masked_loss(emissions(states, d_y), record.y[k:j], record.mask[k:j],
+                                np.ones(d_y))
+            for s, (q, i) in enumerate(states):
+                total = ad.add(total, ad.tsum(ad.hadamard(emissions([(q, i)], None),
+                                                          Tensor(weights[k + s]))))
+            return total
+
+        def run(decisions):
+            for t in params.tensors():
+                t.zero_grad()
+            with ad.Tape() as tape:
+                out = rollouts(record, decisions, params, int_cfg, ctrl)
+                losses = [loss(states, k, j) for states, (k, j) in zip(out, decisions)]
+                total = losses[0]
+                for other in losses[1:]:
+                    total = ad.add(total, other)
+                tape.backward(total)
+            return out, [np.zeros(t.data.shape) if t.grad is None else t.grad.copy()
+                         for t in params.tensors()]
+
+        together, grads = run(pairs)
+        summed = [np.zeros(t.data.shape) for t in params.tensors()]
+        scale = [np.zeros(t.data.shape) for t in params.tensors()]
+        for (k, j), states in zip(pairs, together):
+            alone, own = run([(k, j)])
+            self.assert_rows_equal(states, alone[0], n, 2 * d_y)
+            for acc, size, g in zip(summed, scale, own):
+                acc += g
+                size += np.abs(g)
+        for g, acc, size in zip(grads, summed, scale):
+            assert np.max(np.abs(g - acc), initial=0.0) <= 1e-12 * np.max(size, initial=0.0)
+        assert any(np.any(g != 0.0) for g in grads)
 
     def test_max_steps_bounds_each_decision(self, monkeypatch):
         # 60 steps of 0.1 over the times 0..6 pass MAX_STEPS = 50
